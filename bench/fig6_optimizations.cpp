@@ -49,13 +49,16 @@ measureVariant(const fleet::Workload &W, const fleet::TrafficModel &Traffic,
 
 } // namespace
 
-int main() {
+int main(int argc, char **argv) {
+  FigureFlags Flags = parseFigureFlags(argc, argv);
+  std::unique_ptr<support::ThreadPool> Pool = makeCompilePool(Flags.Threads);
   std::printf("=== Figure 6: speedup of each Jump-Start-based "
               "optimization over Jump-Start-without-optimizations ===\n");
   auto W = fleet::generateWorkload(standardSite());
   fleet::TrafficModel Traffic(*W, fleet::TrafficParams(), 42);
   vm::ServerConfig Config = figureServerConfig();
   Config.Jit.ProfileRequestTarget = 400;
+  Config.CompilePool = Pool.get();
 
   profile::ProfilePackage Pkg = growPackage(*W, Traffic, Config);
 
@@ -100,5 +103,27 @@ int main() {
   std::printf("paper shape check: every optimization positive with BB "
               "layout the largest; disabling Jump-Start slightly "
               "negative (within noise of baseline)\n");
-  return 0;
+
+  // Export: one gauge per counter per variant, plus each bar's speedup
+  // over the baseline (tests/golden/fig6.metrics.jsonl byte-diffs this).
+  obs::Observability Obs;
+  auto Record = [&](const char *Variant, const fleet::SteadyStateResult &R,
+                    bool IsBar) {
+    obs::LabelSet L{{"variant", Variant}};
+    Obs.Metrics.gauge("fig6.cycles_per_request", L).set(R.CyclesPerRequest);
+    Obs.Metrics.gauge("fig6.branch_miss_rate", L).set(R.BranchMissRate);
+    Obs.Metrics.gauge("fig6.l1i_miss_rate", L).set(R.L1IMissRate);
+    Obs.Metrics.gauge("fig6.itlb_miss_rate", L).set(R.ITlbMissRate);
+    Obs.Metrics.gauge("fig6.l1d_miss_rate", L).set(R.L1DMissRate);
+    Obs.Metrics.gauge("fig6.dtlb_miss_rate", L).set(R.DTlbMissRate);
+    Obs.Metrics.gauge("fig6.llc_miss_rate", L).set(R.LlcMissRate);
+    if (IsBar)
+      Obs.Metrics.gauge("fig6.speedup_percent", L).set(Speedup(R));
+  };
+  Record("baseline", Base, /*IsBar=*/false);
+  Record("nojumpstart", RNoJs, /*IsBar=*/true);
+  Record("bb_layout", RBb, /*IsBar=*/true);
+  Record("func_sort", RFn, /*IsBar=*/true);
+  Record("prop_reorder", RProp, /*IsBar=*/true);
+  return exportIfRequested(Obs, Flags.ExportPrefix);
 }

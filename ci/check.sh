@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The tier-1 verification gate: configure, build, run the tier-1 test
-# suite, then check the fig4 determinism guarantee (two identical runs
-# must export byte-identical metrics/trace dumps).
+# suite, then check the fig4/fig5/fig6 determinism guarantee (two
+# identical runs, and runs at --threads 2 and 8, must export
+# byte-identical metrics/trace dumps).
 #
 # Usage: ci/check.sh [build-dir]
 #
@@ -57,30 +58,39 @@ ctest --test-dir "${BUILD_DIR}" -L tier1 --output-on-failure -j "${JOBS}"
 
 # Determinism acceptance checks: identical runs -> identical bytes, and
 # the host compile pool (--threads) must not change a single exported
-# byte -- worker threads only move wall-clock time.
+# byte -- worker threads only move wall-clock time.  fig5 and fig6 also
+# run the shadow tracer and the machine simulator, whose per-translation
+# fetch plans must not change a byte either.
 TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "${TMP_DIR}"' EXIT
-"${BUILD_DIR}/bench/fig4_warmup" --export "${TMP_DIR}/run-a" >/dev/null
-"${BUILD_DIR}/bench/fig4_warmup" --export "${TMP_DIR}/run-b" >/dev/null
-for SUFFIX in metrics.jsonl trace.jsonl chrome.json classes.json; do
-  if ! cmp -s "${TMP_DIR}/run-a.${SUFFIX}" "${TMP_DIR}/run-b.${SUFFIX}"; then
-    echo "check.sh: FAIL: fig4_warmup ${SUFFIX} differs between runs" >&2
-    exit 1
-  fi
-done
-echo "check.sh: fig4_warmup exports byte-identical across runs"
-
-for THREADS in 2 8; do
-  "${BUILD_DIR}/bench/fig4_warmup" --export "${TMP_DIR}/thr-${THREADS}" \
-    --threads "${THREADS}" >/dev/null
-  for SUFFIX in metrics.jsonl trace.jsonl chrome.json classes.json; do
-    if ! cmp -s "${TMP_DIR}/run-a.${SUFFIX}" "${TMP_DIR}/thr-${THREADS}.${SUFFIX}"; then
-      echo "check.sh: FAIL: fig4_warmup ${SUFFIX} differs at --threads ${THREADS}" >&2
-      exit 1
-    fi
+check_exports_deterministic() {
+  local FIG="$1"
+  shift
+  "${BUILD_DIR}/bench/${FIG}" --export "${TMP_DIR}/${FIG}-a" >/dev/null
+  local RUN FLAGS SUFFIX
+  for RUN in b 2 8; do
+    FLAGS=""
+    [[ "${RUN}" == "b" ]] || FLAGS="--threads ${RUN}"
+    # shellcheck disable=SC2086 # FLAGS is empty or two words
+    "${BUILD_DIR}/bench/${FIG}" --export "${TMP_DIR}/${FIG}-${RUN}" \
+      ${FLAGS} >/dev/null
+    for SUFFIX in "$@"; do
+      if ! cmp -s "${TMP_DIR}/${FIG}-a.${SUFFIX}" \
+          "${TMP_DIR}/${FIG}-${RUN}.${SUFFIX}"; then
+        echo "check.sh: FAIL: ${FIG} ${SUFFIX} differs between runs" \
+             "(${FLAGS:-no flags})" >&2
+        exit 1
+      fi
+    done
   done
-done
-echo "check.sh: fig4_warmup exports byte-identical for --threads 1/2/8"
+  echo "check.sh: ${FIG} exports byte-identical across runs and for --threads 1/2/8"
+}
+check_exports_deterministic fig4_warmup \
+  metrics.jsonl trace.jsonl chrome.json classes.json
+check_exports_deterministic fig5_steady_state \
+  metrics.jsonl trace.jsonl chrome.json
+check_exports_deterministic fig6_optimizations \
+  metrics.jsonl trace.jsonl chrome.json
 
 # Differential conformance smoke: 50 generated programs through the smoke
 # config matrix (interpreter / JIT tiers / Jump-Start consumer boot), run

@@ -54,7 +54,8 @@ public:
   }
 
   /// Per-instruction trace filter: when true for \p F, onInstr fires for
-  /// each executed instruction of \p F.  Queried once per frame entry.
+  /// each executed instruction of \p F.  Queried once per frame entry,
+  /// right after onFuncEnter for \p F.
   virtual bool wantsInstrTrace(bc::FuncId F) {
     (void)F;
     return false;

@@ -93,6 +93,22 @@ public:
     return It == BlockMap.end() ? kNoBlock : It->second;
   }
 
+  /// findBlock for every bytecode block of \p F at once: entry B is the
+  /// Vasm block implementing (F, B), or kNoBlock; blocks past the end are
+  /// unmapped too.
+  std::vector<uint32_t> blockTable(bc::FuncId F) const {
+    std::vector<uint32_t> Table;
+    for (const auto &[Key, VBlockId] : BlockMap) {
+      if (Key >> 32 != F.raw())
+        continue;
+      uint32_t BcBlock = static_cast<uint32_t>(Key);
+      if (BcBlock >= Table.size())
+        Table.resize(BcBlock + 1, kNoBlock);
+      Table[BcBlock] = VBlockId;
+    }
+    return Table;
+  }
+
   /// Functions inlined into this unit (not including Func itself).
   std::vector<bc::FuncId> Inlined;
 

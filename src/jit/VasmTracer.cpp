@@ -7,6 +7,9 @@
 
 #include "jit/VasmTracer.h"
 
+#include <bit>
+#include <cassert>
+
 using namespace jumpstart;
 using namespace jumpstart::jit;
 
@@ -21,6 +24,73 @@ static constexpr uint64_t kInterpSize = 16 * 1024;
 VasmTracer::VasmTracer(Jit &J, sim::MachineSim &Machine)
     : J(J), Machine(Machine) {}
 
+std::unique_ptr<VasmTracer::TransPlan>
+VasmTracer::buildPlan(const Translation &T) const {
+  const VasmUnit &Unit = *T.Unit;
+  const uint32_t LineShift =
+      static_cast<uint32_t>(std::countr_zero(Machine.config().L1I.LineBytes));
+  const uint32_t PageShift =
+      static_cast<uint32_t>(std::countr_zero(Machine.config().PageBytes));
+  auto P = std::make_unique<TransPlan>();
+  P->Unit = &Unit;
+  P->Blocks.resize(Unit.Blocks.size());
+  // One more access to the line or page at Addr, in the runs that start
+  // at index First: back-to-back accesses share a run.
+  auto Add = [&](size_t First, uint64_t Addr) {
+    if (P->Runs.size() > First && P->Runs.back().Addr == Addr)
+      ++P->Runs.back().Count;
+    else
+      P->Runs.push_back({Addr, 1});
+  };
+  for (uint32_t VB = 0; VB < Unit.Blocks.size(); ++VB) {
+    const std::vector<VInstr> &Instrs = Unit.Blocks[VB].Instrs;
+    BlockPlan &B = P->Blocks[VB];
+    B.Addr = T.BlockAddrs[VB];
+    B.EndAddr = B.Addr + Unit.Blocks[VB].sizeBytes();
+    B.TermAddr = Instrs.empty() ? B.Addr : B.EndAddr - Instrs.back().SizeBytes;
+    B.EndsInCondBranch =
+        !Instrs.empty() && Instrs.back().Kind == VKind::CondBranch;
+
+    // A jump elided at placement does not exist in the code stream.
+    size_t Count = Instrs.size();
+    if (Count && VB < T.JumpElided.size() && T.JumpElided[VB])
+      --Count;
+    // Each instruction reads every line its bytes touch, and translates
+    // its own address once.
+    B.FirstRun = static_cast<uint32_t>(P->Runs.size());
+    uint64_t Addr = B.Addr;
+    for (size_t I = 0; I < Count; ++I) {
+      uint32_t Size = Instrs[I].SizeBytes;
+      uint64_t Last = (Addr + (Size ? Size - 1 : 0)) >> LineShift;
+      for (uint64_t Line = Addr >> LineShift; Line <= Last; ++Line)
+        Add(B.FirstRun, Line << LineShift);
+      Addr += Size;
+    }
+    const size_t FirstPage = P->Runs.size();
+    Addr = B.Addr;
+    for (size_t I = 0; I < Count; ++I) {
+      Add(FirstPage, Addr >> PageShift << PageShift);
+      Addr += Instrs[I].SizeBytes;
+    }
+    B.NumLines = static_cast<uint32_t>(FirstPage - B.FirstRun);
+    B.NumPages = static_cast<uint32_t>(P->Runs.size() - FirstPage);
+  }
+  P->BlockTables.push_back(Unit.blockTable(Unit.Func));
+  for (bc::FuncId F : Unit.Inlined)
+    P->BlockTables.push_back(Unit.blockTable(F));
+  return P;
+}
+
+const VasmTracer::TransPlan &VasmTracer::planFor(const Translation &T) {
+  // Safe to cache: a translation is placed once, and its block addresses
+  // and jump elisions never change after that.
+  if (T.Id >= Plans.size())
+    Plans.resize(T.Id + 1);
+  if (!Plans[T.Id])
+    Plans[T.Id] = buildPlan(T);
+  return *Plans[T.Id];
+}
+
 void VasmTracer::onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
                              const runtime::Value *Args, uint32_t NumArgs) {
   (void)Caller;
@@ -28,18 +98,21 @@ void VasmTracer::onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
   (void)NumArgs;
   Frame F;
   F.Func = Callee.raw();
-  Frame *Parent = top();
-  if (Parent && Parent->Unit && Parent->Unit->isInlined(Callee)) {
+  // The callee's own translation decides whether the interpreter runs it
+  // (wantsInstrTrace), even when its body is inlined into the caller's.
+  // best() returns placed translations only.
+  const Translation *T = J.transDb().best(Callee);
+  F.Interpreted = T == nullptr;
+  const Frame *Parent = top();
+  const std::vector<uint32_t> *InlinedTable =
+      Parent && Parent->Plan ? Parent->Plan->inlinedTable(Callee) : nullptr;
+  if (InlinedTable) {
     // Inlined body: tracing continues within the caller's unit.
-    F.Trans = Parent->Trans;
-    F.Unit = Parent->Unit;
-    F.Inlined = true;
-  } else {
-    const Translation *T = J.transDb().best(Callee);
-    if (T && T->Placed) {
-      F.Trans = T;
-      F.Unit = T->Unit.get();
-    }
+    F.Plan = Parent->Plan;
+    F.BlockTable = InlinedTable;
+  } else if (T) {
+    F.Plan = &planFor(*T);
+    F.BlockTable = &F.Plan->BlockTables.front();
   }
   Frames.push_back(F);
 }
@@ -50,41 +123,21 @@ void VasmTracer::onFuncExit(bc::FuncId F) {
     Frames.pop_back();
 }
 
-uint64_t VasmTracer::terminatorAddr(const Frame &F,
-                                    uint32_t VasmBlock) const {
-  const VBlock &B = F.Unit->Blocks[VasmBlock];
-  uint64_t Addr = F.Trans->BlockAddrs[VasmBlock];
-  for (size_t I = 0; I + 1 < B.Instrs.size(); ++I)
-    Addr += B.Instrs[I].SizeBytes;
-  return Addr;
-}
-
-void VasmTracer::traceBlock(const Frame &F, uint32_t VasmBlock) {
-  uint64_t Addr = F.Trans->BlockAddrs[VasmBlock];
-  const std::vector<VInstr> &Instrs = F.Unit->Blocks[VasmBlock].Instrs;
-  size_t Count = Instrs.size();
-  // A jump elided at placement does not exist in the code stream.
-  if (Count && VasmBlock < F.Trans->JumpElided.size() &&
-      F.Trans->JumpElided[VasmBlock])
-    --Count;
-  for (size_t I = 0; I < Count; ++I) {
-    Machine.fetch(Addr, Instrs[I].SizeBytes);
-    Addr += Instrs[I].SizeBytes;
-  }
-}
-
 void VasmTracer::onBlockEnter(bc::FuncId FuncId, uint32_t Block) {
   Frame *F = top();
-  if (!F || !F->Unit || !F->Trans || !F->Trans->Placed)
+  if (!F || !F->Plan)
     return;
-  uint32_t VB = F->Unit->findBlock(bc::FuncId(F->Func), Block);
-  if (F->Func != FuncId.raw()) {
-    // Events for a function other than the frame's own can only happen
-    // for inlined bodies, which register under their own FuncId.
-    VB = F->Unit->findBlock(FuncId, Block);
-  }
+  // Every entered function pushes its own frame, inlined bodies included,
+  // and onFuncExit runs on abort paths too: a block event always belongs
+  // to the top frame's function.
+  assert(F->Func == FuncId.raw() && "block event outside the top frame");
+  (void)FuncId;
+  const std::vector<uint32_t> &Table = *F->BlockTable;
+  uint32_t VB = Block < Table.size() ? Table[Block] : VasmUnit::kNoBlock;
   if (VB == VasmUnit::kNoBlock)
     return;
+  const TransPlan &P = *F->Plan;
+  const BlockPlan &Next = P.Blocks[VB];
 
   // Resolve the previous block's conditional branch now that we know
   // where control actually went.  "Taken" is a *layout* property: the
@@ -94,27 +147,24 @@ void VasmTracer::onBlockEnter(bc::FuncId FuncId, uint32_t Block) {
   // V-A): laying the hot successor next to the block converts its taken
   // branches into fallthroughs.
   if (F->LastVasmBlock != VasmUnit::kNoBlock) {
-    const VBlock &Last = F->Unit->Blocks[F->LastVasmBlock];
-    if (!Last.Instrs.empty() &&
-        Last.Instrs.back().Kind == VKind::CondBranch) {
-      uint64_t LastEnd = F->Trans->BlockAddrs[F->LastVasmBlock] +
-                         Last.sizeBytes();
-      uint64_t NextAddr = F->Trans->BlockAddrs[VB];
-      bool Taken = NextAddr != LastEnd;
-      Machine.condBranch(terminatorAddr(*F, F->LastVasmBlock), Taken,
-                         NextAddr);
-    }
+    const BlockPlan &Last = P.Blocks[F->LastVasmBlock];
+    if (Last.EndsInCondBranch)
+      Machine.condBranch(Last.TermAddr, Next.Addr != Last.EndAddr,
+                         Next.Addr);
   }
 
-  traceBlock(*F, VB);
+  Machine.fetchBlock(P.lines(Next), P.pages(Next));
   F->LastVasmBlock = VB;
 }
 
 bool VasmTracer::wantsInstrTrace(bc::FuncId F) {
   // Per-instruction events are only needed for interpreted functions, to
-  // model the dispatch loop's footprint.
-  const Translation *T = J.transDb().best(F);
-  return !(T && T->Placed);
+  // model the dispatch loop's footprint.  The interpreter asks right after
+  // onFuncEnter(F), so F's frame is on top.
+  assert(!Frames.empty() && Frames.back().Func == F.raw() &&
+         "wantsInstrTrace outside onFuncEnter");
+  (void)F;
+  return Frames.back().Interpreted;
 }
 
 void VasmTracer::onInstr(bc::FuncId F, uint32_t InstrIndex, uint32_t Depth) {
@@ -134,18 +184,17 @@ void VasmTracer::onVirtualCall(bc::FuncId Caller, uint32_t InstrIndex,
   (void)Caller;
   (void)InstrIndex;
   Frame *F = top();
-  if (!F || !F->Unit || !F->Trans)
+  if (!F || !F->Plan)
     return;
   // Devirtualized or inlined sites compile to guarded direct calls; only
   // genuinely indirect sites stress the target predictor.
-  if (F->Unit->isInlined(Callee))
+  if (F->Plan->Unit->isInlined(Callee))
     return;
   uint64_t Target = 0;
-  const Translation *T = J.transDb().best(Callee);
-  if (T && T->Placed)
+  if (const Translation *T = J.transDb().best(Callee))
     Target = T->entryAddr();
   uint64_t Pc = F->LastVasmBlock != VasmUnit::kNoBlock
-                    ? terminatorAddr(*F, F->LastVasmBlock)
+                    ? F->Plan->Blocks[F->LastVasmBlock].TermAddr
                     : 0;
   Machine.indirectBranch(Pc, Target);
 }

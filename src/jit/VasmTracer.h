@@ -20,6 +20,13 @@
 /// assignment -- becomes visible to the caches, TLBs and branch predictors
 /// of Figure 5.
 ///
+/// Placement never changes once a translation is placed, so the tracer
+/// precomputes each block's fetch stream the first time a translation is
+/// entered (a fetch plan: run-length line and page accesses, terminator
+/// and end addresses) and replays it with one MachineSim::fetchBlock per
+/// executed block.  See DESIGN.md, "Shadow tracing and the machine
+/// simulator", for why this is exact.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JUMPSTART_JIT_VASMTRACER_H
@@ -29,6 +36,8 @@
 #include "jit/Jit.h"
 #include "sim/Machine.h"
 
+#include <memory>
+#include <span>
 #include <vector>
 
 namespace jumpstart::jit {
@@ -51,24 +60,69 @@ public:
   void onDataAccess(uint64_t Addr, bool IsWrite) override;
 
 private:
+  /// One Vasm block of a fetch plan.
+  struct BlockPlan {
+    /// Placed address.
+    uint64_t Addr = 0;
+    /// Address of the last instruction: the pc of its branch or call.
+    uint64_t TermAddr = 0;
+    /// Addr plus the block's full encoded size: where a conditional
+    /// branch falls through to.
+    uint64_t EndAddr = 0;
+    /// The block's line runs, then its page runs, in TransPlan::Runs.
+    uint32_t FirstRun = 0;
+    uint32_t NumLines = 0;
+    uint32_t NumPages = 0;
+    bool EndsInCondBranch = false;
+  };
+
+  /// What tracing needs from one placed translation, built once.
+  struct TransPlan {
+    const VasmUnit *Unit = nullptr;
+    /// By Vasm block id.
+    std::vector<BlockPlan> Blocks;
+    std::vector<sim::FetchRun> Runs;
+    /// Bytecode block -> Vasm block (VasmUnit::blockTable) for the unit's
+    /// own function, then for each function of Unit->Inlined in order.
+    std::vector<std::vector<uint32_t>> BlockTables;
+
+    std::span<const sim::FetchRun> lines(const BlockPlan &B) const {
+      return {Runs.data() + B.FirstRun, B.NumLines};
+    }
+    std::span<const sim::FetchRun> pages(const BlockPlan &B) const {
+      return {Runs.data() + B.FirstRun + B.NumLines, B.NumPages};
+    }
+    /// \returns \p F's block table when this unit inlines \p F, else null.
+    const std::vector<uint32_t> *inlinedTable(bc::FuncId F) const {
+      for (size_t I = 0; I < Unit->Inlined.size(); ++I)
+        if (Unit->Inlined[I] == F)
+          return &BlockTables[I + 1];
+      return nullptr;
+    }
+  };
+
   struct Frame {
     uint32_t Func = 0;
-    /// The translation whose blocks this frame traces (null: interpreted).
-    const Translation *Trans = nullptr;
-    const VasmUnit *Unit = nullptr;
-    /// Whether Unit belongs to a caller that inlined this function.
-    bool Inlined = false;
+    /// The plan whose blocks this frame traces: its own translation's, or
+    /// its caller's when inlined there (null: no machine code to trace).
+    const TransPlan *Plan = nullptr;
+    /// This function's bytecode-block table within Plan.
+    const std::vector<uint32_t> *BlockTable = nullptr;
+    /// No placed translation of its own: the interpreter runs it.
+    bool Interpreted = false;
     /// Previously traced Vasm block (to resolve branch outcomes).
     uint32_t LastVasmBlock = VasmUnit::kNoBlock;
   };
 
   Frame *top() { return Frames.empty() ? nullptr : &Frames.back(); }
-  void traceBlock(const Frame &F, uint32_t VasmBlock);
-  uint64_t terminatorAddr(const Frame &F, uint32_t VasmBlock) const;
+  const TransPlan &planFor(const Translation &T);
+  std::unique_ptr<TransPlan> buildPlan(const Translation &T) const;
 
   Jit &J;
   sim::MachineSim &Machine;
   std::vector<Frame> Frames;
+  /// Fetch plans by Translation::Id, built on first entry.
+  std::vector<std::unique_ptr<TransPlan>> Plans;
   /// Round-robin cursor for interpreter-loop fetches.
   uint64_t InterpCursor = 0;
 };

@@ -9,61 +9,62 @@
 
 #include "support/Assert.h"
 
+#include <algorithm>
+#include <bit>
+
 using namespace jumpstart;
 using namespace jumpstart::sim;
-
-static uint32_t log2Floor(uint32_t V) {
-  uint32_t R = 0;
-  while (V >>= 1)
-    ++R;
-  return R;
-}
 
 Cache::Cache(CacheConfig Config) : Config(Config) {
   alwaysAssert(Config.LineBytes > 0 && Config.Ways > 0 &&
                    Config.SizeBytes >= Config.LineBytes * Config.Ways,
                "invalid cache geometry");
-  NumSets = Config.SizeBytes / (Config.LineBytes * Config.Ways);
-  alwaysAssert((NumSets & (NumSets - 1)) == 0,
+  uint32_t NumSets = Config.SizeBytes / (Config.LineBytes * Config.Ways);
+  alwaysAssert(std::has_single_bit(NumSets),
                "number of sets must be a power of two");
-  alwaysAssert((Config.LineBytes & (Config.LineBytes - 1)) == 0,
+  alwaysAssert(std::has_single_bit(Config.LineBytes),
                "line size must be a power of two");
-  LineShift = log2Floor(Config.LineBytes);
-  Ways.assign(static_cast<size_t>(NumSets) * Config.Ways, Way());
+  LineShift = static_cast<uint32_t>(std::countr_zero(Config.LineBytes));
+  SetMask = NumSets - 1;
+  SetShift = static_cast<uint32_t>(std::countr_zero(NumSets));
+  Tags.assign(static_cast<size_t>(NumSets) * Config.Ways, 0);
+  Stamps.assign(Tags.size(), 0);
 }
 
-bool Cache::access(uint64_t Addr) {
-  ++Accesses;
-  ++Clock;
+bool Cache::accessRun(uint64_t Addr, uint32_t Count) {
+  Accesses += Count;
+  Clock += Count;
   uint64_t Line = Addr >> LineShift;
-  uint32_t Set = static_cast<uint32_t>(Line & (NumSets - 1));
-  uint64_t Tag = Line >> log2Floor(NumSets);
-  Way *SetWays = &Ways[static_cast<size_t>(Set) * Config.Ways];
+  if (Line == LastLine && Stamps[LastSlot] != 0) {
+    Stamps[LastSlot] = Clock;
+    return true;
+  }
 
-  Way *Victim = &SetWays[0];
-  for (uint32_t W = 0; W < Config.Ways; ++W) {
-    Way &Candidate = SetWays[W];
-    if (Candidate.Valid && Candidate.Tag == Tag) {
-      Candidate.LastUse = Clock;
+  size_t Base = static_cast<size_t>(Line & SetMask) * Config.Ways;
+  uint64_t Tag = Line >> SetShift;
+  size_t Victim = Base;
+  for (size_t Slot = Base; Slot < Base + Config.Ways; ++Slot) {
+    if (Stamps[Slot] != 0 && Tags[Slot] == Tag) {
+      Stamps[Slot] = Clock;
+      LastLine = Line;
+      LastSlot = Slot;
       return true;
     }
-    if (!Candidate.Valid) {
-      Victim = &Candidate;
-    } else if (Victim->Valid && Candidate.LastUse < Victim->LastUse) {
-      Victim = &Candidate;
-    }
+    if (Stamps[Slot] < Stamps[Victim])
+      Victim = Slot;
   }
 
   ++Misses;
-  Victim->Valid = true;
-  Victim->Tag = Tag;
-  Victim->LastUse = Clock;
+  Tags[Victim] = Tag;
+  Stamps[Victim] = Clock;
+  LastLine = Line;
+  LastSlot = Victim;
   return false;
 }
 
 void Cache::reset() {
-  for (Way &W : Ways)
-    W = Way();
+  std::fill(Tags.begin(), Tags.end(), 0);
+  std::fill(Stamps.begin(), Stamps.end(), 0);
   Clock = 0;
   Accesses = 0;
   Misses = 0;
@@ -71,5 +72,3 @@ void Cache::reset() {
 
 Tlb::Tlb(uint32_t Entries, uint32_t WaysCount, uint32_t PageBytes)
     : Impl(CacheConfig{Entries * PageBytes, PageBytes, WaysCount}) {}
-
-bool Tlb::access(uint64_t Addr) { return Impl.access(Addr); }

@@ -38,7 +38,13 @@ public:
 
   /// Accesses the line containing \p Addr.  \returns true on hit; on miss
   /// the line is installed.
-  bool access(uint64_t Addr);
+  bool access(uint64_t Addr) { return accessRun(Addr, 1); }
+
+  /// \p Count (>= 1) back-to-back accesses to the line containing \p Addr:
+  /// exactly Count calls to access(Addr).  Only the first can miss; the
+  /// clock and the access count both advance by Count.  \returns whether
+  /// the first access hit.
+  bool accessRun(uint64_t Addr, uint32_t Count);
 
   /// Invalidates all lines and zeroes statistics.
   void reset();
@@ -53,16 +59,25 @@ public:
   const CacheConfig &config() const { return Config; }
 
 private:
-  struct Way {
-    uint64_t Tag = ~0ull;
-    uint64_t LastUse = 0;
-    bool Valid = false;
-  };
-
   CacheConfig Config;
-  uint32_t NumSets;
   uint32_t LineShift;
-  std::vector<Way> Ways; ///< NumSets * Config.Ways, row-major by set.
+  uint32_t SetMask;
+  /// log2 of the set count: a line's tag is Line >> SetShift.
+  uint32_t SetShift;
+  /// Per slot (NumSets * Ways, row-major by set): the tag, and the clock
+  /// of the slot's last use.  A stamp of 0 marks an invalid slot; every
+  /// access advances the clock first, so valid stamps are >= 1 and
+  /// distinct, and the smallest stamp in a set is its LRU (or an empty)
+  /// slot.
+  std::vector<uint64_t> Tags;
+  std::vector<uint64_t> Stamps;
+  /// The line number of the most recent access and the slot holding it.
+  /// That line is its set's MRU entry and nothing has run since, so a
+  /// repeat of it hits without a set scan.  Meaningful only while the
+  /// slot's stamp is nonzero: reset() zeroes every stamp, which turns the
+  /// shortcut off until the next access.
+  uint64_t LastLine = 0;
+  size_t LastSlot = 0;
   uint64_t Clock = 0;
   uint64_t Accesses = 0;
   uint64_t Misses = 0;
@@ -73,7 +88,12 @@ class Tlb {
 public:
   Tlb(uint32_t Entries, uint32_t Ways, uint32_t PageBytes = 4096);
 
-  bool access(uint64_t Addr);
+  bool access(uint64_t Addr) { return Impl.access(Addr); }
+  /// \p Count back-to-back translations of the page containing \p Addr
+  /// (see Cache::accessRun).
+  bool accessRun(uint64_t Addr, uint32_t Count) {
+    return Impl.accessRun(Addr, Count);
+  }
   void reset() { Impl.reset(); }
 
   uint64_t accesses() const { return Impl.accesses(); }

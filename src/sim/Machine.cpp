@@ -9,33 +9,50 @@
 
 #include "support/StringUtil.h"
 
+#include <bit>
+
 using namespace jumpstart;
 using namespace jumpstart::sim;
 
 MachineSim::MachineSim(MachineConfig C)
-    : Config(C), L1I(C.L1I), L1D(C.L1D), Llc(C.Llc),
+    : Config(C),
+      LineShift(static_cast<uint32_t>(std::countr_zero(C.L1I.LineBytes))),
+      L1I(C.L1I), L1D(C.L1D), Llc(C.Llc),
       ITlb(C.ITlbEntries, C.ITlbWays, C.PageBytes),
       DTlb(C.DTlbEntries, C.DTlbWays, C.PageBytes),
       Direction(C.BranchTableSize), Indirect(C.BtbSize), Btb(C.BtbSize) {}
 
-void MachineSim::fetch(uint64_t Addr, uint32_t SizeBytes) {
-  ++Counters.Instructions;
-  uint64_t First = Addr / Config.L1I.LineBytes;
-  uint64_t Last = (Addr + (SizeBytes ? SizeBytes - 1 : 0)) /
-                  Config.L1I.LineBytes;
-  for (uint64_t Line = First; Line <= Last; ++Line) {
-    uint64_t LineAddr = Line * Config.L1I.LineBytes;
-    ++Counters.L1IAccesses;
-    if (!L1I.access(LineAddr)) {
-      ++Counters.L1IMisses;
-      ++Counters.LlcAccesses;
-      if (!Llc.access(LineAddr))
-        ++Counters.LlcMisses;
-    }
-  }
-  ++Counters.ITlbAccesses;
-  if (!ITlb.access(Addr))
+void MachineSim::fetchLines(uint64_t LineAddr, uint32_t Count) {
+  Counters.L1IAccesses += Count;
+  if (L1I.accessRun(LineAddr, Count))
+    return;
+  ++Counters.L1IMisses;
+  ++Counters.LlcAccesses;
+  if (!Llc.access(LineAddr))
+    ++Counters.LlcMisses;
+}
+
+void MachineSim::fetchPages(uint64_t Addr, uint32_t Count) {
+  Counters.Instructions += Count;
+  Counters.ITlbAccesses += Count;
+  if (!ITlb.accessRun(Addr, Count))
     ++Counters.ITlbMisses;
+}
+
+void MachineSim::fetch(uint64_t Addr, uint32_t SizeBytes) {
+  uint64_t First = Addr >> LineShift;
+  uint64_t Last = (Addr + (SizeBytes ? SizeBytes - 1 : 0)) >> LineShift;
+  for (uint64_t Line = First; Line <= Last; ++Line)
+    fetchLines(Line << LineShift, 1);
+  fetchPages(Addr, 1);
+}
+
+void MachineSim::fetchBlock(std::span<const FetchRun> Lines,
+                            std::span<const FetchRun> Pages) {
+  for (const FetchRun &R : Lines)
+    fetchLines(R.Addr, R.Count);
+  for (const FetchRun &R : Pages)
+    fetchPages(R.Addr, R.Count);
 }
 
 void MachineSim::dataAccess(uint64_t Addr, bool IsWrite) {

@@ -24,6 +24,7 @@
 #include "sim/Branch.h"
 #include "sim/Cache.h"
 
+#include <span>
 #include <string>
 
 namespace jumpstart::sim {
@@ -66,8 +67,15 @@ struct PerfCounters {
   uint64_t DTlbMisses = 0;
 };
 
-/// The machine simulator.  The VM's execution tracer calls fetch(),
-/// dataAccess(), condBranch() and indirectBranch() as laid-out code runs.
+/// \p Count back-to-back accesses to the cache line or page at \p Addr.
+struct FetchRun {
+  uint64_t Addr;
+  uint32_t Count;
+};
+
+/// The machine simulator.  The VM's execution tracer calls fetchBlock(),
+/// fetch(), dataAccess(), condBranch() and indirectBranch() as laid-out
+/// code runs.
 class MachineSim {
 public:
   explicit MachineSim(MachineConfig Config = MachineConfig());
@@ -75,6 +83,16 @@ public:
   /// Fetches \p SizeBytes of instructions starting at \p Addr (accesses
   /// every line the range touches) and retires one instruction.
   void fetch(uint64_t Addr, uint32_t SizeBytes);
+
+  /// Fetches and retires a straight-line run of instructions, given as
+  /// the runs of its fetch stream: \p Lines, the L1I line accesses in
+  /// order (one per line each instruction touches), and \p Pages, the
+  /// I-TLB accesses in order (one per instruction, so the page counts sum
+  /// to the instructions retired).  Counts and cache state end exactly as
+  /// after one fetch() per instruction: only fetches touch the L1I and
+  /// I-TLB, so nothing can come between a run's accesses.
+  void fetchBlock(std::span<const FetchRun> Lines,
+                  std::span<const FetchRun> Pages);
 
   /// A data access at \p Addr.
   void dataAccess(uint64_t Addr, bool IsWrite);
@@ -109,7 +127,14 @@ public:
   const MachineConfig &config() const { return Config; }
 
 private:
+  /// \p Count back-to-back fetches from the L1I line at \p LineAddr;
+  /// a miss goes on to the LLC.
+  void fetchLines(uint64_t LineAddr, uint32_t Count);
+  /// \p Count instructions retired from the page containing \p Addr.
+  void fetchPages(uint64_t Addr, uint32_t Count);
+
   MachineConfig Config;
+  uint32_t LineShift;
   Cache L1I;
   Cache L1D;
   Cache Llc;

@@ -12,6 +12,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
+
 #include "core/Consumer.h"
 #include "core/Seeder.h"
 #include "fleet/ServerSim.h"
@@ -24,6 +26,7 @@
 #include <gtest/gtest.h>
 
 using namespace jumpstart;
+using jumpstart::testing::countersString;
 
 namespace {
 
@@ -305,4 +308,244 @@ TEST(TracerIntegration, MatureServerProducesJitAddressTraffic) {
   // Mature servers fetch from the code cache, not the interpreter loop:
   // the vast majority of instruction fetches land above the cache base.
   EXPECT_GT(C.L1IAccesses, C.Instructions / 2);
+}
+
+//===----------------------------------------------------------------------===//
+// The plan-driven tracer against the per-instruction walk it replaced.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The shadow tracer's per-instruction algorithm, kept as the reference
+/// for jit::VasmTracer: blocks are looked up with VasmUnit::findBlock and
+/// walked with one MachineSim::fetch per instruction.  It also counts the
+/// cases a comparison must cover.
+class ReferenceTracer : public interp::ExecCallbacks {
+public:
+  struct Coverage {
+    uint64_t JumpElidedBlocks = 0;
+    uint64_t ColdBlocks = 0;
+    uint64_t InlinedFrames = 0;
+    uint64_t InterpretedInstrs = 0;
+  };
+
+  ReferenceTracer(jit::Jit &J, sim::MachineSim &Machine)
+      : J(J), Machine(Machine) {}
+
+  const Coverage &coverage() const { return Seen; }
+
+  void onFuncEnter(bc::FuncId Callee, bc::FuncId, const runtime::Value *,
+                   uint32_t) override {
+    Frame F;
+    F.Func = Callee.raw();
+    Frame *Parent = top();
+    if (Parent && Parent->Unit && Parent->Unit->isInlined(Callee)) {
+      F.Trans = Parent->Trans;
+      F.Unit = Parent->Unit;
+      ++Seen.InlinedFrames;
+    } else {
+      const jit::Translation *T = J.transDb().best(Callee);
+      if (T && T->Placed) {
+        F.Trans = T;
+        F.Unit = T->Unit.get();
+      }
+    }
+    Frames.push_back(F);
+  }
+
+  void onFuncExit(bc::FuncId) override {
+    if (!Frames.empty())
+      Frames.pop_back();
+  }
+
+  void onBlockEnter(bc::FuncId FuncId, uint32_t Block) override {
+    Frame *F = top();
+    if (!F || !F->Unit || !F->Trans || !F->Trans->Placed)
+      return;
+    uint32_t VB = F->Unit->findBlock(bc::FuncId(F->Func), Block);
+    if (F->Func != FuncId.raw())
+      VB = F->Unit->findBlock(FuncId, Block);
+    if (VB == jit::VasmUnit::kNoBlock)
+      return;
+    if (F->LastVasmBlock != jit::VasmUnit::kNoBlock) {
+      const jit::VBlock &Last = F->Unit->Blocks[F->LastVasmBlock];
+      if (!Last.Instrs.empty() &&
+          Last.Instrs.back().Kind == jit::VKind::CondBranch) {
+        uint64_t LastEnd =
+            F->Trans->BlockAddrs[F->LastVasmBlock] + Last.sizeBytes();
+        uint64_t NextAddr = F->Trans->BlockAddrs[VB];
+        Machine.condBranch(terminatorAddr(*F, F->LastVasmBlock),
+                           NextAddr != LastEnd, NextAddr);
+      }
+    }
+
+    uint64_t Addr = F->Trans->BlockAddrs[VB];
+    const jit::CodeCache &Cache = J.codeCache();
+    uint64_t ColdBase = Cache.base(jit::CodeArea::Cold);
+    if (Addr >= ColdBase &&
+        Addr < ColdBase + Cache.capacity(jit::CodeArea::Cold))
+      ++Seen.ColdBlocks;
+    const std::vector<jit::VInstr> &Instrs = F->Unit->Blocks[VB].Instrs;
+    size_t Count = Instrs.size();
+    if (Count && VB < F->Trans->JumpElided.size() &&
+        F->Trans->JumpElided[VB]) {
+      --Count;
+      ++Seen.JumpElidedBlocks;
+    }
+    for (size_t I = 0; I < Count; ++I) {
+      Machine.fetch(Addr, Instrs[I].SizeBytes);
+      Addr += Instrs[I].SizeBytes;
+    }
+    F->LastVasmBlock = VB;
+  }
+
+  bool wantsInstrTrace(bc::FuncId F) override {
+    const jit::Translation *T = J.transDb().best(F);
+    return !(T && T->Placed);
+  }
+
+  void onInstr(bc::FuncId, uint32_t, uint32_t) override {
+    // The interpreter loop's region, as jit/VasmTracer.cpp models it.
+    ++Seen.InterpretedInstrs;
+    for (int I = 0; I < 3; ++I) {
+      Machine.fetch(0x08000000ull + (InterpCursor % (16 * 1024)), 12);
+      InterpCursor += 64;
+    }
+  }
+
+  void onVirtualCall(bc::FuncId, uint32_t, bc::FuncId Callee) override {
+    Frame *F = top();
+    if (!F || !F->Unit || !F->Trans || F->Unit->isInlined(Callee))
+      return;
+    uint64_t Target = 0;
+    const jit::Translation *T = J.transDb().best(Callee);
+    if (T && T->Placed)
+      Target = T->entryAddr();
+    uint64_t Pc = F->LastVasmBlock != jit::VasmUnit::kNoBlock
+                      ? terminatorAddr(*F, F->LastVasmBlock)
+                      : 0;
+    Machine.indirectBranch(Pc, Target);
+  }
+
+  void onPropAccess(bc::ClassId, bc::StringId, bool IsWrite,
+                    uint64_t Addr) override {
+    Machine.dataAccess(Addr, IsWrite);
+  }
+
+  void onDataAccess(uint64_t Addr, bool IsWrite) override {
+    Machine.dataAccess(Addr, IsWrite);
+  }
+
+private:
+  struct Frame {
+    uint32_t Func = 0;
+    const jit::Translation *Trans = nullptr;
+    const jit::VasmUnit *Unit = nullptr;
+    uint32_t LastVasmBlock = jit::VasmUnit::kNoBlock;
+  };
+
+  Frame *top() { return Frames.empty() ? nullptr : &Frames.back(); }
+
+  uint64_t terminatorAddr(const Frame &F, uint32_t VB) const {
+    const jit::VBlock &B = F.Unit->Blocks[VB];
+    uint64_t Addr = F.Trans->BlockAddrs[VB];
+    for (size_t I = 0; I + 1 < B.Instrs.size(); ++I)
+      Addr += B.Instrs[I].SizeBytes;
+    return Addr;
+  }
+
+  jit::Jit &J;
+  sim::MachineSim &Machine;
+  std::vector<Frame> Frames;
+  uint64_t InterpCursor = 0;
+  Coverage Seen;
+};
+
+/// Small caches and TLBs, so a small site still misses everywhere.
+sim::MachineConfig smallMachine() {
+  sim::MachineConfig M;
+  M.L1I = sim::CacheConfig{4 * 1024, 64, 4};
+  M.L1D = sim::CacheConfig{4 * 1024, 64, 4};
+  M.Llc = sim::CacheConfig{64 * 1024, 64, 8};
+  M.ITlbEntries = 4;
+  M.ITlbWays = 2;
+  M.DTlbEntries = 4;
+  M.DTlbWays = 2;
+  M.BtbSize = 64;
+  M.BranchTableSize = 256;
+  return M;
+}
+
+/// Serves \p Requests seeded requests on each of two identically built
+/// servers, one traced by the reference and one by jit::VasmTracer, and
+/// expects every counter to match.  \returns what the reference saw.
+template <typename MakeServerFn>
+ReferenceTracer::Coverage expectTracersAgree(const fleet::Workload &W,
+                                             MakeServerFn MakeServer,
+                                             int Requests) {
+  std::unique_ptr<vm::Server> RefServer = MakeServer();
+  std::unique_ptr<vm::Server> PlanServer = MakeServer();
+  sim::MachineSim RefMachine(smallMachine());
+  sim::MachineSim PlanMachine(smallMachine());
+  ReferenceTracer Ref(RefServer->theJit(), RefMachine);
+  jit::VasmTracer Plan(PlanServer->theJit(), PlanMachine);
+  auto Serve = [&](vm::Server &S, interp::ExecCallbacks &CB) {
+    vm::CallbackScope Scope(S, &CB);
+    Rng R(21);
+    for (int I = 0; I < Requests; ++I) {
+      bc::FuncId E = W.Endpoints[R.nextBelow(W.Endpoints.size())];
+      S.executeRequest(E, fleet::TrafficModel::makeArgs(R));
+    }
+  };
+  Serve(*RefServer, Ref);
+  Serve(*PlanServer, Plan);
+  EXPECT_EQ(countersString(PlanMachine.counters()),
+            countersString(RefMachine.counters()));
+  EXPECT_GT(RefMachine.counters().L1IMisses, 0u);
+  EXPECT_GT(RefMachine.counters().ITlbMisses, 0u);
+  EXPECT_GT(RefMachine.counters().BranchMisses, 0u);
+  return Ref.coverage();
+}
+
+} // namespace
+
+TEST(TracerEquivalence, JumpStartConsumerMatchesPerInstructionWalk) {
+  auto W = fleet::generateWorkload(tinySite(12));
+  fleet::TrafficModel Traffic(*W, fleet::TrafficParams(), 12);
+  vm::ServerConfig Config;
+  Config.Jit.ProfileRequestTarget = 30;
+  Config.Jit.SeederInstrumentation = true;
+  auto Seeder = fleet::runSeeder(*W, Traffic, Config, 0, 0, 100, 13);
+  profile::ProfilePackage Pkg = Seeder->buildSeederPackage(0, 0, 1);
+
+  ReferenceTracer::Coverage Seen = expectTracersAgree(
+      *W,
+      [&] {
+        vm::ServerConfig C;
+        C.Jit.ProfileRequestTarget = 30;
+        auto S = std::make_unique<vm::Server>(W->Repo, C, 14);
+        EXPECT_TRUE(S->installPackage(Pkg).ok());
+        S->startup();
+        return S;
+      },
+      60);
+  EXPECT_GT(Seen.JumpElidedBlocks, 0u);
+  EXPECT_GT(Seen.ColdBlocks, 0u);
+  EXPECT_GT(Seen.InlinedFrames, 0u);
+  EXPECT_GT(Seen.InterpretedInstrs, 0u);
+}
+
+TEST(TracerEquivalence, SelfWarmedServerMatchesPerInstructionWalk) {
+  auto W = fleet::generateWorkload(tinySite(15));
+  fleet::TrafficModel Traffic(*W, fleet::TrafficParams(), 15);
+  vm::ServerConfig Config;
+  Config.Jit.ProfileRequestTarget = 30;
+  ReferenceTracer::Coverage Seen = expectTracersAgree(
+      *W,
+      [&] { return fleet::runSeeder(*W, Traffic, Config, 0, 0, 100, 16); },
+      60);
+  EXPECT_GT(Seen.JumpElidedBlocks, 0u);
+  EXPECT_GT(Seen.ColdBlocks, 0u);
+  EXPECT_GT(Seen.InlinedFrames, 0u);
+  EXPECT_GT(Seen.InterpretedInstrs, 0u);
 }

@@ -10,14 +10,18 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
+
 #include "sim/Branch.h"
 #include "sim/Cache.h"
 #include "sim/Machine.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 using namespace jumpstart;
 using namespace jumpstart::sim;
+using jumpstart::testing::countersString;
 
 TEST(Cache, HitAfterMiss) {
   Cache C(CacheConfig{1024, 64, 2});
@@ -71,7 +75,12 @@ TEST(Cache, ResetClears) {
   C.access(0x1000);
   C.reset();
   EXPECT_EQ(C.accesses(), 0u);
+  // 0x1000 is also the last line touched: its no-scan shortcut must not
+  // survive the reset either.
   EXPECT_FALSE(C.access(0x1000));
+  EXPECT_TRUE(C.accessRun(0x1000, 3));
+  EXPECT_EQ(C.accesses(), 4u);
+  EXPECT_EQ(C.misses(), 1u);
 }
 
 TEST(Tlb, PageGranularity) {
@@ -161,4 +170,116 @@ TEST(Machine, SummaryMentionsKeyRates) {
   std::string S = M.summary();
   EXPECT_NE(S.find("instr="), std::string::npos);
   EXPECT_NE(S.find("itlbMR="), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Run-length accesses are exact: differential tests against one access
+// (or one fetch) at a time.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Drives \p Runs with accessRun and \p Single with repeated access over
+/// the same random stream of runs, then feeds both one random stream of
+/// single accesses: every result and count must agree throughout.
+template <typename CacheT>
+void expectRunsMatchSingles(CacheT &Runs, CacheT &Single, uint64_t Footprint,
+                            uint64_t Seed) {
+  Rng R(Seed);
+  for (int I = 0; I < 20000; ++I) {
+    uint64_t Addr = R.nextBelow(Footprint);
+    uint32_t Count = 1 + static_cast<uint32_t>(R.nextBelow(16));
+    bool FirstHit = Single.access(Addr);
+    for (uint32_t K = 1; K < Count; ++K)
+      ASSERT_TRUE(Single.access(Addr)) << "a repeat access must hit";
+    ASSERT_EQ(Runs.accessRun(Addr, Count), FirstHit) << "run " << I;
+    ASSERT_EQ(Runs.accesses(), Single.accesses());
+    ASSERT_EQ(Runs.misses(), Single.misses());
+  }
+  for (int I = 0; I < 20000; ++I) {
+    uint64_t Addr = R.nextBelow(Footprint);
+    ASSERT_EQ(Runs.access(Addr), Single.access(Addr)) << "access " << I;
+  }
+  EXPECT_EQ(Runs.accesses(), Single.accesses());
+  EXPECT_EQ(Runs.misses(), Single.misses());
+  EXPECT_GT(Single.misses(), 0u);
+  EXPECT_LT(Single.misses(), Single.accesses());
+}
+
+/// Appends one access to \p Runs, extending its last run when that run
+/// is the same line or page.
+void addAccess(std::vector<FetchRun> &Runs, uint64_t Addr) {
+  if (!Runs.empty() && Runs.back().Addr == Addr)
+    ++Runs.back().Count;
+  else
+    Runs.push_back({Addr, 1});
+}
+
+} // namespace
+
+TEST(Cache, AccessRunMatchesRepeatedAccess) {
+  // A 4 KB cache over a 16 KB footprint: capacity and conflict misses in
+  // every geometry, from 64 direct-mapped sets to 4 sets of 16 ways.
+  for (uint32_t Ways : {1u, 2u, 8u, 16u}) {
+    SCOPED_TRACE(Ways);
+    CacheConfig Config{4 * 1024, 64, Ways};
+    Cache Runs(Config);
+    Cache Single(Config);
+    expectRunsMatchSingles(Runs, Single, 16 * 1024, Ways);
+  }
+}
+
+TEST(Tlb, AccessRunMatchesRepeatedAccess) {
+  Tlb Runs(8, 4, 4096);
+  Tlb Single(8, 4, 4096);
+  expectRunsMatchSingles(Runs, Single, 32 * 4096, 5);
+}
+
+TEST(Machine, FetchBlockMatchesPerInstructionFetch) {
+  // Small caches and TLBs so random blocks miss and evict in every
+  // structure; data accesses between blocks share the LLC with fetches.
+  MachineConfig Config;
+  Config.L1I = CacheConfig{2048, 64, 4};
+  Config.L1D = CacheConfig{2048, 64, 4};
+  Config.Llc = CacheConfig{16 * 1024, 64, 8};
+  Config.ITlbEntries = 4;
+  Config.ITlbWays = 2;
+  Config.DTlbEntries = 4;
+  Config.DTlbWays = 2;
+  MachineSim Blocks(Config);
+  MachineSim Singles(Config);
+  Rng R(17);
+  uint64_t Straddles = 0;
+  for (int Block = 0; Block < 5000; ++Block) {
+    // Blocks start anywhere in 32 pages, often just before a page end.
+    uint64_t Page = R.nextBelow(32) * Config.PageBytes;
+    uint64_t Start = R.nextBool(0.5)
+                         ? Page + Config.PageBytes - 1 - R.nextBelow(48)
+                         : Page + R.nextBelow(Config.PageBytes);
+    std::vector<FetchRun> Lines, Pages;
+    uint64_t Addr = Start;
+    for (uint64_t I = 0, N = 1 + R.nextBelow(24); I < N; ++I) {
+      uint32_t Size = 1 + static_cast<uint32_t>(R.nextBelow(15));
+      Singles.fetch(Addr, Size);
+      for (uint64_t Line = Addr / 64; Line <= (Addr + Size - 1) / 64; ++Line)
+        addAccess(Lines, Line * 64);
+      addAccess(Pages, Addr / Config.PageBytes * Config.PageBytes);
+      Addr += Size;
+    }
+    Straddles += Pages.size() > 1;
+    Blocks.fetchBlock(Lines, Pages);
+    ASSERT_EQ(countersString(Blocks.counters()),
+              countersString(Singles.counters()))
+        << "block " << Block;
+
+    uint64_t Data = 0x40000000 + R.nextBelow(64 * 1024);
+    Blocks.dataAccess(Data, false);
+    Singles.dataAccess(Data, false);
+  }
+  EXPECT_EQ(countersString(Blocks.counters()),
+            countersString(Singles.counters()));
+  EXPECT_DOUBLE_EQ(Blocks.cycles(), Singles.cycles());
+  EXPECT_GT(Straddles, 100u) << "blocks must cross page boundaries";
+  EXPECT_GT(Singles.counters().ITlbMisses, 0u);
+  EXPECT_GT(Singles.counters().LlcMisses, 0u);
 }

@@ -21,6 +21,8 @@
 #include "runtime/Builtins.h"
 #include "runtime/ClassLayout.h"
 #include "runtime/Heap.h"
+#include "sim/Machine.h"
+#include "support/StringUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -29,6 +31,20 @@
 #include <vector>
 
 namespace jumpstart::testing {
+
+/// Every sim::PerfCounters field as `name=value`, so that a failed
+/// EXPECT_EQ between two renderings shows which fields differ.
+inline std::string countersString(const sim::PerfCounters &C) {
+  auto U = [](uint64_t V) { return static_cast<unsigned long long>(V); };
+  return strFormat(
+      "instr=%llu br=%llu brMiss=%llu l1i=%llu l1iMiss=%llu l1d=%llu "
+      "l1dMiss=%llu llc=%llu llcMiss=%llu itlb=%llu itlbMiss=%llu "
+      "dtlb=%llu dtlbMiss=%llu",
+      U(C.Instructions), U(C.Branches), U(C.BranchMisses), U(C.L1IAccesses),
+      U(C.L1IMisses), U(C.L1DAccesses), U(C.L1DMisses), U(C.LlcAccesses),
+      U(C.LlcMisses), U(C.ITlbAccesses), U(C.ITlbMisses), U(C.DTlbAccesses),
+      U(C.DTlbMisses));
+}
 
 /// A compiled program plus the runtime needed to execute it.
 class TestVm {
