@@ -6,15 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Fast-vs-legacy interpreter engine benchmark.
+/// Interpreter throughput benchmark.
 ///
-/// Drives both engines over the same request mix (dispatch-heavy loops,
+/// Drives the interpreter over a fixed request mix (dispatch-heavy loops,
 /// calls, string constants, dict lookups, property/method sites) and
-/// reports requests/sec, interpreted instructions/sec and host
-/// allocations per request for each, plus the fast:legacy ratios.  The
-/// checked-in BENCH_interp.json is a snapshot of this harness's `--json`
-/// output; ci/check.sh re-runs `--quick` and fails if allocs/request
-/// regress against that snapshot.
+/// reports requests/sec, interpreted instructions/sec, host allocations
+/// per request and inline-cache hits, plus the whole-program-analysis
+/// ablation on the same mix.  The checked-in BENCH_interp.json is a
+/// snapshot of this harness's `--json` output; ci/check.sh re-runs
+/// `--quick` and fails if allocs/request regress against that snapshot.
 ///
 /// Wall-clock numbers vary with the host; every counter in `--counters`
 /// output (steps, faults, allocations, inline-cache hits) is
@@ -44,11 +44,11 @@ using namespace jumpstart;
 
 namespace {
 
-/// The benchmark program: each endpoint stresses one part of the engine,
-/// and the request mix cycles through all of them.  Weighted toward the
-/// costs the fast engine removes -- frame vectors (deep call chains),
-/// string materialization, dict probes, property/method dispatch --
-/// while endpoint0 keeps pure dispatch arithmetic in the mix.
+/// The benchmark program: each endpoint stresses one part of the
+/// interpreter, and the request mix cycles through all of them.  Weighted
+/// toward frame setup (deep call chains), string constants, dict probes
+/// and property/method dispatch, while endpoint0 keeps pure dispatch
+/// arithmetic in the mix.
 const char *kSource =
     // Pure dispatch: tight arithmetic loop, no allocation.
     "function endpoint0($n) {"
@@ -59,7 +59,7 @@ const char *kSource =
     "  }"
     "  return $acc;"
     "}"
-    // Call-heavy: every iteration pays two frames (legacy: 4 vectors).
+    // Call-heavy: every iteration pays two frames.
     "function leafA($x) { return $x * 2 + 1; }"
     "function leafB($x) { return leafA($x) + leafA($x + 1); }"
     "function endpoint1($n) {"
@@ -67,7 +67,7 @@ const char *kSource =
     "  while ($i < 120) { $t = $t + leafB($i + $n % 7); $i = $i + 1; }"
     "  return $t;"
     "}"
-    // String constants: legacy allocates a VmString per execution.
+    // String constants: interned, so no VmString per execution.
     "function endpoint2($n) {"
     "  $t = 0; $i = 0;"
     "  while ($i < 100) {"
@@ -107,15 +107,14 @@ const char *kSource =
 
 constexpr uint32_t kNumEndpoints = 5;
 
-/// Request cycle, weighted toward the call/string/property endpoints the
-/// fast engine targets (the paper's workload is dominated by calls and
-/// member access, not straight-line arithmetic); the arithmetic and dict
-/// endpoints stay in the mix as the honest tail.
+/// Request cycle, weighted toward the call/string/property endpoints
+/// (the paper's workload is dominated by calls and member access, not
+/// straight-line arithmetic); the arithmetic and dict endpoints stay in
+/// the mix as the honest tail.
 constexpr uint32_t kMix[] = {0, 1, 2, 4, 3, 1, 2, 4};
 constexpr uint32_t kMixLen = sizeof(kMix) / sizeof(kMix[0]);
 
 struct EngineResult {
-  std::string Name;
   uint64_t Requests = 0;
   double Seconds = 0;
   uint64_t Steps = 0;
@@ -138,21 +137,16 @@ struct EngineResult {
 /// breakdown mode, `--endpoint N`).
 int OnlyEndpoint = -1;
 
-/// One engine's VM instance plus the endpoint ids it serves.
+/// One interpreter instance plus the endpoint ids it serves.
 struct EngineState {
   runtime::ClassTable Classes;
   runtime::Heap Heap;
   interp::Interpreter Interp;
   std::vector<bc::FuncId> Endpoints;
 
-  EngineState(const bc::Repo &Repo, interp::InterpEngine Engine)
+  explicit EngineState(const bc::Repo &Repo)
       : Classes(Repo),
-        Interp(Repo, Classes, Heap, runtime::BuiltinTable::standard(),
-               [Engine] {
-                 interp::InterpOptions O;
-                 O.Engine = Engine;
-                 return O;
-               }()) {
+        Interp(Repo, Classes, Heap, runtime::BuiltinTable::standard()) {
     for (uint32_t E = 0; E < kNumEndpoints; ++E) {
       bc::FuncId F = Repo.findFunction(strFormat("endpoint%u", E));
       if (!F.valid()) {
@@ -174,13 +168,13 @@ struct EngineState {
   }
 
   // Reused across requests: argument marshalling is harness cost, not
-  // engine cost, and must not dilute the engine comparison.
+  // interpreter cost, and must not dilute the measurement.
   std::vector<runtime::Value> Args{runtime::Value::null()};
 };
 
-/// One timed pass of \p Requests requests.  The first pass per engine
-/// also accumulates the deterministic counters (identical every pass, so
-/// once is enough).
+/// One timed pass of \p Requests requests.  The first pass also
+/// accumulates the deterministic counters (identical every pass, so once
+/// is enough).
 double timedPass(EngineState &S, uint32_t Requests, EngineResult *Counters) {
   uint64_t AllocsBefore = S.Heap.hostAllocs();
   auto T0 = std::chrono::steady_clock::now();
@@ -201,36 +195,27 @@ double timedPass(EngineState &S, uint32_t Requests, EngineResult *Counters) {
   return Sec > 0 ? Sec : 1e-9;
 }
 
-/// Benchmarks both engines over the same request stream.  The timed
-/// windows interleave (fast, legacy, fast, legacy, ...) and each engine
-/// keeps its best window, so a load spike on a shared host degrades both
-/// engines rather than whichever one it happened to land on.
-void runEngines(const bc::Repo &Repo, uint32_t Requests, uint32_t Reps,
-                EngineResult &Fast, EngineResult &Legacy) {
-  EngineState FastS(Repo, interp::InterpEngine::Fast);
-  EngineState LegacyS(Repo, interp::InterpEngine::Legacy);
+/// Benchmarks the interpreter over the request stream, keeping the best
+/// of \p Reps timed windows so a load spike on a shared host is not
+/// mistaken for the interpreter's speed.
+EngineResult runEngine(const bc::Repo &Repo, uint32_t Requests,
+                       uint32_t Reps) {
+  EngineState S(Repo);
 
   // One warmup pass over all endpoints pays the one-time costs (string
   // interning, per-function metadata, arena growth) outside the window.
-  for (uint32_t Rq = 0; Rq < kNumEndpoints; ++Rq) {
-    FastS.serve(Rq);
-    LegacyS.serve(Rq);
-  }
+  for (uint32_t Rq = 0; Rq < kNumEndpoints; ++Rq)
+    S.serve(Rq);
 
-  Fast.Name = "fast";
-  Legacy.Name = "legacy";
-  Fast.Requests = Legacy.Requests = Requests;
-  Fast.Seconds = Legacy.Seconds = 1e300;
-  for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
-    double SecF = timedPass(FastS, Requests, Rep == 0 ? &Fast : nullptr);
-    double SecL = timedPass(LegacyS, Requests, Rep == 0 ? &Legacy : nullptr);
-    Fast.Seconds = std::min(Fast.Seconds, SecF);
-    Legacy.Seconds = std::min(Legacy.Seconds, SecL);
-  }
-  Fast.ICHits = FastS.Interp.caches().ICHits;
-  Fast.ICMisses = FastS.Interp.caches().ICMisses;
-  Legacy.ICHits = LegacyS.Interp.caches().ICHits;
-  Legacy.ICMisses = LegacyS.Interp.caches().ICMisses;
+  EngineResult R;
+  R.Requests = Requests;
+  R.Seconds = 1e300;
+  for (uint32_t Rep = 0; Rep < Reps; ++Rep)
+    R.Seconds =
+        std::min(R.Seconds, timedPass(S, Requests, Rep == 0 ? &R : nullptr));
+  R.ICHits = S.Interp.caches().ICHits;
+  R.ICMisses = S.Interp.caches().ICMisses;
+  return R;
 }
 
 //===----------------------------------------------------------------------===//
@@ -307,7 +292,7 @@ uint64_t countElidedGuards(const bc::Repo &Repo, uint32_t Requests) {
   return S.theJit().transDb().guardsElided();
 }
 
-/// Cold-start ablation: a fresh fast-engine instance per repetition (so
+/// Cold-start ablation: a fresh interpreter instance per repetition (so
 /// every inline cache starts empty), with and without analysis-seeded
 /// ICs.  Cold starts are where static seeding can matter at all -- a
 /// warmed engine converges to the same caches either way -- mirroring
@@ -321,12 +306,12 @@ ProvenResult runProvenAblation(const bc::Repo &Repo, uint32_t Requests,
 
   P.OffSeconds = P.OnSeconds = 1e300;
   for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
-    EngineState Off(Repo, interp::InterpEngine::Fast);
+    EngineState Off(Repo);
     P.OffSeconds = std::min(P.OffSeconds, timedPass(Off, Requests, nullptr));
     if (Rep == 0)
       P.MissesOff = Off.Interp.caches().ICMisses;
 
-    EngineState On(Repo, interp::InterpEngine::Fast);
+    EngineState On(Repo);
     P.ICsSeeded = seedProvenICs(On, Repo, *Facts);
     P.OnSeconds = std::min(P.OnSeconds, timedPass(On, Requests, nullptr));
     if (Rep == 0)
@@ -341,7 +326,7 @@ ProvenResult runProvenAblation(const bc::Repo &Repo, uint32_t Requests,
 // Statistical mode (--stats seeds=N,iters=M): multi-seed warmup curves.
 //===----------------------------------------------------------------------===//
 
-/// Runs the fast engine N times from cold with distinct request streams
+/// Runs the interpreter N times from cold with distinct request streams
 /// and records host allocations per request over fixed-size iteration
 /// blocks.  The block size is independent of --quick so the quick CI run
 /// and the full snapshot run produce the same series -- allocation counts
@@ -352,9 +337,9 @@ stats::StatsSummary runStatsSweep(const bc::Repo &Repo,
   constexpr uint32_t kBlock = 60;
   std::vector<std::pair<uint64_t, std::vector<double>>> SeedSeries;
   for (uint32_t Seed = 0; Seed < O.Seeds; ++Seed) {
-    // Fresh engine per seed: iteration 0 pays the one-time costs
+    // Fresh interpreter per seed: iteration 0 pays the one-time costs
     // (interning, metadata, arena growth) and later blocks are steady.
-    EngineState Eng(Repo, interp::InterpEngine::Fast);
+    EngineState Eng(Repo);
     std::vector<double> Series;
     Series.reserve(O.Iters);
     uint64_t Prev = Eng.Heap.hostAllocs();
@@ -372,7 +357,7 @@ stats::StatsSummary runStatsSweep(const bc::Repo &Repo,
 }
 
 void writeJson(const std::string &Path, const EngineResult &Fast,
-               const EngineResult &Legacy, const ProvenResult &Proven,
+               const ProvenResult &Proven,
                const bench::StatsCliOptions &StatsOpts,
                const stats::StatsSummary *Stats) {
   std::ofstream Out(Path);
@@ -380,25 +365,17 @@ void writeJson(const std::string &Path, const EngineResult &Fast,
     std::fprintf(stderr, "cannot write %s\n", Path.c_str());
     std::exit(1);
   }
-  auto Emit = [&](const EngineResult &R, const char *Trail) {
-    Out << strFormat(
-        "  \"%s\": {\"requests\": %llu, \"seconds\": %.6f, "
-        "\"requests_per_sec\": %.1f, \"instrs_per_sec\": %.1f, "
-        "\"steps_per_request\": %.2f, \"allocs_per_request\": %.4f, "
-        "\"faults\": %llu, \"ic_hits\": %llu, \"ic_misses\": %llu}%s\n",
-        R.Name.c_str(), static_cast<unsigned long long>(R.Requests),
-        R.Seconds, R.requestsPerSec(), R.instrsPerSec(),
-        R.stepsPerRequest(), R.allocsPerRequest(),
-        static_cast<unsigned long long>(R.Faults),
-        static_cast<unsigned long long>(R.ICHits),
-        static_cast<unsigned long long>(R.ICMisses), Trail);
-  };
-  double AllocRatio = Fast.Allocs == 0
-                          ? Legacy.allocsPerRequest() / 0.0001
-                          : Legacy.allocsPerRequest() / Fast.allocsPerRequest();
   Out << "{\n";
-  Emit(Fast, ",");
-  Emit(Legacy, ",");
+  Out << strFormat(
+      "  \"fast\": {\"requests\": %llu, \"seconds\": %.6f, "
+      "\"requests_per_sec\": %.1f, \"instrs_per_sec\": %.1f, "
+      "\"steps_per_request\": %.2f, \"allocs_per_request\": %.4f, "
+      "\"faults\": %llu, \"ic_hits\": %llu, \"ic_misses\": %llu},\n",
+      static_cast<unsigned long long>(Fast.Requests), Fast.Seconds,
+      Fast.requestsPerSec(), Fast.instrsPerSec(), Fast.stepsPerRequest(),
+      Fast.allocsPerRequest(), static_cast<unsigned long long>(Fast.Faults),
+      static_cast<unsigned long long>(Fast.ICHits),
+      static_cast<unsigned long long>(Fast.ICMisses));
   // Whole-program analysis ablation on the same workload.  Keys are
   // chosen so CHECK_PERF's `"fast": {...allocs_per_request...}` sed
   // still matches exactly one line.
@@ -406,40 +383,35 @@ void writeJson(const std::string &Path, const EngineResult &Fast,
       "  \"proven\": {\"ics_seeded\": %u, \"guards_elided\": %llu, "
       "\"cold_requests_per_sec_off\": %.1f, "
       "\"cold_requests_per_sec_on\": %.1f, \"cold_speedup\": %.3f, "
-      "\"ic_misses_off\": %llu, \"ic_misses_on\": %llu},\n",
+      "\"ic_misses_off\": %llu, \"ic_misses_on\": %llu}%s\n",
       Proven.ICsSeeded, static_cast<unsigned long long>(Proven.GuardsElided),
       Proven.offRequestsPerSec(), Proven.onRequestsPerSec(),
       Proven.onRequestsPerSec() / Proven.offRequestsPerSec(),
       static_cast<unsigned long long>(Proven.MissesOff),
-      static_cast<unsigned long long>(Proven.MissesOn));
+      static_cast<unsigned long long>(Proven.MissesOn), Stats ? "," : "");
   if (Stats)
     Out << bench::statsBlockJson("allocs_per_request", StatsOpts, *Stats)
-        << ",\n";
-  Out << strFormat("  \"speedup_requests_per_sec\": %.2f,\n",
-                   Fast.requestsPerSec() / Legacy.requestsPerSec());
-  Out << strFormat("  \"alloc_reduction\": %.1f\n", AllocRatio);
+        << "\n";
   Out << "}\n";
 }
 
 /// Deterministic counters only -- byte-identical across runs on any
 /// host, which the CI perf smoke asserts by diffing two runs.
 void writeCounters(const std::string &Path, const EngineResult &Fast,
-                   const EngineResult &Legacy, const ProvenResult &Proven,
+                   const ProvenResult &Proven,
                    const stats::StatsSummary *Stats) {
   std::ofstream Out(Path);
   if (!Out) {
     std::fprintf(stderr, "cannot write %s\n", Path.c_str());
     std::exit(1);
   }
-  for (const EngineResult *R : {&Fast, &Legacy})
-    Out << strFormat("%s steps=%llu faults=%llu allocs=%llu ic_hits=%llu "
-                     "ic_misses=%llu\n",
-                     R->Name.c_str(),
-                     static_cast<unsigned long long>(R->Steps),
-                     static_cast<unsigned long long>(R->Faults),
-                     static_cast<unsigned long long>(R->Allocs),
-                     static_cast<unsigned long long>(R->ICHits),
-                     static_cast<unsigned long long>(R->ICMisses));
+  Out << strFormat("fast steps=%llu faults=%llu allocs=%llu ic_hits=%llu "
+                   "ic_misses=%llu\n",
+                   static_cast<unsigned long long>(Fast.Steps),
+                   static_cast<unsigned long long>(Fast.Faults),
+                   static_cast<unsigned long long>(Fast.Allocs),
+                   static_cast<unsigned long long>(Fast.ICHits),
+                   static_cast<unsigned long long>(Fast.ICMisses));
   // Analysis-side counters are deterministic too: the facts are a pure
   // function of the bytecode and the JIT pipeline is single-threaded
   // here, so CI byte-compares these lines across runs like the rest.
@@ -496,37 +468,16 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  EngineResult Fast, Legacy;
-  runEngines(Repo, Requests, Reps, Fast, Legacy);
+  EngineResult Fast = runEngine(Repo, Requests, Reps);
   ProvenResult Proven = runProvenAblation(Repo, Requests, Reps);
   stats::StatsSummary Stats;
   if (StatsOpts.Enabled)
     Stats = runStatsSweep(Repo, StatsOpts);
 
-  // The engines must agree on every deterministic counter except the
-  // IC stats (the legacy engine has no caches); a mismatch here means
-  // an engine bug, not a perf problem.
-  if (Fast.Steps != Legacy.Steps || Fast.Faults != Legacy.Faults) {
-    std::fprintf(stderr,
-                 "ENGINE DIVERGENCE: steps %llu vs %llu, faults %llu vs "
-                 "%llu\n",
-                 static_cast<unsigned long long>(Fast.Steps),
-                 static_cast<unsigned long long>(Legacy.Steps),
-                 static_cast<unsigned long long>(Fast.Faults),
-                 static_cast<unsigned long long>(Legacy.Faults));
-    return 1;
-  }
-
-  for (const EngineResult *R : {&Fast, &Legacy})
-    std::printf("%-6s  %8.0f req/s  %12.0f instr/s  %7.2f allocs/req  "
-                "%6.1f steps/req\n",
-                R->Name.c_str(), R->requestsPerSec(), R->instrsPerSec(),
-                R->allocsPerRequest(), R->stepsPerRequest());
-  std::printf("speedup %.2fx   alloc reduction %.1fx\n",
-              Fast.requestsPerSec() / Legacy.requestsPerSec(),
-              Fast.Allocs == 0 ? Legacy.allocsPerRequest() / 0.0001
-                               : Legacy.allocsPerRequest() /
-                                     Fast.allocsPerRequest());
+  std::printf("fast    %8.0f req/s  %12.0f instr/s  %7.2f allocs/req  "
+              "%6.1f steps/req\n",
+              Fast.requestsPerSec(), Fast.instrsPerSec(),
+              Fast.allocsPerRequest(), Fast.stepsPerRequest());
   std::printf("proven  %u ICs seeded, %llu guards elided, cold IC misses "
               "%llu -> %llu, cold speedup %.3fx\n",
               Proven.ICsSeeded,
@@ -542,10 +493,10 @@ int main(int argc, char **argv) {
                 Stats.SteadyCI.Hi);
 
   if (!JsonPath.empty())
-    writeJson(JsonPath, Fast, Legacy, Proven, StatsOpts,
+    writeJson(JsonPath, Fast, Proven, StatsOpts,
               StatsOpts.Enabled ? &Stats : nullptr);
   if (!CountersPath.empty())
-    writeCounters(CountersPath, Fast, Legacy, Proven,
+    writeCounters(CountersPath, Fast, Proven,
                   StatsOpts.Enabled ? &Stats : nullptr);
   return 0;
 }

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Runs a perf harness and writes its snapshot: by default the
-# interpreter engine benchmark (bench/micro_interp); with --server the
-# concurrent-serving load harness (bench/server_load); with --package
-# the drift-sweep lifecycle harness (bench/package_lifecycle); with
-# --all every snapshot in sequence.
+# interpreter throughput benchmark (bench/micro_interp: requests/sec,
+# allocations and inline-cache counters of the one interpreter engine,
+# plus the proven-facts ablation); with --server the concurrent-serving
+# load harness (bench/server_load); with --package the drift-sweep
+# lifecycle harness (bench/package_lifecycle); with --all every snapshot
+# in sequence.
 #
 # Usage: bench/run_bench.sh [--server|--package|--all] [--quick]
 #                           [--json PATH] [--counters PATH] [--threads N]

@@ -92,13 +92,11 @@ void profilePrefix(vm::Server &S, const fleet::Workload &W, uint32_t N) {
 
 LoadResult runLoad(const fleet::Workload &W, uint32_t ProfileTarget,
                    uint32_t Requests, uint32_t Threads) {
-  vm::ServerConfig C =
-      vm::ServerConfigBuilder()
-          .cores(16)
-          .jitWorkerCores(2)
-          .serveWorkers(Threads)
-          .name(strFormat("load-t%u", Threads))
-          .build();
+  vm::ServerConfig C;
+  C.Cores = 16;
+  C.JitWorkerCores = 2;
+  C.ServeWorkers = Threads;
+  C.Name = strFormat("load-t%u", Threads);
   C.Jit.ProfileRequestTarget = ProfileTarget;
   // Stretch optimized-compile costs so the background retranslate-all
   // spans a few dozen grant quanta (=> several mid-window publications).
@@ -213,11 +211,10 @@ stats::StatsSummary runStatsSweep(const fleet::Workload &W,
   constexpr uint32_t kProfileTarget = 120;
   std::vector<std::pair<uint64_t, std::vector<double>>> SeedSeries;
   for (uint32_t Seed = 0; Seed < O.Seeds; ++Seed) {
-    vm::ServerConfig C = vm::ServerConfigBuilder()
-                             .cores(16)
-                             .jitWorkerCores(2)
-                             .name(strFormat("stats-s%u", Seed))
-                             .build();
+    vm::ServerConfig C;
+    C.Cores = 16;
+    C.JitWorkerCores = 2;
+    C.Name = strFormat("stats-s%u", Seed);
     C.Jit.ProfileRequestTarget = kProfileTarget;
     vm::Server S(W.Repo, C, /*Seed=*/7 + Seed);
     S.startup();

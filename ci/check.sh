@@ -13,7 +13,8 @@
 #                                 # determinism sweep instrumented
 #   CHECK_DIFF=0 ci/check.sh      # skip the differential conformance smoke
 #                                 # (50 generated programs through the
-#                                 # interp/JIT/Jump-Start config matrix)
+#                                 # interp/JIT/Jump-Start config matrix,
+#                                 # plus the --skew negative control)
 #   CHECK_ANALYZE=0 ci/check.sh   # skip the static-analysis gate (jslint
 #                                 # --json over examples/hack plus a
 #                                 # 100-program soundness sweep with
@@ -93,9 +94,11 @@ check_exports_deterministic fig6_optimizations \
   metrics.jsonl trace.jsonl chrome.json
 
 # Differential conformance smoke: 50 generated programs through the smoke
-# config matrix (interpreter / JIT tiers / Jump-Start consumer boot), run
-# twice -- zero mismatches and a byte-identical summary (which embeds the
-# sweep digest covering every observable).
+# config matrix (interpreter / reference interpreter / JIT tiers /
+# Jump-Start consumer boot), run twice -- zero mismatches and a
+# byte-identical summary (which embeds the sweep digest covering every
+# observable).  Then the negative control: a test-only +1 skew on integer
+# adds must make the oracle exit nonzero and report a MISMATCH.
 if [[ "${CHECK_DIFF:-1}" == "1" ]]; then
   "${BUILD_DIR}/examples/jsvm" fuzz --programs 50 --seed 7 \
     --repro "${TMP_DIR}/repro" > "${TMP_DIR}/diff-a.txt"
@@ -107,6 +110,17 @@ if [[ "${CHECK_DIFF:-1}" == "1" ]]; then
     exit 1
   fi
   echo "check.sh: $(cat "${TMP_DIR}/diff-a.txt")"
+  SKEW_STATUS=0
+  "${BUILD_DIR}/examples/jsvm" fuzz --programs 10 --seed 7 --skew 1 \
+    > "${TMP_DIR}/skew.txt" 2>&1 || SKEW_STATUS=$?
+  if [[ "${SKEW_STATUS}" -eq 0 ]] || ! grep -q "MISMATCH" "${TMP_DIR}/skew.txt"; then
+    echo "check.sh: FAIL: the --skew 1 negative control went undetected" \
+         "(exit ${SKEW_STATUS})" >&2
+    cat "${TMP_DIR}/skew.txt" >&2
+    exit 1
+  fi
+  echo "check.sh: --skew 1 negative control caught" \
+       "($(grep -c "MISMATCH" "${TMP_DIR}/skew.txt") mismatches, exit ${SKEW_STATUS})"
 fi
 
 # Static-analysis gate: jslint --json over the checked-in mini-Hack
@@ -212,14 +226,14 @@ if [[ "${CHECK_PERF:-1}" == "1" ]]; then
     # noise.
     if ! awk -v lo="${CURRENT_LO}" -v hi="${COMMITTED_HI}" \
         'BEGIN { exit !(lo <= hi) }'; then
-      echo "check.sh: FAIL: fast-engine allocs/request CI disjointly" \
+      echo "check.sh: FAIL: interpreter allocs/request CI disjointly" \
            "regressed: fresh lo ${CURRENT_LO} > committed hi ${COMMITTED_HI}" \
            "(BENCH_interp.json)" >&2
       exit 1
     fi
     if [[ "$(class_rank "${CURRENT_CLASS}")" -gt \
           "$(class_rank "${COMMITTED_CLASS}")" ]]; then
-      echo "check.sh: FAIL: fast-engine warmup class degraded:" \
+      echo "check.sh: FAIL: interpreter warmup class degraded:" \
            "${CURRENT_CLASS} vs committed ${COMMITTED_CLASS}" >&2
       exit 1
     fi

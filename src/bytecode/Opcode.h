@@ -151,8 +151,8 @@ struct Instr;
 
 /// Number of operand-stack values popped by \p In, taking variable-arity
 /// calls into account (FCall/NativeCall pop NumArgs; FCallObj also pops
-/// the receiver).  Shared by the verifier's dataflow pass and the
-/// interpreter's static frame-size analysis.
+/// the receiver).  Used by the verifier's dataflow pass, whose maximum
+/// depth also sizes the interpreter's frames.
 int instrStackPops(const Instr &In);
 
 /// Net operand-stack effect of \p In (pushes minus pops).

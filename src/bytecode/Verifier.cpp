@@ -10,6 +10,7 @@
 #include "bytecode/Blocks.h"
 #include "support/StringUtil.h"
 
+#include <algorithm>
 #include <deque>
 
 using namespace jumpstart;
@@ -104,14 +105,16 @@ void verifyImmediates(const Repo &R, const Function &F, uint32_t NumBuiltins,
 
 /// Abstract interpretation of operand-stack depth over the CFG: every
 /// block must be entered at one consistent depth, depth can never go
-/// negative, and returns must leave a clean stack.
-void verifyStackDepth(const Function &F, ErrorSink &Sink) {
+/// negative, and returns must leave a clean stack.  \returns the deepest
+/// stack reached.
+uint32_t verifyStackDepth(const Function &F, ErrorSink &Sink) {
   BlockList Blocks = BlockList::compute(F);
   constexpr int kUnknown = -1;
   std::vector<int> EntryDepth(Blocks.numBlocks(), kUnknown);
   EntryDepth[0] = 0;
   std::deque<uint32_t> Worklist;
   Worklist.push_back(0);
+  int Max = 0;
 
   while (!Worklist.empty()) {
     uint32_t BlockId = Worklist.front();
@@ -123,13 +126,14 @@ void verifyStackDepth(const Function &F, ErrorSink &Sink) {
       if (Depth < instrStackPops(In)) {
         Sink.error(I, "instr %u (%s): stack underflow (depth %d)", I,
                    opName(In.Opcode), Depth);
-        return;
+        return static_cast<uint32_t>(Max);
       }
       Depth += instrStackDelta(In);
+      Max = std::max(Max, Depth);
       if (In.Opcode == Op::RetC && Depth != 0) {
         Sink.error(I, "instr %u: return leaves %d values on the stack", I,
                    Depth);
-        return;
+        return static_cast<uint32_t>(Max);
       }
     }
     auto Propagate = [&](uint32_t Succ) {
@@ -147,15 +151,19 @@ void verifyStackDepth(const Function &F, ErrorSink &Sink) {
     if (B.hasFallthru())
       Propagate(B.Fallthru);
   }
+  return static_cast<uint32_t>(Max);
 }
 
 } // namespace
 
 std::vector<VerifyIssue>
 jumpstart::bc::verifyFunctionIssues(const Repo &R, const Function &F,
-                                    uint32_t NumBuiltins) {
+                                    uint32_t NumBuiltins,
+                                    uint32_t *MaxStack) {
   std::vector<VerifyIssue> Issues;
   ErrorSink Sink(Issues);
+  if (MaxStack)
+    *MaxStack = 0;
 
   if (F.Code.empty()) {
     Sink.error("function has no bytecode");
@@ -174,8 +182,11 @@ jumpstart::bc::verifyFunctionIssues(const Repo &R, const Function &F,
   }
 
   verifyImmediates(R, F, NumBuiltins, Sink);
-  if (!Sink.hadError())
-    verifyStackDepth(F, Sink);
+  if (!Sink.hadError()) {
+    uint32_t Max = verifyStackDepth(F, Sink);
+    if (MaxStack)
+      *MaxStack = Max;
+  }
   return Issues;
 }
 

@@ -38,10 +38,14 @@ struct VerifyIssue {
 
 /// Verifies a single function against \p R, producing structured issues.
 /// \p NumBuiltins bounds the NativeCall immediates.  Empty means the
-/// function verified.
+/// function verified.  When \p MaxStack is non-null it receives the
+/// deepest operand stack the dataflow pass reached: for a verified
+/// function, a bound on every execution path (the interpreter sizes its
+/// frames with it).
 std::vector<VerifyIssue> verifyFunctionIssues(const Repo &R,
                                               const Function &F,
-                                              uint32_t NumBuiltins);
+                                              uint32_t NumBuiltins,
+                                              uint32_t *MaxStack = nullptr);
 
 /// Verifies a single function against \p R.  \p NumBuiltins bounds the
 /// NativeCall immediates.  \returns human-readable error strings; empty

@@ -7,7 +7,6 @@
 
 #include "core/JumpStartOptions.h"
 
-#include "support/Assert.h"
 #include "support/StringUtil.h"
 
 #include <cstdlib>
@@ -175,79 +174,4 @@ JumpStartOptions::toKeyValues() const {
   KVs.emplace_back("min_package_bytes",
                    strFormat("%zu", Coverage.MinPackageBytes));
   return KVs;
-}
-
-JumpStartOptionsBuilder &JumpStartOptionsBuilder::enabled(bool V) {
-  Opts.Enabled = V;
-  return *this;
-}
-JumpStartOptionsBuilder &JumpStartOptionsBuilder::vasmBlockCounters(bool V) {
-  Opts.VasmBlockCounters = V;
-  return *this;
-}
-JumpStartOptionsBuilder &JumpStartOptionsBuilder::functionOrder(bool V) {
-  Opts.FunctionOrder = V;
-  return *this;
-}
-JumpStartOptionsBuilder &JumpStartOptionsBuilder::propertyReordering(bool V) {
-  Opts.PropertyReordering = V;
-  return *this;
-}
-JumpStartOptionsBuilder &
-JumpStartOptionsBuilder::affinityPropertyOrder(bool V) {
-  Opts.AffinityPropertyOrder = V;
-  return *this;
-}
-JumpStartOptionsBuilder &
-JumpStartOptionsBuilder::maxConsumerAttempts(uint32_t V) {
-  Opts.MaxConsumerAttempts = V;
-  return *this;
-}
-JumpStartOptionsBuilder &
-JumpStartOptionsBuilder::coverage(const profile::CoverageThresholds &V) {
-  Opts.Coverage = V;
-  return *this;
-}
-JumpStartOptionsBuilder &JumpStartOptionsBuilder::strictPackageLint(bool V) {
-  Opts.StrictPackageLint = V;
-  return *this;
-}
-JumpStartOptionsBuilder &
-JumpStartOptionsBuilder::validationRequests(uint32_t V) {
-  Opts.ValidationRequests = V;
-  return *this;
-}
-JumpStartOptionsBuilder &
-JumpStartOptionsBuilder::maxValidationFaultRate(double V) {
-  Opts.MaxValidationFaultRate = V;
-  return *this;
-}
-JumpStartOptionsBuilder &JumpStartOptionsBuilder::parallelism(uint32_t V) {
-  Opts.Parallelism = V;
-  return *this;
-}
-JumpStartOptionsBuilder &
-JumpStartOptionsBuilder::precompileLiveCode(bool V) {
-  Opts.PrecompileLiveCode = V;
-  return *this;
-}
-JumpStartOptionsBuilder &
-JumpStartOptionsBuilder::provenGuardElision(bool V) {
-  Opts.ProvenGuardElision = V;
-  return *this;
-}
-
-Status JumpStartOptionsBuilder::tryBuild(JumpStartOptions &Out) const {
-  std::vector<std::string> Diags = Opts.validate();
-  if (!Diags.empty())
-    return Status::error(StatusCode::FailedPrecondition, Diags.front());
-  Out = Opts;
-  return Status::okStatus();
-}
-
-JumpStartOptions JumpStartOptionsBuilder::build() const {
-  JumpStartOptions Out;
-  Status S = tryBuild(Out);
-  alwaysAssert(S.ok(), "JumpStartOptionsBuilder: invalid options");
-  return Out;
 }

@@ -31,8 +31,9 @@
 namespace jumpstart::core {
 
 /// All Jump-Start knobs.  Plain default construction stays valid (the
-/// fleet's production defaults); harnesses that accept user input go
-/// through set()/parseAssignments() or the builder and check validate().
+/// fleet's production defaults); harnesses assign fields directly, or
+/// accept user input through set()/parseAssignments(), and check
+/// validate().
 struct JumpStartOptions {
   /// Master switch.  Off: every server collects its own profile.
   bool Enabled = true;
@@ -106,38 +107,6 @@ struct JumpStartOptions {
   /// Every option as (key, value) pairs, in declaration order -- the
   /// round-trippable rendering (each pair feeds back through set()).
   std::vector<std::pair<std::string, std::string>> toKeyValues() const;
-};
-
-/// Named-setter construction for harness code:
-///   auto Opts = JumpStartOptionsBuilder()
-///                   .enabled(true)
-///                   .functionOrder(false)
-///                   .build();
-/// build() asserts validate() passes; tryBuild() reports instead.
-class JumpStartOptionsBuilder {
-public:
-  JumpStartOptionsBuilder &enabled(bool V);
-  JumpStartOptionsBuilder &vasmBlockCounters(bool V);
-  JumpStartOptionsBuilder &functionOrder(bool V);
-  JumpStartOptionsBuilder &propertyReordering(bool V);
-  JumpStartOptionsBuilder &affinityPropertyOrder(bool V);
-  JumpStartOptionsBuilder &maxConsumerAttempts(uint32_t V);
-  JumpStartOptionsBuilder &coverage(const profile::CoverageThresholds &V);
-  JumpStartOptionsBuilder &strictPackageLint(bool V);
-  JumpStartOptionsBuilder &validationRequests(uint32_t V);
-  JumpStartOptionsBuilder &maxValidationFaultRate(double V);
-  JumpStartOptionsBuilder &parallelism(uint32_t V);
-  JumpStartOptionsBuilder &precompileLiveCode(bool V);
-  JumpStartOptionsBuilder &provenGuardElision(bool V);
-
-  /// \returns the built options; asserts they validate.
-  JumpStartOptions build() const;
-  /// \returns failed_precondition carrying the first diagnostic when the
-  /// options are incoherent.
-  support::Status tryBuild(JumpStartOptions &Out) const;
-
-private:
-  JumpStartOptions Opts;
 };
 
 } // namespace jumpstart::core

@@ -7,10 +7,7 @@
 
 #include "interp/InterpCache.h"
 
-#include "bytecode/Blocks.h"
-
-#include <algorithm>
-#include <deque>
+#include "bytecode/Verifier.h"
 
 using namespace jumpstart;
 using namespace jumpstart::interp;
@@ -37,82 +34,16 @@ bool hasCacheableSite(const bc::Function &F) {
   return false;
 }
 
-/// Preconditions for the CFG-based analysis (and for BlockList::compute,
-/// which assumes verified code): all branch targets in range and control
-/// unable to fall off the end.
-bool structurallySound(const bc::Function &F) {
-  if (F.Code.empty())
-    return false;
-  const bc::OpInfo &Last = bc::opInfo(F.Code.back().Opcode);
-  if (!bc::hasFlag(Last.Flags, bc::OpFlags::Terminal) &&
-      !bc::hasFlag(Last.Flags, bc::OpFlags::Branch))
-    return false;
-  for (const bc::Instr &In : F.Code) {
-    const bc::OpInfo &Info = bc::opInfo(In.Opcode);
-    if ((Info.ImmA == bc::ImmKind::Target &&
-         static_cast<uint64_t>(In.ImmA) >= F.Code.size()) ||
-        (Info.ImmB == bc::ImmKind::Target &&
-         static_cast<uint64_t>(In.ImmB) >= F.Code.size()))
-      return false;
-    if (In.Opcode == bc::Op::GetL || In.Opcode == bc::Op::SetL)
-      if (In.localImm() >= F.NumLocals)
-        return false;
-  }
-  return true;
-}
-
-/// Verifier-style abstract interpretation of stack depth.  \returns true
-/// and sets \p MaxStack on success; false when depths underflow or are
-/// inconsistent (such functions run on the legacy engine).
-bool computeMaxStack(const bc::Function &F, uint32_t &MaxStack) {
-  bc::BlockList Blocks = bc::BlockList::compute(F);
-  constexpr int kUnknown = -1;
-  std::vector<int> EntryDepth(Blocks.numBlocks(), kUnknown);
-  EntryDepth[0] = 0;
-  std::deque<uint32_t> Worklist;
-  Worklist.push_back(0);
-  int Max = 0;
-
-  while (!Worklist.empty()) {
-    uint32_t BlockId = Worklist.front();
-    Worklist.pop_front();
-    const bc::BcBlock &B = Blocks.block(BlockId);
-    int Depth = EntryDepth[BlockId];
-    for (uint32_t I = B.Start; I < B.End; ++I) {
-      const bc::Instr &In = F.Code[I];
-      if (Depth < bc::instrStackPops(In))
-        return false;
-      Depth += bc::instrStackDelta(In);
-      Max = std::max(Max, Depth);
-      if (In.Opcode == bc::Op::RetC && Depth != 0)
-        return false;
-    }
-    auto Propagate = [&](uint32_t Succ) {
-      if (EntryDepth[Succ] == kUnknown) {
-        EntryDepth[Succ] = Depth;
-        Worklist.push_back(Succ);
-        return true;
-      }
-      return EntryDepth[Succ] == Depth;
-    };
-    if (B.hasTaken() && !Propagate(B.Taken))
-      return false;
-    if (B.hasFallthru() && !Propagate(B.Fallthru))
-      return false;
-  }
-  MaxStack = static_cast<uint32_t>(Max);
-  return true;
-}
-
 } // namespace
 
-FuncExecInfo jumpstart::interp::computeExecInfo(const bc::Function &F) {
+FuncExecInfo jumpstart::interp::computeExecInfo(const bc::Function &F,
+                                                bool Verified,
+                                                uint32_t MaxStack) {
   FuncExecInfo Info;
-  if (!structurallySound(F))
+  if (!Verified)
     return Info;
-  if (!computeMaxStack(F, Info.MaxStack))
-    return Info;
-  Info.HasStaticStack = true;
+  Info.Verified = true;
+  Info.MaxStack = MaxStack;
 
   size_t N = F.Code.size();
   Info.RunLen.resize(N);
@@ -124,4 +55,13 @@ FuncExecInfo jumpstart::interp::computeExecInfo(const bc::Function &F) {
   if (hasCacheableSite(F))
     Info.ICs.assign(N, ICEntry{});
   return Info;
+}
+
+std::unique_ptr<FuncExecInfo> InterpCaches::analyze(bc::FuncId F) const {
+  const bc::Function &Func = R.func(F);
+  uint32_t MaxStack = 0;
+  bool Verified =
+      bc::verifyFunctionIssues(R, Func, NumBuiltins, &MaxStack).empty();
+  return std::make_unique<FuncExecInfo>(
+      computeExecInfo(Func, Verified, MaxStack));
 }

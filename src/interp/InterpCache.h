@@ -6,26 +6,30 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Per-function execution metadata for the fast interpreter engine.
+/// Per-function execution metadata for the interpreter.
 ///
-/// The fast engine (interp/Interpreter.cpp) relies on three pieces of
+/// The interpreter (interp/Interpreter.cpp) relies on four pieces of
 /// statically derived information per function, computed once on first
 /// execution and cached here:
+///
+///  - The verifier's verdict.  Only functions bc::verifyFunctionIssues
+///    accepts run; any other call returns Null with one fault.  Verified
+///    code has in-range immediates, cannot fall off its end, and has a
+///    consistent stack depth at every block boundary, which is everything
+///    the frame loop assumes.
 ///
 ///  - Run lengths for bulk step accounting: a "run" is the straight-line
 ///    instruction sequence ending at (and including) the next
 ///    branch/terminal/call.  Charging a whole run against the step budget
-///    at its first instruction is exactly equivalent to the legacy
-///    per-instruction check: a run, once entered, executes completely, and
-///    because calls end runs the global step counter agrees with the
-///    legacy engine's at every callee entry and every abort point.
+///    at its first instruction is exactly equivalent to a per-instruction
+///    check: a run, once entered, executes completely, and because calls
+///    end runs the global step counter agrees with a per-instruction
+///    count at every callee entry and every abort point.
 ///
-///  - The maximum operand-stack depth, from the same abstract
-///    interpretation the verifier performs.  It lets a frame's locals and
-///    stack be carved out of the request FrameArena in one allocation
-///    with no per-push growth checks.  Functions whose analysis fails
-///    (unverifiable code reached via fuzzing) set HasStaticStack = false
-///    and execute on the legacy engine, which handles anything.
+///  - The maximum operand-stack depth, as the verifier's dataflow pass
+///    reports it.  It lets a frame's locals and stack be carved out of
+///    the request FrameArena in one allocation with no per-push growth
+///    checks.
 ///
 ///  - Inline caches for property and method dispatch sites, keyed by the
 ///    receiver's ClassLayout.  They live here, outside the immutable
@@ -57,31 +61,35 @@ struct ICEntry {
 /// Static execution metadata for one function (see file comment).
 struct FuncExecInfo {
   /// RunLen[I]: instructions from I through the end of I's run,
-  /// inclusive.  Empty when !HasStaticStack.
+  /// inclusive.  Empty when !Verified.
   std::vector<uint32_t> RunLen;
 
-  /// Inline caches indexed by Pc.  Empty when !HasStaticStack or the
-  /// function has no cacheable site.
+  /// Inline caches indexed by Pc.  Empty when !Verified or the function
+  /// has no cacheable site.
   std::vector<ICEntry> ICs;
 
   /// Maximum operand-stack depth over all paths.
   uint32_t MaxStack = 0;
 
-  /// True when the static analysis succeeded (branch targets in range,
-  /// control cannot fall off the end, stack depths consistent).  False
-  /// sends frames of this function to the legacy engine.
-  bool HasStaticStack = false;
+  /// The verifier accepted the function.  False makes every call to it
+  /// return Null with one fault.
+  bool Verified = false;
 };
 
-/// Computes FuncExecInfo for \p F (exposed for tests).
-FuncExecInfo computeExecInfo(const bc::Function &F);
+/// Computes FuncExecInfo for \p F from the verifier's verdict on it:
+/// \p Verified, and the maximum stack depth \p MaxStack its dataflow
+/// pass reported (exposed for tests).
+FuncExecInfo computeExecInfo(const bc::Function &F, bool Verified,
+                             uint32_t MaxStack);
 
 /// Caches FuncExecInfo per FuncId, plus deterministic inline-cache hit
 /// statistics.  One instance per Interpreter; not thread-safe, matching
 /// the single-threaded simulated servers.
 class InterpCaches {
 public:
-  explicit InterpCaches(const bc::Repo &R) : R(R) {}
+  /// \p NumBuiltins bounds NativeCall immediates, as for the verifier.
+  InterpCaches(const bc::Repo &R, uint32_t NumBuiltins)
+      : R(R), NumBuiltins(NumBuiltins) {}
 
   /// The (lazily computed) execution metadata for \p F.
   FuncExecInfo &info(bc::FuncId F) {
@@ -89,17 +97,21 @@ public:
       Cache.resize(R.numFuncs());
     auto &Slot = Cache[F.raw()];
     if (!Slot)
-      Slot = std::make_unique<FuncExecInfo>(computeExecInfo(R.func(F)));
+      Slot = analyze(F);
     return *Slot;
   }
 
-  /// Deterministic counters (bumped only by the fast engine; the bench
-  /// and CI perf smoke compare them byte-for-byte across runs).
+  /// Deterministic counters (the bench and CI perf smoke compare them
+  /// byte-for-byte across runs).
   uint64_t ICHits = 0;
   uint64_t ICMisses = 0;
 
 private:
+  /// Verifies \p F and computes its metadata from the verdict.
+  std::unique_ptr<FuncExecInfo> analyze(bc::FuncId F) const;
+
   const bc::Repo &R;
+  uint32_t NumBuiltins;
   std::vector<std::unique_ptr<FuncExecInfo>> Cache;
 };
 

@@ -5,27 +5,23 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Two execution engines share this file (see InterpEngine in the header):
+// The frame loop, execFrameFast<Instrumented>: threaded dispatch
+// (computed goto on GNU-compatible compilers, a switch otherwise), frames
+// carved from the request FrameArena using the verifier's stack bound,
+// interned strings, inline caches for property/method sites, and step
+// accounting charged per straight-line run instead of per instruction
+// (interp/InterpCache.h proves the equivalence).  The Instrumented
+// template parameter hoists every callback test out of the loop: the
+// plain instantiation contains no observation code at all, and call()
+// picks the instantiation once per top-level call.
 //
-//  - execFrameLegacy: the original switch loop.  Per-instruction budget
-//    check, per-instruction "is anyone observing?" tests, vector-backed
-//    frames, a fresh VmString per Op::Str.  It is the semantic reference
-//    and the baseline for bench/micro_interp.
-//
-//  - execFrameFast<Instrumented>: threaded dispatch (computed goto on
-//    GNU-compatible compilers, a switch otherwise), frames carved from
-//    the request FrameArena using statically computed stack bounds,
-//    interned strings, inline caches for property/method sites, and step
-//    accounting charged per straight-line run instead of per instruction
-//    (interp/InterpCache.h proves the equivalence).  The Instrumented
-//    template parameter hoists every callback test out of the loop: the
-//    plain instantiation contains no observation code at all, and the
-//    engine picks the instantiation once per frame.
-//
-// Every observable -- results, faults, step totals, abort points,
-// callback streams, simulated heap addresses -- must be bit-for-bit
-// identical across engines; the conformance harness (src/testing) diffs
-// full execution digests between them to enforce it.
+// Only functions the verifier accepts run; a call to any other function
+// returns Null with one fault.  testing::ReferenceInterpreter keeps the
+// original switch loop as an independent reference: every observable --
+// results, faults, step totals, abort points, callback streams,
+// simulated heap addresses -- must be bit-for-bit identical to it, and
+// the conformance tests and the DiffRunner's reference cell diff the two
+// to enforce it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -53,7 +49,7 @@ Interpreter::Interpreter(const bc::Repo &R, runtime::ClassTable &Classes,
                          const runtime::BuiltinTable &Builtins,
                          InterpOptions Opts)
     : R(R), Classes(Classes), H(H), Builtins(Builtins), Opts(Opts),
-      Blocks(R), Caches(R) {}
+      Blocks(R), Caches(R, Builtins.size()) {}
 
 Value Interpreter::fault() {
   ++Faults;
@@ -66,7 +62,7 @@ bool Interpreter::seedIC(bc::FuncId F, uint32_t Pc, const void *Key,
     return false;
   FuncExecInfo &Info = Caches.info(F);
   if (Pc >= Info.ICs.size())
-    return false; // legacy-engine function (no IC table) or bad site
+    return false; // unverified function (no IC table) or bad site
   ICEntry &E = Info.ICs[Pc];
   if (E.Key)
     return false; // already warm; never overwrite a live entry
@@ -81,36 +77,15 @@ InterpResult Interpreter::call(bc::FuncId F,
   Faults = 0;
   Aborted = false;
   InterpResult Result;
-  Result.Ret = execFrame(F, Args.data(), static_cast<uint32_t>(Args.size()),
-                         Value::null(), bc::FuncId(), /*Depth=*/0);
+  const Value *A = Args.data();
+  const uint32_t N = static_cast<uint32_t>(Args.size());
+  Result.Ret = Callbacks
+                   ? callFast<true>(F, A, N, Value::null(), bc::FuncId(), 0)
+                   : callFast<false>(F, A, N, Value::null(), bc::FuncId(), 0);
   Result.Ok = !Aborted;
   Result.Steps = Steps;
   Result.Faults = Faults;
   return Result;
-}
-
-Value Interpreter::execFrame(bc::FuncId FId, const Value *Args,
-                             uint32_t NumArgs, Value This, bc::FuncId Caller,
-                             uint32_t Depth) {
-  if (Depth >= Opts.MaxCallDepth) {
-    Aborted = true;
-    return Value::null();
-  }
-  const bc::Function &F = R.func(FId);
-  if (F.Code.empty())
-    return fault();
-
-  if (Opts.Engine == InterpEngine::Legacy)
-    return execFrameLegacy(F, FId, Args, NumArgs, This, Caller, Depth);
-
-  FuncExecInfo &Info = Caches.info(FId);
-  if (JS_UNLIKELY(!Info.HasStaticStack))
-    return execFrameLegacy(F, FId, Args, NumArgs, This, Caller, Depth);
-  if (Callbacks)
-    return execFrameFast<true>(F, Info, FId, Args, NumArgs, This, Caller,
-                               Depth);
-  return execFrameFast<false>(F, Info, FId, Args, NumArgs, This, Caller,
-                              Depth);
 }
 
 template <bool Instrumented>
@@ -121,19 +96,12 @@ Value Interpreter::callFast(bc::FuncId FId, const Value *Args,
     Aborted = true;
     return Value::null();
   }
-  const bc::Function &F = R.func(FId);
-  if (F.Code.empty())
-    return fault();
   FuncExecInfo &Info = Caches.info(FId);
-  if (JS_UNLIKELY(!Info.HasStaticStack))
-    return execFrameLegacy(F, FId, Args, NumArgs, This, Caller, Depth);
-  return execFrameFast<Instrumented>(F, Info, FId, Args, NumArgs, This,
-                                     Caller, Depth);
+  if (JS_UNLIKELY(!Info.Verified))
+    return fault();
+  return execFrameFast<Instrumented>(R.func(FId), Info, FId, Args, NumArgs,
+                                     This, Caller, Depth);
 }
-
-//===----------------------------------------------------------------------===//
-// Fast engine
-//===----------------------------------------------------------------------===//
 
 #if JUMPSTART_COMPUTED_GOTO
 #define VM_CASE(Name) lbl_##Name
@@ -150,10 +118,10 @@ Value Interpreter::callFast(bc::FuncId FId, const Value *Args,
 // Per-dispatch work.  In bulk-charged mode (the common case) the budget
 // was paid at the run boundary, so only the instrumentation remains --
 // and the plain instantiation compiles the whole macro down to one
-// never-taken branch.  Checked mode replicates the legacy engine's
-// per-instruction sequence exactly; it is entered only when the current
-// run cannot fit the remaining budget, and then provably aborts before
-// reaching the next run boundary.
+// never-taken branch.  Checked mode replicates a per-instruction budget
+// check exactly; it is entered only when the current run cannot fit the
+// remaining budget, and then provably aborts before reaching the next
+// run boundary.
 #define VM_PREAMBLE()                                                          \
   do {                                                                         \
     if (JS_UNLIKELY(Checked)) {                                                \
@@ -212,8 +180,8 @@ namespace {
 
 /// True when both operands are ints whose magnitude keeps the
 /// int->double conversion inside runtime::compare exact (|v| <= 2^53).
-/// For such pairs integer comparison is bit-identical to the legacy
-/// double-based comparison, so the fast engine may inline it.
+/// For such pairs integer comparison is bit-identical to runtime::compare's
+/// double-based comparison, so the frame loop may inline it.
 inline bool exactIntPair(const Value &A, const Value &B) {
   constexpr int64_t L = int64_t(1) << 53;
   return A.isInt() && B.isInt() && A.I <= L && A.I >= -L && B.I <= L &&
@@ -408,7 +376,7 @@ DispatchTop:
   VM_CASE(Str) : {
     // Interned: one host allocation per distinct repo string per server,
     // not one per execution.  The simulated bump still happens inside
-    // internString, so downstream addresses match the legacy engine.
+    // internString, so downstream addresses match fresh allocation.
     const bc::Instr &In = *Ip;
     VM_PUSH(Value::str(H.internString(In.strImm().raw(), R.str(In.strImm()))));
     VM_NEXT();
@@ -714,7 +682,7 @@ DispatchTop:
     VM_NEXT();
   }
 
-// Comparison semantics are double-based in the legacy engine (ints are
+// Comparison semantics are double-based in runtime::compare (ints are
 // converted); the inline path fires only when that conversion is exact,
 // so the integer compare below is bit-identical (see exactIntPair).
 #define VM_CMP(O, IntExpr)                                                     \
@@ -937,438 +905,3 @@ ExitLoop:
 #undef VM_PUSH
 #undef VM_POP
 #undef VM_PC
-
-//===----------------------------------------------------------------------===//
-// Legacy engine (the original loop, kept as the measured baseline)
-//===----------------------------------------------------------------------===//
-
-Value Interpreter::execFrameLegacy(const bc::Function &F, bc::FuncId FId,
-                                   const Value *Args, uint32_t NumArgs,
-                                   Value This, bc::FuncId Caller,
-                                   uint32_t Depth) {
-  if (Callbacks)
-    Callbacks->onFuncEnter(FId, Caller, Args, NumArgs);
-  const bool TraceInstrs = Callbacks && Callbacks->wantsInstrTrace(FId);
-  const bc::BlockList *BlockInfo = Callbacks ? &Blocks.blocks(FId) : nullptr;
-
-  // Frame state.
-  std::vector<Value> Locals(F.NumLocals, Value::null());
-  for (uint32_t I = 0; I < NumArgs && I < F.NumLocals; ++I)
-    Locals[I] = Args[I];
-  std::vector<Value> Stack;
-  Stack.reserve(16);
-  // Model cost: one host allocation per frame vector (the fast engine's
-  // arena frames charge nothing).
-  H.noteHostAllocs(2);
-  uint64_t FrameSteps = 0;
-  uint32_t CurBlock = ~0u;
-
-  auto Push = [&](Value V) { Stack.push_back(V); };
-  auto Pop = [&]() {
-    assert(!Stack.empty() && "operand stack underflow (verifier bug)");
-    Value V = Stack.back();
-    Stack.pop_back();
-    return V;
-  };
-
-  Value RetVal = Value::null();
-  uint32_t Pc = 0;
-  const size_t CodeSize = F.Code.size();
-
-  while (Pc < CodeSize) {
-    if (++Steps > Opts.StepBudget) {
-      Aborted = true;
-      break;
-    }
-    ++FrameSteps;
-
-    if (Callbacks) {
-      uint32_t Block = BlockInfo->blockOf(Pc);
-      if (Block != CurBlock) {
-        CurBlock = Block;
-        Callbacks->onBlockEnter(FId, Block);
-      }
-      if (TraceInstrs)
-        Callbacks->onInstr(FId, Pc, Depth);
-    }
-
-    const bc::Instr &In = F.Code[Pc];
-    switch (In.Opcode) {
-    case bc::Op::Nop:
-      break;
-    case bc::Op::Int:
-      Push(Value::integer(In.ImmA));
-      break;
-    case bc::Op::Dbl: {
-      double D;
-      std::memcpy(&D, &In.ImmA, sizeof(D));
-      Push(Value::dbl(D));
-      break;
-    }
-    case bc::Op::True:
-      Push(Value::boolean(true));
-      break;
-    case bc::Op::False:
-      Push(Value::boolean(false));
-      break;
-    case bc::Op::Null:
-      Push(Value::null());
-      break;
-    case bc::Op::Str:
-      Push(Value::str(H.allocString(R.str(In.strImm()))));
-      break;
-    case bc::Op::NewVec:
-      Push(Value::vec(H.allocVec()));
-      break;
-    case bc::Op::NewDict:
-      Push(Value::dict(H.allocDict()));
-      break;
-    case bc::Op::AddElem: {
-      Value V = Pop();
-      Value C = Pop();
-      if (!C.isVec()) {
-        Push(fault());
-        break;
-      }
-      C.V->Elems.push_back(V);
-      if (Callbacks)
-        Callbacks->onDataAccess(
-            C.V->Addr + 16 * C.V->Elems.size(), /*IsWrite=*/true);
-      Push(C);
-      break;
-    }
-    case bc::Op::AddKeyElem: {
-      Value V = Pop();
-      Value K = Pop();
-      Value C = Pop();
-      if (!C.isDict()) {
-        Push(fault());
-        break;
-      }
-      runtime::DictKey Key = K.isStr()
-                                 ? runtime::DictKey::fromStr(K.S->Data)
-                                 : runtime::DictKey::fromInt(runtime::toInt(K));
-      int64_t At = C.Dt->find(Key);
-      if (At >= 0)
-        C.Dt->Entries[static_cast<size_t>(At)].second = V;
-      else
-        C.Dt->Entries.emplace_back(std::move(Key), V);
-      if (Callbacks)
-        Callbacks->onDataAccess(C.Dt->Addr + 16 * C.Dt->Entries.size(),
-                                /*IsWrite=*/true);
-      Push(C);
-      break;
-    }
-    case bc::Op::GetElem: {
-      Value K = Pop();
-      Value C = Pop();
-      if (Callbacks)
-        Callbacks->onTypeObserve(FId, Pc, C.T);
-      if (C.isVec()) {
-        int64_t Index = runtime::toInt(K);
-        if (Index < 0 ||
-            Index >= static_cast<int64_t>(C.V->Elems.size())) {
-          Push(fault());
-          break;
-        }
-        if (Callbacks)
-          Callbacks->onDataAccess(C.V->Addr + 16 * (Index + 1),
-                                  /*IsWrite=*/false);
-        Push(C.V->Elems[static_cast<size_t>(Index)]);
-        break;
-      }
-      if (C.isDict()) {
-        runtime::DictKey Key =
-            K.isStr() ? runtime::DictKey::fromStr(K.S->Data)
-                      : runtime::DictKey::fromInt(runtime::toInt(K));
-        int64_t At = C.Dt->find(Key);
-        if (Callbacks)
-          Callbacks->onDataAccess(C.Dt->Addr + 16 * (At >= 0 ? At + 1 : 1),
-                                  /*IsWrite=*/false);
-        if (At < 0) {
-          Push(Value::null());
-          break;
-        }
-        Push(C.Dt->Entries[static_cast<size_t>(At)].second);
-        break;
-      }
-      Push(fault());
-      break;
-    }
-    case bc::Op::SetElem: {
-      Value V = Pop();
-      Value K = Pop();
-      Value C = Pop();
-      if (Callbacks)
-        Callbacks->onTypeObserve(FId, Pc, C.T);
-      if (C.isVec()) {
-        int64_t Index = runtime::toInt(K);
-        int64_t Size = static_cast<int64_t>(C.V->Elems.size());
-        if (Index == Size) {
-          C.V->Elems.push_back(V);
-        } else if (Index >= 0 && Index < Size) {
-          C.V->Elems[static_cast<size_t>(Index)] = V;
-        } else {
-          Push(fault());
-          break;
-        }
-        if (Callbacks)
-          Callbacks->onDataAccess(C.V->Addr + 16 * (Index + 1),
-                                  /*IsWrite=*/true);
-        Push(C);
-        break;
-      }
-      if (C.isDict()) {
-        runtime::DictKey Key =
-            K.isStr() ? runtime::DictKey::fromStr(K.S->Data)
-                      : runtime::DictKey::fromInt(runtime::toInt(K));
-        int64_t At = C.Dt->find(Key);
-        if (At >= 0)
-          C.Dt->Entries[static_cast<size_t>(At)].second = V;
-        else
-          C.Dt->Entries.emplace_back(std::move(Key), V);
-        if (Callbacks)
-          Callbacks->onDataAccess(C.Dt->Addr + 16 * C.Dt->Entries.size(),
-                                  /*IsWrite=*/true);
-        Push(C);
-        break;
-      }
-      Push(fault());
-      break;
-    }
-    case bc::Op::Len: {
-      Value C = Pop();
-      if (C.isVec())
-        Push(Value::integer(static_cast<int64_t>(C.V->Elems.size())));
-      else if (C.isDict())
-        Push(Value::integer(static_cast<int64_t>(C.Dt->Entries.size())));
-      else if (C.isStr())
-        Push(Value::integer(static_cast<int64_t>(C.S->Data.size())));
-      else
-        Push(fault());
-      break;
-    }
-    case bc::Op::PopC:
-      Pop();
-      break;
-    case bc::Op::Dup: {
-      Value V = Pop();
-      Push(V);
-      Push(V);
-      break;
-    }
-    case bc::Op::GetL:
-      Push(Locals[In.localImm()]);
-      break;
-    case bc::Op::SetL:
-      Locals[In.localImm()] = Pop();
-      break;
-    case bc::Op::Add:
-    case bc::Op::Sub:
-    case bc::Op::Mul:
-    case bc::Op::Div:
-    case bc::Op::Mod: {
-      Value B = Pop();
-      Value A = Pop();
-      runtime::ArithOp O;
-      switch (In.Opcode) {
-      case bc::Op::Add:
-        O = runtime::ArithOp::Add;
-        break;
-      case bc::Op::Sub:
-        O = runtime::ArithOp::Sub;
-        break;
-      case bc::Op::Mul:
-        O = runtime::ArithOp::Mul;
-        break;
-      case bc::Op::Div:
-        O = runtime::ArithOp::Div;
-        break;
-      default:
-        O = runtime::ArithOp::Mod;
-        break;
-      }
-      Value Res = runtime::arith(O, A, B);
-      if (Opts.TestOnlyIntAddSkew != 0 && In.Opcode == bc::Op::Add &&
-          Res.isInt())
-        Res = Value::integer(Res.I + Opts.TestOnlyIntAddSkew);
-      if (Res.isNull() && !(A.isNull() || B.isNull()))
-        ++Faults;
-      if (Callbacks)
-        Callbacks->onTypeObserve(FId, Pc, A.T);
-      Push(Res);
-      break;
-    }
-    case bc::Op::Concat: {
-      Value B = Pop();
-      Value A = Pop();
-      Push(runtime::concat(H, A, B));
-      break;
-    }
-    case bc::Op::Not:
-      Push(Value::boolean(!runtime::toBool(Pop())));
-      break;
-    case bc::Op::CmpEq:
-    case bc::Op::CmpNe:
-    case bc::Op::CmpLt:
-    case bc::Op::CmpLe:
-    case bc::Op::CmpGt:
-    case bc::Op::CmpGe: {
-      Value B = Pop();
-      Value A = Pop();
-      runtime::CmpOp O;
-      switch (In.Opcode) {
-      case bc::Op::CmpEq:
-        O = runtime::CmpOp::Eq;
-        break;
-      case bc::Op::CmpNe:
-        O = runtime::CmpOp::Ne;
-        break;
-      case bc::Op::CmpLt:
-        O = runtime::CmpOp::Lt;
-        break;
-      case bc::Op::CmpLe:
-        O = runtime::CmpOp::Le;
-        break;
-      case bc::Op::CmpGt:
-        O = runtime::CmpOp::Gt;
-        break;
-      default:
-        O = runtime::CmpOp::Ge;
-        break;
-      }
-      if (Callbacks)
-        Callbacks->onTypeObserve(FId, Pc, A.T);
-      Push(runtime::compare(O, A, B));
-      break;
-    }
-    case bc::Op::Jmp:
-      Pc = In.targetImm();
-      continue;
-    case bc::Op::JmpZ: {
-      bool Cond = runtime::toBool(Pop());
-      if (!Cond) {
-        Pc = In.targetImm();
-        continue;
-      }
-      break;
-    }
-    case bc::Op::JmpNZ: {
-      bool Cond = runtime::toBool(Pop());
-      if (Cond) {
-        Pc = In.targetImm();
-        continue;
-      }
-      break;
-    }
-    case bc::Op::FCall: {
-      uint32_t N = In.countImm();
-      assert(Stack.size() >= N && "verifier guarantees arg availability");
-      const Value *CallArgs = Stack.data() + (Stack.size() - N);
-      Value Res = execFrame(In.funcImm(), CallArgs, N, Value::null(), FId,
-                            Depth + 1);
-      Stack.resize(Stack.size() - N);
-      Push(Res);
-      if (Aborted)
-        Pc = static_cast<uint32_t>(CodeSize);
-      break;
-    }
-    case bc::Op::FCallObj: {
-      uint32_t N = In.countImm();
-      assert(Stack.size() >= N + 1 && "verifier guarantees receiver + args");
-      Value Recv = Stack[Stack.size() - N - 1];
-      const Value *CallArgs = Stack.data() + (Stack.size() - N);
-      Value Res;
-      if (!Recv.isObj()) {
-        Res = fault();
-      } else {
-        bc::FuncId Callee = Recv.O->Layout->findMethod(In.strImm());
-        if (!Callee.valid()) {
-          Res = fault();
-        } else {
-          if (Callbacks)
-            Callbacks->onVirtualCall(FId, Pc, Callee);
-          Res = execFrame(Callee, CallArgs, N, Recv, FId, Depth + 1);
-        }
-      }
-      Stack.resize(Stack.size() - N - 1);
-      Push(Res);
-      if (Aborted)
-        Pc = static_cast<uint32_t>(CodeSize);
-      break;
-    }
-    case bc::Op::NativeCall: {
-      uint32_t N = In.countImm();
-      assert(Stack.size() >= N && "verifier guarantees arg availability");
-      const runtime::Builtin &Native = Builtins.builtin(In.builtinImm());
-      runtime::NativeContext Ctx{H, Output};
-      Value Res = Native.Fn(Ctx, Stack.data() + (Stack.size() - N), N);
-      Stack.resize(Stack.size() - N);
-      Push(Res);
-      break;
-    }
-    case bc::Op::NewObj: {
-      const runtime::ClassLayout &Layout = Classes.layout(In.clsImm());
-      Push(Value::obj(H.allocObject(&Layout, Layout.numSlots())));
-      break;
-    }
-    case bc::Op::GetProp: {
-      Value Obj = Pop();
-      if (!Obj.isObj()) {
-        Push(fault());
-        break;
-      }
-      int64_t Slot = Obj.O->Layout->findSlot(In.strImm());
-      if (Slot < 0) {
-        Push(fault());
-        break;
-      }
-      if (Callbacks)
-        Callbacks->onPropAccess(Obj.O->Layout->id(), In.strImm(),
-                                /*IsWrite=*/false,
-                                Obj.O->slotAddr(static_cast<uint32_t>(Slot)));
-      if (Callbacks)
-        Callbacks->onTypeObserve(FId, Pc,
-                                 Obj.O->Slots[static_cast<size_t>(Slot)].T);
-      Push(Obj.O->Slots[static_cast<size_t>(Slot)]);
-      break;
-    }
-    case bc::Op::SetProp: {
-      Value V = Pop();
-      Value Obj = Pop();
-      if (!Obj.isObj()) {
-        (void)fault();
-        break;
-      }
-      int64_t Slot = Obj.O->Layout->findSlot(In.strImm());
-      if (Slot < 0) {
-        (void)fault();
-        break;
-      }
-      if (Callbacks)
-        Callbacks->onPropAccess(Obj.O->Layout->id(), In.strImm(),
-                                /*IsWrite=*/true,
-                                Obj.O->slotAddr(static_cast<uint32_t>(Slot)));
-      Obj.O->Slots[static_cast<size_t>(Slot)] = V;
-      break;
-    }
-    case bc::Op::GetThis:
-      Push(This);
-      break;
-    case bc::Op::RetC:
-      RetVal = Pop();
-      Pc = static_cast<uint32_t>(CodeSize);
-      continue;
-    }
-    ++Pc;
-  }
-
-  if (InstrCounts) {
-    if (InstrCounts->size() < R.numFuncs())
-      InstrCounts->resize(R.numFuncs(), 0);
-    (*InstrCounts)[FId.raw()] += FrameSteps;
-  }
-  if (Callbacks)
-    Callbacks->onFuncExit(FId);
-  return RetVal;
-}

@@ -11,8 +11,9 @@
 ///
 /// Semantics are total: dynamic type errors produce Null results and bump a
 /// fault counter rather than aborting, so the VM survives anything the
-/// workload generator or fuzz tests produce.  Runaway execution is bounded
-/// by a step budget and a call-depth limit.
+/// workload generator or fuzz tests produce.  A call to a function the
+/// bytecode verifier rejects does the same: Null and one fault.  Runaway
+/// execution is bounded by a step budget and a call-depth limit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,26 +45,10 @@ struct InterpResult {
   uint64_t Faults = 0;
 };
 
-/// Which execution engine frames run on.  Both are observably identical
-/// (same results, faults, step accounting, callback streams); they differ
-/// only in speed.  The differential conformance harness (src/testing)
-/// keeps them honest by diffing full execution digests across engines.
-enum class InterpEngine : uint8_t {
-  /// Threaded dispatch, arena frames, interned strings, inline caches,
-  /// per-run step accounting.  Falls back to Legacy per function when
-  /// static frame analysis fails (see interp/InterpCache.h).
-  Fast,
-  /// The original switch loop with per-instruction checks and
-  /// vector-backed frames.  Kept as the semantic reference and the
-  /// baseline the benchmarks measure against.
-  Legacy,
-};
-
 /// Interpreter configuration.
 struct InterpOptions {
   uint64_t StepBudget = 100'000'000;
   uint32_t MaxCallDepth = 200;
-  InterpEngine Engine = InterpEngine::Fast;
   /// Test-only fault injection: added to every integer Add result.  The
   /// differential conformance oracle (src/testing) uses a nonzero skew to
   /// prove it can detect a single-opcode semantic divergence between two
@@ -97,39 +82,31 @@ public:
   runtime::Heap &heap() { return H; }
   runtime::ClassTable &classes() { return Classes; }
 
-  /// Fast-engine metadata and inline-cache statistics (deterministic;
-  /// the perf smoke compares them across runs).
+  /// Per-function execution metadata and inline-cache statistics
+  /// (deterministic; the perf smoke compares them across runs).
   const InterpCaches &caches() const { return Caches; }
 
   /// Pre-fills the inline cache at (F, Pc) with a proven-monomorphic
   /// entry (whole-program analysis; ProvenFacts::ICSeeds).  Caches only
   /// what a successful dynamic lookup would cache: the caller supplies
   /// the receiver's ClassLayout as \p Key and the resolved slot/FuncId
-  /// as \p Payload.  \returns true when an empty entry was filled; a
-  /// legacy-engine function, an out-of-range site or an already-warm
-  /// entry is left untouched.
+  /// as \p Payload.  \returns true when an empty entry was filled; an
+  /// unverified function, an out-of-range site or an already-warm entry
+  /// is left untouched.
   bool seedIC(bc::FuncId F, uint32_t Pc, const void *Key, uint64_t Payload);
 
 private:
-  runtime::Value execFrame(bc::FuncId FId, const runtime::Value *Args,
-                           uint32_t NumArgs, runtime::Value This,
-                           bc::FuncId Caller, uint32_t Depth);
-  runtime::Value execFrameLegacy(const bc::Function &F, bc::FuncId FId,
-                                 const runtime::Value *Args, uint32_t NumArgs,
-                                 runtime::Value This, bc::FuncId Caller,
-                                 uint32_t Depth);
-  /// The fast engine's frame loop.  Instrumented is the per-frame
-  /// hoisted "Callbacks != nullptr" decision: the uninstrumented
+  /// The frame loop.  Instrumented is the "Callbacks != nullptr"
+  /// decision, made once per top-level call: the uninstrumented
   /// instantiation contains no callback code at all.
   template <bool Instrumented>
   runtime::Value execFrameFast(const bc::Function &F, FuncExecInfo &Info,
                                bc::FuncId FId, const runtime::Value *Args,
                                uint32_t NumArgs, runtime::Value This,
                                bc::FuncId Caller, uint32_t Depth);
-  /// Call entry used by fast-engine call sites: identical to execFrame
-  /// but skips the engine-selection and callback tests, both of which
-  /// the calling frame already resolved (the engine cannot change
-  /// mid-request and Instrumented carries the callback decision).
+  /// Frame entry for call() and every call site: the call-depth limit,
+  /// then the verifier's verdict (an unverified function faults), then
+  /// execFrameFast.
   template <bool Instrumented>
   runtime::Value callFast(bc::FuncId FId, const runtime::Value *Args,
                           uint32_t NumArgs, runtime::Value This,

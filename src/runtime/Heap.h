@@ -30,11 +30,12 @@ namespace jumpstart::runtime {
 
 /// Bump allocator for interpreter frames (locals plus operand stack).
 ///
-/// The legacy interpreter pays two std::vector allocations per call; the
-/// fast engine instead carves each frame out of this arena and rewinds it
-/// on return.  Frames are strictly LIFO (a callee's frame dies before its
-/// caller's), so mark/rewind is sufficient.  Chunks are retained across
-/// requests, so steady-state frame setup performs no host allocation.
+/// The interpreter carves each frame out of this arena and rewinds it on
+/// return, where a vector-backed frame would pay two std::vector
+/// allocations per call.  Frames are strictly LIFO (a callee's frame dies
+/// before its caller's), so mark/rewind is sufficient.  Chunks are
+/// retained across requests, so steady-state frame setup performs no host
+/// allocation.
 class FrameArena {
 public:
   struct Mark {
@@ -116,9 +117,9 @@ public:
   /// Deterministic model-level count of host allocations performed on
   /// behalf of VM values: one per alloc*() call and per intern miss.
   /// Callers that allocate host memory for VM state outside the heap
-  /// (e.g. the legacy interpreter's per-call frame vectors) charge it
-  /// here via noteHostAllocs, so allocs/request is comparable across
-  /// engines.  Cumulative; never reset.  Not exported to metrics.
+  /// (e.g. testing::ReferenceInterpreter's per-call frame vectors) charge
+  /// it here via noteHostAllocs, so allocs/request is comparable across
+  /// interpreters.  Cumulative; never reset.  Not exported to metrics.
   uint64_t hostAllocs() const { return HostAllocs; }
   void noteHostAllocs(uint64_t N) { HostAllocs += N; }
 

@@ -14,45 +14,6 @@
 
 using namespace jumpstart;
 
-void SampleStats::add(double Value) {
-  Samples.push_back(Value);
-  Sorted = false;
-  Total += Value;
-}
-
-double SampleStats::mean() const {
-  if (Samples.empty())
-    return 0;
-  return Total / static_cast<double>(Samples.size());
-}
-
-double SampleStats::min() const {
-  if (Samples.empty())
-    return 0;
-  return *std::min_element(Samples.begin(), Samples.end());
-}
-
-double SampleStats::max() const {
-  if (Samples.empty())
-    return 0;
-  return *std::max_element(Samples.begin(), Samples.end());
-}
-
-double SampleStats::percentile(double P) const {
-  if (Samples.empty())
-    return 0;
-  if (!Sorted) {
-    std::sort(Samples.begin(), Samples.end());
-    Sorted = true;
-  }
-  P = std::clamp(P, 0.0, 100.0);
-  double Rank = P / 100.0 * static_cast<double>(Samples.size() - 1);
-  size_t Lo = static_cast<size_t>(Rank);
-  size_t Hi = std::min(Lo + 1, Samples.size() - 1);
-  double Frac = Rank - static_cast<double>(Lo);
-  return Samples[Lo] * (1 - Frac) + Samples[Hi] * Frac;
-}
-
 void TimeSeries::record(double TimeSec, double Value) {
   assert((Points.empty() || TimeSec >= Points.back().TimeSec) &&
          "time series must be recorded in nondecreasing time order");

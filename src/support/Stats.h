@@ -6,9 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Small statistics helpers used by the simulators and benchmark harnesses:
-/// a streaming accumulator (mean/min/max/percentiles) and a time-series
-/// recorder for performance-over-uptime curves (Figures 1, 2 and 4).
+/// A time-series recorder for the performance-over-uptime curves the
+/// simulators and benchmark harnesses produce (Figures 1, 2 and 4).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,29 +20,6 @@
 #include <vector>
 
 namespace jumpstart {
-
-/// Accumulates samples and answers summary queries.  Stores all samples so
-/// exact percentiles are available; the simulators produce at most a few
-/// million samples per run.
-class SampleStats {
-public:
-  void add(double Value);
-
-  size_t count() const { return Samples.size(); }
-  double sum() const { return Total; }
-  double mean() const;
-  double min() const;
-  double max() const;
-
-  /// \returns the \p P-th percentile (P in [0, 100]) by nearest-rank, or 0
-  /// when no samples have been recorded.
-  double percentile(double P) const;
-
-private:
-  mutable std::vector<double> Samples;
-  mutable bool Sorted = true;
-  double Total = 0;
-};
 
 /// One point of a metric-over-time curve.
 struct TimePoint {

@@ -22,6 +22,7 @@
 #include "support/Assert.h"
 #include "support/StringUtil.h"
 #include "support/ThreadPool.h"
+#include "testing/ReferenceInterpreter.h"
 #include "testing/Shrinker.h"
 #include "vm/Server.h"
 
@@ -48,13 +49,12 @@ std::vector<ExecConfig> jumpstart::testing::smokeMatrix() {
   Interp.Mode = ExecConfig::Tier::InterpOnly;
   M.push_back(Interp);
 
-  // The same semantic reference on the legacy interpreter engine: the
-  // fast/legacy pair is diffed like any other cell, so every sweep is
-  // also a cross-engine conformance run.
-  ExecConfig InterpLegacy = Interp;
-  InterpLegacy.Name = "interp-legacy";
-  InterpLegacy.LegacyInterp = true;
-  M.push_back(InterpLegacy);
+  // The reference interpreter is diffed like any other cell, so every
+  // sweep also checks the production interpreter against it.
+  ExecConfig Reference;
+  Reference.Name = "reference";
+  Reference.Mode = ExecConfig::Tier::Reference;
+  M.push_back(Reference);
 
   ExecConfig Profile;
   Profile.Name = "profile";
@@ -63,23 +63,13 @@ std::vector<ExecConfig> jumpstart::testing::smokeMatrix() {
 
   ExecConfig Jit;
   Jit.Name = "jit";
-  Jit.DigestGroup = "engine";
   M.push_back(Jit);
-
-  // Full server on the legacy engine, digest-grouped with "jit": the
-  // engine swap must not move a single exported byte (profiles, tier
-  // transitions, placement, metrics all derive from interpretation).
-  ExecConfig JitLegacy = Jit;
-  JitLegacy.Name = "jit-legacy";
-  JitLegacy.LegacyInterp = true;
-  M.push_back(JitLegacy);
 
   // Full JIT with whole-program proven-guard elision: placement differs
   // (elided guards), observables must not.  Every recorded elision is
   // re-proven via analysis::lintTranslations after the run.
   ExecConfig JitProven = Jit;
   JitProven.Name = "jit-proven";
-  JitProven.DigestGroup.clear();
   JitProven.ProvenGuardElision = true;
   M.push_back(JitProven);
 
@@ -280,26 +270,33 @@ RunTrace DiffRunner::runConfig(const fleet::Workload &W,
   const uint32_t NumRequests = Params.RequestsPerProgram;
   const size_t NumEndpoints = W.Endpoints.size();
 
-  if (C.Mode == ExecConfig::Tier::InterpOnly) {
-    // The semantic reference: no server, no JIT, no observation hooks.
+  if (C.Mode == ExecConfig::Tier::InterpOnly ||
+      C.Mode == ExecConfig::Tier::Reference) {
+    // Bare interpreters: no server, no JIT, no observation hooks.
     runtime::ClassTable Classes(W.Repo);
     runtime::Heap Heap;
     interp::InterpOptions Opts;
     Opts.StepBudget = kStepBudget;
-    Opts.Engine = C.LegacyInterp ? interp::InterpEngine::Legacy
-                                 : interp::InterpEngine::Fast;
     Opts.TestOnlyIntAddSkew = C.IntAddSkew;
-    interp::Interpreter Interp(W.Repo, Classes, Heap,
-                               runtime::BuiltinTable::standard(), Opts);
-    std::string Output;
-    Interp.setOutput(&Output);
-    for (uint32_t Rq = 0; Rq < NumRequests; ++Rq) {
-      interp::InterpResult R = Interp.call(
-          W.Endpoints[Rq % NumEndpoints], argsFor(Rq));
-      T.Requests.push_back({runtime::toString(R.Ret), Output, R.Faults,
-                            R.Ok});
-      Heap.reset();
-      Output.clear();
+    const runtime::BuiltinTable &Builtins = runtime::BuiltinTable::standard();
+    auto ServeBare = [&](auto &Interp) {
+      std::string Output;
+      Interp.setOutput(&Output);
+      for (uint32_t Rq = 0; Rq < NumRequests; ++Rq) {
+        interp::InterpResult R = Interp.call(
+            W.Endpoints[Rq % NumEndpoints], argsFor(Rq));
+        T.Requests.push_back({runtime::toString(R.Ret), Output, R.Faults,
+                              R.Ok});
+        Heap.reset();
+        Output.clear();
+      }
+    };
+    if (C.Mode == ExecConfig::Tier::Reference) {
+      ReferenceInterpreter Interp(W.Repo, Classes, Heap, Builtins, Opts);
+      ServeBare(Interp);
+    } else {
+      interp::Interpreter Interp(W.Repo, Classes, Heap, Builtins, Opts);
+      ServeBare(Interp);
     }
     return T;
   }
@@ -314,8 +311,6 @@ RunTrace DiffRunner::runConfig(const fleet::Workload &W,
   SC.JitWorkerCores = 1;
   SC.WarmupEndpoints.clear(); // the schedule is the only traffic
   SC.Interp.StepBudget = kStepBudget;
-  SC.Interp.Engine = C.LegacyInterp ? interp::InterpEngine::Legacy
-                                    : interp::InterpEngine::Fast;
   SC.Interp.TestOnlyIntAddSkew = C.IntAddSkew;
   SC.Jit.ProfileRequestTarget =
       C.Mode == ExecConfig::Tier::FullJit
@@ -596,7 +591,7 @@ void DiffRunner::checkProgram(const GenProgram &Prog, uint64_t ProgramSeed,
                                Traces[I].ElisionLint.c_str()),
                      /*DigestOnly=*/false, Stats);
 
-  // (a) semantic equality against the reference config (matrix cell 0).
+  // (a) semantic equality against the baseline config (matrix cell 0).
   const ExecConfig &Ref = Params.Matrix.front();
   for (size_t I = 1; I < Params.Matrix.size(); ++I) {
     const ExecConfig &C = Params.Matrix[I];

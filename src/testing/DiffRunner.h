@@ -7,9 +7,10 @@
 ///
 /// \file
 /// The differential oracle: executes generated programs under a matrix of
-/// server configurations -- interpreter-only, JIT tier-by-tier, cold boot
-/// vs Jump-Start consumer boot from a seeder-published package, layout
-/// optimization flags on/off, host compile pool 1/N -- and checks that
+/// server configurations -- interpreter-only, the reference interpreter,
+/// JIT tier-by-tier, cold boot vs Jump-Start consumer boot from a
+/// seeder-published package, layout optimization flags on/off, host
+/// compile pool 1/N -- and checks that
 ///
 ///  (a) every configuration produces identical observable results per
 ///      request (return value, printed output, fault count, abort flag);
@@ -41,8 +42,12 @@ namespace jumpstart::testing {
 struct ExecConfig {
   std::string Name;
   enum class Tier : uint8_t {
-    /// Bare interpreter, no server, no JIT: the semantic reference.
+    /// Bare interp::Interpreter, no server, no JIT: the cell every other
+    /// cell is compared against.
     InterpOnly,
+    /// Bare testing::ReferenceInterpreter: the original switch loop, an
+    /// independent implementation the production interpreter must match.
+    Reference,
     /// A server whose JIT never leaves the profiling tier.
     ProfileOnly,
     /// A server that reaches retranslate-all mid-schedule.
@@ -69,12 +74,6 @@ struct ExecConfig {
   /// Host compile-pool workers (the --threads axis).  Host-only: must
   /// never change an observable or an exported byte.
   uint32_t HostThreads = 1;
-  /// Run all interpretation on the legacy engine
-  /// (interp::InterpEngine::Legacy) instead of the fast one.  Host-only,
-  /// like HostThreads: the engines promise identical observables AND
-  /// identical determinism digests, which the "engine" digest group
-  /// asserts byte-for-byte.
-  bool LegacyInterp = false;
   /// Test-only interpreter divergence injection, added to every integer
   /// Add result (interp::InterpOptions::TestOnlyIntAddSkew).  The oracle
   /// must catch any nonzero value as a cross-config mismatch.
@@ -115,7 +114,7 @@ struct RequestObs {
 struct RunTrace {
   std::vector<RequestObs> Requests;
   /// Determinism digest: translation placement plus exported metrics
-  /// (empty for InterpOnly).
+  /// (empty for the bare-interpreter tiers).
   std::string Digest;
   bool BootedJumpStart = false;
   /// First elision-re-proof failure from analysis::lintTranslations

@@ -56,6 +56,10 @@ Server::Server(const bc::Repo &R, ServerConfig Config, uint64_t Seed)
     : R(R), Config(std::move(Config)), Classes(R),
       TheJit(R, this->Config.Jit) {
   (void)Seed;
+  std::vector<std::string> Diags = validateServerConfig(this->Config);
+  std::string Why =
+      Diags.empty() ? "" : "invalid vm::ServerConfig: " + Diags.front();
+  alwaysAssert(Diags.empty(), Why.c_str());
   Serial =
       std::make_unique<ExecContext>(R, Classes, this->Config.Interp);
   Hooks = std::make_unique<ServerHooks>(*this, TheJit);
@@ -67,8 +71,8 @@ Server::Server(const bc::Repo &R, ServerConfig Config, uint64_t Seed)
     JitTrack = Obs->Trace.allocTrack(this->Config.Name + "/jit");
     // JIT job costs convert to wall time at the worker pool's aggregate
     // rate.
-    double PoolRate = this->Config.UnitsPerCorePerSecond *
-                      std::max(1u, this->Config.JitWorkerCores);
+    double PoolRate =
+        this->Config.UnitsPerCorePerSecond * this->Config.JitWorkerCores;
     TheJit.setObservability(Obs, 1.0 / PoolRate, JitTrack);
   }
 }

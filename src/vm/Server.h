@@ -84,8 +84,8 @@ struct AdmissionConfig {
 };
 
 /// Server configuration (the evaluation hardware of paper section VII is
-/// a 16-core Xeon D-1581).  Build literally, or through
-/// ServerConfigBuilder for validation at construction time.
+/// a 16-core Xeon D-1581).  Build it literally; vm::Server's constructor
+/// asserts that validateServerConfig() accepts it.
 struct ServerConfig {
   uint32_t Cores = 16;
   /// Background JIT worker threads while serving.
@@ -142,49 +142,10 @@ struct ServerConfig {
 
 /// All structural complaints about \p C, empty when it is coherent.
 /// Mirrors JumpStartOptions::validate(); each diagnostic names the field
-/// it is about.
+/// it is about.  An incoherent config (e.g. JitWorkerCores == 0, which
+/// grantJitTime divides by) never reaches a running server: vm::Server's
+/// constructor aborts on the first diagnostic.
 std::vector<std::string> validateServerConfig(const ServerConfig &C);
-
-/// Fluent construction with validation: invalid core/worker/admission
-/// settings surface at build time as failed_precondition instead of as
-/// divide-by-zero or deadlock mid-run.  See DESIGN.md "Options layering"
-/// for how this relates to core::JumpStartOptions (policy knobs) --
-/// ServerConfig is the mechanism layer underneath it.
-class ServerConfigBuilder {
-public:
-  ServerConfigBuilder() = default;
-  /// Starts from an existing config (e.g. one produced by
-  /// applyOptimizationOptions) to validate or adjust it.
-  explicit ServerConfigBuilder(ServerConfig Base) : C(std::move(Base)) {}
-
-  ServerConfigBuilder &cores(uint32_t V);
-  ServerConfigBuilder &jitWorkerCores(uint32_t V);
-  ServerConfigBuilder &unitsPerCorePerSecond(double V);
-  ServerConfigBuilder &unitLoadCost(double V);
-  ServerConfigBuilder &deserializeCostPerByte(double V);
-  ServerConfigBuilder &warmupRequests(uint32_t V);
-  ServerConfigBuilder &runtimeWarmup(double Penalty, double Tau);
-  ServerConfigBuilder &jit(jit::JitConfig V);
-  ServerConfigBuilder &interp(interp::InterpOptions V);
-  ServerConfigBuilder &reorderProperties(bool V);
-  ServerConfigBuilder &useAffinityPropOrder(bool V);
-  ServerConfigBuilder &serveWorkers(uint32_t V);
-  ServerConfigBuilder &maxInFlight(uint32_t V);
-  ServerConfigBuilder &onOverload(AdmissionConfig::Policy V);
-  ServerConfigBuilder &warmupEndpoints(std::vector<uint32_t> V);
-  ServerConfigBuilder &observability(obs::Observability *V);
-  ServerConfigBuilder &name(std::string V);
-  ServerConfigBuilder &compilePool(support::ThreadPool *V);
-
-  /// \returns the built config; asserts it validates.
-  ServerConfig build() const;
-  /// \returns failed_precondition carrying the first diagnostic when the
-  /// config is incoherent.
-  support::Status tryBuild(ServerConfig &Out) const;
-
-private:
-  ServerConfig C;
-};
 
 /// Initialization breakdown returned by startup().
 struct InitStats {

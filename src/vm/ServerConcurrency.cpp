@@ -41,7 +41,7 @@ using namespace jumpstart::vm;
 uint32_t Server::effectiveMaxInFlight() const {
   if (Config.Admission.MaxInFlight)
     return Config.Admission.MaxInFlight;
-  return 2 * std::max(1u, Config.ServeWorkers);
+  return 2 * Config.ServeWorkers;
 }
 
 void Server::publishSnapshot() {
@@ -66,7 +66,7 @@ void Server::beginConcurrentServing() {
 
   CurStats = ServeStats();
   CurStats.PreloadSeconds =
-      unitsToSeconds(PreloadUnitsCost) / std::max(1u, Config.Cores);
+      unitsToSeconds(PreloadUnitsCost) / Config.Cores;
   if (Obs) {
     Obs->Trace.completeSpan("serve-preload", "phase", ServerTrack,
                             Obs->Clock.now(), CurStats.PreloadSeconds);
@@ -77,9 +77,8 @@ void Server::beginConcurrentServing() {
   Domain = std::make_unique<support::EpochDomain>();
   Publisher = std::make_unique<jit::SnapshotPublisher>(*Domain);
   SnapVersion = 0;
-  uint32_t Workers = std::max(1u, Config.ServeWorkers);
   ServeContexts.clear();
-  for (uint32_t I = 0; I < Workers; ++I) {
+  for (uint32_t I = 0; I < Config.ServeWorkers; ++I) {
     auto Ctx = std::make_unique<ExecContext>(R, Classes, Config.Interp);
     // Uninstrumented: no profiling hooks, so request threads never call
     // into the JIT.  InstrCounts still accumulate (the interpreter

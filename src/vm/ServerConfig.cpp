@@ -7,7 +7,6 @@
 
 #include "vm/Server.h"
 
-#include "support/Assert.h"
 #include "support/StringUtil.h"
 
 using namespace jumpstart;
@@ -44,99 +43,6 @@ std::vector<std::string> validateServerConfig(const ServerConfig &C) {
   if (C.Name.empty())
     Diags.push_back("Name must be non-empty (it labels tracks and metrics)");
   return Diags;
-}
-
-ServerConfigBuilder &ServerConfigBuilder::cores(uint32_t V) {
-  C.Cores = V;
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::jitWorkerCores(uint32_t V) {
-  C.JitWorkerCores = V;
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::unitsPerCorePerSecond(double V) {
-  C.UnitsPerCorePerSecond = V;
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::unitLoadCost(double V) {
-  C.UnitLoadCost = V;
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::deserializeCostPerByte(double V) {
-  C.DeserializeCostPerByte = V;
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::warmupRequests(uint32_t V) {
-  C.WarmupRequests = V;
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::runtimeWarmup(double Penalty,
-                                                        double Tau) {
-  C.RuntimeWarmupPenalty = Penalty;
-  C.RuntimeWarmupTau = Tau;
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::jit(jit::JitConfig V) {
-  C.Jit = std::move(V);
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::interp(interp::InterpOptions V) {
-  C.Interp = V;
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::reorderProperties(bool V) {
-  C.ReorderProperties = V;
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::useAffinityPropOrder(bool V) {
-  C.UseAffinityPropOrder = V;
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::serveWorkers(uint32_t V) {
-  C.ServeWorkers = V;
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::maxInFlight(uint32_t V) {
-  C.Admission.MaxInFlight = V;
-  return *this;
-}
-ServerConfigBuilder &
-ServerConfigBuilder::onOverload(AdmissionConfig::Policy V) {
-  C.Admission.OnOverload = V;
-  return *this;
-}
-ServerConfigBuilder &
-ServerConfigBuilder::warmupEndpoints(std::vector<uint32_t> V) {
-  C.WarmupEndpoints = std::move(V);
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::observability(obs::Observability *V) {
-  C.Obs = V;
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::name(std::string V) {
-  C.Name = std::move(V);
-  return *this;
-}
-ServerConfigBuilder &ServerConfigBuilder::compilePool(support::ThreadPool *V) {
-  C.CompilePool = V;
-  return *this;
-}
-
-support::Status ServerConfigBuilder::tryBuild(ServerConfig &Out) const {
-  std::vector<std::string> Diags = validateServerConfig(C);
-  if (!Diags.empty())
-    return support::Status::error(support::StatusCode::FailedPrecondition,
-                                  Diags.front());
-  Out = C;
-  return support::Status::okStatus();
-}
-
-ServerConfig ServerConfigBuilder::build() const {
-  ServerConfig Out;
-  support::Status S = tryBuild(Out);
-  alwaysAssert(S.ok(), "ServerConfigBuilder: invalid configuration");
-  return Out;
 }
 
 } // namespace jumpstart::vm

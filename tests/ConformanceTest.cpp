@@ -136,9 +136,9 @@ TEST(DiffRunnerTest, SmokeSweepFindsNoMismatches) {
                   << " vs " << M.ConfigB << ": " << M.What << "\n"
                   << M.Shrunk;
   EXPECT_EQ(Stats.Programs, 30u);
-  // 8 matrix cells: interp, interp-legacy, profile, jit, jit-legacy,
-  // jit-proven, jumpstart, jumpstart-threads4.
-  EXPECT_EQ(Stats.Runs, 30u * 8);
+  // 7 matrix cells: interp, reference, profile, jit, jit-proven,
+  // jumpstart, jumpstart-threads4.
+  EXPECT_EQ(Stats.Runs, 30u * 7);
   EXPECT_GT(Stats.JumpStartBoots, 0u)
       << "the jumpstart matrix cells never actually booted from a "
          "package -- the sweep silently lost its main coverage";
@@ -205,12 +205,12 @@ TEST(DiffRunnerTest, InjectedDivergenceIsCaughtAndShrunk) {
 TEST(DiffRunnerTest, FullMatrixCoversEveryAxis) {
   std::vector<jstest::ExecConfig> M = jstest::fullMatrix();
   bool SawInterp = false, SawJumpStart = false, SawThreads = false,
-       SawLayoutOff = false, SawLegacyEngine = false;
+       SawLayoutOff = false, SawReference = false;
   for (const jstest::ExecConfig &C : M) {
     SawInterp |= C.Mode == jstest::ExecConfig::Tier::InterpOnly;
     SawJumpStart |= C.JumpStart;
     SawThreads |= C.HostThreads > 1;
-    SawLegacyEngine |= C.LegacyInterp;
+    SawReference |= C.Mode == jstest::ExecConfig::Tier::Reference;
     SawLayoutOff |= !C.UseExtTsp || !C.SplitHotCold || !C.UseFunctionSort ||
                     !C.ReorderProperties;
     EXPECT_EQ(C.IntAddSkew, 0) << C.Name
@@ -220,7 +220,7 @@ TEST(DiffRunnerTest, FullMatrixCoversEveryAxis) {
   EXPECT_TRUE(SawJumpStart);
   EXPECT_TRUE(SawThreads);
   EXPECT_TRUE(SawLayoutOff);
-  EXPECT_TRUE(SawLegacyEngine);
+  EXPECT_TRUE(SawReference);
 }
 
 TEST(DiffRunnerTest, ElisionAblationPreservesObservables) {

@@ -6,16 +6,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Fast-vs-legacy interpreter engine conformance.
+/// Interpreter-vs-reference conformance.
 ///
-/// The fast engine (threaded dispatch, arena frames, interned strings,
-/// inline caches, per-run step accounting) must be observably identical
-/// to the legacy switch loop: same results, same faults, same step
-/// totals, same per-function instruction counts, and -- the strictest
-/// check -- the same callback stream event for event, including type
-/// observations and simulated heap addresses.  These tests drive both
-/// engines over generated programs and hand-written edge cases and diff
-/// everything.
+/// The production interpreter (threaded dispatch, arena frames, interned
+/// strings, inline caches, per-run step accounting) must be observably
+/// identical to testing::ReferenceInterpreter, the original switch loop:
+/// same results, same faults, same step totals, same per-function
+/// instruction counts, and -- the strictest check -- the same callback
+/// stream event for event, including type observations and simulated
+/// heap addresses.  These tests drive both over generated programs and
+/// hand-written edge cases and diff everything.  Bytecode the verifier
+/// rejects never runs: the interpreter answers Null with one fault.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,20 +27,23 @@
 #include "support/StringUtil.h"
 #include "testing/DiffRunner.h"
 #include "testing/ProgramGen.h"
+#include "testing/ReferenceInterpreter.h"
 
 #include <gtest/gtest.h>
+
+#include <type_traits>
 
 using namespace jumpstart;
 namespace jstest = jumpstart::testing;
 
 namespace {
 
-/// Records every callback invocation as one line, so two engines'
+/// Records every callback invocation as one line, so two interpreters'
 /// observation streams can be diffed as strings.
 class RecordingCallbacks : public interp::ExecCallbacks {
 public:
   /// Tracing every instruction of every function makes the stream (and
-  /// the legacy/fast preamble paths) maximally sensitive.
+  /// both interpreters' preamble paths) maximally sensitive.
   bool wantsInstrTrace(bc::FuncId) override { return true; }
 
   void onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
@@ -81,7 +85,7 @@ public:
   std::string Log;
 };
 
-/// Everything one engine produced for one program.
+/// Everything one interpreter produced for one program.
 struct EngineTrace {
   std::vector<std::string> Rets;
   std::vector<std::string> Outputs;
@@ -93,16 +97,17 @@ struct EngineTrace {
 };
 
 /// Runs \p Requests requests against every endpoint of \p W on a fresh
-/// interpreter using \p Engine, with full observation attached.
-EngineTrace runEngine(const fleet::Workload &W, interp::InterpEngine Engine,
-                      uint32_t Requests, uint64_t StepBudget = 200'000) {
+/// \p InterpT (interp::Interpreter or jstest::ReferenceInterpreter), with
+/// full observation attached.
+template <typename InterpT>
+EngineTrace runEngine(const fleet::Workload &W, uint32_t Requests,
+                      uint64_t StepBudget = 200'000) {
   runtime::ClassTable Classes(W.Repo);
   runtime::Heap Heap;
   interp::InterpOptions Opts;
-  Opts.Engine = Engine;
   Opts.StepBudget = StepBudget;
-  interp::Interpreter Interp(W.Repo, Classes, Heap,
-                             runtime::BuiltinTable::standard(), Opts);
+  InterpT Interp(W.Repo, Classes, Heap, runtime::BuiltinTable::standard(),
+                 Opts);
   EngineTrace T;
   RecordingCallbacks CB;
   Interp.setCallbacks(&CB);
@@ -126,33 +131,89 @@ EngineTrace runEngine(const fleet::Workload &W, interp::InterpEngine Engine,
   return T;
 }
 
-void expectTracesEqual(const EngineTrace &Fast, const EngineTrace &Legacy,
+void expectTracesEqual(const EngineTrace &Fast, const EngineTrace &Ref,
                        uint64_t Seed) {
-  ASSERT_EQ(Fast.Rets.size(), Legacy.Rets.size()) << "seed " << Seed;
+  ASSERT_EQ(Fast.Rets.size(), Ref.Rets.size()) << "seed " << Seed;
   for (size_t I = 0; I < Fast.Rets.size(); ++I) {
-    EXPECT_EQ(Fast.Rets[I], Legacy.Rets[I]) << "seed " << Seed << " rq " << I;
-    EXPECT_EQ(Fast.Outputs[I], Legacy.Outputs[I])
+    EXPECT_EQ(Fast.Rets[I], Ref.Rets[I]) << "seed " << Seed << " rq " << I;
+    EXPECT_EQ(Fast.Outputs[I], Ref.Outputs[I])
         << "seed " << Seed << " rq " << I;
-    EXPECT_EQ(Fast.Faults[I], Legacy.Faults[I])
+    EXPECT_EQ(Fast.Faults[I], Ref.Faults[I])
         << "seed " << Seed << " rq " << I;
-    EXPECT_EQ(Fast.Steps[I], Legacy.Steps[I])
-        << "seed " << Seed << " rq " << I;
-    EXPECT_EQ(Fast.Oks[I], Legacy.Oks[I]) << "seed " << Seed << " rq " << I;
+    EXPECT_EQ(Fast.Steps[I], Ref.Steps[I]) << "seed " << Seed << " rq " << I;
+    EXPECT_EQ(Fast.Oks[I], Ref.Oks[I]) << "seed " << Seed << " rq " << I;
   }
-  EXPECT_EQ(Fast.InstrCounts, Legacy.InstrCounts) << "seed " << Seed;
-  EXPECT_EQ(Fast.CallbackLog, Legacy.CallbackLog) << "seed " << Seed;
+  EXPECT_EQ(Fast.InstrCounts, Ref.InstrCounts) << "seed " << Seed;
+  EXPECT_EQ(Fast.CallbackLog, Ref.CallbackLog) << "seed " << Seed;
 }
+
+/// Diffs \p W between the interpreter and the reference; \p Seed labels
+/// failures.
+void expectMatchesReference(const fleet::Workload &W, uint64_t Seed,
+                            uint32_t Requests) {
+  expectTracesEqual(runEngine<interp::Interpreter>(W, Requests),
+                    runEngine<jstest::ReferenceInterpreter>(W, Requests),
+                    Seed);
+}
+
+/// Paths generated programs never reach (ProgramGen builds one-entry
+/// dicts and three-property classes with monomorphic sites): a dict grown
+/// past runtime::VmDict::kIndexThreshold and probed with int and string
+/// keys, hits and misses; a ten-property class; a polymorphic method and
+/// property site; string constants inside loops.
+const char *kHandWrittenProgram =
+    "class Wide {"
+    "  prop $p0; prop $p1; prop $p2; prop $p3; prop $p4;"
+    "  prop $p5; prop $p6; prop $p7; prop $p8; prop $p9;"
+    "  method tag($k) { return $this->p9 * 10 + $this->p0 + $k; }"
+    "}"
+    "class Narrow {"
+    "  prop $p9; prop $p0;"
+    "  method tag($k) { return $this->p9 - $this->p0 - $k; }"
+    "}"
+    "function poke($o, $k) { return $o->tag($k) + $o->p9; }"
+    "function endpoint0($n) {"
+    "  $d = dict[]; $i = 0;"
+    "  while ($i < 12) {"
+    "    $d[$i * 3] = $i;"
+    "    $d[\"k\" . $i] = $i + 100;"
+    "    $i = $i + 1;"
+    "  }"
+    "  $hits = 0; $misses = 0; $t = 0; $j = 0;"
+    "  while ($j < 40) {"
+    "    $v = $d[$j];"
+    "    if ($v == null) { $misses = $misses + 1; }"
+    "    else { $t = $t + $v; $hits = $hits + 1; }"
+    "    $s = $d[\"k\" . $j];"
+    "    if ($s == null) { $misses = $misses + 1; }"
+    "    else { $t = $t + $s; $hits = $hits + 1; }"
+    "    $j = $j + 1;"
+    "  }"
+    "  return $t * 10000 + $hits * 100 + $misses + $n % 7;"
+    "}"
+    "function endpoint1($n) {"
+    "  $w = new Wide(); $w->p0 = $n % 5; $w->p9 = 3; $w->p4 = \"mid\";"
+    "  $a = new Narrow(); $a->p0 = 1; $a->p9 = $n % 3;"
+    "  $t = 0; $i = 0;"
+    "  while ($i < 16) {"
+    "    $t = $t + poke($w, $i) + poke($a, $i) + strlen(\"wide-narrow\");"
+    "    print(\"tick\");"
+    "    $i = $i + 1;"
+    "  }"
+    "  return $t + strlen($w->p4);"
+    "}";
 
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Generative cross-engine conformance.
+// Conformance against the reference interpreter.
 //===----------------------------------------------------------------------===//
 
 TEST(InterpEngine, GeneratedProgramsMatchAcrossEngines) {
-  // 50 generated programs, every observable diffed between engines --
-  // including the full callback stream (blocks, instr traces, type
-  // observations, property and data-access addresses).
+  // 50 generated programs plus one hand-written one, every observable
+  // diffed against the reference -- including the full callback stream
+  // (blocks, instr traces, type observations, property and data-access
+  // addresses).
   for (uint32_t I = 0; I < 50; ++I) {
     uint64_t Seed = 90'000'001ull + I;
     jstest::GenParams G;
@@ -162,16 +223,18 @@ TEST(InterpEngine, GeneratedProgramsMatchAcrossEngines) {
     fleet::Workload W;
     ASSERT_TRUE(jstest::DiffRunner::compileProgram(Prog.render(), W).ok())
         << "seed " << Seed;
-    EngineTrace Fast = runEngine(W, interp::InterpEngine::Fast, 8);
-    EngineTrace Legacy = runEngine(W, interp::InterpEngine::Legacy, 8);
-    expectTracesEqual(Fast, Legacy, Seed);
+    expectMatchesReference(W, Seed, 8);
   }
+  fleet::Workload W;
+  ASSERT_TRUE(jstest::DiffRunner::compileProgram(kHandWrittenProgram, W).ok());
+  ASSERT_EQ(W.Endpoints.size(), 2u);
+  expectMatchesReference(W, /*Seed=*/0, 8);
 }
 
 TEST(InterpEngine, StepBudgetAbortsIdentically) {
   // Tight budgets land the abort mid-program; the per-run bulk charge
   // must abort at exactly the same instruction (same Steps, same
-  // truncated callback stream) as the per-instruction legacy check.
+  // truncated callback stream) as the reference's per-instruction check.
   jstest::GenParams G;
   G.Seed = 424242;
   G.MaxStmts = 6;
@@ -179,20 +242,20 @@ TEST(InterpEngine, StepBudgetAbortsIdentically) {
   fleet::Workload W;
   ASSERT_TRUE(jstest::DiffRunner::compileProgram(Prog.render(), W).ok());
   // First find a budget that actually truncates execution.
-  EngineTrace Free = runEngine(W, interp::InterpEngine::Legacy, 2);
+  EngineTrace Free = runEngine<jstest::ReferenceInterpreter>(W, 2);
   uint64_t FullSteps = Free.Steps[0];
   ASSERT_GT(FullSteps, 4u);
   for (uint64_t Budget : {FullSteps / 2, FullSteps - 1, uint64_t(3),
                           uint64_t(1)}) {
-    EngineTrace Fast = runEngine(W, interp::InterpEngine::Fast, 2, Budget);
-    EngineTrace Legacy = runEngine(W, interp::InterpEngine::Legacy, 2, Budget);
-    expectTracesEqual(Fast, Legacy, Budget);
+    EngineTrace Fast = runEngine<interp::Interpreter>(W, 2, Budget);
+    EngineTrace Ref = runEngine<jstest::ReferenceInterpreter>(W, 2, Budget);
+    expectTracesEqual(Fast, Ref, Budget);
     EXPECT_FALSE(Fast.Oks[0]) << "budget " << Budget << " did not abort";
   }
 }
 
 TEST(InterpEngine, UninstrumentedResultsMatchInstrumented) {
-  // The fast engine compiles two instantiations (with and without
+  // The interpreter compiles two instantiations (with and without
   // callback code), and only the plain one contains the fused peephole
   // paths -- so this diff is the fused paths' primary oracle.  Sweep a
   // spread of generated programs, endpoints, and arguments.
@@ -305,8 +368,13 @@ TEST(InterpEngine, ExecInfoRunLengthsAndMaxStack) {
                     "}");
   ASSERT_TRUE(Vm.ok());
   const bc::Function &F = Vm.Repo.func(Vm.Repo.findFunction("main"));
-  interp::FuncExecInfo Info = interp::computeExecInfo(F);
-  ASSERT_TRUE(Info.HasStaticStack);
+  uint32_t MaxStack = 0;
+  ASSERT_TRUE(
+      bc::verifyFunctionIssues(Vm.Repo, F, Vm.Builtins.size(), &MaxStack)
+          .empty());
+  interp::FuncExecInfo Info =
+      interp::computeExecInfo(F, /*Verified=*/true, MaxStack);
+  ASSERT_TRUE(Info.Verified);
   ASSERT_EQ(Info.RunLen.size(), F.Code.size());
   // Every run length is >= 1, and positions followed by a non-run-ending
   // instruction extend the successor's run by exactly one.
@@ -327,29 +395,74 @@ TEST(InterpEngine, ExecInfoRunLengthsAndMaxStack) {
   EXPECT_LE(Info.MaxStack, 16u);
 }
 
-TEST(InterpEngine, UnsoundFunctionFallsBackToLegacy) {
-  // A function whose last instruction can fall off the end fails the
-  // static analysis; the fast engine must refuse it (and the interpreter
-  // then runs it on the legacy engine, which tolerates anything).
-  bc::Function F;
-  F.NumLocals = 1;
-  bc::Instr Nop;
-  Nop.Opcode = bc::Op::Nop;
-  F.Code = {Nop};
-  interp::FuncExecInfo Info = interp::computeExecInfo(F);
-  EXPECT_FALSE(Info.HasStaticStack);
+TEST(InterpEngine, UnverifiableFunctionsFault) {
+  // Hand-built bytecode the verifier rejects: the interpreter must not
+  // run it (it would underflow the operand stack, read past the locals,
+  // fall off the end or index past the builtin table) but answer Null
+  // with exactly one fault -- called directly or from verified code,
+  // with and without callbacks.
+  auto In = [](bc::Op O, int64_t A = 0, int64_t B = 0) {
+    bc::Instr I;
+    I.Opcode = O;
+    I.ImmA = A;
+    I.ImmB = B;
+    return I;
+  };
+  struct Case {
+    const char *Name;
+    std::vector<bc::Instr> Code;
+  };
+  const Case Cases[] = {
+      {"pop_empty", {In(bc::Op::PopC), In(bc::Op::Null), In(bc::Op::RetC)}},
+      {"add_underflow",
+       {In(bc::Op::Int, 1), In(bc::Op::Add), In(bc::Op::RetC)}},
+      {"local_out_of_range", {In(bc::Op::GetL, 9), In(bc::Op::RetC)}},
+      {"lone_nop", {In(bc::Op::Nop)}},
+      {"bad_builtin",
+       {In(bc::Op::NativeCall, 100000, 0), In(bc::Op::RetC)}},
+  };
 
-  // Out-of-range local index: same verdict.
-  bc::Function G;
-  G.NumLocals = 1;
-  bc::Instr Get;
-  Get.Opcode = bc::Op::GetL;
-  Get.ImmA = 9; // only local 0 exists
-  bc::Instr Ret;
-  Ret.Opcode = bc::Op::RetC;
-  G.Code = {Get, Ret};
-  interp::FuncExecInfo GInfo = interp::computeExecInfo(G);
-  EXPECT_FALSE(GInfo.HasStaticStack);
+  const runtime::BuiltinTable &Builtins = runtime::BuiltinTable::standard();
+  bc::Repo R;
+  bc::Unit &U = R.createUnit("unverifiable");
+  std::vector<bc::FuncId> Bad, Callers;
+  for (const Case &C : Cases) {
+    bc::Function &F = R.createFunction(U, C.Name);
+    F.NumLocals = 1;
+    F.Code = C.Code;
+    ASSERT_FALSE(bc::verifyFunction(R, F, Builtins.size()).empty())
+        << C.Name;
+    Bad.push_back(F.Id);
+    // A verified caller: `return bad();`.
+    bc::Function &Caller = R.createFunction(U, strFormat("call_%s", C.Name));
+    Caller.Code = {In(bc::Op::FCall, Bad.back().raw(), 0), In(bc::Op::RetC)};
+    ASSERT_TRUE(bc::verifyFunction(R, Caller, Builtins.size()).empty());
+    Callers.push_back(Caller.Id);
+  }
+
+  runtime::ClassTable Classes(R);
+  runtime::Heap Heap;
+  interp::Interpreter Interp(R, Classes, Heap, Builtins);
+  RecordingCallbacks CB;
+  for (bool Observed : {false, true}) {
+    Interp.setCallbacks(Observed ? &CB : nullptr);
+    for (size_t I = 0; I < Bad.size(); ++I) {
+      for (bc::FuncId Entry : {Bad[I], Callers[I]}) {
+        std::string What = strFormat(
+            "%s %s %s", Cases[I].Name, Observed ? "observed" : "plain",
+            Entry == Bad[I] ? "direct" : "via caller");
+        interp::InterpResult Res = Interp.call(Entry, {});
+        EXPECT_TRUE(Res.Ok) << What;
+        EXPECT_TRUE(Res.Ret.isNull()) << What;
+        EXPECT_EQ(Res.Faults, 1u) << What;
+        Heap.reset();
+      }
+    }
+  }
+  for (bc::FuncId F : Bad)
+    EXPECT_EQ(CB.Log.find(strFormat("enter %u from", F.raw())),
+              std::string::npos)
+        << "unverified function " << F.raw() << " entered a frame";
 }
 
 //===----------------------------------------------------------------------===//
@@ -403,9 +516,9 @@ TEST(InterpEngine, DeepRecursionReusesArena) {
 //===----------------------------------------------------------------------===//
 
 TEST(InterpEngine, FastEngineAllocatesLessThanLegacy) {
-  // Call-and-string-heavy source: the legacy engine pays two vector
-  // allocations per frame plus one VmString per Str execution; the fast
-  // engine pays neither after the first request.
+  // Call-and-string-heavy source: the reference pays two vector
+  // allocations per frame plus one VmString per Str execution; the
+  // interpreter pays neither after the first request.
   const char *Source =
       "function leaf($i) { $s = \"tag\"; return strlen($s) + $i; }"
       "function main() {"
@@ -413,13 +526,11 @@ TEST(InterpEngine, FastEngineAllocatesLessThanLegacy) {
       "  while ($i < 30) { $t = $t + leaf($i); $i = $i + 1; }"
       "  return $t;"
       "}";
-  auto AllocsPerRequest = [&](interp::InterpEngine E) {
+  auto AllocsPerRequest = [&](auto Tag) {
+    using InterpT = typename decltype(Tag)::type;
     jstest::TestVm Vm(Source);
     EXPECT_TRUE(Vm.ok());
-    interp::InterpOptions Opts;
-    Opts.Engine = E;
-    interp::Interpreter Interp(Vm.Repo, Vm.Classes, Vm.Heap, Vm.Builtins,
-                               Opts);
+    InterpT Interp(Vm.Repo, Vm.Classes, Vm.Heap, Vm.Builtins);
     bc::FuncId Main = Vm.Repo.findFunction("main");
     // Warmup request pays one-time costs (interning, metadata).
     Interp.call(Main, {});
@@ -428,17 +539,19 @@ TEST(InterpEngine, FastEngineAllocatesLessThanLegacy) {
     Interp.call(Main, {});
     return Vm.Heap.hostAllocs() - Before;
   };
-  uint64_t Fast = AllocsPerRequest(interp::InterpEngine::Fast);
-  uint64_t Legacy = AllocsPerRequest(interp::InterpEngine::Legacy);
-  // Legacy: >= 62 frame vectors + 30 strings.  Fast: 0.
+  uint64_t Fast = AllocsPerRequest(std::type_identity<interp::Interpreter>{});
+  uint64_t Ref =
+      AllocsPerRequest(std::type_identity<jstest::ReferenceInterpreter>{});
+  // Reference: >= 62 frame vectors + 30 strings.  Interpreter: 0.
   EXPECT_EQ(Fast, 0u);
-  EXPECT_GE(Legacy, 90u);
+  EXPECT_GE(Ref, 90u);
 }
 
 TEST(InterpEngine, InternedStringsKeepLegacyAddressStream) {
   // The interned VmString is reused, but the simulated address space
   // must advance exactly as if each execution allocated afresh --
-  // that is what keeps D-cache simulation results engine-independent.
+  // that is what keeps D-cache simulation results identical to the
+  // reference's.
   runtime::Heap Interning;
   runtime::VmString *A = Interning.internString(3, "hello");
   runtime::VmString *B = Interning.internString(3, "hello");

@@ -332,22 +332,6 @@ TEST(OptionsTest, ValidateCatchesIncoherence) {
   EXPECT_FALSE(Opts2.validate().empty());
 }
 
-TEST(OptionsTest, Builder) {
-  core::JumpStartOptions Opts = core::JumpStartOptionsBuilder()
-                                    .enabled(true)
-                                    .functionOrder(false)
-                                    .maxConsumerAttempts(7)
-                                    .build();
-  EXPECT_FALSE(Opts.FunctionOrder);
-  EXPECT_EQ(Opts.MaxConsumerAttempts, 7u);
-
-  core::JumpStartOptions Bad;
-  support::Status S = core::JumpStartOptionsBuilder()
-                          .maxConsumerAttempts(0)
-                          .tryBuild(Bad);
-  EXPECT_EQ(S.code(), support::StatusCode::FailedPrecondition);
-}
-
 //===----------------------------------------------------------------------===//
 // End-to-end: package lifecycle counters + byte-identical runs
 //===----------------------------------------------------------------------===//

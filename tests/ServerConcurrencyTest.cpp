@@ -11,7 +11,7 @@
 /// (shed accounting), the concurrent-vs-serial equivalence of a
 /// background retranslate-all under live load, and the redesigned
 /// Server API surface (RequestResult, CallbackScope, ServerConfig
-/// builder).  Tier-1; ci/sanitize.sh runs it under TSAN
+/// validation).  Tier-1; ci/sanitize.sh runs it under TSAN
 /// (JUMPSTART_SANITIZE=thread), which is what actually checks the
 /// epoch pin/retire race.
 ///
@@ -439,7 +439,7 @@ TEST_F(ServerConcurrencyFixture, BlockPolicyNeverSheds) {
 }
 
 //===----------------------------------------------------------------------===//
-// API redesign: RequestResult, CallbackScope, builder.
+// API redesign: RequestResult, CallbackScope, config validation.
 //===----------------------------------------------------------------------===//
 
 TEST_F(ServerConcurrencyFixture, RequestResultCarriesObservables) {
@@ -489,56 +489,53 @@ TEST_F(ServerConcurrencyFixture, CallbackScopeRestoresProfilingHooks) {
       << "scope exit did not restore the profiling hooks";
 }
 
-TEST(ServerConfigBuilder, DefaultsValidate) {
+TEST(ServerConfigValidation, DefaultsValidate) {
   EXPECT_TRUE(vm::validateServerConfig(vm::ServerConfig{}).empty());
-  vm::ServerConfig C;
-  EXPECT_TRUE(vm::ServerConfigBuilder().tryBuild(C).ok());
 }
 
-TEST(ServerConfigBuilder, RejectsIncoherentSettings) {
+TEST(ServerConfigValidation, RejectsIncoherentSettings) {
+  // Each case breaks one field; the diagnostic must name it.
   struct Case {
     const char *Field;
-    vm::ServerConfigBuilder B;
+    void (*Break)(vm::ServerConfig &);
   };
-  std::vector<Case> Cases;
-  Cases.push_back({"Cores", vm::ServerConfigBuilder().cores(0)});
-  Cases.push_back(
-      {"JitWorkerCores", vm::ServerConfigBuilder().jitWorkerCores(0)});
-  Cases.push_back({"UnitsPerCorePerSecond",
-                   vm::ServerConfigBuilder().unitsPerCorePerSecond(0)});
-  Cases.push_back({"UnitLoadCost",
-                   vm::ServerConfigBuilder().unitLoadCost(-1)});
-  Cases.push_back({"RuntimeWarmupTau",
-                   vm::ServerConfigBuilder().runtimeWarmup(2.0, 0)});
-  Cases.push_back({"ServeWorkers",
-                   vm::ServerConfigBuilder().serveWorkers(0)});
-  Cases.push_back({"MaxInFlight", vm::ServerConfigBuilder()
-                                      .serveWorkers(4)
-                                      .maxInFlight(1)});
-  Cases.push_back({"Name", vm::ServerConfigBuilder().name("")});
-  for (Case &C : Cases) {
-    vm::ServerConfig Out;
-    support::Status S = C.B.tryBuild(Out);
-    EXPECT_FALSE(S.ok()) << C.Field;
-    EXPECT_EQ(S.code(), support::StatusCode::FailedPrecondition) << C.Field;
+  const Case Cases[] = {
+      {"Cores", [](vm::ServerConfig &C) { C.Cores = 0; }},
+      {"JitWorkerCores", [](vm::ServerConfig &C) { C.JitWorkerCores = 0; }},
+      {"UnitsPerCorePerSecond",
+       [](vm::ServerConfig &C) { C.UnitsPerCorePerSecond = 0; }},
+      {"UnitLoadCost", [](vm::ServerConfig &C) { C.UnitLoadCost = -1; }},
+      {"RuntimeWarmupTau",
+       [](vm::ServerConfig &C) {
+         C.RuntimeWarmupPenalty = 2.0;
+         C.RuntimeWarmupTau = 0;
+       }},
+      {"ServeWorkers", [](vm::ServerConfig &C) { C.ServeWorkers = 0; }},
+      {"MaxInFlight",
+       [](vm::ServerConfig &C) {
+         C.ServeWorkers = 4;
+         C.Admission.MaxInFlight = 1;
+       }},
+      {"Name", [](vm::ServerConfig &C) { C.Name.clear(); }},
+  };
+  for (const Case &K : Cases) {
+    vm::ServerConfig C;
+    K.Break(C);
+    std::vector<std::string> Diags = vm::validateServerConfig(C);
+    ASSERT_EQ(Diags.size(), 1u) << K.Field;
+    EXPECT_NE(Diags.front().find(K.Field), std::string::npos)
+        << K.Field << ": " << Diags.front();
   }
 }
 
-TEST(ServerConfigBuilder, BuildsWhatWasSet) {
-  vm::ServerConfig C = vm::ServerConfigBuilder()
-                           .cores(8)
-                           .jitWorkerCores(2)
-                           .serveWorkers(4)
-                           .maxInFlight(16)
-                           .onOverload(vm::AdmissionConfig::Policy::Shed)
-                           .name("c8")
-                           .build();
-  EXPECT_EQ(C.Cores, 8u);
-  EXPECT_EQ(C.JitWorkerCores, 2u);
-  EXPECT_EQ(C.ServeWorkers, 4u);
-  EXPECT_EQ(C.Admission.MaxInFlight, 16u);
-  EXPECT_EQ(C.Admission.OnOverload, vm::AdmissionConfig::Policy::Shed);
-  EXPECT_EQ(C.Name, "c8");
+TEST(ServerConfigValidation, ServerRejectsInvalidConfig) {
+  // A literally built config with no JIT worker cores would otherwise
+  // reach grantJitTime's division by JitWorkerCores.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  bc::Repo R;
+  vm::ServerConfig C;
+  C.JitWorkerCores = 0;
+  EXPECT_DEATH({ vm::Server S(R, C, /*Seed=*/1); }, "JitWorkerCores");
 }
 
 } // namespace

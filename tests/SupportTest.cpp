@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Unit tests for the support library: RNG, blob serde, statistics.
+/// Unit tests for the support library: RNG, blob serde, time series.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -229,33 +229,6 @@ TEST(Hashing, FnvIsStable) {
   EXPECT_EQ(hashString("abc"), hashString("abc"));
   EXPECT_NE(hashString("abc"), hashString("abd"));
   EXPECT_NE(hashString(""), hashString(std::string_view("\0", 1)));
-}
-
-TEST(Stats, MeanMinMax) {
-  SampleStats S;
-  S.add(1);
-  S.add(2);
-  S.add(3);
-  EXPECT_DOUBLE_EQ(S.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(S.min(), 1.0);
-  EXPECT_DOUBLE_EQ(S.max(), 3.0);
-  EXPECT_EQ(S.count(), 3u);
-}
-
-TEST(Stats, Percentiles) {
-  SampleStats S;
-  for (int I = 1; I <= 100; ++I)
-    S.add(I);
-  EXPECT_NEAR(S.percentile(50), 50.5, 1.0);
-  EXPECT_NEAR(S.percentile(99), 99, 1.1);
-  EXPECT_DOUBLE_EQ(S.percentile(0), 1);
-  EXPECT_DOUBLE_EQ(S.percentile(100), 100);
-}
-
-TEST(Stats, EmptyStatsAreZero) {
-  SampleStats S;
-  EXPECT_EQ(S.mean(), 0);
-  EXPECT_EQ(S.percentile(50), 0);
 }
 
 TEST(TimeSeries, ValueAtInterpolates) {
