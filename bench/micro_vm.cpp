@@ -74,10 +74,19 @@ void BM_InterpreterWithProfilingHooks(benchmark::State &State) {
   runtime::Heap Heap;
   interp::Interpreter Interp(Repo, Classes, Heap,
                              runtime::BuiltinTable::standard());
+  bc::FuncId Main = Repo.findFunction("main");
+  // Give main a tier-1 profiling translation: the hooks observe only
+  // profile-tier (and instrumented optimized) frames, so this times the
+  // body a profiling server runs, block and type profiles included.
   jit::Jit J(Repo, jit::JitConfig());
+  J.onFuncEntered(Main);
+  while (J.hasPendingWork())
+    J.runJitWork(1e9);
+  const jit::Translation *T = J.currentTranslation(Main);
+  if (!T || T->Kind != jit::TransKind::Profile)
+    State.SkipWithError("no profiling translation for main");
   jit::JitProfilingHooks Hooks(J);
   Interp.setCallbacks(&Hooks);
-  bc::FuncId Main = Repo.findFunction("main");
   for (auto _ : State) {
     interp::InterpResult R = Interp.call(
         Main, {runtime::Value::integer(State.range(0))});

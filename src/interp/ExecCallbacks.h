@@ -16,6 +16,11 @@
 /// and property accesses; steady-state measurement attaches the Vasm
 /// tracer that feeds the micro-architecture simulator.
 ///
+/// Observation is decided per frame: right after onFuncEnter the
+/// interpreter asks observeFrame, and a frame answered EntryExit runs the
+/// same plain, peephole-fused body as a frame with no callbacks attached.
+/// A tier pays only for what it records.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JUMPSTART_INTERP_EXECCALLBACKS_H
@@ -28,8 +33,20 @@
 
 namespace jumpstart::interp {
 
-/// Observation hooks; all default to no-ops.  Invoked only when a callback
-/// object is attached, so the unobserved interpreter stays fast.
+/// What the interpreter reports for one frame (ExecCallbacks::observeFrame).
+enum class FrameObservation : uint8_t {
+  /// onFuncEnter and onFuncExit only; the body runs unobserved.
+  EntryExit,
+  /// Every body event except onInstr.
+  Body,
+  /// Every body event, onInstr for each executed instruction included.
+  BodyAndInstrs,
+};
+
+/// Observation hooks; all default to no-ops.  Body events fire only in
+/// frames whose observeFrame answer asks for them; every other frame, and
+/// every frame when no callback object is attached, runs the plain
+/// interpreter body.
 class ExecCallbacks {
 public:
   virtual ~ExecCallbacks() = default;
@@ -53,16 +70,17 @@ public:
     (void)Block;
   }
 
-  /// Per-instruction trace filter: when true for \p F, onInstr fires for
-  /// each executed instruction of \p F.  Queried once per frame entry,
-  /// right after onFuncEnter for \p F.
-  virtual bool wantsInstrTrace(bc::FuncId F) {
+  /// What to report for the frame of \p F just entered.  Queried once per
+  /// frame, right after onFuncEnter for \p F; onFuncExit fires whatever
+  /// the answer.  Calls made from the frame ask again for their own
+  /// frames.
+  virtual FrameObservation observeFrame(bc::FuncId F) {
     (void)F;
-    return false;
+    return FrameObservation::Body;
   }
 
   /// Instruction \p InstrIndex of \p F is about to execute at call depth
-  /// \p Depth (only when wantsInstrTrace(F) returned true).
+  /// \p Depth (only in BodyAndInstrs frames).
   virtual void onInstr(bc::FuncId F, uint32_t InstrIndex, uint32_t Depth) {
     (void)F;
     (void)InstrIndex;

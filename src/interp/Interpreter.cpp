@@ -12,8 +12,10 @@
 // accounting charged per straight-line run instead of per instruction
 // (interp/InterpCache.h proves the equivalence).  The Instrumented
 // template parameter hoists every callback test out of the loop: the
-// plain instantiation contains no observation code at all, and call()
-// picks the instantiation once per top-level call.
+// plain instantiation contains no observation code at all.  enterFrame
+// picks the instantiation once per frame, from the callbacks'
+// observeFrame answer, so frames nobody records run the plain body even
+// while callbacks are attached.
 //
 // Only functions the verifier accepts run; a call to any other function
 // returns Null with one fault.  testing::ReferenceInterpreter keeps the
@@ -77,21 +79,17 @@ InterpResult Interpreter::call(bc::FuncId F,
   Faults = 0;
   Aborted = false;
   InterpResult Result;
-  const Value *A = Args.data();
-  const uint32_t N = static_cast<uint32_t>(Args.size());
-  Result.Ret = Callbacks
-                   ? callFast<true>(F, A, N, Value::null(), bc::FuncId(), 0)
-                   : callFast<false>(F, A, N, Value::null(), bc::FuncId(), 0);
+  Result.Ret = enterFrame(F, Args.data(), static_cast<uint32_t>(Args.size()),
+                          Value::null(), bc::FuncId(), 0);
   Result.Ok = !Aborted;
   Result.Steps = Steps;
   Result.Faults = Faults;
   return Result;
 }
 
-template <bool Instrumented>
-Value Interpreter::callFast(bc::FuncId FId, const Value *Args,
-                            uint32_t NumArgs, Value This, bc::FuncId Caller,
-                            uint32_t Depth) {
+Value Interpreter::enterFrame(bc::FuncId FId, const Value *Args,
+                              uint32_t NumArgs, Value This, bc::FuncId Caller,
+                              uint32_t Depth) {
   if (Depth >= Opts.MaxCallDepth) {
     Aborted = true;
     return Value::null();
@@ -99,8 +97,21 @@ Value Interpreter::callFast(bc::FuncId FId, const Value *Args,
   FuncExecInfo &Info = Caches.info(FId);
   if (JS_UNLIKELY(!Info.Verified))
     return fault();
-  return execFrameFast<Instrumented>(R.func(FId), Info, FId, Args, NumArgs,
-                                     This, Caller, Depth);
+  FrameObservation Observe = FrameObservation::EntryExit;
+  if (Callbacks) {
+    Callbacks->onFuncEnter(FId, Caller, Args, NumArgs);
+    Observe = Callbacks->observeFrame(FId);
+  }
+  const bc::Function &F = R.func(FId);
+  Value Ret =
+      Observe == FrameObservation::EntryExit
+          ? execFrameFast<false>(F, Info, FId, Args, NumArgs, This, Depth,
+                                 false)
+          : execFrameFast<true>(F, Info, FId, Args, NumArgs, This, Depth,
+                                Observe == FrameObservation::BodyAndInstrs);
+  if (Callbacks)
+    Callbacks->onFuncExit(FId);
+  return Ret;
 }
 
 #if JUMPSTART_COMPUTED_GOTO
@@ -263,12 +274,8 @@ inline bool fuseIntBinop(bc::Op O, int64_t A, int64_t B, Value &Out) {
 template <bool Instrumented>
 Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
                                  bc::FuncId FId, const Value *Args,
-                                 uint32_t NumArgs, Value This,
-                                 bc::FuncId Caller, uint32_t Depth) {
-  if constexpr (Instrumented)
-    Callbacks->onFuncEnter(FId, Caller, Args, NumArgs);
-  [[maybe_unused]] const bool TraceInstrs =
-      Instrumented && Callbacks->wantsInstrTrace(FId);
+                                 uint32_t NumArgs, Value This, uint32_t Depth,
+                                 [[maybe_unused]] bool TraceInstrs) {
   [[maybe_unused]] const uint32_t *PcToBlock = nullptr;
   if constexpr (Instrumented)
     PcToBlock = Blocks.pcToBlock(FId);
@@ -729,8 +736,8 @@ DispatchTop:
     assert(Sp - StackBase >= static_cast<ptrdiff_t>(N) &&
            "verifier guarantees arg availability");
     const Value *CallArgs = Sp - N;
-    Value Res = callFast<Instrumented>(In.funcImm(), CallArgs, N,
-                                       Value::null(), FId, Depth + 1);
+    Value Res =
+        enterFrame(In.funcImm(), CallArgs, N, Value::null(), FId, Depth + 1);
     Sp -= N;
     VM_PUSH(Res);
     if (JS_UNLIKELY(Aborted))
@@ -772,8 +779,7 @@ DispatchTop:
       } else {
         if constexpr (Instrumented)
           Callbacks->onVirtualCall(FId, VM_PC(), Callee);
-        Res = callFast<Instrumented>(Callee, CallArgs, N, Recv, FId,
-                                     Depth + 1);
+        Res = enterFrame(Callee, CallArgs, N, Recv, FId, Depth + 1);
       }
     }
     Sp -= N + 1;
@@ -890,8 +896,6 @@ ExitLoop:
       InstrCounts->resize(R.numFuncs(), 0);
     (*InstrCounts)[FId.raw()] += FrameSteps;
   }
-  if constexpr (Instrumented)
-    Callbacks->onFuncExit(FId);
   Arena.rewind(Mark);
   return RetVal;
 }

@@ -96,21 +96,22 @@ public:
   bool seedIC(bc::FuncId F, uint32_t Pc, const void *Key, uint64_t Payload);
 
 private:
-  /// The frame loop.  Instrumented is the "Callbacks != nullptr"
-  /// decision, made once per top-level call: the uninstrumented
-  /// instantiation contains no callback code at all.
+  /// The frame loop.  Instrumented is decided once per frame by
+  /// enterFrame: the plain instantiation contains no callback code at
+  /// all, and only it runs the fused peephole paths.  \p TraceInstrs
+  /// (Instrumented only) fires onInstr per executed instruction.
   template <bool Instrumented>
   runtime::Value execFrameFast(const bc::Function &F, FuncExecInfo &Info,
                                bc::FuncId FId, const runtime::Value *Args,
                                uint32_t NumArgs, runtime::Value This,
-                               bc::FuncId Caller, uint32_t Depth);
+                               uint32_t Depth, bool TraceInstrs);
   /// Frame entry for call() and every call site: the call-depth limit,
   /// then the verifier's verdict (an unverified function faults), then
-  /// execFrameFast.
-  template <bool Instrumented>
-  runtime::Value callFast(bc::FuncId FId, const runtime::Value *Args,
-                          uint32_t NumArgs, runtime::Value This,
-                          bc::FuncId Caller, uint32_t Depth);
+  /// onFuncEnter and observeFrame, the frame loop the answer selects, and
+  /// onFuncExit.
+  runtime::Value enterFrame(bc::FuncId FId, const runtime::Value *Args,
+                            uint32_t NumArgs, runtime::Value This,
+                            bc::FuncId Caller, uint32_t Depth);
   runtime::Value fault();
 
   const bc::Repo &R;

@@ -100,9 +100,14 @@ uint64_t Jit::totalCodeBytes() const {
          Db.bytesOfKind(TransKind::Optimized);
 }
 
-void Jit::onFuncEntered(bc::FuncId F) {
-  if (R.func(F).Code.empty())
-    return;
+const Translation *Jit::onFuncEntered(bc::FuncId F) {
+  const Translation *Best = Db.best(F);
+  if (!R.func(F).Code.empty())
+    enqueueTierUp(F, Best);
+  return Best;
+}
+
+void Jit::enqueueTierUp(bc::FuncId F, const Translation *Best) {
   if (Phase == JitPhase::Profiling) {
     if (Db.forFunc(F, TransKind::Profile) || Enqueued.count(F.raw()))
       return;
@@ -114,7 +119,7 @@ void Jit::onFuncEntered(bc::FuncId F) {
   }
   // Past profiling: anything still uncompiled takes the tracelet (live)
   // path, until the live area fills (Figure 1 point D).
-  if (LiveAreaExhausted || Db.best(F) || Enqueued.count(F.raw()))
+  if (LiveAreaExhausted || Best || Enqueued.count(F.raw()))
     return;
   if (Db.forFunc(F, TransKind::Optimized))
     return; // optimized exists but is awaiting relocation

@@ -175,7 +175,7 @@ public:
 
   /// Total bytes of JITed code produced so far (Figure 1's y-axis):
   /// profile + live + optimized, whether placed or still in temporary
-  /// buffers.
+  /// buffers.  O(1): the translation database keeps running totals.
   uint64_t totalCodeBytes() const;
 
   /// Guards the whole-program analysis let optimized lowering skip so
@@ -194,7 +194,9 @@ public:
   //===--------------------------------------------------------------------===
 
   /// A request entered \p F; may enqueue compile jobs per tiering policy.
-  void onFuncEntered(bc::FuncId F);
+  /// \returns currentTranslation(F), which enqueueing does not change, so
+  /// a caller that needs it too does not look it up again.
+  const Translation *onFuncEntered(bc::FuncId F);
 
   /// A request finished; advances the profiling window.
   void onRequestFinished();
@@ -267,6 +269,9 @@ private:
   }
   static const char *jobSpanName(enum Job::Kind K);
 
+  /// onFuncEntered's tiering policy for \p F, which has bytecode and
+  /// whose current translation is \p Best.
+  void enqueueTierUp(bc::FuncId F, const Translation *Best);
   void finishJob(const Job &J);
   /// Records a completed job's span + counter (no-op without obs).
   void noteJobDone(const Job &J);

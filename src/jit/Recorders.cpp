@@ -7,6 +7,8 @@
 
 #include "jit/Recorders.h"
 
+#include <cassert>
+
 using namespace jumpstart;
 using namespace jumpstart::jit;
 
@@ -15,9 +17,14 @@ JitProfilingHooks::JitProfilingHooks(Jit &J) : J(J) {}
 void JitProfilingHooks::onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
                                     const runtime::Value *Args,
                                     uint32_t NumArgs) {
+  enterFrame(Callee, Caller, Args, NumArgs, J.currentTranslation(Callee));
+}
+
+void JitProfilingHooks::enterFrame(bc::FuncId Callee, bc::FuncId Caller,
+                                   const runtime::Value *Args,
+                                   uint32_t NumArgs, const Translation *T) {
   Frame F;
   F.Func = Callee.raw();
-  const Translation *T = J.transDb().best(Callee);
 
   if (T && T->Kind == TransKind::Profile) {
     F.IsProfileTier = true;
@@ -61,6 +68,19 @@ void JitProfilingHooks::onFuncExit(bc::FuncId F) {
   (void)F;
   if (!Frames.empty())
     Frames.pop_back();
+}
+
+interp::FrameObservation JitProfilingHooks::observeFrame(bc::FuncId F) {
+  // The interpreter asks right after onFuncEnter(F), so F's frame is on
+  // top.  The body hooks below record only in these two cases.
+  assert(!Frames.empty() && Frames.back().Func == F.raw() &&
+         "observeFrame outside onFuncEnter");
+  (void)F;
+  const Frame &Top = Frames.back();
+  if ((Top.IsProfileTier && Top.Prof) ||
+      (Top.IsInstrumentedOpt && Top.ActiveUnit))
+    return interp::FrameObservation::Body;
+  return interp::FrameObservation::EntryExit;
 }
 
 void JitProfilingHooks::onBlockEnter(bc::FuncId F, uint32_t Block) {
@@ -111,8 +131,9 @@ void JitProfilingHooks::onPropAccess(bc::ClassId Cls, bc::StringId Prop,
   if (!Top || !Top->IsProfileTier)
     return;
   // The paper's seeder-side hash table keyed "Class::prop" (section V-C).
-  // Building the key allocates; property profiling only runs on tier-1
-  // translations, which are a small slice of total execution.
+  // Building the key allocates and hashes a string on every property
+  // access in a tier-1 frame, a measurable share of a profiling server's
+  // host time; keying by (ClassId, StringId) would avoid it.
   const bc::Repo &R = J.repo();
   std::string Key = R.cls(Cls).Name + "::" + R.str(Prop);
   J.propCounts()[Key] += 1;

@@ -39,6 +39,10 @@ public:
   void onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
                    const runtime::Value *Args, uint32_t NumArgs) override;
   void onFuncExit(bc::FuncId F) override;
+  /// Body only for the frames whose events land in a profile: tier-1
+  /// (profile) frames and, under seeder instrumentation, instrumented
+  /// optimized frames.  Every other frame is EntryExit.
+  interp::FrameObservation observeFrame(bc::FuncId F) override;
   void onBlockEnter(bc::FuncId F, uint32_t Block) override;
   void onVirtualCall(bc::FuncId Caller, uint32_t InstrIndex,
                      bc::FuncId Callee) override;
@@ -46,6 +50,14 @@ public:
                      runtime::Type T) override;
   void onPropAccess(bc::ClassId Cls, bc::StringId Prop, bool IsWrite,
                     uint64_t Addr) override;
+
+protected:
+  /// onFuncEnter with \p Callee's current translation already resolved
+  /// (\p Best == J.currentTranslation(Callee), as Jit::onFuncEntered
+  /// returns it), for subclasses that feed the tiering policy too.
+  void enterFrame(bc::FuncId Callee, bc::FuncId Caller,
+                  const runtime::Value *Args, uint32_t NumArgs,
+                  const Translation *Best);
 
 private:
   struct Frame {

@@ -61,6 +61,7 @@ Translation &TransDb::create(TransKind Kind,
   support::MutexLock Lock(M);
   T->Id = static_cast<uint32_t>(All.size());
   ElidedGuardCount += T->Unit->ElidedGuards.size();
+  KindBytes[static_cast<size_t>(Kind)] += T->Unit->sizeBytes();
   mapFor(Kind).insertOrAssign(T->Unit->Func.raw(), T->Id);
   All.push_back(std::move(T));
   return *All.back();
@@ -93,15 +94,6 @@ const Translation *TransDb::best(bc::FuncId F) const {
   if (Prof && Prof->Placed)
     return Prof;
   return nullptr;
-}
-
-uint64_t TransDb::bytesOfKind(TransKind K) const {
-  support::MutexLock Lock(M);
-  uint64_t Total = 0;
-  for (const auto &T : All)
-    if (T->Kind == K)
-      Total += T->Unit->sizeBytes();
-  return Total;
 }
 
 std::string TransDb::placementDigest() const {

@@ -78,8 +78,13 @@ public:
     return ElidedGuardCount;
   }
 
-  /// Total Vasm bytes of translations of kind \p K (placed or not).
-  uint64_t bytesOfKind(TransKind K) const JUMPSTART_EXCLUDES(M);
+  /// Total Vasm bytes of translations of kind \p K (placed or not).  A
+  /// running total kept by create(): a unit never changes size once
+  /// created, and replaced translations stay in all().
+  uint64_t bytesOfKind(TransKind K) const JUMPSTART_EXCLUDES(M) {
+    support::MutexLock Lock(M);
+    return KindBytes[static_cast<size_t>(K)];
+  }
 
   /// One line per translation in id order (kind, function, placement,
   /// entry address, block count).  Part of the determinism promise: two
@@ -105,6 +110,8 @@ private:
   FuncMap ProfileMap JUMPSTART_GUARDED_BY(M);
   FuncMap OptMap JUMPSTART_GUARDED_BY(M);
   uint64_t ElidedGuardCount JUMPSTART_GUARDED_BY(M) = 0;
+  /// Vasm bytes created so far, by TransKind.
+  uint64_t KindBytes[3] JUMPSTART_GUARDED_BY(M) = {};
 };
 
 } // namespace jumpstart::jit

@@ -99,7 +99,7 @@ void VasmTracer::onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
   Frame F;
   F.Func = Callee.raw();
   // The callee's own translation decides whether the interpreter runs it
-  // (wantsInstrTrace), even when its body is inlined into the caller's.
+  // (observeFrame), even when its body is inlined into the caller's.
   // best() returns placed translations only.
   const Translation *T = J.transDb().best(Callee);
   F.Interpreted = T == nullptr;
@@ -157,14 +157,15 @@ void VasmTracer::onBlockEnter(bc::FuncId FuncId, uint32_t Block) {
   F->LastVasmBlock = VB;
 }
 
-bool VasmTracer::wantsInstrTrace(bc::FuncId F) {
+interp::FrameObservation VasmTracer::observeFrame(bc::FuncId F) {
   // Per-instruction events are only needed for interpreted functions, to
   // model the dispatch loop's footprint.  The interpreter asks right after
   // onFuncEnter(F), so F's frame is on top.
   assert(!Frames.empty() && Frames.back().Func == F.raw() &&
-         "wantsInstrTrace outside onFuncEnter");
+         "observeFrame outside onFuncEnter");
   (void)F;
-  return Frames.back().Interpreted;
+  return Frames.back().Interpreted ? interp::FrameObservation::BodyAndInstrs
+                                   : interp::FrameObservation::Body;
 }
 
 void VasmTracer::onInstr(bc::FuncId F, uint32_t InstrIndex, uint32_t Depth) {

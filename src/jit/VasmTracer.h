@@ -51,7 +51,9 @@ public:
                    const runtime::Value *Args, uint32_t NumArgs) override;
   void onFuncExit(bc::FuncId F) override;
   void onBlockEnter(bc::FuncId F, uint32_t Block) override;
-  bool wantsInstrTrace(bc::FuncId F) override;
+  /// BodyAndInstrs for interpreted frames, Body otherwise: the D-cache
+  /// model needs every data access of every frame.
+  interp::FrameObservation observeFrame(bc::FuncId F) override;
   void onInstr(bc::FuncId F, uint32_t InstrIndex, uint32_t Depth) override;
   void onVirtualCall(bc::FuncId Caller, uint32_t InstrIndex,
                      bc::FuncId Callee) override;

@@ -52,10 +52,18 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
   if (F.Code.empty())
     return fault();
 
-  if (Callbacks)
+  // Body events go to Observer, which is null in a frame the callbacks
+  // answer EntryExit for; entry and exit always go to Callbacks.
+  interp::ExecCallbacks *Observer = nullptr;
+  bool TraceInstrs = false;
+  if (Callbacks) {
     Callbacks->onFuncEnter(FId, Caller, Args, NumArgs);
-  const bool TraceInstrs = Callbacks && Callbacks->wantsInstrTrace(FId);
-  const bc::BlockList *BlockInfo = Callbacks ? &Blocks.blocks(FId) : nullptr;
+    const interp::FrameObservation Observe = Callbacks->observeFrame(FId);
+    if (Observe != interp::FrameObservation::EntryExit)
+      Observer = Callbacks;
+    TraceInstrs = Observe == interp::FrameObservation::BodyAndInstrs;
+  }
+  const bc::BlockList *BlockInfo = Observer ? &Blocks.blocks(FId) : nullptr;
 
   // Frame state.
   std::vector<Value> Locals(F.NumLocals, Value::null());
@@ -88,14 +96,14 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
     }
     ++FrameSteps;
 
-    if (Callbacks) {
+    if (Observer) {
       uint32_t Block = BlockInfo->blockOf(Pc);
       if (Block != CurBlock) {
         CurBlock = Block;
-        Callbacks->onBlockEnter(FId, Block);
+        Observer->onBlockEnter(FId, Block);
       }
       if (TraceInstrs)
-        Callbacks->onInstr(FId, Pc, Depth);
+        Observer->onInstr(FId, Pc, Depth);
     }
 
     const bc::Instr &In = F.Code[Pc];
@@ -137,8 +145,8 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
         break;
       }
       C.V->Elems.push_back(V);
-      if (Callbacks)
-        Callbacks->onDataAccess(
+      if (Observer)
+        Observer->onDataAccess(
             C.V->Addr + 16 * C.V->Elems.size(), /*IsWrite=*/true);
       Push(C);
       break;
@@ -159,17 +167,17 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
         C.Dt->Entries[static_cast<size_t>(At)].second = V;
       else
         C.Dt->Entries.emplace_back(std::move(Key), V);
-      if (Callbacks)
-        Callbacks->onDataAccess(C.Dt->Addr + 16 * C.Dt->Entries.size(),
-                                /*IsWrite=*/true);
+      if (Observer)
+        Observer->onDataAccess(C.Dt->Addr + 16 * C.Dt->Entries.size(),
+                               /*IsWrite=*/true);
       Push(C);
       break;
     }
     case bc::Op::GetElem: {
       Value K = Pop();
       Value C = Pop();
-      if (Callbacks)
-        Callbacks->onTypeObserve(FId, Pc, C.T);
+      if (Observer)
+        Observer->onTypeObserve(FId, Pc, C.T);
       if (C.isVec()) {
         int64_t Index = runtime::toInt(K);
         if (Index < 0 ||
@@ -177,9 +185,9 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
           Push(fault());
           break;
         }
-        if (Callbacks)
-          Callbacks->onDataAccess(C.V->Addr + 16 * (Index + 1),
-                                  /*IsWrite=*/false);
+        if (Observer)
+          Observer->onDataAccess(C.V->Addr + 16 * (Index + 1),
+                                 /*IsWrite=*/false);
         Push(C.V->Elems[static_cast<size_t>(Index)]);
         break;
       }
@@ -188,9 +196,9 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
             K.isStr() ? runtime::DictKey::fromStr(K.S->Data)
                       : runtime::DictKey::fromInt(runtime::toInt(K));
         int64_t At = C.Dt->find(Key);
-        if (Callbacks)
-          Callbacks->onDataAccess(C.Dt->Addr + 16 * (At >= 0 ? At + 1 : 1),
-                                  /*IsWrite=*/false);
+        if (Observer)
+          Observer->onDataAccess(C.Dt->Addr + 16 * (At >= 0 ? At + 1 : 1),
+                                 /*IsWrite=*/false);
         if (At < 0) {
           Push(Value::null());
           break;
@@ -205,8 +213,8 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
       Value V = Pop();
       Value K = Pop();
       Value C = Pop();
-      if (Callbacks)
-        Callbacks->onTypeObserve(FId, Pc, C.T);
+      if (Observer)
+        Observer->onTypeObserve(FId, Pc, C.T);
       if (C.isVec()) {
         int64_t Index = runtime::toInt(K);
         int64_t Size = static_cast<int64_t>(C.V->Elems.size());
@@ -218,9 +226,9 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
           Push(fault());
           break;
         }
-        if (Callbacks)
-          Callbacks->onDataAccess(C.V->Addr + 16 * (Index + 1),
-                                  /*IsWrite=*/true);
+        if (Observer)
+          Observer->onDataAccess(C.V->Addr + 16 * (Index + 1),
+                                 /*IsWrite=*/true);
         Push(C);
         break;
       }
@@ -233,9 +241,9 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
           C.Dt->Entries[static_cast<size_t>(At)].second = V;
         else
           C.Dt->Entries.emplace_back(std::move(Key), V);
-        if (Callbacks)
-          Callbacks->onDataAccess(C.Dt->Addr + 16 * C.Dt->Entries.size(),
-                                  /*IsWrite=*/true);
+        if (Observer)
+          Observer->onDataAccess(C.Dt->Addr + 16 * C.Dt->Entries.size(),
+                                 /*IsWrite=*/true);
         Push(C);
         break;
       }
@@ -300,8 +308,8 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
         Res = Value::integer(Res.I + Opts.TestOnlyIntAddSkew);
       if (Res.isNull() && !(A.isNull() || B.isNull()))
         ++Faults;
-      if (Callbacks)
-        Callbacks->onTypeObserve(FId, Pc, A.T);
+      if (Observer)
+        Observer->onTypeObserve(FId, Pc, A.T);
       Push(Res);
       break;
     }
@@ -343,8 +351,8 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
         O = runtime::CmpOp::Ge;
         break;
       }
-      if (Callbacks)
-        Callbacks->onTypeObserve(FId, Pc, A.T);
+      if (Observer)
+        Observer->onTypeObserve(FId, Pc, A.T);
       Push(runtime::compare(O, A, B));
       break;
     }
@@ -392,8 +400,8 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
         if (!Callee.valid()) {
           Res = fault();
         } else {
-          if (Callbacks)
-            Callbacks->onVirtualCall(FId, Pc, Callee);
+          if (Observer)
+            Observer->onVirtualCall(FId, Pc, Callee);
           Res = execFrame(Callee, CallArgs, N, Recv, FId, Depth + 1);
         }
       }
@@ -429,13 +437,13 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
         Push(fault());
         break;
       }
-      if (Callbacks)
-        Callbacks->onPropAccess(Obj.O->Layout->id(), In.strImm(),
-                                /*IsWrite=*/false,
-                                Obj.O->slotAddr(static_cast<uint32_t>(Slot)));
-      if (Callbacks)
-        Callbacks->onTypeObserve(FId, Pc,
-                                 Obj.O->Slots[static_cast<size_t>(Slot)].T);
+      if (Observer)
+        Observer->onPropAccess(Obj.O->Layout->id(), In.strImm(),
+                               /*IsWrite=*/false,
+                               Obj.O->slotAddr(static_cast<uint32_t>(Slot)));
+      if (Observer)
+        Observer->onTypeObserve(FId, Pc,
+                                Obj.O->Slots[static_cast<size_t>(Slot)].T);
       Push(Obj.O->Slots[static_cast<size_t>(Slot)]);
       break;
     }
@@ -451,10 +459,10 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
         (void)fault();
         break;
       }
-      if (Callbacks)
-        Callbacks->onPropAccess(Obj.O->Layout->id(), In.strImm(),
-                                /*IsWrite=*/true,
-                                Obj.O->slotAddr(static_cast<uint32_t>(Slot)));
+      if (Observer)
+        Observer->onPropAccess(Obj.O->Layout->id(), In.strImm(),
+                               /*IsWrite=*/true,
+                               Obj.O->slotAddr(static_cast<uint32_t>(Slot)));
       Obj.O->Slots[static_cast<size_t>(Slot)] = V;
       break;
     }

@@ -13,11 +13,12 @@
 /// It has the production interpreter's surface -- call(), callbacks,
 /// per-function instruction counts, print output, InterpOptions -- and
 /// must agree with it on every observable: results, faults, step totals,
-/// abort points, callback streams and simulated heap addresses.  It
-/// deliberately never gains an optimization: per-instruction budget
-/// checks and callback tests, two std::vector allocations per frame
-/// (charged to Heap::noteHostAllocs), a fresh VmString per Op::Str, and
-/// no inline caches.
+/// abort points, callback streams and simulated heap addresses.  It asks
+/// ExecCallbacks::observeFrame per frame too, and an EntryExit frame
+/// reports only its entry and exit.  It deliberately never gains an
+/// optimization: per-instruction budget checks and callback tests, two
+/// std::vector allocations per frame (charged to Heap::noteHostAllocs), a
+/// fresh VmString per Op::Str, and no inline caches.
 ///
 /// It runs verified bytecode only (bc::verifyFunctionIssues); unlike the
 /// production interpreter it does not reject anything else.

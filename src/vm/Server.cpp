@@ -24,7 +24,9 @@ namespace jumpstart::vm {
 
 /// Extends the JIT's profiling hooks with server concerns: first-touch
 /// unit loading and feeding function-entry events to the tiering policy.
-/// Serial path only -- concurrent contexts run uninstrumented.
+/// A frame entry looks its translation up once, for the tiering policy
+/// and the profiling frame alike.  Serial path only -- concurrent
+/// contexts run without callbacks.
 class ServerHooks : public jit::JitProfilingHooks {
 public:
   ServerHooks(Server &S, jit::Jit &J)
@@ -33,8 +35,8 @@ public:
   void onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
                    const runtime::Value *Args, uint32_t NumArgs) override {
     S.Serial->PendingLoadUnits += S.loadUnitsFor(Callee);
-    S.TheJit.onFuncEntered(Callee);
-    jit::JitProfilingHooks::onFuncEnter(Callee, Caller, Args, NumArgs);
+    const jit::Translation *Best = S.TheJit.onFuncEntered(Callee);
+    enterFrame(Callee, Caller, Args, NumArgs, Best);
   }
 
 private:

@@ -15,6 +15,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
+
 #include "analysis/Linter.h"
 #include "bytecode/Verifier.h"
 #include "core/Consumer.h"
@@ -38,6 +40,7 @@
 #include <cstdlib>
 
 using namespace jumpstart;
+using jumpstart::testing::BodyObservingHooks;
 
 namespace {
 
@@ -211,8 +214,12 @@ TEST_P(FuzzPipeline, CompileVerifyExecute) {
   std::string Output;
   Interp.setOutput(&Output);
 
+  // The production hooks (every frame EntryExit here) and hooks that
+  // observe every frame's body.
   jit::Jit J(Repo, jit::JitConfig());
   jit::JitProfilingHooks Hooks(J);
+  BodyObservingHooks BodyHooks(J);
+  jit::JitProfilingHooks *const Observers[] = {&Hooks, &BodyHooks};
 
   for (const bc::Function &F : Repo.funcs()) {
     if (F.isMethod())
@@ -229,19 +236,22 @@ TEST_P(FuzzPipeline, CompileVerifyExecute) {
     Heap.reset();
     Output.clear();
 
-    Interp.setCallbacks(&Hooks);
-    interp::InterpResult Observed = Interp.call(F.Id, Args);
-    std::string ObservedRet = runtime::toString(Observed.Ret);
-    Heap.reset();
+    for (jit::JitProfilingHooks *CB : Observers) {
+      SCOPED_TRACE(CB == &Hooks ? "JitProfilingHooks" : "body observed");
+      Interp.setCallbacks(CB);
+      interp::InterpResult Observed = Interp.call(F.Id, Args);
+      std::string ObservedRet = runtime::toString(Observed.Ret);
+      Heap.reset();
 
-    EXPECT_EQ(Plain.Ok, Observed.Ok);
-    EXPECT_EQ(Plain.Steps, Observed.Steps);
-    EXPECT_EQ(Plain.Faults, Observed.Faults);
-    EXPECT_EQ(PlainRet, ObservedRet)
-        << "observation changed a result (seed " << GetParam() << ", "
-        << F.Name << ")\n" << Source;
-    EXPECT_EQ(Output, PlainOut);
-    Output.clear();
+      EXPECT_EQ(Plain.Ok, Observed.Ok);
+      EXPECT_EQ(Plain.Steps, Observed.Steps);
+      EXPECT_EQ(Plain.Faults, Observed.Faults);
+      EXPECT_EQ(PlainRet, ObservedRet)
+          << "observation changed a result (seed " << GetParam() << ", "
+          << F.Name << ")\n" << Source;
+      EXPECT_EQ(Output, PlainOut);
+      Output.clear();
+    }
   }
 }
 

@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 using namespace jumpstart;
+using jumpstart::testing::BodyObservingHooks;
 using jumpstart::testing::countersString;
 
 namespace {
@@ -68,13 +69,16 @@ std::vector<std::string> endpointResults(const fleet::Workload &W,
 
 TEST(SemanticInvariance, ObservationDoesNotChangeResults) {
   // Attaching profiling hooks or the Vasm tracer must never change what
-  // the program computes.
+  // the program computes.  With no translations the production hooks run
+  // every body plain; BodyObservingHooks observes every body.
   auto W = fleet::generateWorkload(tinySite(3));
   std::vector<std::string> Plain = endpointResults(*W, nullptr, 12345);
 
   jit::Jit J(W->Repo, jit::JitConfig());
   jit::JitProfilingHooks Hooks(J);
   EXPECT_EQ(endpointResults(*W, &Hooks, 12345), Plain);
+  BodyObservingHooks BodyHooks(J);
+  EXPECT_EQ(endpointResults(*W, &BodyHooks, 12345), Plain);
 
   sim::MachineSim Machine;
   jit::VasmTracer Tracer(J, Machine);
@@ -399,9 +403,10 @@ public:
     F->LastVasmBlock = VB;
   }
 
-  bool wantsInstrTrace(bc::FuncId F) override {
+  interp::FrameObservation observeFrame(bc::FuncId F) override {
     const jit::Translation *T = J.transDb().best(F);
-    return !(T && T->Placed);
+    return T && T->Placed ? interp::FrameObservation::Body
+                          : interp::FrameObservation::BodyAndInstrs;
   }
 
   void onInstr(bc::FuncId, uint32_t, uint32_t) override {

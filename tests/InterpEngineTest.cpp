@@ -42,12 +42,29 @@ namespace {
 /// observation streams can be diffed as strings.
 class RecordingCallbacks : public interp::ExecCallbacks {
 public:
-  /// Tracing every instruction of every function makes the stream (and
-  /// both interpreters' preamble paths) maximally sensitive.
-  bool wantsInstrTrace(bc::FuncId) override { return true; }
+  /// By default every frame is BodyAndInstrs: tracing every instruction
+  /// of every function makes the stream (and both interpreters' preamble
+  /// paths) maximally sensitive.  \p Mixed picks EntryExit, Body or
+  /// BodyAndInstrs by FuncId % 3 instead, so calls cross between plain
+  /// and observed frames in every direction.
+  explicit RecordingCallbacks(bool Mixed = false) : Mixed(Mixed) {}
+
+  static interp::FrameObservation kindOf(bc::FuncId F) {
+    static constexpr interp::FrameObservation Kinds[] = {
+        interp::FrameObservation::EntryExit, interp::FrameObservation::Body,
+        interp::FrameObservation::BodyAndInstrs};
+    return Kinds[F.raw() % 3];
+  }
+
+  interp::FrameObservation observeFrame(bc::FuncId F) override {
+    return Mixed ? kindOf(F) : interp::FrameObservation::BodyAndInstrs;
+  }
 
   void onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
                    const runtime::Value *Args, uint32_t NumArgs) override {
+    if (Caller.valid())
+      KindPairs |= 1u << (3 * static_cast<uint32_t>(kindOf(Caller)) +
+                          static_cast<uint32_t>(kindOf(Callee)));
     Log += strFormat("enter %u from %u args %u\n", Callee.raw(), Caller.raw(),
                      NumArgs);
     for (uint32_t I = 0; I < NumArgs; ++I)
@@ -83,7 +100,15 @@ public:
   }
 
   std::string Log;
+  /// Bit 3 * kindOf(caller) + kindOf(callee) for every call made.
+  uint32_t KindPairs = 0;
+
+private:
+  bool Mixed;
 };
+
+/// Every (caller, callee) pair of observation kinds.
+constexpr uint32_t kAllKindPairs = (1u << 9) - 1;
 
 /// Everything one interpreter produced for one program.
 struct EngineTrace {
@@ -94,14 +119,15 @@ struct EngineTrace {
   std::vector<bool> Oks;
   std::vector<uint64_t> InstrCounts;
   std::string CallbackLog;
+  uint32_t KindPairs = 0;
 };
 
 /// Runs \p Requests requests against every endpoint of \p W on a fresh
 /// \p InterpT (interp::Interpreter or jstest::ReferenceInterpreter), with
-/// full observation attached.
+/// a RecordingCallbacks(\p Mixed) attached.
 template <typename InterpT>
 EngineTrace runEngine(const fleet::Workload &W, uint32_t Requests,
-                      uint64_t StepBudget = 200'000) {
+                      bool Mixed, uint64_t StepBudget = 200'000) {
   runtime::ClassTable Classes(W.Repo);
   runtime::Heap Heap;
   interp::InterpOptions Opts;
@@ -109,7 +135,7 @@ EngineTrace runEngine(const fleet::Workload &W, uint32_t Requests,
   InterpT Interp(W.Repo, Classes, Heap, runtime::BuiltinTable::standard(),
                  Opts);
   EngineTrace T;
-  RecordingCallbacks CB;
+  RecordingCallbacks CB(Mixed);
   Interp.setCallbacks(&CB);
   Interp.setInstrCounts(&T.InstrCounts);
   std::string Output;
@@ -128,6 +154,7 @@ EngineTrace runEngine(const fleet::Workload &W, uint32_t Requests,
     Output.clear();
   }
   T.CallbackLog = std::move(CB.Log);
+  T.KindPairs = CB.KindPairs;
   return T;
 }
 
@@ -147,13 +174,21 @@ void expectTracesEqual(const EngineTrace &Fast, const EngineTrace &Ref,
   EXPECT_EQ(Fast.CallbackLog, Ref.CallbackLog) << "seed " << Seed;
 }
 
-/// Diffs \p W between the interpreter and the reference; \p Seed labels
-/// failures.
-void expectMatchesReference(const fleet::Workload &W, uint64_t Seed,
-                            uint32_t Requests) {
-  expectTracesEqual(runEngine<interp::Interpreter>(W, Requests),
-                    runEngine<jstest::ReferenceInterpreter>(W, Requests),
-                    Seed);
+/// Diffs \p W between the interpreter and the reference, under the
+/// every-frame and the mixed recorder; \p Seed labels failures.
+/// \returns the kind pairs the mixed recorder saw.
+uint32_t expectMatchesReference(const fleet::Workload &W, uint64_t Seed,
+                                uint32_t Requests) {
+  uint32_t KindPairs = 0;
+  for (bool Mixed : {false, true}) {
+    EngineTrace Fast = runEngine<interp::Interpreter>(W, Requests, Mixed);
+    expectTracesEqual(
+        Fast, runEngine<jstest::ReferenceInterpreter>(W, Requests, Mixed),
+        Seed);
+    if (Mixed)
+      KindPairs = Fast.KindPairs;
+  }
+  return KindPairs;
 }
 
 /// Paths generated programs never reach (ProgramGen builds one-entry
@@ -213,7 +248,9 @@ TEST(InterpEngine, GeneratedProgramsMatchAcrossEngines) {
   // 50 generated programs plus one hand-written one, every observable
   // diffed against the reference -- including the full callback stream
   // (blocks, instr traces, type observations, property and data-access
-  // addresses).
+  // addresses) -- with every frame observed, and again with plain and
+  // observed frames calling each other.
+  uint32_t KindPairs = 0;
   for (uint32_t I = 0; I < 50; ++I) {
     uint64_t Seed = 90'000'001ull + I;
     jstest::GenParams G;
@@ -223,12 +260,14 @@ TEST(InterpEngine, GeneratedProgramsMatchAcrossEngines) {
     fleet::Workload W;
     ASSERT_TRUE(jstest::DiffRunner::compileProgram(Prog.render(), W).ok())
         << "seed " << Seed;
-    expectMatchesReference(W, Seed, 8);
+    KindPairs |= expectMatchesReference(W, Seed, 8);
   }
   fleet::Workload W;
   ASSERT_TRUE(jstest::DiffRunner::compileProgram(kHandWrittenProgram, W).ok());
   ASSERT_EQ(W.Endpoints.size(), 2u);
-  expectMatchesReference(W, /*Seed=*/0, 8);
+  KindPairs |= expectMatchesReference(W, /*Seed=*/0, 8);
+  EXPECT_EQ(KindPairs, kAllKindPairs)
+      << "some caller/callee pair of observation kinds never ran";
 }
 
 TEST(InterpEngine, StepBudgetAbortsIdentically) {
@@ -242,23 +281,27 @@ TEST(InterpEngine, StepBudgetAbortsIdentically) {
   fleet::Workload W;
   ASSERT_TRUE(jstest::DiffRunner::compileProgram(Prog.render(), W).ok());
   // First find a budget that actually truncates execution.
-  EngineTrace Free = runEngine<jstest::ReferenceInterpreter>(W, 2);
+  EngineTrace Free = runEngine<jstest::ReferenceInterpreter>(W, 2, false);
   uint64_t FullSteps = Free.Steps[0];
   ASSERT_GT(FullSteps, 4u);
-  for (uint64_t Budget : {FullSteps / 2, FullSteps - 1, uint64_t(3),
-                          uint64_t(1)}) {
-    EngineTrace Fast = runEngine<interp::Interpreter>(W, 2, Budget);
-    EngineTrace Ref = runEngine<jstest::ReferenceInterpreter>(W, 2, Budget);
-    expectTracesEqual(Fast, Ref, Budget);
-    EXPECT_FALSE(Fast.Oks[0]) << "budget " << Budget << " did not abort";
+  for (bool Mixed : {false, true}) {
+    for (uint64_t Budget : {FullSteps / 2, FullSteps - 1, uint64_t(3),
+                            uint64_t(1)}) {
+      EngineTrace Fast = runEngine<interp::Interpreter>(W, 2, Mixed, Budget);
+      EngineTrace Ref =
+          runEngine<jstest::ReferenceInterpreter>(W, 2, Mixed, Budget);
+      expectTracesEqual(Fast, Ref, Budget);
+      EXPECT_FALSE(Fast.Oks[0]) << "budget " << Budget << " did not abort";
+    }
   }
 }
 
 TEST(InterpEngine, UninstrumentedResultsMatchInstrumented) {
   // The interpreter compiles two instantiations (with and without
   // callback code), and only the plain one contains the fused peephole
-  // paths -- so this diff is the fused paths' primary oracle.  Sweep a
-  // spread of generated programs, endpoints, and arguments.
+  // paths -- so this diff, like the mixed recorder's diffs against the
+  // reference above, checks the fused paths.  Sweep a spread of
+  // generated programs, endpoints, and arguments.
   for (uint64_t Seed = 777; Seed < 777 + 30; ++Seed) {
     jstest::GenParams G;
     G.Seed = Seed;

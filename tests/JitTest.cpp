@@ -12,11 +12,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestHelpers.h"
+#include "fleet/WorkloadGen.h"
 #include "jit/Jit.h"
 #include "jit/Lower.h"
 #include "jit/Recorders.h"
 #include "jit/Region.h"
 #include "jit/TransLayout.h"
+#include "runtime/ValueOps.h"
 
 #include <gtest/gtest.h>
 
@@ -363,9 +365,28 @@ struct TieringFixture {
     J->onRequestFinished();
   }
 
-  void drainJit() {
-    while (J->hasPendingWork())
-      J->runJitWork(1e9);
+  /// Runs JIT work \p Budget units at a time until none is left; after
+  /// every tick the running code-size totals must equal a rescan of the
+  /// translation list.
+  void drainJit(double Budget = 1e9) {
+    while (J->hasPendingWork()) {
+      J->runJitWork(Budget);
+      expectCodeBytesMatchRescan();
+    }
+  }
+
+  void expectCodeBytesMatchRescan() const {
+    uint64_t Total = 0;
+    for (TransKind K :
+         {TransKind::Live, TransKind::Profile, TransKind::Optimized}) {
+      uint64_t Rescan = 0;
+      for (const auto &T : J->transDb().all())
+        if (T->Kind == K)
+          Rescan += T->Unit->sizeBytes();
+      EXPECT_EQ(J->transDb().bytesOfKind(K), Rescan) << transKindName(K);
+      Total += Rescan;
+    }
+    EXPECT_EQ(J->totalCodeBytes(), Total);
   }
 
   /// Serves \p N requests, draining JIT work between them (as background
@@ -397,7 +418,8 @@ TEST(Tiering, FullLifecycle) {
   for (int I = 0; I < 6; ++I)
     Fix.runRequest();
   EXPECT_NE(Fix.J->phase(), JitPhase::Profiling);
-  Fix.drainJit();
+  // Small ticks: the code-size totals are checked between partial jobs.
+  Fix.drainJit(/*Budget=*/500);
   EXPECT_EQ(Fix.J->phase(), JitPhase::Mature);
 
   const Translation *Opt = Fix.J->transDb().best(Main);
@@ -405,6 +427,10 @@ TEST(Tiering, FullLifecycle) {
   EXPECT_EQ(Opt->Kind, TransKind::Optimized);
   EXPECT_TRUE(Opt->Placed);
   EXPECT_LT(Opt->CostPerBytecode, Fix.Config.InterpCostPerBytecode);
+  // The replaced profile translation still counts towards code size.
+  EXPECT_NE(Fix.J->transDb().forFunc(Main, TransKind::Profile), nullptr);
+  EXPECT_GT(Fix.J->transDb().bytesOfKind(TransKind::Profile), 0u);
+  EXPECT_GT(Fix.J->transDb().bytesOfKind(TransKind::Optimized), 0u);
 }
 
 TEST(Tiering, ProfilingCollectsData) {
@@ -481,4 +507,137 @@ TEST(Tiering, JitWorkRespectsBudget) {
   EXPECT_LE(Consumed, 10.0 + 1e-9);
   EXPECT_TRUE(Fix.J->hasPendingWork())
       << "a tiny budget cannot finish a compile job";
+}
+
+//===----------------------------------------------------------------------===//
+// Observation masks.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// JitProfilingHooks plus the tiering feed the VM server adds: one
+/// translation lookup per frame entry serves both.  With \p AlwaysBody
+/// it observes the body of every frame, not just the frames
+/// JitProfilingHooks picks.  Counts its answers either way.
+class TieringHooks : public JitProfilingHooks {
+public:
+  TieringHooks(Jit &J, bool AlwaysBody)
+      : JitProfilingHooks(J), J(J), AlwaysBody(AlwaysBody) {}
+
+  void onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
+                   const runtime::Value *Args, uint32_t NumArgs) override {
+    enterFrame(Callee, Caller, Args, NumArgs, J.onFuncEntered(Callee));
+  }
+
+  interp::FrameObservation observeFrame(bc::FuncId F) override {
+    interp::FrameObservation O = AlwaysBody
+                                     ? interp::FrameObservation::Body
+                                     : JitProfilingHooks::observeFrame(F);
+    ++Answers[static_cast<size_t>(O)];
+    return O;
+  }
+
+  uint64_t answers(interp::FrameObservation O) const {
+    return Answers[static_cast<size_t>(O)];
+  }
+
+private:
+  Jit &J;
+  bool AlwaysBody;
+  uint64_t Answers[3] = {};
+};
+
+/// One interpreter and one JIT serving a workload through TieringHooks.
+struct HooksTwin {
+  HooksTwin(const fleet::Workload &W, const JitConfig &Config,
+            bool AlwaysBody)
+      : W(W), Classes(W.Repo),
+        Interp(W.Repo, Classes, Heap, runtime::BuiltinTable::standard()),
+        J(W.Repo, Config), Hooks(J, AlwaysBody) {
+    Interp.setCallbacks(&Hooks);
+  }
+
+  /// Serves request \p Rq, then grants the JIT \p Budget units.
+  /// \returns the request's observables.
+  std::string serve(uint32_t Rq, double Budget) {
+    bc::FuncId F = W.Endpoints[Rq % W.Endpoints.size()];
+    interp::InterpResult R =
+        Interp.call(F, {runtime::Value::integer(Rq % 97)});
+    std::string Line = strFormat(
+        "%s steps=%llu faults=%llu ok=%d", runtime::toString(R.Ret).c_str(),
+        static_cast<unsigned long long>(R.Steps),
+        static_cast<unsigned long long>(R.Faults), R.Ok ? 1 : 0);
+    Heap.reset();
+    J.onRequestFinished();
+    J.runJitWork(Budget);
+    return Line;
+  }
+
+  const fleet::Workload &W;
+  runtime::ClassTable Classes;
+  runtime::Heap Heap;
+  interp::Interpreter Interp;
+  Jit J;
+  TieringHooks Hooks;
+};
+
+} // namespace
+
+TEST(ObservationMask, ProfilingHooksRecordOnlyWhatTheyObserve) {
+  // Frames JitProfilingHooks answers EntryExit run the plain interpreter
+  // body.  Its twin observes every frame's body instead; every profile,
+  // every placement and every request must come out identical.
+  fleet::WorkloadParams P;
+  P.NumHelpers = 60;
+  P.NumClasses = 12;
+  P.NumEndpoints = 8;
+  P.NumUnits = 6;
+  std::unique_ptr<fleet::Workload> W = fleet::generateWorkload(P);
+  for (bool Instrument : {false, true}) {
+    SCOPED_TRACE(Instrument ? "seeder instrumentation" : "no instrumentation");
+    JitConfig Config;
+    Config.ProfileRequestTarget = 40;
+    Config.SeederInstrumentation = Instrument;
+    HooksTwin Masked(*W, Config, /*AlwaysBody=*/false);
+    HooksTwin Full(*W, Config, /*AlwaysBody=*/true);
+    const double Budget = 40'000;
+    uint32_t Rq = 0;
+    bool ProfiledWhileOptimizing = false;
+    // Profiling, then retranslate-all while profile translations still
+    // run, then 200 requests of mature code.
+    for (uint32_t Mature = 0; Mature < 200; ++Rq) {
+      ASSERT_LT(Rq, 5000u) << "the JIT never matured";
+      JitPhase Phase = Masked.J.phase();
+      uint64_t BodyBefore =
+          Masked.Hooks.answers(interp::FrameObservation::Body);
+      ASSERT_EQ(Masked.serve(Rq, Budget), Full.serve(Rq, Budget))
+          << "request " << Rq;
+      ASSERT_EQ(Masked.J.phase(), Full.J.phase()) << "request " << Rq;
+      if (Phase == JitPhase::Optimizing &&
+          Masked.Hooks.answers(interp::FrameObservation::Body) > BodyBefore)
+        ProfiledWhileOptimizing = true;
+      if (Phase == JitPhase::Mature)
+        ++Mature;
+    }
+    EXPECT_TRUE(ProfiledWhileOptimizing);
+    EXPECT_GT(Masked.Hooks.answers(interp::FrameObservation::EntryExit), 0u);
+    EXPECT_GT(Masked.Hooks.answers(interp::FrameObservation::Body), 0u);
+    EXPECT_EQ(Masked.Hooks.answers(interp::FrameObservation::BodyAndInstrs),
+              0u);
+
+    profile::ProfilePackage Pkg = Masked.J.buildPackage(0, 0, 1, 0);
+    EXPECT_EQ(Pkg.serialize(), Full.J.buildPackage(0, 0, 1, 0).serialize());
+    EXPECT_EQ(Masked.J.transDb().placementDigest(),
+              Full.J.transDb().placementDigest());
+    if (Instrument) {
+      // Instrumented optimized frames recorded, inlined ones included.
+      EXPECT_FALSE(Pkg.Opt.VasmBlockCounts.empty());
+      EXPECT_FALSE(Pkg.Opt.CallArcs.empty());
+      bool Inlines = false;
+      for (const auto &T : Masked.J.transDb().all())
+        Inlines |= T->Kind == TransKind::Optimized && T->Placed &&
+                   !T->Unit->Inlined.empty();
+      EXPECT_TRUE(Inlines);
+    }
+  }
 }

@@ -18,6 +18,7 @@
 #include "bytecode/Verifier.h"
 #include "frontend/Compiler.h"
 #include "interp/Interpreter.h"
+#include "jit/Recorders.h"
 #include "runtime/Builtins.h"
 #include "runtime/ClassLayout.h"
 #include "runtime/Heap.h"
@@ -45,6 +46,19 @@ inline std::string countersString(const sim::PerfCounters &C) {
       U(C.LlcMisses), U(C.ITlbAccesses), U(C.ITlbMisses), U(C.DTlbAccesses),
       U(C.DTlbMisses));
 }
+
+/// Profiling hooks that observe the body of every frame.  On a JIT with
+/// no translations JitProfilingHooks itself answers EntryExit for every
+/// frame, so only these run the instrumented interpreter body there.
+class BodyObservingHooks : public jit::JitProfilingHooks {
+public:
+  using jit::JitProfilingHooks::JitProfilingHooks;
+
+  interp::FrameObservation observeFrame(bc::FuncId F) override {
+    (void)F;
+    return interp::FrameObservation::Body;
+  }
+};
 
 /// A compiled program plus the runtime needed to execute it.
 class TestVm {
