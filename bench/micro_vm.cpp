@@ -7,9 +7,10 @@
 ///
 /// \file
 /// Micro-benchmarks (google-benchmark) for the VM substrate itself:
-/// interpreter dispatch throughput, frontend compilation speed, and the
-/// tier-2 pipeline (region selection + lowering + layout) per function --
-/// the costs a downstream user of the library actually pays.
+/// interpreter dispatch throughput, the request-local value heap,
+/// frontend compilation speed, and the tier-2 pipeline (region selection
+/// + lowering + layout) per function -- the costs a downstream user of
+/// the library actually pays.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +26,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 
 using namespace jumpstart;
@@ -63,6 +65,55 @@ void BM_InterpreterDispatch(benchmark::State &State) {
       static_cast<double>(Steps), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_InterpreterDispatch)->Arg(1000)->Arg(10000);
+
+const char *kHeapRequest = "class Row {"
+                           "  prop $id; prop $name; prop $tags; prop $score;"
+                           "  method init($id, $name) {"
+                           "    $this->id = $id; $this->name = $name;"
+                           "    $this->tags = vec[]; $this->score = 0;"
+                           "    return $this;"
+                           "  }"
+                           "}"
+                           "function main($n) {"
+                           "  $d = dict[]; $v = vec[]; $i = 0;"
+                           "  while ($i < $n) {"
+                           "    $k = \"key\" . $i;"
+                           "    $d[$k] = to_str($i * 7919) . \":\" . $i;"
+                           "    $v[$i] = $k;"
+                           "    $i = $i + 1;"
+                           "  }"
+                           "  $o = new Row()->init($n, \"row\" . to_str($n));"
+                           "  return strlen($d[\"key1\"]) + $o->id;"
+                           "}";
+
+void BM_RequestHeap(benchmark::State &State) {
+  // One request per iteration that lives on the value heap: strings
+  // built from ints with `.` and to_str, a string-keyed dict and a vec
+  // filled with them, one initialised object, then the request's reset.
+  bc::Repo Repo;
+  auto Errors = frontend::compileUnit(
+      Repo, runtime::BuiltinTable::standard(), "b.hack", kHeapRequest);
+  if (!Errors.empty())
+    State.SkipWithError("compile failed");
+  runtime::ClassTable Classes(Repo);
+  runtime::Heap Heap;
+  interp::Interpreter Interp(Repo, Classes, Heap,
+                             runtime::BuiltinTable::standard());
+  bc::FuncId Main = Repo.findFunction("main");
+  uint64_t AllocsBefore = Heap.hostAllocs();
+  for (auto _ : State) {
+    interp::InterpResult R = Interp.call(
+        Main, {runtime::Value::integer(State.range(0))});
+    if (!R.Ok || R.Faults != 0)
+      State.SkipWithError("request faulted");
+    Heap.reset();
+    benchmark::DoNotOptimize(R.Ret);
+  }
+  State.counters["allocs_per_request"] =
+      static_cast<double>(Heap.hostAllocs() - AllocsBefore) /
+      static_cast<double>(std::max<int64_t>(1, State.iterations()));
+}
+BENCHMARK(BM_RequestHeap)->Arg(64);
 
 void BM_InterpreterWithProfilingHooks(benchmark::State &State) {
   bc::Repo Repo;

@@ -178,6 +178,12 @@ Status applyDelta(const std::vector<uint8_t> &Parent,
     return support::errorStatus(
         StatusCode::FailedPrecondition,
         "package delta was encoded against a different parent release");
+  if (TargetLen > kMaxRebuiltPackageBytes)
+    return support::errorStatus(
+        StatusCode::CorruptData,
+        "package delta target of %llu bytes exceeds the %llu-byte limit",
+        (unsigned long long)TargetLen,
+        (unsigned long long)kMaxRebuiltPackageBytes);
 
   std::vector<uint8_t> Built;
   Built.reserve(TargetLen);
@@ -211,7 +217,7 @@ Status applyDelta(const std::vector<uint8_t> &Parent,
     case OpKind::Run: {
       uint64_t Count = D.readVarint();
       uint8_t Byte = D.readByte();
-      if (!D.ok() || Count == 0 || Count > TargetLen) {
+      if (!D.ok() || Count == 0 || Count > TargetLen - Built.size()) {
         D.markError();
         break;
       }

@@ -56,6 +56,10 @@ struct DeltaStats {
 inline constexpr uint32_t kDeltaFormatVersion = 1;
 /// Leading magic of a serialized delta ("JSDL1").
 inline constexpr uint64_t kDeltaMagic = 0x4a53444c31ull;
+/// Largest package applyDelta() will rebuild (64 MiB; today's packages
+/// are ~70 KB).  A delta's target length is untrusted input, so a larger
+/// one is rejected before anything is allocated.
+inline constexpr uint64_t kMaxRebuiltPackageBytes = 64ull << 20;
 
 /// Encodes \p Target against \p Parent.  Always succeeds; when the blobs
 /// share nothing the delta degenerates to one literal op (plus header).
@@ -66,7 +70,8 @@ std::vector<uint8_t> encodeDelta(const std::vector<uint8_t> &Parent,
 /// Rebuilds the target from \p Parent + \p Delta into \p Out.
 /// FailedPrecondition when \p Parent is not the blob the delta was
 /// encoded against; CorruptData on any malformed or checksum-failing
-/// delta.  \p Out is untouched on failure.
+/// delta, or one whose target exceeds kMaxRebuiltPackageBytes.  \p Out
+/// is untouched on failure.
 support::Status applyDelta(const std::vector<uint8_t> &Parent,
                            const std::vector<uint8_t> &Delta,
                            std::vector<uint8_t> &Out);

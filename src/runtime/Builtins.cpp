@@ -45,7 +45,7 @@ Value nativePrint(NativeContext &Ctx, const Value *Args, uint32_t N) {
   assert(N == 1);
   (void)N;
   if (Ctx.Output)
-    *Ctx.Output += toString(Args[0]);
+    appendString(*Ctx.Output, Args[0]);
   return Value::null();
 }
 
@@ -70,7 +70,8 @@ Value nativeSubstr(NativeContext &Ctx, const Value *Args, uint32_t) {
 }
 
 Value nativeToStr(NativeContext &Ctx, const Value *Args, uint32_t) {
-  return Value::str(Ctx.H.allocString(toString(Args[0])));
+  return Value::str(Ctx.H.buildString(
+      [Args](std::string &Out) { appendString(Out, Args[0]); }));
 }
 
 Value nativeAbs(NativeContext &, const Value *Args, uint32_t) {

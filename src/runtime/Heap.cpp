@@ -7,6 +7,8 @@
 
 #include "runtime/Heap.h"
 
+#include <sanitizer/asan_interface.h>
+
 #include <algorithm>
 
 using namespace jumpstart;
@@ -32,6 +34,33 @@ Value *FrameArena::alloc(uint32_t N) {
   }
 }
 
+template <typename T> T &Heap::Pool<T>::next() {
+  if (Live == Elems.size())
+    Elems.emplace_back();
+  T &E = Elems[Live++];
+  ASAN_UNPOISON_MEMORY_REGION(&E, sizeof(T));
+  return E;
+}
+
+template <typename T> void Heap::Pool<T>::retire() {
+  // No-op loop outside AddressSanitizer builds.
+  for (size_t I = 0; I < Live; ++I)
+    ASAN_POISON_MEMORY_REGION(&Elems[I], sizeof(T));
+  Live = 0;
+}
+
+template <typename T> Heap::Pool<T>::~Pool() {
+  for (T &E : Elems)
+    ASAN_UNPOISON_MEMORY_REGION(&E, sizeof(T));
+}
+
+// Heap.h only declares the pool's members; every pool is instantiated
+// here.
+template struct Heap::Pool<VmString>;
+template struct Heap::Pool<VmVec>;
+template struct Heap::Pool<VmDict>;
+template struct Heap::Pool<VmObject>;
+
 uint64_t Heap::bump(uint64_t Size) {
   // 16-byte alignment, like a real allocator's size classes.
   uint64_t Addr = NextAddr;
@@ -39,35 +68,36 @@ uint64_t Heap::bump(uint64_t Size) {
   return Addr;
 }
 
-VmString *Heap::allocString(std::string_view S) {
+VmString &Heap::nextString() {
   ++HostAllocs;
-  Strings.emplace_back();
-  VmString &Str = Strings.back();
-  Str.Data = std::string(S);
-  Str.Addr = bump(24 + S.size());
-  return &Str;
+  VmString &Str = Strings.next();
+  Str.Data.clear();
+  return Str;
+}
+
+VmString *Heap::allocString(std::string_view S) {
+  return buildString([S](std::string &Data) { Data.assign(S); });
 }
 
 VmVec *Heap::allocVec() {
   ++HostAllocs;
-  Vecs.emplace_back();
-  VmVec &V = Vecs.back();
+  VmVec &V = Vecs.next();
+  V.Elems.clear();
   V.Addr = bump(48);
   return &V;
 }
 
 VmDict *Heap::allocDict() {
   ++HostAllocs;
-  Dicts.emplace_back();
-  VmDict &D = Dicts.back();
+  VmDict &D = Dicts.next();
+  D.clear();
   D.Addr = bump(64);
   return &D;
 }
 
 VmObject *Heap::allocObject(const ClassLayout *Layout, uint32_t NumSlots) {
   ++HostAllocs;
-  Objects.emplace_back();
-  VmObject &O = Objects.back();
+  VmObject &O = Objects.next();
   O.Layout = Layout;
   O.Slots.assign(NumSlots, Value::null());
   O.Addr = bump(16 + 16ull * NumSlots);
@@ -94,10 +124,10 @@ VmString *Heap::internString(uint32_t StringId, std::string_view S) {
 }
 
 void Heap::reset() {
-  Strings.clear();
-  Vecs.clear();
-  Dicts.clear();
-  Objects.clear();
+  Strings.retire();
+  Vecs.retire();
+  Dicts.retire();
+  Objects.retire();
   Frames.clear();
   NextAddr = Base;
 }

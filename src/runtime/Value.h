@@ -181,6 +181,15 @@ struct VmDict {
   int64_t find(std::string_view S) const;
   int64_t find(int64_t I) const;
 
+  /// Empties the dict, keeping its storage for reuse (Heap recycles
+  /// dicts across requests).  The hash index is dropped with the
+  /// entries, so a recycled dict never probes a stale index.
+  void clear() {
+    Entries.clear();
+    Index.clear();
+    IndexedCount = 0;
+  }
+
 private:
   /// Open-addressing table of entry indices (-1 = empty), sized to a
   /// power of two at <= 50% load.  Mutable: it is a cache over Entries,

@@ -9,9 +9,10 @@
 
 #include "support/Assert.h"
 #include "support/Hashing.h"
-#include "support/StringUtil.h"
 
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 
 using namespace jumpstart;
 using namespace jumpstart::runtime;
@@ -165,23 +166,45 @@ int64_t jumpstart::runtime::toInt(const Value &V) {
 }
 
 std::string jumpstart::runtime::toString(const Value &V) {
+  std::string S;
+  appendString(S, V);
+  return S;
+}
+
+void jumpstart::runtime::appendString(std::string &Out, const Value &V) {
   switch (V.T) {
   case Type::Null:
-    return "";
+    return;
   case Type::Bool:
-    return V.B ? "1" : "";
-  case Type::Int:
-    return strFormat("%lld", static_cast<long long>(V.I));
-  case Type::Dbl:
-    return strFormat("%g", V.D);
+    if (V.B)
+      Out += '1';
+    return;
+  case Type::Int: {
+    // std::to_chars writes the same bytes as printf %lld; INT64_MIN
+    // takes 20.
+    char Buf[24];
+    Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V.I).ptr);
+    return;
+  }
+  case Type::Dbl: {
+    // "%g" keeps six significant digits: at most 13 characters.
+    char Buf[32];
+    int N = std::snprintf(Buf, sizeof(Buf), "%g", V.D);
+    Out.append(Buf, static_cast<size_t>(N));
+    return;
+  }
   case Type::Str:
-    return V.S->Data;
+    Out += V.S->Data;
+    return;
   case Type::Vec:
-    return "vec";
+    Out += "vec";
+    return;
   case Type::Dict:
-    return "dict";
+    Out += "dict";
+    return;
   case Type::Obj:
-    return "object";
+    Out += "object";
+    return;
   }
   unreachable("unhandled Type");
 }
@@ -303,7 +326,8 @@ Value jumpstart::runtime::compare(CmpOp O, const Value &A, const Value &B) {
 }
 
 Value jumpstart::runtime::concat(Heap &H, const Value &A, const Value &B) {
-  std::string Result = toString(A);
-  Result += toString(B);
-  return Value::str(H.allocString(Result));
+  return Value::str(H.buildString([&](std::string &Out) {
+    appendString(Out, A);
+    appendString(Out, B);
+  }));
 }

@@ -35,8 +35,12 @@ double toDouble(const Value &V, bool *Ok = nullptr);
 /// Integer coercion (truncating); non-numeric types yield 0.
 int64_t toInt(const Value &V);
 
-/// Renders \p V as a string (used by Concat and by the print builtin).
+/// Renders \p V as a string.
 std::string toString(const Value &V);
+
+/// Appends toString(\p V) to \p Out without a temporary string (used by
+/// Concat, to_str and the print builtin).
+void appendString(std::string &Out, const Value &V);
 
 /// Arithmetic kinds shared with the JIT lowering.
 enum class ArithOp { Add, Sub, Mul, Div, Mod };
@@ -58,7 +62,8 @@ bool valueEquals(const Value &A, const Value &B);
 /// non-numeric types is by type tag (deterministic, total).
 Value compare(CmpOp O, const Value &A, const Value &B);
 
-/// String concatenation with coercion; allocates the result on \p H.
+/// String concatenation with coercion; builds the result directly in a
+/// string allocated on \p H.
 Value concat(Heap &H, const Value &A, const Value &B);
 
 } // namespace jumpstart::runtime

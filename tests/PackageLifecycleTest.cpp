@@ -22,6 +22,8 @@
 #include "fleet/Traffic.h"
 #include "profile/PackageDelta.h"
 #include "profile/PackageMerge.h"
+#include "support/Blob.h"
+#include "support/Hashing.h"
 #include "support/Random.h"
 #include "support/ThreadPool.h"
 
@@ -261,6 +263,47 @@ TEST(PackageDeltaTest, TamperedDeltasAreRejected) {
     else
       EXPECT_TRUE(Out.empty());
   }
+}
+
+TEST(PackageDeltaTest, OversizedTargetsAreRejectedBeforeAllocating) {
+  std::vector<uint8_t> Parent(256, 0x11);
+  // A delta header whose parent fields match, with the given target
+  // length and ops.
+  auto MakeDelta = [&](uint64_t TargetLen, uint64_t NumOps) {
+    BlobEncoder E;
+    E.writeFixed64(profile::kDeltaMagic);
+    E.writeVarint(profile::kDeltaFormatVersion);
+    E.writeFixed64(fnv1a(Parent.data(), Parent.size()));
+    E.writeVarint(Parent.size());
+    E.writeFixed64(0);
+    E.writeVarint(TargetLen);
+    E.writeVarint(NumOps);
+    return E;
+  };
+  auto ExpectRejected = [&](const std::vector<uint8_t> &Delta) {
+    std::vector<uint8_t> Out;
+    support::Status S;
+    EXPECT_NO_THROW(S = profile::applyDelta(Parent, Delta, Out));
+    EXPECT_FALSE(S.ok());
+    EXPECT_TRUE(Out.empty());
+  };
+
+  // Header only, target length 2^62: refused before any reservation.
+  ExpectRejected(MakeDelta(1ull << 62, 0).takeBytes());
+  ExpectRejected(
+      MakeDelta(profile::kMaxRebuiltPackageBytes + 1, 0).takeBytes());
+
+  // A run longer than what is left of the target: a 4-byte literal, then
+  // a run the size of the whole target.
+  BlobEncoder E = MakeDelta(64, 2);
+  E.writeByte(1); // Literal
+  E.writeVarint(4);
+  for (int I = 0; I < 4; ++I)
+    E.writeByte(0x22);
+  E.writeByte(2); // Run
+  E.writeVarint(64);
+  E.writeByte(0x33);
+  ExpectRejected(E.takeBytes());
 }
 
 TEST_F(LifecycleFixture, DeltaPublishRecordsProvenanceAndReconstructs) {
