@@ -13,8 +13,10 @@
 /// reports requests/sec, interpreted instructions/sec, host allocations
 /// per request and inline-cache hits, plus the whole-program-analysis
 /// ablation on the same mix.  The checked-in BENCH_interp.json is a
-/// snapshot of this harness's `--json` output; ci/check.sh re-runs
-/// `--quick` and fails if allocs/request regress against that snapshot.
+/// snapshot of this harness's `--json --stats` output.  Its `stats`
+/// block does not depend on `--quick`, so the tier-1 test
+/// `micro_interp --quick --stats --check-against BENCH_interp.json`
+/// fails unless this run renders that block byte for byte.
 ///
 /// Wall-clock numbers vary with the host; every counter in `--counters`
 /// output (steps, faults, allocations, inline-cache hits) is
@@ -36,7 +38,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -356,17 +357,17 @@ stats::StatsSummary runStatsSweep(const bc::Repo &Repo,
   return stats::analyzeRuns(SeedSeries);
 }
 
-void writeJson(const std::string &Path, const EngineResult &Fast,
-               const ProvenResult &Proven,
-               const bench::StatsCliOptions &StatsOpts,
-               const stats::StatsSummary *Stats) {
-  std::ofstream Out(Path);
-  if (!Out) {
-    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
-    std::exit(1);
-  }
-  Out << "{\n";
-  Out << strFormat(
+/// The snapshot's one deterministic block.
+std::string statsBlock(const bench::StatsCliOptions &StatsOpts,
+                       const stats::StatsSummary &Stats) {
+  return bench::statsBlockJson("allocs_per_request", StatsOpts, Stats);
+}
+
+std::string renderJson(const EngineResult &Fast, const ProvenResult &Proven,
+                       const bench::StatsCliOptions &StatsOpts,
+                       const stats::StatsSummary *Stats) {
+  std::string Out = "{\n";
+  Out += strFormat(
       "  \"fast\": {\"requests\": %llu, \"seconds\": %.6f, "
       "\"requests_per_sec\": %.1f, \"instrs_per_sec\": %.1f, "
       "\"steps_per_request\": %.2f, \"allocs_per_request\": %.4f, "
@@ -376,10 +377,8 @@ void writeJson(const std::string &Path, const EngineResult &Fast,
       Fast.allocsPerRequest(), static_cast<unsigned long long>(Fast.Faults),
       static_cast<unsigned long long>(Fast.ICHits),
       static_cast<unsigned long long>(Fast.ICMisses));
-  // Whole-program analysis ablation on the same workload.  Keys are
-  // chosen so CHECK_PERF's `"fast": {...allocs_per_request...}` sed
-  // still matches exactly one line.
-  Out << strFormat(
+  // Whole-program analysis ablation on the same workload.
+  Out += strFormat(
       "  \"proven\": {\"ics_seeded\": %u, \"guards_elided\": %llu, "
       "\"cold_requests_per_sec_off\": %.1f, "
       "\"cold_requests_per_sec_on\": %.1f, \"cold_speedup\": %.3f, "
@@ -390,39 +389,35 @@ void writeJson(const std::string &Path, const EngineResult &Fast,
       static_cast<unsigned long long>(Proven.MissesOff),
       static_cast<unsigned long long>(Proven.MissesOn), Stats ? "," : "");
   if (Stats)
-    Out << bench::statsBlockJson("allocs_per_request", StatsOpts, *Stats)
-        << "\n";
-  Out << "}\n";
+    Out += statsBlock(StatsOpts, *Stats) + "\n";
+  return Out + "}\n";
 }
 
 /// Deterministic counters only -- byte-identical across runs on any
 /// host, which the CI perf smoke asserts by diffing two runs.
-void writeCounters(const std::string &Path, const EngineResult &Fast,
-                   const ProvenResult &Proven,
-                   const stats::StatsSummary *Stats) {
-  std::ofstream Out(Path);
-  if (!Out) {
-    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
-    std::exit(1);
-  }
-  Out << strFormat("fast steps=%llu faults=%llu allocs=%llu ic_hits=%llu "
-                   "ic_misses=%llu\n",
-                   static_cast<unsigned long long>(Fast.Steps),
-                   static_cast<unsigned long long>(Fast.Faults),
-                   static_cast<unsigned long long>(Fast.Allocs),
-                   static_cast<unsigned long long>(Fast.ICHits),
-                   static_cast<unsigned long long>(Fast.ICMisses));
+std::string renderCounters(const EngineResult &Fast,
+                           const ProvenResult &Proven,
+                           const stats::StatsSummary *Stats) {
+  std::string Out =
+      strFormat("fast steps=%llu faults=%llu allocs=%llu ic_hits=%llu "
+                "ic_misses=%llu\n",
+                static_cast<unsigned long long>(Fast.Steps),
+                static_cast<unsigned long long>(Fast.Faults),
+                static_cast<unsigned long long>(Fast.Allocs),
+                static_cast<unsigned long long>(Fast.ICHits),
+                static_cast<unsigned long long>(Fast.ICMisses));
   // Analysis-side counters are deterministic too: the facts are a pure
   // function of the bytecode and the JIT pipeline is single-threaded
   // here, so CI byte-compares these lines across runs like the rest.
-  Out << strFormat("proven ics_seeded=%u guards_elided=%llu "
+  Out += strFormat("proven ics_seeded=%u guards_elided=%llu "
                    "ic_misses_off=%llu ic_misses_on=%llu\n",
                    Proven.ICsSeeded,
                    static_cast<unsigned long long>(Proven.GuardsElided),
                    static_cast<unsigned long long>(Proven.MissesOff),
                    static_cast<unsigned long long>(Proven.MissesOn));
   if (Stats)
-    Out << bench::statsCountersLine("allocs_per_request", *Stats);
+    Out += bench::statsCountersLine("allocs_per_request", *Stats);
+  return Out;
 }
 
 } // namespace
@@ -432,6 +427,7 @@ int main(int argc, char **argv) {
   uint32_t Reps = 5;
   std::string JsonPath;
   std::string CountersPath;
+  std::string SnapshotPath;
   bench::StatsCliOptions StatsOpts;
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--quick") == 0) {
@@ -441,6 +437,8 @@ int main(int argc, char **argv) {
       JsonPath = argv[++I];
     } else if (std::strcmp(argv[I], "--counters") == 0 && I + 1 < argc) {
       CountersPath = argv[++I];
+    } else if (std::strcmp(argv[I], "--check-against") == 0 && I + 1 < argc) {
+      SnapshotPath = argv[++I];
     } else if (std::strcmp(argv[I], "--endpoint") == 0 && I + 1 < argc) {
       OnlyEndpoint = std::atoi(argv[++I]);
     } else if (std::strcmp(argv[I], "--stats") == 0) {
@@ -454,7 +452,8 @@ int main(int argc, char **argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--quick] [--json PATH] [--counters PATH] "
-                   "[--endpoint N] [--stats [seeds=N,iters=M]]\n",
+                   "[--endpoint N] [--stats [seeds=N,iters=M]] "
+                   "[--check-against SNAPSHOT]\n",
                    argv[0]);
       return 2;
     }
@@ -492,11 +491,15 @@ int main(int argc, char **argv) {
                 stats::warmupClassName(Stats.WorstClass), Stats.SteadyCI.Lo,
                 Stats.SteadyCI.Hi);
 
+  const stats::StatsSummary *MaybeStats = StatsOpts.Enabled ? &Stats : nullptr;
   if (!JsonPath.empty())
-    writeJson(JsonPath, Fast, Proven, StatsOpts,
-              StatsOpts.Enabled ? &Stats : nullptr);
+    bench::writeFile(JsonPath, renderJson(Fast, Proven, StatsOpts, MaybeStats));
   if (!CountersPath.empty())
-    writeCounters(CountersPath, Fast, Proven,
-                  StatsOpts.Enabled ? &Stats : nullptr);
-  return 0;
+    bench::writeFile(CountersPath, renderCounters(Fast, Proven, MaybeStats));
+  if (SnapshotPath.empty())
+    return 0;
+  std::vector<bench::SnapshotBlock> Blocks;
+  if (MaybeStats)
+    Blocks.push_back({"stats", statsBlock(StatsOpts, Stats)});
+  return bench::checkSnapshot(SnapshotPath, Blocks, "bench/run_bench.sh");
 }

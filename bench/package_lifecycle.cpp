@@ -6,18 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Profile-package lifecycle harness (ROADMAP item 4).  Two jobs:
+/// Profile-package lifecycle harness.  Two jobs:
 ///
-///   * `--sweep` (default): the staleness-under-drift sweep
+///   * by default, the staleness-under-drift sweep
 ///     (core::runDriftSweep) -- one seeder package rebased onto 0..N
 ///     drifted releases of the synthetic site, published full-then-delta
 ///     through core::PackageManager, consumer-accepted and warmup-
 ///     measured per age.  Everything runs on the virtual clock, so the
 ///     `--json` rendering is byte-deterministic; the committed
-///     BENCH_package.json is this harness's default `--json` output and
-///     ci/check.sh's CHECK_PACKAGE stage byte-compares a fresh run
-///     against it.  `--quick` shrinks the site and age range for
-///     sanitizer runs.
+///     BENCH_package.json is this harness's `--stats --json` output, and
+///     the tier-1 test `package_lifecycle --stats --check-against
+///     BENCH_package.json` fails unless a fresh run renders the whole
+///     file byte for byte.  `--quick` shrinks the site and age range.
 ///
 ///   * `--check N SEED`: the lifecycle property sweep over N generated
 ///     programs (testing::ProgramGen): per program, two seeders grow
@@ -41,7 +41,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 
 using namespace jumpstart;
@@ -76,6 +75,15 @@ core::DriftSweepParams sweepParams(bool Quick) {
 //===----------------------------------------------------------------------===//
 // Statistical mode (--stats seeds=N,iters=M): multi-seed warmup curves.
 //===----------------------------------------------------------------------===//
+
+/// The stats spec the committed snapshot uses, and so what a bare
+/// `--stats` means here.
+bench::StatsCliOptions defaultStatsOptions() {
+  bench::StatsCliOptions O;
+  O.Seeds = 3;
+  O.Iters = 60;
+  return O;
+}
 
 /// Runs N Jump-Start consumer warmup simulations with distinct seeds on
 /// a fixed small site (independent of --quick, so every invocation
@@ -113,27 +121,21 @@ stats::StatsSummary runStatsSweep(const bench::StatsCliOptions &O) {
                             fleet::warmupThroughputClassifyParams());
 }
 
-void writeJson(const std::string &Path, const core::DriftSweepParams &P,
-               const core::DriftSweepResult &R,
-               const bench::StatsCliOptions &StatsOpts,
-               const stats::StatsSummary *Stats) {
-  std::ofstream Out(Path);
-  if (!Out) {
-    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
-    std::exit(1);
-  }
-  // Everything below runs on the virtual clock: the whole file is
-  // deterministic and ci/check.sh CHECK_PACKAGE byte-compares it
-  // against the committed BENCH_package.json.
-  Out << "{\n";
-  Out << strFormat("  \"site\": {\"helpers\": %u, \"endpoints\": %u, "
+/// Everything here runs on the virtual clock, so the whole file is
+/// deterministic and the snapshot check compares all of it.
+std::string renderJson(const core::DriftSweepParams &P,
+                       const core::DriftSweepResult &R,
+                       const bench::StatsCliOptions &StatsOpts,
+                       const stats::StatsSummary *Stats) {
+  std::string Out = "{\n";
+  Out += strFormat("  \"site\": {\"helpers\": %u, \"endpoints\": %u, "
                    "\"max_age\": %u, \"seeder_requests\": %u},\n",
                    P.Site.NumHelpers, P.Site.NumEndpoints, P.MaxAge,
                    P.SeederRequests);
-  Out << "  \"drift\": [\n";
+  Out += "  \"drift\": [\n";
   for (size_t I = 0; I < R.Points.size(); ++I) {
     const core::DriftAgePoint &Pt = R.Points[I];
-    Out << strFormat(
+    Out += strFormat(
         "    {\"age\": %u, \"jump_start\": %s, \"profiled_funcs\": %zu, "
         "\"funcs_dropped\": %zu, \"package_bytes\": %zu, "
         "\"wire_bytes\": %zu, \"loss_with\": %.6f, \"loss_without\": %.6f, "
@@ -147,15 +149,16 @@ void writeJson(const std::string &Path, const core::DriftSweepParams &P,
         stats::warmupClassName(Pt.WarmClass.Class), Pt.ColdClass.SteadyStart,
         Pt.WarmClass.SteadyStart, I + 1 < R.Points.size() ? "," : "");
   }
-  Out << strFormat("  ]%s\n", Stats ? "," : "");
+  Out += strFormat("  ]%s\n", Stats ? "," : "");
   if (Stats)
-    Out << bench::statsBlockJson("jumpstart_normalized_rps", StatsOpts,
-                                 *Stats)
-        << "\n";
-  Out << "}\n";
+    Out += bench::statsBlockJson("jumpstart_normalized_rps", StatsOpts,
+                                 *Stats) +
+           "\n";
+  return Out + "}\n";
 }
 
 int runSweep(bool Quick, const std::string &JsonPath,
+             const std::string &SnapshotPath,
              const bench::StatsCliOptions &StatsOpts) {
   core::DriftSweepParams P = sweepParams(Quick);
   core::DriftSweepResult R = core::runDriftSweep(P);
@@ -179,9 +182,15 @@ int runSweep(bool Quick, const std::string &JsonPath,
                 stats::warmupClassName(Stats.WorstClass), Stats.SteadyCI.Lo,
                 Stats.SteadyCI.Hi, Stats.SteadyStartMean);
   }
+  std::string Json =
+      renderJson(P, R, StatsOpts, StatsOpts.Enabled ? &Stats : nullptr);
   if (!JsonPath.empty())
-    writeJson(JsonPath, P, R, StatsOpts, StatsOpts.Enabled ? &Stats : nullptr);
-  return 0;
+    bench::writeFile(JsonPath, Json);
+  if (SnapshotPath.empty())
+    return 0;
+  return bench::checkSnapshot(SnapshotPath,
+                              {{"whole file", Json, /*WholeFile=*/true}},
+                              "bench/run_bench.sh --package");
 }
 
 /// Grows one package on \p W: a seeder-instrumented server executes
@@ -295,16 +304,17 @@ int runCheck(uint32_t Programs, uint64_t Seed) {
 int main(int argc, char **argv) {
   bool Quick = false;
   std::string JsonPath;
+  std::string SnapshotPath;
   int CheckPrograms = -1;
   uint64_t CheckSeed = 1;
-  bench::StatsCliOptions StatsOpts;
+  bench::StatsCliOptions StatsOpts = defaultStatsOptions();
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--quick") == 0) {
       Quick = true;
-    } else if (std::strcmp(argv[I], "--sweep") == 0) {
-      // default mode; accepted for symmetry
     } else if (std::strcmp(argv[I], "--json") == 0 && I + 1 < argc) {
       JsonPath = argv[++I];
+    } else if (std::strcmp(argv[I], "--check-against") == 0 && I + 1 < argc) {
+      SnapshotPath = argv[++I];
     } else if (std::strcmp(argv[I], "--check") == 0 && I + 2 < argc) {
       CheckPrograms = std::atoi(argv[++I]);
       CheckSeed = static_cast<uint64_t>(std::atoll(argv[++I]));
@@ -318,13 +328,14 @@ int main(int argc, char **argv) {
       }
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--sweep] [--quick] [--json PATH] "
-                   "[--check PROGRAMS SEED] [--stats [seeds=N,iters=M]]\n",
+                   "usage: %s [--quick] [--json PATH] "
+                   "[--check PROGRAMS SEED] [--stats [seeds=N,iters=M]] "
+                   "[--check-against SNAPSHOT]\n",
                    argv[0]);
       return 2;
     }
   }
   if (CheckPrograms >= 0)
     return runCheck(static_cast<uint32_t>(CheckPrograms), CheckSeed);
-  return runSweep(Quick, JsonPath, StatsOpts);
+  return runSweep(Quick, JsonPath, SnapshotPath, StatsOpts);
 }

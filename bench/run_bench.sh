@@ -16,9 +16,9 @@
 #                                       # unless --json/--counters are given
 #   bench/run_bench.sh --server         # rewrites ./BENCH_server.json (always
 #                                       # the --quick workload: its
-#                                       # deterministic fields are what
-#                                       # CHECK_SERVER re-checks, and they
-#                                       # depend on the request count)
+#                                       # deterministic fields depend on
+#                                       # the request count, and the
+#                                       # tier-1 check re-runs --quick)
 #   bench/run_bench.sh --package        # rewrites ./BENCH_package.json (the
 #                                       # full staleness-under-drift sweep)
 #   bench/run_bench.sh --all            # rewrites all three snapshots; exits
@@ -30,19 +30,20 @@
 #
 # Snapshot runs always include the multi-seed `--stats` sweep, so every
 # committed BENCH_*.json carries a `stats` block (warmup classes,
-# steady-state confidence interval, per-seed changepoints).  The canonical
-# specs below are what the committed snapshots were generated with; the
-# stats sub-runs use fixed workload sizes independent of --quick, so
-# ci/check.sh's quick re-runs reproduce the committed stats blocks
-# byte-for-byte.
+# steady-state confidence interval, per-seed changepoints).  A bare
+# `--stats` makes each harness use the spec its committed snapshot was
+# generated with; the stats sub-runs use fixed workload sizes
+# independent of --quick.
 #
-# The committed BENCH_interp.json at the repo root is this script's full
-# output on some host: wall-clock fields are host-dependent, but the
-# counter fields (steps, allocs, IC hits) are deterministic, and
-# ci/check.sh's CHECK_PERF stage re-runs --quick against the snapshot,
-# gating on the steady-state CI instead of a single number.  BENCH_*.json
-# is gitignored except the committed snapshots, so scratch runs never
-# dirty the tree.
+# This script is the one writer of the snapshots, and each harness's
+# `--check-against SNAPSHOT` is the one reader: tier-1 tests re-run the
+# harnesses and fail unless every deterministic block they render (the
+# `stats` blocks, server_load's `deterministic` line, the whole package
+# file) appears in the committed file byte for byte.  Wall-clock fields
+# are host-dependent and never checked.  A change that moves a
+# deterministic field reruns this script and says why.  BENCH_*.json is
+# gitignored except the committed snapshots, so scratch runs never dirty
+# the tree.
 
 set -euo pipefail
 
@@ -55,12 +56,6 @@ COUNTERS_PATH=""
 MODE="interp"
 THREADS=""
 STATS_SPEC=""
-
-# The specs the committed snapshots are generated with (and that
-# ci/check.sh re-derives when byte-comparing stats blocks).
-INTERP_STATS="seeds=5,iters=30"
-SERVER_STATS="seeds=5,iters=30"
-PACKAGE_STATS="seeds=3,iters=60"
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -79,14 +74,16 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
-# Runs one bench binary, checking its exit code explicitly: a failing
+# Runs one bench binary with the stats sweep (the committed spec unless
+# --stats overrides it), checking its exit code explicitly: a failing
 # bench must fail the script even when more benches follow (--all).
 # Returns the binary's status so --all can accumulate failures.
 run_target() {
   local target="$1"; shift
   cmake --build "${BUILD_DIR}" --target "${target}" -j "${JOBS}" >/dev/null
   local status=0
-  "${BUILD_DIR}/bench/${target}" "$@" || status=$?
+  "${BUILD_DIR}/bench/${target}" "$@" --stats ${STATS_SPEC:+"${STATS_SPEC}"} \
+    || status=$?
   if [[ "${status}" -ne 0 ]]; then
     echo "run_bench.sh: FAIL: ${target} exited with status ${status}" >&2
   fi
@@ -103,7 +100,6 @@ run_interp() {
   fi
   [[ -n "${json}" ]] && args+=(--json "${json}")
   [[ -n "${COUNTERS_PATH}" ]] && args+=(--counters "${COUNTERS_PATH}")
-  args+=(--stats "${STATS_SPEC:-${INTERP_STATS}}")
   run_target micro_interp "${args[@]}"
   if [[ -n "${json}" ]]; then
     echo "run_bench.sh: wrote ${json}"
@@ -116,16 +112,14 @@ run_server() {
   local json="${JSON_PATH:-${REPO_DIR}/BENCH_server.json}"
   local args=(--quick --json "${json}" --threads "${THREADS:-4}")
   [[ -n "${COUNTERS_PATH}" ]] && args+=(--counters "${COUNTERS_PATH}")
-  args+=(--stats "${STATS_SPEC:-${SERVER_STATS}}")
   run_target server_load "${args[@]}"
   echo "run_bench.sh: wrote ${json}"
 }
 
 run_package() {
   local json="${JSON_PATH:-${REPO_DIR}/BENCH_package.json}"
-  local args=(--sweep --json "${json}")
+  local args=(--json "${json}")
   [[ -n "${QUICK}" ]] && args+=("${QUICK}")
-  args+=(--stats "${STATS_SPEC:-${PACKAGE_STATS}}")
   run_target package_lifecycle "${args[@]}"
   echo "run_bench.sh: wrote ${json}"
 }

@@ -20,10 +20,11 @@
 /// output (served/shed counts, the per-index observables digest, the
 /// translation placement digest, snapshots published) is deterministic
 /// by the serving engine's contract -- byte-identical across runs AND
-/// across client thread counts, which ci/check.sh's CHECK_SERVER stage
-/// asserts by diffing `--threads 1` against `--threads 4`.  The
-/// checked-in BENCH_server.json is this harness's `--quick --json`
-/// output; CHECK_SERVER re-checks its deterministic fields every run.
+/// across client thread counts.  The checked-in BENCH_server.json is this
+/// harness's `--quick --stats --json` output.  Two tier-1 tests re-run
+/// `--quick --stats --check-against BENCH_server.json` at `--threads 1`
+/// and `--threads 4`, and each fails unless its `deterministic` line and
+/// `stats` block appear in the snapshot byte for byte.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +39,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -243,34 +243,17 @@ void printPhase(const char *Name, const std::vector<double> &Sorted) {
               percentile(Sorted, 0.95), percentile(Sorted, 0.99));
 }
 
-void emitPhaseJson(std::ofstream &Out, const char *Name,
-                   const std::vector<double> &Sorted, const char *Trail) {
-  Out << strFormat("    \"%s\": {\"samples\": %zu, \"p50_ns\": %.0f, "
+std::string phaseJson(const char *Name, const std::vector<double> &Sorted,
+                      const char *Trail) {
+  return strFormat("    \"%s\": {\"samples\": %zu, \"p50_ns\": %.0f, "
                    "\"p95_ns\": %.0f, \"p99_ns\": %.0f}%s\n",
                    Name, Sorted.size(), percentile(Sorted, 0.50),
                    percentile(Sorted, 0.95), percentile(Sorted, 0.99), Trail);
 }
 
-void writeJson(const std::string &Path, const LoadResult &R,
-               const bench::StatsCliOptions &StatsOpts,
-               const stats::StatsSummary *Stats) {
-  std::ofstream Out(Path);
-  if (!Out) {
-    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
-    std::exit(1);
-  }
-  Out << "{\n";
-  // Host-dependent: reported, never gated.
-  Out << strFormat("  \"host\": {\n    \"threads\": %u, \"seconds\": %.6f, "
-                   "\"requests_per_sec\": %.1f, \"warmup_boundary\": %llu,\n",
-                   R.Threads, R.Seconds, R.requestsPerSec(),
-                   static_cast<unsigned long long>(R.WarmupBoundary));
-  emitPhaseJson(Out, "warmup", R.WarmupNs, ",");
-  emitPhaseJson(Out, "steady", R.SteadyNs, "");
-  Out << "  },\n";
-  // Deterministic: ci/check.sh CHECK_SERVER byte-checks these against a
-  // fresh run (and across --threads 1/4).
-  Out << strFormat(
+/// The deterministic line: identical for any client thread count.
+std::string deterministicLine(const LoadResult &R, bool HasStats) {
+  return strFormat(
       "  \"deterministic\": {\"requests\": %llu, \"served\": %llu, "
       "\"shed\": %llu, \"faults\": %llu, \"snapshots_published\": %llu, "
       "\"snapshots_reclaimed\": %llu, \"translations\": %llu, "
@@ -283,22 +266,36 @@ void writeJson(const std::string &Path, const LoadResult &R,
       static_cast<unsigned long long>(R.Stats.SnapshotsReclaimed),
       static_cast<unsigned long long>(R.JitTranslations),
       static_cast<unsigned long long>(R.ObsDigest),
-      static_cast<unsigned long long>(R.PlacementDigest), Stats ? "," : "");
-  if (Stats)
-    Out << bench::statsBlockJson("virtual_seconds_per_request", StatsOpts,
-                                 *Stats)
-        << "\n";
-  Out << "}\n";
+      static_cast<unsigned long long>(R.PlacementDigest), HasStats ? "," : "");
 }
 
-void writeCounters(const std::string &Path, const LoadResult &R,
-                   const stats::StatsSummary *Stats) {
-  std::ofstream Out(Path);
-  if (!Out) {
-    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
-    std::exit(1);
-  }
-  Out << strFormat(
+std::string statsBlock(const bench::StatsCliOptions &StatsOpts,
+                       const stats::StatsSummary &Stats) {
+  return bench::statsBlockJson("virtual_seconds_per_request", StatsOpts,
+                               Stats);
+}
+
+std::string renderJson(const LoadResult &R,
+                       const bench::StatsCliOptions &StatsOpts,
+                       const stats::StatsSummary *Stats) {
+  std::string Out = "{\n";
+  // Host-dependent: reported, never checked.
+  Out += strFormat("  \"host\": {\n    \"threads\": %u, \"seconds\": %.6f, "
+                   "\"requests_per_sec\": %.1f, \"warmup_boundary\": %llu,\n",
+                   R.Threads, R.Seconds, R.requestsPerSec(),
+                   static_cast<unsigned long long>(R.WarmupBoundary));
+  Out += phaseJson("warmup", R.WarmupNs, ",");
+  Out += phaseJson("steady", R.SteadyNs, "");
+  Out += "  },\n";
+  Out += deterministicLine(R, Stats != nullptr);
+  if (Stats)
+    Out += statsBlock(StatsOpts, *Stats) + "\n";
+  return Out + "}\n";
+}
+
+std::string renderCounters(const LoadResult &R,
+                           const stats::StatsSummary *Stats) {
+  std::string Out = strFormat(
       "serve requests=%llu served=%llu shed=%llu faults=%llu "
       "snapshots=%llu reclaimed=%llu translations=%llu "
       "obs_digest=%016llx placement_digest=%016llx\n",
@@ -312,7 +309,8 @@ void writeCounters(const std::string &Path, const LoadResult &R,
       static_cast<unsigned long long>(R.ObsDigest),
       static_cast<unsigned long long>(R.PlacementDigest));
   if (Stats)
-    Out << bench::statsCountersLine("virtual_seconds_per_request", *Stats);
+    Out += bench::statsCountersLine("virtual_seconds_per_request", *Stats);
+  return Out;
 }
 
 } // namespace
@@ -323,6 +321,7 @@ int main(int argc, char **argv) {
   uint32_t Threads = 4;
   std::string JsonPath;
   std::string CountersPath;
+  std::string SnapshotPath;
   bench::StatsCliOptions StatsOpts;
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--quick") == 0) {
@@ -332,6 +331,8 @@ int main(int argc, char **argv) {
       JsonPath = argv[++I];
     } else if (std::strcmp(argv[I], "--counters") == 0 && I + 1 < argc) {
       CountersPath = argv[++I];
+    } else if (std::strcmp(argv[I], "--check-against") == 0 && I + 1 < argc) {
+      SnapshotPath = argv[++I];
     } else if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
       Threads = static_cast<uint32_t>(std::atoi(argv[++I]));
       if (Threads == 0) {
@@ -349,7 +350,8 @@ int main(int argc, char **argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--quick] [--json PATH] [--counters PATH] "
-                   "[--threads N] [--stats [seeds=N,iters=M]]\n",
+                   "[--threads N] [--stats [seeds=N,iters=M]] "
+                   "[--check-against SNAPSHOT]\n",
                    argv[0]);
       return 2;
     }
@@ -388,9 +390,17 @@ int main(int argc, char **argv) {
                 stats::warmupClassName(Stats.WorstClass), Stats.SteadyCI.Lo,
                 Stats.SteadyCI.Hi, Stats.SteadyStartMean);
 
+  const stats::StatsSummary *MaybeStats = StatsOpts.Enabled ? &Stats : nullptr;
   if (!JsonPath.empty())
-    writeJson(JsonPath, R, StatsOpts, StatsOpts.Enabled ? &Stats : nullptr);
+    bench::writeFile(JsonPath, renderJson(R, StatsOpts, MaybeStats));
   if (!CountersPath.empty())
-    writeCounters(CountersPath, R, StatsOpts.Enabled ? &Stats : nullptr);
-  return 0;
+    bench::writeFile(CountersPath, renderCounters(R, MaybeStats));
+  if (SnapshotPath.empty())
+    return 0;
+  std::vector<bench::SnapshotBlock> Blocks{
+      {"deterministic", deterministicLine(R, MaybeStats != nullptr)}};
+  if (MaybeStats)
+    Blocks.push_back({"stats", statsBlock(StatsOpts, Stats)});
+  return bench::checkSnapshot(SnapshotPath, Blocks,
+                              "bench/run_bench.sh --server");
 }

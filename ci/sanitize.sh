@@ -17,6 +17,10 @@
 # -fno-sanitize-recover=all is set by the JUMPSTART_SANITIZE cmake
 # option, so a finding aborts the offending test and fails ctest.
 #
+# The suite includes the bench harnesses' snapshot checks, so the
+# interpreter, concurrent-serving and package-lifecycle harnesses run
+# instrumented too (server_load at --threads 1 and 4).
+#
 # The thread set exists for the host compile pool (support::ThreadPool,
 # jit::ParallelRetranslate, the sharded fleet/deployment fan-outs): on
 # top of the full test suite it runs the fig4_warmup --threads sweep and
@@ -70,25 +74,6 @@ export TSAN_OPTIONS="halt_on_error=1:abort_on_error=1:second_deadlock_stack=1"
 # uninstrumented sweep plus a 50-program smoke.
 ctest --test-dir "${BUILD_DIR}" -LE tier2 --output-on-failure -j "${JOBS}"
 
-# The interpreter perf harness exercises the frame arena, interned
-# strings, and the inline-cache side table far harder than any unit
-# test; run its quick mode -- with a small multi-seed stats sweep so the
-# changepoint/classifier/bootstrap analysis path is instrumented too.
-"${BUILD_DIR}/bench/micro_interp" --quick --stats seeds=2,iters=10 >/dev/null
-echo "sanitize.sh: micro_interp --quick --stats clean"
-
-# The concurrent-serving load harness is the densest epoch/snapshot
-# churn in the tree: N client threads pinning read epochs while the
-# background compiler publishes and reclaims translation snapshots.
-"${BUILD_DIR}/bench/server_load" --quick --threads 4 >/dev/null
-echo "sanitize.sh: server_load --quick clean"
-
-# The package lifecycle crosses every serialization boundary in one run
-# (merge, delta encode/apply, rebase, manager round trips, consumer
-# accept); the quick drift sweep gives the sanitizers that whole path.
-"${BUILD_DIR}/bench/package_lifecycle" --quick >/dev/null
-echo "sanitize.sh: package_lifecycle --quick clean"
-
 if [[ "${SANITIZERS}" == "thread" ]]; then
   TMP_DIR="$(mktemp -d)"
   trap 'rm -rf "${TMP_DIR}"' EXIT
@@ -105,17 +90,4 @@ if [[ "${SANITIZERS}" == "thread" ]]; then
     done
   done
   echo "sanitize.sh: fig4_warmup exports byte-identical under TSan for --threads 1/2/8"
-
-  # Concurrent serving: the deterministic counters must survive client
-  # thread count even with TSan's scheduling distortion.
-  for THREADS in 1 4; do
-    "${BUILD_DIR}/bench/server_load" --quick --threads "${THREADS}" \
-      --counters "${TMP_DIR}/serve-t${THREADS}.counters" >/dev/null
-  done
-  if ! cmp -s "${TMP_DIR}/serve-t1.counters" "${TMP_DIR}/serve-t4.counters"; then
-    echo "sanitize.sh: FAIL: server_load counters differ across --threads 1/4 under TSan" >&2
-    diff "${TMP_DIR}/serve-t1.counters" "${TMP_DIR}/serve-t4.counters" >&2 || true
-    exit 1
-  fi
-  echo "sanitize.sh: server_load counters byte-identical under TSan for --threads 1/4"
 fi

@@ -22,7 +22,9 @@
 /// Every function runs pass zero (structural verification) plus the
 /// abstract-type dataflow passes; --package additionally runs the deep
 /// package lint with call-graph cross-checks; --gen gates the
-/// whole-program analysis (CHECK_ANALYZE in ci/check.sh).
+/// whole-program analysis (the tier-1 `jslint --gen 100 21` test) and
+/// fails when the sweep elided no guard at all, because an inert
+/// analysis would pass every soundness check vacuously.
 ///
 /// --json emits one JSON object on stdout with a stable schema:
 ///   {"findings": [{"pass", "severity", "func", "instr", "message"}...],
@@ -32,7 +34,7 @@
 ///                 "ic_seeds", "guards_elided", "ics_seeded", "programs"}}
 ///
 /// Exit status: 0 clean (warnings allowed), 1 any error-severity
-/// diagnostic, 2 usage/compile failure.
+/// diagnostic (or an inert --gen sweep), 2 usage/compile failure.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -305,6 +307,11 @@ int main(int argc, char **argv) {
                   static_cast<unsigned long long>(Totals.GuardsElided),
                   static_cast<unsigned long long>(Totals.ICsSeeded),
                   Rep.errors());
+    if (Totals.GuardsElided == 0) {
+      std::fprintf(stderr, "jslint: the sweep elided no guards (analysis "
+                           "inert)\n");
+      return 1;
+    }
     return Rep.errors() ? 1 : 0;
   }
 

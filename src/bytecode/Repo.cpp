@@ -131,11 +131,6 @@ std::vector<FuncId> Repo::allMethodResolutions(StringId Name) const {
   return Out;
 }
 
-FuncId Repo::uniqueMethodResolution(StringId Name) const {
-  std::vector<FuncId> All = allMethodResolutions(Name);
-  return All.size() == 1 ? All.front() : FuncId();
-}
-
 bool Repo::allClassesResolve(StringId Name) const {
   if (Classes.empty())
     return false;

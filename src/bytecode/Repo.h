@@ -85,10 +85,6 @@ public:
   /// \p Name contribute nothing.
   std::vector<FuncId> allMethodResolutions(StringId Name) const;
 
-  /// The single function every class that resolves \p Name resolves it
-  /// to; invalid when zero or more than one distinct target exists.
-  FuncId uniqueMethodResolution(StringId Name) const;
-
   /// True when *every* class of the repo resolves \p Name (so a method
   /// call on any object receiver cannot take the missing-method fault
   /// path).  False for a repo with no classes.

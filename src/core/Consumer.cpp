@@ -18,17 +18,6 @@ using namespace jumpstart::core;
 using support::Status;
 using support::StatusCode;
 
-void jumpstart::core::applyOptimizationOptions(vm::ServerConfig &Config,
-                                               const JumpStartOptions &Opts) {
-  Config.Jit.UseVasmCounters = Opts.VasmBlockCounters;
-  Config.Jit.UsePackageFuncOrder = Opts.FunctionOrder;
-  Config.ReorderProperties = Opts.PropertyReordering;
-  Config.UseAffinityPropOrder = Opts.AffinityPropertyOrder;
-  Config.Jit.Parallelism = Opts.Parallelism;
-  Config.Jit.PrecompileLiveCode = Opts.PrecompileLiveCode;
-  Config.Jit.ProvenGuardElision = Opts.ProvenGuardElision;
-}
-
 void jumpstart::core::attachProvenFacts(vm::ServerConfig &Config,
                                         const bc::Repo &R) {
   if (!Config.Jit.ProvenGuardElision || Config.Jit.Facts)
@@ -46,7 +35,6 @@ ConsumerOutcome jumpstart::core::startConsumer(const fleet::Workload &W,
                                                obs::Observability *Obs) {
   ConsumerOutcome Outcome;
   Rng R(P.Seed);
-  applyOptimizationOptions(BaseConfig, Opts);
   attachProvenFacts(BaseConfig, W.Repo);
   BaseConfig.Obs = Obs;
   BaseConfig.Name = P.Name;
@@ -120,7 +108,7 @@ ConsumerOutcome jumpstart::core::startConsumer(const fleet::Workload &W,
       // cross-checks profiled call targets/arcs against the static call
       // graph (the facts already paid for themselves at boot).
       std::vector<analysis::Diagnostic> Diags =
-          Linter.lintPackage(Pkg, Opts.ProvenGuardElision);
+          Linter.lintPackage(Pkg, BaseConfig.Jit.ProvenGuardElision);
       if (analysis::countErrors(Diags) > 0) {
         Reject(StatusCode::LintFailed,
                strFormat("package #%u failed strict lint (%zu errors, "

@@ -59,11 +59,6 @@ struct ConsumerOutcome {
   std::vector<support::Status> Rejections;
 };
 
-/// Applies the Jump-Start optimization switches of \p Opts to a server
-/// configuration (used by consumers and by the Figure 6 ablation).
-void applyOptimizationOptions(vm::ServerConfig &Config,
-                              const JumpStartOptions &Opts);
-
 /// Runs the whole-program analysis over \p R and attaches the distilled
 /// JIT facts to \p Config.  No-op unless ProvenGuardElision is enabled
 /// and no facts are attached yet, so callers can pre-attach a shared

@@ -18,10 +18,6 @@ using support::StatusCode;
 
 std::vector<std::string> JumpStartOptions::validate() const {
   std::vector<std::string> Diags;
-  if (AffinityPropertyOrder && !PropertyReordering)
-    Diags.push_back("affinity_property_order requires property_reordering "
-                    "(affinity ordering is a refinement of the hotness "
-                    "reordering machinery)");
   if (Enabled && MaxConsumerAttempts == 0)
     Diags.push_back("max_consumer_attempts must be >= 1 when Jump-Start is "
                     "enabled (consumers need at least one attempt)");
@@ -86,14 +82,6 @@ Status parseDouble(std::string_view Key, std::string_view Value,
 Status JumpStartOptions::set(std::string_view Key, std::string_view Value) {
   if (Key == "enabled")
     return parseBool(Key, Value, Enabled);
-  if (Key == "vasm_block_counters")
-    return parseBool(Key, Value, VasmBlockCounters);
-  if (Key == "function_order")
-    return parseBool(Key, Value, FunctionOrder);
-  if (Key == "property_reordering")
-    return parseBool(Key, Value, PropertyReordering);
-  if (Key == "affinity_property_order")
-    return parseBool(Key, Value, AffinityPropertyOrder);
   if (Key == "max_consumer_attempts")
     return parseUInt(Key, Value, MaxConsumerAttempts);
   if (Key == "strict_package_lint")
@@ -102,12 +90,6 @@ Status JumpStartOptions::set(std::string_view Key, std::string_view Value) {
     return parseUInt(Key, Value, ValidationRequests);
   if (Key == "max_validation_fault_rate")
     return parseDouble(Key, Value, MaxValidationFaultRate);
-  if (Key == "parallelism")
-    return parseUInt(Key, Value, Parallelism);
-  if (Key == "precompile_live_code")
-    return parseBool(Key, Value, PrecompileLiveCode);
-  if (Key == "proven_guard_elision")
-    return parseBool(Key, Value, ProvenGuardElision);
   if (Key == "min_profiled_funcs")
     return parseUInt(Key, Value, Coverage.MinProfiledFuncs);
   if (Key == "min_total_samples")
@@ -151,10 +133,6 @@ JumpStartOptions::toKeyValues() const {
   auto B = [](bool V) { return std::string(V ? "true" : "false"); };
   std::vector<std::pair<std::string, std::string>> KVs;
   KVs.emplace_back("enabled", B(Enabled));
-  KVs.emplace_back("vasm_block_counters", B(VasmBlockCounters));
-  KVs.emplace_back("function_order", B(FunctionOrder));
-  KVs.emplace_back("property_reordering", B(PropertyReordering));
-  KVs.emplace_back("affinity_property_order", B(AffinityPropertyOrder));
   KVs.emplace_back("max_consumer_attempts",
                    strFormat("%u", MaxConsumerAttempts));
   KVs.emplace_back("strict_package_lint", B(StrictPackageLint));
@@ -162,9 +140,6 @@ JumpStartOptions::toKeyValues() const {
                    strFormat("%u", ValidationRequests));
   KVs.emplace_back("max_validation_fault_rate",
                    strFormat("%g", MaxValidationFaultRate));
-  KVs.emplace_back("parallelism", strFormat("%u", Parallelism));
-  KVs.emplace_back("precompile_live_code", B(PrecompileLiveCode));
-  KVs.emplace_back("proven_guard_elision", B(ProvenGuardElision));
   KVs.emplace_back("min_profiled_funcs",
                    strFormat("%zu", Coverage.MinProfiledFuncs));
   KVs.emplace_back(

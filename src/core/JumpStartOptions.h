@@ -10,9 +10,9 @@
 ///
 /// These correspond to HHVM runtime options: the master enable switch
 /// (paper section VI: "a simple configuration option to disable
-/// Jump-Start ... as a last resort"), the per-optimization switches the
-/// Figure 6 ablation toggles, and the validation/fallback thresholds of
-/// section VI.
+/// Jump-Start ... as a last resort") and the validation/fallback
+/// thresholds of section VI.  The per-optimization switches the Figure 6
+/// ablation toggles live only on vm::ServerConfig and jit::JitConfig.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,18 +38,6 @@ struct JumpStartOptions {
   /// Master switch.  Off: every server collects its own profile.
   bool Enabled = true;
 
-  // Steady-state optimizations built on Jump-Start (paper section V).
-  /// V-A: drive block layout with seeder-collected Vasm counters.
-  bool VasmBlockCounters = true;
-  /// V-B: place functions using the seeder-computed (tier-2 call graph)
-  /// order.
-  bool FunctionOrder = true;
-  /// V-C: reorder object properties by access hotness.
-  bool PropertyReordering = true;
-  /// V-C future work: order properties by co-access affinity instead of
-  /// hotness (requires affinity counters in the package).
-  bool AffinityPropertyOrder = false;
-
   // Reliability (paper section VI).
   /// Consumer restarts with Jump-Start before automatic no-Jump-Start
   /// fallback.
@@ -66,25 +54,6 @@ struct JumpStartOptions {
   /// Maximum tolerated faults per validation request.
   double MaxValidationFaultRate = 0.05;
 
-  // Consumer precompile (retranslate-all) behaviour.  These mirror
-  // jit::JitConfig fields; applyOptimizationOptions() copies them over
-  // (see DESIGN.md "Options layering" for the full mapping).
-  /// Cores the virtual cost model charges for the consumer's precompile
-  /// pass (jit::JitConfig::Parallelism): 0 uses every modeled core,
-  /// otherwise clamped to the server's core count.
-  uint32_t Parallelism = 0;
-  /// Also pre-lower the package's recorded live translations during the
-  /// precompile pass (jit::JitConfig::PrecompileLiveCode).
-  bool PrecompileLiveCode = false;
-
-  // Whole-program static analysis driving the JIT.
-  /// Compute interprocedural facts (analysis::WholeProgram) and act on
-  /// them: elide provably-redundant guards, devirtualize
-  /// proven-monomorphic virtual sites, and pre-seed interpreter inline
-  /// caches at startup (jit::JitConfig::ProvenGuardElision).  Off by
-  /// default; the conformance ablation matrix exercises both settings.
-  bool ProvenGuardElision = false;
-
   //===--------------------------------------------------------------------===
   // Validated-options API.
   //===--------------------------------------------------------------------===
@@ -94,13 +63,13 @@ struct JumpStartOptions {
   std::vector<std::string> validate() const;
 
   /// Sets one option by its snake_case key ("enabled",
-  /// "vasm_block_counters", "max_consumer_attempts", ...).  \returns
+  /// "strict_package_lint", "max_consumer_attempts", ...).  \returns
   /// invalid_argument for unknown keys or unparseable values.  See
   /// toKeyValues() for the full key list.
   support::Status set(std::string_view Key, std::string_view Value);
 
   /// Applies a comma- or whitespace-separated list of key=value
-  /// assignments ("enabled=true,function_order=false").  Stops at the
+  /// assignments ("enabled=true,strict_package_lint=false").  Stops at the
   /// first error.
   support::Status parseAssignments(std::string_view Text);
 

@@ -154,7 +154,6 @@ public:
   /// Starts a new release epoch; subsequent publishes are stamped with
   /// the returned epoch.
   uint32_t beginRelease() { return ++CurrentRelease; }
-  uint32_t currentRelease() const { return CurrentRelease; }
 
   /// Manifests of every package on the shelf, in publication order.
   std::vector<PackageManifest> manifests(uint32_t Region,

@@ -57,9 +57,6 @@ public:
         static_cast<int64_t>(R.nextBelow(1u << 20)))};
   }
 
-  uint32_t numRegions() const { return P.NumRegions; }
-  uint32_t numBuckets() const { return W.NumPartitions; }
-
 private:
   const Workload &W;
   TrafficParams P;

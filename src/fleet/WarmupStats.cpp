@@ -14,12 +14,6 @@ using namespace jumpstart::fleet;
 using jumpstart::strFormat;
 
 stats::Classification
-jumpstart::fleet::classifyWarmupLatency(const WarmupResult &R,
-                                        const stats::ClassifyParams &P) {
-  return stats::classifySeries(R.latencySeconds().values(), P);
-}
-
-stats::Classification
 jumpstart::fleet::classifyWarmupThroughput(const WarmupResult &R,
                                            const stats::ClassifyParams &P) {
   return stats::classifySeries(R.normalizedRps().values(), P);

@@ -9,13 +9,14 @@
 /// Warmup-curve classification for fleet simulations.
 ///
 /// Bridges the fleet layer's virtual-time warmup curves (WarmupResult's
-/// registry-backed latency series) into the stats/ changepoint
+/// registry-backed normalized-RPS series) into the stats/ changepoint
 /// classifier, and renders the Jump-Start on/off warmup-class-transition
 /// table the paper's Figure 4 motivates: per (server, seed), the class
 /// of the cold-start curve next to the class of the Jump-Start curve.
 /// The expected transition is warmup -> flat (or at least an earlier
-/// steady-state iteration); a run that stays `warmup` with Jump-Start on
-/// is a regression the statistical CHECK_PERF gate flags.
+/// steady-state iteration).  The classes land in fig4's exported
+/// `classes.json` and in BENCH_package.json's per-age columns, which the
+/// tier-1 snapshot check requires verbatim.
 ///
 /// Everything here is deterministic: the input curves come from the
 /// virtual clock, classification is RNG-free, and both renderings format
@@ -35,33 +36,17 @@
 
 namespace jumpstart::fleet {
 
-/// Classification parameters tuned for virtual-time latency curves.
-/// Latency-like (lower is better), with a looser equivalence tolerance
-/// than the allocation-counter default: the simulated latency oscillates
-/// a few percent tick-to-tick with traffic-model load, and those wobbles
-/// are not warmup phases.  Outlier masking is OFF for every fleet curve:
-/// the virtual clock has no measurement noise to clip, and when most of
-/// a run sits at its steady value the Tukey fences collapse (IQR = 0)
-/// and would winsorize away the very warmup ramp being classified.
-inline stats::ClassifyParams warmupLatencyClassifyParams() {
-  stats::ClassifyParams P;
-  P.LowerIsBetter = true;
-  P.RelTolerance = 0.05;
-  P.MaskOutliers = false;
-  return P;
-}
-
-/// Classifies a warmup run's per-tick latency curve.  Deterministic.
-stats::Classification
-classifyWarmupLatency(const WarmupResult &R,
-                      const stats::ClassifyParams &P =
-                          warmupLatencyClassifyParams());
-
 /// Parameters for the normalized-RPS (served/offered) curve: throughput
-/// direction (higher is better).  Unlike raw latency -- which the JIT's
-/// live tail keeps nudging down for the whole window -- the normalized
-/// curve saturates once the server reaches offered capacity, so it is
-/// the curve whose steady state the transition table reads.
+/// direction (higher is better), with a 5% equivalence tolerance: the
+/// simulated load wobbles a few percent tick-to-tick, and those wobbles
+/// are not warmup phases.  Unlike raw latency -- which the JIT's live
+/// tail keeps nudging down for the whole window -- the normalized curve
+/// saturates once the server reaches offered capacity, so it is the
+/// curve whose steady state the transition table reads.  Outlier masking
+/// is off: the virtual clock has no measurement noise to clip, and when
+/// most of a run sits at its steady value the Tukey fences collapse
+/// (IQR = 0) and would winsorize away the very warmup ramp being
+/// classified.
 inline stats::ClassifyParams warmupThroughputClassifyParams() {
   stats::ClassifyParams P;
   P.LowerIsBetter = false;

@@ -34,7 +34,6 @@ public:
 
 private:
   // Token stream management.
-  const Token &cur() const { return Cur; }
   void bump();
   bool check(TokKind K) const { return Cur.Kind == K; }
   bool accept(TokKind K);

@@ -59,10 +59,6 @@ uint64_t CodeCache::allocate(CodeArea Area, uint64_t Bytes) {
   return Addr;
 }
 
-uint64_t CodeCache::totalUsed() const {
-  return Used[0] + Used[1] + Used[2] + Used[3];
-}
-
 void CodeCache::resetHotCold() {
   Used[static_cast<unsigned>(CodeArea::Hot)] = 0;
   Used[static_cast<unsigned>(CodeArea::Cold)] = 0;

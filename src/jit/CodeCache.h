@@ -58,9 +58,6 @@ public:
 
   bool isFull(CodeArea Area) const { return used(Area) >= capacity(Area); }
 
-  /// Total bytes of code across all areas (Figure 1's y-axis).
-  uint64_t totalUsed() const;
-
   /// Resets the hot and cold areas so optimized code can be re-placed
   /// (the relocation step between points B and C of Figure 1 re-places
   /// translations from scratch in the function-sorted order).

@@ -155,7 +155,6 @@ public:
   }
 
   const TransDb &transDb() const { return Db; }
-  TransDb &transDbMutable() { return Db; }
   CodeCache &codeCache() { return Cache; }
   bc::BlockCache &blockCache() { return Blocks; }
   profile::ProfileStore &profileStore() { return Store; }
@@ -181,13 +180,6 @@ public:
   /// Guards the whole-program analysis let optimized lowering skip so
   /// far (sum of VasmUnit::ElidedGuards over installed translations).
   uint64_t guardsElided() const { return Db.guardsElided(); }
-
-  /// True when the JIT has stopped producing code (live area full or no
-  /// pending work and nothing new arriving) -- Figure 1's point "D" is
-  /// when this first holds in Mature phase with a full live area.
-  bool liveAreaFull() const {
-    return Cache.isFull(CodeArea::Live);
-  }
 
   //===--------------------------------------------------------------------===
   // Events from the VM server.

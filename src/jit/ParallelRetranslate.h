@@ -60,8 +60,6 @@ struct RetranslateStats {
   size_t FunctionsCompiled = 0;   ///< compile jobs enqueued
   size_t TranslationsPlaced = 0;  ///< translations placed in the cache
   uint32_t HostWorkers = 0;       ///< pool size used (0 = inline)
-
-  double totalUnits() const { return CompileUnits + RelocateUnits; }
 };
 
 /// Drives one retranslate-all over \p J using \p Pool for host-side

@@ -84,10 +84,6 @@ struct ProvenFacts {
   static uint64_t siteKey(uint32_t Func, uint32_t Pc) {
     return (static_cast<uint64_t>(Func) << 32) | Pc;
   }
-
-  size_t numFacts() const {
-    return ProvenCalls.size() + ProvenMasks.size() + ICSeeds.size();
-  }
 };
 
 inline const char *guardProofName(GuardProof P) {

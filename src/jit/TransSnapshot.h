@@ -55,9 +55,6 @@ struct TransSnapshot {
   /// Jit::execCostPerBytecode over every function.
   std::vector<double> CostPerBytecode;
 
-  /// Cost of running \p F under this snapshot.
-  double costFor(bc::FuncId F) const { return CostPerBytecode[F.raw()]; }
-
   /// Captures the current translation state of \p J.  Must run on the
   /// thread that owns the Jit (the background compile thread, or the
   /// serial path); the Jit must not be mutated during the call.
@@ -96,8 +93,6 @@ public:
 
   /// Snapshots installed so far.
   uint64_t published() const { return Published.load(std::memory_order_relaxed); }
-
-  support::EpochDomain &domain() { return Domain; }
 
 private:
   support::EpochDomain &Domain;

@@ -52,15 +52,7 @@ public:
 
   size_t numBlocks() const { return Blocks.size(); }
   const CfgBlock &block(uint32_t Id) const { return Blocks[Id]; }
-  CfgBlock &blockMutable(uint32_t Id) { return Blocks[Id]; }
   const std::vector<CfgEdge> &edges() const { return Edges; }
-
-  /// Sets the execution weight of \p Id (used when injecting the profile
-  /// counters from a Jump-Start package right before layout).
-  void setBlockWeight(uint32_t Id, uint64_t W) { Blocks[Id].Weight = W; }
-
-  /// Total bytes across all blocks.
-  uint64_t totalBytes() const;
 
 private:
   std::vector<CfgBlock> Blocks;

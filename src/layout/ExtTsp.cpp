@@ -26,13 +26,6 @@ void Cfg::addEdge(uint32_t Src, uint32_t Dst, uint64_t Weight) {
   Edges.push_back(CfgEdge{Src, Dst, Weight});
 }
 
-uint64_t Cfg::totalBytes() const {
-  uint64_t Total = 0;
-  for (const CfgBlock &B : Blocks)
-    Total += B.SizeBytes;
-  return Total;
-}
-
 namespace {
 
 /// Scores one edge given source end offset and destination start offset.

@@ -167,12 +167,6 @@ const TimeSeries *MetricsRegistry::findSeries(std::string_view Name,
   return E ? &Series[E->Index] : nullptr;
 }
 
-std::vector<double> MetricsRegistry::seriesValues(std::string_view Name,
-                                                  const LabelSet &Labels) const {
-  const TimeSeries *S = findSeries(Name, Labels);
-  return S ? S->values() : std::vector<double>{};
-}
-
 std::vector<MetricsRegistry::Entry> MetricsRegistry::sortedEntries() const {
   std::vector<Entry> Entries;
   Entries.reserve(Index.size());

@@ -134,12 +134,6 @@ public:
   const TimeSeries *findSeries(std::string_view Name,
                                const LabelSet &Labels = {}) const;
 
-  /// The recorded values of a series in recording order, or empty when
-  /// no such series exists.  The bridge from registry curves to the
-  /// stats/ changepoint and warmup-classification analyses.
-  std::vector<double> seriesValues(std::string_view Name,
-                                   const LabelSet &Labels = {}) const;
-
   /// One registered metric instance, for enumeration/export.
   struct Entry {
     Kind MetricKind;

@@ -11,8 +11,7 @@
 /// Components take an `Observability *` (null means "don't record") and
 /// thread it downward; harnesses that want a shared sink for several
 /// servers (the figure binaries, the fleet simulator) create one and pass
-/// it everywhere.  resolve() maps null to a process-global default so that
-/// casual callers (examples, ad-hoc tools) still aggregate somewhere.
+/// it everywhere.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,14 +29,6 @@ struct Observability {
   MetricsRegistry Metrics;
   Tracer Trace{Clock};
 };
-
-/// The process-global fallback context.
-Observability &defaultObservability();
-
-/// \returns \p Obs when non-null, else the process-global default.
-inline Observability &resolve(Observability *Obs) {
-  return Obs ? *Obs : defaultObservability();
-}
 
 } // namespace jumpstart::obs
 

@@ -152,7 +152,6 @@ const ClassLayout &ClassTable::build(bc::ClassId Id) {
   for (const auto &[NameRaw, Func] : K.Methods)
     L->MethodTable[NameRaw] = Func;
 
-  ++NumBuilt;
   Layouts[Id.raw()] = std::move(L);
   return *Layouts[Id.raw()];
 }

@@ -71,8 +71,6 @@ public:
     return It->second;
   }
 
-  size_t numMethods() const { return MethodTable.size(); }
-
 private:
   friend class ClassTable;
   bc::ClassId Id;
@@ -138,8 +136,6 @@ public:
   /// class has been "loaded" on this server).
   bool isLoaded(bc::ClassId Id) const;
 
-  size_t numLoaded() const { return NumBuilt; }
-
 private:
   const ClassLayout &build(bc::ClassId Id);
   uint64_t accessCount(const bc::Class &K, bc::StringId Prop) const;
@@ -152,7 +148,6 @@ private:
   const std::unordered_map<std::string, uint64_t> *PropCounts = nullptr;
   const std::unordered_map<std::string, uint64_t> *PropAffinity = nullptr;
   std::vector<std::unique_ptr<ClassLayout>> Layouts;
-  size_t NumBuilt = 0;
 };
 
 } // namespace jumpstart::runtime

@@ -142,7 +142,8 @@ public:
   /// per alloc*() or buildString() call and one per intern miss.  It is
   /// not a count of malloc calls (pooled storage is recycled, so most
   /// alloc*() calls make none); it is the count behind
-  /// BENCH_interp.json's allocs_per_request and the CHECK_PERF gate.
+  /// BENCH_interp.json's allocs_per_request and its `stats` block, which
+  /// the tier-1 snapshot check requires verbatim.
   /// Callers that allocate host memory for VM state outside the heap
   /// (e.g. testing::ReferenceInterpreter's per-call frame vectors) charge
   /// it here via noteHostAllocs, so allocs/request is comparable across

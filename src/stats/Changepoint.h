@@ -20,7 +20,8 @@
 /// deterministic tie-breaking (earliest split wins), the algorithm uses
 /// no randomness, and the same series always yields the same
 /// segmentation -- so the `stats` blocks in BENCH_*.json are
-/// byte-reproducible and ci/check.sh can diff them across runs.
+/// byte-reproducible and the tier-1 snapshot checks can demand them
+/// verbatim.
 ///
 /// The default penalty is data-derived (a BIC-style 2*sigma^2*log n with
 /// sigma estimated robustly from successive differences), which makes the

@@ -52,8 +52,8 @@ enum class WarmupClass : uint8_t {
 
 /// Snake-case name used in JSON blocks and counters files.
 const char *warmupClassName(WarmupClass C);
-/// Gate ordering: higher rank = worse.  A bench whose class rank rises
-/// versus the committed snapshot hard-fails CHECK_PERF.
+/// Severity ordering: higher rank = worse (flat < warmup < slowdown <
+/// inconsistent).
 inline int warmupClassRank(WarmupClass C) { return static_cast<int>(C); }
 
 /// Classification knobs.

@@ -50,19 +50,8 @@ public:
   /// Appends an IEEE double bit-for-bit.
   void writeDouble(double Value);
 
-  /// Appends a bool as one byte.
-  void writeBool(bool Value) { writeByte(Value ? 1 : 0); }
-
   /// Appends a length-prefixed string.
   void writeString(const std::string &S);
-
-  /// Appends a length-prefixed vector using \p WriteElem for each element.
-  template <typename T, typename Fn>
-  void writeVector(const std::vector<T> &Values, Fn WriteElem) {
-    writeVarint(Values.size());
-    for (const T &V : Values)
-      WriteElem(*this, V);
-  }
 
   /// Appends a vector of unsigned integers.
   void writeU64Vector(const std::vector<uint64_t> &Values);
@@ -99,7 +88,6 @@ public:
   uint8_t readByte();
   uint64_t readFixed64();
   double readDouble();
-  bool readBool() { return readByte() != 0; }
   std::string readString();
 
   /// Reads a length-prefixed vector using \p ReadElem per element.

@@ -125,9 +125,6 @@ public:
   /// number freed.
   size_t reclaimAll() JUMPSTART_EXCLUDES(M);
 
-  /// Current global epoch (diagnostics and tests).
-  uint64_t globalEpoch() const { return Global.load(std::memory_order_seq_cst); }
-
   /// Number of readers currently pinned (diagnostics; racy by nature).
   size_t pinnedReaders() JUMPSTART_EXCLUDES(M);
 

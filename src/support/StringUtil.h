@@ -32,11 +32,6 @@ std::string strFormatV(const char *Fmt, va_list Ap)
 /// Splits \p S on \p Sep; empty fields are kept.
 std::vector<std::string> splitString(std::string_view S, char Sep);
 
-/// \returns true if \p S starts with \p Prefix.
-inline bool startsWith(std::string_view S, std::string_view Prefix) {
-  return S.size() >= Prefix.size() && S.substr(0, Prefix.size()) == Prefix;
-}
-
 /// Renders a byte count with a binary-unit suffix ("512 B", "1.5 MB").
 std::string formatBytes(uint64_t Bytes);
 

@@ -421,8 +421,6 @@ RunTrace DiffRunner::runConfig(const fleet::Workload &W,
   Opts.Coverage.MinProfiledFuncs = 1;
   Opts.Coverage.MinTotalSamples = 1;
   Opts.Coverage.MinPackageBytes = 1;
-  Opts.PropertyReordering = C.ReorderProperties;
-  Opts.ProvenGuardElision = C.ProvenGuardElision;
 
   core::ConsumerParams CP;
   CP.Seed = 13;

@@ -64,7 +64,7 @@ struct ExecConfig {
   bool ReorderProperties = true;
   /// Whole-program analysis facts drive the JIT: proven guard elision,
   /// proven devirtualization and interpreter IC pre-seeding
-  /// (core::JumpStartOptions::ProvenGuardElision).  Legitimately changes
+  /// (jit::JitConfig::ProvenGuardElision).  Legitimately changes
   /// the placement digest (fewer guards lower to fewer bytes) but must
   /// never change an observable; the ablation sweep asserts the
   /// observables-only digest is identical with the flag on and off, and

@@ -113,7 +113,8 @@ struct ServerConfig {
   bool ReorderProperties = true;
   /// Order properties by co-access affinity instead of plain hotness
   /// (the section V-C future-work extension; needs a package carrying
-  /// affinity counters).
+  /// affinity counters).  installPackage ignores it unless
+  /// ReorderProperties is on.
   bool UseAffinityPropOrder = false;
   /// Execution contexts available to serve() during concurrent serving.
   /// Each owns its own heap + interpreter; 1 keeps concurrent serving
@@ -141,7 +142,7 @@ struct ServerConfig {
 };
 
 /// All structural complaints about \p C, empty when it is coherent.
-/// Mirrors JumpStartOptions::validate(); each diagnostic names the field
+/// Like JumpStartOptions::validate(), each diagnostic names the field
 /// it is about.  An incoherent config (e.g. JitWorkerCores == 0, which
 /// grantJitTime divides by) never reaches a running server: vm::Server's
 /// constructor aborts on the first diagnostic.
@@ -283,9 +284,6 @@ public:
   /// True while a concurrent-serving window is open.
   bool serving() const { return Serving.load(std::memory_order_acquire); }
 
-  /// Requests currently past admission (diagnostics/tests; racy).
-  uint32_t inFlight();
-
   /// Closes the window: requires all clients done (asserts nothing in
   /// flight), folds integer totals into the metrics registry
   /// (jumpstart.server.requests/faults/shed), releases the execution
@@ -296,10 +294,6 @@ public:
   //===--------------------------------------------------------------------===
   // Measurement hooks.
   //===--------------------------------------------------------------------===
-
-  double secondsPerUnit() const {
-    return 1.0 / Config.UnitsPerCorePerSecond;
-  }
 
   jit::Jit &theJit() { return TheJit; }
   const jit::Jit &theJit() const { return TheJit; }
@@ -312,13 +306,10 @@ public:
   /// Interpreter inline caches pre-filled at startup from the
   /// whole-program analysis facts (0 unless ProvenGuardElision is on).
   uint64_t icsSeeded() const { return ICsSeeded; }
-  size_t loadedUnits() const { return LoadedUnits.size(); }
 
   /// The observability context this server records into (null when the
   /// configuration carried none).
   obs::Observability *observability() const { return Obs; }
-  /// The tracer track request spans land on.
-  uint32_t serverTrack() const { return ServerTrack; }
 
   /// Stable fingerprint of a repo, for package validation.
   static uint64_t repoFingerprint(const bc::Repo &R);

@@ -20,7 +20,8 @@
 /// that this mode exists to exercise.  Consequently serve() never
 /// touches the virtual clock, metrics, or tracer -- integer totals fold
 /// into the registry once, at endConcurrentServing() -- and CI gates
-/// only the invariant side (see ci/check.sh CHECK_SERVER).
+/// only the invariant side (the tier-1 server_load snapshot checks at
+/// --threads 1 and 4).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -204,11 +205,6 @@ double Server::runBackgroundJitWork(double Seconds) {
   if (Consumed > 0)
     publishSnapshot();
   return Wall;
-}
-
-uint32_t Server::inFlight() {
-  support::MutexLock Lock(ServeM);
-  return InFlightCount;
 }
 
 ServeStats Server::endConcurrentServing() {

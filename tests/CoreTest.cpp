@@ -292,18 +292,6 @@ TEST_F(CoreFixture, ConsumerCrashLoopEndsInFallback) {
   ASSERT_NE(Out.Server, nullptr) << "fallback must still boot the server";
 }
 
-TEST_F(CoreFixture, OptimizationSwitchesReachServerConfig) {
-  JumpStartOptions Opts;
-  Opts.VasmBlockCounters = false;
-  Opts.FunctionOrder = false;
-  Opts.PropertyReordering = false;
-  vm::ServerConfig Config = baseConfig();
-  applyOptimizationOptions(Config, Opts);
-  EXPECT_FALSE(Config.Jit.UseVasmCounters);
-  EXPECT_FALSE(Config.Jit.UsePackageFuncOrder);
-  EXPECT_FALSE(Config.ReorderProperties);
-}
-
 //===----------------------------------------------------------------------===//
 // Phased deployment.
 //===----------------------------------------------------------------------===//

@@ -311,20 +311,19 @@ TEST(OptionsTest, SetAndParseAssignments) {
 TEST(OptionsTest, KeyValuesRoundTrip) {
   core::JumpStartOptions Opts;
   Opts.Enabled = false;
-  Opts.AffinityPropertyOrder = true;
+  Opts.StrictPackageLint = false;
   Opts.MaxConsumerAttempts = 9;
   core::JumpStartOptions Restored;
   for (const auto &[Key, Value] : Opts.toKeyValues())
     ASSERT_TRUE(Restored.set(Key, Value).ok()) << Key << "=" << Value;
   EXPECT_EQ(Restored.Enabled, Opts.Enabled);
-  EXPECT_EQ(Restored.AffinityPropertyOrder, Opts.AffinityPropertyOrder);
+  EXPECT_EQ(Restored.StrictPackageLint, Opts.StrictPackageLint);
   EXPECT_EQ(Restored.MaxConsumerAttempts, Opts.MaxConsumerAttempts);
 }
 
 TEST(OptionsTest, ValidateCatchesIncoherence) {
   core::JumpStartOptions Opts;
-  Opts.AffinityPropertyOrder = true;
-  Opts.PropertyReordering = false;
+  Opts.MaxValidationFaultRate = 1.5;
   EXPECT_FALSE(Opts.validate().empty());
 
   core::JumpStartOptions Opts2;

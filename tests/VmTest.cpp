@@ -192,12 +192,35 @@ TEST_F(VmTestFixture, PropertyReorderingRequiresPackageCounts) {
   vm::Server Consumer(W->Repo, fastConfig(), 37);
   ASSERT_TRUE(Consumer.installPackage(Pkg).ok());
   EXPECT_TRUE(Consumer.classes().reorderingEnabled());
+  EXPECT_EQ(Consumer.classes().orderMode(), runtime::PropOrderMode::Hotness);
 
   vm::ServerConfig NoReorder = fastConfig();
   NoReorder.ReorderProperties = false;
   vm::Server Disabled(W->Repo, NoReorder, 37);
   ASSERT_TRUE(Disabled.installPackage(Pkg).ok());
   EXPECT_FALSE(Disabled.classes().reorderingEnabled());
+
+  // Affinity ordering needs the package's co-access counters and rides
+  // on the hotness reordering switch.
+  vm::ServerConfig AffinityConfig = fastConfig();
+  AffinityConfig.UseAffinityPropOrder = true;
+  ASSERT_FALSE(Pkg.Opt.PropAffinity.empty());
+  vm::Server Affinity(W->Repo, AffinityConfig, 37);
+  ASSERT_TRUE(Affinity.installPackage(Pkg).ok());
+  EXPECT_EQ(Affinity.classes().orderMode(), runtime::PropOrderMode::Affinity);
+
+  profile::ProfilePackage NoAffinityPkg = Pkg;
+  NoAffinityPkg.Opt.PropAffinity.clear();
+  vm::Server HotnessFallback(W->Repo, AffinityConfig, 37);
+  ASSERT_TRUE(HotnessFallback.installPackage(NoAffinityPkg).ok());
+  EXPECT_EQ(HotnessFallback.classes().orderMode(),
+            runtime::PropOrderMode::Hotness);
+
+  vm::ServerConfig AffinityNoReorder = AffinityConfig;
+  AffinityNoReorder.ReorderProperties = false;
+  vm::Server AffinityDisabled(W->Repo, AffinityNoReorder, 37);
+  ASSERT_TRUE(AffinityDisabled.installPackage(Pkg).ok());
+  EXPECT_FALSE(AffinityDisabled.classes().reorderingEnabled());
 }
 
 TEST_F(VmTestFixture, FaultsAreCountedNotFatal) {
