@@ -9,11 +9,12 @@
 /// Micro-benchmarks (google-benchmark) for the VM substrate itself:
 /// interpreter dispatch throughput, the request-local value heap,
 /// frontend compilation speed, and the tier-2 pipeline (region selection
-/// + lowering + layout) per function -- the costs a downstream user of
-/// the library actually pays.
+/// + lowering + layout) per function, and a cold server's profiling
+/// window -- the costs a downstream user of the library actually pays.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "fleet/Traffic.h"
 #include "fleet/WorkloadGen.h"
 #include "frontend/Compiler.h"
 #include "interp/Interpreter.h"
@@ -23,6 +24,7 @@
 #include "jit/ParallelRetranslate.h"
 #include "jit/TransLayout.h"
 #include "support/ThreadPool.h"
+#include "vm/Server.h"
 
 #include <benchmark/benchmark.h>
 
@@ -249,6 +251,46 @@ BENCHMARK(BM_RetranslateAll)
     ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+void BM_ProfilingServer(benchmark::State &State) {
+  // A cold server's tier-1 profiling window on the perfbench-sized site:
+  // 240 requests from bucket 0's traffic mix, a JIT grant every 2
+  // requests (as perfbench's warmup workload and the fleet simulator
+  // drive it), ending where retranslate-all begins: the interpreter,
+  // the profile recording and the tier-1 compiles a cold server pays.
+  // Ungated, with no snapshot.
+  fleet::WorkloadParams P;
+  P.NumHelpers = 700;
+  P.NumClasses = 72;
+  P.NumEndpoints = 40;
+  P.NumUnits = 48;
+  auto W = fleet::generateWorkload(P);
+  constexpr uint32_t kWindow = 240;
+  fleet::TrafficModel Traffic(*W, fleet::TrafficParams(), 3);
+  Rng R(3);
+  std::vector<std::pair<bc::FuncId, std::vector<runtime::Value>>> Requests;
+  for (uint32_t I = 0; I < kWindow; ++I)
+    Requests.push_back({W->Endpoints[Traffic.sampleEndpoint(0, 0, R)],
+                        fleet::TrafficModel::makeArgs(R)});
+  vm::ServerConfig Config;
+  Config.Jit.ProfileRequestTarget = kWindow;
+  for (auto _ : State) {
+    vm::Server S(W->Repo, Config, 1);
+    S.startup();
+    for (uint32_t I = 0; I < kWindow; ++I) {
+      benchmark::DoNotOptimize(
+          S.executeRequest(Requests[I].first, Requests[I].second).Seconds);
+      if ((I + 1) % 2 == 0)
+        S.grantJitTime(1.0);
+    }
+    if (S.theJit().phase() == jit::JitPhase::Profiling)
+      State.SkipWithError("the profiling window did not close");
+  }
+  State.counters["requests_per_s"] = benchmark::Counter(
+      static_cast<double>(kWindow) * static_cast<double>(State.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ProfilingServer)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -62,30 +62,6 @@ private:
   std::vector<Diagnostic> &Diags;
 };
 
-/// Instructions whose index may legitimately key a LoadTypes observation
-/// (the interpreter's onTypeObserve call sites).
-bool observesTypes(bc::Op O) {
-  switch (O) {
-  case bc::Op::GetElem:
-  case bc::Op::SetElem:
-  case bc::Op::Add:
-  case bc::Op::Sub:
-  case bc::Op::Mul:
-  case bc::Op::Div:
-  case bc::Op::Mod:
-  case bc::Op::CmpEq:
-  case bc::Op::CmpNe:
-  case bc::Op::CmpLt:
-  case bc::Op::CmpLe:
-  case bc::Op::CmpGt:
-  case bc::Op::CmpGe:
-  case bc::Op::GetProp:
-    return true;
-  default:
-    return false;
-  }
-}
-
 /// Checks each raw id in \p Ids against \p Limit and rejects duplicates.
 void checkIdList(PackageSink &Sink, const std::vector<uint32_t> &Ids,
                  size_t Limit, const char *What) {
@@ -179,7 +155,7 @@ void lintFuncProfile(const bc::Repo &R, bc::BlockCache &Blocks,
     (void)Obs;
     if (Pc >= F.Code.size())
       Sink.structure(Func, "type observation at instr %u, past the end", Pc);
-    else if (!observesTypes(F.Code[Pc].Opcode))
+    else if (!bc::opObservesTypes(F.Code[Pc].Opcode))
       Sink.semantics(Func,
                      "type observation at instr %u, but %s never observes "
                      "types",

@@ -147,6 +147,31 @@ inline bool opEndsBlock(Op O) {
          hasFlag(F, OpFlags::Terminal);
 }
 
+/// \returns true if the interpreter reports a runtime type
+/// (ExecCallbacks::onTypeObserve) when it executes \p O.  Exactly these
+/// instructions may key a tier-1 LoadTypes observation.
+inline bool opObservesTypes(Op O) {
+  switch (O) {
+  case Op::GetElem:
+  case Op::SetElem:
+  case Op::Add:
+  case Op::Sub:
+  case Op::Mul:
+  case Op::Div:
+  case Op::Mod:
+  case Op::CmpEq:
+  case Op::CmpNe:
+  case Op::CmpLt:
+  case Op::CmpLe:
+  case Op::CmpGt:
+  case Op::CmpGe:
+  case Op::GetProp:
+    return true;
+  default:
+    return false;
+  }
+}
+
 struct Instr;
 
 /// Number of operand-stack values popped by \p In, taking variable-arity

@@ -76,6 +76,8 @@ struct Expr {
   ExprPtr L;
   ExprPtr R;
   std::vector<ExprPtr> Args;
+  /// Levels in this subtree (1 for a leaf); the parser bounds it.
+  uint32_t Height = 1;
 
   explicit Expr(Kind K) : K(K) {}
 };

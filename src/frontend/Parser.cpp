@@ -9,6 +9,7 @@
 
 #include "support/StringUtil.h"
 
+#include <algorithm>
 #include <functional>
 
 using namespace jumpstart;
@@ -41,9 +42,37 @@ bool Parser::expect(TokKind K, const char *Context) {
 }
 
 void Parser::error(const std::string &Msg) {
-  if (Errors.size() >= kMaxErrors)
+  if (Errors.size() >= kMaxErrors || TooDeep)
     return;
   Errors.push_back(strFormat("line %u: %s", Cur.Line, Msg.c_str()));
+}
+
+Parser::Nesting::Nesting(Parser &P) : P(P) {
+  if (++P.Depth > kMaxDepth)
+    P.tooDeep();
+}
+
+void Parser::tooDeep() {
+  if (TooDeep)
+    return;
+  error(strFormat("nesting deeper than %u levels", kMaxDepth));
+  TooDeep = true;
+  while (Cur.Kind != TokKind::Eof)
+    Cur = Lex.next();
+}
+
+ExprPtr Parser::sealed(ExprPtr E) {
+  uint32_t Below = 0;
+  if (E->L)
+    Below = std::max(Below, E->L->Height);
+  if (E->R)
+    Below = std::max(Below, E->R->Height);
+  for (const ExprPtr &A : E->Args)
+    Below = std::max(Below, A->Height);
+  E->Height = Below + 1;
+  if (E->Height > kMaxDepth)
+    tooDeep();
+  return E;
 }
 
 void Parser::synchronizeToDecl() {
@@ -170,6 +199,9 @@ std::vector<StmtPtr> Parser::parseBlock() {
 }
 
 StmtPtr Parser::parseStatement() {
+  Nesting Level(*this);
+  if (!Level.ok())
+    return std::make_unique<Stmt>(Stmt::Kind::Block);
   switch (Cur.Kind) {
   case TokKind::KwIf:
     return parseIf();
@@ -203,7 +235,10 @@ StmtPtr Parser::parseStatement() {
 }
 
 StmtPtr Parser::parseIf() {
+  Nesting Level(*this);
   auto S = std::make_unique<Stmt>(Stmt::Kind::If);
+  if (!Level.ok())
+    return S;
   S->Line = Cur.Line;
   expect(TokKind::KwIf, "to start an if statement");
   expect(TokKind::LParen, "before the condition");
@@ -286,6 +321,7 @@ StmtPtr Parser::parseExprOrAssign() {
         Copy->Name = Node.Name;
         Copy->Op = Node.Op;
         Copy->IsNot = Node.IsNot;
+        Copy->Height = Node.Height;
         if (Node.L)
           Copy->L = Clone(*Node.L);
         if (Node.R)
@@ -301,7 +337,7 @@ StmtPtr Parser::parseExprOrAssign() {
                                                      : BinOp::Concat;
       Bin->L = Clone(*E);
       Bin->R = std::move(Value);
-      Value = std::move(Bin);
+      Value = sealed(std::move(Bin));
     }
     expect(TokKind::Semi, "after assignment");
     return MakeAssign(std::move(E), std::move(Value));
@@ -320,7 +356,12 @@ ExprPtr Parser::makeExpr(Expr::Kind K) {
   return E;
 }
 
-ExprPtr Parser::parseExpr() { return parseOr(); }
+ExprPtr Parser::parseExpr() {
+  Nesting Level(*this);
+  if (!Level.ok())
+    return makeExpr(Expr::Kind::NullLit);
+  return parseOr();
+}
 
 ExprPtr Parser::parseOr() {
   ExprPtr L = parseAnd();
@@ -330,7 +371,7 @@ ExprPtr Parser::parseOr() {
     E->Op = BinOp::Or;
     E->L = std::move(L);
     E->R = parseAnd();
-    L = std::move(E);
+    L = sealed(std::move(E));
   }
   return L;
 }
@@ -343,7 +384,7 @@ ExprPtr Parser::parseAnd() {
     E->Op = BinOp::And;
     E->L = std::move(L);
     E->R = parseEquality();
-    L = std::move(E);
+    L = sealed(std::move(E));
   }
   return L;
 }
@@ -357,7 +398,7 @@ ExprPtr Parser::parseEquality() {
     E->Op = Op;
     E->L = std::move(L);
     E->R = parseComparison();
-    L = std::move(E);
+    L = sealed(std::move(E));
   }
   return L;
 }
@@ -375,7 +416,7 @@ ExprPtr Parser::parseComparison() {
     E->Op = Op;
     E->L = std::move(L);
     E->R = parseAdditive();
-    L = std::move(E);
+    L = sealed(std::move(E));
   }
   return L;
 }
@@ -392,7 +433,7 @@ ExprPtr Parser::parseAdditive() {
     E->Op = Op;
     E->L = std::move(L);
     E->R = parseMultiplicative();
-    L = std::move(E);
+    L = sealed(std::move(E));
   }
   return L;
 }
@@ -409,25 +450,21 @@ ExprPtr Parser::parseMultiplicative() {
     E->Op = Op;
     E->L = std::move(L);
     E->R = parseUnary();
-    L = std::move(E);
+    L = sealed(std::move(E));
   }
   return L;
 }
 
 ExprPtr Parser::parseUnary() {
-  if (check(TokKind::Not)) {
+  if (check(TokKind::Not) || check(TokKind::Minus)) {
+    Nesting Level(*this);
     auto E = makeExpr(Expr::Kind::Unary);
-    E->IsNot = true;
+    if (!Level.ok())
+      return E;
+    E->IsNot = check(TokKind::Not);
     bump();
     E->L = parseUnary();
-    return E;
-  }
-  if (check(TokKind::Minus)) {
-    auto E = makeExpr(Expr::Kind::Unary);
-    E->IsNot = false;
-    bump();
-    E->L = parseUnary();
-    return E;
+    return sealed(std::move(E));
   }
   return parsePostfix();
 }
@@ -450,13 +487,13 @@ ExprPtr Parser::parsePostfix() {
         M->Name = std::move(Member);
         M->L = std::move(E);
         M->Args = parseArgs();
-        E = std::move(M);
+        E = sealed(std::move(M));
       } else {
         auto P = std::make_unique<Expr>(Expr::Kind::PropGet);
         P->Line = Line;
         P->Name = std::move(Member);
         P->L = std::move(E);
-        E = std::move(P);
+        E = sealed(std::move(P));
       }
       continue;
     }
@@ -466,7 +503,7 @@ ExprPtr Parser::parsePostfix() {
       I->L = std::move(E);
       I->R = parseExpr();
       expect(TokKind::RBracket, "after index expression");
-      E = std::move(I);
+      E = sealed(std::move(I));
       continue;
     }
     return E;
@@ -556,7 +593,7 @@ ExprPtr Parser::parsePrimary() {
       } while (accept(TokKind::Comma));
     }
     expect(TokKind::RBracket, "to close the vec literal");
-    return E;
+    return sealed(std::move(E));
   }
   case TokKind::KwDict: {
     auto E = makeExpr(Expr::Kind::DictLit);
@@ -570,14 +607,14 @@ ExprPtr Parser::parsePrimary() {
       } while (accept(TokKind::Comma));
     }
     expect(TokKind::RBracket, "to close the dict literal");
-    return E;
+    return sealed(std::move(E));
   }
   case TokKind::Ident: {
     auto E = makeExpr(Expr::Kind::Call);
     E->Name = Cur.Text;
     bump();
     E->Args = parseArgs();
-    return E;
+    return sealed(std::move(E));
   }
   case TokKind::LParen: {
     bump();

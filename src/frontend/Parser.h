@@ -25,6 +25,14 @@ namespace jumpstart::frontend {
 /// parsing continues at the next declaration where possible.
 class Parser {
 public:
+  /// Deepest nesting accepted: parser recursion levels (parentheses,
+  /// unary operators, blocks, else-if chains) and the height of any
+  /// expression tree, left-deep operator chains included.  It bounds the
+  /// recursion of the parser, of the AST's destructor and of code
+  /// generation, so hostile source cannot overflow the stack.  Deeper
+  /// input is a parse error, after which the parser skips to the end.
+  static constexpr uint32_t kMaxDepth = 256;
+
   explicit Parser(std::string_view Source);
 
   /// Parses the whole buffer.  Check errors() before using the result.
@@ -68,10 +76,29 @@ private:
   std::vector<ExprPtr> parseArgs();
 
   ExprPtr makeExpr(Expr::Kind K);
+  /// Sets \p E's height from its children; too tall is a depth error.
+  ExprPtr sealed(ExprPtr E);
+
+  /// One parser recursion level, held while parsing a nested construct.
+  /// ok() is false past kMaxDepth: the caller must not recurse further.
+  class Nesting {
+  public:
+    explicit Nesting(Parser &P);
+    ~Nesting() { --P.Depth; }
+    bool ok() const { return P.Depth <= kMaxDepth; }
+
+  private:
+    Parser &P;
+  };
+  /// Reports the depth error once and skips the rest of the input, so
+  /// every enclosing parse returns promptly.
+  void tooDeep();
 
   Lexer Lex;
   Token Cur;
   std::vector<std::string> Errors;
+  uint32_t Depth = 0;
+  bool TooDeep = false;
   /// Prevents error cascades from emitting thousands of messages.
   static constexpr size_t kMaxErrors = 50;
 };

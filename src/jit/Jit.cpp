@@ -13,6 +13,7 @@
 #include "support/StringUtil.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 using namespace jumpstart;
 using namespace jumpstart::jit;
@@ -32,7 +33,8 @@ const char *jumpstart::jit::jitPhaseName(JitPhase P) {
 }
 
 Jit::Jit(const bc::Repo &R, JitConfig Config)
-    : R(R), Config(Config), Blocks(R), Cache(Config.Cache) {}
+    : R(R), Config(Config), Blocks(R), Cache(Config.Cache),
+      Enqueued(R.numFuncs(), 0) {}
 
 void Jit::setObservability(obs::Observability *O, double SecondsPerUnit,
                            uint32_t Track) {
@@ -109,9 +111,9 @@ const Translation *Jit::onFuncEntered(bc::FuncId F) {
 
 void Jit::enqueueTierUp(bc::FuncId F, const Translation *Best) {
   if (Phase == JitPhase::Profiling) {
-    if (Db.forFunc(F, TransKind::Profile) || Enqueued.count(F.raw()))
+    if (Db.forFunc(F, TransKind::Profile) || Enqueued[F.raw()])
       return;
-    Enqueued.insert(F.raw());
+    Enqueued[F.raw()] = 1;
     Jobs.push_back(makeJob(Job::Kind::CompileProfile, F.raw(), 0,
                            static_cast<double>(R.func(F).Code.size()) *
                                Config.ProfileCompileCostPerBytecode));
@@ -119,11 +121,11 @@ void Jit::enqueueTierUp(bc::FuncId F, const Translation *Best) {
   }
   // Past profiling: anything still uncompiled takes the tracelet (live)
   // path, until the live area fills (Figure 1 point D).
-  if (LiveAreaExhausted || Best || Enqueued.count(F.raw()))
+  if (LiveAreaExhausted || Best || Enqueued[F.raw()])
     return;
   if (Db.forFunc(F, TransKind::Optimized))
     return; // optimized exists but is awaiting relocation
-  Enqueued.insert(F.raw());
+  Enqueued[F.raw()] = 1;
   Jobs.push_back(makeJob(Job::Kind::CompileLive, F.raw(), 0,
                          static_cast<double>(R.func(F).Code.size()) *
                              Config.LiveCompileCostPerBytecode));
@@ -150,11 +152,12 @@ void Jit::beginRetranslateAll() {
     if (J.Kind != Job::Kind::CompileProfile)
       Kept.push_back(J);
     else
-      Enqueued.erase(J.Func);
+      Enqueued[J.Func] = 0;
   Jobs = std::move(Kept);
 
   // Optimize every profiled function, hottest first (determinism: ties by
   // FuncId).
+  Store.render();
   std::vector<std::pair<uint64_t, uint32_t>> ByHotness;
   for (const auto &[FuncRaw, Prof] : Store.all())
     ByHotness.push_back({Prof.totalSamples(), FuncRaw});
@@ -233,6 +236,9 @@ void Jit::compileOptimized(bc::FuncId F) {
     Unit = std::move(Scratch->second);
     PrecompiledOpt.erase(Scratch);
   } else {
+    // Profile translations keep recording until optimized code is
+    // placed, so region selection renders what they added.
+    Store.render();
     Unit = lowerOptimizedUnit(F);
   }
   Db.create(TransKind::Optimized, std::move(Unit));
@@ -268,6 +274,7 @@ std::vector<uint32_t> Jit::computeFuncOrder() const {
 }
 
 void Jit::enqueueRelocations() {
+  Store.render();
   std::vector<uint32_t> Order = computeFuncOrder();
   std::unordered_set<uint32_t> Seen;
   auto Enqueue = [&](uint32_t FuncRaw) {
@@ -292,7 +299,7 @@ void Jit::finishJob(const Job &J) {
   switch (J.Kind) {
   case Job::Kind::CompileProfile: {
     bc::FuncId F(J.Func);
-    Enqueued.erase(J.Func);
+    Enqueued[J.Func] = 0;
     if (Phase != JitPhase::Profiling)
       return; // profiling ended while this was queued
     LowerOptions Opts;
@@ -308,7 +315,7 @@ void Jit::finishJob(const Job &J) {
   }
   case Job::Kind::CompileLive: {
     bc::FuncId F(J.Func);
-    Enqueued.erase(J.Func);
+    Enqueued[J.Func] = 0;
     std::unique_ptr<VasmUnit> Unit;
     auto Scratch = PrecompiledLive.find(J.Func);
     if (Scratch != PrecompiledLive.end()) {
@@ -400,9 +407,9 @@ void Jit::enqueueConsumerJobs() {
       bc::FuncId F(FuncRaw);
       if (FuncRaw >= R.numFuncs() || R.func(F).Code.empty())
         continue;
-      if (Store.find(FuncRaw) || Enqueued.count(FuncRaw))
+      if (Store.find(FuncRaw) || Enqueued[FuncRaw])
         continue; // profiled functions get optimized translations anyway
-      Enqueued.insert(FuncRaw);
+      Enqueued[FuncRaw] = 1;
       Jobs.push_back(makeJob(Job::Kind::CompileLive, FuncRaw, 0,
                              static_cast<double>(R.func(F).Code.size()) *
                                  Config.LiveCompileCostPerBytecode));
@@ -427,10 +434,10 @@ profile::ProfilePackage Jit::buildPackage(uint32_t Region, uint32_t Bucket,
   Pkg.Region = Region;
   Pkg.Bucket = Bucket;
   Pkg.SeederId = SeederId;
+  Store.render();
   Store.exportToPackage(Pkg);
   Pkg.Opt = OptProf;
-  Pkg.Opt.PropAccessCounts = PropCounts;
-  Pkg.Opt.PropAffinity = PropAffinity;
+  Props.renderInto(R, Pkg.Opt);
 
   // Category 4: the precomputed function order, from the tier-2 call
   // graph when seeder instrumentation collected one.

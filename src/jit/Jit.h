@@ -44,9 +44,8 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 namespace jumpstart::obs {
 struct Observability;
@@ -157,19 +156,30 @@ public:
   const TransDb &transDb() const { return Db; }
   CodeCache &codeCache() { return Cache; }
   bc::BlockCache &blockCache() { return Blocks; }
-  profile::ProfileStore &profileStore() { return Store; }
-  const profile::ProfileStore &profileStore() const { return Store; }
+  /// The tier-1 profiles, rendered up to date (profile::ProfileStore).
+  profile::ProfileStore &profileStore() {
+    Store.render();
+    return Store;
+  }
+  const profile::ProfileStore &profileStore() const {
+    Store.render();
+    return Store;
+  }
+  /// The slab a frame of \p F running its profile translation records
+  /// into, queued for the next render.  Created on first use.
+  profile::ProfileSlab &recordingSlab(bc::FuncId F) {
+    profile::ProfileSlab *S = Store.slab(F.raw());
+    if (!S)
+      S = &Store.createSlab(F.raw(), R.func(F),
+                            Blocks.blocks(F).numBlocks());
+    Store.touch(*S);
+    return *S;
+  }
   /// Seeder-side optimized-code profile (section V data).
   profile::OptProfile &optProfile() { return OptProf; }
-  /// Property-access counters ("Class::prop" -> count; section V-C).
-  std::unordered_map<std::string, uint64_t> &propCounts() {
-    return PropCounts;
-  }
-  /// Property-affinity counters ("Class::a::b" -> count; the section V-C
-  /// future-work extension).
-  std::unordered_map<std::string, uint64_t> &propAffinity() {
-    return PropAffinity;
-  }
+  /// Property-access and property-affinity counters of tier-1 frames
+  /// (section V-C; affinity is the section's future-work extension).
+  profile::PropCounters &propCounters() { return Props; }
   const JitConfig &config() const { return Config; }
 
   /// Total bytes of JITed code produced so far (Figure 1's y-axis):
@@ -290,8 +300,7 @@ private:
   TransDb Db;
   profile::ProfileStore Store;
   profile::OptProfile OptProf;
-  std::unordered_map<std::string, uint64_t> PropCounts;
-  std::unordered_map<std::string, uint64_t> PropAffinity;
+  profile::PropCounters Props;
 
   obs::Observability *Obs = nullptr;
   double ObsSecondsPerUnit = 0;
@@ -300,7 +309,8 @@ private:
   JitPhase Phase = JitPhase::Profiling;
   uint64_t ProfiledRequests = 0;
   std::deque<Job> Jobs;
-  std::unordered_set<uint32_t> Enqueued; ///< funcs with a pending compile
+  /// Indexed by raw FuncId: nonzero while a compile of it is queued.
+  std::vector<uint8_t> Enqueued;
   bool LiveAreaExhausted = false;
 
   /// The installed Jump-Start package (consumer mode).

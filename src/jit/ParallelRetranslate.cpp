@@ -56,8 +56,9 @@ void ParallelRetranslate::prelowerPending(Jit &J,
   if (Tasks.empty())
     return;
 
-  // Warm the shared block cache serially (see run()); after this the
-  // workers only read it.
+  // Render the profile view and warm the shared block cache serially
+  // (see run()); after this the workers only read them.
+  J.Store.render();
   for (uint32_t FuncRaw = 0; FuncRaw < J.R.numFuncs(); ++FuncRaw)
     (void)J.Blocks.blocks(bc::FuncId(FuncRaw));
 
@@ -121,6 +122,8 @@ ParallelRetranslate::run(double SliceUnits,
     bool Live;
   };
   std::vector<Task> Tasks;
+  // Render once, before the fan-out: the workers read the profile view.
+  J.Store.render();
   for (const auto &[FuncRaw, Prof] : J.Store.all()) {
     (void)Prof;
     if (!J.R.func(bc::FuncId(FuncRaw)).Code.empty())

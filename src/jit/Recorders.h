@@ -62,20 +62,22 @@ protected:
 private:
   struct Frame {
     uint32_t Func = 0;
-    /// Tier the function executes in (translation kind), or no
-    /// translation at all.
-    bool IsProfileTier = false;
     bool IsInstrumentedOpt = false;
     /// Unit whose Vasm counters this frame bumps (the caller's unit when
     /// this function is inlined there).
     const VasmUnit *ActiveUnit = nullptr;
-    profile::FuncProfile *Prof = nullptr;
+    /// Where the frame records when the function runs its profile
+    /// translation; null in every other tier.
+    profile::ProfileSlab *Slab = nullptr;
   };
 
-  Frame *top() { return Frames.empty() ? nullptr : &Frames.back(); }
-
   Jit &J;
-  std::vector<Frame> Frames;
+  /// The innermost frame, kept out of the stack so every event reads it
+  /// directly.  Outside any frame it is a default Frame, which records
+  /// nothing.
+  Frame Top;
+  /// The frames Top interrupted, innermost last.
+  std::vector<Frame> Callers;
   /// Previous property access (class/prop raw ids) for affinity pairs.
   uint32_t LastPropCls = ~0u;
   uint32_t LastPropName = ~0u;

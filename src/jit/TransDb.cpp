@@ -7,27 +7,10 @@
 
 #include "jit/TransDb.h"
 
-#include "support/Assert.h"
 #include "support/StringUtil.h"
 
 using namespace jumpstart;
 using namespace jumpstart::jit;
-
-TransDb::FuncMap &TransDb::mapFor(TransKind K) {
-  switch (K) {
-  case TransKind::Live:
-    return LiveMap;
-  case TransKind::Profile:
-    return ProfileMap;
-  case TransKind::Optimized:
-    return OptMap;
-  }
-  unreachable("unhandled TransKind");
-}
-
-const TransDb::FuncMap &TransDb::mapFor(TransKind K) const {
-  return const_cast<TransDb *>(this)->mapFor(K);
-}
 
 Translation &TransDb::create(TransKind Kind,
                              std::unique_ptr<VasmUnit> Unit) {
@@ -58,46 +41,18 @@ Translation &TransDb::create(TransKind Kind,
           ? static_cast<double>(Cost) /
                 static_cast<double>(T->Unit->BytecodeCount)
           : 1.0;
-  support::MutexLock Lock(M);
   T->Id = static_cast<uint32_t>(All.size());
   ElidedGuardCount += T->Unit->ElidedGuards.size();
   KindBytes[static_cast<size_t>(Kind)] += T->Unit->sizeBytes();
-  mapFor(Kind).insertOrAssign(T->Unit->Func.raw(), T->Id);
+  uint32_t F = T->Unit->Func.raw();
+  if (F >= Current.size())
+    Current.resize(F + 1, Row{kNoTrans, kNoTrans, kNoTrans});
+  Current[F][static_cast<size_t>(Kind)] = T->Id;
   All.push_back(std::move(T));
   return *All.back();
 }
 
-Translation *TransDb::forFuncLocked(bc::FuncId F, TransKind K) const {
-  const uint32_t *Id = mapFor(K).find(F.raw());
-  return Id ? All[*Id].get() : nullptr;
-}
-
-Translation *TransDb::forFunc(bc::FuncId F, TransKind K) {
-  support::MutexLock Lock(M);
-  return forFuncLocked(F, K);
-}
-
-const Translation *TransDb::forFunc(bc::FuncId F, TransKind K) const {
-  support::MutexLock Lock(M);
-  return forFuncLocked(F, K);
-}
-
-const Translation *TransDb::best(bc::FuncId F) const {
-  support::MutexLock Lock(M);
-  const Translation *Opt = forFuncLocked(F, TransKind::Optimized);
-  if (Opt && Opt->Placed)
-    return Opt;
-  const Translation *Live = forFuncLocked(F, TransKind::Live);
-  if (Live && Live->Placed)
-    return Live;
-  const Translation *Prof = forFuncLocked(F, TransKind::Profile);
-  if (Prof && Prof->Placed)
-    return Prof;
-  return nullptr;
-}
-
 std::string TransDb::placementDigest() const {
-  support::MutexLock Lock(M);
   std::string Out;
   for (const auto &T : All)
     Out += strFormat("t%u %s f%u placed=%d entry=%llu blocks=%zu\n",

@@ -15,74 +15,78 @@
 #define JUMPSTART_JIT_TRANSDB_H
 
 #include "jit/Translation.h"
-#include "support/FlatMap.h"
-#include "support/ThreadSafety.h"
 
+#include <array>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace jumpstart::jit {
 
 /// Owns all translations of one server's JIT.
 ///
-/// Locking: the index structures (id vector, per-kind function maps,
-/// the elided-guard counter) are guarded by an internal mutex so the
-/// -Wthread-safety build checks every access.  The lock is uncontended
-/// by construction today -- parallel retranslate-all workers lower into
-/// private scratch slots and only the owning server's thread installs
-/// results (see jit/ParallelRetranslate.cpp) -- so it costs one
-/// uncontended acquire per lookup and buys a compiler-checked invariant
-/// instead of a comment.  Translation *payloads* (Placed, BlockAddrs,
-/// profile counters) stay single-writer by that same construction and
-/// are deliberately not guarded: handing out a Translation* under a lock
-/// that does not cover the pointee would be a false promise.
+/// Lookups are array indexes: each function has a row holding the id of
+/// its current (latest) translation of each kind.  best() reads the row
+/// and checks Placed at read time, so placement needs no bookkeeping
+/// here.
+///
+/// Threading: one thread owns a TransDb, and nothing here locks.  That
+/// thread is the server's serial path, or the single background compile
+/// thread during a concurrent-serving window.  Parallel retranslate-all
+/// workers lower into private scratch slots and never touch it (see
+/// jit/ParallelRetranslate.cpp).  serve() threads read immutable
+/// TransSnapshots instead.  The TSan sweep checks this contract.
 class TransDb {
 public:
   /// Creates a translation from \p Unit; it starts unplaced.
-  Translation &create(TransKind Kind, std::unique_ptr<VasmUnit> Unit)
-      JUMPSTART_EXCLUDES(M);
+  Translation &create(TransKind Kind, std::unique_ptr<VasmUnit> Unit);
 
-  Translation *find(uint32_t Id) JUMPSTART_EXCLUDES(M) {
-    support::MutexLock Lock(M);
+  Translation *find(uint32_t Id) {
     return Id < All.size() ? All[Id].get() : nullptr;
   }
 
   /// Current translation of \p F with kind \p K, or nullptr.
-  Translation *forFunc(bc::FuncId F, TransKind K) JUMPSTART_EXCLUDES(M);
-  const Translation *forFunc(bc::FuncId F, TransKind K) const
-      JUMPSTART_EXCLUDES(M);
+  const Translation *forFunc(bc::FuncId F, TransKind K) const {
+    if (F.raw() >= Current.size())
+      return nullptr;
+    uint32_t Id = Current[F.raw()][static_cast<size_t>(K)];
+    return Id == kNoTrans ? nullptr : All[Id].get();
+  }
+  Translation *forFunc(bc::FuncId F, TransKind K) {
+    return const_cast<Translation *>(std::as_const(*this).forFunc(F, K));
+  }
 
   /// The translation that would execute for \p F right now: a placed
   /// optimized translation wins, then live, then profile.
-  const Translation *best(bc::FuncId F) const JUMPSTART_EXCLUDES(M);
-
-  size_t size() const JUMPSTART_EXCLUDES(M) {
-    support::MutexLock Lock(M);
-    return All.size();
+  const Translation *best(bc::FuncId F) const {
+    if (F.raw() >= Current.size())
+      return nullptr;
+    const Row &Ids = Current[F.raw()];
+    for (TransKind K :
+         {TransKind::Optimized, TransKind::Live, TransKind::Profile}) {
+      uint32_t Id = Ids[static_cast<size_t>(K)];
+      if (Id != kNoTrans && All[Id]->Placed)
+        return All[Id].get();
+    }
+    return nullptr;
   }
 
-  /// The full translation list, for serial post-run inspection (lint,
-  /// digests, tests).  The returned reference escapes the lock; callers
-  /// must not race it against create().
-  const std::vector<std::unique_ptr<Translation>> &all() const
-      JUMPSTART_EXCLUDES(M) {
-    support::MutexLock Lock(M);
+  size_t size() const { return All.size(); }
+
+  /// The full translation list, in id order.
+  const std::vector<std::unique_ptr<Translation>> &all() const {
     return All;
   }
 
   /// Total analysis-proven guard elisions across installed translations
   /// (sum of VasmUnit::ElidedGuards, accumulated in create).
-  uint64_t guardsElided() const JUMPSTART_EXCLUDES(M) {
-    support::MutexLock Lock(M);
-    return ElidedGuardCount;
-  }
+  uint64_t guardsElided() const { return ElidedGuardCount; }
 
   /// Total Vasm bytes of translations of kind \p K (placed or not).  A
   /// running total kept by create(): a unit never changes size once
   /// created, and replaced translations stay in all().
-  uint64_t bytesOfKind(TransKind K) const JUMPSTART_EXCLUDES(M) {
-    support::MutexLock Lock(M);
+  uint64_t bytesOfKind(TransKind K) const {
     return KindBytes[static_cast<size_t>(K)];
   }
 
@@ -91,27 +95,19 @@ public:
   /// runs of the same schedule must produce byte-identical digests
   /// regardless of host compile-pool width; the conformance oracle
   /// (src/testing) asserts exactly that.
-  std::string placementDigest() const JUMPSTART_EXCLUDES(M);
+  std::string placementDigest() const;
 
 private:
-  /// FuncId -> translation id, one per kind.  Read-heavy after
-  /// retranslate-all (every request probes best()), hence flat sorted
-  /// vectors rather than hash maps; see support/FlatMap.h.
-  using FuncMap = support::FlatMap<uint32_t, uint32_t>;
-  FuncMap &mapFor(TransKind K) JUMPSTART_REQUIRES(M);
-  const FuncMap &mapFor(TransKind K) const JUMPSTART_REQUIRES(M);
+  static constexpr uint32_t kNoTrans = ~0u;
+  /// Translation id per TransKind.
+  using Row = std::array<uint32_t, 3>;
 
-  Translation *forFuncLocked(bc::FuncId F, TransKind K) const
-      JUMPSTART_REQUIRES(M);
-
-  mutable support::Mutex M;
-  std::vector<std::unique_ptr<Translation>> All JUMPSTART_GUARDED_BY(M);
-  FuncMap LiveMap JUMPSTART_GUARDED_BY(M);
-  FuncMap ProfileMap JUMPSTART_GUARDED_BY(M);
-  FuncMap OptMap JUMPSTART_GUARDED_BY(M);
-  uint64_t ElidedGuardCount JUMPSTART_GUARDED_BY(M) = 0;
+  std::vector<std::unique_ptr<Translation>> All;
+  /// Indexed by raw FuncId; grows as functions get translations.
+  std::vector<Row> Current;
+  uint64_t ElidedGuardCount = 0;
   /// Vasm bytes created so far, by TransKind.
-  uint64_t KindBytes[3] JUMPSTART_GUARDED_BY(M) = {};
+  uint64_t KindBytes[3] = {};
 };
 
 } // namespace jumpstart::jit

@@ -56,7 +56,7 @@ Server::ExecContext::ExecContext(const bc::Repo &R,
 
 Server::Server(const bc::Repo &R, ServerConfig Config, uint64_t Seed)
     : R(R), Config(std::move(Config)), Classes(R),
-      TheJit(R, this->Config.Jit) {
+      TheJit(R, this->Config.Jit), UnitLoaded(R.numUnits(), 0) {
   (void)Seed;
   std::vector<std::string> Diags = validateServerConfig(this->Config);
   std::string Why =
@@ -98,6 +98,56 @@ uint64_t Server::repoFingerprint(const bc::Repo &R) {
   return H;
 }
 
+namespace {
+
+/// Rejects a package whose function or unit ids index past \p R, or
+/// that profiles a function twice.  The JIT and the server index dense
+/// per-function and per-unit tables by these ids.  Strict lint reports
+/// each case too, but a package with fingerprint 0 is never linted.
+support::Status checkPackageIds(const bc::Repo &R,
+                                const profile::ProfilePackage &Pkg) {
+  auto Corrupt = [](const char *What, uint32_t Id) {
+    return support::errorStatus(support::StatusCode::CorruptData,
+                                "package %s #%u is outside this repo", What,
+                                Id);
+  };
+  const size_t NumFuncs = R.numFuncs();
+  std::vector<uint8_t> Profiled(NumFuncs, 0);
+  for (const profile::FuncProfile &F : Pkg.Funcs) {
+    if (F.Func >= NumFuncs)
+      return Corrupt("profiles function", F.Func);
+    if (Profiled[F.Func])
+      return support::errorStatus(support::StatusCode::CorruptData,
+                                  "package profiles function %u twice",
+                                  F.Func);
+    Profiled[F.Func] = 1;
+  }
+  for (const auto &[Arc, Count] : Pkg.Opt.CallArcs) {
+    (void)Count;
+    if (Arc.first >= NumFuncs)
+      return Corrupt("call arc names function", Arc.first);
+    if (Arc.second >= NumFuncs)
+      return Corrupt("call arc names function", Arc.second);
+  }
+  for (const auto &[Func, Counts] : Pkg.Opt.VasmBlockCounts) {
+    (void)Counts;
+    if (Func >= NumFuncs)
+      return Corrupt("vasm counters name function", Func);
+  }
+  for (uint32_t Func : Pkg.Intermediate.FuncOrder)
+    if (Func >= NumFuncs)
+      return Corrupt("function order lists function", Func);
+  for (uint32_t Func : Pkg.Intermediate.LiveFuncs)
+    if (Func >= NumFuncs)
+      return Corrupt("live-code list names function", Func);
+  for (uint32_t Unit : Pkg.Preload.Units)
+    if (Unit >= R.numUnits())
+      return Corrupt("preload list names unit", Unit);
+  return support::Status::okStatus();
+}
+
+} // namespace
+
 support::Status Server::installPackage(const profile::ProfilePackage &Pkg) {
   alwaysAssert(!Started, "installPackage() must precede startup()");
   if (Pkg.RepoFingerprint != 0 &&
@@ -106,6 +156,8 @@ support::Status Server::installPackage(const profile::ProfilePackage &Pkg) {
         support::StatusCode::FingerprintMismatch,
         "package repo fingerprint %llx does not match this server",
         static_cast<unsigned long long>(Pkg.RepoFingerprint));
+  if (support::Status Ids = checkPackageIds(R, Pkg); !Ids.ok())
+    return Ids;
   Package = Pkg;
   PackageBytes = Pkg.serialize().size();
   if (Obs)
@@ -121,13 +173,6 @@ support::Status Server::installPackage(const profile::ProfilePackage &Pkg) {
       Classes.enablePropReordering(&Package->Opt.PropAccessCounts);
   }
   return support::Status::okStatus();
-}
-
-double Server::loadUnitsFor(bc::FuncId F) {
-  uint32_t Unit = R.func(F).Unit.raw();
-  if (!LoadedUnits.insert(Unit).second)
-    return 0;
-  return Config.UnitLoadCost;
 }
 
 RequestResult Server::executeRequest(bc::FuncId F,
@@ -308,8 +353,7 @@ InitStats Server::startup() {
   // Category-1 preload: units, classes and strings, in package order.
   double PreloadUnitsCost = 0;
   for (uint32_t Unit : Package->Preload.Units)
-    if (LoadedUnits.insert(Unit).second)
-      PreloadUnitsCost += Config.UnitLoadCost;
+    PreloadUnitsCost += loadUnit(Unit);
   for (uint32_t Cls : Package->Preload.Classes)
     if (Cls < R.numClasses())
       Classes.layout(bc::ClassId(Cls));

@@ -51,7 +51,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 namespace jumpstart::obs {
@@ -217,7 +216,9 @@ public:
   /// Consumer mode: installs the downloaded package.  Must precede
   /// startup().  \returns fingerprint_mismatch when the package was built
   /// against a different repo (corrupt blobs are already filtered by the
-  /// caller); the code doubles as the rejection-reason metric label.
+  /// caller), and corrupt_data when a function or unit id in it lies
+  /// outside this repo or a function is profiled twice; the code doubles
+  /// as the rejection-reason metric label.
   support::Status installPackage(const profile::ProfilePackage &Pkg);
 
   /// Initializes the server: consumer mode deserializes + precompiles all
@@ -342,8 +343,16 @@ private:
   double unitsToSeconds(double Units) const {
     return Units / Config.UnitsPerCorePerSecond;
   }
+  /// Charges first-touch loading of \p Unit: UnitLoadCost the first
+  /// time, 0 after.
+  double loadUnit(uint32_t Unit) {
+    if (UnitLoaded[Unit])
+      return 0;
+    UnitLoaded[Unit] = 1;
+    return Config.UnitLoadCost;
+  }
   /// Charges first-touch unit loading for everything \p F needs.
-  double loadUnitsFor(bc::FuncId F);
+  double loadUnitsFor(bc::FuncId F) { return loadUnit(R.func(F).Unit.raw()); }
   /// Pre-fills interpreter inline caches from the analysis facts
   /// (startup; no-op unless ProvenGuardElision is on and facts exist).
   void seedInlineCaches();
@@ -373,7 +382,8 @@ private:
   std::unique_ptr<ExecContext> Serial;
   std::unique_ptr<jit::JitProfilingHooks> Hooks;
   uint64_t PackageBytes = 0;
-  std::unordered_set<uint32_t> LoadedUnits;
+  /// Indexed by raw UnitId: nonzero once the unit's metadata is loaded.
+  std::vector<uint8_t> UnitLoaded;
   std::optional<profile::ProfilePackage> Package;
   uint64_t Faults = 0;
   uint64_t Requests = 0;

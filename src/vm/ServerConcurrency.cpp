@@ -60,8 +60,7 @@ void Server::beginConcurrentServing() {
   // charged here, spread across all cores like the consumer preload.
   double PreloadUnitsCost = 0;
   for (size_t U = 0; U < R.numUnits(); ++U)
-    if (LoadedUnits.insert(static_cast<uint32_t>(U)).second)
-      PreloadUnitsCost += Config.UnitLoadCost;
+    PreloadUnitsCost += loadUnit(static_cast<uint32_t>(U));
   for (size_t C = 0; C < R.numClasses(); ++C)
     Classes.layout(bc::ClassId(static_cast<uint32_t>(C)));
 

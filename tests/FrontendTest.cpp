@@ -176,6 +176,53 @@ TEST(ParserTest, ErrorCascadeIsBounded) {
   EXPECT_LE(P.errors().size(), 50u);
 }
 
+namespace {
+
+/// "function main() { return 1 + 1 + ... ; }" with \p Terms terms.
+std::string chainSource(size_t Terms) {
+  std::string Src = "function main() { return 1";
+  for (size_t I = 1; I < Terms; ++I)
+    Src += " + 1";
+  return Src + "; }";
+}
+
+} // namespace
+
+TEST(ParserTest, DeepParenthesesAreAParseError) {
+  std::string Src = "function main() { return " + std::string(10000, '(') +
+                    "1" + std::string(10000, ')') + "; }";
+  Parser P(Src);
+  P.parseProgram();
+  ASSERT_EQ(P.errors().size(), 1u);
+  EXPECT_NE(P.errors()[0].find("nesting deeper than 256 levels"),
+            std::string::npos)
+      << P.errors()[0];
+  EXPECT_TRUE(anyErrorContains(compileErrors(Src), "nesting deeper"));
+}
+
+TEST(ParserTest, LongOperatorChainIsAParseError) {
+  // The parser builds a left-deep chain in a loop, but the tree it
+  // builds is as tall as the chain is long.
+  std::string Src = chainSource(100000);
+  Parser P(Src);
+  P.parseProgram();
+  ASSERT_EQ(P.errors().size(), 1u);
+  EXPECT_NE(P.errors()[0].find("nesting deeper than"), std::string::npos);
+  EXPECT_TRUE(anyErrorContains(compileErrors(Src), "nesting deeper"));
+  EXPECT_TRUE(anyErrorContains(compileErrors(chainSource(Parser::kMaxDepth +
+                                                         1)),
+                               "nesting deeper"));
+}
+
+TEST(ParserTest, ChainAtTheNestingCapCompiles) {
+  std::string Src = chainSource(Parser::kMaxDepth);
+  Parser P(Src);
+  Program Prog = P.parseProgram();
+  EXPECT_TRUE(P.errors().empty());
+  ASSERT_EQ(Prog.Funcs.size(), 1u);
+  EXPECT_TRUE(compileErrors(Src).empty());
+}
+
 //===----------------------------------------------------------------------===//
 // Compiler semantic diagnostics.
 //===----------------------------------------------------------------------===//

@@ -15,10 +15,16 @@
 #include "fleet/WorkloadGen.h"
 #include "jit/Jit.h"
 #include "jit/Lower.h"
+#include "jit/ParallelRetranslate.h"
 #include "jit/Recorders.h"
 #include "jit/Region.h"
 #include "jit/TransLayout.h"
 #include "runtime/ValueOps.h"
+#include "support/ThreadPool.h"
+#include "testing/ReferenceProfilingHooks.h"
+#include "vm/Server.h"
+
+#include <array>
 
 #include <gtest/gtest.h>
 
@@ -515,24 +521,24 @@ TEST(Tiering, JitWorkRespectsBudget) {
 
 namespace {
 
-/// JitProfilingHooks plus the tiering feed the VM server adds: one
-/// translation lookup per frame entry serves both.  With \p AlwaysBody
-/// it observes the body of every frame, not just the frames
-/// JitProfilingHooks picks.  Counts its answers either way.
-class TieringHooks : public JitProfilingHooks {
+/// A recorder plus the tiering feed the VM server adds: one translation
+/// lookup per frame entry serves both.  With \p AlwaysBody it observes
+/// the body of every frame, not just the frames the recorder picks.
+/// Counts its answers either way.
+template <typename Recorder> class TieringHooks : public Recorder {
 public:
   TieringHooks(Jit &J, bool AlwaysBody)
-      : JitProfilingHooks(J), J(J), AlwaysBody(AlwaysBody) {}
+      : Recorder(J), J(J), AlwaysBody(AlwaysBody) {}
 
   void onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
                    const runtime::Value *Args, uint32_t NumArgs) override {
-    enterFrame(Callee, Caller, Args, NumArgs, J.onFuncEntered(Callee));
+    this->enterFrame(Callee, Caller, Args, NumArgs, J.onFuncEntered(Callee));
   }
 
   interp::FrameObservation observeFrame(bc::FuncId F) override {
     interp::FrameObservation O = AlwaysBody
                                      ? interp::FrameObservation::Body
-                                     : JitProfilingHooks::observeFrame(F);
+                                     : Recorder::observeFrame(F);
     ++Answers[static_cast<size_t>(O)];
     return O;
   }
@@ -548,9 +554,9 @@ private:
 };
 
 /// One interpreter and one JIT serving a workload through TieringHooks.
-struct HooksTwin {
+template <typename Recorder = JitProfilingHooks> struct HooksTwin {
   HooksTwin(const fleet::Workload &W, const JitConfig &Config,
-            bool AlwaysBody)
+            bool AlwaysBody = false)
       : W(W), Classes(W.Repo),
         Interp(W.Repo, Classes, Heap, runtime::BuiltinTable::standard()),
         J(W.Repo, Config), Hooks(J, AlwaysBody) {
@@ -578,8 +584,41 @@ struct HooksTwin {
   runtime::Heap Heap;
   interp::Interpreter Interp;
   Jit J;
-  TieringHooks Hooks;
+  TieringHooks<Recorder> Hooks;
 };
+
+/// The generated site the twin tests serve.
+std::unique_ptr<fleet::Workload> twinSite() {
+  fleet::WorkloadParams P;
+  P.NumHelpers = 60;
+  P.NumClasses = 12;
+  P.NumEndpoints = 8;
+  P.NumUnits = 6;
+  return fleet::generateWorkload(P);
+}
+
+/// Serves \p A and \p B the same requests through profiling,
+/// retranslate-all while profile translations still run, and 200
+/// requests of mature code; every request must come out identical.
+template <typename RecA, typename RecB>
+void serveTwins(HooksTwin<RecA> &A, HooksTwin<RecB> &B) {
+  const double Budget = 40'000;
+  uint32_t Rq = 0;
+  bool ProfiledWhileOptimizing = false;
+  for (uint32_t Mature = 0; Mature < 200; ++Rq) {
+    ASSERT_LT(Rq, 5000u) << "the JIT never matured";
+    JitPhase Phase = A.J.phase();
+    uint64_t BodyBefore = A.Hooks.answers(interp::FrameObservation::Body);
+    ASSERT_EQ(A.serve(Rq, Budget), B.serve(Rq, Budget)) << "request " << Rq;
+    ASSERT_EQ(A.J.phase(), B.J.phase()) << "request " << Rq;
+    if (Phase == JitPhase::Optimizing &&
+        A.Hooks.answers(interp::FrameObservation::Body) > BodyBefore)
+      ProfiledWhileOptimizing = true;
+    if (Phase == JitPhase::Mature)
+      ++Mature;
+  }
+  EXPECT_TRUE(ProfiledWhileOptimizing);
+}
 
 } // namespace
 
@@ -587,39 +626,15 @@ TEST(ObservationMask, ProfilingHooksRecordOnlyWhatTheyObserve) {
   // Frames JitProfilingHooks answers EntryExit run the plain interpreter
   // body.  Its twin observes every frame's body instead; every profile,
   // every placement and every request must come out identical.
-  fleet::WorkloadParams P;
-  P.NumHelpers = 60;
-  P.NumClasses = 12;
-  P.NumEndpoints = 8;
-  P.NumUnits = 6;
-  std::unique_ptr<fleet::Workload> W = fleet::generateWorkload(P);
+  std::unique_ptr<fleet::Workload> W = twinSite();
   for (bool Instrument : {false, true}) {
     SCOPED_TRACE(Instrument ? "seeder instrumentation" : "no instrumentation");
     JitConfig Config;
     Config.ProfileRequestTarget = 40;
     Config.SeederInstrumentation = Instrument;
-    HooksTwin Masked(*W, Config, /*AlwaysBody=*/false);
-    HooksTwin Full(*W, Config, /*AlwaysBody=*/true);
-    const double Budget = 40'000;
-    uint32_t Rq = 0;
-    bool ProfiledWhileOptimizing = false;
-    // Profiling, then retranslate-all while profile translations still
-    // run, then 200 requests of mature code.
-    for (uint32_t Mature = 0; Mature < 200; ++Rq) {
-      ASSERT_LT(Rq, 5000u) << "the JIT never matured";
-      JitPhase Phase = Masked.J.phase();
-      uint64_t BodyBefore =
-          Masked.Hooks.answers(interp::FrameObservation::Body);
-      ASSERT_EQ(Masked.serve(Rq, Budget), Full.serve(Rq, Budget))
-          << "request " << Rq;
-      ASSERT_EQ(Masked.J.phase(), Full.J.phase()) << "request " << Rq;
-      if (Phase == JitPhase::Optimizing &&
-          Masked.Hooks.answers(interp::FrameObservation::Body) > BodyBefore)
-        ProfiledWhileOptimizing = true;
-      if (Phase == JitPhase::Mature)
-        ++Mature;
-    }
-    EXPECT_TRUE(ProfiledWhileOptimizing);
+    HooksTwin<> Masked(*W, Config, /*AlwaysBody=*/false);
+    HooksTwin<> Full(*W, Config, /*AlwaysBody=*/true);
+    ASSERT_NO_FATAL_FAILURE(serveTwins(Masked, Full));
     EXPECT_GT(Masked.Hooks.answers(interp::FrameObservation::EntryExit), 0u);
     EXPECT_GT(Masked.Hooks.answers(interp::FrameObservation::Body), 0u);
     EXPECT_EQ(Masked.Hooks.answers(interp::FrameObservation::BodyAndInstrs),
@@ -640,4 +655,171 @@ TEST(ObservationMask, ProfilingHooksRecordOnlyWhatTheyObserve) {
       EXPECT_TRUE(Inlines);
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Profile slabs and dense translation lookups.
+//===----------------------------------------------------------------------===//
+
+TEST(ProfileSlabs, SlabRecorderMatchesReferenceRecorder) {
+  // The slab recorder and the pre-slab map-and-string recorder serve the
+  // same site.  Every request, the package bytes (the reference's
+  // string-keyed property counters spliced in) and every placement must
+  // come out identical.  Each package then boots a consumer that orders
+  // properties by affinity, which must serve identically too.
+  std::unique_ptr<fleet::Workload> W = twinSite();
+  for (bool Instrument : {false, true}) {
+    SCOPED_TRACE(Instrument ? "seeder instrumentation" : "no instrumentation");
+    JitConfig Config;
+    Config.ProfileRequestTarget = 40;
+    Config.SeederInstrumentation = Instrument;
+    HooksTwin<> Slab(*W, Config);
+    HooksTwin<jumpstart::testing::ReferenceProfilingHooks> Ref(*W, Config);
+    ASSERT_NO_FATAL_FAILURE(serveTwins(Slab, Ref));
+
+    profile::ProfilePackage Pkg = Slab.J.buildPackage(0, 0, 1, 0);
+    profile::ProfilePackage RefPkg = Ref.J.buildPackage(0, 0, 1, 0);
+    EXPECT_TRUE(RefPkg.Opt.PropAccessCounts.empty());
+    RefPkg.Opt.PropAccessCounts = Ref.Hooks.propCounts();
+    RefPkg.Opt.PropAffinity = Ref.Hooks.propAffinity();
+    EXPECT_FALSE(Pkg.Opt.PropAccessCounts.empty());
+    EXPECT_FALSE(Pkg.Opt.PropAffinity.empty());
+    EXPECT_GT(Pkg.numProfiledFuncs(), 0u);
+    EXPECT_EQ(Pkg.serialize(), RefPkg.serialize());
+    EXPECT_EQ(Slab.J.transDb().placementDigest(),
+              Ref.J.transDb().placementDigest());
+
+    vm::ServerConfig SC;
+    SC.UseAffinityPropOrder = true;
+    vm::Server A(W->Repo, SC, 1);
+    vm::Server B(W->Repo, SC, 1);
+    ASSERT_TRUE(A.installPackage(Pkg).ok());
+    ASSERT_TRUE(B.installPackage(RefPkg).ok());
+    A.startup();
+    B.startup();
+    for (uint32_t Rq = 0; Rq < 50; ++Rq) {
+      bc::FuncId E = W->Endpoints[Rq % W->Endpoints.size()];
+      std::vector<runtime::Value> Args{runtime::Value::integer(Rq % 97)};
+      vm::RequestResult RA = A.executeRequest(E, Args);
+      vm::RequestResult RB = B.executeRequest(E, Args);
+      ASSERT_EQ(RA.Obs.Ret, RB.Obs.Ret) << "request " << Rq;
+      ASSERT_EQ(RA.Obs.Output, RB.Obs.Output) << "request " << Rq;
+      ASSERT_EQ(RA.Obs.Faults, RB.Obs.Faults) << "request " << Rq;
+      ASSERT_EQ(RA.Seconds, RB.Seconds) << "request " << Rq;
+    }
+    EXPECT_EQ(A.theJit().transDb().placementDigest(),
+              B.theJit().transDb().placementDigest());
+  }
+}
+
+TEST(ProfileSlabs, ParallelRetranslateRendersBeforeFanOut) {
+  // Two twins record the same profiling prefix into slabs.  One runs
+  // retranslate-all inline, the other lowers on a three-worker pool; the
+  // workers read only the view rendered before the fan-out.
+  std::unique_ptr<fleet::Workload> W = twinSite();
+  JitConfig Config;
+  Config.ProfileRequestTarget = 1000;
+  HooksTwin<> Inline(*W, Config);
+  HooksTwin<> Pooled(*W, Config);
+  for (uint32_t Rq = 0; Rq < 30; ++Rq)
+    ASSERT_EQ(Inline.serve(Rq, 40'000), Pooled.serve(Rq, 40'000));
+  ASSERT_EQ(Inline.J.phase(), JitPhase::Profiling);
+  support::ThreadPool Pool(3);
+  RetranslateStats A = ParallelRetranslate(Inline.J, nullptr).run(1e6);
+  RetranslateStats B = ParallelRetranslate(Pooled.J, &Pool).run(1e6);
+  EXPECT_GT(A.TranslationsPlaced, 0u);
+  EXPECT_EQ(A.TranslationsPlaced, B.TranslationsPlaced);
+  EXPECT_EQ(Inline.J.transDb().placementDigest(),
+            Pooled.J.transDb().placementDigest());
+  EXPECT_EQ(Inline.J.buildPackage(0, 0, 1, 0).serialize(),
+            Pooled.J.buildPackage(0, 0, 1, 0).serialize());
+}
+
+TEST(ProfileSlabs, RenderAddsToProfilesWrittenDirectly) {
+  // Counts written through getOrCreate and counts a slab records add up,
+  // and a site the slab never observed stays out of the ordered maps.
+  TestVm Vm("function f($x) { return $x + 1; }");
+  bc::FuncId F = Vm.Repo.findFunction("f");
+  bc::BlockCache Blocks(Vm.Repo);
+  profile::ProfileStore Store;
+  Store.getOrCreate(F.raw()).EntryCount = 5;
+  profile::ProfileSlab &S = Store.createSlab(
+      F.raw(), Vm.Repo.func(F), Blocks.blocks(F).numBlocks());
+  Store.touch(S);
+  runtime::Value Arg = runtime::Value::integer(1);
+  S.countEntry(&Arg, 1);
+  S.countBlock(0);
+  Store.render();
+  const profile::FuncProfile *P = Store.find(F.raw());
+  ASSERT_NE(P, nullptr);
+  EXPECT_EQ(P->EntryCount, 6u);
+  ASSERT_EQ(P->BlockCounts.size(), Blocks.blocks(F).numBlocks());
+  EXPECT_EQ(P->BlockCounts[0], 1u);
+  ASSERT_EQ(P->ParamTypes.size(), 1u);
+  EXPECT_EQ(P->ParamTypes[0].total(), 1u);
+  EXPECT_TRUE(P->LoadTypes.empty()) << "the Add site was never observed";
+  // A render zeroes the slab: rendering again adds nothing.
+  Store.touch(S);
+  Store.render();
+  EXPECT_EQ(Store.find(F.raw())->EntryCount, 6u);
+}
+
+TEST(TransDbTest, LookupsMatchAScanOfAllTranslations) {
+  // best() and forFunc() read per-function rows.  After every JIT job of
+  // a retranslate-all plus a live tail they must equal a brute-force
+  // scan of all(): the latest translation per kind, and the first placed
+  // one in optimized, live, profile order.
+  std::unique_ptr<fleet::Workload> W = twinSite();
+  JitConfig Config;
+  Config.ProfileRequestTarget = 10;
+  // Cheap jobs keep the one-unit steps below few.
+  Config.ProfileCompileCostPerBytecode = 4;
+  Config.LiveCompileCostPerBytecode = 4;
+  Config.OptCompileCostPerBytecode = 8;
+  HooksTwin<> Twin(*W, Config);
+  const TransDb &Db = Twin.J.transDb();
+  const size_t NumFuncs = W->Repo.numFuncs();
+
+  auto ExpectMatchesScan = [&] {
+    std::vector<std::array<const Translation *, 3>> Latest(NumFuncs);
+    for (const auto &T : Db.all())
+      Latest[T->func().raw()][static_cast<size_t>(T->Kind)] = T.get();
+    for (uint32_t Raw = 0; Raw < NumFuncs; ++Raw) {
+      bc::FuncId F(Raw);
+      const Translation *Best = nullptr;
+      for (TransKind K :
+           {TransKind::Optimized, TransKind::Live, TransKind::Profile}) {
+        const Translation *T = Latest[Raw][static_cast<size_t>(K)];
+        ASSERT_EQ(Db.forFunc(F, K), T) << "f" << Raw << " "
+                                       << transKindName(K);
+        if (!Best && T && T->Placed)
+          Best = T;
+      }
+      ASSERT_EQ(Db.best(F), Best) << "f" << Raw;
+    }
+  };
+
+  size_t Steps = 0;
+  for (uint32_t Rq = 0, Mature = 0; Mature < 40; ++Rq) {
+    ASSERT_LT(Rq, 2000u) << "the JIT never matured";
+    if (Twin.J.phase() == JitPhase::Mature)
+      ++Mature;
+    Twin.serve(Rq, /*Budget=*/0);
+    // One-unit steps finish at most one job each: every job costs more.
+    for (int I = 0; I < 2000 && Twin.J.hasPendingWork(); ++I) {
+      size_t Created = Db.size();
+      Twin.J.runJitWork(1.0);
+      ASSERT_LE(Db.size(), Created + 1);
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesScan());
+      ++Steps;
+    }
+  }
+  size_t Kinds[3] = {};
+  for (const auto &T : Db.all())
+    ++Kinds[static_cast<size_t>(T->Kind)];
+  EXPECT_GT(Kinds[static_cast<size_t>(TransKind::Profile)], 0u);
+  EXPECT_GT(Kinds[static_cast<size_t>(TransKind::Optimized)], 0u);
+  EXPECT_GT(Kinds[static_cast<size_t>(TransKind::Live)], 0u)
+      << "no live tail";
+  EXPECT_GT(Steps, Db.size());
 }

@@ -11,6 +11,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/Consumer.h"
 #include "fleet/WorkloadGen.h"
 #include "vm/Server.h"
 
@@ -235,4 +236,110 @@ TEST_F(VmTestFixture, FaultsAreCountedNotFatal) {
                                  {runtime::Value::integer(1)})
                     .Seconds;
   EXPECT_GT(Cost, 0.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Hostile packages.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A package that names ids outside the repo it targets.
+struct HostilePackage {
+  const char *Name;
+  profile::ProfilePackage Pkg;
+};
+
+/// Variants of \p Good (a seeder package for \p R) with fingerprint 0,
+/// so strict consumer lint never sees them.  The first three aborted or
+/// threw during startup() before installPackage checked ids.
+std::vector<HostilePackage> hostileVariants(const bc::Repo &R,
+                                            profile::ProfilePackage Good) {
+  Good.RepoFingerprint = 0;
+  const uint32_t NumFuncs = static_cast<uint32_t>(R.numFuncs());
+  std::vector<HostilePackage> Out;
+  auto Add = [&](const char *Name, auto Mutate) {
+    HostilePackage H{Name, Good};
+    Mutate(H.Pkg);
+    Out.push_back(std::move(H));
+  };
+  Add("profile past the last function", [&](profile::ProfilePackage &P) {
+    profile::FuncProfile F = P.Funcs.front();
+    F.Func = NumFuncs;
+    P.Funcs.push_back(F);
+  });
+  Add("duplicate profile", [](profile::ProfilePackage &P) {
+    P.Funcs.push_back(P.Funcs.front());
+  });
+  Add("call arc to a huge id", [](profile::ProfilePackage &P) {
+    P.Opt.CallArcs[{0, 0xFFFFFFF0u}] = 1;
+    P.Intermediate.FuncOrder.clear();
+  });
+  Add("vasm counters past the last function",
+      [&](profile::ProfilePackage &P) {
+        P.Opt.VasmBlockCounts[NumFuncs] = {1};
+      });
+  Add("function order past the last function",
+      [&](profile::ProfilePackage &P) {
+        P.Intermediate.FuncOrder.push_back(NumFuncs);
+      });
+  Add("live code past the last function", [&](profile::ProfilePackage &P) {
+    P.Intermediate.LiveFuncs.push_back(NumFuncs);
+  });
+  Add("preload unit past the last unit", [&](profile::ProfilePackage &P) {
+    P.Preload.Units.push_back(static_cast<uint32_t>(R.numUnits()));
+  });
+  return Out;
+}
+
+} // namespace
+
+TEST_F(VmTestFixture, InstallPackageRejectsIdsOutsideTheRepo) {
+  vm::Server Seeder(W->Repo, fastConfig(), 1);
+  Seeder.startup();
+  serve(Seeder, 60);
+  profile::ProfilePackage Good = Seeder.buildSeederPackage(0, 0, 1);
+  ASSERT_FALSE(Good.Funcs.empty());
+  for (HostilePackage &H : hostileVariants(W->Repo, Good)) {
+    SCOPED_TRACE(H.Name);
+    vm::Server S(W->Repo, fastConfig(), 2);
+    support::Status St = S.installPackage(H.Pkg);
+    EXPECT_EQ(St.code(), support::StatusCode::CorruptData) << St.message();
+    // Rejected: the server boots and serves without the package.
+    EXPECT_FALSE(S.startup().UsedJumpStart);
+    EXPECT_TRUE(S.executeRequest(W->Endpoints[0],
+                                 {runtime::Value::integer(3)})
+                    .Obs.Ok);
+  }
+  Good.RepoFingerprint = 0;
+  vm::Server S(W->Repo, fastConfig(), 2);
+  ASSERT_TRUE(S.installPackage(Good).ok());
+  EXPECT_TRUE(S.startup().UsedJumpStart);
+}
+
+TEST_F(VmTestFixture, ConsumerFallsBackFromHostilePackages) {
+  vm::Server Seeder(W->Repo, fastConfig(), 1);
+  Seeder.startup();
+  serve(Seeder, 60);
+  profile::ProfilePackage Good = Seeder.buildSeederPackage(0, 0, 1);
+  std::vector<HostilePackage> Variants = hostileVariants(W->Repo, Good);
+  Variants.resize(3); // the three that aborted a consumer
+  for (HostilePackage &H : Variants) {
+    SCOPED_TRACE(H.Name);
+    core::PackageManager Manager;
+    ASSERT_TRUE(Manager.publish(0, 0, H.Pkg.serialize()).ok());
+    core::ConsumerOutcome Out =
+        core::startConsumer(*W, fastConfig(), core::JumpStartOptions(),
+                            Manager, core::ConsumerParams());
+    EXPECT_FALSE(Out.UsedJumpStart);
+    ASSERT_NE(Out.Server, nullptr);
+    ASSERT_FALSE(Out.Rejections.empty());
+    for (const support::Status &St : Out.Rejections)
+      EXPECT_EQ(St.code(), support::StatusCode::CorruptData)
+          << St.message();
+    EXPECT_TRUE(Out.Server
+                    ->executeRequest(W->Endpoints[0],
+                                     {runtime::Value::integer(3)})
+                    .Obs.Ok);
+  }
 }
