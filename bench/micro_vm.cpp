@@ -21,7 +21,6 @@
 #include "jit/Jit.h"
 #include "jit/Recorders.h"
 #include "jit/Lower.h"
-#include "jit/ParallelRetranslate.h"
 #include "jit/TransLayout.h"
 #include "support/ThreadPool.h"
 #include "vm/Server.h"
@@ -211,9 +210,10 @@ void BM_Tier2Pipeline(benchmark::State &State) {
 BENCHMARK(BM_Tier2Pipeline);
 
 void BM_RetranslateAll(benchmark::State &State) {
-  // Full retranslate-all over a profiled site, lowered on Arg(0) host
-  // workers.  The output is byte-identical for every arg (the pool only
-  // moves the pure lowering work); wall-clock is what this measures.
+  // Full retranslate-all over a profiled site, drained through
+  // runJitWork with Arg(0) host workers.  The output is byte-identical
+  // for every arg (the pool only moves the pure lowering and layout
+  // work); wall-clock is what this measures.
   fleet::WorkloadParams P;
   P.NumHelpers = 400;
   P.NumClasses = 48;
@@ -227,7 +227,7 @@ void BM_RetranslateAll(benchmark::State &State) {
   size_t Placed = 0;
   for (auto _ : State) {
     State.PauseTiming();
-    jit::Jit J(W->Repo, jit::JitConfig());
+    jit::Jit J(W->Repo, jit::JitConfig(), Pool.get());
     for (uint32_t F = 0; F < W->Repo.numFuncs(); ++F) {
       if (W->Repo.func(bc::FuncId(F)).Code.empty())
         continue;
@@ -237,9 +237,12 @@ void BM_RetranslateAll(benchmark::State &State) {
           J.blockCache().blocks(bc::FuncId(F)).numBlocks(), 1000);
     }
     State.ResumeTiming();
-    jit::ParallelRetranslate Driver(J, Pool.get());
-    jit::RetranslateStats Stats = Driver.run(1e12);
-    Placed = Stats.TranslationsPlaced;
+    J.beginRetranslateAll();
+    while (J.hasPendingWork())
+      J.runJitWork(1e12);
+    Placed = 0;
+    for (const auto &T : J.transDb().all())
+      Placed += T->Placed ? 1 : 0;
     benchmark::DoNotOptimize(Placed);
   }
   State.counters["translations"] = static_cast<double>(Placed);

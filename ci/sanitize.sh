@@ -22,7 +22,8 @@
 # instrumented too (server_load at --threads 1 and 4).
 #
 # The thread set exists for the host compile pool (support::ThreadPool,
-# jit::ParallelRetranslate, the sharded fleet/deployment fan-outs): on
+# the lowering and layout fan-out inside Jit::runJitWork, the sharded
+# fleet/deployment fan-outs): on
 # top of the full test suite it runs the fig4_warmup --threads sweep and
 # byte-compares the exports, so a data race that *changes output* fails
 # twice -- once under TSan, once on the diff.

@@ -25,7 +25,7 @@
 #include "core/JumpStartOptions.h"
 #include "frontend/Compiler.h"
 #include "interp/Interpreter.h"
-#include "jit/ParallelRetranslate.h"
+#include "jit/Jit.h"
 #include "runtime/ValueOps.h"
 #include "support/ThreadPool.h"
 #include "testing/DiffRunner.h"
@@ -204,10 +204,10 @@ int main(int argc, char **argv) {
 
   if (std::strcmp(Command, "jit") == 0) {
     // Retranslate-all over the file's functions with a synthetic
-    // every-block-hot profile, lowered on --threads host workers.  The
-    // summary is identical for any worker count (the pool only moves
-    // wall-clock time); this is the CLI face of the --threads knob the
-    // bench binaries expose.
+    // every-block-hot profile, drained through runJitWork with lowering
+    // and layout on --threads host workers.  The summary is identical for
+    // any worker count (the pool only moves wall-clock time); this is the
+    // CLI face of the --threads knob the bench binaries expose.
     uint32_t Threads = 1;
     for (int I = 3; I < argc; ++I) {
       if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
@@ -219,7 +219,10 @@ int main(int argc, char **argv) {
         return usage();
       }
     }
-    jit::Jit J(Repo, jit::JitConfig());
+    std::unique_ptr<support::ThreadPool> Pool;
+    if (Threads > 1)
+      Pool = std::make_unique<support::ThreadPool>(Threads);
+    jit::Jit J(Repo, jit::JitConfig(), Pool.get());
     for (uint32_t F = 0; F < Repo.numFuncs(); ++F) {
       if (Repo.func(bc::FuncId(F)).Code.empty())
         continue;
@@ -228,18 +231,17 @@ int main(int argc, char **argv) {
       P.BlockCounts.assign(
           J.blockCache().blocks(bc::FuncId(F)).numBlocks(), 1000);
     }
-    std::unique_ptr<support::ThreadPool> Pool;
-    if (Threads > 1)
-      Pool = std::make_unique<support::ThreadPool>(Threads);
-    jit::ParallelRetranslate Driver(J, Pool.get());
-    jit::RetranslateStats Stats = Driver.run(1e12);
-    std::printf("%s: %zu functions compiled, %zu translations placed, "
-                "%llu code bytes (%u host workers)\n",
-                Path, Stats.FunctionsCompiled, Stats.TranslationsPlaced,
-                static_cast<unsigned long long>(J.totalCodeBytes()),
-                Stats.HostWorkers);
-    std::printf("virtual cost: %.1f compile + %.1f relocate units\n",
-                Stats.CompileUnits, Stats.RelocateUnits);
+    J.beginRetranslateAll();
+    double Units = 0;
+    while (J.hasPendingWork())
+      Units += J.runJitWork(1e12);
+    size_t Placed = 0;
+    for (const auto &T : J.transDb().all())
+      Placed += T->Placed ? 1 : 0;
+    std::printf("%s: %zu translations placed, %llu code bytes, "
+                "%.1f units consumed\n",
+                Path, Placed,
+                static_cast<unsigned long long>(J.totalCodeBytes()), Units);
     return 0;
   }
 

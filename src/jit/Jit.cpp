@@ -11,6 +11,7 @@
 #include "obs/Observability.h"
 #include "support/Assert.h"
 #include "support/StringUtil.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <unordered_set>
@@ -32,9 +33,9 @@ const char *jumpstart::jit::jitPhaseName(JitPhase P) {
   return "?";
 }
 
-Jit::Jit(const bc::Repo &R, JitConfig Config)
+Jit::Jit(const bc::Repo &R, JitConfig Config, support::ThreadPool *Pool)
     : R(R), Config(Config), Blocks(R), Cache(Config.Cache),
-      Enqueued(R.numFuncs(), 0) {}
+      Enqueued(R.numFuncs(), 0), Pool(Pool) {}
 
 void Jit::setObservability(obs::Observability *O, double SecondsPerUnit,
                            uint32_t Track) {
@@ -155,20 +156,9 @@ void Jit::beginRetranslateAll() {
       Enqueued[J.Func] = 0;
   Jobs = std::move(Kept);
 
-  // Optimize every profiled function, hottest first (determinism: ties by
-  // FuncId).
+  // Optimize every profiled function, hottest first.
   Store.render();
-  std::vector<std::pair<uint64_t, uint32_t>> ByHotness;
-  for (const auto &[FuncRaw, Prof] : Store.all())
-    ByHotness.push_back({Prof.totalSamples(), FuncRaw});
-  std::sort(ByHotness.begin(), ByHotness.end(),
-            [](const auto &A, const auto &B) {
-              if (A.first != B.first)
-                return A.first > B.first;
-              return A.second < B.second;
-            });
-  for (const auto &[Samples, FuncRaw] : ByHotness) {
-    (void)Samples;
+  for (uint32_t FuncRaw : funcsByHotness()) {
     if (R.func(bc::FuncId(FuncRaw)).Code.empty())
       continue;
     // In ShareJIT mode the machine code already exists; "compiling" is
@@ -187,6 +177,23 @@ void Jit::beginRetranslateAll() {
     Phase = JitPhase::Mature;
     notePhase(JitPhase::Mature);
   }
+}
+
+std::vector<uint32_t> Jit::funcsByHotness() const {
+  std::vector<std::pair<uint64_t, uint32_t>> ByHotness;
+  for (const auto &[FuncRaw, Prof] : Store.all())
+    ByHotness.push_back({Prof.totalSamples(), FuncRaw});
+  std::sort(ByHotness.begin(), ByHotness.end(),
+            [](const auto &A, const auto &B) {
+              if (A.first != B.first)
+                return A.first > B.first;
+              return A.second < B.second;
+            });
+  std::vector<uint32_t> Funcs;
+  Funcs.reserve(ByHotness.size());
+  for (const auto &Entry : ByHotness)
+    Funcs.push_back(Entry.second);
+  return Funcs;
 }
 
 std::unique_ptr<VasmUnit> Jit::lowerOptimizedUnit(bc::FuncId F) {
@@ -219,29 +226,6 @@ std::unique_ptr<VasmUnit> Jit::lowerOptimizedUnit(bc::FuncId F) {
       injectVasmCounts(*Unit, It->second);
   }
   return Unit;
-}
-
-std::unique_ptr<VasmUnit> Jit::lowerLiveUnit(bc::FuncId F) {
-  LowerOptions Opts;
-  Opts.Kind = TransKind::Live;
-  return lowerFunction(R, Blocks, F, nullptr, nullptr, Opts);
-}
-
-void Jit::compileOptimized(bc::FuncId F) {
-  if (Db.forFunc(F, TransKind::Optimized))
-    return;
-  std::unique_ptr<VasmUnit> Unit;
-  auto Scratch = PrecompiledOpt.find(F.raw());
-  if (Scratch != PrecompiledOpt.end()) {
-    Unit = std::move(Scratch->second);
-    PrecompiledOpt.erase(Scratch);
-  } else {
-    // Profile translations keep recording until optimized code is
-    // placed, so region selection renders what they added.
-    Store.render();
-    Unit = lowerOptimizedUnit(F);
-  }
-  Db.create(TransKind::Optimized, std::move(Unit));
 }
 
 LayoutOptions Jit::layoutOptions() const {
@@ -295,66 +279,99 @@ void Jit::enqueueRelocations() {
       Enqueue(T->Unit->Func.raw());
 }
 
-void Jit::finishJob(const Job &J) {
+namespace {
+
+/// Lowering order, every block hot: the layout of profile and live code.
+UnitLayout loweringOrder(const VasmUnit &Unit) {
+  UnitLayout L;
+  L.HotOrder.resize(Unit.Blocks.size());
+  for (uint32_t I = 0; I < L.HotOrder.size(); ++I)
+    L.HotOrder[I] = I;
+  return L;
+}
+
+} // namespace
+
+void Jit::prepareJob(const Job &J, Prepared &P) {
+  if (J.Kind == Job::Kind::Relocate) {
+    P.Layout = layoutUnit(*P.Reloc->Unit, layoutOptions());
+    return;
+  }
+  if (!P.Lower)
+    return;
+  bc::FuncId F(J.Func);
+  if (J.Kind == Job::Kind::CompileOptimized) {
+    P.Unit = lowerOptimizedUnit(F);
+    return;
+  }
+  LowerOptions Opts;
+  Opts.Kind = J.Kind == Job::Kind::CompileProfile ? TransKind::Profile
+                                                  : TransKind::Live;
+  P.Unit = lowerFunction(R, Blocks, F, nullptr, nullptr, Opts);
+}
+
+void Jit::installJob(const Job &J, Prepared &P) {
   switch (J.Kind) {
   case Job::Kind::CompileProfile: {
-    bc::FuncId F(J.Func);
     Enqueued[J.Func] = 0;
-    if (Phase != JitPhase::Profiling)
+    if (!P.Lower)
       return; // profiling ended while this was queued
-    LowerOptions Opts;
-    Opts.Kind = TransKind::Profile;
-    auto Unit = lowerFunction(R, Blocks, F, nullptr, nullptr, Opts);
-    Translation &T = Db.create(TransKind::Profile, std::move(Unit));
-    UnitLayout L;
-    L.HotOrder.resize(T.Unit->Blocks.size());
-    for (uint32_t I = 0; I < L.HotOrder.size(); ++I)
-      L.HotOrder[I] = I;
-    placeTranslation(T, Cache, CodeArea::Profile, L);
+    Translation &T = Db.create(TransKind::Profile, std::move(P.Unit));
+    placeTranslation(T, Cache, CodeArea::Profile, loweringOrder(*T.Unit));
     return;
   }
   case Job::Kind::CompileLive: {
-    bc::FuncId F(J.Func);
     Enqueued[J.Func] = 0;
-    std::unique_ptr<VasmUnit> Unit;
-    auto Scratch = PrecompiledLive.find(J.Func);
-    if (Scratch != PrecompiledLive.end()) {
-      Unit = std::move(Scratch->second);
-      PrecompiledLive.erase(Scratch);
-    } else {
-      Unit = lowerLiveUnit(F);
-    }
-    Translation &T = Db.create(TransKind::Live, std::move(Unit));
-    UnitLayout L;
-    L.HotOrder.resize(T.Unit->Blocks.size());
-    for (uint32_t I = 0; I < L.HotOrder.size(); ++I)
-      L.HotOrder[I] = I;
-    if (!placeTranslation(T, Cache, CodeArea::Live, L))
+    Translation &T = Db.create(TransKind::Live, std::move(P.Unit));
+    if (!placeTranslation(T, Cache, CodeArea::Live, loweringOrder(*T.Unit)))
       LiveAreaExhausted = true; // Figure 1 point D
     return;
   }
   case Job::Kind::CompileOptimized:
-    compileOptimized(bc::FuncId(J.Func));
+    if (P.Lower)
+      Db.create(TransKind::Optimized, std::move(P.Unit));
     return;
-  case Job::Kind::Relocate: {
-    Translation *T = Db.find(J.Trans);
-    alwaysAssert(T != nullptr, "relocate job for unknown translation");
-    UnitLayout L;
-    auto Scratch = PrecomputedLayouts.find(T->Unit->Func.raw());
-    if (Scratch != PrecomputedLayouts.end()) {
-      L = std::move(Scratch->second);
-      PrecomputedLayouts.erase(Scratch);
-    } else {
-      L = layoutUnit(*T->Unit, layoutOptions());
-    }
-    placeTranslation(*T, Cache, CodeArea::Hot, L);
+  case Job::Kind::Relocate:
+    placeTranslation(*P.Reloc, Cache, CodeArea::Hot, P.Layout);
     return;
-  }
   }
 }
 
+std::vector<Jit::Prepared> Jit::planBatch(const std::vector<Job> &Done) {
+  std::vector<Prepared> Work(Done.size());
+  bool LowersOptimized = false;
+  for (size_t I = 0; I < Done.size(); ++I) {
+    const Job &J = Done[I];
+    Prepared &P = Work[I];
+    switch (J.Kind) {
+    case Job::Kind::CompileProfile:
+      P.Lower = Phase == JitPhase::Profiling;
+      break;
+    case Job::Kind::CompileLive:
+      P.Lower = true;
+      break;
+    case Job::Kind::CompileOptimized:
+      P.Lower = !Db.forFunc(bc::FuncId(J.Func), TransKind::Optimized);
+      LowersOptimized |= P.Lower;
+      break;
+    case Job::Kind::Relocate:
+      P.Reloc = Db.find(J.Trans);
+      alwaysAssert(P.Reloc != nullptr, "relocate job for unknown translation");
+      break;
+    }
+  }
+  // Profile translations keep recording until optimized code is placed,
+  // so region selection renders what they added, once per batch.
+  if (LowersOptimized)
+    Store.render();
+  return Work;
+}
+
 double Jit::runJitWork(double BudgetUnits) {
+  // The budget pays the queue front to back; every job it pays off
+  // finishes in this call.
   double Consumed = 0;
+  std::vector<Job> Done;
   while (BudgetUnits > 0 && !Jobs.empty()) {
     Job &J = Jobs.front();
     double Spend = std::min(BudgetUnits, J.CostLeft);
@@ -363,10 +380,29 @@ double Jit::runJitWork(double BudgetUnits) {
     Consumed += Spend;
     if (J.CostLeft > 0)
       break;
-    Job Done = J;
+    Done.push_back(J);
     Jobs.pop_front();
-    finishJob(Done);
-    noteJobDone(Done);
+  }
+
+  // A batch of several jobs is prepared up front on the pool.  Without a
+  // pool each job is prepared right before its install, which keeps the
+  // unit in cache while the translation database sizes and places it.
+  std::vector<Prepared> Work = planBatch(Done);
+  auto PrepareOne = [&](size_t I) { prepareJob(Done[I], Work[I]); };
+  bool FanOut = Pool && Done.size() > 1;
+  if (FanOut) {
+    // The block cache is the one lazily built structure the workers
+    // share, and region selection may reach callees far outside this
+    // batch: fill it here so the workers only read it.
+    for (uint32_t FuncRaw = 0; FuncRaw < R.numFuncs(); ++FuncRaw)
+      (void)Blocks.blocks(bc::FuncId(FuncRaw));
+    Pool->parallelFor(Done.size(), PrepareOne);
+  }
+  for (size_t I = 0; I < Done.size(); ++I) {
+    if (!FanOut)
+      PrepareOne(I);
+    installJob(Done[I], Work[I]);
+    noteJobDone(Done[I]);
   }
 
   // Phase transitions when a stage's queue drains.
@@ -387,17 +423,13 @@ double Jit::runJitWork(double BudgetUnits) {
   return Consumed;
 }
 
-support::Status
-Jit::installPackageProfiles(const profile::ProfilePackage &Pkg) {
+void Jit::startConsumerPrecompile(const profile::ProfilePackage &Pkg) {
   alwaysAssert(Phase == JitPhase::Profiling && Db.size() == 0,
                "consumer precompile must run on a fresh JIT");
   Package = Pkg;
-  return Store.loadFromPackage(Pkg);
-}
-
-void Jit::enqueueConsumerJobs() {
-  alwaysAssert(Package.has_value(),
-               "enqueueConsumerJobs without an installed package");
+  support::Status S = Store.loadFromPackage(Pkg);
+  alwaysAssert(S.ok(), "startConsumerPrecompile: bad package (callers "
+                       "validate with deserialize + lint first)");
   // Skip profiling entirely: go straight to retranslate-all.
   beginRetranslateAll();
   // Optionally also pre-compile the seeder's live-code tail (the
@@ -417,13 +449,6 @@ void Jit::enqueueConsumerJobs() {
     if (Phase == JitPhase::Mature && !Jobs.empty())
       Phase = JitPhase::Optimizing; // keep draining until live code done
   }
-}
-
-void Jit::startConsumerPrecompile(const profile::ProfilePackage &Pkg) {
-  support::Status S = installPackageProfiles(Pkg);
-  alwaysAssert(S.ok(), "startConsumerPrecompile: bad package (callers "
-                       "validate with deserialize + lint first)");
-  enqueueConsumerJobs();
 }
 
 profile::ProfilePackage Jit::buildPackage(uint32_t Region, uint32_t Bucket,
@@ -458,20 +483,10 @@ profile::ProfilePackage Jit::buildPackage(uint32_t Region, uint32_t Bucket,
 
   // Category 1: preload lists.  Units of profiled functions in hotness
   // order; classes and literal strings referenced by them.
-  std::vector<std::pair<uint64_t, uint32_t>> ByHotness;
-  for (const auto &[FuncRaw, Prof] : Store.all())
-    ByHotness.push_back({Prof.totalSamples(), FuncRaw});
-  std::sort(ByHotness.begin(), ByHotness.end(),
-            [](const auto &A, const auto &B) {
-              if (A.first != B.first)
-                return A.first > B.first;
-              return A.second < B.second;
-            });
   std::unordered_set<uint32_t> SeenUnits;
   std::unordered_set<uint32_t> SeenStrings;
   std::unordered_set<uint32_t> SeenClasses;
-  for (const auto &[Samples, FuncRaw] : ByHotness) {
-    (void)Samples;
+  for (uint32_t FuncRaw : funcsByHotness()) {
     const bc::Function &F = R.func(bc::FuncId(FuncRaw));
     if (SeenUnits.insert(F.Unit.raw()).second)
       Pkg.Preload.Units.push_back(F.Unit.raw());

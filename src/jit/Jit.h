@@ -25,6 +25,10 @@
 /// runs Optimizing and Relocating with all cores before serving (paper
 /// Figure 3c).
 ///
+/// runJitWork() drains every phase.  Its host pool moves wall-clock time
+/// only: costs, translation ids, placements and spans are the same for
+/// any worker count.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JUMPSTART_JIT_JIT_H
@@ -39,16 +43,18 @@
 #include "jit/TransLayout.h"
 #include "profile/ProfilePackage.h"
 #include "profile/ProfileStore.h"
-#include "support/Status.h"
 
 #include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 namespace jumpstart::obs {
 struct Observability;
+}
+
+namespace jumpstart::support {
+class ThreadPool;
 }
 
 namespace jumpstart::jit {
@@ -135,7 +141,10 @@ const char *jitPhaseName(JitPhase P);
 /// One server's JIT.
 class Jit {
 public:
-  Jit(const bc::Repo &R, JitConfig Config = JitConfig());
+  /// \p Pool (optional, not owned) prepares the pure half of each
+  /// drain's jobs on host workers; null prepares them inline.
+  Jit(const bc::Repo &R, JitConfig Config = JitConfig(),
+      support::ThreadPool *Pool = nullptr);
 
   //===--------------------------------------------------------------------===
   // Queries.
@@ -211,8 +220,11 @@ public:
   // Background compilation.
   //===--------------------------------------------------------------------===
 
-  /// Runs up to \p BudgetUnits of queued compile/relocate work.
-  /// \returns the units actually consumed.
+  /// Runs up to \p BudgetUnits of queued compile/relocate work: the
+  /// budget pays the queue front to back, and the jobs it pays off finish
+  /// in this call.  With a pool, their lowering and layout run on it
+  /// first; the translations are installed in queue order, and nothing
+  /// prepared outlives the call.  \returns the units actually consumed.
   double runJitWork(double BudgetUnits);
 
   /// Attaches the observability context (spans for every finished job,
@@ -230,16 +242,11 @@ public:
   // Jump-Start.
   //===--------------------------------------------------------------------===
 
-  /// Consumer side (Figure 3c): installs \p Pkg's profiles and enqueues
-  /// the full optimize + relocate pipeline.  The caller drives
-  /// runJitWork() to completion before serving.
+  /// Consumer side (Figure 3c): installs \p Pkg's profiles on a fresh
+  /// JIT and enqueues the full optimize + relocate pipeline, plus the
+  /// package's live-code tail under PrecompileLiveCode.  The caller
+  /// drives runJitWork() to completion before serving.
   void startConsumerPrecompile(const profile::ProfilePackage &Pkg);
-
-  /// First half of startConsumerPrecompile: installs \p Pkg's profiles
-  /// on a fresh JIT without enqueueing any work.  Used by
-  /// ParallelRetranslate, which pre-lowers into scratch before the
-  /// pipeline is enqueued.  \returns corrupt_data on duplicate FuncIds.
-  support::Status installPackageProfiles(const profile::ProfilePackage &Pkg);
 
   /// Seeder side: assembles a package from everything this JIT collected.
   /// The function order is computed with C3 over the tier-2 call graph
@@ -271,25 +278,44 @@ private:
   }
   static const char *jobSpanName(enum Job::Kind K);
 
+  /// The pure half of one job, made before the job is installed.
+  struct Prepared {
+    /// Compile jobs: whether the job still has a unit to lower, decided
+    /// on the owning thread.
+    bool Lower = false;
+    std::unique_ptr<VasmUnit> Unit;
+    /// Relocate jobs: the translation, resolved on the owning thread, and
+    /// its block layout.
+    Translation *Reloc = nullptr;
+    UnitLayout Layout;
+  };
+
   /// onFuncEntered's tiering policy for \p F, which has bytecode and
   /// whose current translation is \p Best.
   void enqueueTierUp(bc::FuncId F, const Translation *Best);
-  void finishJob(const Job &J);
+  /// Decides, on the owning thread, what each of the jobs one drain
+  /// finishes needs prepared, so that prepareJob never reads the
+  /// translation database or the phase; renders the profile store when
+  /// an optimized compile will lower.
+  std::vector<Prepared> planBatch(const std::vector<Job> &Done);
+  /// Lowers \p J's unit or lays out its translation into \p P.  Reads
+  /// only the repo, the rendered profile store, the package and a warmed
+  /// block cache, and writes only \p P, so pool workers may run it.
+  void prepareJob(const Job &J, Prepared &P);
+  /// Installs \p J's prepared half in the translation database and the
+  /// code cache.  Owning thread only.
+  void installJob(const Job &J, Prepared &P);
   /// Records a completed job's span + counter (no-op without obs).
   void noteJobDone(const Job &J);
   /// Records a phase-transition instant event (no-op without obs).
   void notePhase(JitPhase NewPhase);
-  void compileOptimized(bc::FuncId F);
   void enqueueRelocations();
-  /// Second half of startConsumerPrecompile: enqueues retranslate-all
-  /// plus (optionally) the package's live-code tail.
-  void enqueueConsumerJobs();
   /// Lowers \p F in optimized mode (region selection, package Vasm
-  /// counters).  Pure given an immutable profile store and a pre-warmed
-  /// block cache, so ParallelRetranslate may call it from workers.
+  /// counters).  Same purity contract as prepareJob.
   std::unique_ptr<VasmUnit> lowerOptimizedUnit(bc::FuncId F);
-  /// Lowers \p F in live (tracelet) mode; same purity contract.
-  std::unique_ptr<VasmUnit> lowerLiveUnit(bc::FuncId F);
+  /// Raw FuncIds of the profiled functions, hottest first (ties by
+  /// FuncId).
+  std::vector<uint32_t> funcsByHotness() const;
   std::vector<uint32_t> computeFuncOrder() const;
   LayoutOptions layoutOptions() const;
 
@@ -315,20 +341,8 @@ private:
 
   /// The installed Jump-Start package (consumer mode).
   std::optional<profile::ProfilePackage> Package;
-
-  /// Scratch from ParallelRetranslate: units lowered ahead of time on
-  /// host workers, consumed (instead of recomputed) when the serial
-  /// pipeline reaches the corresponding job.  Keyed by raw FuncId.
-  /// Virtual cost accounting is unchanged -- the pipeline charges the
-  /// same units whether a job hits scratch or lowers from scratch's
-  /// absence -- so host parallelism never shows up in virtual time.
-  std::unordered_map<uint32_t, std::unique_ptr<VasmUnit>> PrecompiledOpt;
-  std::unordered_map<uint32_t, std::unique_ptr<VasmUnit>> PrecompiledLive;
-  /// Layouts precomputed alongside PrecompiledOpt (layoutUnit is pure in
-  /// the unit, so computing it on a worker is placement-equivalent).
-  std::unordered_map<uint32_t, UnitLayout> PrecomputedLayouts;
-
-  friend class ParallelRetranslate;
+  /// Host workers for runJitWork's prepare step (null: inline).
+  support::ThreadPool *Pool;
 };
 
 } // namespace jumpstart::jit

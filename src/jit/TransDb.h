@@ -33,9 +33,10 @@ namespace jumpstart::jit {
 ///
 /// Threading: one thread owns a TransDb, and nothing here locks.  That
 /// thread is the server's serial path, or the single background compile
-/// thread during a concurrent-serving window.  Parallel retranslate-all
-/// workers lower into private scratch slots and never touch it (see
-/// jit/ParallelRetranslate.cpp).  serve() threads read immutable
+/// thread during a concurrent-serving window.  The compile pool's workers
+/// never touch it: Jit::runJitWork resolves every lookup a job needs on
+/// the owning thread before it fans out, and installs the prepared units
+/// itself (see jit/Jit.cpp).  serve() threads read immutable
 /// TransSnapshots instead.  The TSan sweep checks this contract.
 class TransDb {
 public:

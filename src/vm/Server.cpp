@@ -7,12 +7,10 @@
 
 #include "vm/Server.h"
 
-#include "jit/ParallelRetranslate.h"
 #include "obs/Observability.h"
 #include "runtime/ValueOps.h"
 #include "support/Assert.h"
 #include "support/Hashing.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cmath>
@@ -56,7 +54,8 @@ Server::ExecContext::ExecContext(const bc::Repo &R,
 
 Server::Server(const bc::Repo &R, ServerConfig Config, uint64_t Seed)
     : R(R), Config(std::move(Config)), Classes(R),
-      TheJit(R, this->Config.Jit), UnitLoaded(R.numUnits(), 0) {
+      TheJit(R, this->Config.Jit, this->Config.CompilePool),
+      UnitLoaded(R.numUnits(), 0) {
   (void)Seed;
   std::vector<std::string> Diags = validateServerConfig(this->Config);
   std::string Why =
@@ -187,35 +186,14 @@ RequestResult Server::executeRequest(bc::FuncId F,
   Ctx.PendingLoadUnits = 0;
   Ctx.InstrCounts.assign(R.numFuncs(), 0);
   interp::InterpResult Result = Ctx.Interp->call(F, Args);
-  RequestResult Res;
-  // Render before the heap reset: the return value may point into it.
-  Res.Obs.Ret = runtime::toString(Result.Ret);
-  Res.Obs.Output = Ctx.Output;
-  Res.Obs.Faults = Result.Faults;
-  Res.Obs.Ok = Result.Ok;
   Faults += Result.Faults;
   ++Requests;
   TheJit.onRequestFinished();
-  Ctx.Heap.reset();
-  Ctx.Output.clear();
-
-  double Units = Ctx.PendingLoadUnits;
-  for (uint32_t FuncRaw = 0; FuncRaw < Ctx.InstrCounts.size(); ++FuncRaw) {
-    if (Ctx.InstrCounts[FuncRaw] == 0)
-      continue;
-    Units += static_cast<double>(Ctx.InstrCounts[FuncRaw]) *
-             TheJit.execCostPerBytecode(bc::FuncId(FuncRaw));
-  }
-  // Runtime-warmup friction (see ServerConfig::RuntimeWarmupPenalty).
-  if (Config.RuntimeWarmupPenalty > 0 && Config.RuntimeWarmupTau > 0) {
-    double Decay = std::exp(-static_cast<double>(Requests) /
-                            Config.RuntimeWarmupTau);
-    Units *= 1.0 + Config.RuntimeWarmupPenalty * Decay;
-  }
-  double Seconds = unitsToSeconds(Units);
+  RequestResult Res = finishRequest(Ctx, Result, Ctx.PendingLoadUnits,
+                                    /*Snap=*/nullptr, Requests);
   if (Obs) {
     // The request's CPU time is what moves this server's virtual clock.
-    Obs->Clock.advance(Seconds);
+    Obs->Clock.advance(Res.Seconds);
     Obs->Trace.endSpan(SpanIndex);
     obs::LabelSet ByServer{{"server", Config.Name}};
     Obs->Metrics.counter("jumpstart.server.requests", ByServer).inc();
@@ -225,9 +203,40 @@ RequestResult Server::executeRequest(bc::FuncId F,
     Obs->Metrics
         .histogram("jumpstart.server.request_seconds", ByServer,
                    obs::latencyBucketsSeconds())
-        .observe(Seconds);
+        .observe(Res.Seconds);
   }
-  Res.Seconds = Seconds;
+  return Res;
+}
+
+RequestResult Server::finishRequest(ExecContext &Ctx,
+                                    const interp::InterpResult &Result,
+                                    double StartUnits,
+                                    const jit::TransSnapshot *Snap,
+                                    uint64_t DecayRequests) {
+  RequestResult Res;
+  // Render before the heap reset: the return value may point into it.
+  Res.Obs.Ret = runtime::toString(Result.Ret);
+  Res.Obs.Output = Ctx.Output;
+  Res.Obs.Faults = Result.Faults;
+  Res.Obs.Ok = Result.Ok;
+  Ctx.Heap.reset();
+  Ctx.Output.clear();
+
+  double Units = StartUnits;
+  for (uint32_t FuncRaw = 0; FuncRaw < Ctx.InstrCounts.size(); ++FuncRaw) {
+    if (Ctx.InstrCounts[FuncRaw] == 0)
+      continue;
+    Units += static_cast<double>(Ctx.InstrCounts[FuncRaw]) *
+             (Snap ? Snap->CostPerBytecode[FuncRaw]
+                   : TheJit.execCostPerBytecode(bc::FuncId(FuncRaw)));
+  }
+  // Runtime-warmup friction (see ServerConfig::RuntimeWarmupPenalty).
+  if (Config.RuntimeWarmupPenalty > 0 && Config.RuntimeWarmupTau > 0) {
+    double Decay = std::exp(-static_cast<double>(DecayRequests) /
+                            Config.RuntimeWarmupTau);
+    Units *= 1.0 + Config.RuntimeWarmupPenalty * Decay;
+  }
+  Res.Seconds = unitsToSeconds(Units);
   return Res;
 }
 
@@ -235,13 +244,19 @@ double Server::grantJitTime(double Seconds) {
   alwaysAssert(!Serving.load(std::memory_order_acquire),
                "grantJitTime() is the serial path; use "
                "runBackgroundJitWork() inside a concurrent-serving window");
+  return spendJitTime(Seconds);
+}
+
+double Server::spendJitTime(double Seconds) {
   double Budget = Seconds * Config.JitWorkerCores *
                   Config.UnitsPerCorePerSecond;
   double Consumed = TheJit.runJitWork(Budget);
   double Wall =
       Consumed / (Config.JitWorkerCores * Config.UnitsPerCorePerSecond);
-  // Background compilation moves the clock too, so JIT job spans land on
-  // a timeline even when no tick loop is driving it (e.g. runSeeder).
+  // Compilation moves the clock too, so JIT job spans land on a timeline
+  // even when no tick loop is driving it (e.g. runSeeder).  Inside a
+  // concurrent-serving window this runs on the compile thread, the
+  // window's sole observability writer.
   if (Obs)
     Obs->Clock.advance(Wall);
   return Wall;
@@ -371,8 +386,9 @@ InitStats Server::startup() {
   // advances with each work slice so JIT job spans spread across the
   // precompile window.  The virtual wall-cost divides by the *modeled*
   // parallelism (JitConfig::Parallelism, default: every core -- paper
-  // Figure 3c); Config.CompilePool only shrinks host wall-clock and
-  // never appears in this arithmetic.
+  // Figure 3c); Config.CompilePool only shrinks host wall-clock (each
+  // slice's lowering and layout run on it) and never appears in this
+  // arithmetic.
   uint32_t VirtK = std::max(
       1u, Config.Jit.Parallelism
               ? std::min(Config.Jit.Parallelism, Config.Cores)
@@ -381,17 +397,14 @@ InitStats Server::startup() {
   {
     obs::ScopedSpan Span(Obs ? &Obs->Trace : nullptr, "consumer-precompile",
                          "phase", ServerTrack);
-    support::Status Installed = TheJit.installPackageProfiles(*Package);
-    alwaysAssert(Installed.ok(),
-                 "package passed lint but failed profile install");
-    jit::ParallelRetranslate Driver(TheJit, Config.CompilePool);
-    jit::RetranslateStats RStats =
-        Driver.run(16.0 * Config.UnitsPerCorePerSecond, [&](double Step) {
-          PrecompileUnits += Step;
-          if (Obs)
-            Obs->Clock.advance(unitsToSeconds(Step) / VirtK);
-        });
-    (void)RStats;
+    TheJit.startConsumerPrecompile(*Package);
+    while (TheJit.hasPendingWork()) {
+      double Step = TheJit.runJitWork(16.0 * Config.UnitsPerCorePerSecond);
+      alwaysAssert(Step > 0, "jit pipeline stalled with pending work");
+      PrecompileUnits += Step;
+      if (Obs)
+        Obs->Clock.advance(unitsToSeconds(Step) / VirtK);
+    }
   }
   Stats.PrecompileSeconds = unitsToSeconds(PrecompileUnits) / VirtK;
 

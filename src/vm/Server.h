@@ -95,8 +95,6 @@ struct ServerConfig {
   double UnitLoadCost = 40000;
   /// Virtual cost of deserializing a profile package, per byte.
   double DeserializeCostPerByte = 2.0;
-  /// Warmup requests run at initialization (paper section VII-A).
-  uint32_t WarmupRequests = 12;
   /// Runtime-warmup friction: early requests pay a penalty that decays
   /// with requests served, modelling the warmup effects outside the JIT
   /// (data caches, backend connections, OS page cache).  Cost multiplier
@@ -133,10 +131,11 @@ struct ServerConfig {
   /// Display name for tracks and metric labels (distinguishes servers
   /// sharing one Observability).
   std::string Name = "server";
-  /// Host thread pool for the consumer precompile's parallel lowering
-  /// (jit::ParallelRetranslate).  Null runs it inline.  Host-only: the
-  /// virtual clock and all exports are identical with or without it; the
-  /// *modeled* precompile parallelism is JitConfig::Parallelism.
+  /// Host thread pool the JIT lowers and lays out each drain's jobs on
+  /// (jit::Jit::runJitWork): serial grants, background drains and the
+  /// consumer precompile alike.  Null prepares them inline.  Host-only:
+  /// the virtual clock and all exports are identical with or without it;
+  /// the *modeled* precompile parallelism is JitConfig::Parallelism.
   support::ThreadPool *CompilePool = nullptr;
 };
 
@@ -368,6 +367,20 @@ private:
   RequestResult executeOnContext(ExecContext &Ctx, bc::FuncId F,
                                  const std::vector<runtime::Value> &Args,
                                  uint64_t DecayRequests);
+  /// The request tail both serving modes share.  Renders \p Result's
+  /// observables, recycles \p Ctx's heap and output, and costs the
+  /// request: \p StartUnits plus each function's bytecodes at the cost
+  /// \p Snap gives it (the live JIT's when null), scaled by the
+  /// runtime-warmup friction of request number \p DecayRequests.
+  RequestResult finishRequest(ExecContext &Ctx,
+                              const interp::InterpResult &Result,
+                              double StartUnits,
+                              const jit::TransSnapshot *Snap,
+                              uint64_t DecayRequests);
+  /// Runs \p Seconds of JIT-worker wall time (JitWorkerCores in
+  /// parallel) and advances the clock by the wall time the work took.
+  /// \returns that wall time.
+  double spendJitTime(double Seconds);
   uint32_t effectiveMaxInFlight() const;
 
   const bc::Repo &R;

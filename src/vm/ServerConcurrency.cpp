@@ -27,14 +27,8 @@
 
 #include "vm/Server.h"
 
-#include "jit/ParallelRetranslate.h"
-
 #include "obs/Observability.h"
-#include "runtime/ValueOps.h"
 #include "support/Assert.h"
-
-#include <algorithm>
-#include <cmath>
 
 using namespace jumpstart;
 using namespace jumpstart::vm;
@@ -151,57 +145,20 @@ Server::executeOnContext(ExecContext &Ctx, bc::FuncId F,
 
   Ctx.InstrCounts.assign(R.numFuncs(), 0);
   interp::InterpResult Result = Ctx.Interp->call(F, Args);
-
-  RequestResult Res;
-  // Render before the heap reset: the return value may point into it.
-  Res.Obs.Ret = runtime::toString(Result.Ret);
-  Res.Obs.Output = Ctx.Output;
-  Res.Obs.Faults = Result.Faults;
-  Res.Obs.Ok = Result.Ok;
   Ctx.Faults += Result.Faults;
   ++Ctx.Served;
-  Ctx.Heap.reset();
-  Ctx.Output.clear();
-
   // Cost the request against the pinned snapshot.  No unit-load term:
-  // the data plane was fully preloaded at beginConcurrentServing().
-  double Units = 0;
-  for (uint32_t FuncRaw = 0; FuncRaw < Ctx.InstrCounts.size(); ++FuncRaw) {
-    if (Ctx.InstrCounts[FuncRaw] == 0)
-      continue;
-    Units += static_cast<double>(Ctx.InstrCounts[FuncRaw]) *
-             Snap->CostPerBytecode[FuncRaw];
-  }
-  // Runtime-warmup friction decays by the caller-assigned request
-  // index, not arrival order, so it is interleaving-independent.
-  if (Config.RuntimeWarmupPenalty > 0 && Config.RuntimeWarmupTau > 0) {
-    double Decay = std::exp(-static_cast<double>(DecayRequests) /
-                            Config.RuntimeWarmupTau);
-    Units *= 1.0 + Config.RuntimeWarmupPenalty * Decay;
-  }
-  Res.Seconds = unitsToSeconds(Units);
-  return Res;
+  // the data plane was fully preloaded at beginConcurrentServing().  The
+  // runtime-warmup friction decays by the caller-assigned request index,
+  // not arrival order, so it is interleaving-independent.
+  return finishRequest(Ctx, Result, 0, Snap, DecayRequests);
 }
 
 double Server::runBackgroundJitWork(double Seconds) {
   alwaysAssert(Serving.load(std::memory_order_acquire),
                "runBackgroundJitWork() outside a concurrent-serving window");
-  // Host-parallel prelowering: lower queued units on the compile pool so
-  // the serial drain below mostly installs scratch.  Placement order and
-  // virtual cost accounting are untouched -- translations, spans and
-  // digests stay byte-identical to the pool-less path.
-  if (Config.CompilePool && TheJit.hasPendingWork())
-    jit::ParallelRetranslate::prelowerPending(TheJit, Config.CompilePool);
-  double Budget = Seconds * Config.JitWorkerCores *
-                  Config.UnitsPerCorePerSecond;
-  double Consumed = TheJit.runJitWork(Budget);
-  double Wall =
-      Consumed / (Config.JitWorkerCores * Config.UnitsPerCorePerSecond);
-  // This thread is the window's sole observability writer; the clock
-  // tracks compilation progress only (request threads never touch it).
-  if (Obs)
-    Obs->Clock.advance(Wall);
-  if (Consumed > 0)
+  double Wall = spendJitTime(Seconds);
+  if (Wall > 0)
     publishSnapshot();
   return Wall;
 }

@@ -15,7 +15,6 @@
 #include "fleet/WorkloadGen.h"
 #include "jit/Jit.h"
 #include "jit/Lower.h"
-#include "jit/ParallelRetranslate.h"
 #include "jit/Recorders.h"
 #include "jit/Region.h"
 #include "jit/TransLayout.h"
@@ -556,10 +555,10 @@ private:
 /// One interpreter and one JIT serving a workload through TieringHooks.
 template <typename Recorder = JitProfilingHooks> struct HooksTwin {
   HooksTwin(const fleet::Workload &W, const JitConfig &Config,
-            bool AlwaysBody = false)
+            bool AlwaysBody = false, support::ThreadPool *Pool = nullptr)
       : W(W), Classes(W.Repo),
         Interp(W.Repo, Classes, Heap, runtime::BuiltinTable::standard()),
-        J(W.Repo, Config), Hooks(J, AlwaysBody) {
+        J(W.Repo, Config, Pool), Hooks(J, AlwaysBody) {
     Interp.setCallbacks(&Hooks);
   }
 
@@ -712,23 +711,34 @@ TEST(ProfileSlabs, SlabRecorderMatchesReferenceRecorder) {
   }
 }
 
-TEST(ProfileSlabs, ParallelRetranslateRendersBeforeFanOut) {
-  // Two twins record the same profiling prefix into slabs.  One runs
-  // retranslate-all inline, the other lowers on a three-worker pool; the
-  // workers read only the view rendered before the fan-out.
+TEST(ProfileSlabs, PooledDrainRendersBeforeFanOut) {
+  // Two twins record the same profiling prefix into slabs, then drain
+  // retranslate-all through runJitWork: one inline, the other preparing
+  // on a three-worker pool, which it also used for the profiling grants.
+  // The workers read only the view rendered before the fan-out.
   std::unique_ptr<fleet::Workload> W = twinSite();
   JitConfig Config;
   Config.ProfileRequestTarget = 1000;
+  support::ThreadPool Pool(3);
   HooksTwin<> Inline(*W, Config);
-  HooksTwin<> Pooled(*W, Config);
+  HooksTwin<> Pooled(*W, Config, /*AlwaysBody=*/false, &Pool);
   for (uint32_t Rq = 0; Rq < 30; ++Rq)
     ASSERT_EQ(Inline.serve(Rq, 40'000), Pooled.serve(Rq, 40'000));
   ASSERT_EQ(Inline.J.phase(), JitPhase::Profiling);
-  support::ThreadPool Pool(3);
-  RetranslateStats A = ParallelRetranslate(Inline.J, nullptr).run(1e6);
-  RetranslateStats B = ParallelRetranslate(Pooled.J, &Pool).run(1e6);
-  EXPECT_GT(A.TranslationsPlaced, 0u);
-  EXPECT_EQ(A.TranslationsPlaced, B.TranslationsPlaced);
+  auto DrainAndCountPlaced = [](Jit &J) {
+    J.beginRetranslateAll();
+    while (J.hasPendingWork())
+      J.runJitWork(1e6);
+    size_t Placed = 0;
+    for (const auto &T : J.transDb().all())
+      Placed += T->Placed ? 1 : 0;
+    return Placed;
+  };
+  size_t A = DrainAndCountPlaced(Inline.J);
+  size_t B = DrainAndCountPlaced(Pooled.J);
+  EXPECT_GT(A, 0u);
+  EXPECT_EQ(A, B);
+  EXPECT_EQ(Inline.J.phase(), JitPhase::Mature);
   EXPECT_EQ(Inline.J.transDb().placementDigest(),
             Pooled.J.transDb().placementDigest());
   EXPECT_EQ(Inline.J.buildPackage(0, 0, 1, 0).serialize(),

@@ -323,8 +323,8 @@ TEST_F(ServerConcurrencyFixture, BackgroundPrelowerMatchesSerialDigest) {
     A.grantJitTime(1.0);
   std::string SerialPlacement = A.theJit().transDb().placementDigest();
 
-  // Twin: same prefix, but the background drain prelowers every queued
-  // unit on a host compile pool before each slice.  The pool must be
+  // Twin: same prefix, but each background slice lowers and lays out
+  // the jobs it finishes on a host compile pool.  The pool must be
   // invisible in the placement digest.
   support::ThreadPool Pool(3);
   vm::ServerConfig CB = fastConfig();
@@ -342,6 +342,51 @@ TEST_F(ServerConcurrencyFixture, BackgroundPrelowerMatchesSerialDigest) {
 
   EXPECT_EQ(B.theJit().phase(), jit::JitPhase::Mature);
   EXPECT_EQ(B.theJit().transDb().placementDigest(), SerialPlacement);
+}
+
+TEST_F(ServerConcurrencyFixture, PoolIsInvisibleAcrossAWindow) {
+  // A window closes while the retranslate-all is still queued, then the
+  // server serves serially with small grants.  Profile translations keep
+  // recording until optimized code is placed, so the drain must lower
+  // from the profile as it stands when each job finishes, not from one
+  // taken inside the window.  A server with a compile pool must end
+  // exactly where a pool-less one does.
+  struct Outcome {
+    std::string Placement;
+    uint64_t CodeBytes = 0;
+    std::vector<uint8_t> Package;
+  };
+  auto Run = [](support::ThreadPool *Pool) {
+    vm::ServerConfig C = fastConfig();
+    C.CompilePool = Pool;
+    vm::Server S(W->Repo, C, 7);
+    S.startup();
+    constexpr uint32_t kProfile = 20;
+    profilePrefix(S, kProfile);
+    size_t Queued = S.theJit().pendingJobs();
+    EXPECT_GT(Queued, 1u);
+    S.beginConcurrentServing();
+    S.runBackgroundJitWork(1e-6);
+    S.endConcurrentServing();
+    EXPECT_EQ(S.theJit().pendingJobs(), Queued)
+        << "the window was meant to finish no job";
+    for (uint32_t Rq = kProfile; Rq < kProfile + 60; ++Rq) {
+      S.executeRequest(endpointFor(Rq), argsFor(Rq));
+      S.grantJitTime(0.05);
+    }
+    while (S.theJit().hasPendingWork())
+      S.grantJitTime(1.0);
+    EXPECT_EQ(S.theJit().phase(), jit::JitPhase::Mature);
+    return Outcome{S.theJit().transDb().placementDigest(),
+                   S.theJit().totalCodeBytes(),
+                   S.buildSeederPackage(0, 0, 1).serialize()};
+  };
+  support::ThreadPool Pool(3);
+  Outcome Inline = Run(nullptr);
+  Outcome Pooled = Run(&Pool);
+  EXPECT_EQ(Pooled.Placement, Inline.Placement);
+  EXPECT_EQ(Pooled.CodeBytes, Inline.CodeBytes);
+  EXPECT_TRUE(Pooled.Package == Inline.Package);
 }
 
 TEST_F(ServerConcurrencyFixture, SnapshotCaptureMatchesJitCosts) {
