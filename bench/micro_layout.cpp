@@ -7,15 +7,17 @@
 ///
 /// \file
 /// Micro-benchmarks (google-benchmark) for the layout algorithms: Ext-TSP
-/// solve time and score quality vs original order, and C3 vs
-/// Pettis-Hansen vs original on synthetic call graphs -- the ablation
-/// benches for DESIGN.md's layout design choices.
+/// solve time and score quality vs original order (and the test-only
+/// reference solver on the same graphs, so one run reports the speedup),
+/// and C3 vs Pettis-Hansen vs original on synthetic call graphs -- the
+/// ablation benches for DESIGN.md's layout design choices.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "layout/ExtTsp.h"
 #include "layout/FunctionSort.h"
 #include "support/Random.h"
+#include "testing/ReferenceExtTsp.h"
 
 #include <benchmark/benchmark.h>
 
@@ -73,7 +75,16 @@ void BM_ExtTspSolve(benchmark::State &State) {
   State.counters["score_gain_pct"] =
       Base > 0 ? 100.0 * (Opt - Base) / Base : 0;
 }
-BENCHMARK(BM_ExtTspSolve)->Arg(16)->Arg(64)->Arg(128);
+BENCHMARK(BM_ExtTspSolve)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
+
+void BM_ExtTspReference(benchmark::State &State) {
+  Cfg G = makeCfg(static_cast<size_t>(State.range(0)), 42);
+  for (auto _ : State) {
+    auto Order = jumpstart::testing::referenceExtTspOrder(G);
+    benchmark::DoNotOptimize(Order.data());
+  }
+}
+BENCHMARK(BM_ExtTspReference)->Arg(16)->Arg(64)->Arg(128);
 
 void BM_C3Solve(benchmark::State &State) {
   CallGraph G = makeCallGraph(static_cast<size_t>(State.range(0)), 7);

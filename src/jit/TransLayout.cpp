@@ -17,12 +17,7 @@
 using namespace jumpstart;
 using namespace jumpstart::jit;
 
-namespace {
-
-/// Builds a layout::Cfg mirroring the unit's blocks: successor links plus
-/// inline call edges.  Edge weights are estimated as min(src, dst) block
-/// weight -- the classic approximation when only block counters exist.
-layout::Cfg buildLayoutCfg(const VasmUnit &Unit) {
+layout::Cfg jumpstart::jit::layoutCfg(const VasmUnit &Unit) {
   layout::Cfg G;
   for (const VBlock &B : Unit.Blocks)
     G.addBlock(B.sizeBytes(), B.Weight);
@@ -44,17 +39,15 @@ layout::Cfg buildLayoutCfg(const VasmUnit &Unit) {
   return G;
 }
 
-} // namespace
-
 UnitLayout jumpstart::jit::layoutUnit(const VasmUnit &Unit,
                                       const LayoutOptions &Opts) {
   UnitLayout Result;
   if (Unit.Blocks.empty())
     return Result;
 
+  layout::Cfg G = layoutCfg(Unit);
   std::vector<uint32_t> Order;
   if (Opts.UseExtTsp) {
-    layout::Cfg G = buildLayoutCfg(Unit);
     Order = layout::extTspOrder(G);
   } else {
     Order.resize(Unit.Blocks.size());
@@ -65,7 +58,6 @@ UnitLayout jumpstart::jit::layoutUnit(const VasmUnit &Unit,
     Result.HotOrder = std::move(Order);
     return Result;
   }
-  layout::Cfg G = buildLayoutCfg(Unit);
   layout::HotColdSplit Split =
       layout::splitHotCold(G, Order, Opts.ColdRatio);
   Result.HotOrder = std::move(Split.Hot);

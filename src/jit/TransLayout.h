@@ -20,6 +20,7 @@
 #include "jit/CodeCache.h"
 #include "jit/Translation.h"
 #include "layout/CallGraph.h"
+#include "layout/Cfg.h"
 #include "profile/ProfilePackage.h"
 #include "profile/ProfileStore.h"
 
@@ -42,6 +43,12 @@ struct UnitLayout {
   std::vector<uint32_t> HotOrder;
   std::vector<uint32_t> ColdOrder;
 };
+
+/// Builds the layout CFG of \p Unit: its blocks with their sizes and
+/// weights, successor links plus inline call edges.  Edge weights are
+/// estimated as min(src, dst) block weight, the classic approximation
+/// when only block counters exist.
+layout::Cfg layoutCfg(const VasmUnit &Unit);
 
 /// Computes the block layout of \p Unit.
 UnitLayout layoutUnit(const VasmUnit &Unit, const LayoutOptions &Opts);

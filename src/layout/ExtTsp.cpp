@@ -10,7 +10,6 @@
 #include "support/Assert.h"
 
 #include <algorithm>
-#include <numeric>
 
 using namespace jumpstart;
 using namespace jumpstart::layout;
@@ -29,8 +28,8 @@ void Cfg::addEdge(uint32_t Src, uint32_t Dst, uint64_t Weight) {
 namespace {
 
 /// Scores one edge given source end offset and destination start offset.
-double scoreEdge(uint64_t Weight, uint64_t SrcEnd, uint64_t DstStart,
-                 const ExtTspParams &P) {
+inline double scoreEdge(uint64_t Weight, uint64_t SrcEnd, uint64_t DstStart,
+                        const ExtTspParams &P) {
   double W = static_cast<double>(Weight);
   if (DstStart == SrcEnd)
     return P.FallthroughWeight * W;
@@ -50,133 +49,349 @@ double scoreEdge(uint64_t Weight, uint64_t SrcEnd, uint64_t DstStart,
   return 0.0;
 }
 
-/// The greedy chain-merging optimizer.
+/// The greedy chain-merging optimizer.  Chain ids are block ids: chain C
+/// starts as block C alone, and a merge moves the absorbed chain's blocks
+/// into the absorbing one.
+///
+/// The solver is incremental.  It caches each chain's score and the best
+/// merge of each ordered chain pair (A, B) that an edge from A into B
+/// connects.  A pair's best merge depends only on the block lists of its
+/// two chains and on which of them holds block 0, so a merge invalidates
+/// only the pairs that touch the two merged chains.  Every other rule is
+/// that of re-evaluating every pair on every iteration: pairs are scanned
+/// in the order of their first (source block, out-edge) position, a gain
+/// must beat the best so far strictly, and scores sum in chain order.
 class ExtTspSolver {
 public:
-  ExtTspSolver(const Cfg &G, const ExtTspParams &P) : G(G), P(P) {
-    size_t N = G.numBlocks();
-    OutEdges.resize(N);
-    for (const CfgEdge &E : G.edges()) {
-      if (E.Src != E.Dst) // self-loops score nothing under any layout
-        OutEdges[E.Src].push_back(E);
-    }
-    ChainOf.resize(N);
-    for (uint32_t B = 0; B < N; ++B) {
-      Chains.push_back({B});
-      ChainOf[B] = B;
-    }
-  }
+  ExtTspSolver(const Cfg &G, const ExtTspParams &P);
 
   std::vector<uint32_t> solve();
 
 private:
-  /// Ext-TSP score of the blocks in \p Chain laid out consecutively,
-  /// counting only edges internal to the chain.
-  double chainScore(const std::vector<uint32_t> &Chain) const;
+  static constexpr uint32_t kNone = ~0u;
 
-  /// Best merged form of chains A and B and its score; considers A+B,
-  /// B+A, and (for short A) splitting A around B.
-  double bestMerge(uint32_t A, uint32_t B,
-                   std::vector<uint32_t> &MergedOut) const;
+  /// Splitting is only attempted on chains at most this many blocks long
+  /// (bounds the cubic factor, as LLVM's Ext-TSP bounds chain splitting).
+  static constexpr size_t kSplitLimit = 32;
 
-  uint64_t chainBytes(const std::vector<uint32_t> &Chain) const {
-    uint64_t Total = 0;
-    for (uint32_t Block : Chain)
-      Total += G.block(Block).SizeBytes;
-    return Total;
-  }
+  struct OutEdge {
+    uint32_t Dst = 0;
+    uint64_t Weight = 0;
+  };
 
-  uint64_t chainWeight(const std::vector<uint32_t> &Chain) const {
-    uint64_t Total = 0;
-    for (uint32_t Block : Chain)
-      Total += G.block(Block).Weight;
-    return Total;
-  }
+  /// Where a block sits in its chain.
+  struct Place {
+    uint32_t Chain = 0;
+    uint32_t Next = kNone; ///< the next block in the chain
+    uint32_t Pos = 0;      ///< position in the chain
+    uint64_t Offset = 0;   ///< byte offset in the chain
+  };
+
+  struct Chain {
+    uint32_t Head = 0; ///< first block
+    uint32_t Size = 1; ///< blocks; 0 once absorbed
+    uint64_t Bytes = 0;
+    double Score = 0.0;
+    /// The last merge that met a pair (this chain, X) or (X, this chain),
+    /// for spotting the pairs that a merge makes one.
+    uint32_t OutSeen = 0;
+    uint32_t InSeen = 0;
+  };
+
+  /// Ordered chain pair (A, B) and its cached best merge: A's blocks
+  /// before position Split, then all of B, then the rest of A.  Split ==
+  /// |A| is the concatenation A+B and Split == 0 is B+A.
+  struct ChainPair {
+    uint32_t A = 0;
+    uint32_t B = 0;
+    uint32_t Split = 0;
+    bool Live = true;      ///< false once A and B merged, or a duplicate
+    bool Valid = false;    ///< the cached merge is for A's and B's blocks
+    bool HasMerge = false; ///< some shape keeps block 0 first
+    double Score = 0.0;    ///< score of the best merged chain
+    double Gain = 0.0;     ///< Score minus the scores of A and B
+  };
+
+  /// An edge from a block of the pair being evaluated to another block of
+  /// it, with each end placed within its own chain.
+  struct PairEdge {
+    uint64_t SrcEnd = 0;   ///< source block's end offset in its chain
+    uint64_t DstStart = 0; ///< destination's start offset in its chain
+    uint64_t Weight = 0;
+    uint32_t DstPos = 0; ///< destination's position in A; kNone if in B
+  };
+
+  /// Fills in \p Pr's best merge; considers A+B, B+A, and (for short A)
+  /// splitting A around B, keeping the first best.
+  void evaluate(ChainPair &Pr);
+
+  /// Ext-TSP score of the evaluated pair's A with B (\p BBytes long)
+  /// inserted before A's block at position \p Split, counting only edges
+  /// internal to the merged chain.  Sums in chain order, each block's
+  /// out-edges in CFG order, as a score of the materialized chain would.
+  double mergedScore(size_t Split, uint64_t BBytes) const;
+
+  /// The term of the evaluated pair's edge \p I in that merged chain.
+  double shapeTerm(size_t I, size_t Split, uint64_t BBytes) const;
+
+  /// Applies pair \p Index's merge: A absorbs B.
+  void merge(uint32_t Index);
 
   const Cfg &G;
   const ExtTspParams &P;
-  std::vector<std::vector<CfgEdge>> OutEdges;
-  std::vector<std::vector<uint32_t>> Chains; ///< empty = absorbed
-  std::vector<uint32_t> ChainOf;             ///< block -> chain index
+  std::vector<uint32_t> EdgeBegin; ///< block -> first of its OutEdges
+  std::vector<OutEdge> OutEdges;   ///< by source block; no self-loops
+  std::vector<Place> Places;       ///< by block
+  std::vector<Chain> Chains;
+  /// Indexed by first scan position, so the scan order is index order.
+  std::vector<ChainPair> Pairs;
+  std::vector<uint32_t> LivePairs; ///< indices, ascending; may hold dead
+  uint32_t Merges = 0;
+  /// Whether evaluate() may skip shapes by bound: every term is >= 0.
+  bool Bounded = false;
+  /// Relative rounding error that covers any float sum of terms here.
+  double Slack = 0.0;
 
-  /// Splitting is only attempted on chains at most this many blocks long
-  /// (bounds the cubic factor; matches the spirit of the reference
-  /// implementation's chain-split threshold).
-  static constexpr size_t kSplitLimit = 32;
+  /// The evaluated pair's edges: from A's blocks, then from B's.
+  std::vector<PairEdge> Edges;
+  size_t NumEdgesA = 0;
+  /// Per position I of A (and one past A's end): where its block starts
+  /// and the first of Edges from position I onwards.
+  struct SplitPoint {
+    uint64_t Offset = 0;
+    uint32_t FirstEdge = 0;
+  };
+  std::vector<SplitPoint> Splits;
+  /// Index into Edges of each edge between A and B, either way.
+  std::vector<uint32_t> CrossEdges;
+  /// Differences of the stretch term between consecutive splits.
+  std::vector<double> StretchSteps;
 };
 
-double ExtTspSolver::chainScore(const std::vector<uint32_t> &Chain) const {
-  if (Chain.size() < 2)
-    return 0.0;
-  // Block start offsets within the chain.
-  // (Position map is small; linear scan keeps this allocation-free for
-  // typical chains.)
-  double Score = 0.0;
-  for (size_t I = 0; I < Chain.size(); ++I) {
-    uint64_t SrcStart = 0;
-    for (size_t J = 0; J < I; ++J)
-      SrcStart += G.block(Chain[J]).SizeBytes;
-    uint64_t SrcEnd = SrcStart + G.block(Chain[I]).SizeBytes;
-    for (const CfgEdge &E : OutEdges[Chain[I]]) {
-      // Find Dst within this chain.
-      uint64_t DstStart = 0;
-      bool Found = false;
-      for (uint32_t Block : Chain) {
-        if (Block == E.Dst) {
-          Found = true;
-          break;
-        }
-        DstStart += G.block(Block).SizeBytes;
-      }
-      if (Found)
-        Score += scoreEdge(E.Weight, SrcEnd, DstStart, P);
+ExtTspSolver::ExtTspSolver(const Cfg &G, const ExtTspParams &P)
+    : G(G), P(P) {
+  uint32_t N = static_cast<uint32_t>(G.numBlocks());
+  EdgeBegin.assign(N + 1, 0);
+  for (const CfgEdge &E : G.edges())
+    if (E.Src != E.Dst) // self-loops score nothing under any layout
+      ++EdgeBegin[E.Src + 1];
+  for (uint32_t B = 0; B < N; ++B)
+    EdgeBegin[B + 1] += EdgeBegin[B];
+  uint32_t NumEdges = EdgeBegin[N];
+  OutEdges.resize(NumEdges);
+  std::vector<uint32_t> Fill(EdgeBegin.begin(), EdgeBegin.end() - 1);
+  for (const CfgEdge &E : G.edges())
+    if (E.Src != E.Dst)
+      OutEdges[Fill[E.Src]++] = OutEdge{E.Dst, E.Weight};
+
+  Places.resize(N);
+  Chains.resize(N);
+  for (uint32_t B = 0; B < N; ++B) {
+    Places[B].Chain = B;
+    Chains[B].Head = B;
+    Chains[B].Bytes = G.block(B).SizeBytes;
+  }
+  // Every chain is one block, so each edge is its own pair (the CFG holds
+  // one edge per block pair), created in scan order.
+  Pairs.resize(NumEdges);
+  LivePairs.resize(NumEdges);
+  for (uint32_t Src = 0; Src < N; ++Src) {
+    for (uint32_t I = EdgeBegin[Src]; I < EdgeBegin[Src + 1]; ++I) {
+      Pairs[I].A = Src;
+      Pairs[I].B = OutEdges[I].Dst;
+      LivePairs[I] = I;
     }
   }
+
+  Bounded = P.FallthroughWeight >= 0 && P.ForwardWeight >= 0 &&
+            P.BackwardWeight >= 0;
+  // A float sum of n terms is off by at most about n * 2^-53 of the sum
+  // of their magnitudes; this is 32 times that, for any sum evaluate()
+  // forms.
+  Slack = static_cast<double>(NumEdges + 2) * 0x1p-48;
+  Edges.reserve(NumEdges);
+  Splits.reserve(N + 1);
+}
+
+double ExtTspSolver::shapeTerm(size_t I, size_t Split,
+                               uint64_t BBytes) const {
+  const PairEdge &E = Edges[I];
+  uint64_t BStart = Splits[Split].Offset;
+  uint64_t SrcEnd = I >= NumEdgesA                  ? BStart + E.SrcEnd
+                    : I < Splits[Split].FirstEdge ? E.SrcEnd
+                                                  : E.SrcEnd + BBytes;
+  uint64_t DstStart = E.DstPos == kNone  ? BStart + E.DstStart
+                      : E.DstPos < Split ? E.DstStart
+                                         : E.DstStart + BBytes;
+  return scoreEdge(E.Weight, SrcEnd, DstStart, P);
+}
+
+double ExtTspSolver::mergedScore(size_t Split, uint64_t BBytes) const {
+  // A's edges before the split, then B's, then the rest of A's.
+  double Score = 0.0;
+  size_t Mid = Splits[Split].FirstEdge;
+  for (size_t I = 0; I < Mid; ++I)
+    Score += shapeTerm(I, Split, BBytes);
+  for (size_t I = NumEdgesA; I < Edges.size(); ++I)
+    Score += shapeTerm(I, Split, BBytes);
+  for (size_t I = Mid; I < NumEdgesA; ++I)
+    Score += shapeTerm(I, Split, BBytes);
   return Score;
 }
 
-double ExtTspSolver::bestMerge(uint32_t A, uint32_t B,
-                               std::vector<uint32_t> &MergedOut) const {
-  const std::vector<uint32_t> &CA = Chains[A];
-  const std::vector<uint32_t> &CB = Chains[B];
-  double Best = -1.0;
+void ExtTspSolver::evaluate(ChainPair &Pr) {
+  const Chain &CA = Chains[Pr.A];
+  const Chain &CB = Chains[Pr.B];
+  // The shapes in order: A+B (split at |A|), B+A (split at 0), then A
+  // split before each of its blocks, if A is short enough.  The entry
+  // block must remain first in whatever chain holds it, so B+A is out if
+  // A holds it, and A+B and every split if B does.
+  bool HoldsEntry = Places[0].Chain == Pr.A || Places[0].Chain == Pr.B;
+  size_t SizeA = CA.Size;
+  bool TrySplits = SizeA >= 2 && SizeA <= kSplitLimit &&
+                   (!HoldsEntry || CA.Head == 0);
+  size_t NumShapes = TrySplits ? SizeA + 1 : 2;
 
-  auto Consider = [&](std::vector<uint32_t> Candidate) {
-    // The entry block must remain first in whatever chain holds it.
-    if (ChainOf[0] == A || ChainOf[0] == B) {
-      if (Candidate.front() != 0 &&
-          std::find(Candidate.begin(), Candidate.end(), 0u) !=
-              Candidate.end())
-        return;
+  // Where splits are tried, each shape is first bounded, and skipped if
+  // the bound cannot beat the best shape so far.  In real arithmetic a
+  // shape's score regroups into the scores of A and B; plus, for each
+  // edge inside A whose ends the split puts on both sides of B, its
+  // stretched term minus its term in A; plus the terms of the edges
+  // between A and B.  An edge's stretched term is the same for every
+  // split it spans, so one pass over A's edges gives the stretch of every
+  // split, and only the edges between A and B are scored per shape.  The
+  // float sums differ from the real ones by less than Slack times the
+  // sum of the magnitudes (Mag), which is added to the bound, so a
+  // skipped shape's exact score could not have beaten the best.
+  bool Bound = TrySplits && Bounded;
+  double Mag = CA.Score + CB.Score;
+  CrossEdges.clear();
+  if (Bound)
+    StretchSteps.assign(SizeA + 1, 0.0);
+  Edges.clear();
+  Splits.clear();
+  for (uint32_t C : {Pr.A, Pr.B}) {
+    uint32_t Pos = 0;
+    for (uint32_t Src = Chains[C].Head; Src != kNone;
+         Src = Places[Src].Next, ++Pos) {
+      uint64_t SrcStart = Places[Src].Offset;
+      if (C == Pr.A)
+        Splits.push_back({SrcStart, static_cast<uint32_t>(Edges.size())});
+      uint64_t SrcEnd = SrcStart + G.block(Src).SizeBytes;
+      for (uint32_t I = EdgeBegin[Src]; I < EdgeBegin[Src + 1]; ++I) {
+        const OutEdge &E = OutEdges[I];
+        const Place &Dst = Places[E.Dst];
+        if (Dst.Chain != Pr.A && Dst.Chain != Pr.B)
+          continue;
+        uint32_t DstPos = Dst.Chain == Pr.A ? Dst.Pos : kNone;
+        if (Bound && Dst.Chain != C) {
+          CrossEdges.push_back(static_cast<uint32_t>(Edges.size()));
+        } else if (Bound && C == Pr.A) {
+          double InA = scoreEdge(E.Weight, SrcEnd, Dst.Offset, P);
+          double Stretched =
+              Pos < DstPos
+                  ? scoreEdge(E.Weight, SrcEnd, Dst.Offset + CB.Bytes, P)
+                  : scoreEdge(E.Weight, SrcEnd + CB.Bytes, Dst.Offset, P);
+          // The edge spans the splits after the first of its ends up to
+          // and including the second.
+          StretchSteps[std::min(Pos, DstPos) + 1] += Stretched - InA;
+          StretchSteps[std::max(Pos, DstPos) + 1] -= Stretched - InA;
+          Mag += InA + Stretched;
+        }
+        Edges.push_back(PairEdge{SrcEnd, Dst.Offset, E.Weight, DstPos});
+      }
     }
-    double Score = chainScore(Candidate);
+    if (C == Pr.A) {
+      NumEdgesA = Edges.size();
+      Splits.push_back({CA.Bytes, static_cast<uint32_t>(NumEdgesA)});
+    }
+  }
+
+  double Stretch = 0.0;
+  double Best = -1.0;
+  Pr.HasMerge = false;
+  for (size_t Shape = 0; Shape < NumShapes; ++Shape) {
+    size_t Split = Shape == 0 ? SizeA : Shape - 1;
+    if (Bound && Shape > 0)
+      Stretch += StretchSteps[Split];
+    uint32_t Front = Split == 0 ? CB.Head : CA.Head;
+    if (HoldsEntry && Front != 0)
+      continue;
+    if (Bound && Shape > 0) { // nothing to beat before the first shape
+      double Cross = 0.0;
+      for (uint32_t I : CrossEdges)
+        Cross += shapeTerm(I, Split, CB.Bytes);
+      double Limit = CA.Score + CB.Score + Stretch + Cross;
+      if (Limit + (Mag + Cross) * Slack <= Best)
+        continue;
+    }
+    double Score = mergedScore(Split, CB.Bytes);
     if (Score > Best) {
       Best = Score;
-      MergedOut = std::move(Candidate);
+      Pr.Split = static_cast<uint32_t>(Split);
+      Pr.HasMerge = true;
     }
-  };
+  }
+  Pr.Score = Best;
+  Pr.Gain = Best - CA.Score - CB.Score;
+  Pr.Valid = true;
+}
 
-  // Concatenations.
-  {
-    std::vector<uint32_t> AB = CA;
-    AB.insert(AB.end(), CB.begin(), CB.end());
-    Consider(std::move(AB));
+void ExtTspSolver::merge(uint32_t Index) {
+  const ChainPair &Won = Pairs[Index];
+  uint32_t A = Won.A;
+  uint32_t B = Won.B;
+  Chain &CA = Chains[A];
+  Chain &CB = Chains[B];
+  // Splice B's blocks in before A's block at position Split.
+  uint32_t BTail = CB.Head;
+  while (Places[BTail].Next != kNone)
+    BTail = Places[BTail].Next;
+  if (Won.Split == 0) {
+    Places[BTail].Next = CA.Head;
+    CA.Head = CB.Head;
+  } else {
+    uint32_t Before = CA.Head;
+    for (uint32_t I = 1; I < Won.Split; ++I)
+      Before = Places[Before].Next;
+    Places[BTail].Next = Places[Before].Next;
+    Places[Before].Next = CB.Head;
   }
-  {
-    std::vector<uint32_t> BA = CB;
-    BA.insert(BA.end(), CA.begin(), CA.end());
-    Consider(std::move(BA));
+  CA.Size += CB.Size;
+  CB.Size = 0;
+  CA.Bytes += CB.Bytes;
+  CA.Score = Won.Score;
+  uint32_t Pos = 0;
+  uint64_t Offset = 0;
+  for (uint32_t Block = CA.Head; Block != kNone; Block = Places[Block].Next) {
+    Places[Block].Chain = A;
+    Places[Block].Pos = Pos++;
+    Places[Block].Offset = Offset;
+    Offset += G.block(Block).SizeBytes;
   }
-  // Splits of A around B: A1 + B + A2.
-  if (CA.size() >= 2 && CA.size() <= kSplitLimit) {
-    for (size_t Split = 1; Split < CA.size(); ++Split) {
-      std::vector<uint32_t> Candidate(CA.begin(), CA.begin() + Split);
-      Candidate.insert(Candidate.end(), CB.begin(), CB.end());
-      Candidate.insert(Candidate.end(), CA.begin() + Split, CA.end());
-      Consider(std::move(Candidate));
+
+  // Re-point B's pairs at A and invalidate every pair that touches A.
+  // Where (A, X) and (B, X) become the same pair, the one earlier in the
+  // scan survives: that is where the scan first meets the merged pair.
+  ++Merges;
+  for (uint32_t I : LivePairs) {
+    ChainPair &Pr = Pairs[I];
+    if (!Pr.Live || (Pr.A != A && Pr.A != B && Pr.B != A && Pr.B != B))
+      continue;
+    if (Pr.A == B)
+      Pr.A = A;
+    if (Pr.B == B)
+      Pr.B = A;
+    if (Pr.A == Pr.B) {
+      Pr.Live = false;
+      continue;
     }
+    Pr.Valid = false;
+    uint32_t &Seen = Pr.A == A ? Chains[Pr.B].InSeen : Chains[Pr.A].OutSeen;
+    if (Seen == Merges)
+      Pr.Live = false;
+    Seen = Merges;
   }
-  return Best;
 }
 
 std::vector<uint32_t> ExtTspSolver::solve() {
@@ -184,68 +399,58 @@ std::vector<uint32_t> ExtTspSolver::solve() {
   // largest score gain, until no merge helps.
   for (;;) {
     double BestGain = 1e-9;
-    uint32_t BestA = 0;
-    uint32_t BestB = 0;
-    std::vector<uint32_t> BestMerged;
-
-    // Candidate pairs are chains connected by at least one edge.
-    for (uint32_t Src = 0; Src < G.numBlocks(); ++Src) {
-      for (const CfgEdge &E : OutEdges[Src]) {
-        uint32_t A = ChainOf[E.Src];
-        uint32_t B = ChainOf[E.Dst];
-        if (A == B)
-          continue;
-        std::vector<uint32_t> Merged;
-        double MergedScore = bestMerge(A, B, Merged);
-        if (Merged.empty())
-          continue;
-        double Gain =
-            MergedScore - chainScore(Chains[A]) - chainScore(Chains[B]);
-        if (Gain > BestGain) {
-          BestGain = Gain;
-          BestA = A;
-          BestB = B;
-          BestMerged = std::move(Merged);
-        }
+    uint32_t Best = kNone;
+    size_t Kept = 0;
+    for (uint32_t I : LivePairs) {
+      ChainPair &Pr = Pairs[I];
+      if (!Pr.Live)
+        continue;
+      LivePairs[Kept++] = I;
+      if (!Pr.Valid)
+        evaluate(Pr);
+      if (Pr.HasMerge && Pr.Gain > BestGain) {
+        BestGain = Pr.Gain;
+        Best = I;
       }
     }
-    if (BestMerged.empty())
+    LivePairs.resize(Kept);
+    if (Best == kNone)
       break;
-    // Apply: A absorbs the merged chain, B empties.
-    Chains[BestA] = std::move(BestMerged);
-    Chains[BestB].clear();
-    for (uint32_t Block : Chains[BestA])
-      ChainOf[Block] = BestA;
+    merge(Best);
   }
 
   // Order chains: the entry chain first, the rest by density (hotness per
   // byte), ties broken by original index for determinism.
-  std::vector<uint32_t> ChainIds;
-  for (uint32_t C = 0; C < Chains.size(); ++C)
-    if (!Chains[C].empty())
-      ChainIds.push_back(C);
-
-  uint32_t EntryChain = ChainOf[0];
-  std::stable_sort(ChainIds.begin(), ChainIds.end(),
-                   [&](uint32_t A, uint32_t B) {
-                     if (A == EntryChain)
-                       return true;
-                     if (B == EntryChain)
-                       return false;
-                     uint64_t BytesA = std::max<uint64_t>(1, chainBytes(Chains[A]));
-                     uint64_t BytesB = std::max<uint64_t>(1, chainBytes(Chains[B]));
-                     double DensA = static_cast<double>(chainWeight(Chains[A])) /
-                                    static_cast<double>(BytesA);
-                     double DensB = static_cast<double>(chainWeight(Chains[B])) /
-                                    static_cast<double>(BytesB);
-                     return DensA > DensB;
-                   });
+  uint32_t EntryChain = Places[0].Chain;
+  std::vector<std::pair<double, uint32_t>> ByDensity;
+  for (uint32_t C = 0; C < Chains.size(); ++C) {
+    if (Chains[C].Size == 0 || C == EntryChain)
+      continue;
+    uint64_t Weight = 0;
+    for (uint32_t Block = Chains[C].Head; Block != kNone;
+         Block = Places[Block].Next)
+      Weight += G.block(Block).Weight;
+    double Density =
+        static_cast<double>(Weight) /
+        static_cast<double>(std::max<uint64_t>(1, Chains[C].Bytes));
+    ByDensity.emplace_back(Density, C);
+  }
+  std::sort(ByDensity.begin(), ByDensity.end(),
+            [](const auto &L, const auto &R) {
+              return L.first > R.first ||
+                     (L.first == R.first && L.second < R.second);
+            });
 
   std::vector<uint32_t> Order;
   Order.reserve(G.numBlocks());
-  for (uint32_t C : ChainIds)
-    for (uint32_t Block : Chains[C])
+  auto Append = [&](uint32_t C) {
+    for (uint32_t Block = Chains[C].Head; Block != kNone;
+         Block = Places[Block].Next)
       Order.push_back(Block);
+  };
+  Append(EntryChain);
+  for (const auto &[Density, C] : ByDensity)
+    Append(C);
   return Order;
 }
 

@@ -12,6 +12,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestHelpers.h"
+#include "fleet/ServerSim.h"
+#include "fleet/Traffic.h"
 #include "fleet/WorkloadGen.h"
 #include "jit/Jit.h"
 #include "jit/Lower.h"
@@ -20,6 +22,7 @@
 #include "jit/TransLayout.h"
 #include "runtime/ValueOps.h"
 #include "support/ThreadPool.h"
+#include "testing/ReferenceExtTsp.h"
 #include "testing/ReferenceProfilingHooks.h"
 #include "vm/Server.h"
 
@@ -334,6 +337,47 @@ TEST(TransLayoutTest, InjectedCountsOverrideWeights) {
   injectVasmCounts(*Unit, Counts);
   for (size_t I = 0; I < Unit->Blocks.size(); ++I)
     EXPECT_EQ(Unit->Blocks[I].Weight, 1000 + I);
+}
+
+TEST(TransLayoutTest, PlacedUnitsMatchReferenceSolver) {
+  // The perfbench site.  A seeder's retranslate-all lays out every
+  // optimized unit under seeder instrumentation; its package boots a
+  // consumer whose precompile lays them out again with the package's Vasm
+  // counters injected.  Both Ext-TSP solvers must order every unit alike.
+  fleet::WorkloadParams P;
+  P.NumHelpers = 700;
+  P.NumClasses = 72;
+  P.NumEndpoints = 40;
+  P.NumUnits = 48;
+  std::unique_ptr<fleet::Workload> W = fleet::generateWorkload(P);
+  fleet::TrafficModel Traffic(*W, fleet::TrafficParams(), 21);
+  vm::ServerConfig Config;
+  Config.Jit.SeederInstrumentation = true;
+  std::unique_ptr<vm::Server> Seeder =
+      fleet::runSeeder(*W, Traffic, Config, 0, 0, /*Requests=*/1200, 21);
+  profile::ProfilePackage Pkg = Seeder->buildSeederPackage(0, 0, 1);
+  ASSERT_FALSE(Pkg.Opt.VasmBlockCounts.empty());
+  vm::Server Consumer(W->Repo, vm::ServerConfig(), 22);
+  ASSERT_TRUE(Consumer.installPackage(Pkg).ok());
+  Consumer.startup();
+
+  for (const vm::Server *S : {Seeder.get(), &Consumer}) {
+    SCOPED_TRACE(S == &Consumer ? "consumer precompile" : "seeder");
+    size_t Units = 0;
+    size_t MaxBlocks = 0;
+    for (const auto &T : S->theJit().transDb().all()) {
+      if (T->Kind != TransKind::Optimized || !T->Placed)
+        continue;
+      layout::Cfg G = layoutCfg(*T->Unit);
+      ASSERT_EQ(layout::extTspOrder(G),
+                jumpstart::testing::referenceExtTspOrder(G))
+          << "unit of function " << T->Unit->Func.raw();
+      ++Units;
+      MaxBlocks = std::max(MaxBlocks, G.numBlocks());
+    }
+    EXPECT_GT(Units, 100u);
+    EXPECT_GT(MaxBlocks, 32u) << "no unit is past the split limit";
+  }
 }
 
 //===----------------------------------------------------------------------===//

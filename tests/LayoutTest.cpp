@@ -7,8 +7,8 @@
 ///
 /// \file
 /// Unit and property tests for the code-layout optimizations: Ext-TSP
-/// basic-block ordering, hot/cold splitting, and C3 / Pettis-Hansen
-/// function sorting.
+/// basic-block ordering (diffed against the reference solver), hot/cold
+/// splitting, and C3 / Pettis-Hansen function sorting.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +16,7 @@
 #include "layout/FunctionSort.h"
 #include "layout/HotCold.h"
 #include "support/Random.h"
+#include "testing/ReferenceExtTsp.h"
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,8 @@
 
 using namespace jumpstart;
 using namespace jumpstart::layout;
+using jumpstart::testing::randomExtTspCfg;
+using jumpstart::testing::referenceExtTspOrder;
 
 namespace {
 
@@ -166,6 +169,147 @@ TEST(ExtTsp, SelfLoopIgnoredSafely) {
   G.addEdge(0, 1, 5);
   auto Order = extTspOrder(G);
   expectPermutation(Order, 2);
+}
+
+//===----------------------------------------------------------------------===//
+// The incremental solver against the reference solver: identical orders.
+//===----------------------------------------------------------------------===//
+
+TEST(ExtTspTwin, RandomCfgsMatchReference) {
+  // Most graphs are small, as most units are; one in five has up to 96
+  // blocks.
+  Rng R(2104);
+  for (int Trial = 0; Trial < 600; ++Trial) {
+    uint64_t Span = R.nextBool(0.2) ? 95 : 31;
+    uint32_t N = 2 + static_cast<uint32_t>(R.nextBelow(Span));
+    Cfg G = randomExtTspCfg(R, N);
+    ASSERT_EQ(extTspOrder(G), referenceExtTspOrder(G))
+        << "trial " << Trial << ", " << N << " blocks";
+  }
+}
+
+TEST(ExtTspTwin, LargeRandomCfgsMatchReference) {
+  Rng R(256);
+  for (uint32_t N : {128u, 150u, 256u}) {
+    Cfg G = randomExtTspCfg(R, N);
+    ASSERT_EQ(extTspOrder(G), referenceExtTspOrder(G)) << N << " blocks";
+  }
+}
+
+TEST(ExtTspTwin, OtherParamsMatchReference) {
+  // Heavier, shorter jumps; and a negative backward weight, under which
+  // the solver bounds no shape and some pairs have no acceptable shape.
+  ExtTspParams Short;
+  Short.ForwardWeight = 0.5;
+  Short.BackwardWeight = 0.3;
+  Short.ForwardDistance = 64;
+  Short.BackwardDistance = 48;
+  ExtTspParams Negative;
+  Negative.BackwardWeight = -2.0;
+  Rng R(99);
+  for (const ExtTspParams &Params : {Short, Negative}) {
+    for (int Trial = 0; Trial < 80; ++Trial) {
+      uint32_t N = 2 + static_cast<uint32_t>(R.nextBelow(40));
+      Cfg G = randomExtTspCfg(R, N);
+      ASSERT_EQ(extTspOrder(G, Params), referenceExtTspOrder(G, Params))
+          << "trial " << Trial << ", " << N << " blocks";
+    }
+  }
+}
+
+TEST(ExtTspTwin, UniformBlocksTieEverywhere) {
+  // Every block and edge alike: merge gains tie, so the scan order and
+  // the strict-greater rule alone pick each merge.
+  Rng R(7);
+  for (int Trial = 0; Trial < 40; ++Trial) {
+    uint32_t N = 4 + static_cast<uint32_t>(R.nextBelow(67));
+    Cfg G;
+    for (uint32_t B = 0; B < N; ++B)
+      G.addBlock(16, 100);
+    for (uint32_t E = 0; E < 2 * N; ++E) {
+      uint32_t Src = static_cast<uint32_t>(R.nextBelow(N));
+      G.addEdge(Src, static_cast<uint32_t>(R.nextBelow(N)), 10);
+    }
+    ASSERT_EQ(extTspOrder(G), referenceExtTspOrder(G))
+        << "trial " << Trial << ", " << N << " blocks";
+  }
+}
+
+TEST(ExtTspTwin, MergedPairKeepsItsFirstScanPosition) {
+  // Chains [2,3] and [5,1] each reach block 6 through two edges, and the
+  // two merges into 6 tie.  The scan meets [5,1] -> 6 first, at edge
+  // 1 -> 6, so that merge must win although 5 -> 6 comes after 2 -> 6.
+  Cfg G;
+  for (uint32_t B = 0; B < 7; ++B)
+    G.addBlock(16, 100);
+  G.addEdge(1, 6, 100);
+  G.addEdge(2, 3, 1000);
+  G.addEdge(2, 6, 100);
+  G.addEdge(3, 6, 100);
+  G.addEdge(5, 1, 1000);
+  G.addEdge(5, 6, 100);
+  std::vector<uint32_t> Order = extTspOrder(G);
+  ASSERT_EQ(Order, referenceExtTspOrder(G));
+  auto Pos = [&](uint32_t B) {
+    return std::find(Order.begin(), Order.end(), B) - Order.begin();
+  };
+  EXPECT_EQ(Pos(6), Pos(1) + 1);
+}
+
+TEST(ExtTspTwin, DegenerateEdges) {
+  // Self-loops, an edge added twice, isolated blocks, zero weights and a
+  // zero-size block.
+  Cfg G;
+  for (uint32_t B = 0; B < 10; ++B)
+    G.addBlock(B == 4 ? 0 : 8 + 4 * B, B % 3 == 0 ? 0 : 50 * B);
+  G.addEdge(0, 0, 900);
+  G.addEdge(0, 1, 40);
+  G.addEdge(1, 2, 30);
+  G.addEdge(1, 2, 30);
+  G.addEdge(2, 2, 500);
+  G.addEdge(2, 4, 0);
+  G.addEdge(4, 5, 70);
+  G.addEdge(5, 1, 0);
+  G.addEdge(3, 6, 25); // blocks 7-9 have no edges at all
+  ASSERT_EQ(extTspOrder(G), referenceExtTspOrder(G));
+}
+
+TEST(ExtTspTwin, EdgesIntoEntry) {
+  // Hot edges into block 0 (loops back to the entry, a hub that every
+  // block returns to): the entry rule rejects every shape that would
+  // move block 0 from the front.
+  for (uint32_t N : {3u, 12u, 40u}) {
+    Cfg G;
+    for (uint32_t B = 0; B < N; ++B)
+      G.addBlock(12 + B % 5, 100 + B);
+    for (uint32_t B = 1; B < N; ++B) {
+      G.addEdge(B, 0, 1000 - B);
+      G.addEdge(B - 1, B, 10 + B);
+    }
+    ASSERT_EQ(extTspOrder(G), referenceExtTspOrder(G)) << N << " blocks";
+  }
+}
+
+TEST(ExtTspTwin, ChainsPastSplitLimit) {
+  // A heavy 70-block fallthrough backbone merges first; the side blocks
+  // then join chains too long to split.
+  Rng R(32);
+  for (int Trial = 0; Trial < 4; ++Trial) {
+    Cfg G;
+    for (uint32_t B = 0; B < 90; ++B) {
+      uint32_t Size = 8 + static_cast<uint32_t>(R.nextBelow(24));
+      G.addBlock(Size, R.nextBelow(800));
+    }
+    for (uint32_t B = 0; B + 1 < 70; ++B)
+      G.addEdge(B, B + 1, 5000);
+    for (uint32_t B = 70; B < 90; ++B) {
+      uint32_t From = static_cast<uint32_t>(R.nextBelow(70));
+      uint32_t To = static_cast<uint32_t>(R.nextBelow(90));
+      G.addEdge(From, B, 1 + R.nextBelow(400));
+      G.addEdge(B, To, 1 + R.nextBelow(400));
+    }
+    ASSERT_EQ(extTspOrder(G), referenceExtTspOrder(G)) << "trial " << Trial;
+  }
 }
 
 TEST(HotCold, ColdBlocksSplitOut) {
