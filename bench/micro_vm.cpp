@@ -9,8 +9,9 @@
 /// Micro-benchmarks (google-benchmark) for the VM substrate itself:
 /// interpreter dispatch throughput, the request-local value heap,
 /// frontend compilation speed, and the tier-2 pipeline (region selection
-/// + lowering + layout) per function, and a cold server's profiling
-/// window -- the costs a downstream user of the library actually pays.
+/// + lowering + layout) per function, a cold server's profiling window,
+/// and the machine simulator's cache lookups against the scan-only
+/// reference -- the costs a downstream user of the library actually pays.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +23,10 @@
 #include "jit/Recorders.h"
 #include "jit/Lower.h"
 #include "jit/TransLayout.h"
+#include "sim/Cache.h"
+#include "support/Random.h"
 #include "support/ThreadPool.h"
+#include "testing/ReferenceCache.h"
 #include "vm/Server.h"
 
 #include <benchmark/benchmark.h>
@@ -294,6 +298,67 @@ void BM_ProfilingServer(benchmark::State &State) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ProfilingServer)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+/// One seeded, steady-shaped stream for a cache of 32 sets of \p Ways:
+/// requests walk a path of code blocks, each a run of line accesses (one
+/// per instruction on the line), loops repeat a block, and every few
+/// blocks a data access strides through lines that share a set.  The hot
+/// code is 1.5 times the cache, so hits dominate and LRU still churns.
+std::vector<jumpstart::testing::CacheOp> steadyCacheStream(uint32_t Ways) {
+  constexpr uint64_t kSets = 32;
+  Rng R(Ways);
+  struct Block {
+    uint64_t FirstLine;
+    uint32_t Lines;
+  };
+  std::vector<Block> Blocks;
+  for (uint64_t Line = 0x40000; Line < 0x40000 + kSets * Ways * 3 / 2;) {
+    uint32_t Lines = 1 + static_cast<uint32_t>(R.nextBelow(4));
+    Blocks.push_back({Line, Lines});
+    Line += Lines;
+  }
+  std::vector<jumpstart::testing::CacheOp> Ops;
+  while (Ops.size() < 200000) {
+    const Block &B = Blocks[R.nextBelow(Blocks.size())];
+    uint64_t Repeats = R.nextBool(0.2) ? 2 + R.nextBelow(8) : 1;
+    for (uint64_t I = 0; I < Repeats; ++I)
+      for (uint32_t L = 0; L < B.Lines; ++L)
+        Ops.push_back({(B.FirstLine + L) * 64,
+                       1 + static_cast<uint32_t>(R.nextBelow(12))});
+    if (R.nextBool(0.3))
+      Ops.push_back({(0x90000 + R.nextBelow(2 * Ways) * kSets) * 64, 1});
+  }
+  return Ops;
+}
+
+template <typename CacheT> void replayCache(benchmark::State &State) {
+  uint32_t Ways = static_cast<uint32_t>(State.range(0));
+  sim::CacheConfig Config{32 * 64 * Ways, 64, Ways};
+  std::vector<jumpstart::testing::CacheOp> Ops = steadyCacheStream(Ways);
+  CacheT Cache(Config);
+  // One untimed pass warms the cache and gives the stream's miss rate.
+  for (const jumpstart::testing::CacheOp &Op : Ops)
+    Cache.accessRun(Op.Addr, Op.Count);
+  State.counters["miss_rate"] = static_cast<double>(Cache.misses()) /
+                                static_cast<double>(Cache.accesses());
+  for (auto _ : State)
+    for (const jumpstart::testing::CacheOp &Op : Ops)
+      benchmark::DoNotOptimize(Cache.accessRun(Op.Addr, Op.Count));
+  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(Ops.size()));
+}
+
+void BM_CacheReplay(benchmark::State &State) {
+  // The way-hinted sim::Cache on the steady-shaped stream.  Ungated.
+  replayCache<sim::Cache>(State);
+}
+BENCHMARK(BM_CacheReplay)->Arg(4)->Arg(8)->Arg(16);
+
+void BM_ReferenceCacheReplay(benchmark::State &State) {
+  // The same stream through the scan-only reference cache.  Ungated.
+  replayCache<jumpstart::testing::ReferenceCache>(State);
+}
+BENCHMARK(BM_ReferenceCacheReplay)->Arg(4)->Arg(8)->Arg(16);
 
 } // namespace
 

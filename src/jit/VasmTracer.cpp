@@ -32,7 +32,6 @@ VasmTracer::buildPlan(const Translation &T) const {
   const uint32_t PageShift =
       static_cast<uint32_t>(std::countr_zero(Machine.config().PageBytes));
   auto P = std::make_unique<TransPlan>();
-  P->Unit = &Unit;
   P->Blocks.resize(Unit.Blocks.size());
   // One more access to the line or page at Addr, in the runs that start
   // at index First: back-to-back accesses share a run.
@@ -75,9 +74,34 @@ VasmTracer::buildPlan(const Translation &T) const {
     B.NumLines = static_cast<uint32_t>(FirstPage - B.FirstRun);
     B.NumPages = static_cast<uint32_t>(P->Runs.size() - FirstPage);
   }
-  P->BlockTables.push_back(Unit.blockTable(Unit.Func));
-  for (bc::FuncId F : Unit.Inlined)
-    P->BlockTables.push_back(Unit.blockTable(F));
+  auto AddTable = [&](bc::FuncId F) {
+    std::vector<uint32_t> Table = Unit.blockTable(F);
+    Body B{F, static_cast<uint32_t>(P->Tables.size()),
+           static_cast<uint32_t>(Table.size())};
+    P->Tables.insert(P->Tables.end(), Table.begin(), Table.end());
+    return B;
+  };
+  P->Own = AddTable(Unit.Func);
+  // The smallest mask under which the inlined functions' ids differ:
+  // distinct ids differ below their highest bit, so the doubling ends.
+  auto Index = [&](uint32_t Mask) {
+    P->Inlined.assign(Mask + 1, Body());
+    P->InlineMask = Mask;
+    for (bc::FuncId F : Unit.Inlined) {
+      Body &B = P->Inlined[F.raw() & Mask];
+      if (B.Func.valid() && B.Func != F)
+        return false;
+      B.Func = F;
+    }
+    return true;
+  };
+  uint32_t Mask =
+      std::bit_ceil(static_cast<uint32_t>(Unit.Inlined.size())) - 1;
+  while (!Index(Mask))
+    Mask = 2 * Mask + 1;
+  for (Body &B : P->Inlined)
+    if (B.Func.valid())
+      B = AddTable(B.Func);
   return P;
 }
 
@@ -104,15 +128,14 @@ void VasmTracer::onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
   const Translation *T = J.transDb().best(Callee);
   F.Interpreted = T == nullptr;
   const Frame *Parent = top();
-  const std::vector<uint32_t> *InlinedTable =
-      Parent && Parent->Plan ? Parent->Plan->inlinedTable(Callee) : nullptr;
-  if (InlinedTable) {
+  const Body *Inlined =
+      Parent && Parent->Plan ? Parent->Plan->inlinedBody(Callee) : nullptr;
+  if (Inlined) {
     // Inlined body: tracing continues within the caller's unit.
-    F.Plan = Parent->Plan;
-    F.BlockTable = InlinedTable;
+    F.trace(*Parent->Plan, *Inlined);
   } else if (T) {
-    F.Plan = &planFor(*T);
-    F.BlockTable = &F.Plan->BlockTables.front();
+    const TransPlan &P = planFor(*T);
+    F.trace(P, P.Own);
   }
   Frames.push_back(F);
 }
@@ -132,12 +155,11 @@ void VasmTracer::onBlockEnter(bc::FuncId FuncId, uint32_t Block) {
   // to the top frame's function.
   assert(F->Func == FuncId.raw() && "block event outside the top frame");
   (void)FuncId;
-  const std::vector<uint32_t> &Table = *F->BlockTable;
-  uint32_t VB = Block < Table.size() ? Table[Block] : VasmUnit::kNoBlock;
+  uint32_t VB =
+      Block < F->BlockTableSize ? F->BlockTable[Block] : VasmUnit::kNoBlock;
   if (VB == VasmUnit::kNoBlock)
     return;
-  const TransPlan &P = *F->Plan;
-  const BlockPlan &Next = P.Blocks[VB];
+  const BlockPlan &Next = F->Blocks[VB];
 
   // Resolve the previous block's conditional branch now that we know
   // where control actually went.  "Taken" is a *layout* property: the
@@ -147,13 +169,15 @@ void VasmTracer::onBlockEnter(bc::FuncId FuncId, uint32_t Block) {
   // V-A): laying the hot successor next to the block converts its taken
   // branches into fallthroughs.
   if (F->LastVasmBlock != VasmUnit::kNoBlock) {
-    const BlockPlan &Last = P.Blocks[F->LastVasmBlock];
+    const BlockPlan &Last = F->Blocks[F->LastVasmBlock];
     if (Last.EndsInCondBranch)
       Machine.condBranch(Last.TermAddr, Next.Addr != Last.EndAddr,
                          Next.Addr);
   }
 
-  Machine.fetchBlock(P.lines(Next), P.pages(Next));
+  const sim::FetchRun *Lines = F->Runs + Next.FirstRun;
+  Machine.fetchBlock({Lines, Next.NumLines},
+                     {Lines + Next.NumLines, Next.NumPages});
   F->LastVasmBlock = VB;
 }
 
@@ -189,13 +213,13 @@ void VasmTracer::onVirtualCall(bc::FuncId Caller, uint32_t InstrIndex,
     return;
   // Devirtualized or inlined sites compile to guarded direct calls; only
   // genuinely indirect sites stress the target predictor.
-  if (F->Plan->Unit->isInlined(Callee))
+  if (F->Plan->inlinedBody(Callee))
     return;
   uint64_t Target = 0;
   if (const Translation *T = J.transDb().best(Callee))
     Target = T->entryAddr();
   uint64_t Pc = F->LastVasmBlock != VasmUnit::kNoBlock
-                    ? F->Plan->Blocks[F->LastVasmBlock].TermAddr
+                    ? F->Blocks[F->LastVasmBlock].TermAddr
                     : 0;
   Machine.indirectBranch(Pc, Target);
 }

@@ -78,42 +78,62 @@ private:
     bool EndsInCondBranch = false;
   };
 
+  /// One function's bytecode-block table within TransPlan::Tables: entry
+  /// B is the Vasm block implementing bytecode block B, or kNoBlock.
+  struct Body {
+    bc::FuncId Func; ///< Invalid in an unused entry.
+    uint32_t First = 0;
+    uint32_t Size = 0;
+  };
+
   /// What tracing needs from one placed translation, built once.
   struct TransPlan {
-    const VasmUnit *Unit = nullptr;
     /// By Vasm block id.
     std::vector<BlockPlan> Blocks;
     std::vector<sim::FetchRun> Runs;
-    /// Bytecode block -> Vasm block (VasmUnit::blockTable) for the unit's
-    /// own function, then for each function of Unit->Inlined in order.
-    std::vector<std::vector<uint32_t>> BlockTables;
+    /// The block tables (VasmUnit::blockTable) of the unit's own function
+    /// and of each function it inlines, back to back.
+    std::vector<uint32_t> Tables;
+    /// The unit's own function.
+    Body Own;
+    /// The inlined functions by FuncId & InlineMask: the mask is the
+    /// smallest that gives each its own entry, so a lookup is one probe.
+    std::vector<Body> Inlined;
+    uint32_t InlineMask = 0;
 
-    std::span<const sim::FetchRun> lines(const BlockPlan &B) const {
-      return {Runs.data() + B.FirstRun, B.NumLines};
-    }
-    std::span<const sim::FetchRun> pages(const BlockPlan &B) const {
-      return {Runs.data() + B.FirstRun + B.NumLines, B.NumPages};
-    }
-    /// \returns \p F's block table when this unit inlines \p F, else null.
-    const std::vector<uint32_t> *inlinedTable(bc::FuncId F) const {
-      for (size_t I = 0; I < Unit->Inlined.size(); ++I)
-        if (Unit->Inlined[I] == F)
-          return &BlockTables[I + 1];
-      return nullptr;
+    /// \returns \p F's body when this unit inlines \p F, else null.
+    const Body *inlinedBody(bc::FuncId F) const {
+      const Body &B = Inlined[F.raw() & InlineMask];
+      return B.Func == F ? &B : nullptr;
     }
   };
 
+  /// A traced function: what onBlockEnter reads, flattened out of its
+  /// plan.
   struct Frame {
     uint32_t Func = 0;
+    /// Previously traced Vasm block (to resolve branch outcomes).
+    uint32_t LastVasmBlock = VasmUnit::kNoBlock;
     /// The plan whose blocks this frame traces: its own translation's, or
     /// its caller's when inlined there (null: no machine code to trace).
     const TransPlan *Plan = nullptr;
+    /// Plan->Blocks and Plan->Runs.
+    const BlockPlan *Blocks = nullptr;
+    const sim::FetchRun *Runs = nullptr;
     /// This function's bytecode-block table within Plan.
-    const std::vector<uint32_t> *BlockTable = nullptr;
+    const uint32_t *BlockTable = nullptr;
+    uint32_t BlockTableSize = 0;
     /// No placed translation of its own: the interpreter runs it.
     bool Interpreted = false;
-    /// Previously traced Vasm block (to resolve branch outcomes).
-    uint32_t LastVasmBlock = VasmUnit::kNoBlock;
+
+    /// Traces this frame through body \p B of \p P.
+    void trace(const TransPlan &P, const Body &B) {
+      Plan = &P;
+      Blocks = P.Blocks.data();
+      Runs = P.Runs.data();
+      BlockTable = P.Tables.data() + B.First;
+      BlockTableSize = B.Size;
+    }
   };
 
   Frame *top() { return Frames.empty() ? nullptr : &Frames.back(); }

@@ -44,10 +44,12 @@ public:
   /// Adds a block; \returns its id.
   uint32_t addBlock(uint32_t SizeBytes, uint64_t Weight = 0) {
     Blocks.push_back(CfgBlock{SizeBytes, Weight});
+    FirstOut.push_back(kNoEdge);
     return static_cast<uint32_t>(Blocks.size() - 1);
   }
 
-  /// Adds (or accumulates onto an existing) edge Src -> Dst.
+  /// Adds (or accumulates onto an existing) edge Src -> Dst.  Edges keep
+  /// the order in which each (Src, Dst) pair was first added.
   void addEdge(uint32_t Src, uint32_t Dst, uint64_t Weight);
 
   size_t numBlocks() const { return Blocks.size(); }
@@ -55,8 +57,16 @@ public:
   const std::vector<CfgEdge> &edges() const { return Edges; }
 
 private:
+  static constexpr uint32_t kNoEdge = ~0u;
+
   std::vector<CfgBlock> Blocks;
   std::vector<CfgEdge> Edges;
+  /// Each block's out-edges as a list through Edges, newest first: the
+  /// index of the block's last-added out-edge, and per edge the index of
+  /// the one its source added before it.  addEdge finds a repeated pair
+  /// in the source's out-degree.
+  std::vector<uint32_t> FirstOut;
+  std::vector<uint32_t> NextOut;
 };
 
 } // namespace jumpstart::layout

@@ -16,12 +16,14 @@ using namespace jumpstart::layout;
 
 void Cfg::addEdge(uint32_t Src, uint32_t Dst, uint64_t Weight) {
   assert(Src < Blocks.size() && Dst < Blocks.size() && "edge out of range");
-  for (CfgEdge &E : Edges) {
-    if (E.Src == Src && E.Dst == Dst) {
-      E.Weight += Weight;
+  for (uint32_t I = FirstOut[Src]; I != kNoEdge; I = NextOut[I]) {
+    if (Edges[I].Dst == Dst) {
+      Edges[I].Weight += Weight;
       return;
     }
   }
+  NextOut.push_back(FirstOut[Src]);
+  FirstOut[Src] = static_cast<uint32_t>(Edges.size());
   Edges.push_back(CfgEdge{Src, Dst, Weight});
 }
 

@@ -27,25 +27,20 @@ Cache::Cache(CacheConfig Config) : Config(Config) {
   LineShift = static_cast<uint32_t>(std::countr_zero(Config.LineBytes));
   SetMask = NumSets - 1;
   SetShift = static_cast<uint32_t>(std::countr_zero(NumSets));
+  alwaysAssert(Config.Ways <= 256, "a way hint holds at most 256 ways");
   Tags.assign(static_cast<size_t>(NumSets) * Config.Ways, 0);
   Stamps.assign(Tags.size(), 0);
+  Hints.assign(std::bit_ceil(4 * Tags.size()), 0);
+  HintMask = Hints.size() - 1;
 }
 
-bool Cache::accessRun(uint64_t Addr, uint32_t Count) {
-  Accesses += Count;
-  Clock += Count;
-  uint64_t Line = Addr >> LineShift;
-  if (Line == LastLine && Stamps[LastSlot] != 0) {
-    Stamps[LastSlot] = Clock;
-    return true;
-  }
-
-  size_t Base = static_cast<size_t>(Line & SetMask) * Config.Ways;
+bool Cache::scanSet(uint64_t Line, size_t Base) {
   uint64_t Tag = Line >> SetShift;
   size_t Victim = Base;
   for (size_t Slot = Base; Slot < Base + Config.Ways; ++Slot) {
     if (Stamps[Slot] != 0 && Tags[Slot] == Tag) {
       Stamps[Slot] = Clock;
+      Hints[Line & HintMask] = static_cast<uint8_t>(Slot - Base);
       LastLine = Line;
       LastSlot = Slot;
       return true;
@@ -57,6 +52,7 @@ bool Cache::accessRun(uint64_t Addr, uint32_t Count) {
   ++Misses;
   Tags[Victim] = Tag;
   Stamps[Victim] = Clock;
+  Hints[Line & HintMask] = static_cast<uint8_t>(Victim - Base);
   LastLine = Line;
   LastSlot = Victim;
   return false;

@@ -13,6 +13,12 @@
 /// simulated instruction-fetch and data address streams produced when
 /// executing laid-out JIT code.
 ///
+/// A lookup first tries two guesses that need no set scan: the slot of
+/// the previous access, and a per-line way hint (way prediction, as in
+/// Powell et al., MICRO 2001).  Each guess is checked against the slot's
+/// stamp and tag before it is trusted, so it only saves host time: every
+/// hit, miss, victim and counter is the one the full scan computes.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JUMPSTART_SIM_CACHE_H
@@ -44,7 +50,24 @@ public:
   /// exactly Count calls to access(Addr).  Only the first can miss; the
   /// clock and the access count both advance by Count.  \returns whether
   /// the first access hit.
-  bool accessRun(uint64_t Addr, uint32_t Count);
+  bool accessRun(uint64_t Addr, uint32_t Count) {
+    Accesses += Count;
+    Clock += Count;
+    uint64_t Line = Addr >> LineShift;
+    if (Line == LastLine && Stamps[LastSlot] != 0) {
+      Stamps[LastSlot] = Clock;
+      return true;
+    }
+    size_t Base = static_cast<size_t>(Line & SetMask) * Config.Ways;
+    size_t Slot = Base + Hints[Line & HintMask];
+    if (Stamps[Slot] != 0 && Tags[Slot] == Line >> SetShift) {
+      Stamps[Slot] = Clock;
+      LastLine = Line;
+      LastSlot = Slot;
+      return true;
+    }
+    return scanSet(Line, Base);
+  }
 
   /// Invalidates all lines and zeroes statistics.
   void reset();
@@ -59,6 +82,11 @@ public:
   const CacheConfig &config() const { return Config; }
 
 private:
+  /// The set scan behind accessRun's two guesses: finds \p Line in the
+  /// set starting at slot \p Base or installs it over the LRU slot, and
+  /// records the way in the line's hint.
+  bool scanSet(uint64_t Line, size_t Base);
+
   CacheConfig Config;
   uint32_t LineShift;
   uint32_t SetMask;
@@ -71,6 +99,16 @@ private:
   /// slot.
   std::vector<uint64_t> Tags;
   std::vector<uint64_t> Stamps;
+  /// Way hints, direct-mapped by line number (Line & HintMask): the way
+  /// in which scanSet last found or installed a line with that index.  A
+  /// hint is only a guess -- another line may share the entry, the slot
+  /// may have been evicted or reset() may have invalidated it -- so a hit
+  /// through it needs a nonzero stamp and a matching tag, and only
+  /// scanSet installs or evicts.  With four or more entries per slot, the
+  /// 4 * Ways lines of a set with consecutive tags have an entry each.
+  /// reset() leaves the hints alone.
+  std::vector<uint8_t> Hints;
+  uint64_t HintMask;
   /// The line number of the most recent access and the slot holding it.
   /// That line is its set's MRU entry and nothing has run since, so a
   /// repeat of it hits without a set scan.  Meaningful only while the

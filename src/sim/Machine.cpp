@@ -22,51 +22,12 @@ MachineSim::MachineSim(MachineConfig C)
       DTlb(C.DTlbEntries, C.DTlbWays, C.PageBytes),
       Direction(C.BranchTableSize), Indirect(C.BtbSize), Btb(C.BtbSize) {}
 
-void MachineSim::fetchLines(uint64_t LineAddr, uint32_t Count) {
-  Counters.L1IAccesses += Count;
-  if (L1I.accessRun(LineAddr, Count))
-    return;
-  ++Counters.L1IMisses;
-  ++Counters.LlcAccesses;
-  if (!Llc.access(LineAddr))
-    ++Counters.LlcMisses;
-}
-
-void MachineSim::fetchPages(uint64_t Addr, uint32_t Count) {
-  Counters.Instructions += Count;
-  Counters.ITlbAccesses += Count;
-  if (!ITlb.accessRun(Addr, Count))
-    ++Counters.ITlbMisses;
-}
-
 void MachineSim::fetch(uint64_t Addr, uint32_t SizeBytes) {
   uint64_t First = Addr >> LineShift;
   uint64_t Last = (Addr + (SizeBytes ? SizeBytes - 1 : 0)) >> LineShift;
   for (uint64_t Line = First; Line <= Last; ++Line)
     fetchLines(Line << LineShift, 1);
   fetchPages(Addr, 1);
-}
-
-void MachineSim::fetchBlock(std::span<const FetchRun> Lines,
-                            std::span<const FetchRun> Pages) {
-  for (const FetchRun &R : Lines)
-    fetchLines(R.Addr, R.Count);
-  for (const FetchRun &R : Pages)
-    fetchPages(R.Addr, R.Count);
-}
-
-void MachineSim::dataAccess(uint64_t Addr, bool IsWrite) {
-  (void)IsWrite; // writes and reads cost the same in this model
-  ++Counters.L1DAccesses;
-  if (!L1D.access(Addr)) {
-    ++Counters.L1DMisses;
-    ++Counters.LlcAccesses;
-    if (!Llc.access(Addr))
-      ++Counters.LlcMisses;
-  }
-  ++Counters.DTlbAccesses;
-  if (!DTlb.access(Addr))
-    ++Counters.DTlbMisses;
 }
 
 void MachineSim::condBranch(uint64_t Pc, bool Taken, uint64_t TargetAddr) {

@@ -92,10 +92,27 @@ public:
   /// after one fetch() per instruction: only fetches touch the L1I and
   /// I-TLB, so nothing can come between a run's accesses.
   void fetchBlock(std::span<const FetchRun> Lines,
-                  std::span<const FetchRun> Pages);
+                  std::span<const FetchRun> Pages) {
+    for (const FetchRun &R : Lines)
+      fetchLines(R.Addr, R.Count);
+    for (const FetchRun &R : Pages)
+      fetchPages(R.Addr, R.Count);
+  }
 
   /// A data access at \p Addr.
-  void dataAccess(uint64_t Addr, bool IsWrite);
+  void dataAccess(uint64_t Addr, bool IsWrite) {
+    (void)IsWrite; // writes and reads cost the same in this model
+    ++Counters.L1DAccesses;
+    if (!L1D.access(Addr)) {
+      ++Counters.L1DMisses;
+      ++Counters.LlcAccesses;
+      if (!Llc.access(Addr))
+        ++Counters.LlcMisses;
+    }
+    ++Counters.DTlbAccesses;
+    if (!DTlb.access(Addr))
+      ++Counters.DTlbMisses;
+  }
 
   /// A conditional branch at \p Pc resolving to \p Taken, jumping to
   /// \p TargetAddr when taken.  Mispredictions come from two sources:
@@ -129,9 +146,22 @@ public:
 private:
   /// \p Count back-to-back fetches from the L1I line at \p LineAddr;
   /// a miss goes on to the LLC.
-  void fetchLines(uint64_t LineAddr, uint32_t Count);
+  void fetchLines(uint64_t LineAddr, uint32_t Count) {
+    Counters.L1IAccesses += Count;
+    if (L1I.accessRun(LineAddr, Count))
+      return;
+    ++Counters.L1IMisses;
+    ++Counters.LlcAccesses;
+    if (!Llc.access(LineAddr))
+      ++Counters.LlcMisses;
+  }
   /// \p Count instructions retired from the page containing \p Addr.
-  void fetchPages(uint64_t Addr, uint32_t Count);
+  void fetchPages(uint64_t Addr, uint32_t Count) {
+    Counters.Instructions += Count;
+    Counters.ITlbAccesses += Count;
+    if (!ITlb.accessRun(Addr, Count))
+      ++Counters.ITlbMisses;
+  }
 
   MachineConfig Config;
   uint32_t LineShift;

@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <tuple>
 
 using namespace jumpstart;
 using namespace jumpstart::layout;
@@ -74,6 +75,36 @@ Cfg makeRandomCfg(Rng &R, size_t NumBlocks) {
 }
 
 } // namespace
+
+TEST(Cfg, RepeatedEdgesAccumulateInFirstInsertionOrder) {
+  // Repeats of a pair add onto its first occurrence, wherever other edges
+  // from the same source, into the same destination or in reverse came
+  // in between; self-loops and zero weights too.
+  Cfg G;
+  for (uint32_t B = 0; B < 4; ++B)
+    G.addBlock(8);
+  G.addEdge(0, 1, 5);
+  G.addEdge(0, 2, 1);
+  G.addEdge(2, 1, 7);
+  G.addEdge(1, 0, 3);
+  G.addEdge(0, 1, 10);
+  G.addEdge(3, 3, 0);
+  G.addEdge(0, 2, 4);
+  G.addEdge(2, 1, 0);
+  G.addEdge(3, 3, 6);
+  G.addEdge(0, 3, 2);
+  G.addEdge(0, 1, 100);
+  using Edge = std::tuple<uint32_t, uint32_t, uint64_t>;
+  std::vector<Edge> Edges;
+  for (const CfgEdge &E : G.edges())
+    Edges.emplace_back(E.Src, E.Dst, E.Weight);
+  EXPECT_EQ(Edges, (std::vector<Edge>{{0, 1, 115},
+                                      {0, 2, 5},
+                                      {2, 1, 7},
+                                      {1, 0, 3},
+                                      {3, 3, 6},
+                                      {0, 3, 2}}));
+}
 
 TEST(ExtTsp, SingleBlock) {
   Cfg G;

@@ -16,6 +16,7 @@
 #include "sim/Cache.h"
 #include "sim/Machine.h"
 #include "support/Random.h"
+#include "testing/ReferenceCache.h"
 
 #include <gtest/gtest.h>
 
@@ -282,4 +283,67 @@ TEST(Machine, FetchBlockMatchesPerInstructionFetch) {
   EXPECT_GT(Straddles, 100u) << "blocks must cross page boundaries";
   EXPECT_GT(Singles.counters().ITlbMisses, 0u);
   EXPECT_GT(Singles.counters().LlcMisses, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Way hints are exact: differential tests against the scan-only cache
+// (testing::ReferenceCache) on every geometry the harnesses use.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Replays \p Streams seeded streams of \p Length operations through
+/// sim::Cache and the reference, which must agree on every access.
+void expectTwinsAgree(const CacheConfig &Config, uint64_t Seed, int Streams,
+                      size_t Length) {
+  Rng R(Seed);
+  for (int S = 0; S < Streams; ++S) {
+    std::vector<jumpstart::testing::CacheOp> Ops =
+        jumpstart::testing::randomCacheStream(R, Config, Length);
+    ASSERT_EQ(jumpstart::testing::diffCacheStream(Config, Ops), "")
+        << "stream " << S;
+  }
+}
+
+} // namespace
+
+TEST(CacheTwin, DirectMapped) {
+  expectTwinsAgree(CacheConfig{64 * 64, 64, 1}, 1, 60, 4000);
+}
+
+TEST(CacheTwin, ScaledTlb) {
+  // 8 entries of 4 ways over 4 KB pages: 2 sets, as in the scaled I-TLB
+  // and D-TLB of the steady-state figures.
+  expectTwinsAgree(CacheConfig{8 * 4096, 4096, 4}, 2, 60, 4000);
+}
+
+TEST(CacheTwin, ScaledL1) {
+  expectTwinsAgree(CacheConfig{16 * 1024, 64, 8}, 3, 60, 4000);
+}
+
+TEST(CacheTwin, DefaultL1) {
+  expectTwinsAgree(CacheConfig{32 * 1024, 64, 8}, 4, 60, 4000);
+}
+
+TEST(CacheTwin, ScaledLlc) {
+  expectTwinsAgree(CacheConfig{256 * 1024, 64, 16}, 5, 40, 6000);
+}
+
+TEST(CacheTwin, ResetLeavesNoStaleHit) {
+  // After reset() every slot holds tag 0 with stamp 0, and the hints
+  // still point at the ways lines 0.. were found in: only the stamp
+  // check keeps those lines from hitting.
+  CacheConfig Config{16 * 1024, 64, 8};
+  Cache Fast(Config);
+  jumpstart::testing::ReferenceCache Ref(Config);
+  for (int Pass = 0; Pass < 3; ++Pass) {
+    for (uint64_t Addr = 0; Addr < 64 * 1024; Addr += 64)
+      ASSERT_EQ(Fast.access(Addr), Ref.access(Addr)) << Addr;
+    Fast.reset();
+    Ref.reset();
+    for (uint64_t Addr = 0; Addr < 4 * 1024; Addr += 64) {
+      ASSERT_FALSE(Ref.accessRun(Addr, 2));
+      ASSERT_FALSE(Fast.accessRun(Addr, 2)) << "stale hit at " << Addr;
+    }
+  }
 }
