@@ -10,8 +10,9 @@
 /// interpreter dispatch throughput, the request-local value heap,
 /// frontend compilation speed, and the tier-2 pipeline (region selection
 /// + lowering + layout) per function, a cold server's profiling window,
-/// and the machine simulator's cache lookups against the scan-only
-/// reference -- the costs a downstream user of the library actually pays.
+/// plain-interpreter requests on the perfbench-sized site, and the
+/// machine simulator's cache lookups against the scan-only reference --
+/// the costs a downstream user of the library actually pays.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -259,6 +260,30 @@ BENCHMARK(BM_RetranslateAll)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+/// The perfbench-sized site.
+std::unique_ptr<fleet::Workload> perfbenchSite() {
+  fleet::WorkloadParams P;
+  P.NumHelpers = 700;
+  P.NumClasses = 72;
+  P.NumEndpoints = 40;
+  P.NumUnits = 48;
+  return fleet::generateWorkload(P);
+}
+
+using SiteRequests =
+    std::vector<std::pair<bc::FuncId, std::vector<runtime::Value>>>;
+
+/// \p N requests sampled from bucket 0's traffic mix on \p W.
+SiteRequests sampleRequests(const fleet::Workload &W, uint32_t N) {
+  fleet::TrafficModel Traffic(W, fleet::TrafficParams(), 3);
+  Rng R(3);
+  SiteRequests Requests;
+  for (uint32_t I = 0; I < N; ++I)
+    Requests.push_back({W.Endpoints[Traffic.sampleEndpoint(0, 0, R)],
+                        fleet::TrafficModel::makeArgs(R)});
+  return Requests;
+}
+
 void BM_ProfilingServer(benchmark::State &State) {
   // A cold server's tier-1 profiling window on the perfbench-sized site:
   // 240 requests from bucket 0's traffic mix, a JIT grant every 2
@@ -266,19 +291,9 @@ void BM_ProfilingServer(benchmark::State &State) {
   // drive it), ending where retranslate-all begins: the interpreter,
   // the profile recording and the tier-1 compiles a cold server pays.
   // Ungated, with no snapshot.
-  fleet::WorkloadParams P;
-  P.NumHelpers = 700;
-  P.NumClasses = 72;
-  P.NumEndpoints = 40;
-  P.NumUnits = 48;
-  auto W = fleet::generateWorkload(P);
+  auto W = perfbenchSite();
   constexpr uint32_t kWindow = 240;
-  fleet::TrafficModel Traffic(*W, fleet::TrafficParams(), 3);
-  Rng R(3);
-  std::vector<std::pair<bc::FuncId, std::vector<runtime::Value>>> Requests;
-  for (uint32_t I = 0; I < kWindow; ++I)
-    Requests.push_back({W->Endpoints[Traffic.sampleEndpoint(0, 0, R)],
-                        fleet::TrafficModel::makeArgs(R)});
+  SiteRequests Requests = sampleRequests(*W, kWindow);
   vm::ServerConfig Config;
   Config.Jit.ProfileRequestTarget = kWindow;
   for (auto _ : State) {
@@ -298,6 +313,25 @@ void BM_ProfilingServer(benchmark::State &State) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ProfilingServer)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+void BM_PlainSiteRequests(benchmark::State &State) {
+  // A pool of 512 requests on the perfbench-sized site, served serially
+  // by one server that is never granted JIT time: no translation exists,
+  // so every frame runs the plain interpreter loop over quickened code.
+  // Ungated, with no snapshot.
+  auto W = perfbenchSite();
+  SiteRequests Requests = sampleRequests(*W, 512);
+  vm::Server S(W->Repo, vm::ServerConfig(), 1);
+  S.startup();
+  for (auto _ : State)
+    for (const auto &[F, Args] : Requests)
+      benchmark::DoNotOptimize(S.executeRequest(F, Args).Seconds);
+  State.counters["requests_per_s"] = benchmark::Counter(
+      static_cast<double>(Requests.size()) *
+          static_cast<double>(State.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_PlainSiteRequests)->Unit(benchmark::kMillisecond);
 
 /// One seeded, steady-shaped stream for a cache of 32 sets of \p Ways:
 /// requests walk a path of code blocks, each a run of line accesses (one

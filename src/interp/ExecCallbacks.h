@@ -18,7 +18,8 @@
 ///
 /// Observation is decided per frame: right after onFuncEnter the
 /// interpreter asks observeFrame, and a frame answered EntryExit runs the
-/// same plain, peephole-fused body as a frame with no callbacks attached.
+/// same plain body, over quickened code, as a frame with no callbacks
+/// attached.
 /// A tier pays only for what it records.
 ///
 //===----------------------------------------------------------------------===//

@@ -34,6 +34,67 @@ bool hasCacheableSite(const bc::Function &F) {
   return false;
 }
 
+/// The opcode byte Quick holds at \p I: the longest superinstruction
+/// whose sequence starts there, else the base opcode.
+bc::Op quickenAt(const std::vector<bc::Instr> &Code, size_t I) {
+  using bc::Op;
+  // Past the end reads as Nop, which no sequence contains.
+  auto At = [&](size_t K) {
+    return I + K < Code.size() ? Code[I + K].Opcode : Op::Nop;
+  };
+  const Op O1 = At(1), O2 = At(2), O3 = At(3);
+  switch (At(0)) {
+  case Op::Int:
+    if (O2 == Op::SetL) {
+      if (O1 == Op::Add)
+        return quickOp(SuperOp::IntAddSetL);
+      if (O1 == Op::Sub)
+        return quickOp(SuperOp::IntSubSetL);
+      if (O1 == Op::Mod)
+        return quickOp(SuperOp::IntModSetL);
+    }
+    switch (O1) {
+    case Op::Add: return quickOp(SuperOp::IntAdd);
+    case Op::Mul: return quickOp(SuperOp::IntMul);
+    case Op::Mod: return quickOp(SuperOp::IntMod);
+    case Op::CmpEq: return quickOp(SuperOp::IntCmpEq);
+    case Op::CmpLt: return quickOp(SuperOp::IntCmpLt);
+    case Op::CmpGt: return quickOp(SuperOp::IntCmpGt);
+    default: break;
+    }
+    break;
+  case Op::GetL:
+    if (O1 == Op::Int) {
+      if (O2 == Op::CmpLt && O3 == Op::JmpZ)
+        return quickOp(SuperOp::GetLIntCmpLtJmpZ);
+      if (O2 == Op::Add && O3 == Op::SetL)
+        return quickOp(SuperOp::GetLIntAddSetL);
+      if (O2 == Op::Sub && O3 == Op::SetL)
+        return quickOp(SuperOp::GetLIntSubSetL);
+      switch (O2) {
+      case Op::Add: return quickOp(SuperOp::GetLIntAdd);
+      case Op::Mul: return quickOp(SuperOp::GetLIntMul);
+      case Op::Mod: return quickOp(SuperOp::GetLIntMod);
+      default: return quickOp(SuperOp::GetLInt);
+      }
+    }
+    if (O1 == Op::Add)
+      return quickOp(SuperOp::GetLAdd);
+    if (O1 == Op::Sub)
+      return quickOp(SuperOp::GetLSub);
+    break;
+  case Op::SetL:
+    if (O1 == Op::GetL)
+      return quickOp(SuperOp::SetLGetL);
+    if (O1 == Op::Jmp)
+      return quickOp(SuperOp::SetLJmp);
+    break;
+  default:
+    break;
+  }
+  return Code[I].Opcode;
+}
+
 } // namespace
 
 FuncExecInfo jumpstart::interp::computeExecInfo(const bc::Function &F,
@@ -51,6 +112,10 @@ FuncExecInfo jumpstart::interp::computeExecInfo(const bc::Function &F,
     Info.RunLen[I] = (endsRun(F.Code[I].Opcode) || I + 1 == N)
                          ? 1
                          : Info.RunLen[I + 1] + 1;
+
+  Info.Quick = F.Code;
+  for (size_t I = 0; I < N; ++I)
+    Info.Quick[I].Opcode = quickenAt(F.Code, I);
 
   if (hasCacheableSite(F))
     Info.ICs.assign(N, ICEntry{});

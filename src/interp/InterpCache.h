@@ -8,7 +8,7 @@
 /// \file
 /// Per-function execution metadata for the interpreter.
 ///
-/// The interpreter (interp/Interpreter.cpp) relies on four pieces of
+/// The interpreter (interp/Interpreter.cpp) relies on five pieces of
 /// statically derived information per function, computed once on first
 /// execution and cached here:
 ///
@@ -35,6 +35,10 @@
 ///    receiver's ClassLayout.  They live here, outside the immutable
 ///    bytecode, in a side table indexed by Pc.
 ///
+///  - A quickened copy of the code for the plain frame loop, in which
+///    every instruction that starts a superinstruction's sequence carries
+///    that superinstruction's opcode byte (JUMPSTART_SUPERINSTRS below).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JUMPSTART_INTERP_INTERPCACHE_H
@@ -58,11 +62,74 @@ struct ICEntry {
   uint64_t Payload = 0;
 };
 
+// X-macro over the superinstructions, in id order: X(Name, First), where
+// First is the base opcode the sequence starts with.  A name spells its
+// sequence.  The sequences are the dynamic n-grams of the perfbench
+// site's requests; each family lists the binops that follow it there:
+//   Int;binop                     IntAdd .. IntCmpGt
+//   Int;binop;SetL                IntAddSetL .. IntModSetL
+//   GetL;Int;binop                GetLIntAdd .. GetLIntMod
+//   GetL;binop                    GetLAdd, GetLSub
+//   GetL;Int;CmpLt;JmpZ           GetLIntCmpLtJmpZ (loop tests)
+//   GetL;Int;Add|Sub;SetL         GetLIntAddSetL, GetLIntSubSetL
+//   SetL;GetL, SetL;Jmp, GetL;Int
+#define JUMPSTART_SUPERINSTRS(X)                                               \
+  X(IntAdd, Int)                                                               \
+  X(IntMul, Int)                                                               \
+  X(IntMod, Int)                                                               \
+  X(IntCmpEq, Int)                                                             \
+  X(IntCmpLt, Int)                                                             \
+  X(IntCmpGt, Int)                                                             \
+  X(IntAddSetL, Int)                                                           \
+  X(IntSubSetL, Int)                                                           \
+  X(IntModSetL, Int)                                                           \
+  X(GetLIntAdd, GetL)                                                          \
+  X(GetLIntMul, GetL)                                                          \
+  X(GetLIntMod, GetL)                                                          \
+  X(GetLAdd, GetL)                                                             \
+  X(GetLSub, GetL)                                                             \
+  X(GetLIntCmpLtJmpZ, GetL)                                                    \
+  X(GetLIntAddSetL, GetL)                                                      \
+  X(GetLIntSubSetL, GetL)                                                      \
+  X(SetLGetL, SetL)                                                            \
+  X(SetLJmp, SetL)                                                             \
+  X(GetLInt, GetL)
+
+/// Superinstruction ids (see JUMPSTART_SUPERINSTRS).
+enum class SuperOp : uint8_t {
+#define JUMPSTART_SUPER_ENUM(Name, First) Name,
+  JUMPSTART_SUPERINSTRS(JUMPSTART_SUPER_ENUM)
+#undef JUMPSTART_SUPER_ENUM
+};
+
+constexpr unsigned kNumSuperOps = 0
+#define JUMPSTART_SUPER_COUNT(Name, First) +1
+    JUMPSTART_SUPERINSTRS(JUMPSTART_SUPER_COUNT)
+#undef JUMPSTART_SUPER_COUNT
+    ;
+static_assert(bc::kNumOpcodes + kNumSuperOps <= 256,
+              "superinstructions must fit the opcode byte");
+
+/// The opcode byte that stands for \p S in FuncExecInfo::Quick: the ids
+/// continue past the base opcodes.
+constexpr bc::Op quickOp(SuperOp S) {
+  return static_cast<bc::Op>(bc::kNumOpcodes + static_cast<unsigned>(S));
+}
+
 /// Static execution metadata for one function (see file comment).
 struct FuncExecInfo {
   /// RunLen[I]: instructions from I through the end of I's run,
   /// inclusive.  Empty when !Verified.
   std::vector<uint32_t> RunLen;
+
+  /// The code the plain frame loop runs: a copy of Function::Code in
+  /// which each instruction that starts a superinstruction's sequence
+  /// carries that superinstruction's quickOp byte, the longest sequence
+  /// first.  Only opcode bytes differ, and each position is quickened on
+  /// its own, so a branch into the middle of a sequence lands on that
+  /// position's own superinstruction or base opcode.  Empty when
+  /// !Verified.
+  std::vector<bc::Instr> Quick;
 
   /// Inline caches indexed by Pc.  Empty when !Verified or the function
   /// has no cacheable site.

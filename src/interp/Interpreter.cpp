@@ -17,6 +17,12 @@
 // observeFrame answer, so frames nobody records run the plain body even
 // while callbacks are attached.
 //
+// The plain instantiation runs each function's quickened code
+// (FuncExecInfo::Quick), whose superinstructions execute a whole
+// bytecode sequence in one dispatch when their guard holds and otherwise
+// enter the base handler of their first instruction; the observed one
+// runs Function::Code.
+//
 // Only functions the verifier accepts run; a call to any other function
 // returns Null with one fault.  testing::ReferenceInterpreter keeps the
 // original switch loop as an independent reference: every observable --
@@ -78,6 +84,8 @@ InterpResult Interpreter::call(bc::FuncId F,
   Steps = 0;
   Faults = 0;
   Aborted = false;
+  if (Counts && Counts->Counts.size() < R.numFuncs())
+    Counts->Counts.resize(R.numFuncs(), 0);
   InterpResult Result;
   Result.Ret = enterFrame(F, Args.data(), static_cast<uint32_t>(Args.size()),
                           Value::null(), bc::FuncId(), 0);
@@ -114,15 +122,24 @@ Value Interpreter::enterFrame(bc::FuncId FId, const Value *Args,
   return Ret;
 }
 
+// VM_FIRST_CASE opens the base handler of an opcode some superinstruction
+// starts with: its label is where that superinstruction's fallback
+// enters, past the preamble.
 #if JUMPSTART_COMPUTED_GOTO
 #define VM_CASE(Name) lbl_##Name
+#define VM_FIRST_CASE(Name) lbl_##Name
+#define VM_SUPER(Name) lbl_##Name
 #define VM_DISPATCH()                                                          \
   do {                                                                         \
     VM_PREAMBLE();                                                             \
     goto *Handlers[static_cast<uint8_t>(Ip->Opcode)];                          \
   } while (0)
 #else
-#define VM_CASE(Name) case bc::Op::Name
+#define VM_CASE(Name) case static_cast<uint8_t>(bc::Op::Name)
+#define VM_FIRST_CASE(Name)                                                    \
+  VM_CASE(Name):                                                               \
+  lbl_##Name
+#define VM_SUPER(Name) case static_cast<uint8_t>(quickOp(SuperOp::Name))
 #define VM_DISPATCH() goto DispatchTop
 #endif
 
@@ -189,14 +206,17 @@ Value Interpreter::enterFrame(bc::FuncId FId, const Value *Args,
 
 namespace {
 
+inline bool exactInt(int64_t V) {
+  constexpr int64_t L = int64_t(1) << 53;
+  return V <= L && V >= -L;
+}
+
 /// True when both operands are ints whose magnitude keeps the
 /// int->double conversion inside runtime::compare exact (|v| <= 2^53).
 /// For such pairs integer comparison is bit-identical to runtime::compare's
 /// double-based comparison, so the frame loop may inline it.
 inline bool exactIntPair(const Value &A, const Value &B) {
-  constexpr int64_t L = int64_t(1) << 53;
-  return A.isInt() && B.isInt() && A.I <= L && A.I >= -L && B.I <= L &&
-         B.I >= -L;
+  return A.isInt() && B.isInt() && exactInt(A.I) && exactInt(B.I);
 }
 
 /// Branch-condition fast path, identical to runtime::toBool for the
@@ -209,64 +229,39 @@ inline bool condBool(const Value &V) {
   return runtime::toBool(V);
 }
 
-inline bool exactInt(int64_t V) {
-  constexpr int64_t L = int64_t(1) << 53;
-  return V <= L && V >= -L;
-}
-
-/// Peephole fusion kernel for the uninstrumented fast loop: evaluates
-/// the binary opcode \p O over both-int operands.  Returns false when
-/// the generic handler must run instead -- a non-fusible opcode, a zero
-/// divisor (fault bookkeeping lives in the generic path), or a
-/// comparison whose magnitude could make the int and double orderings
-/// differ.  A true result is bit-identical to the generic handler.
-inline bool fuseIntBinop(bc::Op O, int64_t A, int64_t B, Value &Out) {
-  switch (O) {
-  case bc::Op::Add:
-    Out = Value::integer(A + B);
-    return true;
-  case bc::Op::Sub:
-    Out = Value::integer(A - B);
-    return true;
-  case bc::Op::Mul:
-    Out = Value::integer(A * B);
-    return true;
-  case bc::Op::Mod:
+/// Binop \p O over the ints \p A and \p B for a superinstruction,
+/// bit-identical to the base handler's both-int path.  \returns false,
+/// leaving \p Out untouched, where the base handler must run instead: a
+/// zero divisor (the fault bookkeeping lives there), a comparison whose
+/// int->double conversion might round (see exactIntPair), or an Add
+/// under the test-only skew.
+template <bc::Op O>
+inline bool fusedBinop(int64_t A, int64_t B, bool NoSkew, Value &Out) {
+  if constexpr (O == bc::Op::Add) {
+    if (!NoSkew)
+      return false;
+    Out = Value::integer(runtime::wrapAdd(A, B));
+  } else if constexpr (O == bc::Op::Sub) {
+    Out = Value::integer(runtime::wrapSub(A, B));
+  } else if constexpr (O == bc::Op::Mul) {
+    Out = Value::integer(runtime::wrapMul(A, B));
+  } else if constexpr (O == bc::Op::Mod) {
     if (B == 0)
       return false;
     Out = Value::integer(A % B);
-    return true;
-  case bc::Op::Div:
-    if (B == 0)
-      return false;
-    if (A % B == 0)
-      Out = Value::integer(A / B);
-    else
-      Out = Value::dbl(static_cast<double>(A) / static_cast<double>(B));
-    return true;
-  case bc::Op::CmpEq:
-  case bc::Op::CmpNe:
-  case bc::Op::CmpLt:
-  case bc::Op::CmpLe:
-  case bc::Op::CmpGt:
-  case bc::Op::CmpGe: {
+  } else {
+    static_assert(O == bc::Op::CmpEq || O == bc::Op::CmpLt ||
+                  O == bc::Op::CmpGt);
     if (!exactInt(A) || !exactInt(B))
       return false;
-    bool R = false;
-    switch (O) {
-    case bc::Op::CmpEq: R = A == B; break;
-    case bc::Op::CmpNe: R = A != B; break;
-    case bc::Op::CmpLt: R = A < B; break;
-    case bc::Op::CmpLe: R = A <= B; break;
-    case bc::Op::CmpGt: R = A > B; break;
-    default: R = A >= B; break;
-    }
-    Out = Value::boolean(R);
-    return true;
+    if constexpr (O == bc::Op::CmpEq)
+      Out = Value::boolean(A == B);
+    else if constexpr (O == bc::Op::CmpLt)
+      Out = Value::boolean(A < B);
+    else
+      Out = Value::boolean(A > B);
   }
-  default:
-    return false;
-  }
+  return true;
 }
 
 } // namespace
@@ -297,7 +292,8 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
 
   const uint32_t *const RunLen = Info.RunLen.data();
   ICEntry *const ICs = Info.ICs.data();
-  const bc::Instr *const Code = F.Code.data();
+  const bc::Instr *const Code =
+      Instrumented ? F.Code.data() : Info.Quick.data();
   const bc::Instr *const CodeEnd = Code + F.Code.size();
 
   Value RetVal = Value::null();
@@ -305,9 +301,9 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
   [[maybe_unused]] uint32_t CurBlock = ~0u;
   uint64_t FrameSteps = 0;
   bool Checked = false;
-  // Peephole fusion (below) is disabled under the test-only Add skew so
-  // every Add pays the generic handler's skew check.
-  [[maybe_unused]] const bool NoSkew = Opts.TestOnlyIntAddSkew == 0;
+  // Superinstructions fuse no Add under the test-only skew, so every Add
+  // pays the base handler's skew check.
+  const bool NoSkew = Opts.TestOnlyIntAddSkew == 0;
 
   auto ChargeRun = [&](uint32_t At) {
     uint32_t RL = RunLen[At];
@@ -324,6 +320,9 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
 #define JUMPSTART_OP_LABEL(Name, ImmA, ImmB, Pop, Push, Flags) &&lbl_##Name,
       JUMPSTART_OPCODES(JUMPSTART_OP_LABEL)
 #undef JUMPSTART_OP_LABEL
+#define JUMPSTART_SUPER_LABEL(Name, First) &&lbl_##Name,
+      JUMPSTART_SUPERINSTRS(JUMPSTART_SUPER_LABEL)
+#undef JUMPSTART_SUPER_LABEL
   };
 #endif
 
@@ -333,27 +332,12 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
 #else
 DispatchTop:
   VM_PREAMBLE();
-  switch (Ip->Opcode) {
+  switch (static_cast<uint8_t>(Ip->Opcode)) {
 #endif
 
   VM_CASE(Nop) : { VM_NEXT(); }
 
-  VM_CASE(Int) : {
-    // Fused Int;<binop> over an int top-of-stack: one dispatch, no
-    // push/pop round trip.  Ip[1] is in bounds (Int is never last).
-    // Only in the uninstrumented loop -- per-instruction callbacks and
-    // checked-mode step counting need every dispatch -- and steps stay
-    // exact because both ops are inside the already-charged run.
-    if constexpr (!Instrumented) {
-      if (!Checked && NoSkew && Sp != StackBase && Sp[-1].isInt()) {
-        Value Out;
-        if (fuseIntBinop(Ip[1].Opcode, Sp[-1].I, Ip->ImmA, Out)) {
-          Sp[-1] = Out;
-          Ip += 2;
-          VM_DISPATCH();
-        }
-      }
-    }
+  VM_FIRST_CASE(Int) : {
     VM_PUSH(Value::integer(Ip->ImmA));
     VM_NEXT();
   }
@@ -542,55 +526,13 @@ DispatchTop:
     VM_NEXT();
   }
 
-  VM_CASE(GetL) : {
-    Value V = Locals[Ip->localImm()];
-    if constexpr (!Instrumented) {
-      if (!Checked && NoSkew) {
-        // GetL;Int;<binop> triples and GetL;<binop> pairs collapse to a
-        // single dispatch (expression trees are full of both).  Ip[1]
-        // is in bounds, and Ip[2] is too when Ip[1] is the non-terminal
-        // Int.  Failed fusions fall through to the generic pushes.
-        const bc::Instr &N1 = Ip[1];
-        if (N1.Opcode == bc::Op::Int && V.isInt()) {
-          Value Out;
-          if (fuseIntBinop(Ip[2].Opcode, V.I, N1.ImmA, Out)) {
-            VM_PUSH(Out);
-            Ip += 3;
-            VM_DISPATCH();
-          }
-          VM_PUSH(V);
-          VM_PUSH(Value::integer(N1.ImmA));
-          Ip += 2;
-          VM_DISPATCH();
-        }
-        if (V.isInt() && Sp != StackBase && Sp[-1].isInt()) {
-          Value Out;
-          if (fuseIntBinop(N1.Opcode, Sp[-1].I, V.I, Out)) {
-            Sp[-1] = Out;
-            Ip += 2;
-            VM_DISPATCH();
-          }
-        }
-      }
-    }
-    VM_PUSH(V);
+  VM_FIRST_CASE(GetL) : {
+    VM_PUSH(Locals[Ip->localImm()]);
     VM_NEXT();
   }
 
-  VM_CASE(SetL) : {
+  VM_FIRST_CASE(SetL) : {
     Locals[Ip->localImm()] = VM_POP();
-    if constexpr (!Instrumented) {
-      if (!Checked) {
-        // SetL;GetL (store one local, load another) is the standard
-        // statement seam; fuse the reload into this dispatch.
-        const bc::Instr &N1 = Ip[1];
-        if (N1.Opcode == bc::Op::GetL) {
-          VM_PUSH(Locals[N1.localImm()]);
-          Ip += 2;
-          VM_DISPATCH();
-        }
-      }
-    }
     VM_NEXT();
   }
 
@@ -613,11 +555,11 @@ DispatchTop:
     Value A = VM_POP();
     Value Res;
     if (A.isInt() && B.isInt())
-      Res = Value::integer(A.I + B.I);
+      Res = Value::integer(runtime::wrapAdd(A.I, B.I));
     else
       Res = runtime::arith(runtime::ArithOp::Add, A, B);
     if (JS_UNLIKELY(Opts.TestOnlyIntAddSkew != 0) && Res.isInt())
-      Res = Value::integer(Res.I + Opts.TestOnlyIntAddSkew);
+      Res = Value::integer(runtime::wrapAdd(Res.I, Opts.TestOnlyIntAddSkew));
     VM_ARITH_TAIL(A, B, Res);
   }
 
@@ -626,7 +568,7 @@ DispatchTop:
     Value A = VM_POP();
     Value Res;
     if (A.isInt() && B.isInt())
-      Res = Value::integer(A.I - B.I);
+      Res = Value::integer(runtime::wrapSub(A.I, B.I));
     else
       Res = runtime::arith(runtime::ArithOp::Sub, A, B);
     VM_ARITH_TAIL(A, B, Res);
@@ -637,7 +579,7 @@ DispatchTop:
     Value A = VM_POP();
     Value Res;
     if (A.isInt() && B.isInt())
-      Res = Value::integer(A.I * B.I);
+      Res = Value::integer(runtime::wrapMul(A.I, B.I));
     else
       Res = runtime::arith(runtime::ArithOp::Mul, A, B);
     VM_ARITH_TAIL(A, B, Res);
@@ -886,21 +828,158 @@ DispatchTop:
     goto ExitLoop;
   }
 
+// Superinstructions (see JUMPSTART_SUPERINSTRS).  The run charge already
+// covers a whole sequence: only its last instruction may end a run.  A
+// sequence runs in one dispatch only when Cond holds and steps are
+// bulk-charged; otherwise the superinstruction enters the base handler of
+// its First instruction, which runs that one instruction and dispatches
+// the next -- exactly the unfused execution, so steps, abort points,
+// faults and IC counters cannot move.  The observed loop runs
+// Function::Code, which holds no superinstruction, and Instrumented
+// folds each of these handlers down to the fallback.
+#define VM_SUPER_GUARD(First, Cond)                                            \
+  do {                                                                         \
+    if (Instrumented || JS_UNLIKELY(Checked || !(Cond)))                       \
+      goto lbl_##First;                                                        \
+  } while (0)
+
+  // Int;binop: the stack top is the left operand, the immediate the right.
+#define VM_INT_BINOP(Name, O)                                                  \
+  VM_SUPER(Name) : {                                                           \
+    Value &Top = Sp[-1];                                                       \
+    Value Out;                                                                 \
+    VM_SUPER_GUARD(Int, Top.isInt() && fusedBinop<bc::Op::O>(                 \
+                            Top.I, Ip->ImmA, NoSkew, Out));                    \
+    Top = Out;                                                                 \
+    Ip += 2;                                                                   \
+    VM_DISPATCH();                                                             \
+  }
+  VM_INT_BINOP(IntAdd, Add)
+  VM_INT_BINOP(IntMul, Mul)
+  VM_INT_BINOP(IntMod, Mod)
+  VM_INT_BINOP(IntCmpEq, CmpEq)
+  VM_INT_BINOP(IntCmpLt, CmpLt)
+  VM_INT_BINOP(IntCmpGt, CmpGt)
+#undef VM_INT_BINOP
+
+  // Int;binop;SetL: as Int;binop, then the result leaves the stack.
+#define VM_INT_BINOP_SETL(Name, O)                                             \
+  VM_SUPER(Name) : {                                                           \
+    const Value &Top = Sp[-1];                                                 \
+    Value Out;                                                                 \
+    VM_SUPER_GUARD(Int, Top.isInt() && fusedBinop<bc::Op::O>(                 \
+                            Top.I, Ip->ImmA, NoSkew, Out));                    \
+    --Sp;                                                                      \
+    Locals[Ip[2].localImm()] = Out;                                            \
+    Ip += 3;                                                                   \
+    VM_DISPATCH();                                                             \
+  }
+  VM_INT_BINOP_SETL(IntAddSetL, Add)
+  VM_INT_BINOP_SETL(IntSubSetL, Sub)
+  VM_INT_BINOP_SETL(IntModSetL, Mod)
+#undef VM_INT_BINOP_SETL
+
+  // GetL;Int;binop: the local is the left operand, the immediate the
+  // right.
+#define VM_GETL_INT_BINOP(Name, O)                                             \
+  VM_SUPER(Name) : {                                                           \
+    const Value &L = Locals[Ip->localImm()];                                   \
+    Value Out;                                                                 \
+    VM_SUPER_GUARD(GetL, L.isInt() && fusedBinop<bc::Op::O>(                  \
+                                          L.I, Ip[1].ImmA, NoSkew, Out));      \
+    VM_PUSH(Out);                                                              \
+    Ip += 3;                                                                   \
+    VM_DISPATCH();                                                             \
+  }
+  VM_GETL_INT_BINOP(GetLIntAdd, Add)
+  VM_GETL_INT_BINOP(GetLIntMul, Mul)
+  VM_GETL_INT_BINOP(GetLIntMod, Mod)
+#undef VM_GETL_INT_BINOP
+
+  // GetL;binop: the stack top is the left operand, the local the right.
+#define VM_GETL_BINOP(Name, O)                                                 \
+  VM_SUPER(Name) : {                                                           \
+    const Value &L = Locals[Ip->localImm()];                                   \
+    Value &Top = Sp[-1];                                                       \
+    Value Out;                                                                 \
+    VM_SUPER_GUARD(GetL, L.isInt() && Top.isInt() &&                           \
+                             fusedBinop<bc::Op::O>(Top.I, L.I, NoSkew, Out));  \
+    Top = Out;                                                                 \
+    Ip += 2;                                                                   \
+    VM_DISPATCH();                                                             \
+  }
+  VM_GETL_BINOP(GetLAdd, Add)
+  VM_GETL_BINOP(GetLSub, Sub)
+#undef VM_GETL_BINOP
+
+  // GetL;Int;CmpLt;JmpZ: a loop test, which ends the run like JmpZ.
+  VM_SUPER(GetLIntCmpLtJmpZ) : {
+    const Value &L = Locals[Ip->localImm()];
+    Value Out;
+    VM_SUPER_GUARD(GetL, L.isInt() && fusedBinop<bc::Op::CmpLt>(
+                                          L.I, Ip[1].ImmA, NoSkew, Out));
+    if (!Out.B)
+      VM_JUMP(Ip[3].targetImm());
+    Ip += 3;
+    VM_NEXT_RUN();
+  }
+
+  // GetL;Int;Add|Sub;SetL: an increment, of the same local or another.
+#define VM_GETL_INT_BINOP_SETL(Name, O)                                        \
+  VM_SUPER(Name) : {                                                           \
+    const Value &L = Locals[Ip->localImm()];                                   \
+    Value Out;                                                                 \
+    VM_SUPER_GUARD(GetL, L.isInt() && fusedBinop<bc::Op::O>(                  \
+                                          L.I, Ip[1].ImmA, NoSkew, Out));      \
+    Locals[Ip[3].localImm()] = Out;                                            \
+    Ip += 4;                                                                   \
+    VM_DISPATCH();                                                             \
+  }
+  VM_GETL_INT_BINOP_SETL(GetLIntAddSetL, Add)
+  VM_GETL_INT_BINOP_SETL(GetLIntSubSetL, Sub)
+#undef VM_GETL_INT_BINOP_SETL
+
+  // SetL;GetL: the statement seam.  The stored value leaves the stack
+  // and the loaded one takes its slot.
+  VM_SUPER(SetLGetL) : {
+    VM_SUPER_GUARD(SetL, true);
+    Locals[Ip->localImm()] = Sp[-1];
+    Sp[-1] = Locals[Ip[1].localImm()];
+    Ip += 2;
+    VM_DISPATCH();
+  }
+
+  VM_SUPER(SetLJmp) : {
+    VM_SUPER_GUARD(SetL, true);
+    Locals[Ip->localImm()] = VM_POP();
+    VM_JUMP(Ip[1].targetImm());
+  }
+
+  VM_SUPER(GetLInt) : {
+    VM_SUPER_GUARD(GetL, true);
+    Sp[0] = Locals[Ip->localImm()];
+    Sp[1] = Value::integer(Ip[1].ImmA);
+    Sp += 2;
+    Ip += 2;
+    VM_DISPATCH();
+  }
+
+#undef VM_SUPER_GUARD
+
 #if !JUMPSTART_COMPUTED_GOTO
   }
 #endif
 
 ExitLoop:
-  if (InstrCounts) {
-    if (InstrCounts->size() < R.numFuncs())
-      InstrCounts->resize(R.numFuncs(), 0);
-    (*InstrCounts)[FId.raw()] += FrameSteps;
-  }
+  if (Counts && FrameSteps)
+    Counts->add(FId, FrameSteps);
   Arena.rewind(Mark);
   return RetVal;
 }
 
 #undef VM_CASE
+#undef VM_FIRST_CASE
+#undef VM_SUPER
 #undef VM_DISPATCH
 #undef VM_PREAMBLE
 #undef VM_NEXT

@@ -45,6 +45,31 @@ struct InterpResult {
   uint64_t Faults = 0;
 };
 
+/// Per-function instruction counts (Interpreter::setInstrCounts).
+/// Touched lists, in first-touch order, the raw FuncIds whose count is
+/// nonzero, so a request can be costed, and the counts cleared, in time
+/// proportional to the functions it ran rather than to the repo.
+struct InstrCounts {
+  /// Counts[I]: instructions executed in the function with raw id I.
+  std::vector<uint64_t> Counts;
+  std::vector<uint32_t> Touched;
+
+  /// Adds \p N > 0 instructions to \p F, whose entry must exist.
+  void add(bc::FuncId F, uint64_t N) {
+    uint64_t &C = Counts[F.raw()];
+    if (C == 0)
+      Touched.push_back(F.raw());
+    C += N;
+  }
+
+  /// Zeroes the touched entries only.
+  void clear() {
+    for (uint32_t F : Touched)
+      Counts[F] = 0;
+    Touched.clear();
+  }
+};
+
 /// Interpreter configuration.
 struct InterpOptions {
   uint64_t StepBudget = 100'000'000;
@@ -67,9 +92,10 @@ public:
   /// Attaches (or detaches, with nullptr) observation callbacks.
   void setCallbacks(ExecCallbacks *CB) { Callbacks = CB; }
 
-  /// When set, element I accumulates the number of instructions executed
-  /// in function with raw id I (the VM's per-tier cost model reads this).
-  void setInstrCounts(std::vector<uint64_t> *Counts) { InstrCounts = Counts; }
+  /// When set, accumulates the instructions executed per function (the
+  /// VM's per-tier cost model reads this).  Each call() sizes
+  /// Counts->Counts to the repo first.
+  void setInstrCounts(InstrCounts *C) { Counts = C; }
 
   /// Print-builtin output sink for the current request; may be null.
   void setOutput(std::string *Out) { Output = Out; }
@@ -98,8 +124,9 @@ public:
 private:
   /// The frame loop.  Instrumented is decided once per frame by
   /// enterFrame: the plain instantiation contains no callback code at
-  /// all, and only it runs the fused peephole paths.  \p TraceInstrs
-  /// (Instrumented only) fires onInstr per executed instruction.
+  /// all, and only it runs the quickened code and its superinstructions.
+  /// \p TraceInstrs (Instrumented only) fires onInstr per executed
+  /// instruction.
   template <bool Instrumented>
   runtime::Value execFrameFast(const bc::Function &F, FuncExecInfo &Info,
                                bc::FuncId FId, const runtime::Value *Args,
@@ -123,7 +150,7 @@ private:
   InterpCaches Caches;
 
   ExecCallbacks *Callbacks = nullptr;
-  std::vector<uint64_t> *InstrCounts = nullptr;
+  InstrCounts *Counts = nullptr;
   std::string *Output = nullptr;
 
   // Per-call (reset in call()).

@@ -221,11 +221,11 @@ Value jumpstart::runtime::arith(ArithOp O, const Value &A, const Value &B) {
     int64_t Y = toInt(B);
     switch (O) {
     case ArithOp::Add:
-      return Value::integer(X + Y);
+      return Value::integer(wrapAdd(X, Y));
     case ArithOp::Sub:
-      return Value::integer(X - Y);
+      return Value::integer(wrapSub(X, Y));
     case ArithOp::Mul:
-      return Value::integer(X * Y);
+      return Value::integer(wrapMul(X, Y));
     case ArithOp::Div:
       if (Y == 0)
         return Value::null();

@@ -45,6 +45,21 @@ void appendString(std::string &Out, const Value &V);
 /// Arithmetic kinds shared with the JIT lowering.
 enum class ArithOp { Add, Sub, Mul, Div, Mod };
 
+/// Int Add, Sub and Mul wrap in two's complement.  They go through
+/// uint64_t because signed overflow is undefined behaviour in C++.
+inline int64_t wrapAdd(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) +
+                              static_cast<uint64_t>(B));
+}
+inline int64_t wrapSub(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) -
+                              static_cast<uint64_t>(B));
+}
+inline int64_t wrapMul(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) *
+                              static_cast<uint64_t>(B));
+}
+
 /// Applies \p O.  Int op Int stays Int (Div yields Dbl unless exact);
 /// any Dbl operand promotes to Dbl; division or modulo by zero and
 /// non-numeric operands yield Null.

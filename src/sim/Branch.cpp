@@ -19,26 +19,6 @@ BranchPredictor::BranchPredictor(uint32_t TableSize) {
   Mask = TableSize - 1;
 }
 
-bool BranchPredictor::predict(uint64_t Pc, bool Taken) {
-  ++Branches;
-  // Mix the PC so adjacent branches spread across the table.
-  uint32_t Index = static_cast<uint32_t>((Pc >> 2) ^ (Pc >> 13)) & Mask;
-  uint8_t &Counter = Counters[Index];
-  bool Predicted = Counter >= 2;
-  if (Taken) {
-    if (Counter < 3)
-      ++Counter;
-  } else {
-    if (Counter > 0)
-      --Counter;
-  }
-  if (Predicted != Taken) {
-    ++Mispredicts;
-    return false;
-  }
-  return true;
-}
-
 void BranchPredictor::reset() {
   for (uint8_t &C : Counters)
     C = 1;
@@ -51,17 +31,6 @@ TargetPredictor::TargetPredictor(uint32_t TableSize) {
                "predictor table size must be a power of two");
   Targets.assign(TableSize, 0);
   Mask = TableSize - 1;
-}
-
-bool TargetPredictor::predict(uint64_t Pc, uint64_t Target) {
-  ++Branches;
-  uint32_t Index = static_cast<uint32_t>((Pc >> 2) ^ (Pc >> 11)) & Mask;
-  uint64_t &Slot = Targets[Index];
-  bool Correct = Slot == Target;
-  Slot = Target;
-  if (!Correct)
-    ++Mispredicts;
-  return Correct;
 }
 
 void TargetPredictor::reset() {

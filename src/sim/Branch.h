@@ -28,7 +28,25 @@ public:
 
   /// Records the branch at \p Pc resolving to \p Taken.  \returns true
   /// when the prediction was correct.
-  bool predict(uint64_t Pc, bool Taken);
+  bool predict(uint64_t Pc, bool Taken) {
+    ++Branches;
+    // Mix the PC so adjacent branches spread across the table.
+    uint32_t Index = static_cast<uint32_t>((Pc >> 2) ^ (Pc >> 13)) & Mask;
+    uint8_t &Counter = Counters[Index];
+    bool Predicted = Counter >= 2;
+    if (Taken) {
+      if (Counter < 3)
+        ++Counter;
+    } else {
+      if (Counter > 0)
+        --Counter;
+    }
+    if (Predicted != Taken) {
+      ++Mispredicts;
+      return false;
+    }
+    return true;
+  }
 
   void reset();
 
@@ -55,7 +73,16 @@ public:
 
   /// Records an indirect transfer \p Pc -> \p Target.  \returns true when
   /// the target matched the prediction.
-  bool predict(uint64_t Pc, uint64_t Target);
+  bool predict(uint64_t Pc, uint64_t Target) {
+    ++Branches;
+    uint32_t Index = static_cast<uint32_t>((Pc >> 2) ^ (Pc >> 11)) & Mask;
+    uint64_t &Slot = Targets[Index];
+    bool Correct = Slot == Target;
+    Slot = Target;
+    if (!Correct)
+      ++Mispredicts;
+    return Correct;
+  }
 
   void reset();
 

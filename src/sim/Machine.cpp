@@ -30,23 +30,6 @@ void MachineSim::fetch(uint64_t Addr, uint32_t SizeBytes) {
   fetchPages(Addr, 1);
 }
 
-void MachineSim::condBranch(uint64_t Pc, bool Taken, uint64_t TargetAddr) {
-  ++Counters.Branches;
-  bool Miss = !Direction.predict(Pc, Taken);
-  // Taken branches additionally need the BTB to supply the target in
-  // time; a cold or clobbered entry stalls the fetch unit.
-  if (Taken && !Btb.predict(Pc, TargetAddr))
-    Miss = true;
-  if (Miss)
-    ++Counters.BranchMisses;
-}
-
-void MachineSim::indirectBranch(uint64_t Pc, uint64_t Target) {
-  ++Counters.Branches;
-  if (!Indirect.predict(Pc, Target))
-    ++Counters.BranchMisses;
-}
-
 void MachineSim::reset() {
   L1I.reset();
   L1D.reset();

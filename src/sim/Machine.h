@@ -121,11 +121,24 @@ public:
   /// this is how basic-block layout -- which converts taken branches
   /// into fallthroughs -- reduces branch misses, as in the paper's
   /// Figure 5).
-  void condBranch(uint64_t Pc, bool Taken, uint64_t TargetAddr = 0);
+  void condBranch(uint64_t Pc, bool Taken, uint64_t TargetAddr = 0) {
+    ++Counters.Branches;
+    bool Miss = !Direction.predict(Pc, Taken);
+    // Taken branches additionally need the BTB to supply the target in
+    // time; a cold or clobbered entry stalls the fetch unit.
+    if (Taken && !Btb.predict(Pc, TargetAddr))
+      Miss = true;
+    if (Miss)
+      ++Counters.BranchMisses;
+  }
 
   /// An indirect transfer at \p Pc to \p Target (virtual dispatch,
   /// returns).
-  void indirectBranch(uint64_t Pc, uint64_t Target);
+  void indirectBranch(uint64_t Pc, uint64_t Target) {
+    ++Counters.Branches;
+    if (!Indirect.predict(Pc, Target))
+      ++Counters.BranchMisses;
+  }
 
   /// Clears all state and counters.
   void reset();

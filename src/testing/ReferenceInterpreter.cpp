@@ -305,7 +305,7 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
       Value Res = runtime::arith(O, A, B);
       if (Opts.TestOnlyIntAddSkew != 0 && In.Opcode == bc::Op::Add &&
           Res.isInt())
-        Res = Value::integer(Res.I + Opts.TestOnlyIntAddSkew);
+        Res = Value::integer(runtime::wrapAdd(Res.I, Opts.TestOnlyIntAddSkew));
       if (Res.isNull() && !(A.isNull() || B.isNull()))
         ++Faults;
       if (Observer)
@@ -477,10 +477,11 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
     ++Pc;
   }
 
-  if (InstrCounts) {
-    if (InstrCounts->size() < R.numFuncs())
-      InstrCounts->resize(R.numFuncs(), 0);
-    (*InstrCounts)[FId.raw()] += FrameSteps;
+  if (Counts) {
+    if (Counts->Counts.size() < R.numFuncs())
+      Counts->Counts.resize(R.numFuncs(), 0);
+    if (FrameSteps)
+      Counts->add(FId, FrameSteps);
   }
   if (Callbacks)
     Callbacks->onFuncExit(FId);

@@ -52,7 +52,7 @@ public:
   void setCallbacks(interp::ExecCallbacks *CB) { Callbacks = CB; }
 
   /// As interp::Interpreter::setInstrCounts.
-  void setInstrCounts(std::vector<uint64_t> *Counts) { InstrCounts = Counts; }
+  void setInstrCounts(interp::InstrCounts *C) { Counts = C; }
 
   /// Print-builtin output sink for the current request; may be null.
   void setOutput(std::string *Out) { Output = Out; }
@@ -76,7 +76,7 @@ private:
   bc::BlockCache Blocks;
 
   interp::ExecCallbacks *Callbacks = nullptr;
-  std::vector<uint64_t> *InstrCounts = nullptr;
+  interp::InstrCounts *Counts = nullptr;
   std::string *Output = nullptr;
 
   // Per-call (reset in call()).

@@ -184,7 +184,7 @@ RequestResult Server::executeRequest(bc::FuncId F,
   if (Obs)
     SpanIndex = Obs->Trace.beginSpan("request", "request", ServerTrack);
   Ctx.PendingLoadUnits = 0;
-  Ctx.InstrCounts.assign(R.numFuncs(), 0);
+  Ctx.InstrCounts.clear();
   interp::InterpResult Result = Ctx.Interp->call(F, Args);
   Faults += Result.Faults;
   ++Requests;
@@ -222,14 +222,15 @@ RequestResult Server::finishRequest(ExecContext &Ctx,
   Ctx.Heap.reset();
   Ctx.Output.clear();
 
+  // Summed in ascending FuncId order, as a scan of every function's
+  // count would add them, so the floating-point total is the same.
   double Units = StartUnits;
-  for (uint32_t FuncRaw = 0; FuncRaw < Ctx.InstrCounts.size(); ++FuncRaw) {
-    if (Ctx.InstrCounts[FuncRaw] == 0)
-      continue;
-    Units += static_cast<double>(Ctx.InstrCounts[FuncRaw]) *
+  std::vector<uint32_t> &Touched = Ctx.InstrCounts.Touched;
+  std::sort(Touched.begin(), Touched.end());
+  for (uint32_t FuncRaw : Touched)
+    Units += static_cast<double>(Ctx.InstrCounts.Counts[FuncRaw]) *
              (Snap ? Snap->CostPerBytecode[FuncRaw]
                    : TheJit.execCostPerBytecode(bc::FuncId(FuncRaw)));
-  }
   // Runtime-warmup friction (see ServerConfig::RuntimeWarmupPenalty).
   if (Config.RuntimeWarmupPenalty > 0 && Config.RuntimeWarmupTau > 0) {
     double Decay = std::exp(-static_cast<double>(DecayRequests) /

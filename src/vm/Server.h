@@ -327,7 +327,7 @@ private:
     runtime::Heap Heap;
     std::unique_ptr<interp::Interpreter> Interp;
     std::string Output;
-    std::vector<uint64_t> InstrCounts;
+    interp::InstrCounts InstrCounts;
     /// Unit-load cost units charged while the current request runs
     /// (serial path; fed by ServerHooks).
     double PendingLoadUnits = 0;

@@ -143,7 +143,7 @@ Server::executeOnContext(ExecContext &Ctx, bc::FuncId F,
   const jit::TransSnapshot *Snap = Publisher->current();
   alwaysAssert(Snap, "serving without a published snapshot");
 
-  Ctx.InstrCounts.assign(R.numFuncs(), 0);
+  Ctx.InstrCounts.clear();
   interp::InterpResult Result = Ctx.Interp->call(F, Args);
   Ctx.Faults += Result.Faults;
   ++Ctx.Served;

@@ -978,9 +978,11 @@ TEST(RegionCheck, ElisionReproofCatchesBogusClaims) {
   std::vector<Diagnostic> Diags = L.lintTranslations(Db);
   EXPECT_EQ(countKind(Diags, DiagKind::ElisionUnproven), 2u)
       << "exactly the two bogus claims must fail re-proof";
-  for (const Diagnostic &D : Diags)
-    if (D.Kind == DiagKind::ElisionUnproven)
+  for (const Diagnostic &D : Diags) {
+    if (D.Kind == DiagKind::ElisionUnproven) {
       EXPECT_EQ(D.Sev, Severity::Error);
+    }
+  }
 }
 
 TEST(PackageLint, CallGraphContradictions) {

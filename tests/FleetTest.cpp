@@ -100,8 +100,9 @@ TEST(WorkloadGenTest, ProfileIsFlat) {
   runtime::Heap Heap;
   interp::Interpreter Interp(W->Repo, Classes, Heap,
                              runtime::BuiltinTable::standard());
-  std::vector<uint64_t> Counts;
-  Interp.setInstrCounts(&Counts);
+  interp::InstrCounts IC;
+  Interp.setInstrCounts(&IC);
+  const std::vector<uint64_t> &Counts = IC.Counts;
   Rng R(3);
   for (int I = 0; I < 100; ++I) {
     uint32_t E = Traffic.sampleEndpoint(0, R.nextBelow(10), R);

@@ -22,6 +22,7 @@
 
 #include "TestHelpers.h"
 
+#include "fleet/WorkloadGen.h"
 #include "interp/InterpCache.h"
 #include "runtime/ValueOps.h"
 #include "support/StringUtil.h"
@@ -31,6 +32,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <ostream>
 #include <type_traits>
 
 using namespace jumpstart;
@@ -117,7 +121,7 @@ struct EngineTrace {
   std::vector<uint64_t> Faults;
   std::vector<uint64_t> Steps;
   std::vector<bool> Oks;
-  std::vector<uint64_t> InstrCounts;
+  interp::InstrCounts InstrCounts;
   std::string CallbackLog;
   uint32_t KindPairs = 0;
 };
@@ -170,7 +174,9 @@ void expectTracesEqual(const EngineTrace &Fast, const EngineTrace &Ref,
     EXPECT_EQ(Fast.Steps[I], Ref.Steps[I]) << "seed " << Seed << " rq " << I;
     EXPECT_EQ(Fast.Oks[I], Ref.Oks[I]) << "seed " << Seed << " rq " << I;
   }
-  EXPECT_EQ(Fast.InstrCounts, Ref.InstrCounts) << "seed " << Seed;
+  EXPECT_EQ(Fast.InstrCounts.Counts, Ref.InstrCounts.Counts) << "seed " << Seed;
+  EXPECT_EQ(Fast.InstrCounts.Touched, Ref.InstrCounts.Touched)
+      << "seed " << Seed;
   EXPECT_EQ(Fast.CallbackLog, Ref.CallbackLog) << "seed " << Seed;
 }
 
@@ -506,6 +512,383 @@ TEST(InterpEngine, UnverifiableFunctionsFault) {
     EXPECT_EQ(CB.Log.find(strFormat("enter %u from", F.raw())),
               std::string::npos)
         << "unverified function " << F.raw() << " entered a frame";
+}
+
+//===----------------------------------------------------------------------===//
+// Superinstructions.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Assembles hand-built functions whose branches name labels.
+class Asm {
+public:
+  Asm &op(bc::Op O, int64_t A = 0) {
+    Code.emplace_back(O, A);
+    return *this;
+  }
+  Asm &branch(bc::Op O, const std::string &Label) {
+    Fixups.emplace_back(Code.size(), Label);
+    Code.emplace_back(O);
+    return *this;
+  }
+  Asm &label(const std::string &Label) {
+    Labels[Label] = pc();
+    return *this;
+  }
+  uint32_t pc() const { return static_cast<uint32_t>(Code.size()); }
+  std::vector<bc::Instr> build() const {
+    std::vector<bc::Instr> Out = Code;
+    for (const auto &[At, Label] : Fixups)
+      Out[At].ImmA = Labels.at(Label);
+    return Out;
+  }
+
+private:
+  std::vector<bc::Instr> Code;
+  std::map<std::string, uint32_t> Labels;
+  std::vector<std::pair<size_t, std::string>> Fixups;
+};
+
+/// One instruction of a test shape.  A branch names a label of the
+/// shape's tail, and a Nop with a label defines that label.
+struct SeqInstr {
+  bc::Op O;
+  int64_t Imm = 0;
+  const char *Label = nullptr;
+};
+
+/// The test shape of one superinstruction: its sequence reads the local
+/// operand from L0 (argument 0), and the stack operand, when it takes
+/// one, is pushed from L1 (argument 1) before it; results go to L3.
+struct SuperShape {
+  interp::SuperOp Id;
+  bool TakesStackTop;
+  /// The sequence; its Int takes the case's immediate.
+  std::vector<SeqInstr> Seq;
+  /// Runs after the sequence and one Nop, and returns.
+  std::vector<SeqInstr> Tail;
+};
+
+std::vector<SuperShape> superShapes() {
+  using bc::Op;
+  using S = interp::SuperOp;
+  auto IntBinop = [](S Id, Op O) {
+    return SuperShape{Id, true, {{Op::Int}, {O}}, {{Op::RetC}}};
+  };
+  auto IntBinopSetL = [](S Id, Op O) {
+    return SuperShape{Id,
+                      true,
+                      {{Op::Int}, {O}, {Op::SetL, 3}},
+                      {{Op::GetL, 3}, {Op::RetC}}};
+  };
+  auto GetLIntBinop = [](S Id, Op O) {
+    return SuperShape{
+        Id, false, {{Op::GetL, 0}, {Op::Int}, {O}}, {{Op::RetC}}};
+  };
+  auto GetLBinop = [](S Id, Op O) {
+    return SuperShape{Id, true, {{Op::GetL, 0}, {O}}, {{Op::RetC}}};
+  };
+  auto GetLIntBinopSetL = [](S Id, Op O, int64_t Dest) {
+    return SuperShape{Id,
+                      false,
+                      {{Op::GetL, 0}, {Op::Int}, {O}, {Op::SetL, Dest}},
+                      {{Op::GetL, Dest}, {Op::RetC}}};
+  };
+  return {
+      IntBinop(S::IntAdd, Op::Add),
+      IntBinop(S::IntMul, Op::Mul),
+      IntBinop(S::IntMod, Op::Mod),
+      IntBinop(S::IntCmpEq, Op::CmpEq),
+      IntBinop(S::IntCmpLt, Op::CmpLt),
+      IntBinop(S::IntCmpGt, Op::CmpGt),
+      IntBinopSetL(S::IntAddSetL, Op::Add),
+      IntBinopSetL(S::IntSubSetL, Op::Sub),
+      IntBinopSetL(S::IntModSetL, Op::Mod),
+      GetLIntBinop(S::GetLIntAdd, Op::Add),
+      GetLIntBinop(S::GetLIntMul, Op::Mul),
+      GetLIntBinop(S::GetLIntMod, Op::Mod),
+      GetLBinop(S::GetLAdd, Op::Add),
+      GetLBinop(S::GetLSub, Op::Sub),
+      {S::GetLIntCmpLtJmpZ,
+       false,
+       {{Op::GetL, 0}, {Op::Int}, {Op::CmpLt}, {Op::JmpZ, 0, "else"}},
+       {{Op::Int, 1}, {Op::RetC}, {Op::Nop, 0, "else"}, {Op::Int, 2},
+        {Op::RetC}}},
+      GetLIntBinopSetL(S::GetLIntAddSetL, Op::Add, 3),
+      GetLIntBinopSetL(S::GetLIntSubSetL, Op::Sub, 3),
+      // An increment of the local it reads.
+      GetLIntBinopSetL(S::GetLIntAddSetL, Op::Add, 0),
+      // The stored value and the loaded one both reach the result.
+      {S::SetLGetL,
+       true,
+       {{Op::SetL, 3}, {Op::GetL, 0}},
+       {{Op::GetL, 3}, {Op::Sub}, {Op::RetC}}},
+      {S::SetLJmp,
+       true,
+       {{Op::SetL, 3}, {Op::Jmp, 0, "target"}},
+       {{Op::Int, 9}, {Op::RetC}, {Op::Nop, 0, "target"}, {Op::GetL, 3},
+        {Op::RetC}}},
+      {S::GetLInt, false, {{Op::GetL, 0}, {Op::Int}}, {{Op::Sub}, {Op::RetC}}},
+  };
+}
+
+/// Lays out \p Shape with immediate \p K:
+///
+///   [GetL 1]  GetL 2; JmpNZ mid; Nop; <Seq>; Nop; <Tail>
+///   mid: <Seq[0, Mid)>; Jmp <Seq + Mid>
+///
+/// A truthy argument 2 enters the sequence by a branch to its
+/// instruction \p Mid (its start when Mid is 0), after running the
+/// instructions before it elsewhere.  \p SeqStart receives the
+/// sequence's first pc.
+std::vector<bc::Instr> layOut(const SuperShape &Shape, int64_t K,
+                              uint32_t Mid, uint32_t &SeqStart) {
+  Asm A;
+  auto Emit = [&](const SeqInstr &In, bool InSeq) {
+    if (In.Label && In.O == bc::Op::Nop)
+      A.label(In.Label).op(bc::Op::Nop);
+    else if (In.Label)
+      A.branch(In.O, In.Label);
+    else
+      A.op(In.O, InSeq && In.O == bc::Op::Int ? K : In.Imm);
+  };
+  if (Shape.TakesStackTop)
+    A.op(bc::Op::GetL, 1);
+  A.op(bc::Op::GetL, 2).branch(bc::Op::JmpNZ, "mid").op(bc::Op::Nop);
+  SeqStart = A.pc();
+  for (const SeqInstr &In : Shape.Seq)
+    Emit(In, true);
+  A.op(bc::Op::Nop);
+  for (const SeqInstr &In : Shape.Tail)
+    Emit(In, false);
+  A.label("mid");
+  for (uint32_t I = 0; I < Mid; ++I)
+    Emit(Shape.Seq[I], true);
+  A.op(bc::Op::Jmp, SeqStart + Mid);
+  return A.build();
+}
+
+/// Everything a call observably produces.
+struct CallOutcome {
+  std::string Ret;
+  uint64_t Faults = 0;
+  uint64_t Steps = 0;
+  bool Ok = false;
+  std::vector<uint64_t> Counts;
+
+  bool operator==(const CallOutcome &) const = default;
+};
+
+std::ostream &operator<<(std::ostream &OS, const CallOutcome &C) {
+  return OS << "ret " << C.Ret << " faults " << C.Faults << " steps "
+            << C.Steps << " ok " << C.Ok;
+}
+
+/// Runs each of \p Calls on a fresh \p InterpT with \p Budget and
+/// \p Skew, with no callbacks, so the interpreter's frames run the plain
+/// loop over the quickened code.
+template <typename InterpT>
+std::vector<CallOutcome>
+runPlain(const bc::Repo &R,
+         const std::vector<std::pair<bc::FuncId, std::vector<runtime::Value>>>
+             &Calls,
+         uint64_t Budget, int64_t Skew) {
+  runtime::ClassTable Classes(R);
+  runtime::Heap Heap;
+  interp::InterpOptions Opts;
+  Opts.StepBudget = Budget;
+  Opts.TestOnlyIntAddSkew = Skew;
+  InterpT Interp(R, Classes, Heap, runtime::BuiltinTable::standard(), Opts);
+  interp::InstrCounts Counts;
+  Interp.setInstrCounts(&Counts);
+  std::vector<CallOutcome> Out;
+  for (const auto &[F, Args] : Calls) {
+    Counts.clear();
+    interp::InterpResult Res = Interp.call(F, Args);
+    Out.push_back({runtime::toString(Res.Ret), Res.Faults, Res.Steps, Res.Ok,
+                   Counts.Counts});
+    Heap.reset();
+  }
+  return Out;
+}
+
+/// Diffs \p Calls between the interpreter and the reference at every
+/// step budget from 1 to the longest call's full count, and unbounded,
+/// with and without the test-only Add skew.
+void expectPlainMatchesReferenceAtEveryBudget(
+    const bc::Repo &R,
+    const std::vector<std::pair<bc::FuncId, std::vector<runtime::Value>>>
+        &Calls,
+    const std::vector<std::string> &Labels) {
+  uint64_t MaxSteps = 0;
+  for (const CallOutcome &C : runPlain<jstest::ReferenceInterpreter>(
+           R, Calls, interp::InterpOptions().StepBudget, 0))
+    MaxSteps = std::max(MaxSteps, C.Steps);
+  ASSERT_GT(MaxSteps, 0u);
+  for (int64_t Skew : {0, 1}) {
+    for (uint64_t Budget = 1; Budget <= MaxSteps + 1; ++Budget) {
+      uint64_t B = Budget > MaxSteps ? interp::InterpOptions().StepBudget
+                                     : Budget;
+      std::vector<CallOutcome> Fast =
+          runPlain<interp::Interpreter>(R, Calls, B, Skew);
+      std::vector<CallOutcome> Ref =
+          runPlain<jstest::ReferenceInterpreter>(R, Calls, B, Skew);
+      ASSERT_EQ(Fast.size(), Ref.size());
+      for (size_t I = 0; I < Fast.size(); ++I)
+        EXPECT_EQ(Fast[I], Ref[I]) << Labels[I] << " budget " << B
+                                   << " skew " << Skew;
+    }
+  }
+}
+
+constexpr int64_t kExact = int64_t(1) << 53;
+
+/// Operand values: ints in and past the exact compare range, and the
+/// non-int tags.
+std::vector<runtime::Value> operandValues() {
+  using runtime::Value;
+  return {Value::integer(37),         Value::integer(-5),
+          Value::integer(0),          Value::integer(kExact),
+          Value::integer(-kExact),    Value::integer(kExact + 1),
+          Value::integer(-kExact - 1), Value::dbl(2.5),
+          Value::null(),              Value::boolean(true)};
+}
+
+} // namespace
+
+TEST(InterpEngine, SuperinstructionsMatchReferenceAtEveryBudget) {
+  // Every superinstruction, hand-built so that the quickener emits it at
+  // a known pc, on int operands (the fused path) and on each fallback: a
+  // non-int local or stack operand, a zero Mod divisor, compare operands
+  // past 2^53 (immediate or dynamic), the test-only Add skew, every step
+  // budget (checked mode), and a branch to each instruction inside the
+  // sequence.  (The verifier rejects a binop with a missing stack
+  // operand, so no superinstruction ever meets one.)
+  const runtime::BuiltinTable &Builtins = runtime::BuiltinTable::standard();
+  const std::vector<runtime::Value> Values = operandValues();
+  const std::vector<int64_t> Immediates = {3, 0, -7, kExact, kExact + 1,
+                                           -kExact - 1};
+  std::vector<bool> Seen(interp::kNumSuperOps, false);
+  for (const SuperShape &Shape : superShapes()) {
+    bc::Repo R;
+    bc::Unit &U = R.createUnit("supers");
+    std::vector<std::pair<bc::FuncId, std::vector<runtime::Value>>> Calls;
+    std::vector<std::string> Labels;
+    const bool HasInt =
+        std::any_of(Shape.Seq.begin(), Shape.Seq.end(),
+                    [](const SeqInstr &In) { return In.O == bc::Op::Int; });
+    for (int64_t K : HasInt ? Immediates : std::vector<int64_t>{0}) {
+      for (uint32_t Mid = 0; Mid < Shape.Seq.size(); ++Mid) {
+        bc::Function &F = R.createFunction(
+            U, strFormat("f%u", static_cast<unsigned>(R.numFuncs())));
+        F.NumParams = 3;
+        F.NumLocals = 4;
+        uint32_t Start = 0;
+        F.Code = layOut(Shape, K, Mid, Start);
+        uint32_t MaxStack = 0;
+        ASSERT_TRUE(
+            bc::verifyFunctionIssues(R, F, Builtins.size(), &MaxStack).empty())
+            << F.Name;
+        interp::FuncExecInfo Info =
+            interp::computeExecInfo(F, /*Verified=*/true, MaxStack);
+        ASSERT_EQ(Info.Quick[Start].Opcode, interp::quickOp(Shape.Id))
+            << "superinstruction " << static_cast<unsigned>(Shape.Id)
+            << " not emitted at pc " << Start;
+        Seen[static_cast<size_t>(Shape.Id)] = true;
+        for (const runtime::Value &Local : Values) {
+          for (const runtime::Value &Top :
+               Shape.TakesStackTop ? Values
+                                   : std::vector<runtime::Value>{Values[0]}) {
+            for (bool Branch : {false, true}) {
+              Calls.push_back(
+                  {F.Id, {Local, Top, runtime::Value::boolean(Branch)}});
+              Labels.push_back(strFormat(
+                  "super %u K %lld mid %u local %s top %s branch %d",
+                  static_cast<unsigned>(Shape.Id), static_cast<long long>(K),
+                  Mid, runtime::toString(Local).c_str(),
+                  runtime::toString(Top).c_str(), Branch));
+            }
+          }
+        }
+      }
+    }
+    expectPlainMatchesReferenceAtEveryBudget(R, Calls, Labels);
+  }
+  for (unsigned Id = 0; Id < interp::kNumSuperOps; ++Id)
+    EXPECT_TRUE(Seen[Id]) << "superinstruction " << Id << " has no shape";
+}
+
+TEST(InterpEngine, CompiledLoopsMatchReferenceAtEveryBudget) {
+  // Frontend code shaped like the perfbench site's helpers (an
+  // arithmetic loop and a branchy helper under a calling loop), where the
+  // superinstructions chain, diffed at every abort point.
+  jstest::TestVm Vm(
+      "function arith($x) { $acc = $x; $i = 0;"
+      "  while ($i < 5) { $acc = ($acc * 3 + $i) % 65537; $i = $i + 1; }"
+      "  return $acc; }"
+      "function branchy($x) {"
+      "  if ($x % 3 == 0) { $r = $x * 2 + 1; }"
+      "  else { $r = $x - 1; if ($r < 0) { $r = 0 - $r; } }"
+      "  return $r; }"
+      "function main($n) { $t = 0; $j = 0;"
+      "  while ($j < 3) { $t = $t + arith($n + $j) + branchy($n - $j);"
+      "    $j = $j + 1; }"
+      "  return $t; }");
+  ASSERT_TRUE(Vm.ok());
+  bc::FuncId Main = Vm.Repo.findFunction("main");
+  std::vector<std::pair<bc::FuncId, std::vector<runtime::Value>>> Calls;
+  std::vector<std::string> Labels;
+  for (const runtime::Value &Arg : operandValues()) {
+    Calls.push_back({Main, {Arg}});
+    Labels.push_back("main(" + runtime::toString(Arg) + ")");
+  }
+  expectPlainMatchesReferenceAtEveryBudget(Vm.Repo, Calls, Labels);
+}
+
+TEST(InterpEngine, SuperinstructionsAllFireOnThePerfbenchSite) {
+  // The quickener emits every superinstruction on the perfbench-shaped
+  // site, so none is dead.  Quickened code differs from the original
+  // only in the opcode of a sequence's start, which names that
+  // superinstruction's first instruction.
+  fleet::WorkloadParams P;
+  P.NumHelpers = 700;
+  P.NumClasses = 72;
+  P.NumEndpoints = 40;
+  P.NumUnits = 48;
+  std::unique_ptr<fleet::Workload> W = fleet::generateWorkload(P);
+  static constexpr bc::Op kFirst[] = {
+#define JUMPSTART_SUPER_FIRST(Name, First) bc::Op::First,
+      JUMPSTART_SUPERINSTRS(JUMPSTART_SUPER_FIRST)
+#undef JUMPSTART_SUPER_FIRST
+  };
+  std::vector<uint64_t> Emitted(interp::kNumSuperOps, 0);
+  const uint32_t NumBuiltins = runtime::BuiltinTable::standard().size();
+  for (const bc::Function &F : W->Repo.funcs()) {
+    uint32_t MaxStack = 0;
+    ASSERT_TRUE(
+        bc::verifyFunctionIssues(W->Repo, F, NumBuiltins, &MaxStack).empty());
+    interp::FuncExecInfo Info =
+        interp::computeExecInfo(F, /*Verified=*/true, MaxStack);
+    ASSERT_EQ(Info.Quick.size(), F.Code.size());
+    for (size_t I = 0; I < F.Code.size(); ++I) {
+      const bc::Instr &Q = Info.Quick[I], &C = F.Code[I];
+      EXPECT_EQ(Q.ImmA, C.ImmA);
+      EXPECT_EQ(Q.ImmB, C.ImmB);
+      unsigned Byte = static_cast<uint8_t>(Q.Opcode);
+      if (Byte < bc::kNumOpcodes) {
+        EXPECT_EQ(Q.Opcode, C.Opcode) << F.Name << " pc " << I;
+        continue;
+      }
+      unsigned Id = Byte - bc::kNumOpcodes;
+      ASSERT_LT(Id, interp::kNumSuperOps);
+      EXPECT_EQ(kFirst[Id], C.Opcode) << F.Name << " pc " << I;
+      ++Emitted[Id];
+    }
+  }
+  for (unsigned Id = 0; Id < interp::kNumSuperOps; ++Id)
+    EXPECT_GT(Emitted[Id], 0u) << "superinstruction " << Id
+                               << " never emitted on the site";
 }
 
 //===----------------------------------------------------------------------===//

@@ -292,12 +292,19 @@ TEST(Interpreter, InstrCountsAccumulatePerFunction) {
             "function main() { $s = 0; $i = 0;"
             "  while ($i < 10) { $s = $s + helper(); $i = $i + 1; }"
             "  return $s; }");
-  std::vector<uint64_t> Counts;
-  Vm.Interp->setInstrCounts(&Counts);
+  interp::InstrCounts IC;
+  Vm.Interp->setInstrCounts(&IC);
   EXPECT_EQ(Vm.runInt("main"), 10);
   bc::FuncId Helper = Vm.Repo.findFunction("helper");
   bc::FuncId Main = Vm.Repo.findFunction("main");
+  const std::vector<uint64_t> &Counts = IC.Counts;
   ASSERT_GE(Counts.size(), Vm.Repo.numFuncs());
   EXPECT_GT(Counts[Helper.raw()], 0u);
   EXPECT_GT(Counts[Main.raw()], Counts[Helper.raw()]);
+  // Touched lists each counted function once, in first-exit order, and
+  // clear() zeroes exactly those entries.
+  EXPECT_EQ(IC.Touched, (std::vector<uint32_t>{Helper.raw(), Main.raw()}));
+  IC.clear();
+  EXPECT_TRUE(IC.Touched.empty());
+  EXPECT_EQ(Counts, std::vector<uint64_t>(Counts.size(), 0));
 }
