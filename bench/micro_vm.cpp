@@ -10,11 +10,13 @@
 /// interpreter dispatch throughput, the request-local value heap,
 /// frontend compilation speed, and the tier-2 pipeline (region selection
 /// + lowering + layout) per function, a cold server's profiling window,
-/// plain-interpreter requests on the perfbench-sized site, and the
-/// machine simulator's cache lookups against the scan-only reference --
-/// the costs a downstream user of the library actually pays.
+/// plain-interpreter and shadow-traced requests on the perfbench-sized
+/// site, and the machine simulator's cache lookups against the scan-only
+/// reference -- the costs a downstream user of the library actually pays.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "FigureCommon.h"
 
 #include "fleet/Traffic.h"
 #include "fleet/WorkloadGen.h"
@@ -24,6 +26,7 @@
 #include "jit/Recorders.h"
 #include "jit/Lower.h"
 #include "jit/TransLayout.h"
+#include "jit/VasmTracer.h"
 #include "sim/Cache.h"
 #include "support/Random.h"
 #include "support/ThreadPool.h"
@@ -332,6 +335,42 @@ void BM_PlainSiteRequests(benchmark::State &State) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_PlainSiteRequests)->Unit(benchmark::kMillisecond);
+
+void BM_TracedSiteRequests(benchmark::State &State) {
+  // The same pool served by a warmed Jump-Start consumer under the
+  // VasmTracer and the scaled machine, as Figure 5 and perfbench's
+  // steady workload measure steady state: every frame runs the observed
+  // interpreter loop, and every block event drives the simulator.
+  // Ungated, with no snapshot.
+  auto W = perfbenchSite();
+  SiteRequests Requests = sampleRequests(*W, 512);
+  fleet::TrafficModel Traffic(*W, fleet::TrafficParams(), 3);
+  vm::ServerConfig Config;
+  Config.Jit.ProfileRequestTarget = 400;
+  for (uint32_t I = 0; I < 16; ++I)
+    Config.WarmupEndpoints.push_back(Requests[I].first.raw());
+  profile::ProfilePackage Pkg = bench::growPackage(*W, Traffic, Config);
+  vm::Server S(W->Repo, Config, 1);
+  if (!S.installPackage(Pkg).ok()) {
+    State.SkipWithError("the package was rejected");
+    return;
+  }
+  S.startup();
+  sim::MachineSim Machine(bench::scaledMachine());
+  jit::VasmTracer Tracer(S.theJit(), Machine);
+  vm::CallbackScope Scope(S, &Tracer);
+  // Fill the simulated caches first.
+  for (uint32_t I = 0; I < 150; ++I)
+    S.executeRequest(Requests[I].first, Requests[I].second);
+  for (auto _ : State)
+    for (const auto &[F, Args] : Requests)
+      benchmark::DoNotOptimize(S.executeRequest(F, Args).Seconds);
+  State.counters["requests_per_s"] = benchmark::Counter(
+      static_cast<double>(Requests.size()) *
+          static_cast<double>(State.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_TracedSiteRequests)->Unit(benchmark::kMillisecond);
 
 /// One seeded, steady-shaped stream for a cache of 32 sets of \p Ways:
 /// requests walk a path of code blocks, each a run of line accesses (one

@@ -29,12 +29,9 @@ public:
   explicit BlockCache(const Repo &R) : R(R) {}
 
   const BlockList &blocks(FuncId F) {
-    if (Cache.size() < R.numFuncs())
-      Cache.resize(R.numFuncs());
-    auto &Slot = Cache[F.raw()];
-    if (!Slot)
-      Slot = std::make_unique<BlockList>(BlockList::compute(R.func(F)));
-    return *Slot;
+    if (F.raw() < Cache.size() && Cache[F.raw()])
+      return *Cache[F.raw()];
+    return build(F);
   }
 
   /// Precomputed Pc -> block-id table for \p F (see
@@ -42,6 +39,9 @@ public:
   const uint32_t *pcToBlock(FuncId F) { return blocks(F).instrToBlockData(); }
 
 private:
+  /// Computes and caches \p F's blocks on first use.
+  const BlockList &build(FuncId F);
+
   const Repo &R;
   std::vector<std::unique_ptr<BlockList>> Cache;
 };

@@ -7,22 +7,18 @@
 
 #include "bytecode/Blocks.h"
 
-#include "support/Assert.h"
+#include "bytecode/BlockCache.h"
 
-#include <algorithm>
+#include "support/Assert.h"
 
 using namespace jumpstart;
 using namespace jumpstart::bc;
 
-BlockList BlockList::compute(const Function &F) {
-  BlockList Result;
+std::vector<uint8_t> jumpstart::bc::blockLeaders(const Function &F) {
+  std::vector<uint8_t> Leader(F.Code.size(), 0);
   if (F.Code.empty())
-    return Result;
-
-  // Pass 1: find leaders (entry, branch targets, instructions after
-  // block-enders).
-  std::vector<uint32_t> Leaders;
-  Leaders.push_back(0);
+    return Leader;
+  Leader[0] = 1;
   for (uint32_t I = 0; I < F.Code.size(); ++I) {
     const Instr &In = F.Code[I];
     const OpInfo &Info = opInfo(In.Opcode);
@@ -30,27 +26,36 @@ BlockList BlockList::compute(const Function &F) {
         hasFlag(Info.Flags, OpFlags::CondBranch)) {
       alwaysAssert(In.targetImm() < F.Code.size(),
                    "branch target out of range in block computation");
-      Leaders.push_back(In.targetImm());
+      Leader[In.targetImm()] = 1;
     }
     if (opEndsBlock(In.Opcode) && I + 1 < F.Code.size())
-      Leaders.push_back(I + 1);
+      Leader[I + 1] = 1;
   }
-  std::sort(Leaders.begin(), Leaders.end());
-  Leaders.erase(std::unique(Leaders.begin(), Leaders.end()), Leaders.end());
+  return Leader;
+}
 
-  // Pass 2: build blocks from consecutive leaders.
-  Result.InstrToBlock.resize(F.Code.size());
-  for (size_t L = 0; L < Leaders.size(); ++L) {
-    BcBlock B;
-    B.Start = Leaders[L];
-    B.End = (L + 1 < Leaders.size()) ? Leaders[L + 1]
-                                     : static_cast<uint32_t>(F.Code.size());
-    for (uint32_t I = B.Start; I < B.End; ++I)
-      Result.InstrToBlock[I] = static_cast<uint32_t>(L);
-    Result.Blocks.push_back(B);
+BlockList BlockList::compute(const Function &F) {
+  BlockList Result;
+  if (F.Code.empty())
+    return Result;
+
+  // Blocks run from each leader to the next.
+  const std::vector<uint8_t> Leader = blockLeaders(F);
+  const uint32_t N = static_cast<uint32_t>(F.Code.size());
+  Result.InstrToBlock.resize(N);
+  for (uint32_t I = 0; I < N; ++I) {
+    if (Leader[I]) {
+      if (I > 0)
+        Result.Blocks.back().End = I;
+      BcBlock B;
+      B.Start = I;
+      Result.Blocks.push_back(B);
+    }
+    Result.InstrToBlock[I] = static_cast<uint32_t>(Result.Blocks.size() - 1);
   }
+  Result.Blocks.back().End = N;
 
-  // Pass 3: wire successors.
+  // Then wire successors.
   for (size_t L = 0; L < Result.Blocks.size(); ++L) {
     BcBlock &B = Result.Blocks[L];
     const Instr &Last = F.Code[B.End - 1];
@@ -72,4 +77,12 @@ BlockList BlockList::compute(const Function &F) {
       B.Fallthru = static_cast<uint32_t>(L + 1);
   }
   return Result;
+}
+
+const BlockList &BlockCache::build(FuncId F) {
+  if (Cache.size() < R.numFuncs())
+    Cache.resize(R.numFuncs());
+  auto &Slot = Cache[F.raw()];
+  Slot = std::make_unique<BlockList>(BlockList::compute(R.func(F)));
+  return *Slot;
 }

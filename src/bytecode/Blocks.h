@@ -41,6 +41,14 @@ struct BcBlock {
   bool hasFallthru() const { return Fallthru != kNoSucc; }
 };
 
+/// Marks the block leaders of \p F, one byte per instruction: the entry,
+/// every branch target and every instruction after a block-ender.  This
+/// is the one definition of a leader: BlockList::compute builds its
+/// blocks from it, and the interpreter's quickener keeps each
+/// superinstruction's sequence inside one block.  \p F must be verified
+/// (all branch targets in range).
+std::vector<uint8_t> blockLeaders(const Function &F);
+
 /// The basic blocks of one function, in bytecode order (block 0 is the
 /// entry).  Also maps instruction indices back to block ids.
 class BlockList {

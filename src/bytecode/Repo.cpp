@@ -64,11 +64,6 @@ const Unit &Repo::unit(UnitId Id) const {
   return Units[Id.raw()];
 }
 
-const Function &Repo::func(FuncId Id) const {
-  assert(Id.raw() < Funcs.size() && "invalid FuncId");
-  return Funcs[Id.raw()];
-}
-
 const Class &Repo::cls(ClassId Id) const {
   assert(Id.raw() < Classes.size() && "invalid ClassId");
   return Classes[Id.raw()];

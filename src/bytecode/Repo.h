@@ -23,6 +23,7 @@
 #include "bytecode/Function.h"
 #include "bytecode/Unit.h"
 
+#include <cassert>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -56,7 +57,10 @@ public:
 
   const std::string &str(StringId Id) const;
   const Unit &unit(UnitId Id) const;
-  const Function &func(FuncId Id) const;
+  const Function &func(FuncId Id) const {
+    assert(Id.raw() < Funcs.size() && "invalid FuncId");
+    return Funcs[Id.raw()];
+  }
   const Class &cls(ClassId Id) const;
 
   /// Mutable access for the frontend while a unit is under construction.

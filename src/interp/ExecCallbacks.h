@@ -18,9 +18,11 @@
 ///
 /// Observation is decided per frame: right after onFuncEnter the
 /// interpreter asks observeFrame, and a frame answered EntryExit runs the
-/// same plain body, over quickened code, as a frame with no callbacks
-/// attached.
-/// A tier pays only for what it records.
+/// same plain body as a frame with no callbacks attached.  A tier pays
+/// only for what it records.  Observed and plain frames run the same
+/// quickened code, superinstructions included; each event still fires at
+/// the instruction it names, exactly as if every instruction had been
+/// dispatched on its own.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,6 +7,7 @@
 
 #include "interp/InterpCache.h"
 
+#include "bytecode/Blocks.h"
 #include "bytecode/Verifier.h"
 
 using namespace jumpstart;
@@ -35,12 +36,13 @@ bool hasCacheableSite(const bc::Function &F) {
 }
 
 /// The opcode byte Quick holds at \p I: the longest superinstruction
-/// whose sequence starts there, else the base opcode.
-bc::Op quickenAt(const std::vector<bc::Instr> &Code, size_t I) {
+/// whose sequence starts there and ends before \p End, else the base
+/// opcode.
+bc::Op quickenAt(const std::vector<bc::Instr> &Code, size_t I, size_t End) {
   using bc::Op;
-  // Past the end reads as Nop, which no sequence contains.
+  // Past End reads as Nop, which no sequence contains.
   auto At = [&](size_t K) {
-    return I + K < Code.size() ? Code[I + K].Opcode : Op::Nop;
+    return I + K < End ? Code[I + K].Opcode : Op::Nop;
   };
   const Op O1 = At(1), O2 = At(2), O3 = At(3);
   switch (At(0)) {
@@ -67,8 +69,8 @@ bc::Op quickenAt(const std::vector<bc::Instr> &Code, size_t I) {
     if (O1 == Op::Int) {
       if (O2 == Op::CmpLt && O3 == Op::JmpZ)
         return quickOp(SuperOp::GetLIntCmpLtJmpZ);
-      if (O2 == Op::Add && O3 == Op::SetL)
-        return quickOp(SuperOp::GetLIntAddSetL);
+      if (O2 == Op::Add && O3 == Op::SetL && At(4) == Op::Jmp)
+        return quickOp(SuperOp::GetLIntAddSetLJmp);
       if (O2 == Op::Sub && O3 == Op::SetL)
         return quickOp(SuperOp::GetLIntSubSetL);
       switch (O2) {
@@ -107,26 +109,33 @@ FuncExecInfo jumpstart::interp::computeExecInfo(const bc::Function &F,
   Info.MaxStack = MaxStack;
 
   size_t N = F.Code.size();
+  const std::vector<uint8_t> Leader = bc::blockLeaders(F);
   Info.RunLen.resize(N);
-  for (size_t I = N; I-- > 0;)
+  Info.Quick = F.Code;
+  // NextLeader: the first leader after I, where I's sequence must end.
+  size_t NextLeader = N;
+  for (size_t I = N; I-- > 0;) {
     Info.RunLen[I] = (endsRun(F.Code[I].Opcode) || I + 1 == N)
                          ? 1
                          : Info.RunLen[I + 1] + 1;
-
-  Info.Quick = F.Code;
-  for (size_t I = 0; I < N; ++I)
-    Info.Quick[I].Opcode = quickenAt(F.Code, I);
+    Info.Quick[I].Opcode = quickenAt(F.Code, I, NextLeader);
+    if (Leader[I])
+      NextLeader = I;
+  }
 
   if (hasCacheableSite(F))
     Info.ICs.assign(N, ICEntry{});
   return Info;
 }
 
-std::unique_ptr<FuncExecInfo> InterpCaches::analyze(bc::FuncId F) const {
+FuncExecInfo &InterpCaches::analyze(bc::FuncId F) {
+  if (Cache.size() < R.numFuncs())
+    Cache.resize(R.numFuncs());
   const bc::Function &Func = R.func(F);
   uint32_t MaxStack = 0;
   bool Verified =
       bc::verifyFunctionIssues(R, Func, NumBuiltins, &MaxStack).empty();
-  return std::make_unique<FuncExecInfo>(
+  Cache[F.raw()] = std::make_unique<FuncExecInfo>(
       computeExecInfo(Func, Verified, MaxStack));
+  return *Cache[F.raw()];
 }

@@ -35,7 +35,7 @@
 ///    receiver's ClassLayout.  They live here, outside the immutable
 ///    bytecode, in a side table indexed by Pc.
 ///
-///  - A quickened copy of the code for the plain frame loop, in which
+///  - A quickened copy of the code, which both frame loops run, in which
 ///    every instruction that starts a superinstruction's sequence carries
 ///    that superinstruction's opcode byte (JUMPSTART_SUPERINSTRS below).
 ///
@@ -71,7 +71,9 @@ struct ICEntry {
 //   GetL;Int;binop                GetLIntAdd .. GetLIntMod
 //   GetL;binop                    GetLAdd, GetLSub
 //   GetL;Int;CmpLt;JmpZ           GetLIntCmpLtJmpZ (loop tests)
-//   GetL;Int;Add|Sub;SetL         GetLIntAddSetL, GetLIntSubSetL
+//   GetL;Int;Add;SetL;Jmp         GetLIntAddSetLJmp (loop increments and
+//                                 their back edges)
+//   GetL;Int;Sub;SetL             GetLIntSubSetL
 //   SetL;GetL, SetL;Jmp, GetL;Int
 #define JUMPSTART_SUPERINSTRS(X)                                               \
   X(IntAdd, Int)                                                               \
@@ -89,7 +91,7 @@ struct ICEntry {
   X(GetLAdd, GetL)                                                             \
   X(GetLSub, GetL)                                                             \
   X(GetLIntCmpLtJmpZ, GetL)                                                    \
-  X(GetLIntAddSetL, GetL)                                                      \
+  X(GetLIntAddSetLJmp, GetL)                                                   \
   X(GetLIntSubSetL, GetL)                                                      \
   X(SetLGetL, SetL)                                                            \
   X(SetLJmp, SetL)                                                             \
@@ -122,13 +124,13 @@ struct FuncExecInfo {
   /// inclusive.  Empty when !Verified.
   std::vector<uint32_t> RunLen;
 
-  /// The code the plain frame loop runs: a copy of Function::Code in
-  /// which each instruction that starts a superinstruction's sequence
-  /// carries that superinstruction's quickOp byte, the longest sequence
-  /// first.  Only opcode bytes differ, and each position is quickened on
-  /// its own, so a branch into the middle of a sequence lands on that
-  /// position's own superinstruction or base opcode.  Empty when
-  /// !Verified.
+  /// The code both frame loops run: a copy of Function::Code in which
+  /// each instruction that starts a superinstruction's sequence carries
+  /// that superinstruction's quickOp byte, the longest sequence that ends
+  /// before the next block leader (bc::blockLeaders) first.  Only opcode
+  /// bytes differ, and no sequence spans a leader, so no branch lands
+  /// inside a sequence and the observed loop meets each block's first
+  /// instruction in a dispatch of its own.  Empty when !Verified.
   std::vector<bc::Instr> Quick;
 
   /// Inline caches indexed by Pc.  Empty when !Verified or the function
@@ -160,12 +162,9 @@ public:
 
   /// The (lazily computed) execution metadata for \p F.
   FuncExecInfo &info(bc::FuncId F) {
-    if (Cache.size() < R.numFuncs())
-      Cache.resize(R.numFuncs());
-    auto &Slot = Cache[F.raw()];
-    if (!Slot)
-      Slot = analyze(F);
-    return *Slot;
+    if (F.raw() < Cache.size() && Cache[F.raw()])
+      return *Cache[F.raw()];
+    return analyze(F);
   }
 
   /// Deterministic counters (the bench and CI perf smoke compare them
@@ -174,8 +173,9 @@ public:
   uint64_t ICMisses = 0;
 
 private:
-  /// Verifies \p F and computes its metadata from the verdict.
-  std::unique_ptr<FuncExecInfo> analyze(bc::FuncId F) const;
+  /// Verifies \p F and caches the metadata computed from the verdict
+  /// (info() on \p F's first call).
+  FuncExecInfo &analyze(bc::FuncId F);
 
   const bc::Repo &R;
   uint32_t NumBuiltins;

@@ -17,11 +17,12 @@
 // observeFrame answer, so frames nobody records run the plain body even
 // while callbacks are attached.
 //
-// The plain instantiation runs each function's quickened code
+// Both instantiations run each function's quickened code
 // (FuncExecInfo::Quick), whose superinstructions execute a whole
 // bytecode sequence in one dispatch when their guard holds and otherwise
-// enter the base handler of their first instruction; the observed one
-// runs Function::Code.
+// enter the base handler of their first instruction.  A sequence never
+// spans a block leader, so the observed loop's per-dispatch block check
+// still fires every onBlockEnter at its instruction.
 //
 // Only functions the verifier accepts run; a call to any other function
 // returns Null with one fault.  testing::ReferenceInterpreter keeps the
@@ -58,6 +59,12 @@ Interpreter::Interpreter(const bc::Repo &R, runtime::ClassTable &Classes,
                          InterpOptions Opts)
     : R(R), Classes(Classes), H(H), Builtins(Builtins), Opts(Opts),
       Blocks(R), Caches(R, Builtins.size()) {}
+
+// Never inlined, so that add() stays small enough to inline into the
+// frame loop.
+[[gnu::noinline]] void InstrCounts::touch(uint32_t F) {
+  Touched.push_back(F);
+}
 
 Value Interpreter::fault() {
   ++Faults;
@@ -248,7 +255,7 @@ inline bool fusedBinop(int64_t A, int64_t B, bool NoSkew, Value &Out) {
   } else if constexpr (O == bc::Op::Mod) {
     if (B == 0)
       return false;
-    Out = Value::integer(A % B);
+    Out = Value::integer(runtime::wrapMod(A, B));
   } else {
     static_assert(O == bc::Op::CmpEq || O == bc::Op::CmpLt ||
                   O == bc::Op::CmpGt);
@@ -292,9 +299,8 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
 
   const uint32_t *const RunLen = Info.RunLen.data();
   ICEntry *const ICs = Info.ICs.data();
-  const bc::Instr *const Code =
-      Instrumented ? F.Code.data() : Info.Quick.data();
-  const bc::Instr *const CodeEnd = Code + F.Code.size();
+  const bc::Instr *const Code = Info.Quick.data();
+  const bc::Instr *const CodeEnd = Code + Info.Quick.size();
 
   Value RetVal = Value::null();
   const bc::Instr *Ip = Code;
@@ -594,8 +600,8 @@ DispatchTop:
       // exact-division int result and the zero-divisor null.
       if (B.I == 0)
         Res = Value::null();
-      else if (A.I % B.I == 0)
-        Res = Value::integer(A.I / B.I);
+      else if (runtime::wrapMod(A.I, B.I) == 0)
+        Res = Value::integer(runtime::wrapDiv(A.I, B.I));
       else
         Res = Value::dbl(static_cast<double>(A.I) /
                          static_cast<double>(B.I));
@@ -610,7 +616,8 @@ DispatchTop:
     Value A = VM_POP();
     Value Res;
     if (A.isInt() && B.isInt())
-      Res = B.I == 0 ? Value::null() : Value::integer(A.I % B.I);
+      Res = B.I == 0 ? Value::null()
+                     : Value::integer(runtime::wrapMod(A.I, B.I));
     else
       Res = runtime::arith(runtime::ArithOp::Mod, A, B);
     VM_ARITH_TAIL(A, B, Res);
@@ -830,17 +837,26 @@ DispatchTop:
 
 // Superinstructions (see JUMPSTART_SUPERINSTRS).  The run charge already
 // covers a whole sequence: only its last instruction may end a run.  A
-// sequence runs in one dispatch only when Cond holds and steps are
-// bulk-charged; otherwise the superinstruction enters the base handler of
-// its First instruction, which runs that one instruction and dispatches
-// the next -- exactly the unfused execution, so steps, abort points,
-// faults and IC counters cannot move.  The observed loop runs
-// Function::Code, which holds no superinstruction, and Instrumented
-// folds each of these handlers down to the fallback.
+// sequence runs in one dispatch only when Cond holds, steps are
+// bulk-charged and the frame traces no instructions; otherwise the
+// superinstruction enters the base handler of its First instruction,
+// which runs that one instruction and dispatches the next -- exactly the
+// unfused execution, so steps, abort points, faults, IC counters and
+// onInstr events cannot move.  A sequence lies inside one block, so the
+// preamble's block event at its first instruction is the only one it
+// owes.
 #define VM_SUPER_GUARD(First, Cond)                                            \
   do {                                                                         \
-    if (Instrumented || JS_UNLIKELY(Checked || !(Cond)))                       \
+    if ((Instrumented && TraceInstrs) || JS_UNLIKELY(Checked || !(Cond)))     \
       goto lbl_##First;                                                        \
+  } while (0)
+
+// The type event of a fused sequence's binop, \p Off instructions past its
+// start: the guard proved the left operand an int.
+#define VM_SUPER_TYPE(Off)                                                     \
+  do {                                                                         \
+    if constexpr (Instrumented)                                                \
+      Callbacks->onTypeObserve(FId, VM_PC() + (Off), runtime::Type::Int);      \
   } while (0)
 
   // Int;binop: the stack top is the left operand, the immediate the right.
@@ -850,6 +866,7 @@ DispatchTop:
     Value Out;                                                                 \
     VM_SUPER_GUARD(Int, Top.isInt() && fusedBinop<bc::Op::O>(                 \
                             Top.I, Ip->ImmA, NoSkew, Out));                    \
+    VM_SUPER_TYPE(1);                                                          \
     Top = Out;                                                                 \
     Ip += 2;                                                                   \
     VM_DISPATCH();                                                             \
@@ -869,6 +886,7 @@ DispatchTop:
     Value Out;                                                                 \
     VM_SUPER_GUARD(Int, Top.isInt() && fusedBinop<bc::Op::O>(                 \
                             Top.I, Ip->ImmA, NoSkew, Out));                    \
+    VM_SUPER_TYPE(1);                                                          \
     --Sp;                                                                      \
     Locals[Ip[2].localImm()] = Out;                                            \
     Ip += 3;                                                                   \
@@ -887,6 +905,7 @@ DispatchTop:
     Value Out;                                                                 \
     VM_SUPER_GUARD(GetL, L.isInt() && fusedBinop<bc::Op::O>(                  \
                                           L.I, Ip[1].ImmA, NoSkew, Out));      \
+    VM_SUPER_TYPE(2);                                                          \
     VM_PUSH(Out);                                                              \
     Ip += 3;                                                                   \
     VM_DISPATCH();                                                             \
@@ -904,6 +923,7 @@ DispatchTop:
     Value Out;                                                                 \
     VM_SUPER_GUARD(GetL, L.isInt() && Top.isInt() &&                           \
                              fusedBinop<bc::Op::O>(Top.I, L.I, NoSkew, Out));  \
+    VM_SUPER_TYPE(1);                                                          \
     Top = Out;                                                                 \
     Ip += 2;                                                                   \
     VM_DISPATCH();                                                             \
@@ -918,26 +938,35 @@ DispatchTop:
     Value Out;
     VM_SUPER_GUARD(GetL, L.isInt() && fusedBinop<bc::Op::CmpLt>(
                                           L.I, Ip[1].ImmA, NoSkew, Out));
+    VM_SUPER_TYPE(2);
     if (!Out.B)
       VM_JUMP(Ip[3].targetImm());
     Ip += 3;
     VM_NEXT_RUN();
   }
 
-  // GetL;Int;Add|Sub;SetL: an increment, of the same local or another.
-#define VM_GETL_INT_BINOP_SETL(Name, O)                                        \
-  VM_SUPER(Name) : {                                                           \
-    const Value &L = Locals[Ip->localImm()];                                   \
-    Value Out;                                                                 \
-    VM_SUPER_GUARD(GetL, L.isInt() && fusedBinop<bc::Op::O>(                  \
-                                          L.I, Ip[1].ImmA, NoSkew, Out));      \
-    Locals[Ip[3].localImm()] = Out;                                            \
-    Ip += 4;                                                                   \
-    VM_DISPATCH();                                                             \
+  // GetL;Int;Add;SetL;Jmp: a loop's increment and its back edge.
+  VM_SUPER(GetLIntAddSetLJmp) : {
+    const Value &L = Locals[Ip->localImm()];
+    Value Out;
+    VM_SUPER_GUARD(GetL, L.isInt() && fusedBinop<bc::Op::Add>(
+                                          L.I, Ip[1].ImmA, NoSkew, Out));
+    VM_SUPER_TYPE(2);
+    Locals[Ip[3].localImm()] = Out;
+    VM_JUMP(Ip[4].targetImm());
   }
-  VM_GETL_INT_BINOP_SETL(GetLIntAddSetL, Add)
-  VM_GETL_INT_BINOP_SETL(GetLIntSubSetL, Sub)
-#undef VM_GETL_INT_BINOP_SETL
+
+  // GetL;Int;Sub;SetL: a decrement, of the same local or another.
+  VM_SUPER(GetLIntSubSetL) : {
+    const Value &L = Locals[Ip->localImm()];
+    Value Out;
+    VM_SUPER_GUARD(GetL, L.isInt() && fusedBinop<bc::Op::Sub>(
+                                          L.I, Ip[1].ImmA, NoSkew, Out));
+    VM_SUPER_TYPE(2);
+    Locals[Ip[3].localImm()] = Out;
+    Ip += 4;
+    VM_DISPATCH();
+  }
 
   // SetL;GetL: the statement seam.  The stored value leaves the stack
   // and the loaded one takes its slot.
@@ -965,6 +994,7 @@ DispatchTop:
   }
 
 #undef VM_SUPER_GUARD
+#undef VM_SUPER_TYPE
 
 #if !JUMPSTART_COMPUTED_GOTO
   }

@@ -58,7 +58,7 @@ struct InstrCounts {
   void add(bc::FuncId F, uint64_t N) {
     uint64_t &C = Counts[F.raw()];
     if (C == 0)
-      Touched.push_back(F.raw());
+      touch(F.raw());
     C += N;
   }
 
@@ -68,6 +68,10 @@ struct InstrCounts {
       Counts[F] = 0;
     Touched.clear();
   }
+
+private:
+  /// Appends \p F to Touched (its first count since the last clear).
+  void touch(uint32_t F);
 };
 
 /// Interpreter configuration.
@@ -124,9 +128,10 @@ public:
 private:
   /// The frame loop.  Instrumented is decided once per frame by
   /// enterFrame: the plain instantiation contains no callback code at
-  /// all, and only it runs the quickened code and its superinstructions.
+  /// all.  Both run the quickened code and its superinstructions.
   /// \p TraceInstrs (Instrumented only) fires onInstr per executed
-  /// instruction.
+  /// instruction, and makes every superinstruction run its sequence one
+  /// instruction at a time.
   template <bool Instrumented>
   runtime::Value execFrameFast(const bc::Function &F, FuncExecInfo &Info,
                                bc::FuncId FId, const runtime::Value *Args,

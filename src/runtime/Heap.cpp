@@ -14,7 +14,7 @@
 using namespace jumpstart;
 using namespace jumpstart::runtime;
 
-Value *FrameArena::alloc(uint32_t N) {
+Value *FrameArena::allocSlow(uint32_t N) {
   while (true) {
     if (CurChunk < Chunks.size()) {
       Chunk &C = Chunks[CurChunk];

@@ -54,7 +54,17 @@ public:
   /// Allocates \p N contiguous Value slots.  Contents are unspecified
   /// (recycled frames see stale values); callers initialize what they
   /// read.  The pointer stays valid until the enclosing mark is rewound.
-  Value *alloc(uint32_t N);
+  Value *alloc(uint32_t N) {
+    if (CurChunk < Chunks.size()) {
+      Chunk &C = Chunks[CurChunk];
+      if (C.Cap - Used >= N) {
+        Value *P = C.Slots.get() + Used;
+        Used += N;
+        return P;
+      }
+    }
+    return allocSlow(N);
+  }
 
   /// Frees everything allocated after \p M was taken.
   void rewind(Mark M) {
@@ -77,6 +87,10 @@ private:
   };
 
   static constexpr uint32_t kChunkSlots = 4096;
+
+  /// alloc() past the current chunk: moves to the next chunk that fits,
+  /// adding one when none is left.
+  Value *allocSlow(uint32_t N);
 
   std::vector<Chunk> Chunks;
   uint32_t CurChunk = 0;

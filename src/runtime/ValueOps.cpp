@@ -229,13 +229,13 @@ Value jumpstart::runtime::arith(ArithOp O, const Value &A, const Value &B) {
     case ArithOp::Div:
       if (Y == 0)
         return Value::null();
-      if (X % Y == 0)
-        return Value::integer(X / Y);
+      if (wrapMod(X, Y) == 0)
+        return Value::integer(wrapDiv(X, Y));
       return Value::dbl(static_cast<double>(X) / static_cast<double>(Y));
     case ArithOp::Mod:
       if (Y == 0)
         return Value::null();
-      return Value::integer(X % Y);
+      return Value::integer(wrapMod(X, Y));
     }
     unreachable("unhandled ArithOp");
   }

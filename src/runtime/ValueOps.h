@@ -60,6 +60,14 @@ inline int64_t wrapMul(int64_t A, int64_t B) {
                               static_cast<uint64_t>(B));
 }
 
+/// Int Div's quotient and Mod, for any divisor \p B but 0.  Dividing by
+/// -1 wraps as Sub does: INT64_MIN / -1 is INT64_MIN and X % -1 is 0,
+/// where the hardware division would trap.
+inline int64_t wrapDiv(int64_t A, int64_t B) {
+  return B == -1 ? wrapSub(0, A) : A / B;
+}
+inline int64_t wrapMod(int64_t A, int64_t B) { return B == -1 ? 0 : A % B; }
+
 /// Applies \p O.  Int op Int stays Int (Div yields Dbl unless exact);
 /// any Dbl operand promotes to Dbl; division or modulo by zero and
 /// non-numeric operands yield Null.

@@ -33,7 +33,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
+#include <limits>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <type_traits>
 
@@ -50,8 +53,12 @@ public:
   /// of every function makes the stream (and both interpreters' preamble
   /// paths) maximally sensitive.  \p Mixed picks EntryExit, Body or
   /// BodyAndInstrs by FuncId % 3 instead, so calls cross between plain
-  /// and observed frames in every direction.
-  explicit RecordingCallbacks(bool Mixed = false) : Mixed(Mixed) {}
+  /// and observed frames in every direction; otherwise every frame is
+  /// \p Every.
+  explicit RecordingCallbacks(
+      bool Mixed = false,
+      interp::FrameObservation Every = interp::FrameObservation::BodyAndInstrs)
+      : Mixed(Mixed), Every(Every) {}
 
   static interp::FrameObservation kindOf(bc::FuncId F) {
     static constexpr interp::FrameObservation Kinds[] = {
@@ -61,7 +68,7 @@ public:
   }
 
   interp::FrameObservation observeFrame(bc::FuncId F) override {
-    return Mixed ? kindOf(F) : interp::FrameObservation::BodyAndInstrs;
+    return Mixed ? kindOf(F) : Every;
   }
 
   void onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
@@ -69,38 +76,31 @@ public:
     if (Caller.valid())
       KindPairs |= 1u << (3 * static_cast<uint32_t>(kindOf(Caller)) +
                           static_cast<uint32_t>(kindOf(Callee)));
-    Log += strFormat("enter %u from %u args %u\n", Callee.raw(), Caller.raw(),
-                     NumArgs);
+    line("enter", {Callee.raw(), Caller.raw(), NumArgs});
     for (uint32_t I = 0; I < NumArgs; ++I)
-      Log += strFormat("  arg %s\n", runtime::toString(Args[I]).c_str());
+      Log += "  arg " + runtime::toString(Args[I]) + "\n";
   }
-  void onFuncExit(bc::FuncId F) override {
-    Log += strFormat("exit %u\n", F.raw());
-  }
+  void onFuncExit(bc::FuncId F) override { line("exit", {F.raw()}); }
   void onBlockEnter(bc::FuncId F, uint32_t Block) override {
-    Log += strFormat("block %u:%u\n", F.raw(), Block);
+    line("block", {F.raw(), Block});
   }
   void onInstr(bc::FuncId F, uint32_t InstrIndex, uint32_t Depth) override {
-    Log += strFormat("instr %u:%u depth %u\n", F.raw(), InstrIndex, Depth);
+    line("instr", {F.raw(), InstrIndex, Depth});
   }
   void onVirtualCall(bc::FuncId Caller, uint32_t InstrIndex,
                      bc::FuncId Callee) override {
-    Log += strFormat("vcall %u:%u -> %u\n", Caller.raw(), InstrIndex,
-                     Callee.raw());
+    line("vcall", {Caller.raw(), InstrIndex, Callee.raw()});
   }
   void onTypeObserve(bc::FuncId F, uint32_t InstrIndex,
                      runtime::Type T) override {
-    Log += strFormat("type %u:%u %s\n", F.raw(), InstrIndex,
-                     runtime::typeName(T));
+    line(runtime::typeName(T), {F.raw(), InstrIndex});
   }
   void onPropAccess(bc::ClassId Cls, bc::StringId Prop, bool IsWrite,
                     uint64_t Addr) override {
-    Log += strFormat("prop %u.%u w%d @%llu\n", Cls.raw(), Prop.raw(), IsWrite,
-                     static_cast<unsigned long long>(Addr));
+    line(IsWrite ? "prop-write" : "prop-read", {Cls.raw(), Prop.raw(), Addr});
   }
   void onDataAccess(uint64_t Addr, bool IsWrite) override {
-    Log += strFormat("data w%d @%llu\n", IsWrite,
-                     static_cast<unsigned long long>(Addr));
+    line(IsWrite ? "data-write" : "data-read", {Addr});
   }
 
   std::string Log;
@@ -108,7 +108,19 @@ public:
   uint32_t KindPairs = 0;
 
 private:
+  /// Appends one line to Log: \p Tag, then \p Nums in decimal.
+  void line(const char *Tag, std::initializer_list<uint64_t> Nums) {
+    Log += Tag;
+    char Buf[24];
+    for (uint64_t N : Nums) {
+      Log += ' ';
+      Log.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), N).ptr);
+    }
+    Log += '\n';
+  }
+
   bool Mixed;
+  interp::FrameObservation Every;
 };
 
 /// Every (caller, callee) pair of observation kinds.
@@ -508,9 +520,10 @@ TEST(InterpEngine, UnverifiableFunctionsFault) {
       }
     }
   }
+  ASSERT_NE(CB.Log.find(strFormat("enter %u ", Callers[0].raw())),
+            std::string::npos);
   for (bc::FuncId F : Bad)
-    EXPECT_EQ(CB.Log.find(strFormat("enter %u from", F.raw())),
-              std::string::npos)
+    EXPECT_EQ(CB.Log.find(strFormat("enter %u ", F.raw())), std::string::npos)
         << "unverified function " << F.raw() << " entered a frame";
 }
 
@@ -589,11 +602,22 @@ std::vector<SuperShape> superShapes() {
   auto GetLBinop = [](S Id, Op O) {
     return SuperShape{Id, true, {{Op::GetL, 0}, {O}}, {{Op::RetC}}};
   };
-  auto GetLIntBinopSetL = [](S Id, Op O, int64_t Dest) {
-    return SuperShape{Id,
+  auto GetLIntSubSetL = [](int64_t Dest) {
+    return SuperShape{S::GetLIntSubSetL,
                       false,
-                      {{Op::GetL, 0}, {Op::Int}, {O}, {Op::SetL, Dest}},
+                      {{Op::GetL, 0}, {Op::Int}, {Op::Sub}, {Op::SetL, Dest}},
                       {{Op::GetL, Dest}, {Op::RetC}}};
+  };
+  auto GetLIntAddSetLJmp = [](int64_t Dest) {
+    return SuperShape{S::GetLIntAddSetLJmp,
+                      false,
+                      {{Op::GetL, 0},
+                       {Op::Int},
+                       {Op::Add},
+                       {Op::SetL, Dest},
+                       {Op::Jmp, 0, "target"}},
+                      {{Op::Int, 9}, {Op::RetC}, {Op::Nop, 0, "target"},
+                       {Op::GetL, Dest}, {Op::RetC}}};
   };
   return {
       IntBinop(S::IntAdd, Op::Add),
@@ -615,10 +639,11 @@ std::vector<SuperShape> superShapes() {
        {{Op::GetL, 0}, {Op::Int}, {Op::CmpLt}, {Op::JmpZ, 0, "else"}},
        {{Op::Int, 1}, {Op::RetC}, {Op::Nop, 0, "else"}, {Op::Int, 2},
         {Op::RetC}}},
-      GetLIntBinopSetL(S::GetLIntAddSetL, Op::Add, 3),
-      GetLIntBinopSetL(S::GetLIntSubSetL, Op::Sub, 3),
+      GetLIntAddSetLJmp(3),
       // An increment of the local it reads.
-      GetLIntBinopSetL(S::GetLIntAddSetL, Op::Add, 0),
+      GetLIntAddSetLJmp(0),
+      GetLIntSubSetL(3),
+      GetLIntSubSetL(0),
       // The stored value and the loaded one both reach the result.
       {S::SetLGetL,
        true,
@@ -631,6 +656,14 @@ std::vector<SuperShape> superShapes() {
         {Op::RetC}}},
       {S::GetLInt, false, {{Op::GetL, 0}, {Op::Int}}, {{Op::Sub}, {Op::RetC}}},
   };
+}
+
+/// The length of each superinstruction's sequence, by id.
+std::vector<size_t> superLengths() {
+  std::vector<size_t> Len(interp::kNumSuperOps, 0);
+  for (const SuperShape &Shape : superShapes())
+    Len[static_cast<size_t>(Shape.Id)] = Shape.Seq.size();
+  return Len;
 }
 
 /// Lays out \p Shape with immediate \p K:
@@ -676,24 +709,28 @@ struct CallOutcome {
   uint64_t Steps = 0;
   bool Ok = false;
   std::vector<uint64_t> Counts;
+  /// The callback stream, when a recorder was attached.
+  std::string Log;
 
   bool operator==(const CallOutcome &) const = default;
 };
 
 std::ostream &operator<<(std::ostream &OS, const CallOutcome &C) {
   return OS << "ret " << C.Ret << " faults " << C.Faults << " steps "
-            << C.Steps << " ok " << C.Ok;
+            << C.Steps << " ok " << C.Ok << "\n"
+            << C.Log;
 }
 
-/// Runs each of \p Calls on a fresh \p InterpT with \p Budget and
-/// \p Skew, with no callbacks, so the interpreter's frames run the plain
-/// loop over the quickened code.
+using Calls = std::vector<std::pair<bc::FuncId, std::vector<runtime::Value>>>;
+
+/// Runs each of \p Cs on a fresh \p InterpT with \p Budget and \p Skew.
+/// With no \p Observe, no callbacks are attached, so the interpreter's
+/// frames run the plain loop; otherwise a recorder answers \p Observe for
+/// every frame, and each outcome carries the call's callback stream.
 template <typename InterpT>
 std::vector<CallOutcome>
-runPlain(const bc::Repo &R,
-         const std::vector<std::pair<bc::FuncId, std::vector<runtime::Value>>>
-             &Calls,
-         uint64_t Budget, int64_t Skew) {
+runCalls(const bc::Repo &R, const Calls &Cs, uint64_t Budget, int64_t Skew,
+         std::optional<interp::FrameObservation> Observe) {
   runtime::ClassTable Classes(R);
   runtime::Heap Heap;
   interp::InterpOptions Opts;
@@ -702,57 +739,74 @@ runPlain(const bc::Repo &R,
   InterpT Interp(R, Classes, Heap, runtime::BuiltinTable::standard(), Opts);
   interp::InstrCounts Counts;
   Interp.setInstrCounts(&Counts);
+  RecordingCallbacks CB(/*Mixed=*/false,
+                        Observe.value_or(interp::FrameObservation::Body));
+  if (Observe)
+    Interp.setCallbacks(&CB);
   std::vector<CallOutcome> Out;
-  for (const auto &[F, Args] : Calls) {
+  for (const auto &[F, Args] : Cs) {
     Counts.clear();
+    CB.Log.clear();
     interp::InterpResult Res = Interp.call(F, Args);
     Out.push_back({runtime::toString(Res.Ret), Res.Faults, Res.Steps, Res.Ok,
-                   Counts.Counts});
+                   Counts.Counts, CB.Log});
     Heap.reset();
   }
   return Out;
 }
 
-/// Diffs \p Calls between the interpreter and the reference at every
-/// step budget from 1 to the longest call's full count, and unbounded,
-/// with and without the test-only Add skew.
-void expectPlainMatchesReferenceAtEveryBudget(
-    const bc::Repo &R,
-    const std::vector<std::pair<bc::FuncId, std::vector<runtime::Value>>>
-        &Calls,
+/// Diffs \p Cs between the interpreter and the reference at every step
+/// budget from 1 to the longest call's full count, and unbounded, with
+/// and without the test-only Add skew: with no callbacks (the plain
+/// loop), and under a recorder answering Body and one answering
+/// BodyAndInstrs for every frame (the observed loop), whose callback
+/// streams must match too.
+void expectMatchesReferenceAtEveryBudget(
+    const bc::Repo &R, const Calls &Cs,
     const std::vector<std::string> &Labels) {
+  using interp::FrameObservation;
   uint64_t MaxSteps = 0;
-  for (const CallOutcome &C : runPlain<jstest::ReferenceInterpreter>(
-           R, Calls, interp::InterpOptions().StepBudget, 0))
+  for (const CallOutcome &C : runCalls<jstest::ReferenceInterpreter>(
+           R, Cs, interp::InterpOptions().StepBudget, 0, std::nullopt))
     MaxSteps = std::max(MaxSteps, C.Steps);
   ASSERT_GT(MaxSteps, 0u);
-  for (int64_t Skew : {0, 1}) {
-    for (uint64_t Budget = 1; Budget <= MaxSteps + 1; ++Budget) {
-      uint64_t B = Budget > MaxSteps ? interp::InterpOptions().StepBudget
-                                     : Budget;
-      std::vector<CallOutcome> Fast =
-          runPlain<interp::Interpreter>(R, Calls, B, Skew);
-      std::vector<CallOutcome> Ref =
-          runPlain<jstest::ReferenceInterpreter>(R, Calls, B, Skew);
-      ASSERT_EQ(Fast.size(), Ref.size());
-      for (size_t I = 0; I < Fast.size(); ++I)
-        EXPECT_EQ(Fast[I], Ref[I]) << Labels[I] << " budget " << B
-                                   << " skew " << Skew;
+  const std::optional<FrameObservation> Observes[] = {
+      std::nullopt, FrameObservation::Body, FrameObservation::BodyAndInstrs};
+  for (const std::optional<FrameObservation> &Observe : Observes) {
+    const char *Mode = !Observe                            ? "plain"
+                       : *Observe == FrameObservation::Body ? "body"
+                                                            : "instrs";
+    for (int64_t Skew : {0, 1}) {
+      for (uint64_t Budget = 1; Budget <= MaxSteps + 1; ++Budget) {
+        uint64_t B = Budget > MaxSteps ? interp::InterpOptions().StepBudget
+                                       : Budget;
+        std::vector<CallOutcome> Fast =
+            runCalls<interp::Interpreter>(R, Cs, B, Skew, Observe);
+        std::vector<CallOutcome> Ref =
+            runCalls<jstest::ReferenceInterpreter>(R, Cs, B, Skew, Observe);
+        ASSERT_EQ(Fast.size(), Ref.size());
+        for (size_t I = 0; I < Fast.size(); ++I)
+          EXPECT_EQ(Fast[I], Ref[I]) << Labels[I] << " " << Mode << " budget "
+                                     << B << " skew " << Skew;
+      }
     }
   }
 }
 
 constexpr int64_t kExact = int64_t(1) << 53;
 
-/// Operand values: ints in and past the exact compare range, and the
-/// non-int tags.
+constexpr int64_t kIntMin = std::numeric_limits<int64_t>::min();
+
+/// Operand values: ints in and past the exact compare range, INT64_MIN
+/// (whose hardware division by -1 traps), and the non-int tags.
 std::vector<runtime::Value> operandValues() {
   using runtime::Value;
-  return {Value::integer(37),         Value::integer(-5),
-          Value::integer(0),          Value::integer(kExact),
-          Value::integer(-kExact),    Value::integer(kExact + 1),
-          Value::integer(-kExact - 1), Value::dbl(2.5),
-          Value::null(),              Value::boolean(true)};
+  return {Value::integer(37),          Value::integer(-5),
+          Value::integer(0),           Value::integer(kExact),
+          Value::integer(-kExact),     Value::integer(kExact + 1),
+          Value::integer(-kExact - 1), Value::integer(kIntMin),
+          Value::dbl(2.5),             Value::null(),
+          Value::boolean(true)};
 }
 
 } // namespace
@@ -760,24 +814,38 @@ std::vector<runtime::Value> operandValues() {
 TEST(InterpEngine, SuperinstructionsMatchReferenceAtEveryBudget) {
   // Every superinstruction, hand-built so that the quickener emits it at
   // a known pc, on int operands (the fused path) and on each fallback: a
-  // non-int local or stack operand, a zero Mod divisor, compare operands
-  // past 2^53 (immediate or dynamic), the test-only Add skew, every step
-  // budget (checked mode), and a branch to each instruction inside the
-  // sequence.  (The verifier rejects a binop with a missing stack
-  // operand, so no superinstruction ever meets one.)
+  // non-int local or stack operand, a zero or -1 Mod divisor, compare
+  // operands past 2^53 (immediate or dynamic), the test-only Add skew,
+  // every step budget (checked mode), a frame that traces instructions,
+  // and a branch to each instruction inside the sequence -- a leader the
+  // quickener must not fuse across.  Plain and observed frames are
+  // diffed, callback streams included.  (The verifier rejects a binop
+  // with a missing stack operand, so no superinstruction ever meets
+  // one.)
   const runtime::BuiltinTable &Builtins = runtime::BuiltinTable::standard();
   const std::vector<runtime::Value> Values = operandValues();
-  const std::vector<int64_t> Immediates = {3, 0, -7, kExact, kExact + 1,
+  const std::vector<int64_t> Immediates = {3, 0, -1, -7, kExact, kExact + 1,
                                            -kExact - 1};
+  const std::vector<size_t> Len = superLengths();
   std::vector<bool> Seen(interp::kNumSuperOps, false);
   for (const SuperShape &Shape : superShapes()) {
     bc::Repo R;
     bc::Unit &U = R.createUnit("supers");
-    std::vector<std::pair<bc::FuncId, std::vector<runtime::Value>>> Calls;
+    Calls Cs;
     std::vector<std::string> Labels;
     const bool HasInt =
         std::any_of(Shape.Seq.begin(), Shape.Seq.end(),
                     [](const SeqInstr &In) { return In.O == bc::Op::Int; });
+    // A shape that never reads L0 runs the same for every local value.
+    auto ReadsL0 = [](const std::vector<SeqInstr> &Part) {
+      return std::any_of(Part.begin(), Part.end(), [](const SeqInstr &In) {
+        return In.O == bc::Op::GetL && In.Imm == 0;
+      });
+    };
+    const std::vector<runtime::Value> Locals =
+        ReadsL0(Shape.Seq) || ReadsL0(Shape.Tail)
+            ? Values
+            : std::vector<runtime::Value>{Values[0]};
     for (int64_t K : HasInt ? Immediates : std::vector<int64_t>{0}) {
       for (uint32_t Mid = 0; Mid < Shape.Seq.size(); ++Mid) {
         bc::Function &F = R.createFunction(
@@ -792,16 +860,24 @@ TEST(InterpEngine, SuperinstructionsMatchReferenceAtEveryBudget) {
             << F.Name;
         interp::FuncExecInfo Info =
             interp::computeExecInfo(F, /*Verified=*/true, MaxStack);
-        ASSERT_EQ(Info.Quick[Start].Opcode, interp::quickOp(Shape.Id))
-            << "superinstruction " << static_cast<unsigned>(Shape.Id)
-            << " not emitted at pc " << Start;
-        Seen[static_cast<size_t>(Shape.Id)] = true;
-        for (const runtime::Value &Local : Values) {
+        const unsigned Byte = static_cast<uint8_t>(Info.Quick[Start].Opcode);
+        if (Mid == 0) {
+          ASSERT_EQ(Info.Quick[Start].Opcode, interp::quickOp(Shape.Id))
+              << "superinstruction " << static_cast<unsigned>(Shape.Id)
+              << " not emitted at pc " << Start;
+          Seen[static_cast<size_t>(Shape.Id)] = true;
+        } else if (Byte >= bc::kNumOpcodes) {
+          // The branch makes Start + Mid a block leader.
+          EXPECT_LE(Len[Byte - bc::kNumOpcodes], Mid)
+              << "superinstruction " << Byte - bc::kNumOpcodes << " at pc "
+              << Start << " spans the leader at " << Start + Mid;
+        }
+        for (const runtime::Value &Local : Locals) {
           for (const runtime::Value &Top :
                Shape.TakesStackTop ? Values
                                    : std::vector<runtime::Value>{Values[0]}) {
             for (bool Branch : {false, true}) {
-              Calls.push_back(
+              Cs.push_back(
                   {F.Id, {Local, Top, runtime::Value::boolean(Branch)}});
               Labels.push_back(strFormat(
                   "super %u K %lld mid %u local %s top %s branch %d",
@@ -813,7 +889,7 @@ TEST(InterpEngine, SuperinstructionsMatchReferenceAtEveryBudget) {
         }
       }
     }
-    expectPlainMatchesReferenceAtEveryBudget(R, Calls, Labels);
+    expectMatchesReferenceAtEveryBudget(R, Cs, Labels);
   }
   for (unsigned Id = 0; Id < interp::kNumSuperOps; ++Id)
     EXPECT_TRUE(Seen[Id]) << "superinstruction " << Id << " has no shape";
@@ -837,20 +913,68 @@ TEST(InterpEngine, CompiledLoopsMatchReferenceAtEveryBudget) {
       "  return $t; }");
   ASSERT_TRUE(Vm.ok());
   bc::FuncId Main = Vm.Repo.findFunction("main");
-  std::vector<std::pair<bc::FuncId, std::vector<runtime::Value>>> Calls;
+  Calls Cs;
   std::vector<std::string> Labels;
   for (const runtime::Value &Arg : operandValues()) {
-    Calls.push_back({Main, {Arg}});
+    Cs.push_back({Main, {Arg}});
     Labels.push_back("main(" + runtime::toString(Arg) + ")");
   }
-  expectPlainMatchesReferenceAtEveryBudget(Vm.Repo, Calls, Labels);
+  expectMatchesReferenceAtEveryBudget(Vm.Repo, Cs, Labels);
+}
+
+TEST(InterpEngine, IntMinDividedByMinusOneMatchesReference) {
+  // INT64_MIN / -1 and INT64_MIN % -1, which trap in hardware, through
+  // the base Div and Mod handlers, plain and observed, at every budget.
+  // (The frontend compiles -1 as 0 - 1, so only hand-built bytecode hands
+  // a Mod superinstruction the divisor -1; its shapes take the immediate
+  // -1 and the operand INT64_MIN in
+  // SuperinstructionsMatchReferenceAtEveryBudget.)
+  jstest::TestVm Vm("function div($a, $b) { return $a / $b; }"
+                    "function mod($a, $b) { return $a % $b; }"
+                    "function both($a) { $m = 0 - 1;"
+                    "  return $a / $m + $a % $m; }");
+  ASSERT_TRUE(Vm.ok());
+  using runtime::Value;
+  Calls Cs;
+  std::vector<std::string> Labels;
+  for (const char *Name : {"div", "mod"}) {
+    for (int64_t A : {kIntMin, kIntMin + 1, int64_t(7), int64_t(-9)}) {
+      for (int64_t B : {int64_t(-1), int64_t(2), int64_t(-2)}) {
+        Cs.push_back({Vm.Repo.findFunction(Name),
+                      {Value::integer(A), Value::integer(B)}});
+        Labels.push_back(strFormat("%s(%lld, %lld)", Name,
+                                   static_cast<long long>(A),
+                                   static_cast<long long>(B)));
+      }
+    }
+  }
+  Cs.push_back({Vm.Repo.findFunction("both"), {Value::integer(kIntMin)}});
+  Labels.push_back("both(INT64_MIN)");
+  expectMatchesReferenceAtEveryBudget(Vm.Repo, Cs, Labels);
+
+  // The defined results.
+  runtime::ClassTable Classes(Vm.Repo);
+  runtime::Heap Heap;
+  interp::Interpreter Interp(Vm.Repo, Classes, Heap, Vm.Builtins);
+  const std::vector<Value> MinByMinusOne = {Value::integer(kIntMin),
+                                            Value::integer(-1)};
+  interp::InterpResult Div =
+      Interp.call(Vm.Repo.findFunction("div"), MinByMinusOne);
+  ASSERT_TRUE(Div.Ret.isInt());
+  EXPECT_EQ(Div.Ret.I, kIntMin);
+  interp::InterpResult Mod =
+      Interp.call(Vm.Repo.findFunction("mod"), MinByMinusOne);
+  ASSERT_TRUE(Mod.Ret.isInt());
+  EXPECT_EQ(Mod.Ret.I, 0);
+  EXPECT_EQ(Mod.Faults, 0u);
 }
 
 TEST(InterpEngine, SuperinstructionsAllFireOnThePerfbenchSite) {
   // The quickener emits every superinstruction on the perfbench-shaped
   // site, so none is dead.  Quickened code differs from the original
   // only in the opcode of a sequence's start, which names that
-  // superinstruction's first instruction.
+  // superinstruction's first instruction, and no sequence spans a
+  // block leader.
   fleet::WorkloadParams P;
   P.NumHelpers = 700;
   P.NumClasses = 72;
@@ -863,6 +987,7 @@ TEST(InterpEngine, SuperinstructionsAllFireOnThePerfbenchSite) {
 #undef JUMPSTART_SUPER_FIRST
   };
   std::vector<uint64_t> Emitted(interp::kNumSuperOps, 0);
+  const std::vector<size_t> Len = superLengths();
   const uint32_t NumBuiltins = runtime::BuiltinTable::standard().size();
   for (const bc::Function &F : W->Repo.funcs()) {
     uint32_t MaxStack = 0;
@@ -871,6 +996,7 @@ TEST(InterpEngine, SuperinstructionsAllFireOnThePerfbenchSite) {
     interp::FuncExecInfo Info =
         interp::computeExecInfo(F, /*Verified=*/true, MaxStack);
     ASSERT_EQ(Info.Quick.size(), F.Code.size());
+    const bc::BlockList Blocks = bc::BlockList::compute(F);
     for (size_t I = 0; I < F.Code.size(); ++I) {
       const bc::Instr &Q = Info.Quick[I], &C = F.Code[I];
       EXPECT_EQ(Q.ImmA, C.ImmA);
@@ -883,6 +1009,12 @@ TEST(InterpEngine, SuperinstructionsAllFireOnThePerfbenchSite) {
       unsigned Id = Byte - bc::kNumOpcodes;
       ASSERT_LT(Id, interp::kNumSuperOps);
       EXPECT_EQ(kFirst[Id], C.Opcode) << F.Name << " pc " << I;
+      ASSERT_LE(I + Len[Id], F.Code.size()) << F.Name << " pc " << I;
+      const uint32_t Block = Blocks.blockOf(static_cast<uint32_t>(I));
+      for (size_t K = 1; K < Len[Id]; ++K)
+        EXPECT_EQ(Blocks.blockOf(static_cast<uint32_t>(I + K)), Block)
+            << F.Name << ": superinstruction " << Id << " at pc " << I
+            << " spans the leader at " << I + K;
       ++Emitted[Id];
     }
   }

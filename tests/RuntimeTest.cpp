@@ -73,6 +73,29 @@ TEST(ValueOps, IllTypedArithmeticIsNull) {
   EXPECT_TRUE(arith(ArithOp::Mod, Value::dbl(1), Value::dbl(0)).isNull());
 }
 
+TEST(ValueOps, IntDivisionByMinusOneWraps) {
+  // INT64_MIN / -1 and INT64_MIN % -1 trap in hardware; they wrap as Sub
+  // does instead.  Every other dividend divides by -1 as before.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  Value Q = arith(ArithOp::Div, Value::integer(kMin), Value::integer(-1));
+  ASSERT_TRUE(Q.isInt());
+  EXPECT_EQ(Q.I, kMin);
+  Value R = arith(ArithOp::Mod, Value::integer(kMin), Value::integer(-1));
+  ASSERT_TRUE(R.isInt());
+  EXPECT_EQ(R.I, 0);
+  for (int64_t X : {int64_t(0), int64_t(7), int64_t(-7), kMin + 1,
+                    std::numeric_limits<int64_t>::max()}) {
+    Value D = arith(ArithOp::Div, Value::integer(X), Value::integer(-1));
+    ASSERT_TRUE(D.isInt()) << X;
+    EXPECT_EQ(D.I, -X);
+    Value M = arith(ArithOp::Mod, Value::integer(X), Value::integer(-1));
+    ASSERT_TRUE(M.isInt()) << X;
+    EXPECT_EQ(M.I, 0) << X;
+  }
+  EXPECT_EQ(wrapDiv(-9, 2), -4);
+  EXPECT_EQ(wrapMod(-9, 2), -1);
+}
+
 TEST(ValueOps, EqualitySemantics) {
   Heap H;
   EXPECT_TRUE(valueEquals(Value::integer(1), Value::dbl(1.0)))
