@@ -25,8 +25,9 @@
 #                                 # quick micro_interp runs must write
 #                                 # byte-identical --counters files)
 #
-# This is what "the tests pass" means for this repository; ci/sanitize.sh
-# is the deeper (slower) sanitizer sweep.
+# The five tier-2 sweeps (conformance_sweep, serve_sweep, stats_sweep,
+# exttsp_sweep, cache_sweep) are not run here, nor by ci/sanitize.sh,
+# the deeper (slower) sanitizer sweep: only a plain `ctest` runs them.
 
 set -euo pipefail
 

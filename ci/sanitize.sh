@@ -70,9 +70,11 @@ export ASAN_OPTIONS="halt_on_error=1:abort_on_error=1"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 export TSAN_OPTIONS="halt_on_error=1:abort_on_error=1:second_deadlock_stack=1"
 
-# tier2 (the 200-program conformance sweep) is excluded: sanitizer
-# overhead makes it many-minutes slow, and ci/check.sh already runs the
-# uninstrumented sweep plus a 50-program smoke.
+# The five tier-2 sweeps (conformance_sweep, serve_sweep, stats_sweep,
+# exttsp_sweep, cache_sweep) are excluded: sanitizer overhead makes them
+# many minutes slow.  ci/check.sh does not run them either (it runs
+# `ctest -L tier1`); only a plain `ctest` in the uninstrumented build
+# does.
 ctest --test-dir "${BUILD_DIR}" -LE tier2 --output-on-failure -j "${JOBS}"
 
 if [[ "${SANITIZERS}" == "thread" ]]; then

@@ -123,7 +123,7 @@ int main() {
                 Repo.func(F).Name.c_str(),
                 T ? jit::transKindName(T->Kind) : "no",
                 T ? T->CostPerBytecode : 0.0,
-                Config.InterpCostPerBytecode);
+                jit::kInterpCostPerBytecode);
   }
   std::printf("\ncode cache: %llu bytes of JITed code\n",
               static_cast<unsigned long long>(Jit.totalCodeBytes()));

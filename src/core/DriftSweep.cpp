@@ -77,9 +77,8 @@ DriftSweepResult jumpstart::core::runDriftSweep(const DriftSweepParams &P) {
     Manager.beginRelease();
     PackageManifest Manifest;
     support::Status PublishStatus =
-        (P.UseDeltaPackages && HavePrev)
-            ? Manager.publishDelta(0, Age, Bytes, PrevId, &Manifest)
-            : Manager.publish(0, Age, Bytes, &Manifest);
+        HavePrev ? Manager.publishDelta(0, Age, Bytes, PrevId, &Manifest)
+                 : Manager.publish(0, Age, Bytes, &Manifest);
     if (!PublishStatus.ok()) {
       R.Result = PublishStatus;
       R.Log.push_back(strFormat("age %u: publish failed: %s", Age,

@@ -58,8 +58,6 @@ struct DriftSweepParams {
   double WarmupSeconds = 240;
   double OfferedRps = 340;
   uint64_t Seed = 12;
-  /// Publish ages >= 1 as delta packages against the previous age.
-  bool UseDeltaPackages = true;
   vm::ServerConfig Config;
   obs::Observability *Obs = nullptr;
 };

@@ -16,6 +16,14 @@
 using namespace jumpstart;
 using namespace jumpstart::fleet;
 
+namespace {
+/// Virtual seconds per simulation tick.
+constexpr double kTickSeconds = 1.0;
+/// Real requests executed per tick to track service time and drive JIT
+/// state.
+constexpr uint32_t kSamplesPerTick = 2;
+} // namespace
+
 WarmupResult jumpstart::fleet::runWarmup(const Workload &W,
                                          const TrafficModel &Traffic,
                                          vm::ServerConfig Config,
@@ -81,58 +89,55 @@ WarmupResult jumpstart::fleet::runWarmup(const Workload &W,
   double LastCodeGrowth = Now;
 
   double CoreSecondsPerTick =
-      static_cast<double>(Config.Cores) * P.TickSeconds;
+      static_cast<double>(Config.Cores) * kTickSeconds;
 
   while (Now < P.DurationSeconds) {
     // Sampled real requests: measure current service time and advance
     // JIT profiling state.
     double SampleCost = 0;
-    uint32_t Samples = std::max(1u, P.SamplesPerTick);
-    for (uint32_t S = 0; S < Samples; ++S) {
+    for (uint32_t S = 0; S < kSamplesPerTick; ++S) {
       uint32_t E = Traffic.sampleEndpoint(P.Region, P.Bucket, R);
       SampleCost += Server->executeRequest(W.Endpoints[E],
                                            TrafficModel::makeArgs(R))
                         .Seconds;
     }
-    double ServiceSec = SampleCost / Samples;
+    double ServiceSec = SampleCost / kSamplesPerTick;
 
     // Background JIT work.
-    double JitWall = Server->grantJitTime(P.TickSeconds);
+    double JitWall = Server->grantJitTime(kTickSeconds);
     double JitCoreSeconds =
         JitWall * static_cast<double>(Config.JitWorkerCores);
 
     // Fluid serving: remaining core capacity handles the offered load.
     double ServeCapacity =
         std::max(0.0, CoreSecondsPerTick - JitCoreSeconds);
-    double Offered = P.OfferedRps * P.TickSeconds;
+    double Offered = P.OfferedRps * kTickSeconds;
     double Served = std::min(Offered, ServeCapacity / ServiceSec);
 
     // The analytically-served requests advance the profiling window too.
     uint64_t Extra = static_cast<uint64_t>(Served);
-    Extra -= std::min<uint64_t>(Extra, Samples);
+    Extra -= std::min<uint64_t>(Extra, kSamplesPerTick);
     for (uint64_t I = 0; I < Extra; ++I)
       J.onRequestFinished();
 
-    Now += P.TickSeconds;
+    Now += kTickSeconds;
     // Realign the shared clock with tick time (the sampled requests and
     // JIT grants above advanced it by their CPU costs).
     O.Clock.set(Now);
-    Rps.record(Now, Served / P.TickSeconds);
+    Rps.record(Now, Served / kTickSeconds);
     NormalizedRps.record(Now, Served / Offered);
-    double WallSec = ServiceSec;
-    if (P.ModelQueueing) {
-      // Sakasegawa's M/M/c waiting-time approximation: queueing is
-      // negligible at moderate utilization and explodes only near
-      // saturation, as on a real multi-core server.
-      double MaxRate = ServeCapacity / ServiceSec;
-      double Rho = std::min(0.99, MaxRate > 0 ? Served / MaxRate : 0.99);
-      double C = std::max(1.0, static_cast<double>(Config.Cores) -
-                                   Config.JitWorkerCores);
-      double Wait = std::pow(Rho, std::sqrt(2.0 * (C + 1.0))) /
-                    (C * (1.0 - Rho));
-      WallSec *= 1.0 + Wait;
-    }
-    Latency.record(Now, WallSec);
+    // The paper's Figure 4a measures *wall* time per request, which
+    // includes queueing on saturated warming servers.  Sakasegawa's M/M/c
+    // waiting-time approximation: queueing is negligible at moderate
+    // utilization and explodes only near saturation, as on a real
+    // multi-core server.
+    double MaxRate = ServeCapacity / ServiceSec;
+    double Rho = std::min(0.99, MaxRate > 0 ? Served / MaxRate : 0.99);
+    double C = std::max(1.0, static_cast<double>(Config.Cores) -
+                                 Config.JitWorkerCores);
+    double Wait =
+        std::pow(Rho, std::sqrt(2.0 * (C + 1.0))) / (C * (1.0 - Rho));
+    Latency.record(Now, ServiceSec * (1.0 + Wait));
     uint64_t Code = J.totalCodeBytes();
     CodeBytes.record(Now, static_cast<double>(Code));
     if (Code > LastCodeBytes) {

@@ -39,23 +39,15 @@ class ThreadPool;
 
 namespace jumpstart::fleet {
 
-/// Simulation knobs for one server's warmup run.
+/// Simulation knobs for one server's warmup run.  The tick model is
+/// fixed in ServerSim.cpp.
 struct ServerSimParams {
-  double TickSeconds = 1.0;
   double DurationSeconds = 600;
   /// Offered load, as requests per second.
   double OfferedRps = 400;
-  /// Real requests executed per tick to track service time and drive
-  /// JIT state.
-  uint32_t SamplesPerTick = 2;
   uint32_t Region = 0;
   uint32_t Bucket = 0;
   uint64_t Seed = 7;
-  /// Model queueing delay in the reported latency: under utilization
-  /// rho, waiting inflates wall time by ~1 + rho^2/(1-rho) (M/M/1-style,
-  /// capped).  The paper's Figure 4a measures *wall* time per request,
-  /// which includes queueing on saturated warming servers.
-  bool ModelQueueing = true;
   /// Observability sink shared with the harness (figure binaries pass one
   /// so several runs land in a single registry/trace).  Null makes the
   /// run create its own context, owned by the returned WarmupResult.

@@ -12,6 +12,14 @@
 using namespace jumpstart;
 using namespace jumpstart::fleet;
 
+namespace {
+/// Regions the model serves.
+constexpr uint32_t kNumRegions = 3;
+/// Zipf exponent of the endpoint mix within a partition; regions skew
+/// this differently.
+constexpr double kBaseSkew = 0.7;
+} // namespace
+
 TrafficModel::TrafficModel(const Workload &W, TrafficParams P, uint64_t Seed)
     : W(W), P(P) {
   // Group endpoints by partition.
@@ -25,8 +33,8 @@ TrafficModel::TrafficModel(const Workload &W, TrafficParams P, uint64_t Seed)
   // on different endpoints in different regions ("the web traffic driven
   // to each region varies greatly").
   Rng R(Seed);
-  RegionMix.resize(P.NumRegions);
-  for (uint32_t Region = 0; Region < P.NumRegions; ++Region) {
+  RegionMix.resize(kNumRegions);
+  for (uint32_t Region = 0; Region < kNumRegions; ++Region) {
     RegionMix[Region] = ByPartition;
     for (auto &Part : RegionMix[Region])
       R.shuffle(Part);
@@ -35,7 +43,7 @@ TrafficModel::TrafficModel(const Workload &W, TrafficParams P, uint64_t Seed)
 
 uint32_t TrafficModel::sampleEndpoint(uint32_t Region, uint32_t Bucket,
                                       Rng &R) const {
-  assert(Region < P.NumRegions && "region out of range");
+  assert(Region < kNumRegions && "region out of range");
   assert(Bucket < W.NumPartitions && "bucket out of range");
   uint32_t Partition = Bucket;
   if (!R.nextBool(P.BucketAffinity)) {
@@ -43,6 +51,6 @@ uint32_t TrafficModel::sampleEndpoint(uint32_t Region, uint32_t Bucket,
     Partition = static_cast<uint32_t>(R.nextBelow(W.NumPartitions));
   }
   const std::vector<uint32_t> &Mix = RegionMix[Region][Partition];
-  ZipfDistribution Dist(Mix.size(), P.BaseSkew);
+  ZipfDistribution Dist(Mix.size(), kBaseSkew);
   return Mix[Dist.sample(R)];
 }

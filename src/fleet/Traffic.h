@@ -31,14 +31,10 @@ namespace jumpstart::fleet {
 
 /// Traffic knobs.
 struct TrafficParams {
-  uint32_t NumRegions = 3;
   /// Fraction of a bucket's requests that hit its own partition's
   /// endpoints (the remainder is spillover routed from overloaded
   /// buckets).
   double BucketAffinity = 0.9;
-  /// Zipf exponent of the endpoint mix within a partition; regions skew
-  /// this differently.
-  double BaseSkew = 0.7;
 };
 
 /// Samples endpoints for one (region, bucket).
@@ -47,7 +43,7 @@ public:
   TrafficModel(const Workload &W, TrafficParams P, uint64_t Seed);
 
   /// Samples an endpoint id for a request arriving at a server of
-  /// (\p Region, \p Bucket).
+  /// (\p Region, \p Bucket).  The model has three regions (0-2).
   uint32_t sampleEndpoint(uint32_t Region, uint32_t Bucket, Rng &R) const;
 
   /// Builds the argument vector for a request (a request id the endpoint

@@ -22,6 +22,19 @@ using namespace jumpstart::fleet;
 
 namespace {
 
+/// Zipf exponent of helper hotness; small = flat (paper: "very flat
+/// execution profile").
+constexpr double kFlatness = 0.45;
+/// Average helpers called directly per endpoint.
+constexpr uint32_t kCallsPerEndpoint = 14;
+
+/// Drift per release: endpoints renamed, endpoints split, endpoints
+/// added.  Every release also rotates each partition's hot helper slice
+/// by one partition.
+constexpr uint32_t kRenamesPerRelease = 2;
+constexpr uint32_t kSplitsPerRelease = 1;
+constexpr uint32_t kAddsPerRelease = 1;
+
 /// The cumulative mutation set implied by DriftParams, resolved to
 /// concrete endpoint ids.  Built from its own RNG stream (never the site
 /// writer's), so everything the plan leaves alone is emitted with the
@@ -42,16 +55,15 @@ DriftPlan buildDriftPlan(const WorkloadParams &P, const DriftParams &D) {
   DriftPlan Plan;
   for (uint32_t Rel = 1; Rel <= D.Release; ++Rel) {
     Rng DR(hashCombine(D.DriftSeed, Rel));
-    for (uint32_t I = 0; I < D.RenamesPerRelease; ++I)
+    for (uint32_t I = 0; I < kRenamesPerRelease; ++I)
       Plan.RenameRelease[static_cast<uint32_t>(
           DR.nextBelow(P.NumEndpoints))] = Rel;
-    for (uint32_t I = 0; I < D.SplitsPerRelease; ++I)
+    for (uint32_t I = 0; I < kSplitsPerRelease; ++I)
       Plan.SplitRelease.emplace(
           static_cast<uint32_t>(DR.nextBelow(P.NumEndpoints)), Rel);
-    Plan.NumAdded += D.AddsPerRelease;
+    Plan.NumAdded += kAddsPerRelease;
   }
-  if (D.RotateHotness)
-    Plan.Rotation = D.Release % P.NumPartitions;
+  Plan.Rotation = D.Release % P.NumPartitions;
   return Plan;
 }
 
@@ -278,14 +290,14 @@ void SiteWriter::writeEndpoint(std::string &Out, uint32_t E, Rng &Rand) {
   uint32_t SliceSize = Common / P.NumPartitions;
   uint32_t SliceBase =
       ((Partition + Plan.Rotation) % P.NumPartitions) * SliceSize;
-  ZipfDistribution SliceDist(SliceSize, P.Flatness);
-  ZipfDistribution HeadDist(std::min<uint32_t>(Common, 64), P.Flatness);
+  ZipfDistribution SliceDist(SliceSize, kFlatness);
+  ZipfDistribution HeadDist(std::min<uint32_t>(Common, 64), kFlatness);
 
   // Call lines are generated up-front (one fixed draw sequence per
   // endpoint regardless of drift) and only then routed into either the
   // endpoint body or its split-off tail function.
   std::vector<std::string> Calls;
-  for (uint32_t C = 0; C < P.CallsPerEndpoint; ++C) {
+  for (uint32_t C = 0; C < kCallsPerEndpoint; ++C) {
     uint32_t Helper;
     if (Rand.nextBool(0.7))
       Helper = SliceBase + static_cast<uint32_t>(SliceDist.sample(Rand));

@@ -50,11 +50,6 @@ struct WorkloadParams {
   uint32_t NumClasses = 90;
   /// Semantic partitions (the paper's load balancers use 10).
   uint32_t NumPartitions = 10;
-  /// Zipf exponent of helper hotness; small = flat (paper: "very flat
-  /// execution profile").
-  double Flatness = 0.45;
-  /// Average helpers called directly per endpoint.
-  uint32_t CallsPerEndpoint = 14;
 };
 
 /// Code-drift knobs: how the synthetic site mutates across releases
@@ -64,19 +59,13 @@ struct WorkloadParams {
 /// endpoints (half the helper calls move into a new tail function --
 /// function bodies shrink and block structures change), adds brand-new
 /// endpoints (never profiled), and rotates which helper slice each
-/// partition hammers (hotness shift).  The drift plan draws from its own
-/// RNG, so the surviving code of release N is textually identical to
-/// release 0 -- exactly the "mostly the same site" a real weekly push
-/// produces.
+/// partition hammers (hotness shift).  The per-release counts are
+/// constants in WorkloadGen.cpp.  The drift plan draws from its own RNG,
+/// so the surviving code of release N is textually identical to release
+/// 0 -- exactly the "mostly the same site" a real weekly push produces.
 struct DriftParams {
   /// Releases of drift to apply (0 = pristine site).
   uint32_t Release = 0;
-  uint32_t RenamesPerRelease = 2;
-  uint32_t SplitsPerRelease = 1;
-  uint32_t AddsPerRelease = 1;
-  /// Rotate each partition's hot helper slice by one partition per
-  /// release (shifts hotness without touching any code).
-  bool RotateHotness = true;
   uint64_t DriftSeed = 77;
 };
 

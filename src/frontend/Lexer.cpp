@@ -10,6 +10,7 @@
 #include "support/Assert.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <unordered_map>
 
@@ -206,10 +207,14 @@ Token Lexer::lexNumber() {
   std::string Text(Src.substr(Start, Pos - Start));
   Token T = makeToken(IsDouble ? TokKind::DblLit : TokKind::IntLit);
   T.Text = Text;
-  if (IsDouble)
+  if (IsDouble) {
     T.DblValue = std::strtod(Text.c_str(), nullptr);
-  else
+  } else {
+    errno = 0;
     T.IntValue = std::strtoll(Text.c_str(), nullptr, 10);
+    if (errno == ERANGE)
+      return errorToken("integer literal out of range");
+  }
   return T;
 }
 

@@ -45,13 +45,12 @@ using namespace jumpstart;
 using namespace jumpstart::interp;
 using runtime::Value;
 
-#if defined(__GNUC__) || defined(__clang__)
-#define JUMPSTART_COMPUTED_GOTO 1
-#define JS_UNLIKELY(X) __builtin_expect(!!(X), 0)
-#else
-#define JUMPSTART_COMPUTED_GOTO 0
-#define JS_UNLIKELY(X) (X)
+// The dispatch loop jumps through a table of label addresses (computed
+// goto), a GNU extension.
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the interpreter's dispatch loop needs GCC or Clang (computed goto)"
 #endif
+#define JS_UNLIKELY(X) __builtin_expect(!!(X), 0)
 
 Interpreter::Interpreter(const bc::Repo &R, runtime::ClassTable &Classes,
                          runtime::Heap &H,
@@ -105,7 +104,7 @@ InterpResult Interpreter::call(bc::FuncId F,
 Value Interpreter::enterFrame(bc::FuncId FId, const Value *Args,
                               uint32_t NumArgs, Value This, bc::FuncId Caller,
                               uint32_t Depth) {
-  if (Depth >= Opts.MaxCallDepth) {
+  if (Depth >= kMaxCallDepth) {
     Aborted = true;
     return Value::null();
   }
@@ -129,26 +128,13 @@ Value Interpreter::enterFrame(bc::FuncId FId, const Value *Args,
   return Ret;
 }
 
-// VM_FIRST_CASE opens the base handler of an opcode some superinstruction
-// starts with: its label is where that superinstruction's fallback
-// enters, past the preamble.
-#if JUMPSTART_COMPUTED_GOTO
 #define VM_CASE(Name) lbl_##Name
-#define VM_FIRST_CASE(Name) lbl_##Name
 #define VM_SUPER(Name) lbl_##Name
 #define VM_DISPATCH()                                                          \
   do {                                                                         \
     VM_PREAMBLE();                                                             \
     goto *Handlers[static_cast<uint8_t>(Ip->Opcode)];                          \
   } while (0)
-#else
-#define VM_CASE(Name) case static_cast<uint8_t>(bc::Op::Name)
-#define VM_FIRST_CASE(Name)                                                    \
-  VM_CASE(Name):                                                               \
-  lbl_##Name
-#define VM_SUPER(Name) case static_cast<uint8_t>(quickOp(SuperOp::Name))
-#define VM_DISPATCH() goto DispatchTop
-#endif
 
 // Per-dispatch work.  In bulk-charged mode (the common case) the budget
 // was paid at the run boundary, so only the instrumentation remains --
@@ -321,7 +307,6 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
     FrameSteps += RL;
   };
 
-#if JUMPSTART_COMPUTED_GOTO
   static const void *const Handlers[] = {
 #define JUMPSTART_OP_LABEL(Name, ImmA, ImmB, Pop, Push, Flags) &&lbl_##Name,
       JUMPSTART_OPCODES(JUMPSTART_OP_LABEL)
@@ -330,20 +315,13 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
       JUMPSTART_SUPERINSTRS(JUMPSTART_SUPER_LABEL)
 #undef JUMPSTART_SUPER_LABEL
   };
-#endif
 
   ChargeRun(0);
-#if JUMPSTART_COMPUTED_GOTO
   VM_DISPATCH();
-#else
-DispatchTop:
-  VM_PREAMBLE();
-  switch (static_cast<uint8_t>(Ip->Opcode)) {
-#endif
 
   VM_CASE(Nop) : { VM_NEXT(); }
 
-  VM_FIRST_CASE(Int) : {
+  VM_CASE(Int) : {
     VM_PUSH(Value::integer(Ip->ImmA));
     VM_NEXT();
   }
@@ -532,12 +510,12 @@ DispatchTop:
     VM_NEXT();
   }
 
-  VM_FIRST_CASE(GetL) : {
+  VM_CASE(GetL) : {
     VM_PUSH(Locals[Ip->localImm()]);
     VM_NEXT();
   }
 
-  VM_FIRST_CASE(SetL) : {
+  VM_CASE(SetL) : {
     Locals[Ip->localImm()] = VM_POP();
     VM_NEXT();
   }
@@ -996,10 +974,6 @@ DispatchTop:
 #undef VM_SUPER_GUARD
 #undef VM_SUPER_TYPE
 
-#if !JUMPSTART_COMPUTED_GOTO
-  }
-#endif
-
 ExitLoop:
   if (Counts && FrameSteps)
     Counts->add(FId, FrameSteps);
@@ -1008,7 +982,6 @@ ExitLoop:
 }
 
 #undef VM_CASE
-#undef VM_FIRST_CASE
 #undef VM_SUPER
 #undef VM_DISPATCH
 #undef VM_PREAMBLE

@@ -74,10 +74,13 @@ private:
   void touch(uint32_t F);
 };
 
+/// Call-depth limit.  A request's first frame sits at depth 0; a call
+/// that would enter a frame at depth kMaxCallDepth aborts the request.
+constexpr uint32_t kMaxCallDepth = 200;
+
 /// Interpreter configuration.
 struct InterpOptions {
   uint64_t StepBudget = 100'000'000;
-  uint32_t MaxCallDepth = 200;
   /// Test-only fault injection: added to every integer Add result.  The
   /// differential conformance oracle (src/testing) uses a nonzero skew to
   /// prove it can detect a single-opcode semantic divergence between two

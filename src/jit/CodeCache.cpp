@@ -12,6 +12,11 @@
 using namespace jumpstart;
 using namespace jumpstart::jit;
 
+namespace {
+/// Size of the profile area (tier-1 translations).
+constexpr uint64_t kProfileBytes = 32ull << 20;
+} // namespace
+
 CodeCache::CodeCache(CodeCacheConfig C) : Config(C) {}
 
 uint64_t CodeCache::base(CodeArea Area) const {
@@ -26,7 +31,7 @@ uint64_t CodeCache::base(CodeArea Area) const {
   case CodeArea::Profile:
     return kBase + Config.HotBytes + Config.ColdBytes;
   case CodeArea::Live:
-    return kBase + Config.HotBytes + Config.ColdBytes + Config.ProfileBytes;
+    return kBase + Config.HotBytes + Config.ColdBytes + kProfileBytes;
   }
   unreachable("unhandled CodeArea");
 }
@@ -38,7 +43,7 @@ uint64_t CodeCache::capacity(CodeArea Area) const {
   case CodeArea::Cold:
     return Config.ColdBytes;
   case CodeArea::Profile:
-    return Config.ProfileBytes;
+    return kProfileBytes;
   case CodeArea::Live:
     return Config.LiveBytes;
   }

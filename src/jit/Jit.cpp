@@ -94,7 +94,7 @@ double Jit::execCostPerBytecode(bc::FuncId F) const {
   const Translation *T = Db.best(F);
   if (T)
     return T->CostPerBytecode;
-  return Config.InterpCostPerBytecode;
+  return kInterpCostPerBytecode;
 }
 
 uint64_t Jit::totalCodeBytes() const {
@@ -212,7 +212,6 @@ std::unique_ptr<VasmUnit> Jit::lowerOptimizedUnit(bc::FuncId F) {
   LowerOptions Opts;
   Opts.Kind = TransKind::Optimized;
   Opts.SeederInstrumentation = Config.SeederInstrumentation;
-  Opts.TypeMonoThreshold = Config.TypeMonoThreshold;
   Opts.SharedCodeConstraints = Config.ShareJitMode;
   if (Config.ProvenGuardElision && !Config.ShareJitMode)
     Opts.Facts = Config.Facts.get();
@@ -253,7 +252,7 @@ std::vector<uint32_t> Jit::computeFuncOrder() const {
   if (Package && Config.UsePackageFuncOrder && !Package->Opt.CallArcs.empty())
     G = buildTier2CallGraph(R, Package->Opt, Store);
   else
-    G = buildTier1CallGraph(R, const_cast<bc::BlockCache &>(Blocks), Store);
+    G = buildTier1CallGraph(R, Blocks, Store);
   return layout::c3Order(G);
 }
 
@@ -470,7 +469,7 @@ profile::ProfilePackage Jit::buildPackage(uint32_t Region, uint32_t Bucket,
   if (!OptProf.CallArcs.empty())
     G = buildTier2CallGraph(R, OptProf, Store);
   else
-    G = buildTier1CallGraph(R, const_cast<bc::BlockCache &>(Blocks), Store);
+    G = buildTier1CallGraph(R, Blocks, Store);
   Pkg.Intermediate.FuncOrder = layout::c3Order(G);
 
   // The live-code tail this seeder accumulated (consumed only under

@@ -59,13 +59,15 @@ class ThreadPool;
 
 namespace jumpstart::jit {
 
+/// Cost units per bytecode of a function that runs in the interpreter.
+constexpr double kInterpCostPerBytecode = 25.0;
+
 /// All JIT tunables.  Field-by-field these correspond to HHVM runtime
 /// options; the Jump-Start flags map to the optimizations of paper
 /// section V.
 struct JitConfig {
   CodeCacheConfig Cache;
   RegionParams Region;
-  double TypeMonoThreshold = 0.95;
 
   /// Requests executed with profiling before retranslate-all fires
   /// (HHVM's ProfileRequests; point "A" of Figure 1).
@@ -80,7 +82,6 @@ struct JitConfig {
   uint32_t Parallelism = 0;
 
   // Cost model (cost units; 1 unit ~ 1 simulated cycle).
-  double InterpCostPerBytecode = 25.0;
   double ProfileCompileCostPerBytecode = 40.0;
   double LiveCompileCostPerBytecode = 30.0;
   double OptCompileCostPerBytecode = 400.0;
@@ -321,7 +322,8 @@ private:
 
   const bc::Repo &R;
   JitConfig Config;
-  bc::BlockCache Blocks;
+  /// Filled lazily, also from const members (the tier-1 call graph).
+  mutable bc::BlockCache Blocks;
   CodeCache Cache;
   TransDb Db;
   profile::ProfileStore Store;

@@ -19,6 +19,10 @@ using bc::Op;
 
 namespace {
 
+/// A site specializes when its dominant observed type covers this
+/// fraction of its type profile.
+constexpr double kTypeMonoThreshold = 0.95;
+
 /// The lossy bytecode-to-Vasm weight transfer (see file header of
 /// Lower.h): counts quantize to powers of two and pick up a
 /// deterministic per-block distortion factor in [1/4, 4], standing in for
@@ -165,7 +169,7 @@ bool FuncLowering::siteIsMono(bc::FuncId F, uint32_t Pc,
   auto It = Prof->LoadTypes.find(Pc);
   if (It == Prof->LoadTypes.end())
     return false;
-  if (!It->second.isMonomorphic(Opts.TypeMonoThreshold))
+  if (!It->second.isMonomorphic(kTypeMonoThreshold))
     return false;
   if (Want == runtime::Type::Null)
     return true;

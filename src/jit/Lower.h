@@ -43,9 +43,6 @@ struct LowerOptions {
   /// Seeder-side instrumentation of optimized code: adds a counter to
   /// every Vasm block and to function entries (paper sections V-A, V-B).
   bool SeederInstrumentation = false;
-  /// A site specializes when its dominant observed type covers this
-  /// fraction.
-  double TypeMonoThreshold = 0.95;
   /// ShareJIT-style constraints (paper section III / ShareJit, OOPSLA
   /// 2018): produce machine code that can be shared byte-for-byte across
   /// processes.  Absolute addresses must not be embedded -- literal

@@ -16,6 +16,17 @@ using namespace jumpstart::jit;
 
 namespace {
 
+/// Maximum depth of nested inlining.
+constexpr uint32_t kMaxInlineDepth = 1;
+/// Total region budget (function + all inlined bodies).
+constexpr uint32_t kMaxRegionBytecodes = 4000;
+/// A call site must execute at least this fraction of the function entry
+/// count to be worth inlining.
+constexpr double kMinSiteFrequency = 0.35;
+/// A virtual site devirtualizes when one target covers this fraction of
+/// its call-target profile.
+constexpr double kCallTargetMonoThreshold = 0.95;
+
 /// Recursive inline planner.
 class InlinePlanner {
 public:
@@ -61,7 +72,7 @@ private:
                                           : bc::FuncId(It->second.Target);
   }
 
-  /// \returns the callee covering CallTargetMonoThreshold of the site's
+  /// \returns the callee covering kCallTargetMonoThreshold of the site's
   /// profile, or an invalid id.
   bc::FuncId dominantTarget(const profile::FuncProfile &Prof,
                             uint32_t Pc) const {
@@ -81,7 +92,7 @@ private:
     if (Total == 0)
       return bc::FuncId();
     if (static_cast<double>(BestCount) <
-        Params.CallTargetMonoThreshold * static_cast<double>(Total))
+        kCallTargetMonoThreshold * static_cast<double>(Total))
       return bc::FuncId();
     return bc::FuncId(Best);
   }
@@ -91,7 +102,7 @@ private:
   bool considerInline(bc::FuncId Caller, uint32_t Pc, bc::FuncId Callee,
                       const profile::FuncProfile *CallerProf,
                       const bc::BlockList &BL, uint32_t Depth) {
-    if (Depth >= Params.MaxInlineDepth)
+    if (Depth >= kMaxInlineDepth)
       return false;
     if (Callee == Out.Func || Callee == Caller)
       return false; // no recursive inlining
@@ -99,8 +110,7 @@ private:
     if (CalleeFunc.Code.empty() ||
         CalleeFunc.Code.size() > Params.MaxInlineBytecodes)
       return false;
-    if (Out.TotalBytecodes + CalleeFunc.Code.size() >
-        Params.MaxRegionBytecodes)
+    if (Out.TotalBytecodes + CalleeFunc.Code.size() > kMaxRegionBytecodes)
       return false;
     // The callee must itself be profiled: the region compiler only forms
     // non-trivial regions where it has data (paper section V-B).
@@ -111,8 +121,7 @@ private:
         BL.numBlocks() == CallerProf->BlockCounts.size()) {
       uint64_t SiteCount = CallerProf->BlockCounts[BL.blockOf(Pc)];
       if (static_cast<double>(SiteCount) <
-          Params.MinSiteFrequency *
-              static_cast<double>(CallerProf->EntryCount))
+          kMinSiteFrequency * static_cast<double>(CallerProf->EntryCount))
         return false;
     }
     // Each function is inlined at most once per region (the shadow

@@ -15,7 +15,6 @@ std::unique_ptr<const TransSnapshot> TransSnapshot::capture(const Jit &J,
                                                             uint64_t Version) {
   auto S = std::make_unique<TransSnapshot>();
   S->Version = Version;
-  S->Phase = J.phase();
   const bc::Repo &R = J.repo();
   S->CostPerBytecode.resize(R.numFuncs());
   for (size_t I = 0; I < R.numFuncs(); ++I) {

@@ -37,16 +37,12 @@
 namespace jumpstart::jit {
 
 class Jit;
-enum class JitPhase : uint8_t;
 
 /// One immutable view of the translation state.  Built by capture() on
 /// the publishing thread; never written afterwards.
 struct TransSnapshot {
   /// Monotone publication number (1 = first snapshot).
   uint64_t Version = 0;
-
-  /// The JIT phase at capture time.
-  JitPhase Phase;
 
   /// Placed translations visible at capture time (diagnostics).
   uint64_t Translations = 0;

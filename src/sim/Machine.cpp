@@ -14,6 +14,15 @@
 using namespace jumpstart;
 using namespace jumpstart::sim;
 
+namespace {
+// The cycle model (see cycles()).
+constexpr double kBaseCpi = 0.4;
+constexpr double kBranchMissPenalty = 14;
+constexpr double kL1MissPenalty = 10;   ///< L1 miss that hits LLC.
+constexpr double kLlcMissPenalty = 120; ///< LLC miss to memory.
+constexpr double kTlbMissPenalty = 25;  ///< Page walk.
+} // namespace
+
 MachineSim::MachineSim(MachineConfig C)
     : Config(C),
       LineShift(static_cast<uint32_t>(std::countr_zero(C.L1I.LineBytes))),
@@ -43,15 +52,13 @@ void MachineSim::reset() {
 }
 
 double MachineSim::cycles() const {
-  double Cycles =
-      static_cast<double>(Counters.Instructions) * Config.BaseCpi;
-  Cycles += static_cast<double>(Counters.BranchMisses) *
-            Config.BranchMissPenalty;
+  double Cycles = static_cast<double>(Counters.Instructions) * kBaseCpi;
+  Cycles += static_cast<double>(Counters.BranchMisses) * kBranchMissPenalty;
   Cycles += static_cast<double>(Counters.L1IMisses + Counters.L1DMisses) *
-            Config.L1MissPenalty;
-  Cycles += static_cast<double>(Counters.LlcMisses) * Config.LlcMissPenalty;
+            kL1MissPenalty;
+  Cycles += static_cast<double>(Counters.LlcMisses) * kLlcMissPenalty;
   Cycles += static_cast<double>(Counters.ITlbMisses + Counters.DTlbMisses) *
-            Config.TlbMissPenalty;
+            kTlbMissPenalty;
   return Cycles;
 }
 

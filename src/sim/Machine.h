@@ -14,7 +14,8 @@
 /// 4 KB pages, bimodal direction prediction.  Absolute cycle counts are
 /// not meant to match real silicon; the cycle model exists so relative
 /// effects (the paper's speedup percentages) have a principled basis:
-/// cycles = instructions * BaseCpi + sum(penalty * events).
+/// cycles = instructions * CPI + sum(penalty * events), with the CPI and
+/// the penalties fixed in Machine.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,7 +30,7 @@
 
 namespace jumpstart::sim {
 
-/// Machine geometry and penalty parameters.
+/// Machine geometry.
 struct MachineConfig {
   CacheConfig L1I{32 * 1024, 64, 8};
   CacheConfig L1D{32 * 1024, 64, 8};
@@ -41,13 +42,6 @@ struct MachineConfig {
   uint32_t PageBytes = 4096;
   uint32_t BranchTableSize = 4096;
   uint32_t BtbSize = 1024;
-
-  // Cycle model.
-  double BaseCpi = 0.4;
-  double BranchMissPenalty = 14;
-  double L1MissPenalty = 10;    ///< L1 miss that hits LLC.
-  double LlcMissPenalty = 120;  ///< LLC miss to memory.
-  double TlbMissPenalty = 25;   ///< Page walk.
 };
 
 /// Aggregated event counters read by the figure harnesses.
@@ -145,7 +139,7 @@ public:
 
   const PerfCounters &counters() const { return Counters; }
 
-  /// Estimated cycles under the configured penalty model.
+  /// Estimated cycles under the cycle model.
   double cycles() const;
 
   /// Estimated instructions per cycle.

@@ -15,6 +15,15 @@
 using namespace jumpstart;
 using namespace jumpstart::stats;
 
+namespace {
+/// The final segment must cover at least this fraction of iterations to
+/// count as a steady state; otherwise the run is inconsistent.
+constexpr double kMinSteadyFraction = 0.1;
+/// Bootstrap resamples per interval, and the interval's coverage.
+constexpr uint32_t kBootstrapResamples = 1000;
+constexpr double kBootstrapConfidence = 0.95;
+} // namespace
+
 const char *jumpstart::stats::warmupClassName(WarmupClass C) {
   switch (C) {
   case WarmupClass::Flat:
@@ -46,7 +55,7 @@ Classification jumpstart::stats::classifySeries(
 
   // No steady state at all: the run was still moving when it ended.
   size_t MinSteadyLen = static_cast<size_t>(
-      std::ceil(P.MinSteadyFraction * static_cast<double>(Series.size())));
+      std::ceil(kMinSteadyFraction * static_cast<double>(Series.size())));
   if (Steady.length() < std::max<size_t>(1, MinSteadyLen)) {
     R.Class = WarmupClass::Inconsistent;
     return R;
@@ -103,22 +112,22 @@ ConfidenceInterval jumpstart::stats::bootstrapMeanCI(
   for (double V : Values)
     Sum += V;
   CI.Mean = Sum / static_cast<double>(Values.size());
-  if (Values.size() == 1 || P.Resamples == 0) {
+  if (Values.size() == 1) {
     CI.Lo = CI.Hi = CI.Mean;
     return CI;
   }
 
   Rng R(P.Seed);
   std::vector<double> Means;
-  Means.reserve(P.Resamples);
-  for (uint32_t B = 0; B < P.Resamples; ++B) {
+  Means.reserve(kBootstrapResamples);
+  for (uint32_t B = 0; B < kBootstrapResamples; ++B) {
     double S = 0;
     for (size_t I = 0; I < Values.size(); ++I)
       S += Values[R.nextBelow(Values.size())];
     Means.push_back(S / static_cast<double>(Values.size()));
   }
   std::sort(Means.begin(), Means.end());
-  double Alpha = (1.0 - P.Confidence) / 2.0;
+  double Alpha = (1.0 - kBootstrapConfidence) / 2.0;
   auto At = [&](double Q) {
     double Pos = Q * static_cast<double>(Means.size() - 1);
     size_t Lo = static_cast<size_t>(Pos);

@@ -65,9 +65,6 @@ struct ClassifyParams {
   /// Segment means within RelTolerance * max(|mean|, |steady mean|) of
   /// the steady mean count as "already steady".
   double RelTolerance = 0.02;
-  /// The final segment must cover at least this fraction of iterations
-  /// to count as a steady state; otherwise the run is inconsistent.
-  double MinSteadyFraction = 0.1;
   /// Winsorize to Tukey fences before detection (Barrett et al.'s
   /// outlier treatment): periodic spikes do not become segments.
   bool MaskOutliers = true;
@@ -96,8 +93,6 @@ Classification classifySeries(const std::vector<double> &Values,
 /// the one random element of the analysis, and two runs over the same
 /// inputs must emit identical intervals.
 struct BootstrapParams {
-  uint32_t Resamples = 1000;
-  double Confidence = 0.95;
   uint64_t Seed = 0x57a75b007ULL;
 };
 
@@ -116,7 +111,8 @@ struct ConfidenceInterval {
   }
 };
 
-/// Percentile bootstrap over the mean of \p Values.
+/// Percentile bootstrap over the mean of \p Values: a 95% interval from
+/// 1000 resamples.
 ConfidenceInterval bootstrapMeanCI(const std::vector<double> &Values,
                                    const BootstrapParams &P = {});
 

@@ -44,7 +44,7 @@ ReferenceInterpreter::call(bc::FuncId F, const std::vector<Value> &Args) {
 Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
                                       uint32_t NumArgs, Value This,
                                       bc::FuncId Caller, uint32_t Depth) {
-  if (Depth >= Opts.MaxCallDepth) {
+  if (Depth >= interp::kMaxCallDepth) {
     Aborted = true;
     return Value::null();
   }

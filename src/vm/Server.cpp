@@ -18,6 +18,11 @@
 using namespace jumpstart;
 using namespace jumpstart::vm;
 
+namespace {
+/// Virtual cost of deserializing a profile package, per byte.
+constexpr double kDeserializeCostPerByte = 2.0;
+} // namespace
+
 namespace jumpstart::vm {
 
 /// Extends the JIT's profiling hooks with server concerns: first-touch
@@ -359,7 +364,7 @@ InitStats Server::startup() {
   // parallel.
   Stats.UsedJumpStart = true;
   Stats.DeserializeSeconds = unitsToSeconds(
-      static_cast<double>(PackageBytes) * Config.DeserializeCostPerByte);
+      static_cast<double>(PackageBytes) * kDeserializeCostPerByte);
   if (Obs) {
     Obs->Trace.completeSpan("deserialize-package", "package", ServerTrack,
                             Obs->Clock.now(), Stats.DeserializeSeconds);

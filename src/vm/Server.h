@@ -93,8 +93,6 @@ struct ServerConfig {
   double UnitsPerCorePerSecond = 2.0e6;
   /// Virtual cost of loading one unit's metadata on first touch.
   double UnitLoadCost = 40000;
-  /// Virtual cost of deserializing a profile package, per byte.
-  double DeserializeCostPerByte = 2.0;
   /// Runtime-warmup friction: early requests pay a penalty that decays
   /// with requests served, modelling the warmup effects outside the JIT
   /// (data caches, backend connections, OS page cache).  Cost multiplier

@@ -25,8 +25,6 @@ std::vector<std::string> validateServerConfig(const ServerConfig &C) {
     Diags.push_back("UnitsPerCorePerSecond must be > 0");
   if (C.UnitLoadCost < 0)
     Diags.push_back("UnitLoadCost must be >= 0");
-  if (C.DeserializeCostPerByte < 0)
-    Diags.push_back("DeserializeCostPerByte must be >= 0");
   if (C.RuntimeWarmupPenalty < 0)
     Diags.push_back("RuntimeWarmupPenalty must be >= 0");
   if (C.RuntimeWarmupPenalty > 0 && !(C.RuntimeWarmupTau > 0))

@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace jumpstart;
 using namespace jumpstart::frontend;
 
@@ -108,6 +110,19 @@ TEST(Lexer, ErrorsAreTokens) {
     if (T.Kind == TokKind::Error)
       SawError = true;
   EXPECT_TRUE(SawError);
+}
+
+TEST(Lexer, OutOfRangeIntLiteralIsError) {
+  // std::strtoll saturates past INT64_MAX; the lexer rejects the literal.
+  auto Tokens = lexAll("9223372036854775807 9223372036854775808");
+  ASSERT_EQ(Tokens.size(), 2u);
+  EXPECT_EQ(Tokens[0].Kind, TokKind::IntLit);
+  EXPECT_EQ(Tokens[0].IntValue, std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Tokens[1].Kind, TokKind::Error);
+  EXPECT_EQ(Tokens[1].Text, "integer literal out of range");
+  EXPECT_TRUE(anyErrorContains(
+      compileErrors("function main() { return 99999999999999999999999; }"),
+      "integer literal out of range"));
 }
 
 TEST(Lexer, LineTracking) {

@@ -969,6 +969,38 @@ TEST(InterpEngine, IntMinDividedByMinusOneMatchesReference) {
   EXPECT_EQ(Mod.Faults, 0u);
 }
 
+TEST(InterpEngine, CallDepthLimitMatchesReferenceAtItsBoundary) {
+  // f($n) called at depth 0 nests its deepest frame at depth $n.  At
+  // kMaxCallDepth - 1 every frame fits; one deeper, the call that would
+  // enter depth kMaxCallDepth aborts the request.  Both interpreters
+  // agree on both calls, plain and under a Body recorder.
+  jstest::TestVm Vm("function f($n) {"
+                    "  if ($n <= 0) { return 0; }"
+                    "  return 1 + f($n - 1);"
+                    "}");
+  ASSERT_TRUE(Vm.ok());
+  using interp::kMaxCallDepth;
+  bc::FuncId F = Vm.Repo.findFunction("f");
+  const Calls Cs = {{F, {runtime::Value::integer(kMaxCallDepth - 1)}},
+                    {F, {runtime::Value::integer(kMaxCallDepth)}}};
+  const uint64_t Budget = interp::InterpOptions().StepBudget;
+  const std::optional<interp::FrameObservation> Observes[] = {
+      std::nullopt, interp::FrameObservation::Body};
+  for (const std::optional<interp::FrameObservation> &Observe : Observes) {
+    const char *Mode = Observe ? "body" : "plain";
+    std::vector<CallOutcome> Fast =
+        runCalls<interp::Interpreter>(Vm.Repo, Cs, Budget, 0, Observe);
+    EXPECT_EQ(Fast, runCalls<jstest::ReferenceInterpreter>(Vm.Repo, Cs,
+                                                           Budget, 0, Observe))
+        << Mode;
+    ASSERT_EQ(Fast.size(), 2u);
+    EXPECT_TRUE(Fast[0].Ok) << Mode;
+    EXPECT_EQ(Fast[0].Ret, std::to_string(kMaxCallDepth - 1)) << Mode;
+    EXPECT_EQ(Fast[0].Faults, 0u) << Mode;
+    EXPECT_FALSE(Fast[1].Ok) << Mode;
+  }
+}
+
 TEST(InterpEngine, SuperinstructionsAllFireOnThePerfbenchSite) {
   // The quickener emits every superinstruction on the perfbench-shaped
   // site, so none is dead.  Quickened code differs from the original

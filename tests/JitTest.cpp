@@ -475,7 +475,7 @@ TEST(Tiering, FullLifecycle) {
   ASSERT_NE(Opt, nullptr);
   EXPECT_EQ(Opt->Kind, TransKind::Optimized);
   EXPECT_TRUE(Opt->Placed);
-  EXPECT_LT(Opt->CostPerBytecode, Fix.Config.InterpCostPerBytecode);
+  EXPECT_LT(Opt->CostPerBytecode, kInterpCostPerBytecode);
   // The replaced profile translation still counts towards code size.
   EXPECT_NE(Fix.J->transDb().forFunc(Main, TransKind::Profile), nullptr);
   EXPECT_GT(Fix.J->transDb().bytesOfKind(TransKind::Profile), 0u);

@@ -266,7 +266,7 @@ TEST(WarmupClassify, ThroughputDirectionFlips) {
 
 TEST(WarmupClassify, ShortFinalSegmentIsInconsistent) {
   // The run was still moving when it ended: the final segment covers
-  // less than MinSteadyFraction of the series.
+  // less than a tenth of the series, the floor for a steady state.
   std::vector<double> V = blockSeries({{36, 10.0}, {3, 2.0}}, 0, 61);
   ClassifyParams P;
   P.Changepoints.Penalty = 0.5;
