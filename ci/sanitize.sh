@@ -23,10 +23,13 @@
 #
 # The thread set exists for the host compile pool (support::ThreadPool,
 # the lowering and layout fan-out inside Jit::runJitWork, the sharded
-# fleet/deployment fan-outs): on
-# top of the full test suite it runs the fig4_warmup --threads sweep and
-# byte-compares the exports, so a data race that *changes output* fails
-# twice -- once under TSan, once on the diff.
+# fleet/deployment fan-outs) and for the concurrent-serving window,
+# where client threads serve() while the compile thread publishes
+# translation snapshots (ServerConcurrencyFixture's publication stress
+# test publishes hundreds).  On top of the full test suite it runs the
+# fig4_warmup --threads sweep and byte-compares the exports, so a data
+# race that *changes output* fails twice -- once under TSan, once on
+# the diff.
 
 set -euo pipefail
 

@@ -19,7 +19,7 @@ DriftSweepResult jumpstart::core::runDriftSweep(const DriftSweepParams &P) {
   DriftSweepResult R;
 
   // Release 0: the site the seeder profiles.
-  fleet::DriftParams Base = P.Drift;
+  fleet::DriftParams Base;
   Base.Release = 0;
   auto W0 = fleet::generateDriftedWorkload(P.Site, Base);
   fleet::TrafficModel Traffic0(*W0, fleet::TrafficParams(), 42);
@@ -48,7 +48,7 @@ DriftSweepResult jumpstart::core::runDriftSweep(const DriftSweepParams &P) {
     DriftAgePoint Point;
     Point.Age = Age;
 
-    fleet::DriftParams DA = P.Drift;
+    fleet::DriftParams DA;
     DA.Release = Age;
     std::unique_ptr<fleet::Workload> Owned;
     if (Age > 0)

@@ -49,7 +49,6 @@ namespace jumpstart::core {
 /// BENCH_package.json run; QuickMode shrinks everything for CI.
 struct DriftSweepParams {
   fleet::WorkloadParams Site;
-  fleet::DriftParams Drift;
   /// Ages to evaluate: 0 (fresh) .. MaxAge releases of drift.
   uint32_t MaxAge = 4;
   /// Requests the release-0 seeder serves before package extraction.

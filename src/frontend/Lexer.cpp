@@ -11,6 +11,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <unordered_map>
 
@@ -208,7 +209,12 @@ Token Lexer::lexNumber() {
   Token T = makeToken(IsDouble ? TokKind::DblLit : TokKind::IntLit);
   T.Text = Text;
   if (IsDouble) {
+    errno = 0;
     T.DblValue = std::strtod(Text.c_str(), nullptr);
+    // ERANGE also flags an underflow to a tiny or zero value, which
+    // stands; only an overflow to +-HUGE_VAL is an error.
+    if (errno == ERANGE && std::fabs(T.DblValue) == HUGE_VAL)
+      return errorToken("float literal out of range");
   } else {
     errno = 0;
     T.IntValue = std::strtoll(Text.c_str(), nullptr, 10);

@@ -15,15 +15,19 @@
 using namespace jumpstart;
 using namespace jumpstart::frontend;
 
-Parser::Parser(std::string_view Source) : Lex(Source) { Cur = Lex.next(); }
+Parser::Parser(std::string_view Source) : Lex(Source) { readToken(); }
+
+void Parser::readToken() {
+  Cur = Lex.next();
+  // A lexer error is reported once, where it is read, so it comes before
+  // anything the parser makes of it; error() drops those follow-ups.
+  if (Cur.Kind == TokKind::Error)
+    report(Cur.Text);
+}
 
 void Parser::bump() {
-  if (Cur.Kind == TokKind::Error) {
-    error(Cur.Text);
-    // Skip the bad token so parsing can make progress.
-  }
   if (Cur.Kind != TokKind::Eof)
-    Cur = Lex.next();
+    readToken();
 }
 
 bool Parser::accept(TokKind K) {
@@ -42,6 +46,13 @@ bool Parser::expect(TokKind K, const char *Context) {
 }
 
 void Parser::error(const std::string &Msg) {
+  // On a lexer error token, any parse error ("expected an expression,
+  // found error") names a symptom of the error readToken() reported.
+  if (Cur.Kind != TokKind::Error)
+    report(Msg);
+}
+
+void Parser::report(const std::string &Msg) {
   if (Errors.size() >= kMaxErrors || TooDeep)
     return;
   Errors.push_back(strFormat("line %u: %s", Cur.Line, Msg.c_str()));

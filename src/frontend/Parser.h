@@ -42,11 +42,17 @@ public:
 
 private:
   // Token stream management.
+  /// Reads the next token into Cur, reporting it if it is a lexer error.
+  void readToken();
   void bump();
   bool check(TokKind K) const { return Cur.Kind == K; }
   bool accept(TokKind K);
   bool expect(TokKind K, const char *Context);
+  /// Reports a parse error at the current token, unless that token is a
+  /// lexer error, which readToken() has reported already.
   void error(const std::string &Msg);
+  /// Records \p Msg at the current line (up to kMaxErrors).
+  void report(const std::string &Msg);
   void synchronizeToDecl();
 
   // Declarations.

@@ -13,7 +13,10 @@ using namespace jumpstart;
 using namespace jumpstart::jit;
 
 namespace {
-/// Size of the profile area (tier-1 translations).
+/// Sizes of the hot and cold areas (optimized translations) and of the
+/// profile area (tier-1 translations).
+constexpr uint64_t kHotBytes = 48ull << 20;
+constexpr uint64_t kColdBytes = 48ull << 20;
 constexpr uint64_t kProfileBytes = 32ull << 20;
 } // namespace
 
@@ -27,11 +30,11 @@ uint64_t CodeCache::base(CodeArea Area) const {
   case CodeArea::Hot:
     return kBase;
   case CodeArea::Cold:
-    return kBase + Config.HotBytes;
+    return kBase + kHotBytes;
   case CodeArea::Profile:
-    return kBase + Config.HotBytes + Config.ColdBytes;
+    return kBase + kHotBytes + kColdBytes;
   case CodeArea::Live:
-    return kBase + Config.HotBytes + Config.ColdBytes + kProfileBytes;
+    return kBase + kHotBytes + kColdBytes + kProfileBytes;
   }
   unreachable("unhandled CodeArea");
 }
@@ -39,9 +42,9 @@ uint64_t CodeCache::base(CodeArea Area) const {
 uint64_t CodeCache::capacity(CodeArea Area) const {
   switch (Area) {
   case CodeArea::Hot:
-    return Config.HotBytes;
+    return kHotBytes;
   case CodeArea::Cold:
-    return Config.ColdBytes;
+    return kColdBytes;
   case CodeArea::Profile:
     return kProfileBytes;
   case CodeArea::Live:

@@ -33,11 +33,9 @@ enum class CodeArea : uint8_t {
 };
 
 /// Code cache sizing (simulated bytes).  Defaults are scaled-down
-/// proportions of HHVM's production configuration; the profile area's
-/// size is a constant in CodeCache.cpp.
+/// proportions of HHVM's production configuration; the hot, cold and
+/// profile areas' sizes are constants in CodeCache.cpp.
 struct CodeCacheConfig {
-  uint64_t HotBytes = 48ull << 20;
-  uint64_t ColdBytes = 48ull << 20;
   uint64_t LiveBytes = 16ull << 20;
 };
 

@@ -34,8 +34,7 @@ const char *jumpstart::jit::jitPhaseName(JitPhase P) {
 }
 
 Jit::Jit(const bc::Repo &R, JitConfig Config, support::ThreadPool *Pool)
-    : R(R), Config(Config), Blocks(R), Cache(Config.Cache),
-      Enqueued(R.numFuncs(), 0), Pool(Pool) {}
+    : R(R), Config(Config), Blocks(R), Enqueued(R.numFuncs(), 0), Pool(Pool) {}
 
 void Jit::setObservability(obs::Observability *O, double SecondsPerUnit,
                            uint32_t Track) {
@@ -207,7 +206,7 @@ std::unique_ptr<VasmUnit> Jit::lowerOptimizedUnit(bc::FuncId F) {
     // never under sharing constraints (direct calls embed addresses).
     const ProvenFacts *Facts =
         Config.ProvenGuardElision ? Config.Facts.get() : nullptr;
-    Region = selectRegion(R, Blocks, Store, F, Config.Region, Facts);
+    Region = selectRegion(R, Blocks, Store, F, RegionParams(), Facts);
   }
   LowerOptions Opts;
   Opts.Kind = TransKind::Optimized;

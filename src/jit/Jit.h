@@ -66,9 +66,6 @@ constexpr double kInterpCostPerBytecode = 25.0;
 /// options; the Jump-Start flags map to the optimizations of paper
 /// section V.
 struct JitConfig {
-  CodeCacheConfig Cache;
-  RegionParams Region;
-
   /// Requests executed with profiling before retranslate-all fires
   /// (HHVM's ProfileRequests; point "A" of Figure 1).
   uint64_t ProfileRequestTarget = 300;

@@ -17,6 +17,11 @@
 using namespace jumpstart;
 using namespace jumpstart::jit;
 
+namespace {
+/// Blocks below this fraction of the entry weight are cold.
+constexpr double kColdRatio = 0.01;
+} // namespace
+
 layout::Cfg jumpstart::jit::layoutCfg(const VasmUnit &Unit) {
   layout::Cfg G;
   for (const VBlock &B : Unit.Blocks)
@@ -58,8 +63,7 @@ UnitLayout jumpstart::jit::layoutUnit(const VasmUnit &Unit,
     Result.HotOrder = std::move(Order);
     return Result;
   }
-  layout::HotColdSplit Split =
-      layout::splitHotCold(G, Order, Opts.ColdRatio);
+  layout::HotColdSplit Split = layout::splitHotCold(G, Order, kColdRatio);
   Result.HotOrder = std::move(Split.Hot);
   Result.ColdOrder = std::move(Split.Cold);
   return Result;

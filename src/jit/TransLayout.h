@@ -34,8 +34,6 @@ struct LayoutOptions {
   bool UseExtTsp = true;
   /// Split cold blocks into the cold area.
   bool SplitCold = true;
-  /// Blocks below this fraction of the entry weight are cold.
-  double ColdRatio = 0.01;
 };
 
 /// The computed placement order of a unit's blocks.

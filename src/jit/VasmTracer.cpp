@@ -29,8 +29,8 @@ VasmTracer::buildPlan(const Translation &T) const {
   const VasmUnit &Unit = *T.Unit;
   const uint32_t LineShift =
       static_cast<uint32_t>(std::countr_zero(Machine.config().L1I.LineBytes));
-  const uint32_t PageShift =
-      static_cast<uint32_t>(std::countr_zero(Machine.config().PageBytes));
+  constexpr uint32_t PageShift =
+      static_cast<uint32_t>(std::countr_zero(sim::kPageBytes));
   auto P = std::make_unique<TransPlan>();
   P->Blocks.resize(Unit.Blocks.size());
   // One more access to the line or page at Addr, in the runs that start

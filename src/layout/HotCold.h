@@ -38,7 +38,7 @@ struct HotColdSplit {
 /// entry itself is always hot).  With a zero entry weight, everything
 /// stays hot.
 HotColdSplit splitHotCold(const Cfg &G, const std::vector<uint32_t> &Order,
-                          double ColdRatio = 0.01);
+                          double ColdRatio);
 
 } // namespace jumpstart::layout
 

@@ -124,7 +124,7 @@ private:
 /// A TLB: structurally a cache of page translations.
 class Tlb {
 public:
-  Tlb(uint32_t Entries, uint32_t Ways, uint32_t PageBytes = 4096);
+  Tlb(uint32_t Entries, uint32_t Ways, uint32_t PageBytes);
 
   bool access(uint64_t Addr) { return Impl.access(Addr); }
   /// \p Count back-to-back translations of the page containing \p Addr

@@ -27,8 +27,8 @@ MachineSim::MachineSim(MachineConfig C)
     : Config(C),
       LineShift(static_cast<uint32_t>(std::countr_zero(C.L1I.LineBytes))),
       L1I(C.L1I), L1D(C.L1D), Llc(C.Llc),
-      ITlb(C.ITlbEntries, C.ITlbWays, C.PageBytes),
-      DTlb(C.DTlbEntries, C.DTlbWays, C.PageBytes),
+      ITlb(C.ITlbEntries, C.ITlbWays, kPageBytes),
+      DTlb(C.DTlbEntries, C.DTlbWays, kPageBytes),
       Direction(C.BranchTableSize), Indirect(C.BtbSize), Btb(C.BtbSize) {}
 
 void MachineSim::fetch(uint64_t Addr, uint32_t SizeBytes) {

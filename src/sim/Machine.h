@@ -30,6 +30,9 @@
 
 namespace jumpstart::sim {
 
+/// Page size of both TLBs.
+constexpr uint32_t kPageBytes = 4096;
+
 /// Machine geometry.
 struct MachineConfig {
   CacheConfig L1I{32 * 1024, 64, 8};
@@ -39,7 +42,6 @@ struct MachineConfig {
   uint32_t ITlbWays = 4;
   uint32_t DTlbEntries = 64;
   uint32_t DTlbWays = 4;
-  uint32_t PageBytes = 4096;
   uint32_t BranchTableSize = 4096;
   uint32_t BtbSize = 1024;
 };

@@ -16,6 +16,10 @@ using namespace jumpstart::stats;
 
 namespace {
 
+/// Minimum points per segment.  Keeps single-sample outliers from
+/// becoming their own segments.
+constexpr size_t kMinSegmentLength = 3;
+
 /// Linear-interpolated quantile of an already-sorted vector.
 double sortedQuantile(const std::vector<double> &Sorted, double Q) {
   if (Sorted.empty())
@@ -66,7 +70,6 @@ Segmentation jumpstart::stats::detectChangepoints(
     const std::vector<double> &Values, const ChangepointParams &P) {
   Segmentation Result;
   const size_t N = Values.size();
-  const size_t MinLen = std::max<uint32_t>(1, P.MinSegmentLength);
 
   // Prefix sums for O(1) segment SSE: SSE[a, b) = S2 - S1^2 / n.
   std::vector<double> Sum1(N + 1, 0), Sum2(N + 1, 0);
@@ -105,7 +108,7 @@ Segmentation jumpstart::stats::detectChangepoints(
 
   if (N == 0)
     return Result;
-  if (N < 2 * MinLen) {
+  if (N < 2 * kMinSegmentLength) {
     Result.Segments.push_back({0, N, SegMean(0, N)});
     Result.Cost = SegCost(0, N);
     return Result;
@@ -123,11 +126,11 @@ Segmentation jumpstart::stats::detectChangepoints(
   std::vector<size_t> Candidates{0};
   std::vector<size_t> Keep;
 
-  for (size_t T = MinLen; T <= N; ++T) {
+  for (size_t T = kMinSegmentLength; T <= N; ++T) {
     double Best = Inf;
     size_t BestS = 0;
     for (size_t S : Candidates) {
-      if (T - S < MinLen)
+      if (T - S < kMinSegmentLength)
         continue;
       double Cost = F[S] + SegCost(S, T) + Penalty;
       // Strict < keeps the earliest admissible split on exact ties.
@@ -143,7 +146,7 @@ Segmentation jumpstart::stats::detectChangepoints(
     for (size_t S : Candidates)
       // Not-yet-admissible candidates must survive pruning: their cost
       // term is not defined at T.
-      if (T - S < MinLen || F[S] + SegCost(S, T) <= F[T])
+      if (T - S < kMinSegmentLength || F[S] + SegCost(S, T) <= F[T])
         Keep.push_back(S);
     Candidates.swap(Keep);
     // T becomes a candidate last segment start for future T'.

@@ -48,9 +48,6 @@ struct ChangepointParams {
   /// (robust to the very level shifts being detected).  An explicit
   /// value is used as-is -- tests with known noise pass one.
   double Penalty = -1;
-  /// Minimum points per segment.  Keeps single-sample outliers from
-  /// becoming their own segments.
-  uint32_t MinSegmentLength = 3;
 };
 
 /// One mean-stable segment [Begin, End) of the input series.

@@ -22,12 +22,12 @@
 ///  - CondVar wraps std::condition_variable; its wait takes a MutexLock,
 ///    keeping the capability association visible at the call site.
 ///
-/// Guarded members are annotated JUMPSTART_GUARDED_BY(M); private
-/// helpers that assume the lock is already held are annotated
-/// JUMPSTART_REQUIRES(M).  The annotations are claims checked by the
-/// compiler, not synchronization themselves -- a member without an
-/// annotation is being asserted single-threaded, which should be said in
-/// a comment (see jit::TransDb for the pattern).
+/// Guarded members are annotated JUMPSTART_GUARDED_BY(M); functions
+/// that take the lock themselves are annotated JUMPSTART_EXCLUDES(M).
+/// The annotations are claims checked by the compiler, not
+/// synchronization themselves -- a member without an annotation is
+/// being asserted single-threaded, which should be said in a comment
+/// (see jit::TransDb for the pattern).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,14 +53,6 @@
 /// Data member readable/writable only while holding \p x.
 #define JUMPSTART_GUARDED_BY(x) JUMPSTART_THREAD_ANNOTATION(guarded_by(x))
 
-/// Pointer member whose pointee is guarded by \p x (the pointer itself
-/// is not).
-#define JUMPSTART_PT_GUARDED_BY(x) JUMPSTART_THREAD_ANNOTATION(pt_guarded_by(x))
-
-/// Function that must be called with the listed capabilities held.
-#define JUMPSTART_REQUIRES(...)                                                \
-  JUMPSTART_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-
 /// Function that acquires the listed capabilities (held on return).
 #define JUMPSTART_ACQUIRE(...)                                                 \
   JUMPSTART_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
@@ -73,11 +65,6 @@
 /// (deadlock guard for non-reentrant locks).
 #define JUMPSTART_EXCLUDES(...)                                                \
   JUMPSTART_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-/// Escape hatch: the function's locking is correct for reasons the
-/// analysis cannot see.  Use sparingly and say why at the use site.
-#define JUMPSTART_NO_THREAD_SAFETY_ANALYSIS                                    \
-  JUMPSTART_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 namespace jumpstart::support {
 

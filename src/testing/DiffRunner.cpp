@@ -629,7 +629,7 @@ DiffStats DiffRunner::run() {
   Stats.SweepDigest = kFnvOffset;
   for (uint32_t I = 0; I < Params.NumPrograms; ++I) {
     uint64_t ProgramSeed = Params.Seed * 1'000'003ull + I;
-    GenParams G = Params.Gen;
+    GenParams G;
     G.Seed = ProgramSeed;
     GenProgram Prog = generateProgram(G);
     checkProgram(Prog, ProgramSeed, Stats);

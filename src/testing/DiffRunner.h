@@ -139,8 +139,6 @@ struct Mismatch {
 
 /// Sweep parameters.
 struct DiffParams {
-  /// Shape knobs for generated programs; Seed is overridden per program.
-  GenParams Gen;
   /// Sweep seed: program I uses seed Seed * 1000003 + I.
   uint64_t Seed = 1;
   uint32_t NumPrograms = 50;

@@ -18,6 +18,12 @@ using namespace jumpstart::testing;
 
 namespace {
 
+/// Fewest statements per function body.
+constexpr uint32_t kMinStmts = 1;
+/// Upper bound for while-loop trip counts (loops are always bounded by
+/// construction; runaway execution is the step budget's job).
+constexpr uint32_t kMaxLoopBound = 5;
+
 /// Per-program generation state: the rng, the shape knobs, and how many
 /// helpers/classes exist (for generating calls and `new` expressions).
 class Generator {
@@ -180,8 +186,7 @@ private:
       std::string I = strFormat("$i%u", LoopIndex);
       return strFormat("%s = 0; while (%s < %u) { %s %s = (%s + 1); }",
                        I.c_str(), I.c_str(),
-                       static_cast<uint32_t>(1 + R.nextBelow(
-                                                     P.MaxLoopBound)),
+                       static_cast<uint32_t>(1 + R.nextBelow(kMaxLoopBound)),
                        genSimpleStmt().c_str(), I.c_str(), I.c_str());
     }
     default:
@@ -195,8 +200,8 @@ private:
     F.Name = std::move(Name);
     F.IsEndpoint = IsEndpoint;
     uint32_t Stmts =
-        P.MinStmts +
-        static_cast<uint32_t>(R.nextBelow(P.MaxStmts - P.MinStmts + 1));
+        kMinStmts +
+        static_cast<uint32_t>(R.nextBelow(P.MaxStmts - kMinStmts + 1));
     for (uint32_t S = 0; S < Stmts; ++S)
       F.Stmts.push_back(genStmt(S));
     F.ReturnExpr = genExpr(P.MaxExprDepth);
@@ -243,7 +248,7 @@ size_t GenProgram::sourceLines() const {
 }
 
 GenProgram jumpstart::testing::generateProgram(const GenParams &P) {
-  alwaysAssert(P.MaxHelpers >= P.MinHelpers && P.MaxStmts >= P.MinStmts,
+  alwaysAssert(P.MaxHelpers >= P.MinHelpers && P.MaxStmts >= kMinStmts,
                "inverted GenParams range");
   return Generator(P).run();
 }

@@ -46,14 +46,11 @@ struct GenParams {
   /// Endpoint entry points (endpoint0, ...): what the differential
   /// oracle drives requests against.  Must be >= 1.
   uint32_t NumEndpoints = 2;
-  /// Statements per function body (the fixed trailing return is extra).
-  uint32_t MinStmts = 1;
+  /// Most statements per function body, at least one (the fixed
+  /// trailing return is extra).
   uint32_t MaxStmts = 4;
   /// Maximum expression nesting depth.
   uint32_t MaxExprDepth = 3;
-  /// Upper bound for while-loop trip counts (loops are always bounded by
-  /// construction; runaway execution is the step budget's job).
-  uint32_t MaxLoopBound = 5;
   /// Classes (K0, K1, ...), each with props and set/get methods.
   uint32_t NumClasses = 1;
 };

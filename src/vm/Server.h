@@ -26,7 +26,7 @@
 ///    real host threads serve requests against per-worker execution
 ///    contexts while one background thread compiles
 ///    (runBackgroundJitWork) and publishes immutable translation
-///    snapshots through epoch-based reclamation -- the paper's
+///    snapshots, shared with requests by reference count -- the paper's
 ///    retranslate-all under live load (section VII).  Shared state is
 ///    immutable for the window's duration (the data plane is frozen at
 ///    beginConcurrentServing); admission control bounds in-flight
@@ -45,9 +45,9 @@
 #include "runtime/Builtins.h"
 #include "runtime/ClassLayout.h"
 #include "runtime/Heap.h"
-#include "support/Epoch.h"
 #include "support/ThreadSafety.h"
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -192,8 +192,9 @@ struct ServeStats {
   /// Translation snapshots installed during the window (>= 1: the
   /// window opens with one).
   uint64_t SnapshotsPublished = 0;
-  /// Retired snapshots whose deleters ran (== SnapshotsPublished - 1
-  /// once the window closes; the live one is freed with the publisher).
+  /// Snapshots freed by the time the window's requests finished, the
+  /// live one not yet freed (== SnapshotsPublished - 1 unless something
+  /// still holds a superseded snapshot).
   uint64_t SnapshotsReclaimed = 0;
   /// Virtual cost of the data-plane freeze (loading every unit not yet
   /// touched), charged at beginConcurrentServing() across all cores.
@@ -285,8 +286,8 @@ public:
   /// Closes the window: requires all clients done (asserts nothing in
   /// flight), folds integer totals into the metrics registry
   /// (jumpstart.server.requests/faults/shed), releases the execution
-  /// contexts, and reclaims every retired snapshot.  \returns the
-  /// window's stats.
+  /// contexts, and drops the live snapshot.  \returns the window's
+  /// stats.
   ServeStats endConcurrentServing();
 
   //===--------------------------------------------------------------------===
@@ -317,8 +318,12 @@ private:
 
   /// One execution context: everything mutated while a request runs.
   /// The serial path owns one (with profiling hooks); concurrent serving
-  /// creates ServeWorkers more, checked out per request.
-  struct ExecContext {
+  /// creates ServeWorkers more, checked out per request.  Aligned to a
+  /// host cache line so that two contexts serving on different threads
+  /// never share one.  Unaligned, whether they do depends on the
+  /// allocation history, and when they did, perfbench serve ran about a
+  /// fifth slower.
+  struct alignas(64) ExecContext {
     ExecContext(const bc::Repo &R, runtime::ClassTable &Classes,
                 const interp::InterpOptions &Opts);
 
@@ -329,9 +334,6 @@ private:
     /// Unit-load cost units charged while the current request runs
     /// (serial path; fed by ServerHooks).
     double PendingLoadUnits = 0;
-    /// This context's reader slot in the snapshot epoch domain
-    /// (concurrent contexts only).
-    support::EpochDomain::Slot *Slot = nullptr;
     // Folded into ServeStats at endConcurrentServing().
     uint64_t Served = 0;
     uint64_t Faults = 0;
@@ -359,10 +361,12 @@ private:
   /// Captures the JIT's translation state and installs it as the
   /// current snapshot.  Background compile thread (or begin) only.
   void publishSnapshot();
-  /// Runs one request on \p Ctx under an epoch guard, costing it with
-  /// the pinned snapshot.  \p DecayRequests is the request count used
-  /// for the runtime-warmup decay.
-  RequestResult executeOnContext(ExecContext &Ctx, bc::FuncId F,
+  /// Runs one request on \p Ctx, costing it with \p Snap, which the
+  /// caller holds a reference to.  \p DecayRequests is the request
+  /// count used for the runtime-warmup decay.
+  RequestResult executeOnContext(ExecContext &Ctx,
+                                 const jit::TransSnapshot &Snap,
+                                 bc::FuncId F,
                                  const std::vector<runtime::Value> &Args,
                                  uint64_t DecayRequests);
   /// The request tail both serving modes share.  Renders \p Result's
@@ -410,14 +414,19 @@ private:
   /// Requests on the serial counter when the window opened; request
   /// RequestIndex decays as serial request BaseRequests + RequestIndex + 1.
   uint64_t BaseRequests = 0;
-  uint64_t SnapVersion = 0;
-  std::unique_ptr<support::EpochDomain> Domain;
-  std::unique_ptr<jit::SnapshotPublisher> Publisher;
   std::vector<std::unique_ptr<ExecContext>> ServeContexts;
   ServeStats CurStats;
+  /// Snapshots destroyed this window, counted by their deleter on
+  /// whichever thread drops the last reference.
+  std::atomic<uint64_t> SnapshotsFreed{0};
 
   support::Mutex ServeM;
   support::CondVar ServeCV;
+  /// The newest published snapshot.  serve() copies it when it checks
+  /// out a context and holds that reference for the request.
+  std::shared_ptr<const jit::TransSnapshot>
+      CurSnapshot JUMPSTART_GUARDED_BY(ServeM);
+  uint64_t PublishedCount JUMPSTART_GUARDED_BY(ServeM) = 0;
   std::vector<ExecContext *> FreeContexts JUMPSTART_GUARDED_BY(ServeM);
   uint32_t InFlightCount JUMPSTART_GUARDED_BY(ServeM) = 0;
   uint64_t SubmittedCount JUMPSTART_GUARDED_BY(ServeM) = 0;

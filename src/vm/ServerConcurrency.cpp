@@ -8,8 +8,17 @@
 /// \file
 /// The concurrent-serving window: real host threads execute requests
 /// against per-worker contexts while one background thread compiles and
-/// publishes translation snapshots through epoch-based reclamation
-/// (paper section VII: retranslate-all under live load, no quiescence).
+/// publishes translation snapshots (paper section VII: retranslate-all
+/// under live load, no quiescence).
+///
+/// Snapshot ownership.  The server keeps the newest snapshot in a
+/// shared_ptr guarded by ServeM.  serve() copies it in the critical
+/// section where it already checks out a context, and drops its copy
+/// before returning the context; publishSnapshot() captures outside the
+/// lock, swaps under it, and drops the superseded pointer after
+/// unlocking.  The compile thread thus holds ServeM only for a pointer
+/// swap, and a superseded snapshot is freed by whichever thread drops
+/// the last reference.
 ///
 /// Determinism contract.  Per-request *observables* (return value,
 /// output, faults) are interleaving- and thread-count-invariant: the
@@ -40,7 +49,19 @@ uint32_t Server::effectiveMaxInFlight() const {
 }
 
 void Server::publishSnapshot() {
-  Publisher->publish(jit::TransSnapshot::capture(TheJit, ++SnapVersion));
+  std::shared_ptr<const jit::TransSnapshot> Next(
+      new jit::TransSnapshot(jit::TransSnapshot::capture(TheJit)),
+      [this](const jit::TransSnapshot *Snap) {
+        delete Snap;
+        ++SnapshotsFreed;
+      });
+  {
+    support::MutexLock Lock(ServeM);
+    CurSnapshot.swap(Next);
+    ++PublishedCount;
+  }
+  // Next now holds the superseded snapshot, freed here unless a request
+  // still holds it.
 }
 
 void Server::beginConcurrentServing() {
@@ -68,18 +89,14 @@ void Server::beginConcurrentServing() {
     Obs->Trace.instant("begin-concurrent-serving", "phase", ServerTrack);
   }
 
-  Domain = std::make_unique<support::EpochDomain>();
-  Publisher = std::make_unique<jit::SnapshotPublisher>(*Domain);
-  SnapVersion = 0;
   ServeContexts.clear();
-  for (uint32_t I = 0; I < Config.ServeWorkers; ++I) {
-    auto Ctx = std::make_unique<ExecContext>(R, Classes, Config.Interp);
-    // Uninstrumented: no profiling hooks, so request threads never call
-    // into the JIT.  InstrCounts still accumulate (the interpreter
-    // counts unconditionally), which is all the cost model needs.
-    Ctx->Slot = Domain->acquireSlot();
-    ServeContexts.push_back(std::move(Ctx));
-  }
+  // Uninstrumented: no profiling hooks, so request threads never call
+  // into the JIT.  InstrCounts still accumulate (the interpreter counts
+  // unconditionally), which is all the cost model needs.
+  for (uint32_t I = 0; I < Config.ServeWorkers; ++I)
+    ServeContexts.push_back(
+        std::make_unique<ExecContext>(R, Classes, Config.Interp));
+  SnapshotsFreed = 0;
   {
     support::MutexLock Lock(ServeM);
     FreeContexts.clear();
@@ -87,6 +104,7 @@ void Server::beginConcurrentServing() {
       FreeContexts.push_back(Ctx.get());
     InFlightCount = 0;
     SubmittedCount = ServedCount = ShedCount = 0;
+    PublishedCount = 0;
   }
   BaseRequests = Requests;
   publishSnapshot();
@@ -99,6 +117,7 @@ RequestResult Server::serve(bc::FuncId F,
   alwaysAssert(Serving.load(std::memory_order_acquire),
                "serve() outside a concurrent-serving window");
   ExecContext *Ctx = nullptr;
+  std::shared_ptr<const jit::TransSnapshot> Snap;
   {
     support::MutexLock Lock(ServeM);
     ++SubmittedCount;
@@ -118,10 +137,16 @@ RequestResult Server::serve(bc::FuncId F,
       ServeCV.wait(Lock);
     Ctx = FreeContexts.back();
     FreeContexts.pop_back();
+    // The request is costed against the snapshot current at checkout;
+    // this reference keeps it alive however many publications follow.
+    Snap = CurSnapshot;
   }
 
-  RequestResult Res =
-      executeOnContext(*Ctx, F, Args, BaseRequests + RequestIndex + 1);
+  RequestResult Res = executeOnContext(*Ctx, *Snap, F, Args,
+                                       BaseRequests + RequestIndex + 1);
+  // Dropped before the context goes back, so the window's reclaim count
+  // is final once nothing is in flight.
+  Snap.reset();
 
   {
     support::MutexLock Lock(ServeM);
@@ -134,24 +159,19 @@ RequestResult Server::serve(bc::FuncId F,
 }
 
 RequestResult
-Server::executeOnContext(ExecContext &Ctx, bc::FuncId F,
+Server::executeOnContext(ExecContext &Ctx, const jit::TransSnapshot &Snap,
+                         bc::FuncId F,
                          const std::vector<runtime::Value> &Args,
                          uint64_t DecayRequests) {
-  // Pin an epoch for the whole request: the snapshot pointer stays
-  // valid until we unpin, however many publications happen meanwhile.
-  support::EpochGuard Guard(*Domain, *Ctx.Slot);
-  const jit::TransSnapshot *Snap = Publisher->current();
-  alwaysAssert(Snap, "serving without a published snapshot");
-
   Ctx.InstrCounts.clear();
   interp::InterpResult Result = Ctx.Interp->call(F, Args);
   Ctx.Faults += Result.Faults;
   ++Ctx.Served;
-  // Cost the request against the pinned snapshot.  No unit-load term:
-  // the data plane was fully preloaded at beginConcurrentServing().  The
+  // Cost the request against its snapshot.  No unit-load term: the data
+  // plane was fully preloaded at beginConcurrentServing().  The
   // runtime-warmup friction decays by the caller-assigned request index,
   // not arrival order, so it is interleaving-independent.
-  return finishRequest(Ctx, Result, 0, Snap, DecayRequests);
+  return finishRequest(Ctx, Result, 0, &Snap, DecayRequests);
 }
 
 double Server::runBackgroundJitWork(double Seconds) {
@@ -173,24 +193,18 @@ ServeStats Server::endConcurrentServing() {
     CurStats.Submitted = SubmittedCount;
     CurStats.Served = ServedCount;
     CurStats.Shed = ShedCount;
+    CurStats.SnapshotsPublished = PublishedCount;
+    // Counted while the live snapshot and the contexts still exist, so a
+    // superseded snapshot that outlived its request shows up as missing.
+    CurStats.SnapshotsReclaimed = SnapshotsFreed;
+    CurSnapshot.reset();
     FreeContexts.clear();
   }
   Serving.store(false, std::memory_order_release);
 
-  for (auto &Ctx : ServeContexts) {
+  for (auto &Ctx : ServeContexts)
     CurStats.Faults += Ctx->Faults;
-    Domain->releaseSlot(Ctx->Slot);
-    Ctx->Slot = nullptr;
-  }
   ServeContexts.clear();
-
-  CurStats.SnapshotsPublished = Publisher->published();
-  // Destroy the publisher first (frees the live snapshot), then drain
-  // every retired one; with all slots released nothing can be pinned.
-  Publisher.reset();
-  Domain->reclaimAll();
-  CurStats.SnapshotsReclaimed = Domain->freedCount();
-  Domain.reset();
 
   alwaysAssert(CurStats.Submitted == CurStats.Served + CurStats.Shed,
                "lost request: Submitted != Served + Shed");

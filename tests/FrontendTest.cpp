@@ -120,9 +120,32 @@ TEST(Lexer, OutOfRangeIntLiteralIsError) {
   EXPECT_EQ(Tokens[0].IntValue, std::numeric_limits<int64_t>::max());
   EXPECT_EQ(Tokens[1].Kind, TokKind::Error);
   EXPECT_EQ(Tokens[1].Text, "integer literal out of range");
-  EXPECT_TRUE(anyErrorContains(
+  // The lexer's error is the only diagnostic, not the second one after
+  // "expected an expression, found error".
+  EXPECT_EQ(
       compileErrors("function main() { return 99999999999999999999999; }"),
-      "integer literal out of range"));
+      std::vector<std::string>{"t.hack:line 1: integer literal out of range"});
+}
+
+TEST(Lexer, OutOfRangeFloatLiteralIsError) {
+  // std::strtod returns HUGE_VAL past DBL_MAX; the lexer rejects the
+  // literal.  It sets ERANGE for an underflow too, but that value stands.
+  std::string Big = "1" + std::string(308, '0') + ".5";
+  std::string Huge = "1" + std::string(309, '0') + ".5";
+  std::string Tiny = "0." + std::string(400, '0') + "1";
+  auto Tokens = lexAll(Big + " " + Tiny + " " + Huge);
+  ASSERT_EQ(Tokens.size(), 3u);
+  EXPECT_EQ(Tokens[0].Kind, TokKind::DblLit);
+  EXPECT_EQ(Tokens[0].DblValue, 1e308);
+  EXPECT_EQ(Tokens[1].Kind, TokKind::DblLit);
+  EXPECT_EQ(Tokens[1].DblValue, 0.0);
+  EXPECT_EQ(Tokens[2].Kind, TokKind::Error);
+  EXPECT_EQ(Tokens[2].Text, "float literal out of range");
+  EXPECT_EQ(
+      compileErrors("function main() { return " + Huge + "; }"),
+      std::vector<std::string>{"t.hack:line 1: float literal out of range"});
+  EXPECT_TRUE(
+      compileErrors("function main() { return " + Tiny + "; }").empty());
 }
 
 TEST(Lexer, LineTracking) {

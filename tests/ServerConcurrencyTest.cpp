@@ -6,20 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the concurrent-serving engine: epoch-based reclamation
-/// properties, translation-snapshot publication, admission control
-/// (shed accounting), the concurrent-vs-serial equivalence of a
-/// background retranslate-all under live load, and the redesigned
-/// Server API surface (RequestResult, CallbackScope, ServerConfig
-/// validation).  Tier-1; ci/sanitize.sh runs it under TSAN
-/// (JUMPSTART_SANITIZE=thread), which is what actually checks the
-/// epoch pin/retire race.
+/// Tests for the concurrent-serving engine: translation-snapshot
+/// publication and pricing, admission control (shed accounting), the
+/// concurrent-vs-serial equivalence of a background retranslate-all
+/// under live load, and the redesigned Server API surface
+/// (RequestResult, CallbackScope, ServerConfig validation).  Tier-1;
+/// ci/sanitize.sh runs it under ASan and TSan
+/// (JUMPSTART_SANITIZE=thread), which is what actually checks that no
+/// request reads a snapshot another thread has freed.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "fleet/WorkloadGen.h"
 #include "jit/TransSnapshot.h"
-#include "support/Epoch.h"
 #include "support/ThreadPool.h"
 #include "vm/Server.h"
 
@@ -31,150 +30,6 @@
 using namespace jumpstart;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Epoch-based reclamation.
-//===----------------------------------------------------------------------===//
-
-TEST(EpochDomain, RetireUnderPinIsDeferred) {
-  support::EpochDomain D;
-  support::EpochDomain::Slot *S = D.acquireSlot();
-
-  bool Freed = false;
-  D.pin(*S);
-  D.retire([&Freed] { Freed = true; });
-  // The reader entered at or before the retire tag, so nothing may be
-  // freed however often the writer tries.
-  D.tryReclaim();
-  D.tryReclaim();
-  EXPECT_FALSE(Freed);
-  EXPECT_EQ(D.pendingCount(), 1u);
-
-  D.unpin(*S);
-  EXPECT_EQ(D.tryReclaim(), 1u);
-  EXPECT_TRUE(Freed);
-  EXPECT_EQ(D.pendingCount(), 0u);
-  EXPECT_EQ(D.retiredCount(), 1u);
-  EXPECT_EQ(D.freedCount(), 1u);
-  D.releaseSlot(S);
-}
-
-TEST(EpochDomain, QuiescentDomainDrainsImmediately) {
-  support::EpochDomain D;
-  int Freed = 0;
-  for (int I = 0; I < 5; ++I)
-    D.retire([&Freed] { ++Freed; });
-  EXPECT_EQ(D.tryReclaim(), 5u);
-  EXPECT_EQ(Freed, 5);
-}
-
-TEST(EpochDomain, ReclaimAllRequiresQuiescence) {
-  support::EpochDomain D;
-  bool Freed = false;
-  D.retire([&Freed] { Freed = true; });
-  EXPECT_EQ(D.reclaimAll(), 1u);
-  EXPECT_TRUE(Freed);
-}
-
-TEST(EpochDomain, GuardPinsForItsScope) {
-  support::EpochDomain D;
-  support::EpochDomain::Slot *S = D.acquireSlot();
-  bool Freed = false;
-  {
-    support::EpochGuard G(D, *S);
-    EXPECT_GE(G.epoch(), 1u);
-    EXPECT_EQ(D.pinnedReaders(), 1u);
-    D.retire([&Freed] { Freed = true; });
-    D.tryReclaim();
-    EXPECT_FALSE(Freed);
-  }
-  EXPECT_EQ(D.pinnedReaders(), 0u);
-  D.tryReclaim();
-  EXPECT_TRUE(Freed);
-  D.releaseSlot(S);
-}
-
-TEST(EpochDomain, SlotsArePooled) {
-  support::EpochDomain D;
-  support::EpochDomain::Slot *A = D.acquireSlot();
-  D.releaseSlot(A);
-  support::EpochDomain::Slot *B = D.acquireSlot();
-  EXPECT_EQ(A, B) << "released slot should be reused before growing";
-  D.releaseSlot(B);
-}
-
-/// The reclamation safety property under real concurrency: readers
-/// continuously pin, read the published object, and verify it is
-/// internally consistent; the writer keeps swapping + retiring.  A
-/// premature free shows up as a torn read (and, under TSAN, as a race).
-TEST(EpochDomain, ConcurrentPublishNeverFreesVisibleObject) {
-  struct Obj {
-    uint64_t A = 0;
-    uint64_t B = 0; ///< invariant: B == ~A
-  };
-  support::EpochDomain D;
-  std::atomic<const Obj *> Cur{new Obj{0, ~uint64_t{0}}};
-
-  constexpr int kReaders = 4;
-  constexpr int kVersions = 400;
-  std::atomic<bool> Stop{false};
-  std::atomic<uint64_t> Torn{0};
-
-  std::vector<support::EpochDomain::Slot *> Slots;
-  for (int I = 0; I < kReaders; ++I)
-    Slots.push_back(D.acquireSlot());
-
-  std::vector<std::thread> Readers;
-  for (int I = 0; I < kReaders; ++I)
-    Readers.emplace_back([&, I] {
-      while (!Stop.load(std::memory_order_acquire)) {
-        support::EpochGuard G(D, *Slots[I]);
-        const Obj *O = Cur.load(std::memory_order_acquire);
-        if (O->B != ~O->A)
-          Torn.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-
-  for (uint64_t V = 1; V <= kVersions; ++V) {
-    const Obj *Next = new Obj{V, ~V};
-    const Obj *Old = Cur.exchange(Next, std::memory_order_acq_rel);
-    D.retire([Old] { delete Old; });
-    D.tryReclaim();
-  }
-  Stop.store(true, std::memory_order_release);
-  for (std::thread &T : Readers)
-    T.join();
-  for (support::EpochDomain::Slot *S : Slots)
-    D.releaseSlot(S);
-
-  EXPECT_EQ(Torn.load(), 0u);
-  delete Cur.load();
-  D.reclaimAll();
-  EXPECT_EQ(D.freedCount(), D.retiredCount());
-  EXPECT_EQ(D.retiredCount(), static_cast<uint64_t>(kVersions));
-}
-
-//===----------------------------------------------------------------------===//
-// Snapshot publication.
-//===----------------------------------------------------------------------===//
-
-TEST(SnapshotPublisher, VersionsAdvanceAndRetireesDrain) {
-  support::EpochDomain D;
-  jit::SnapshotPublisher P(D);
-  EXPECT_EQ(P.current(), nullptr);
-  for (uint64_t V = 1; V <= 3; ++V) {
-    auto S = std::make_unique<jit::TransSnapshot>();
-    S->Version = V;
-    P.publish(std::unique_ptr<const jit::TransSnapshot>(std::move(S)));
-    ASSERT_NE(P.current(), nullptr);
-    EXPECT_EQ(P.current()->Version, V);
-  }
-  EXPECT_EQ(P.published(), 3u);
-  // Two superseded snapshots retired; with no reader pinned they free
-  // on the opportunistic reclaim inside publish().
-  EXPECT_EQ(D.retiredCount(), 2u);
-  EXPECT_EQ(D.pendingCount(), 0u);
-}
 
 //===----------------------------------------------------------------------===//
 // Server fixtures.
@@ -223,6 +78,28 @@ protected:
     }
   }
 
+  /// The serial twin: runs the profiling prefix on \p S, drains the
+  /// retranslate-all it queued to maturity, then serves the first \p N
+  /// schedule requests one at a time and \returns their observables.
+  static std::vector<vm::RequestObservables>
+  matureSerialObservables(vm::Server &S, uint32_t Profile, uint32_t N) {
+    profilePrefix(S, Profile);
+    EXPECT_TRUE(S.theJit().hasPendingWork());
+    while (S.theJit().hasPendingWork())
+      S.grantJitTime(1.0);
+    EXPECT_EQ(S.theJit().phase(), jit::JitPhase::Mature);
+    std::vector<vm::RequestObservables> Obs;
+    for (uint32_t Rq = 0; Rq < N; ++Rq)
+      Obs.push_back(S.executeRequest(endpointFor(Rq), argsFor(Rq)).Obs);
+    return Obs;
+  }
+
+  static bool sameObservables(const vm::RequestObservables &A,
+                              const vm::RequestObservables &B) {
+    return A.Ret == B.Ret && A.Output == B.Output && A.Faults == B.Faults &&
+           A.Ok == B.Ok;
+  }
+
   static fleet::Workload *W;
 };
 
@@ -237,19 +114,11 @@ TEST_F(ServerConcurrencyFixture, RetranslateAllUnderLiveLoadMatchesSerial) {
   constexpr uint32_t kServe = 48;
   constexpr uint32_t kClients = 4;
 
-  // Twin A: serial reference.  Drain the queued retranslate-all to
-  // maturity, then serve the schedule one request at a time.
-  vm::ServerConfig CA = fastConfig();
-  vm::Server A(W->Repo, CA, 7);
+  // Twin A: serial reference.
+  vm::Server A(W->Repo, fastConfig(), 7);
   A.startup();
-  profilePrefix(A, kProfile);
-  ASSERT_TRUE(A.theJit().hasPendingWork());
-  while (A.theJit().hasPendingWork())
-    A.grantJitTime(1.0);
-  ASSERT_EQ(A.theJit().phase(), jit::JitPhase::Mature);
-  std::vector<vm::RequestObservables> SerialObs;
-  for (uint32_t Rq = 0; Rq < kServe; ++Rq)
-    SerialObs.push_back(A.executeRequest(endpointFor(Rq), argsFor(Rq)).Obs);
+  std::vector<vm::RequestObservables> SerialObs =
+      matureSerialObservables(A, kProfile, kServe);
   std::string SerialPlacement = A.theJit().transDb().placementDigest();
 
   // Twin B: identical profiling prefix, then the retranslate-all runs on
@@ -303,12 +172,9 @@ TEST_F(ServerConcurrencyFixture, RetranslateAllUnderLiveLoadMatchesSerial) {
   // The concurrent engine is semantically invisible: per-index
   // observables and the final translation placement match the serial
   // twin exactly.
-  for (uint32_t Rq = 0; Rq < kServe; ++Rq) {
-    EXPECT_EQ(ConcObs[Rq].Ret, SerialObs[Rq].Ret) << "request " << Rq;
-    EXPECT_EQ(ConcObs[Rq].Output, SerialObs[Rq].Output) << "request " << Rq;
-    EXPECT_EQ(ConcObs[Rq].Faults, SerialObs[Rq].Faults) << "request " << Rq;
-    EXPECT_EQ(ConcObs[Rq].Ok, SerialObs[Rq].Ok) << "request " << Rq;
-  }
+  for (uint32_t Rq = 0; Rq < kServe; ++Rq)
+    EXPECT_TRUE(sameObservables(ConcObs[Rq], SerialObs[Rq]))
+        << "request " << Rq;
   EXPECT_EQ(B.theJit().transDb().placementDigest(), SerialPlacement);
 }
 
@@ -395,13 +261,116 @@ TEST_F(ServerConcurrencyFixture, SnapshotCaptureMatchesJitCosts) {
   profilePrefix(S, 20);
   while (S.theJit().hasPendingWork())
     S.grantJitTime(1.0);
-  auto Snap = jit::TransSnapshot::capture(S.theJit(), 1);
-  ASSERT_EQ(Snap->CostPerBytecode.size(), W->Repo.numFuncs());
-  EXPECT_GT(Snap->Translations, 0u);
+  jit::TransSnapshot Snap = jit::TransSnapshot::capture(S.theJit());
+  ASSERT_EQ(Snap.CostPerBytecode.size(), W->Repo.numFuncs());
   for (size_t F = 0; F < W->Repo.numFuncs(); ++F)
-    EXPECT_EQ(Snap->CostPerBytecode[F],
+    EXPECT_EQ(Snap.CostPerBytecode[F],
               S.theJit().execCostPerBytecode(
                   bc::FuncId(static_cast<uint32_t>(F))));
+}
+
+//===----------------------------------------------------------------------===//
+// Snapshot publication.
+//===----------------------------------------------------------------------===//
+
+/// Publication stress: four clients serve while the compile thread
+/// drains the retranslate-all in grants small enough to publish hundreds
+/// of snapshots.  A request reading a snapshot that another thread freed
+/// shows as a use-after-free under ASan and as a race under TSan.  The
+/// clients stop before the compile thread's last grants, so a
+/// superseded snapshot that outlived its request (say, cached in its
+/// execution context) shows as a short reclaim count.
+TEST_F(ServerConcurrencyFixture, PublicationStressMatchesSerial) {
+  constexpr uint32_t kProfile = 20;
+  constexpr uint32_t kSchedule = 48;
+  constexpr uint32_t kClients = 4;
+  constexpr double kGrantSeconds = 0.002;
+  constexpr uint64_t kMinSnapshots = 200;
+  /// Grants the compile thread makes while the clients serve.
+  constexpr uint64_t kServingGrants = 150;
+
+  vm::Server A(W->Repo, fastConfig(), 7);
+  A.startup();
+  std::vector<vm::RequestObservables> SerialObs =
+      matureSerialObservables(A, kProfile, kSchedule);
+
+  vm::ServerConfig CB = fastConfig();
+  CB.ServeWorkers = kClients;
+  vm::Server B(W->Repo, CB, 7);
+  B.startup();
+  profilePrefix(B, kProfile);
+  ASSERT_TRUE(B.theJit().hasPendingWork());
+
+  B.beginConcurrentServing();
+  std::atomic<uint32_t> Next{0};
+  std::atomic<uint64_t> Grants{0};
+  std::atomic<bool> ClientsDone{false};
+  std::thread Compiler([&] {
+    uint32_t Started = 0;
+    while (B.theJit().hasPendingWork()) {
+      if (Grants.load(std::memory_order_relaxed) < kServingGrants) {
+        // Paced to the clients: a request starts between any two grants.
+        while (Next.load(std::memory_order_acquire) <= Started)
+          std::this_thread::yield();
+        Started = Next.load(std::memory_order_acquire);
+      } else {
+        while (!ClientsDone.load(std::memory_order_acquire))
+          std::this_thread::yield();
+      }
+      B.runBackgroundJitWork(kGrantSeconds);
+      Grants.fetch_add(1, std::memory_order_release);
+    }
+  });
+
+  std::atomic<uint64_t> Mismatches{0};
+  auto Client = [&] {
+    while (Grants.load(std::memory_order_acquire) < kServingGrants) {
+      uint32_t Rq = Next.fetch_add(1, std::memory_order_relaxed);
+      uint32_t Entry = Rq % kSchedule;
+      vm::RequestResult Res = B.serve(endpointFor(Entry), argsFor(Entry), Rq);
+      if (Res.Shed || !sameObservables(Res.Obs, SerialObs[Entry]))
+        Mismatches.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::vector<std::thread> Clients;
+  for (uint32_t I = 0; I < kClients; ++I)
+    Clients.emplace_back(Client);
+  for (std::thread &T : Clients)
+    T.join();
+  ClientsDone.store(true, std::memory_order_release);
+  Compiler.join();
+  vm::ServeStats Stats = B.endConcurrentServing();
+
+  EXPECT_EQ(B.theJit().phase(), jit::JitPhase::Mature);
+  EXPECT_GT(Grants.load(), kServingGrants)
+      << "the drain must outlast the clients";
+  EXPECT_GE(Stats.SnapshotsPublished, kMinSnapshots);
+  EXPECT_EQ(Stats.SnapshotsReclaimed, Stats.SnapshotsPublished - 1);
+  EXPECT_EQ(Stats.Served, Next.load());
+  EXPECT_EQ(Mismatches.load(), 0u);
+}
+
+/// serve() prices each request against the newest snapshot: the same
+/// request costs less once the retranslate-all has drained, and the
+/// same again on the unchanged snapshot.
+TEST_F(ServerConcurrencyFixture, ServePricesAgainstNewestSnapshot) {
+  vm::Server S(W->Repo, fastConfig(), 7);
+  S.startup();
+  profilePrefix(S, 20);
+  ASSERT_TRUE(S.theJit().hasPendingWork());
+
+  S.beginConcurrentServing();
+  bc::FuncId F = endpointFor(0);
+  std::vector<runtime::Value> Args = argsFor(0);
+  double Before = S.serve(F, Args, 0).Seconds;
+  while (S.theJit().hasPendingWork())
+    S.runBackgroundJitWork(1.0);
+  double After = S.serve(F, Args, 0).Seconds;
+  double Again = S.serve(F, Args, 0).Seconds;
+  S.endConcurrentServing();
+
+  EXPECT_LT(After, Before);
+  EXPECT_EQ(After, Again);
 }
 
 //===----------------------------------------------------------------------===//

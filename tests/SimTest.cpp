@@ -253,10 +253,10 @@ TEST(Machine, FetchBlockMatchesPerInstructionFetch) {
   uint64_t Straddles = 0;
   for (int Block = 0; Block < 5000; ++Block) {
     // Blocks start anywhere in 32 pages, often just before a page end.
-    uint64_t Page = R.nextBelow(32) * Config.PageBytes;
+    uint64_t Page = R.nextBelow(32) * kPageBytes;
     uint64_t Start = R.nextBool(0.5)
-                         ? Page + Config.PageBytes - 1 - R.nextBelow(48)
-                         : Page + R.nextBelow(Config.PageBytes);
+                         ? Page + kPageBytes - 1 - R.nextBelow(48)
+                         : Page + R.nextBelow(kPageBytes);
     std::vector<FetchRun> Lines, Pages;
     uint64_t Addr = Start;
     for (uint64_t I = 0, N = 1 + R.nextBelow(24); I < N; ++I) {
@@ -264,7 +264,7 @@ TEST(Machine, FetchBlockMatchesPerInstructionFetch) {
       Singles.fetch(Addr, Size);
       for (uint64_t Line = Addr / 64; Line <= (Addr + Size - 1) / 64; ++Line)
         addAccess(Lines, Line * 64);
-      addAccess(Pages, Addr / Config.PageBytes * Config.PageBytes);
+      addAccess(Pages, Addr / kPageBytes * kPageBytes);
       Addr += Size;
     }
     Straddles += Pages.size() > 1;

@@ -133,8 +133,8 @@ TEST(Changepoint, ConstantSeriesIsOneSegment) {
 }
 
 TEST(Changepoint, MinSegmentLengthBlocksShortSegments) {
-  // A 2-point excursion cannot become its own segment with the default
-  // MinSegmentLength = 3.
+  // A 2-point excursion cannot become its own segment: segments are at
+  // least 3 points long.
   std::vector<double> V(30, 1.0);
   V[14] = 50.0;
   V[15] = 50.0;

@@ -1,26 +1,29 @@
 #!/usr/bin/env bash
-# Runs one frontend CLI on a one-line program whose integer literal lies
-# past INT64_MAX.  std::strtoll saturates such a literal to INT64_MAX, so
-# the lexer must reject it.  Passes only when the tool exits with STATUS,
-# its documented status for source that fails to compile, and reports
-# the lexer's range error.
+# Runs one frontend CLI on a one-line program that returns LITERAL, a
+# number literal out of range (std::strtoll saturates an integer past
+# INT64_MAX, std::strtod turns a float past DBL_MAX into infinity), so the
+# lexer must reject it.  Passes only when the tool exits with STATUS, its
+# documented status for source that fails to compile, and the first line
+# it prints is the lexer's error MESSAGE.
 #
-# Usage: check_int_literal_range.sh STATUS TOOL [ARGS...]
+# Usage: check_int_literal_range.sh LITERAL MESSAGE STATUS TOOL [ARGS...]
 # The generated file is appended to TOOL's arguments.
 
 set -euo pipefail
 
-if [[ $# -lt 2 ]]; then
-  echo "usage: $0 STATUS TOOL [ARGS...]" >&2
+if [[ $# -lt 4 ]]; then
+  echo "usage: $0 LITERAL MESSAGE STATUS TOOL [ARGS...]" >&2
   exit 2
 fi
-WANT="$1"
-shift
+LITERAL="$1"
+MESSAGE="$2"
+WANT="$3"
+shift 3
 
 TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "${TMP_DIR}"' EXIT
-SRC="${TMP_DIR}/int_literal_range.hack"
-printf 'function main() { return 99999999999999999999999; }\n' > "${SRC}"
+SRC="${TMP_DIR}/literal_range.hack"
+printf 'function main() { return %s; }\n' "${LITERAL}" > "${SRC}"
 
 set +e
 OUT="$("$@" "${SRC}" 2>&1)"
@@ -32,9 +35,9 @@ if [[ ${STATUS} -ne ${WANT} ]]; then
   printf '%s\n' "${OUT}" | head -5
   exit 1
 fi
-if ! grep -q "integer literal out of range" <<< "${OUT}"; then
-  echo "check_int_literal_range.sh: $*: exit ${WANT} without the range error"
+if ! head -n 1 <<< "${OUT}" | grep -qF "${MESSAGE}"; then
+  echo "check_int_literal_range.sh: $*: first line is not '${MESSAGE}'"
   printf '%s\n' "${OUT}" | head -5
   exit 1
 fi
-echo "check_int_literal_range.sh: $*: range error, exit ${WANT}"
+echo "check_int_literal_range.sh: $*: ${MESSAGE}, exit ${WANT}"
