@@ -10,9 +10,10 @@
 /// interpreter dispatch throughput, the request-local value heap,
 /// frontend compilation speed, and the tier-2 pipeline (region selection
 /// + lowering + layout) per function, a cold server's profiling window,
-/// plain-interpreter and shadow-traced requests on the perfbench-sized
-/// site, and the machine simulator's cache lookups against the scan-only
-/// reference -- the costs a downstream user of the library actually pays.
+/// plain-interpreter, shadow-traced and seeder-instrumented requests on
+/// the perfbench-sized site, and the machine simulator's cache lookups
+/// against the scan-only reference -- the costs a downstream user of the
+/// library actually pays.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -371,6 +372,39 @@ void BM_TracedSiteRequests(benchmark::State &State) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_TracedSiteRequests)->Unit(benchmark::kMillisecond);
+
+void BM_SeederSiteRequests(benchmark::State &State) {
+  // The same pool served by a seeder (seeder instrumentation on) that
+  // profiled the whole pool and then drained its retranslate-all: every
+  // function the pool runs has its instrumented optimized translation,
+  // so every frame counts its Vasm blocks, and every entry that is not
+  // inlined its tier-2 call arc.  Ungated, with no snapshot.
+  auto W = perfbenchSite();
+  SiteRequests Requests = sampleRequests(*W, 512);
+  vm::ServerConfig Config;
+  Config.Jit.ProfileRequestTarget = Requests.size();
+  Config.Jit.SeederInstrumentation = true;
+  vm::Server S(W->Repo, Config, 1);
+  S.startup();
+  for (const auto &[F, Args] : Requests) {
+    S.executeRequest(F, Args);
+    S.grantJitTime(0.25);
+  }
+  while (S.theJit().hasPendingWork())
+    S.grantJitTime(1.0);
+  if (S.theJit().phase() != jit::JitPhase::Mature) {
+    State.SkipWithError("retranslate-all did not drain");
+    return;
+  }
+  for (auto _ : State)
+    for (const auto &[F, Args] : Requests)
+      benchmark::DoNotOptimize(S.executeRequest(F, Args).Seconds);
+  State.counters["requests_per_s"] = benchmark::Counter(
+      static_cast<double>(Requests.size()) *
+          static_cast<double>(State.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SeederSiteRequests)->Unit(benchmark::kMillisecond);
 
 /// One seeded, steady-shaped stream for a cache of 32 sets of \p Ways:
 /// requests walk a path of code blocks, each a run of line accesses (one

@@ -102,10 +102,10 @@ int main() {
               "%.2f cost-units/bytecode\n",
               static_cast<unsigned>(T->Unit->Blocks.size()),
               T->Unit->sizeBytes(), T->CostPerBytecode);
-  if (!T->Unit->Inlined.empty()) {
+  if (!T->Unit->inlined().empty()) {
     std::printf("inlined callees:");
-    for (bc::FuncId G : T->Unit->Inlined)
-      std::printf(" %s", W->Repo.func(G).Name.c_str());
+    for (const jit::BlockRange &G : T->Unit->inlined())
+      std::printf(" %s", W->Repo.func(G.Func).Name.c_str());
     std::printf("\n");
   }
 

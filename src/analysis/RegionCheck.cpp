@@ -197,13 +197,13 @@ jumpstart::analysis::lintTranslations(const bc::Repo &R,
       }
     };
     CheckMapped(Unit.Func);
-    for (bc::FuncId Inlined : Unit.Inlined) {
-      if (!Inlined.valid() || Inlined.raw() >= R.numFuncs()) {
+    for (const jit::BlockRange &Inlined : Unit.inlined()) {
+      if (!Inlined.Func.valid() || Inlined.Func.raw() >= R.numFuncs()) {
         Report(T, strFormat("inlined function #%u out of range",
-                            Inlined.raw()));
+                            Inlined.Func.raw()));
         continue;
       }
-      CheckMapped(Inlined);
+      CheckMapped(Inlined.Func);
     }
 
     for (const jit::VasmUnit::CallEdge &E : Unit.CallEdges)

@@ -9,9 +9,11 @@
 
 #include "bytecode/FuncBuilder.h"
 #include "frontend/Parser.h"
+#include "runtime/ValueOps.h"
 #include "support/StringUtil.h"
 
 #include <cstring>
+#include <optional>
 #include <unordered_map>
 
 using namespace jumpstart;
@@ -187,17 +189,43 @@ private:
   // Expressions.
   //===------------------------------------------------------------------===
 
+  /// The value of \p E when it is an int or float literal, or a unary
+  /// minus of such a value: `0 - v`, computed as the Sub the unfolded
+  /// code would run (so `-0.0` is +0.0).  nullopt for anything else.
+  static std::optional<runtime::Value> numericConstant(const Expr &E) {
+    switch (E.K) {
+    case Expr::Kind::IntLit:
+      return runtime::Value::integer(E.IntValue);
+    case Expr::Kind::DblLit:
+      return runtime::Value::dbl(E.DblValue);
+    case Expr::Kind::Unary:
+      if (!E.IsNot)
+        if (std::optional<runtime::Value> V = numericConstant(*E.L))
+          return runtime::arith(runtime::ArithOp::Sub,
+                                runtime::Value::integer(0), *V);
+      return std::nullopt;
+    default:
+      return std::nullopt;
+    }
+  }
+
+  /// Emits the one Int or Dbl that pushes the int or double \p V.
+  void emitNumber(const runtime::Value &V) {
+    if (V.isInt()) {
+      B.emit(Op::Int, V.I);
+      return;
+    }
+    int64_t Bits;
+    std::memcpy(&Bits, &V.D, sizeof(Bits));
+    B.emit(Op::Dbl, Bits);
+  }
+
   void genExpr(const Expr &E) {
     switch (E.K) {
     case Expr::Kind::IntLit:
-      B.emit(Op::Int, E.IntValue);
+    case Expr::Kind::DblLit:
+      emitNumber(*numericConstant(E));
       return;
-    case Expr::Kind::DblLit: {
-      int64_t Bits;
-      std::memcpy(&Bits, &E.DblValue, sizeof(Bits));
-      B.emit(Op::Dbl, Bits);
-      return;
-    }
     case Expr::Kind::StrLit:
       B.emit(Op::Str, intern(E.Name).raw());
       return;
@@ -222,6 +250,8 @@ private:
       if (E.IsNot) {
         genExpr(*E.L);
         B.emit(Op::Not);
+      } else if (std::optional<runtime::Value> C = numericConstant(E)) {
+        emitNumber(*C);
       } else {
         B.emit(Op::Int, 0);
         genExpr(*E.L);

@@ -240,6 +240,19 @@ StmtPtr Parser::parseStatement() {
     S->Body = parseBlock();
     return S;
   }
+  case TokKind::Error: {
+    // A lexer error, reported when it was read, that ended the previous
+    // statement early (`1 & 2` stops before the `&`) or starts this one:
+    // skip the rest of the statement rather than parse what follows the
+    // error as a statement the source never wrote.
+    auto S = std::make_unique<Stmt>(Stmt::Kind::Block);
+    S->Line = Cur.Line;
+    while (!check(TokKind::Semi) && !check(TokKind::RBrace) &&
+           !check(TokKind::Eof))
+      bump();
+    accept(TokKind::Semi);
+    return S;
+  }
   default:
     return parseExprOrAssign();
   }

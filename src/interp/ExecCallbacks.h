@@ -17,12 +17,15 @@
 /// tracer that feeds the micro-architecture simulator.
 ///
 /// Observation is decided per frame: right after onFuncEnter the
-/// interpreter asks observeFrame, and a frame answered EntryExit runs the
-/// same plain body as a frame with no callbacks attached.  A tier pays
-/// only for what it records.  Observed and plain frames run the same
-/// quickened code, superinstructions included; each event still fires at
-/// the instruction it names, exactly as if every instruction had been
-/// dispatched on its own.
+/// interpreter asks observeFrame for the set of body events the frame
+/// reports.  The observed loop tests that set before each callback, and a
+/// frame answered the empty set (EntryExit) runs the same plain body as a
+/// frame with no callbacks attached.  A tier pays only for what it
+/// records: an instrumented optimized frame of a seeder asks for its
+/// blocks alone.  Observed and plain frames run the same quickened code,
+/// superinstructions included; each event still fires at the instruction
+/// it names, exactly as if every instruction had been dispatched on its
+/// own.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,20 +39,38 @@
 
 namespace jumpstart::interp {
 
-/// What the interpreter reports for one frame (ExecCallbacks::observeFrame).
+/// The body events the interpreter reports for one frame
+/// (ExecCallbacks::observeFrame), one bit per callback; onFuncEnter and
+/// onFuncExit fire whatever the set.
 enum class FrameObservation : uint8_t {
-  /// onFuncEnter and onFuncExit only; the body runs unobserved.
-  EntryExit,
+  /// No body event: the body runs unobserved.
+  EntryExit = 0,
+  Blocks = 1 << 0,       ///< onBlockEnter
+  Types = 1 << 1,        ///< onTypeObserve
+  Props = 1 << 2,        ///< onPropAccess
+  Data = 1 << 3,         ///< onDataAccess
+  VirtualCalls = 1 << 4, ///< onVirtualCall
+  Instrs = 1 << 5,       ///< onInstr
   /// Every body event except onInstr.
-  Body,
+  Body = Blocks | Types | Props | Data | VirtualCalls,
   /// Every body event, onInstr for each executed instruction included.
-  BodyAndInstrs,
+  BodyAndInstrs = Body | Instrs,
 };
 
-/// Observation hooks; all default to no-ops.  Body events fire only in
-/// frames whose observeFrame answer asks for them; every other frame, and
-/// every frame when no callback object is attached, runs the plain
-/// interpreter body.
+constexpr FrameObservation operator|(FrameObservation A, FrameObservation B) {
+  return static_cast<FrameObservation>(static_cast<uint8_t>(A) |
+                                       static_cast<uint8_t>(B));
+}
+
+/// Whether \p Set includes any event of \p Events.
+constexpr bool observes(FrameObservation Set, FrameObservation Events) {
+  return (static_cast<uint8_t>(Set) & static_cast<uint8_t>(Events)) != 0;
+}
+
+/// Observation hooks; all default to no-ops.  A body event fires only in
+/// frames whose observeFrame answer includes it; a frame answered
+/// EntryExit, and every frame when no callback object is attached, runs
+/// the plain interpreter body.
 class ExecCallbacks {
 public:
   virtual ~ExecCallbacks() = default;
@@ -73,17 +94,17 @@ public:
     (void)Block;
   }
 
-  /// What to report for the frame of \p F just entered.  Queried once per
-  /// frame, right after onFuncEnter for \p F; onFuncExit fires whatever
-  /// the answer.  Calls made from the frame ask again for their own
-  /// frames.
+  /// The body events to report for the frame of \p F just entered.
+  /// Queried once per frame, right after onFuncEnter for \p F; onFuncExit
+  /// fires whatever the answer.  Calls made from the frame ask again for
+  /// their own frames.
   virtual FrameObservation observeFrame(bc::FuncId F) {
     (void)F;
     return FrameObservation::Body;
   }
 
   /// Instruction \p InstrIndex of \p F is about to execute at call depth
-  /// \p Depth (only in BodyAndInstrs frames).
+  /// \p Depth (only in frames that observe Instrs).
   virtual void onInstr(bc::FuncId F, uint32_t InstrIndex, uint32_t Depth) {
     (void)F;
     (void)InstrIndex;

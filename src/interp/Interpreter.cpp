@@ -15,7 +15,8 @@
 // plain instantiation contains no observation code at all.  enterFrame
 // picks the instantiation once per frame, from the callbacks'
 // observeFrame answer, so frames nobody records run the plain body even
-// while callbacks are attached.
+// while callbacks are attached; the observed one tests the answer's
+// event set before each callback.
 //
 // Both instantiations run each function's quickened code
 // (FuncExecInfo::Quick), whose superinstructions execute a whole
@@ -117,16 +118,19 @@ Value Interpreter::enterFrame(bc::FuncId FId, const Value *Args,
     Observe = Callbacks->observeFrame(FId);
   }
   const bc::Function &F = R.func(FId);
-  Value Ret =
-      Observe == FrameObservation::EntryExit
-          ? execFrameFast<false>(F, Info, FId, Args, NumArgs, This, Depth,
-                                 false)
-          : execFrameFast<true>(F, Info, FId, Args, NumArgs, This, Depth,
-                                Observe == FrameObservation::BodyAndInstrs);
+  Value Ret = Observe == FrameObservation::EntryExit
+                  ? execFrameFast<false>(F, Info, FId, Args, NumArgs, This,
+                                         Depth, Observe)
+                  : execFrameFast<true>(F, Info, FId, Args, NumArgs, This,
+                                        Depth, Observe);
   if (Callbacks)
     Callbacks->onFuncExit(FId);
   return Ret;
 }
+
+// Whether the frame reports body event E (FrameObservation::E); wrapped in
+// `if constexpr (Instrumented)` wherever it guards a callback.
+#define VM_OBSERVES(E) observes(Observe, FrameObservation::E)
 
 #define VM_CASE(Name) lbl_##Name
 #define VM_SUPER(Name) lbl_##Name
@@ -154,12 +158,14 @@ Value Interpreter::enterFrame(bc::FuncId FId, const Value *Args,
     }                                                                          \
     if constexpr (Instrumented) {                                              \
       uint32_t IPc = VM_PC();                                                  \
-      uint32_t B = PcToBlock[IPc];                                             \
-      if (B != CurBlock) {                                                     \
-        CurBlock = B;                                                          \
-        Callbacks->onBlockEnter(FId, B);                                       \
+      if (VM_OBSERVES(Blocks)) {                                               \
+        uint32_t B = PcToBlock[IPc];                                           \
+        if (B != CurBlock) {                                                   \
+          CurBlock = B;                                                        \
+          Callbacks->onBlockEnter(FId, B);                                     \
+        }                                                                      \
       }                                                                        \
-      if (TraceInstrs)                                                         \
+      if (VM_OBSERVES(Instrs))                                                 \
         Callbacks->onInstr(FId, IPc, Depth);                                   \
     }                                                                          \
   } while (0)
@@ -263,7 +269,7 @@ template <bool Instrumented>
 Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
                                  bc::FuncId FId, const Value *Args,
                                  uint32_t NumArgs, Value This, uint32_t Depth,
-                                 [[maybe_unused]] bool TraceInstrs) {
+                                 [[maybe_unused]] FrameObservation Observe) {
   [[maybe_unused]] const uint32_t *PcToBlock = nullptr;
   if constexpr (Instrumented)
     PcToBlock = Blocks.pcToBlock(FId);
@@ -376,8 +382,9 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
     }
     C.V->Elems.push_back(V);
     if constexpr (Instrumented)
-      Callbacks->onDataAccess(C.V->Addr + 16 * C.V->Elems.size(),
-                              /*IsWrite=*/true);
+      if (VM_OBSERVES(Data))
+        Callbacks->onDataAccess(C.V->Addr + 16 * C.V->Elems.size(),
+                                /*IsWrite=*/true);
     VM_PUSH(C);
     VM_NEXT();
   }
@@ -400,8 +407,9 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
                     : runtime::DictKey::fromInt(runtime::toInt(K)),
           V);
     if constexpr (Instrumented)
-      Callbacks->onDataAccess(C.Dt->Addr + 16 * C.Dt->Entries.size(),
-                              /*IsWrite=*/true);
+      if (VM_OBSERVES(Data))
+        Callbacks->onDataAccess(C.Dt->Addr + 16 * C.Dt->Entries.size(),
+                                /*IsWrite=*/true);
     VM_PUSH(C);
     VM_NEXT();
   }
@@ -410,7 +418,8 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
     Value K = VM_POP();
     Value C = VM_POP();
     if constexpr (Instrumented)
-      Callbacks->onTypeObserve(FId, VM_PC(), C.T);
+      if (VM_OBSERVES(Types))
+        Callbacks->onTypeObserve(FId, VM_PC(), C.T);
     if (C.isVec()) {
       int64_t Index = runtime::toInt(K);
       if (Index < 0 || Index >= static_cast<int64_t>(C.V->Elems.size())) {
@@ -418,8 +427,9 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
         VM_NEXT();
       }
       if constexpr (Instrumented)
-        Callbacks->onDataAccess(C.V->Addr + 16 * (Index + 1),
-                                /*IsWrite=*/false);
+        if (VM_OBSERVES(Data))
+          Callbacks->onDataAccess(C.V->Addr + 16 * (Index + 1),
+                                  /*IsWrite=*/false);
       VM_PUSH(C.V->Elems[static_cast<size_t>(Index)]);
       VM_NEXT();
     }
@@ -429,8 +439,9 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
       int64_t At = K.isStr() ? C.Dt->find(std::string_view(K.S->Data))
                              : C.Dt->find(runtime::toInt(K));
       if constexpr (Instrumented)
-        Callbacks->onDataAccess(C.Dt->Addr + 16 * (At >= 0 ? At + 1 : 1),
-                                /*IsWrite=*/false);
+        if (VM_OBSERVES(Data))
+          Callbacks->onDataAccess(C.Dt->Addr + 16 * (At >= 0 ? At + 1 : 1),
+                                  /*IsWrite=*/false);
       if (At < 0) {
         VM_PUSH(Value::null());
         VM_NEXT();
@@ -447,7 +458,8 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
     Value K = VM_POP();
     Value C = VM_POP();
     if constexpr (Instrumented)
-      Callbacks->onTypeObserve(FId, VM_PC(), C.T);
+      if (VM_OBSERVES(Types))
+        Callbacks->onTypeObserve(FId, VM_PC(), C.T);
     if (C.isVec()) {
       int64_t Index = runtime::toInt(K);
       int64_t Size = static_cast<int64_t>(C.V->Elems.size());
@@ -460,8 +472,9 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
         VM_NEXT();
       }
       if constexpr (Instrumented)
-        Callbacks->onDataAccess(C.V->Addr + 16 * (Index + 1),
-                                /*IsWrite=*/true);
+        if (VM_OBSERVES(Data))
+          Callbacks->onDataAccess(C.V->Addr + 16 * (Index + 1),
+                                  /*IsWrite=*/true);
       VM_PUSH(C);
       VM_NEXT();
     }
@@ -476,8 +489,9 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
                       : runtime::DictKey::fromInt(runtime::toInt(K)),
             V);
       if constexpr (Instrumented)
-        Callbacks->onDataAccess(C.Dt->Addr + 16 * C.Dt->Entries.size(),
-                                /*IsWrite=*/true);
+        if (VM_OBSERVES(Data))
+          Callbacks->onDataAccess(C.Dt->Addr + 16 * C.Dt->Entries.size(),
+                                  /*IsWrite=*/true);
       VM_PUSH(C);
       VM_NEXT();
     }
@@ -529,7 +543,8 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
     if ((Res).isNull() && !((A).isNull() || (B).isNull()))                     \
       ++Faults;                                                                \
     if constexpr (Instrumented)                                                \
-      Callbacks->onTypeObserve(FId, VM_PC(), (A).T);                                \
+      if (VM_OBSERVES(Types))                                                  \
+        Callbacks->onTypeObserve(FId, VM_PC(), (A).T);                         \
     VM_PUSH(Res);                                                              \
     VM_NEXT();                                                                 \
   } while (0)
@@ -624,7 +639,8 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
     Value B = VM_POP();                                                        \
     Value A = VM_POP();                                                        \
     if constexpr (Instrumented)                                                \
-      Callbacks->onTypeObserve(FId, VM_PC(), A.T);                                  \
+      if (VM_OBSERVES(Types))                                                  \
+        Callbacks->onTypeObserve(FId, VM_PC(), A.T);                           \
     if (exactIntPair(A, B))                                                    \
       VM_PUSH(Value::boolean(IntExpr));                                        \
     else                                                                       \
@@ -705,7 +721,8 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
         Res = fault();
       } else {
         if constexpr (Instrumented)
-          Callbacks->onVirtualCall(FId, VM_PC(), Callee);
+          if (VM_OBSERVES(VirtualCalls))
+            Callbacks->onVirtualCall(FId, VM_PC(), Callee);
         Res = enterFrame(Callee, CallArgs, N, Recv, FId, Depth + 1);
       }
     }
@@ -761,10 +778,12 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
       VM_NEXT();
     }
     if constexpr (Instrumented) {
-      Callbacks->onPropAccess(L->id(), In.strImm(), /*IsWrite=*/false,
-                              Obj.O->slotAddr(static_cast<uint32_t>(Slot)));
-      Callbacks->onTypeObserve(FId, VM_PC(),
-                               Obj.O->Slots[static_cast<size_t>(Slot)].T);
+      if (VM_OBSERVES(Props))
+        Callbacks->onPropAccess(L->id(), In.strImm(), /*IsWrite=*/false,
+                                Obj.O->slotAddr(static_cast<uint32_t>(Slot)));
+      if (VM_OBSERVES(Types))
+        Callbacks->onTypeObserve(FId, VM_PC(),
+                                 Obj.O->Slots[static_cast<size_t>(Slot)].T);
     }
     VM_PUSH(Obj.O->Slots[static_cast<size_t>(Slot)]);
     VM_NEXT();
@@ -797,8 +816,9 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
       VM_NEXT();
     }
     if constexpr (Instrumented)
-      Callbacks->onPropAccess(L->id(), In.strImm(), /*IsWrite=*/true,
-                              Obj.O->slotAddr(static_cast<uint32_t>(Slot)));
+      if (VM_OBSERVES(Props))
+        Callbacks->onPropAccess(L->id(), In.strImm(), /*IsWrite=*/true,
+                                Obj.O->slotAddr(static_cast<uint32_t>(Slot)));
     Obj.O->Slots[static_cast<size_t>(Slot)] = V;
     VM_NEXT();
   }
@@ -825,7 +845,8 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
 // owes.
 #define VM_SUPER_GUARD(First, Cond)                                            \
   do {                                                                         \
-    if ((Instrumented && TraceInstrs) || JS_UNLIKELY(Checked || !(Cond)))     \
+    if ((Instrumented && VM_OBSERVES(Instrs)) ||                               \
+        JS_UNLIKELY(Checked || !(Cond)))                                       \
       goto lbl_##First;                                                        \
   } while (0)
 
@@ -834,7 +855,8 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
 #define VM_SUPER_TYPE(Off)                                                     \
   do {                                                                         \
     if constexpr (Instrumented)                                                \
-      Callbacks->onTypeObserve(FId, VM_PC() + (Off), runtime::Type::Int);      \
+      if (VM_OBSERVES(Types))                                                  \
+        Callbacks->onTypeObserve(FId, VM_PC() + (Off), runtime::Type::Int);    \
   } while (0)
 
   // Int;binop: the stack top is the left operand, the immediate the right.
@@ -981,6 +1003,7 @@ ExitLoop:
   return RetVal;
 }
 
+#undef VM_OBSERVES
 #undef VM_CASE
 #undef VM_SUPER
 #undef VM_DISPATCH

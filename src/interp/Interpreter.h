@@ -131,15 +131,16 @@ public:
 private:
   /// The frame loop.  Instrumented is decided once per frame by
   /// enterFrame: the plain instantiation contains no callback code at
-  /// all.  Both run the quickened code and its superinstructions.
-  /// \p TraceInstrs (Instrumented only) fires onInstr per executed
-  /// instruction, and makes every superinstruction run its sequence one
+  /// all.  Both run the quickened code and its superinstructions.  The
+  /// observed one fires each body event only when \p Observe includes
+  /// it; with FrameObservation::Instrs it fires onInstr per executed
+  /// instruction, and every superinstruction runs its sequence one
   /// instruction at a time.
   template <bool Instrumented>
   runtime::Value execFrameFast(const bc::Function &F, FuncExecInfo &Info,
                                bc::FuncId FId, const runtime::Value *Args,
                                uint32_t NumArgs, runtime::Value This,
-                               uint32_t Depth, bool TraceInstrs);
+                               uint32_t Depth, FrameObservation Observe);
   /// Frame entry for call() and every call site: the call-depth limit,
   /// then the verifier's verdict (an unverified function faults), then
   /// onFuncEnter and observeFrame, the frame loop the answer selects, and

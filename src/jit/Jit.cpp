@@ -460,13 +460,14 @@ profile::ProfilePackage Jit::buildPackage(uint32_t Region, uint32_t Bucket,
   Store.render();
   Store.exportToPackage(Pkg);
   Pkg.Opt = OptProf;
+  OptCounts.renderInto(Pkg.Opt);
   Props.renderInto(R, Pkg.Opt);
 
   // Category 4: the precomputed function order, from the tier-2 call
   // graph when seeder instrumentation collected one.
   layout::CallGraph G;
-  if (!OptProf.CallArcs.empty())
-    G = buildTier2CallGraph(R, OptProf, Store);
+  if (!Pkg.Opt.CallArcs.empty())
+    G = buildTier2CallGraph(R, Pkg.Opt, Store);
   else
     G = buildTier1CallGraph(R, Blocks, Store);
   Pkg.Intermediate.FuncOrder = layout::c3Order(G);

@@ -182,7 +182,12 @@ public:
     Store.touch(*S);
     return *S;
   }
-  /// Seeder-side optimized-code profile (section V data).
+  /// The Vasm block and call-arc counters of instrumented optimized
+  /// frames (section V-A and V-B data); buildPackage renders them.
+  profile::OptCounters &optCounters() { return OptCounts; }
+  /// Seeder-side optimized-code profile maps, which buildPackage renders
+  /// the counters into.  Only the test-only map recorder
+  /// (testing::ReferenceProfilingHooks) writes them directly.
   profile::OptProfile &optProfile() { return OptProf; }
   /// Property-access and property-affinity counters of tier-1 frames
   /// (section V-C; affinity is the section's future-work extension).
@@ -325,6 +330,7 @@ private:
   TransDb Db;
   profile::ProfileStore Store;
   profile::OptProfile OptProf;
+  profile::OptCounters OptCounts;
   profile::PropCounters Props;
 
   obs::Observability *Obs = nullptr;

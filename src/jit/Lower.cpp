@@ -428,12 +428,12 @@ void FuncLowering::emitFunction(bc::FuncId F, double InlineScale) {
   uint32_t Base = static_cast<uint32_t>(Unit.Blocks.size());
   bool HaveCounts = optimized() && Prof &&
                     Prof->BlockCounts.size() == BL.numBlocks();
+  Unit.Ranges.push_back({F, Base, static_cast<uint32_t>(BL.numBlocks())});
 
   for (uint32_t BId = 0; BId < BL.numBlocks(); ++BId) {
     const bc::BcBlock &BcB = BL.block(BId);
     Unit.Blocks.emplace_back();
     VBlock &VB = Unit.Blocks.back();
-    Unit.mapBlock(F, BId, Base + BId);
 
     // Instrumentation counters head the block: tier-1 translations always,
     // optimized translations only on seeders (paper section V-A).
@@ -529,11 +529,9 @@ jumpstart::jit::lowerFunction(const bc::Repo &R, bc::BlockCache &Blocks,
   auto Unit = std::make_unique<VasmUnit>();
   Unit->Func = Func;
   uint32_t Total = static_cast<uint32_t>(R.func(Func).Code.size());
-  if (Region) {
-    Unit->Inlined = Region->InlinedFuncs;
+  if (Region)
     for (bc::FuncId F : Region->InlinedFuncs)
       Total += static_cast<uint32_t>(R.func(F).Code.size());
-  }
   Unit->BytecodeCount = Total;
   FuncLowering Lowering(R, Blocks, Store, Region, Opts, *Unit);
   Lowering.emitFunction(Func, /*InlineScale=*/1.0);

@@ -34,14 +34,24 @@ void JitProfilingHooks::enterFrame(bc::FuncId Callee, bc::FuncId Caller,
   // Seeder-side instrumentation of optimized code (sections V-A / V-B).
   if (J.config().SeederInstrumentation) {
     const VasmUnit *ParentUnit = Top.ActiveUnit;
-    if (ParentUnit && ParentUnit->isInlined(Callee)) {
+    const BlockRange *Inlined =
+        ParentUnit ? ParentUnit->inlinedRange(Callee) : nullptr;
+    if (Inlined) {
       // Inlined: keep counting in the caller's unit; no entry counter
       // fires, so no tier-2 call arc (the property section V-B needs).
       F.ActiveUnit = ParentUnit;
-      F.IsInstrumentedOpt = Top.IsInstrumentedOpt;
+      F.VasmRow = Top.VasmRow;
+      F.VasmBase = Inlined->Base;
+      F.VasmBlocks = Inlined->NumBlocks;
     } else if (T && T->Kind == TransKind::Optimized) {
-      F.ActiveUnit = T->Unit.get();
-      F.IsInstrumentedOpt = true;
+      const VasmUnit &Unit = *T->Unit;
+      assert(!Unit.Ranges.empty() && "a lowered unit has its own range");
+      profile::OptCounters &Counters = J.optCounters();
+      F.ActiveUnit = &Unit;
+      F.VasmRow = Counters.row(Unit.Func.raw(),
+                               static_cast<uint32_t>(Unit.Blocks.size()));
+      F.VasmBase = Unit.Ranges.front().Base;
+      F.VasmBlocks = Unit.Ranges.front().NumBlocks;
       // Entry counter: the tier-2 call graph arc.  The caller is the
       // *physical* one -- the unit whose code issued the call -- which
       // differs from the semantic caller when that function was inlined
@@ -51,7 +61,7 @@ void JitProfilingHooks::enterFrame(bc::FuncId Callee, bc::FuncId Caller,
       bc::FuncId PhysicalCaller =
           ParentUnit ? ParentUnit->Func : Caller;
       if (PhysicalCaller.valid())
-        J.optProfile().CallArcs[{PhysicalCaller.raw(), Callee.raw()}] += 1;
+        Counters.countArc(PhysicalCaller.raw(), Callee.raw());
     }
   }
 
@@ -67,30 +77,37 @@ void JitProfilingHooks::onFuncExit(bc::FuncId F) {
   Callers.pop_back();
 }
 
-interp::FrameObservation JitProfilingHooks::observeFrame(bc::FuncId F) {
+namespace {
+
+using interp::FrameObservation;
+
+/// What a profile-tier frame records into its slab.
+constexpr FrameObservation kProfileEvents =
+    FrameObservation::Blocks | FrameObservation::Types |
+    FrameObservation::Props | FrameObservation::VirtualCalls;
+
+} // namespace
+
+FrameObservation JitProfilingHooks::observeFrame(bc::FuncId F) {
   // The interpreter asks right after onFuncEnter(F), so F's frame is on
   // top.  The body hooks below record only in these two cases.
   assert(!Callers.empty() && Top.Func == F.raw() &&
          "observeFrame outside onFuncEnter");
   (void)F;
-  if (Top.Slab || (Top.IsInstrumentedOpt && Top.ActiveUnit))
-    return interp::FrameObservation::Body;
-  return interp::FrameObservation::EntryExit;
+  FrameObservation Events = FrameObservation::EntryExit;
+  if (Top.Slab)
+    Events = Events | kProfileEvents;
+  if (Top.ActiveUnit)
+    Events = Events | FrameObservation::Blocks;
+  return Events;
 }
 
 void JitProfilingHooks::onBlockEnter(bc::FuncId F, uint32_t Block) {
+  (void)F;
   if (Top.Slab)
     Top.Slab->countBlock(Block);
-  if (Top.IsInstrumentedOpt && Top.ActiveUnit) {
-    uint32_t VB = Top.ActiveUnit->findBlock(F, Block);
-    if (VB != VasmUnit::kNoBlock) {
-      auto &Counts =
-          J.optProfile().VasmBlockCounts[Top.ActiveUnit->Func.raw()];
-      if (Counts.size() < Top.ActiveUnit->Blocks.size())
-        Counts.resize(Top.ActiveUnit->Blocks.size(), 0);
-      Counts[VB] += 1;
-    }
-  }
+  if (Block < Top.VasmBlocks)
+    ++Top.VasmRow[Top.VasmBase + Block];
 }
 
 void JitProfilingHooks::onVirtualCall(bc::FuncId Caller, uint32_t InstrIndex,

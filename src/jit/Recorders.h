@@ -12,10 +12,14 @@
 ///  - JitProfilingHooks: what instrumented translations record.  For
 ///    functions running tier-1 (profile) translations it collects block
 ///    counters, call-target profiles, type observations and
-///    property-access counts.  When seeder instrumentation is enabled it
-///    additionally collects, for functions running instrumented optimized
-///    translations, the Vasm block counters and tier-2 call arcs of paper
-///    sections V-A and V-B.
+///    property-access counts into the profile store's slabs.  When seeder
+///    instrumentation is enabled it additionally collects, for functions
+///    running instrumented optimized translations, the Vasm block
+///    counters and tier-2 call arcs of paper sections V-A and V-B into
+///    the JIT's OptCounters.  Each frame resolves where it records once,
+///    at entry, so every event is an array bump, and asks the interpreter
+///    only for the events it records: an instrumented optimized frame
+///    asks for its blocks alone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,9 +43,11 @@ public:
   void onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
                    const runtime::Value *Args, uint32_t NumArgs) override;
   void onFuncExit(bc::FuncId F) override;
-  /// Body only for the frames whose events land in a profile: tier-1
-  /// (profile) frames and, under seeder instrumentation, instrumented
-  /// optimized frames.  Every other frame is EntryExit.
+  /// The events that land in a profile: blocks, types, properties and
+  /// virtual calls in tier-1 (profile) frames; under seeder
+  /// instrumentation, blocks in instrumented optimized frames, and the
+  /// union in a frame that is both (an inlined callee still running its
+  /// profile translation).  Every other frame is EntryExit.
   interp::FrameObservation observeFrame(bc::FuncId F) override;
   void onBlockEnter(bc::FuncId F, uint32_t Block) override;
   void onVirtualCall(bc::FuncId Caller, uint32_t InstrIndex,
@@ -62,10 +68,16 @@ protected:
 private:
   struct Frame {
     uint32_t Func = 0;
-    bool IsInstrumentedOpt = false;
-    /// Unit whose Vasm counters this frame bumps (the caller's unit when
-    /// this function is inlined there).
+    /// Under seeder instrumentation, the optimized unit whose Vasm
+    /// counters this frame bumps (the caller's unit when this function is
+    /// inlined there); null in every other frame.
     const VasmUnit *ActiveUnit = nullptr;
+    /// ActiveUnit's counter row and this function's range in it:
+    /// bytecode block B counts in VasmRow[VasmBase + B], for
+    /// B < VasmBlocks.  VasmBlocks is 0 when ActiveUnit is null.
+    uint64_t *VasmRow = nullptr;
+    uint32_t VasmBase = 0;
+    uint32_t VasmBlocks = 0;
     /// Where the frame records when the function runs its profile
     /// translation; null in every other tier.
     profile::ProfileSlab *Slab = nullptr;

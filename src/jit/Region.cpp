@@ -124,8 +124,8 @@ private:
           kMinSiteFrequency * static_cast<double>(CallerProf->EntryCount))
         return false;
     }
-    // Each function is inlined at most once per region (the shadow
-    // tracer's block map has one copy per function).
+    // Each function is inlined at most once per region (a unit gives
+    // each function one block range, VasmUnit::Ranges).
     if (std::find(Out.InlinedFuncs.begin(), Out.InlinedFuncs.end(),
                   Callee) != Out.InlinedFuncs.end())
       return false;

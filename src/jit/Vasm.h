@@ -19,6 +19,12 @@
 /// layout optimizations act on -- instruction bytes, block boundaries,
 /// placement -- is faithfully represented.
 ///
+/// A unit lowers its own function and the callees region selection
+/// inlined, each at most once, one after the other: bytecode block B of
+/// each function lowers to Vasm block Base + B of that function's
+/// BlockRange.  Mapping a block is one compare and one add, for the
+/// seeder's Vasm counters and the shadow tracer alike.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JUMPSTART_JIT_VASM_H
@@ -27,7 +33,7 @@
 #include "bytecode/Ids.h"
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 namespace jumpstart::jit {
@@ -72,45 +78,50 @@ struct VBlock {
   }
 };
 
-/// A compiled unit: the Vasm CFG of one translation, plus the mapping the
-/// shadow tracer needs from (function, bytecode block) to the Vasm block
-/// implementing it (inlined callees appear under their own FuncId).
+/// The Vasm blocks one function occupies in a unit: bytecode block B of
+/// Func lowers to Vasm block Base + B, for B < NumBlocks.
+struct BlockRange {
+  bc::FuncId Func;
+  uint32_t Base = 0;
+  uint32_t NumBlocks = 0;
+};
+
+/// A compiled unit: the Vasm CFG of one translation, plus the block range
+/// of each function it lowers (inlined callees appear under their own
+/// FuncId).
 class VasmUnit {
 public:
   bc::FuncId Func;
   std::vector<VBlock> Blocks;
 
-  /// Registers that bytecode block \p BcBlock of \p F lowers to Vasm
-  /// block \p VBlock (inlined callees pass their own FuncId).
-  void mapBlock(bc::FuncId F, uint32_t BcBlock, uint32_t VBlockId) {
-    BlockMap[key(F, BcBlock)] = VBlockId;
+  /// One range per function lowered here: Func's first, then each
+  /// inlined callee's, in lowering order.
+  std::vector<BlockRange> Ranges;
+
+  /// The ranges of the functions inlined into this unit (Func excluded).
+  std::span<const BlockRange> inlined() const {
+    return Ranges.empty() ? std::span<const BlockRange>()
+                          : std::span<const BlockRange>(Ranges).subspan(1);
   }
+
+  /// \returns \p F's range when \p F is inlined into this unit, else null.
+  const BlockRange *inlinedRange(bc::FuncId F) const {
+    for (const BlockRange &R : inlined())
+      if (R.Func == F)
+        return &R;
+    return nullptr;
+  }
+
+  bool isInlined(bc::FuncId F) const { return inlinedRange(F) != nullptr; }
 
   /// \returns the Vasm block implementing (F, BcBlock), or kNoBlock.
   static constexpr uint32_t kNoBlock = ~0u;
   uint32_t findBlock(bc::FuncId F, uint32_t BcBlock) const {
-    auto It = BlockMap.find(key(F, BcBlock));
-    return It == BlockMap.end() ? kNoBlock : It->second;
+    for (const BlockRange &R : Ranges)
+      if (R.Func == F)
+        return BcBlock < R.NumBlocks ? R.Base + BcBlock : kNoBlock;
+    return kNoBlock;
   }
-
-  /// findBlock for every bytecode block of \p F at once: entry B is the
-  /// Vasm block implementing (F, B), or kNoBlock; blocks past the end are
-  /// unmapped too.
-  std::vector<uint32_t> blockTable(bc::FuncId F) const {
-    std::vector<uint32_t> Table;
-    for (const auto &[Key, VBlockId] : BlockMap) {
-      if (Key >> 32 != F.raw())
-        continue;
-      uint32_t BcBlock = static_cast<uint32_t>(Key);
-      if (BcBlock >= Table.size())
-        Table.resize(BcBlock + 1, kNoBlock);
-      Table[BcBlock] = VBlockId;
-    }
-    return Table;
-  }
-
-  /// Functions inlined into this unit (not including Func itself).
-  std::vector<bc::FuncId> Inlined;
 
   /// Layout-only edges from an inlining call site's block to the inlined
   /// callee's entry block (these are not control-flow successors -- the
@@ -121,13 +132,6 @@ public:
     uint32_t Dst;
   };
   std::vector<CallEdge> CallEdges;
-
-  bool isInlined(bc::FuncId F) const {
-    for (bc::FuncId I : Inlined)
-      if (I == F)
-        return true;
-    return false;
-  }
 
   /// Total encoded bytes across all blocks.
   uint32_t sizeBytes() const {
@@ -167,12 +171,6 @@ public:
     uint32_t Target = 0;
   };
   std::vector<ElidedGuard> ElidedGuards;
-
-private:
-  static uint64_t key(bc::FuncId F, uint32_t BcBlock) {
-    return (static_cast<uint64_t>(F.raw()) << 32) | BcBlock;
-  }
-  std::unordered_map<uint64_t, uint32_t> BlockMap;
 };
 
 } // namespace jumpstart::jit

@@ -74,34 +74,24 @@ VasmTracer::buildPlan(const Translation &T) const {
     B.NumLines = static_cast<uint32_t>(FirstPage - B.FirstRun);
     B.NumPages = static_cast<uint32_t>(P->Runs.size() - FirstPage);
   }
-  auto AddTable = [&](bc::FuncId F) {
-    std::vector<uint32_t> Table = Unit.blockTable(F);
-    Body B{F, static_cast<uint32_t>(P->Tables.size()),
-           static_cast<uint32_t>(Table.size())};
-    P->Tables.insert(P->Tables.end(), Table.begin(), Table.end());
-    return B;
-  };
-  P->Own = AddTable(Unit.Func);
+  P->Own = Unit.Ranges.front();
   // The smallest mask under which the inlined functions' ids differ:
   // distinct ids differ below their highest bit, so the doubling ends.
+  std::span<const BlockRange> Inlined = Unit.inlined();
   auto Index = [&](uint32_t Mask) {
-    P->Inlined.assign(Mask + 1, Body());
+    P->Inlined.assign(Mask + 1, BlockRange());
     P->InlineMask = Mask;
-    for (bc::FuncId F : Unit.Inlined) {
-      Body &B = P->Inlined[F.raw() & Mask];
-      if (B.Func.valid() && B.Func != F)
+    for (const BlockRange &R : Inlined) {
+      BlockRange &B = P->Inlined[R.Func.raw() & Mask];
+      if (B.Func.valid())
         return false;
-      B.Func = F;
+      B = R;
     }
     return true;
   };
-  uint32_t Mask =
-      std::bit_ceil(static_cast<uint32_t>(Unit.Inlined.size())) - 1;
+  uint32_t Mask = std::bit_ceil(static_cast<uint32_t>(Inlined.size())) - 1;
   while (!Index(Mask))
     Mask = 2 * Mask + 1;
-  for (Body &B : P->Inlined)
-    if (B.Func.valid())
-      B = AddTable(B.Func);
   return P;
 }
 
@@ -128,8 +118,8 @@ void VasmTracer::onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
   const Translation *T = J.transDb().best(Callee);
   F.Interpreted = T == nullptr;
   const Frame *Parent = top();
-  const Body *Inlined =
-      Parent && Parent->Plan ? Parent->Plan->inlinedBody(Callee) : nullptr;
+  const BlockRange *Inlined =
+      Parent && Parent->Plan ? Parent->Plan->inlinedRange(Callee) : nullptr;
   if (Inlined) {
     // Inlined body: tracing continues within the caller's unit.
     F.trace(*Parent->Plan, *Inlined);
@@ -155,10 +145,9 @@ void VasmTracer::onBlockEnter(bc::FuncId FuncId, uint32_t Block) {
   // to the top frame's function.
   assert(F->Func == FuncId.raw() && "block event outside the top frame");
   (void)FuncId;
-  uint32_t VB =
-      Block < F->BlockTableSize ? F->BlockTable[Block] : VasmUnit::kNoBlock;
-  if (VB == VasmUnit::kNoBlock)
+  if (Block >= F->NumBlocks)
     return;
+  const uint32_t VB = F->Base + Block;
   const BlockPlan &Next = F->Blocks[VB];
 
   // Resolve the previous block's conditional branch now that we know
@@ -188,8 +177,11 @@ interp::FrameObservation VasmTracer::observeFrame(bc::FuncId F) {
   assert(!Frames.empty() && Frames.back().Func == F.raw() &&
          "observeFrame outside onFuncEnter");
   (void)F;
-  return Frames.back().Interpreted ? interp::FrameObservation::BodyAndInstrs
-                                   : interp::FrameObservation::Body;
+  using interp::FrameObservation;
+  return Frames.back().Interpreted
+             ? FrameObservation::BodyAndInstrs
+             : FrameObservation::Blocks | FrameObservation::Props |
+                   FrameObservation::Data | FrameObservation::VirtualCalls;
 }
 
 void VasmTracer::onInstr(bc::FuncId F, uint32_t InstrIndex, uint32_t Depth) {
@@ -213,7 +205,7 @@ void VasmTracer::onVirtualCall(bc::FuncId Caller, uint32_t InstrIndex,
     return;
   // Devirtualized or inlined sites compile to guarded direct calls; only
   // genuinely indirect sites stress the target predictor.
-  if (F->Plan->inlinedBody(Callee))
+  if (F->Plan->inlinedRange(Callee))
     return;
   uint64_t Target = 0;
   if (const Translation *T = J.transDb().best(Callee))

@@ -25,7 +25,9 @@
 /// entered (a fetch plan: run-length line and page accesses, terminator
 /// and end addresses) and replays it with one MachineSim::fetchBlock per
 /// executed block.  See DESIGN.md, "Shadow tracing and the machine
-/// simulator", for why this is exact.
+/// simulator", for why this is exact.  A traced frame keeps its function's
+/// block range in the unit (VasmUnit::Ranges), so mapping a bytecode
+/// block to its Vasm block is one compare and one add.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,8 +53,9 @@ public:
                    const runtime::Value *Args, uint32_t NumArgs) override;
   void onFuncExit(bc::FuncId F) override;
   void onBlockEnter(bc::FuncId F, uint32_t Block) override;
-  /// BodyAndInstrs for interpreted frames, Body otherwise: the D-cache
-  /// model needs every data access of every frame.
+  /// BodyAndInstrs for interpreted frames; every event but types, which
+  /// it does not trace, otherwise: the D-cache model needs every data
+  /// access of every frame.
   interp::FrameObservation observeFrame(bc::FuncId F) override;
   void onInstr(bc::FuncId F, uint32_t InstrIndex, uint32_t Depth) override;
   void onVirtualCall(bc::FuncId Caller, uint32_t InstrIndex,
@@ -78,32 +81,21 @@ private:
     bool EndsInCondBranch = false;
   };
 
-  /// One function's bytecode-block table within TransPlan::Tables: entry
-  /// B is the Vasm block implementing bytecode block B, or kNoBlock.
-  struct Body {
-    bc::FuncId Func; ///< Invalid in an unused entry.
-    uint32_t First = 0;
-    uint32_t Size = 0;
-  };
-
   /// What tracing needs from one placed translation, built once.
   struct TransPlan {
     /// By Vasm block id.
     std::vector<BlockPlan> Blocks;
     std::vector<sim::FetchRun> Runs;
-    /// The block tables (VasmUnit::blockTable) of the unit's own function
-    /// and of each function it inlines, back to back.
-    std::vector<uint32_t> Tables;
     /// The unit's own function.
-    Body Own;
+    BlockRange Own;
     /// The inlined functions by FuncId & InlineMask: the mask is the
     /// smallest that gives each its own entry, so a lookup is one probe.
-    std::vector<Body> Inlined;
+    std::vector<BlockRange> Inlined;
     uint32_t InlineMask = 0;
 
-    /// \returns \p F's body when this unit inlines \p F, else null.
-    const Body *inlinedBody(bc::FuncId F) const {
-      const Body &B = Inlined[F.raw() & InlineMask];
+    /// \returns \p F's range when this unit inlines \p F, else null.
+    const BlockRange *inlinedRange(bc::FuncId F) const {
+      const BlockRange &B = Inlined[F.raw() & InlineMask];
       return B.Func == F ? &B : nullptr;
     }
   };
@@ -120,19 +112,20 @@ private:
     /// Plan->Blocks and Plan->Runs.
     const BlockPlan *Blocks = nullptr;
     const sim::FetchRun *Runs = nullptr;
-    /// This function's bytecode-block table within Plan.
-    const uint32_t *BlockTable = nullptr;
-    uint32_t BlockTableSize = 0;
+    /// This function's range within Plan's unit: bytecode block B is Vasm
+    /// block Base + B, for B < NumBlocks.
+    uint32_t Base = 0;
+    uint32_t NumBlocks = 0;
     /// No placed translation of its own: the interpreter runs it.
     bool Interpreted = false;
 
-    /// Traces this frame through body \p B of \p P.
-    void trace(const TransPlan &P, const Body &B) {
+    /// Traces this frame through range \p B of \p P.
+    void trace(const TransPlan &P, const BlockRange &B) {
       Plan = &P;
       Blocks = P.Blocks.data();
       Runs = P.Runs.data();
-      BlockTable = P.Tables.data() + B.First;
-      BlockTableSize = B.Size;
+      Base = B.Base;
+      NumBlocks = B.NumBlocks;
     }
   };
 

@@ -48,6 +48,22 @@ size_t PropCounters::PairHash::operator()(const PairKey &K) const {
   return static_cast<size_t>(hashCombine(K.ClsLo, K.Hi));
 }
 
+void OptCounters::renderInto(OptProfile &Opt) const {
+  for (uint32_t Func = 0; Func < Rows.size(); ++Func) {
+    const std::vector<uint64_t> &Row = Rows[Func];
+    if (std::all_of(Row.begin(), Row.end(), [](uint64_t C) { return !C; }))
+      continue;
+    std::vector<uint64_t> &Counts = Opt.VasmBlockCounts[Func];
+    if (Counts.size() < Row.size())
+      Counts.resize(Row.size(), 0);
+    for (size_t B = 0; B < Row.size(); ++B)
+      Counts[B] += Row[B];
+  }
+  for (const auto &[Key, Count] : Arcs)
+    Opt.CallArcs[{static_cast<uint32_t>(Key >> 32),
+                  static_cast<uint32_t>(Key)}] += Count;
+}
+
 void PropCounters::renderInto(const bc::Repo &R, OptProfile &Opt) const {
   auto ClassName = [&](uint64_t Packed) -> const std::string & {
     return R.cls(bc::ClassId(static_cast<uint32_t>(Packed >> 32))).Name;

@@ -17,7 +17,9 @@
 /// Profiling frames do not write FuncProfile's ordered maps.  Each
 /// profiled function records into a flat ProfileSlab, and render() folds
 /// the slabs into the FuncProfile view only when something is about to
-/// read it (DESIGN.md, "Dense serial frame path").
+/// read it (DESIGN.md, "Dense serial frame path").  A seeder's
+/// instrumented optimized frames record the same way, into OptCounters,
+/// which a package build renders into OptProfile's maps.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -123,6 +125,40 @@ private:
 
   std::unordered_map<uint64_t, uint64_t> Access;
   std::unordered_map<PairKey, uint64_t, PairHash> Affinity;
+};
+
+/// The Vasm block and tier-2 call-arc counts of a seeder's instrumented
+/// optimized frames (sections V-A and V-B): one counter row per optimized
+/// unit, indexed by the raw FuncId of its function, and arc counts keyed
+/// by the packed (caller, callee) pair.  renderInto() builds
+/// OptProfile's ordered maps when a package is assembled.
+class OptCounters {
+public:
+  /// The counter row of the unit of raw FuncId \p Func, at least
+  /// \p NumBlocks counters long, created zeroed on first use.  It stays
+  /// put while no later call asks for a longer row of \p Func.
+  uint64_t *row(uint32_t Func, uint32_t NumBlocks) {
+    if (Func >= Rows.size())
+      Rows.resize(Func + 1);
+    std::vector<uint64_t> &Row = Rows[Func];
+    if (Row.size() < NumBlocks)
+      Row.resize(NumBlocks, 0);
+    return Row.data();
+  }
+  /// One entry into the unit of \p Callee from code of the unit of
+  /// \p Caller (raw FuncIds).
+  void countArc(uint32_t Caller, uint32_t Callee) {
+    ++Arcs[static_cast<uint64_t>(Caller) << 32 | Callee];
+  }
+
+  /// Adds every row in which an event counted to Opt.VasmBlockCounts,
+  /// growing a shorter entry to the row's length, and every arc to
+  /// Opt.CallArcs.
+  void renderInto(OptProfile &Opt) const;
+
+private:
+  std::vector<std::vector<uint64_t>> Rows;
+  std::unordered_map<uint64_t, uint64_t> Arcs;
 };
 
 /// Mutable per-server profile state.

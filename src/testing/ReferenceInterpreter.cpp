@@ -52,18 +52,19 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
   if (F.Code.empty())
     return fault();
 
-  // Body events go to Observer, which is null in a frame the callbacks
-  // answer EntryExit for; entry and exit always go to Callbacks.
-  interp::ExecCallbacks *Observer = nullptr;
-  bool TraceInstrs = false;
+  // A body event goes to Callbacks only when the frame's answer includes
+  // it; entry and exit always go to Callbacks.
+  interp::FrameObservation Observe = interp::FrameObservation::EntryExit;
   if (Callbacks) {
     Callbacks->onFuncEnter(FId, Caller, Args, NumArgs);
-    const interp::FrameObservation Observe = Callbacks->observeFrame(FId);
-    if (Observe != interp::FrameObservation::EntryExit)
-      Observer = Callbacks;
-    TraceInstrs = Observe == interp::FrameObservation::BodyAndInstrs;
+    Observe = Callbacks->observeFrame(FId);
   }
-  const bc::BlockList *BlockInfo = Observer ? &Blocks.blocks(FId) : nullptr;
+  auto Wants = [Observe](interp::FrameObservation Event) {
+    return interp::observes(Observe, Event);
+  };
+  using Event = interp::FrameObservation;
+  const bc::BlockList *BlockInfo =
+      Wants(Event::Blocks) ? &Blocks.blocks(FId) : nullptr;
 
   // Frame state.
   std::vector<Value> Locals(F.NumLocals, Value::null());
@@ -96,15 +97,15 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
     }
     ++FrameSteps;
 
-    if (Observer) {
+    if (BlockInfo) {
       uint32_t Block = BlockInfo->blockOf(Pc);
       if (Block != CurBlock) {
         CurBlock = Block;
-        Observer->onBlockEnter(FId, Block);
+        Callbacks->onBlockEnter(FId, Block);
       }
-      if (TraceInstrs)
-        Observer->onInstr(FId, Pc, Depth);
     }
+    if (Wants(Event::Instrs))
+      Callbacks->onInstr(FId, Pc, Depth);
 
     const bc::Instr &In = F.Code[Pc];
     switch (In.Opcode) {
@@ -145,8 +146,8 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
         break;
       }
       C.V->Elems.push_back(V);
-      if (Observer)
-        Observer->onDataAccess(
+      if (Wants(Event::Data))
+        Callbacks->onDataAccess(
             C.V->Addr + 16 * C.V->Elems.size(), /*IsWrite=*/true);
       Push(C);
       break;
@@ -167,17 +168,17 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
         C.Dt->Entries[static_cast<size_t>(At)].second = V;
       else
         C.Dt->Entries.emplace_back(std::move(Key), V);
-      if (Observer)
-        Observer->onDataAccess(C.Dt->Addr + 16 * C.Dt->Entries.size(),
-                               /*IsWrite=*/true);
+      if (Wants(Event::Data))
+        Callbacks->onDataAccess(C.Dt->Addr + 16 * C.Dt->Entries.size(),
+                                /*IsWrite=*/true);
       Push(C);
       break;
     }
     case bc::Op::GetElem: {
       Value K = Pop();
       Value C = Pop();
-      if (Observer)
-        Observer->onTypeObserve(FId, Pc, C.T);
+      if (Wants(Event::Types))
+        Callbacks->onTypeObserve(FId, Pc, C.T);
       if (C.isVec()) {
         int64_t Index = runtime::toInt(K);
         if (Index < 0 ||
@@ -185,9 +186,9 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
           Push(fault());
           break;
         }
-        if (Observer)
-          Observer->onDataAccess(C.V->Addr + 16 * (Index + 1),
-                                 /*IsWrite=*/false);
+        if (Wants(Event::Data))
+          Callbacks->onDataAccess(C.V->Addr + 16 * (Index + 1),
+                                  /*IsWrite=*/false);
         Push(C.V->Elems[static_cast<size_t>(Index)]);
         break;
       }
@@ -196,9 +197,9 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
             K.isStr() ? runtime::DictKey::fromStr(K.S->Data)
                       : runtime::DictKey::fromInt(runtime::toInt(K));
         int64_t At = C.Dt->find(Key);
-        if (Observer)
-          Observer->onDataAccess(C.Dt->Addr + 16 * (At >= 0 ? At + 1 : 1),
-                                 /*IsWrite=*/false);
+        if (Wants(Event::Data))
+          Callbacks->onDataAccess(C.Dt->Addr + 16 * (At >= 0 ? At + 1 : 1),
+                                  /*IsWrite=*/false);
         if (At < 0) {
           Push(Value::null());
           break;
@@ -213,8 +214,8 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
       Value V = Pop();
       Value K = Pop();
       Value C = Pop();
-      if (Observer)
-        Observer->onTypeObserve(FId, Pc, C.T);
+      if (Wants(Event::Types))
+        Callbacks->onTypeObserve(FId, Pc, C.T);
       if (C.isVec()) {
         int64_t Index = runtime::toInt(K);
         int64_t Size = static_cast<int64_t>(C.V->Elems.size());
@@ -226,9 +227,9 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
           Push(fault());
           break;
         }
-        if (Observer)
-          Observer->onDataAccess(C.V->Addr + 16 * (Index + 1),
-                                 /*IsWrite=*/true);
+        if (Wants(Event::Data))
+          Callbacks->onDataAccess(C.V->Addr + 16 * (Index + 1),
+                                  /*IsWrite=*/true);
         Push(C);
         break;
       }
@@ -241,9 +242,9 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
           C.Dt->Entries[static_cast<size_t>(At)].second = V;
         else
           C.Dt->Entries.emplace_back(std::move(Key), V);
-        if (Observer)
-          Observer->onDataAccess(C.Dt->Addr + 16 * C.Dt->Entries.size(),
-                                 /*IsWrite=*/true);
+        if (Wants(Event::Data))
+          Callbacks->onDataAccess(C.Dt->Addr + 16 * C.Dt->Entries.size(),
+                                  /*IsWrite=*/true);
         Push(C);
         break;
       }
@@ -308,8 +309,8 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
         Res = Value::integer(runtime::wrapAdd(Res.I, Opts.TestOnlyIntAddSkew));
       if (Res.isNull() && !(A.isNull() || B.isNull()))
         ++Faults;
-      if (Observer)
-        Observer->onTypeObserve(FId, Pc, A.T);
+      if (Wants(Event::Types))
+        Callbacks->onTypeObserve(FId, Pc, A.T);
       Push(Res);
       break;
     }
@@ -351,8 +352,8 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
         O = runtime::CmpOp::Ge;
         break;
       }
-      if (Observer)
-        Observer->onTypeObserve(FId, Pc, A.T);
+      if (Wants(Event::Types))
+        Callbacks->onTypeObserve(FId, Pc, A.T);
       Push(runtime::compare(O, A, B));
       break;
     }
@@ -400,8 +401,8 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
         if (!Callee.valid()) {
           Res = fault();
         } else {
-          if (Observer)
-            Observer->onVirtualCall(FId, Pc, Callee);
+          if (Wants(Event::VirtualCalls))
+            Callbacks->onVirtualCall(FId, Pc, Callee);
           Res = execFrame(Callee, CallArgs, N, Recv, FId, Depth + 1);
         }
       }
@@ -437,13 +438,13 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
         Push(fault());
         break;
       }
-      if (Observer)
-        Observer->onPropAccess(Obj.O->Layout->id(), In.strImm(),
-                               /*IsWrite=*/false,
-                               Obj.O->slotAddr(static_cast<uint32_t>(Slot)));
-      if (Observer)
-        Observer->onTypeObserve(FId, Pc,
-                                Obj.O->Slots[static_cast<size_t>(Slot)].T);
+      if (Wants(Event::Props))
+        Callbacks->onPropAccess(Obj.O->Layout->id(), In.strImm(),
+                                /*IsWrite=*/false,
+                                Obj.O->slotAddr(static_cast<uint32_t>(Slot)));
+      if (Wants(Event::Types))
+        Callbacks->onTypeObserve(FId, Pc,
+                                 Obj.O->Slots[static_cast<size_t>(Slot)].T);
       Push(Obj.O->Slots[static_cast<size_t>(Slot)]);
       break;
     }
@@ -459,10 +460,10 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
         (void)fault();
         break;
       }
-      if (Observer)
-        Observer->onPropAccess(Obj.O->Layout->id(), In.strImm(),
-                               /*IsWrite=*/true,
-                               Obj.O->slotAddr(static_cast<uint32_t>(Slot)));
+      if (Wants(Event::Props))
+        Callbacks->onPropAccess(Obj.O->Layout->id(), In.strImm(),
+                                /*IsWrite=*/true,
+                                Obj.O->slotAddr(static_cast<uint32_t>(Slot)));
       Obj.O->Slots[static_cast<size_t>(Slot)] = V;
       break;
     }

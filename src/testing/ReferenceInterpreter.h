@@ -14,8 +14,8 @@
 /// per-function instruction counts, print output, InterpOptions -- and
 /// must agree with it on every observable: results, faults, step totals,
 /// abort points, callback streams and simulated heap addresses.  It asks
-/// ExecCallbacks::observeFrame per frame too, and an EntryExit frame
-/// reports only its entry and exit.  It deliberately never gains an
+/// ExecCallbacks::observeFrame per frame too, and reports only the body
+/// events the answer includes.  It deliberately never gains an
 /// optimization: per-instruction budget checks and callback tests, two
 /// std::vector allocations per frame (charged to Heap::noteHostAllocs), a
 /// fresh VmString per Op::Str, and no inline caches.

@@ -65,7 +65,7 @@ TEST(ShareJit, NoInliningUnderSharingConstraints) {
     J.runJitWork(1e9);
   for (const auto &T : J.transDb().all()) {
     if (T->Kind == jit::TransKind::Optimized) {
-      EXPECT_TRUE(T->Unit->Inlined.empty())
+      EXPECT_TRUE(T->Unit->inlined().empty())
           << "shared code must not inline user-defined functions";
     }
   }

@@ -15,10 +15,12 @@
 #include "frontend/Compiler.h"
 #include "frontend/Lexer.h"
 #include "frontend/Parser.h"
+#include "interp/Interpreter.h"
 #include "runtime/Builtins.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <limits>
 
 using namespace jumpstart;
@@ -146,6 +148,16 @@ TEST(Lexer, OutOfRangeFloatLiteralIsError) {
       std::vector<std::string>{"t.hack:line 1: float literal out of range"});
   EXPECT_TRUE(
       compileErrors("function main() { return " + Tiny + "; }").empty());
+}
+
+TEST(Lexer, LexerErrorInsideAnExpressionIsTheOnlyError) {
+  // A lone '&' or '|' ends the expression before it; the parser skips the
+  // rest of the statement instead of parsing `2` as a statement of its
+  // own that lacks its ';'.
+  EXPECT_EQ(compileErrors("function main() { return 1 & 2; }"),
+            std::vector<std::string>{"t.hack:line 1: expected '&&'"});
+  EXPECT_EQ(compileErrors("function main() { return 1 | 2; }"),
+            std::vector<std::string>{"t.hack:line 1: expected '||'"});
 }
 
 TEST(Lexer, LineTracking) {
@@ -333,6 +345,67 @@ TEST(CompilerTest, CrossUnitReferencesResolve) {
   auto VErrors =
       bc::verifyRepo(R, runtime::BuiltinTable::standard().size());
   EXPECT_TRUE(VErrors.empty()) << (VErrors.empty() ? "" : VErrors[0]);
+}
+
+TEST(CompilerTest, NegatedNumberLiteralsFold) {
+  // Unary minus on an int or float literal, or on such a negation,
+  // compiles to the one Int or Dbl holding what `0 - v` computes at run
+  // time: the same value and faults as the subtraction through a local.
+  struct Case {
+    const char *Folded;
+    const char *Unfolded;
+  };
+  const Case Cases[] = {
+      {"-0", "$v = 0; return 0 - $v;"},
+      {"-0.0", "$v = 0.0; return 0 - $v;"},
+      {"-5", "$v = 5; return 0 - $v;"},
+      {"-2.5", "$v = 2.5; return 0 - $v;"},
+      {"-9223372036854775807", "$v = 9223372036854775807; return 0 - $v;"},
+      {"- -5", "$v = 5; $w = 0 - $v; return 0 - $w;"},
+  };
+  const runtime::BuiltinTable &Builtins = runtime::BuiltinTable::standard();
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Folded);
+    bc::Repo R;
+    ASSERT_TRUE(compileUnit(R, Builtins, "t.hack",
+                            std::string("function folded() { return ") +
+                                C.Folded + "; } function unfolded() { " +
+                                C.Unfolded + " }")
+                    .empty());
+    const bc::Function &F = R.func(R.findFunction("folded"));
+    ASSERT_GE(F.Code.size(), 2u);
+    EXPECT_TRUE(F.Code[0].Opcode == bc::Op::Int ||
+                F.Code[0].Opcode == bc::Op::Dbl);
+    EXPECT_EQ(F.Code[1].Opcode, bc::Op::RetC);
+
+    runtime::ClassTable Classes(R);
+    runtime::Heap Heap;
+    interp::Interpreter Interp(R, Classes, Heap, Builtins);
+    interp::InterpResult Folded = Interp.call(R.findFunction("folded"), {});
+    interp::InterpResult Unfolded =
+        Interp.call(R.findFunction("unfolded"), {});
+    ASSERT_EQ(Folded.Ret.T, Unfolded.Ret.T);
+    if (Folded.Ret.isInt())
+      EXPECT_EQ(Folded.Ret.I, Unfolded.Ret.I);
+    else
+      EXPECT_EQ(std::bit_cast<uint64_t>(Folded.Ret.D),
+                std::bit_cast<uint64_t>(Unfolded.Ret.D));
+    EXPECT_EQ(Folded.Faults, Unfolded.Faults);
+  }
+  // Any other operand keeps `Int 0; operand; Sub`.
+  for (const char *E : {"-$x", "-\"s\"", "-true"}) {
+    SCOPED_TRACE(E);
+    bc::Repo R;
+    ASSERT_TRUE(compileUnit(R, Builtins, "t.hack",
+                            std::string("function f($x) { return ") + E +
+                                "; }")
+                    .empty());
+    const bc::Function &F = R.func(R.findFunction("f"));
+    ASSERT_GE(F.Code.size(), 3u);
+    EXPECT_EQ(F.Code[0].Opcode, bc::Op::Int);
+    EXPECT_EQ(F.Code[0].ImmA, 0);
+    EXPECT_EQ(F.Code[2].Opcode, bc::Op::Sub);
+  }
 }
 
 TEST(CompilerTest, GeneratedBytecodeAlwaysVerifies) {

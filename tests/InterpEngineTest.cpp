@@ -25,6 +25,7 @@
 #include "fleet/WorkloadGen.h"
 #include "interp/InterpCache.h"
 #include "runtime/ValueOps.h"
+#include "support/Random.h"
 #include "support/StringUtil.h"
 #include "testing/DiffRunner.h"
 #include "testing/ProgramGen.h"
@@ -51,36 +52,54 @@ class RecordingCallbacks : public interp::ExecCallbacks {
 public:
   /// By default every frame is BodyAndInstrs: tracing every instruction
   /// of every function makes the stream (and both interpreters' preamble
-  /// paths) maximally sensitive.  \p Mixed picks EntryExit, Body or
-  /// BodyAndInstrs by FuncId % 3 instead, so calls cross between plain
-  /// and observed frames in every direction; otherwise every frame is
-  /// \p Every.
+  /// paths) maximally sensitive.  \p Mixed answers each frame a
+  /// pseudo-random event set instead: EntryExit, a nonempty set without
+  /// Instrs or a set with Instrs, a third of the time each, so every set
+  /// turns up and calls cross between frames of every kind in every
+  /// direction; otherwise every frame is \p Every.
   explicit RecordingCallbacks(
       bool Mixed = false,
-      interp::FrameObservation Every = interp::FrameObservation::BodyAndInstrs)
-      : Mixed(Mixed), Every(Every) {}
+      interp::FrameObservation Every = interp::FrameObservation::BodyAndInstrs,
+      uint64_t Seed = 0)
+      : Mixed(Mixed), Every(Every), Draws(Seed) {}
 
-  static interp::FrameObservation kindOf(bc::FuncId F) {
-    static constexpr interp::FrameObservation Kinds[] = {
-        interp::FrameObservation::EntryExit, interp::FrameObservation::Body,
-        interp::FrameObservation::BodyAndInstrs};
-    return Kinds[F.raw() % 3];
+  /// 0 for EntryExit, 1 for a nonempty set without Instrs, 2 with Instrs.
+  static uint32_t kindOf(interp::FrameObservation O) {
+    if (O == interp::FrameObservation::EntryExit)
+      return 0;
+    return interp::observes(O, interp::FrameObservation::Instrs) ? 2 : 1;
   }
 
   interp::FrameObservation observeFrame(bc::FuncId F) override {
-    return Mixed ? kindOf(F) : Every;
+    (void)F;
+    interp::FrameObservation O = Every;
+    if (Mixed) {
+      // The five events below Instrs are the low five bits.
+      uint64_t H = Draws.next();
+      uint64_t Bits = H % 3 == 0   ? 0
+                      : H % 3 == 1 ? 1 + (H >> 8) % 31
+                                   : static_cast<uint8_t>(
+                                         interp::FrameObservation::Instrs) |
+                                         ((H >> 8) & 31);
+      O = static_cast<interp::FrameObservation>(Bits);
+    }
+    SeenSets |= uint64_t(1) << static_cast<uint8_t>(O);
+    if (!Sets.empty())
+      KindPairs |= 1u << (3 * kindOf(Sets.back()) + kindOf(O));
+    Sets.push_back(O);
+    return O;
   }
 
   void onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
                    const runtime::Value *Args, uint32_t NumArgs) override {
-    if (Caller.valid())
-      KindPairs |= 1u << (3 * static_cast<uint32_t>(kindOf(Caller)) +
-                          static_cast<uint32_t>(kindOf(Callee)));
     line("enter", {Callee.raw(), Caller.raw(), NumArgs});
     for (uint32_t I = 0; I < NumArgs; ++I)
       Log += "  arg " + runtime::toString(Args[I]) + "\n";
   }
-  void onFuncExit(bc::FuncId F) override { line("exit", {F.raw()}); }
+  void onFuncExit(bc::FuncId F) override {
+    Sets.pop_back();
+    line("exit", {F.raw()});
+  }
   void onBlockEnter(bc::FuncId F, uint32_t Block) override {
     line("block", {F.raw(), Block});
   }
@@ -104,8 +123,11 @@ public:
   }
 
   std::string Log;
-  /// Bit 3 * kindOf(caller) + kindOf(callee) for every call made.
+  /// Bit 3 * kindOf(caller's set) + kindOf(callee's set) for every call
+  /// made.
   uint32_t KindPairs = 0;
+  /// Bit S for every event set S answered.
+  uint64_t SeenSets = 0;
 
 private:
   /// Appends one line to Log: \p Tag, then \p Nums in decimal.
@@ -121,10 +143,18 @@ private:
 
   bool Mixed;
   interp::FrameObservation Every;
+  /// One draw per frame: both interpreters enter the same frames in the
+  /// same order, so they answer the same sets.
+  SplitMix64 Draws;
+  /// The sets of the frames entered and not yet exited, innermost last.
+  std::vector<interp::FrameObservation> Sets;
 };
 
 /// Every (caller, callee) pair of observation kinds.
 constexpr uint32_t kAllKindPairs = (1u << 9) - 1;
+
+/// Every event set: each of the six events alone and in combination.
+constexpr uint64_t kAllEventSets = ~uint64_t(0);
 
 /// Everything one interpreter produced for one program.
 struct EngineTrace {
@@ -136,14 +166,16 @@ struct EngineTrace {
   interp::InstrCounts InstrCounts;
   std::string CallbackLog;
   uint32_t KindPairs = 0;
+  uint64_t SeenSets = 0;
 };
 
 /// Runs \p Requests requests against every endpoint of \p W on a fresh
 /// \p InterpT (interp::Interpreter or jstest::ReferenceInterpreter), with
-/// a RecordingCallbacks(\p Mixed) attached.
+/// a RecordingCallbacks(\p Mixed) attached whose draws \p Seed seeds.
 template <typename InterpT>
 EngineTrace runEngine(const fleet::Workload &W, uint32_t Requests,
-                      bool Mixed, uint64_t StepBudget = 200'000) {
+                      bool Mixed, uint64_t StepBudget = 200'000,
+                      uint64_t Seed = 0) {
   runtime::ClassTable Classes(W.Repo);
   runtime::Heap Heap;
   interp::InterpOptions Opts;
@@ -151,7 +183,7 @@ EngineTrace runEngine(const fleet::Workload &W, uint32_t Requests,
   InterpT Interp(W.Repo, Classes, Heap, runtime::BuiltinTable::standard(),
                  Opts);
   EngineTrace T;
-  RecordingCallbacks CB(Mixed);
+  RecordingCallbacks CB(Mixed, interp::FrameObservation::BodyAndInstrs, Seed);
   Interp.setCallbacks(&CB);
   Interp.setInstrCounts(&T.InstrCounts);
   std::string Output;
@@ -171,6 +203,7 @@ EngineTrace runEngine(const fleet::Workload &W, uint32_t Requests,
   }
   T.CallbackLog = std::move(CB.Log);
   T.KindPairs = CB.KindPairs;
+  T.SeenSets = CB.SeenSets;
   return T;
 }
 
@@ -192,21 +225,35 @@ void expectTracesEqual(const EngineTrace &Fast, const EngineTrace &Ref,
   EXPECT_EQ(Fast.CallbackLog, Ref.CallbackLog) << "seed " << Seed;
 }
 
+/// What the mixed recorder saw across runs.
+struct MixedCoverage {
+  uint32_t KindPairs = 0;
+  uint64_t SeenSets = 0;
+
+  MixedCoverage &operator|=(const MixedCoverage &O) {
+    KindPairs |= O.KindPairs;
+    SeenSets |= O.SeenSets;
+    return *this;
+  }
+};
+
 /// Diffs \p W between the interpreter and the reference, under the
 /// every-frame and the mixed recorder; \p Seed labels failures.
-/// \returns the kind pairs the mixed recorder saw.
-uint32_t expectMatchesReference(const fleet::Workload &W, uint64_t Seed,
-                                uint32_t Requests) {
-  uint32_t KindPairs = 0;
+/// \returns what the mixed recorder saw.
+MixedCoverage expectMatchesReference(const fleet::Workload &W, uint64_t Seed,
+                                     uint32_t Requests) {
+  MixedCoverage Seen;
   for (bool Mixed : {false, true}) {
-    EngineTrace Fast = runEngine<interp::Interpreter>(W, Requests, Mixed);
-    expectTracesEqual(
-        Fast, runEngine<jstest::ReferenceInterpreter>(W, Requests, Mixed),
-        Seed);
+    EngineTrace Fast =
+        runEngine<interp::Interpreter>(W, Requests, Mixed, 200'000, Seed);
+    expectTracesEqual(Fast,
+                      runEngine<jstest::ReferenceInterpreter>(
+                          W, Requests, Mixed, 200'000, Seed),
+                      Seed);
     if (Mixed)
-      KindPairs = Fast.KindPairs;
+      Seen = {Fast.KindPairs, Fast.SeenSets};
   }
-  return KindPairs;
+  return Seen;
 }
 
 /// Paths generated programs never reach (ProgramGen builds one-entry
@@ -266,9 +313,10 @@ TEST(InterpEngine, GeneratedProgramsMatchAcrossEngines) {
   // 50 generated programs plus one hand-written one, every observable
   // diffed against the reference -- including the full callback stream
   // (blocks, instr traces, type observations, property and data-access
-  // addresses) -- with every frame observed, and again with plain and
-  // observed frames calling each other.
-  uint32_t KindPairs = 0;
+  // addresses) -- with every frame observed, and again with each frame
+  // observing a random event set, so that frames observing different
+  // sets call each other.
+  MixedCoverage Seen;
   for (uint32_t I = 0; I < 50; ++I) {
     uint64_t Seed = 90'000'001ull + I;
     jstest::GenParams G;
@@ -278,14 +326,15 @@ TEST(InterpEngine, GeneratedProgramsMatchAcrossEngines) {
     fleet::Workload W;
     ASSERT_TRUE(jstest::DiffRunner::compileProgram(Prog.render(), W).ok())
         << "seed " << Seed;
-    KindPairs |= expectMatchesReference(W, Seed, 8);
+    Seen |= expectMatchesReference(W, Seed, 8);
   }
   fleet::Workload W;
   ASSERT_TRUE(jstest::DiffRunner::compileProgram(kHandWrittenProgram, W).ok());
   ASSERT_EQ(W.Endpoints.size(), 2u);
-  KindPairs |= expectMatchesReference(W, /*Seed=*/0, 8);
-  EXPECT_EQ(KindPairs, kAllKindPairs)
+  Seen |= expectMatchesReference(W, /*Seed=*/0, 8);
+  EXPECT_EQ(Seen.KindPairs, kAllKindPairs)
       << "some caller/callee pair of observation kinds never ran";
+  EXPECT_EQ(Seen.SeenSets, kAllEventSets) << "some event set never ran";
 }
 
 TEST(InterpEngine, StepBudgetAbortsIdentically) {
@@ -925,10 +974,8 @@ TEST(InterpEngine, CompiledLoopsMatchReferenceAtEveryBudget) {
 TEST(InterpEngine, IntMinDividedByMinusOneMatchesReference) {
   // INT64_MIN / -1 and INT64_MIN % -1, which trap in hardware, through
   // the base Div and Mod handlers, plain and observed, at every budget.
-  // (The frontend compiles -1 as 0 - 1, so only hand-built bytecode hands
-  // a Mod superinstruction the divisor -1; its shapes take the immediate
-  // -1 and the operand INT64_MIN in
-  // SuperinstructionsMatchReferenceAtEveryBudget.)
+  // (A literal -1 divisor reaches the Mod superinstructions instead:
+  // NegativeLiteralDivisorReachesModSuperinstructions.)
   jstest::TestVm Vm("function div($a, $b) { return $a / $b; }"
                     "function mod($a, $b) { return $a % $b; }"
                     "function both($a) { $m = 0 - 1;"
@@ -967,6 +1014,57 @@ TEST(InterpEngine, IntMinDividedByMinusOneMatchesReference) {
   ASSERT_TRUE(Mod.Ret.isInt());
   EXPECT_EQ(Mod.Ret.I, 0);
   EXPECT_EQ(Mod.Faults, 0u);
+}
+
+TEST(InterpEngine, NegativeLiteralDivisorReachesModSuperinstructions) {
+  // The frontend folds -1 into one `Int -1`, so `% -1` quickens into each
+  // Mod superinstruction shape with the immediate -1.  INT64_MIN % -1
+  // still yields 0 with no fault, as in the reference at every budget.
+  jstest::TestVm Vm("function getl($x) { return $x % -1; }"
+                    "function top($x) { return ($x + 0) % -1; }"
+                    "function setl($x) { $y = ($x + 0) % -1; return $y; }");
+  ASSERT_TRUE(Vm.ok());
+  using runtime::Value;
+  const std::pair<const char *, interp::SuperOp> Shapes[] = {
+      {"getl", interp::SuperOp::GetLIntMod},
+      {"top", interp::SuperOp::IntMod},
+      {"setl", interp::SuperOp::IntModSetL}};
+  const uint32_t NumBuiltins = runtime::BuiltinTable::standard().size();
+  Calls Cs;
+  std::vector<std::string> Labels;
+  for (const auto &[Name, Super] : Shapes) {
+    const bc::Function &F = Vm.Repo.func(Vm.Repo.findFunction(Name));
+    uint32_t MaxStack = 0;
+    ASSERT_TRUE(
+        bc::verifyFunctionIssues(Vm.Repo, F, NumBuiltins, &MaxStack).empty());
+    interp::FuncExecInfo Info =
+        interp::computeExecInfo(F, /*Verified=*/true, MaxStack);
+    bool Fused = false;
+    for (size_t I = 0; I < Info.Quick.size(); ++I)
+      if (Info.Quick[I].Opcode == interp::quickOp(Super)) {
+        size_t Imm = Super == interp::SuperOp::GetLIntMod ? I + 1 : I;
+        EXPECT_EQ(F.Code[Imm].ImmA, -1) << Name;
+        Fused = true;
+      }
+    EXPECT_TRUE(Fused) << Name;
+    for (int64_t A : {kIntMin, kIntMin + 1, int64_t(7), int64_t(-9)}) {
+      Cs.push_back({Vm.Repo.findFunction(Name), {Value::integer(A)}});
+      Labels.push_back(
+          strFormat("%s(%lld)", Name, static_cast<long long>(A)));
+    }
+  }
+  expectMatchesReferenceAtEveryBudget(Vm.Repo, Cs, Labels);
+
+  runtime::ClassTable Classes(Vm.Repo);
+  runtime::Heap Heap;
+  interp::Interpreter Interp(Vm.Repo, Classes, Heap, Vm.Builtins);
+  for (const auto &[Name, Super] : Shapes) {
+    interp::InterpResult R =
+        Interp.call(Vm.Repo.findFunction(Name), {Value::integer(kIntMin)});
+    ASSERT_TRUE(R.Ret.isInt()) << Name;
+    EXPECT_EQ(R.Ret.I, 0) << Name;
+    EXPECT_EQ(R.Faults, 0u) << Name;
+  }
 }
 
 TEST(InterpEngine, CallDepthLimitMatchesReferenceAtItsBoundary) {

@@ -27,6 +27,7 @@
 #include "vm/Server.h"
 
 #include <array>
+#include <bit>
 
 #include <gtest/gtest.h>
 
@@ -566,8 +567,10 @@ namespace {
 
 /// A recorder plus the tiering feed the VM server adds: one translation
 /// lookup per frame entry serves both.  With \p AlwaysBody it observes
-/// the body of every frame, not just the frames the recorder picks.
-/// Counts its answers either way.
+/// the body of every frame, not just the events the recorder picks.
+/// Counts its answers by event bit either way, and the frames that record
+/// into both tiers: under seeder instrumentation, an inlined callee whose
+/// own translation is still its profile translation.
 template <typename Recorder> class TieringHooks : public Recorder {
 public:
   TieringHooks(Jit &J, bool AlwaysBody)
@@ -575,25 +578,58 @@ public:
 
   void onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
                    const runtime::Value *Args, uint32_t NumArgs) override {
-    this->enterFrame(Callee, Caller, Args, NumArgs, J.onFuncEntered(Callee));
+    const Translation *Best = J.onFuncEntered(Callee);
+    // The unit an instrumented frame counts in, by the recorders' rule.
+    const VasmUnit *Parent = Units.empty() ? nullptr : Units.back();
+    const VasmUnit *Unit = nullptr;
+    if (J.config().SeederInstrumentation) {
+      if (Parent && Parent->isInlined(Callee))
+        Unit = Parent;
+      else if (Best && Best->Kind == TransKind::Optimized)
+        Unit = Best->Unit.get();
+    }
+    if (Unit && Unit == Parent && Best && Best->Kind == TransKind::Profile)
+      ++ProfiledInlined;
+    Units.push_back(Unit);
+    this->enterFrame(Callee, Caller, Args, NumArgs, Best);
+  }
+
+  void onFuncExit(bc::FuncId F) override {
+    if (!Units.empty())
+      Units.pop_back();
+    Recorder::onFuncExit(F);
   }
 
   interp::FrameObservation observeFrame(bc::FuncId F) override {
     interp::FrameObservation O = AlwaysBody
                                      ? interp::FrameObservation::Body
                                      : Recorder::observeFrame(F);
-    ++Answers[static_cast<size_t>(O)];
+    uint8_t Bits = static_cast<uint8_t>(O);
+    if (!Bits)
+      ++EmptyAnswers;
+    for (uint32_t Bit = 0; Bit < 8; ++Bit)
+      BitAnswers[Bit] += Bits >> Bit & 1;
     return O;
   }
 
-  uint64_t answers(interp::FrameObservation O) const {
-    return Answers[static_cast<size_t>(O)];
+  /// The answers that include the single event \p E, or for EntryExit
+  /// the answers that include none.
+  uint64_t answers(interp::FrameObservation E) const {
+    uint8_t Bit = static_cast<uint8_t>(E);
+    return Bit ? BitAnswers[std::countr_zero(Bit)] : EmptyAnswers;
   }
+
+  /// Frames of an inlined callee running its profile translation inside
+  /// an instrumented unit.
+  uint64_t profiledInlined() const { return ProfiledInlined; }
 
 private:
   Jit &J;
   bool AlwaysBody;
-  uint64_t Answers[3] = {};
+  uint64_t EmptyAnswers = 0;
+  uint64_t BitAnswers[8] = {};
+  std::vector<const VasmUnit *> Units;
+  uint64_t ProfiledInlined = 0;
 };
 
 /// One interpreter and one JIT serving a workload through TieringHooks.
@@ -641,21 +677,24 @@ std::unique_ptr<fleet::Workload> twinSite() {
 }
 
 /// Serves \p A and \p B the same requests through profiling,
-/// retranslate-all while profile translations still run, and 200
-/// requests of mature code; every request must come out identical.
+/// retranslate-all while profile translations still run, relocation over
+/// many requests, so that placed optimized code calls callees still
+/// running their profile translations, and 200 requests of mature code;
+/// every request must come out identical.
 template <typename RecA, typename RecB>
 void serveTwins(HooksTwin<RecA> &A, HooksTwin<RecB> &B) {
-  const double Budget = 40'000;
   uint32_t Rq = 0;
   bool ProfiledWhileOptimizing = false;
   for (uint32_t Mature = 0; Mature < 200; ++Rq) {
     ASSERT_LT(Rq, 5000u) << "the JIT never matured";
     JitPhase Phase = A.J.phase();
-    uint64_t BodyBefore = A.Hooks.answers(interp::FrameObservation::Body);
+    const double Budget = Phase == JitPhase::Relocating ? 200 : 40'000;
+    uint64_t BlocksBefore =
+        A.Hooks.answers(interp::FrameObservation::Blocks);
     ASSERT_EQ(A.serve(Rq, Budget), B.serve(Rq, Budget)) << "request " << Rq;
     ASSERT_EQ(A.J.phase(), B.J.phase()) << "request " << Rq;
     if (Phase == JitPhase::Optimizing &&
-        A.Hooks.answers(interp::FrameObservation::Body) > BodyBefore)
+        A.Hooks.answers(interp::FrameObservation::Blocks) > BlocksBefore)
       ProfiledWhileOptimizing = true;
     if (Phase == JitPhase::Mature)
       ++Mature;
@@ -678,10 +717,20 @@ TEST(ObservationMask, ProfilingHooksRecordOnlyWhatTheyObserve) {
     HooksTwin<> Masked(*W, Config, /*AlwaysBody=*/false);
     HooksTwin<> Full(*W, Config, /*AlwaysBody=*/true);
     ASSERT_NO_FATAL_FAILURE(serveTwins(Masked, Full));
-    EXPECT_GT(Masked.Hooks.answers(interp::FrameObservation::EntryExit), 0u);
-    EXPECT_GT(Masked.Hooks.answers(interp::FrameObservation::Body), 0u);
-    EXPECT_EQ(Masked.Hooks.answers(interp::FrameObservation::BodyAndInstrs),
-              0u);
+    using interp::FrameObservation;
+    EXPECT_GT(Masked.Hooks.answers(FrameObservation::EntryExit), 0u);
+    EXPECT_GT(Masked.Hooks.answers(FrameObservation::Types), 0u);
+    EXPECT_EQ(Masked.Hooks.answers(FrameObservation::Data), 0u);
+    EXPECT_EQ(Masked.Hooks.answers(FrameObservation::Instrs), 0u);
+    // Profile frames ask for types and blocks; instrumented optimized
+    // frames for blocks alone.
+    if (Instrument) {
+      EXPECT_GT(Masked.Hooks.answers(FrameObservation::Blocks),
+                Masked.Hooks.answers(FrameObservation::Types));
+    } else {
+      EXPECT_EQ(Masked.Hooks.answers(FrameObservation::Blocks),
+                Masked.Hooks.answers(FrameObservation::Types));
+    }
 
     profile::ProfilePackage Pkg = Masked.J.buildPackage(0, 0, 1, 0);
     EXPECT_EQ(Pkg.serialize(), Full.J.buildPackage(0, 0, 1, 0).serialize());
@@ -694,7 +743,7 @@ TEST(ObservationMask, ProfilingHooksRecordOnlyWhatTheyObserve) {
       bool Inlines = false;
       for (const auto &T : Masked.J.transDb().all())
         Inlines |= T->Kind == TransKind::Optimized && T->Placed &&
-                   !T->Unit->Inlined.empty();
+                   !T->Unit->inlined().empty();
       EXPECT_TRUE(Inlines);
     }
   }
@@ -719,6 +768,11 @@ TEST(ProfileSlabs, SlabRecorderMatchesReferenceRecorder) {
     HooksTwin<> Slab(*W, Config);
     HooksTwin<jumpstart::testing::ReferenceProfilingHooks> Ref(*W, Config);
     ASSERT_NO_FATAL_FAILURE(serveTwins(Slab, Ref));
+    // With instrumentation, some frame records into both tiers: its slab
+    // and the instrumented unit it is inlined into.
+    if (Instrument) {
+      EXPECT_GT(Slab.Hooks.profiledInlined(), 0u);
+    }
 
     profile::ProfilePackage Pkg = Slab.J.buildPackage(0, 0, 1, 0);
     profile::ProfilePackage RefPkg = Ref.J.buildPackage(0, 0, 1, 0);
