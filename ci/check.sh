@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The tier-1 verification gate: configure, build, run the tier-1 test
-# suite, then check the fig4/fig5/fig6 determinism guarantee (two
-# identical runs, and runs at --threads 2 and 8, must export
-# byte-identical metrics/trace dumps).
+# suite, then check the fig4/fig5/fig6 and deployment_push determinism
+# guarantee (two identical runs, and runs at --threads 2 and 8, must
+# export byte-identical metrics/trace dumps).
 #
 # The tier-1 suite alone enforces the behaviour contract: the golden
 # exports, the committed bench snapshots (each harness's
@@ -44,19 +44,21 @@ ctest --test-dir "${BUILD_DIR}" -L tier1 --output-on-failure -j "${JOBS}"
 # the host compile pool (--threads) must not change a single exported
 # byte -- worker threads only move wall-clock time.  fig5 and fig6 also
 # run the shadow tracer and the machine simulator, whose per-translation
-# fetch plans must not change a byte either.
+# fetch plans must not change a byte either; deployment_push boots every
+# C2 seeder and C3 consumer of a site push on that pool.
 TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "${TMP_DIR}"' EXIT
 check_exports_deterministic() {
-  local FIG="$1"
+  local BIN="$1"
+  local FIG="${BIN##*/}"
   shift
-  "${BUILD_DIR}/bench/${FIG}" --export "${TMP_DIR}/${FIG}-a" >/dev/null
+  "${BUILD_DIR}/${BIN}" --export "${TMP_DIR}/${FIG}-a" >/dev/null
   local RUN FLAGS SUFFIX
   for RUN in b 2 8; do
     FLAGS=""
     [[ "${RUN}" == "b" ]] || FLAGS="--threads ${RUN}"
     # shellcheck disable=SC2086 # FLAGS is empty or two words
-    "${BUILD_DIR}/bench/${FIG}" --export "${TMP_DIR}/${FIG}-${RUN}" \
+    "${BUILD_DIR}/${BIN}" --export "${TMP_DIR}/${FIG}-${RUN}" \
       ${FLAGS} >/dev/null
     for SUFFIX in "$@"; do
       if ! cmp -s "${TMP_DIR}/${FIG}-a.${SUFFIX}" \
@@ -69,11 +71,13 @@ check_exports_deterministic() {
   done
   echo "check.sh: ${FIG} exports byte-identical across runs and for --threads 1/2/8"
 }
-check_exports_deterministic fig4_warmup \
+check_exports_deterministic bench/fig4_warmup \
   metrics.jsonl trace.jsonl chrome.json classes.json
-check_exports_deterministic fig5_steady_state \
+check_exports_deterministic bench/fig5_steady_state \
   metrics.jsonl trace.jsonl chrome.json
-check_exports_deterministic fig6_optimizations \
+check_exports_deterministic bench/fig6_optimizations \
+  metrics.jsonl trace.jsonl chrome.json
+check_exports_deterministic examples/deployment_push \
   metrics.jsonl trace.jsonl chrome.json
 
 # Differential conformance smoke: 50 generated programs through the smoke

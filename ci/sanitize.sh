@@ -21,9 +21,10 @@
 # interpreter, concurrent-serving and package-lifecycle harnesses run
 # instrumented too (server_load at --threads 1 and 4).
 #
-# The thread set exists for the host compile pool (support::ThreadPool,
-# the lowering and layout fan-out inside Jit::runJitWork, the sharded
-# fleet/deployment fan-outs) and for the concurrent-serving window,
+# The thread set exists for the host compile pool (support::ThreadPool:
+# the lowering and layout fan-out inside Jit::runJitWork, and the
+# runWarmupSweep fan-out over independent servers, which fig4 shares
+# with its servers' CompilePool) and for the concurrent-serving window,
 # where client threads serve() while the compile thread publishes
 # translation snapshots (ServerConcurrencyFixture's publication stress
 # test publishes hundreds).  On top of the full test suite it runs the

@@ -65,6 +65,14 @@ int main(int argc, char **argv) {
 
   vm::ServerConfig Config;
   Config.Jit.ProfileRequestTarget = 60;
+  // Host compile pool, as in every figure harness: every seeder's and
+  // consumer's JIT drains lower and lay out their batches on it, and the
+  // report and the exported dumps are byte-identical for any --threads
+  // value.
+  std::unique_ptr<support::ThreadPool> Pool;
+  if (Threads > 1)
+    Pool = std::make_unique<support::ThreadPool>(Threads);
+  Config.CompilePool = Pool.get();
   core::JumpStartOptions Opts;
   Opts.Coverage.MinProfiledFuncs = 5;
   Opts.Coverage.MinTotalSamples = 100;
@@ -84,12 +92,6 @@ int main(int argc, char **argv) {
   DP.ConsumerSamplesPerPair = 1;
   // Fold each shelf's seeders into one merged multi-seeder package too.
   DP.PublishMergedPackage = true;
-  // Host-parallel push: seeders/consumers shard across the pool; the
-  // report is identical for any worker count.
-  std::unique_ptr<support::ThreadPool> Pool;
-  if (Threads > 1)
-    Pool = std::make_unique<support::ThreadPool>(Threads);
-  DP.Pool = Pool.get();
   core::DeploymentReport Report = core::simulateDeployment(
       *W, Traffic, Config, Opts, Manager, DP, /*Chaos=*/nullptr, &Obs);
   for (const std::string &Line : Report.Log)

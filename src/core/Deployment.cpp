@@ -8,9 +8,6 @@
 #include "core/Deployment.h"
 
 #include "support/StringUtil.h"
-#include "support/ThreadPool.h"
-
-#include <memory>
 
 using namespace jumpstart;
 using namespace jumpstart::core;
@@ -58,14 +55,6 @@ DeploymentReport jumpstart::core::simulateDeployment(
   // and publishes its own package.
   {
     obs::ScopedSpan Phase(Trace, "push-C2-seeders", "phase", Track);
-    // Seeds are drawn serially in loop order whether or not a pool is
-    // attached, so the RNG stream -- and with it every seeder's behaviour
-    // -- is independent of the worker count.
-    struct SeederTask {
-      uint32_t Region, Bucket, S;
-      SeederParams SP;
-    };
-    std::vector<SeederTask> Tasks;
     for (uint32_t Region = 0; Region < P.Regions; ++Region) {
       for (uint32_t Bucket = 0; Bucket < P.Buckets; ++Bucket) {
         for (uint32_t S = 0; S < P.SeedersPerPair; ++S) {
@@ -76,68 +65,29 @@ DeploymentReport jumpstart::core::simulateDeployment(
                         (Bucket << 8) | S;
           SP.Requests = P.SeederRequests;
           SP.Seed = R.next();
-          Tasks.push_back({Region, Bucket, S, SP});
+          SeederOutcome Outcome = runSeederWorkflow(
+              W, Traffic, BaseConfig, Opts, Manager, SP, Chaos, Obs);
+          ++Report.SeedersRun;
+          if (Outcome.Published) {
+            ++Report.PackagesPublished;
+            Report.Log.push_back(strFormat(
+                "C2: seeder (r%u,b%u,#%u) published %zu bytes", Region,
+                Bucket, S, Outcome.PackageBytes));
+          } else {
+            ++Report.SeederFailures;
+            std::string Why = Outcome.Problems.empty()
+                                  ? "unknown"
+                                  : Outcome.Problems.front();
+            Report.Log.push_back(strFormat(
+                "C2: seeder (r%u,b%u,#%u) FAILED: %s", Region, Bucket, S,
+                Why.c_str()));
+          }
         }
-      }
-    }
-    std::vector<SeederOutcome> Outcomes(Tasks.size());
-    if (!P.Pool) {
-      for (size_t I = 0; I < Tasks.size(); ++I)
-        Outcomes[I] = runSeederWorkflow(W, Traffic, BaseConfig, Opts,
-                                        Manager, Tasks[I].SP, Chaos, Obs);
-    } else {
-      // Each task publishes into a task-local manager and records into
-      // task-local observability; results fold back in loop order below.
-      std::vector<PackageManager> LocalManagers(Tasks.size());
-      std::vector<std::unique_ptr<obs::Observability>> LocalObs(
-          Tasks.size());
-      P.Pool->parallelFor(Tasks.size(), [&](size_t I) {
-        if (Obs)
-          LocalObs[I] = std::make_unique<obs::Observability>();
-        Outcomes[I] = runSeederWorkflow(W, Traffic, BaseConfig, Opts,
-                                        LocalManagers[I], Tasks[I].SP, Chaos,
-                                        LocalObs[I].get());
-      });
-      for (size_t I = 0; I < Tasks.size(); ++I) {
-        if (Obs && LocalObs[I])
-          Obs->Metrics.mergeFrom(LocalObs[I]->Metrics);
-        // Republish into the shared manager.  The workflow published the
-        // package's serialized bytes, so re-serializing here lands the
-        // byte-identical blob at the same shelf position as the serial
-        // path.
-        if (Outcomes[I].Published &&
-            Manager
-                .publish(Tasks[I].Region, Tasks[I].Bucket,
-                         Outcomes[I].Package.serialize(),
-                         &Outcomes[I].Manifest)
-                .ok())
-          Outcomes[I].PackageIndex = Outcomes[I].Manifest.Id.Index;
-      }
-    }
-    for (size_t I = 0; I < Tasks.size(); ++I) {
-      const SeederTask &T = Tasks[I];
-      const SeederOutcome &Outcome = Outcomes[I];
-      ++Report.SeedersRun;
-      if (Outcome.Published) {
-        ++Report.PackagesPublished;
-        Report.Log.push_back(strFormat(
-            "C2: seeder (r%u,b%u,#%u) published %zu bytes", T.Region,
-            T.Bucket, T.S, Outcome.PackageBytes));
-      } else {
-        ++Report.SeederFailures;
-        std::string Why = Outcome.Problems.empty()
-                              ? "unknown"
-                              : Outcome.Problems.front();
-        Report.Log.push_back(strFormat(
-            "C2: seeder (r%u,b%u,#%u) FAILED: %s", T.Region, T.Bucket,
-            T.S, Why.c_str()));
       }
     }
 
     // Optional multi-seeder fold: one merged release per shelf, published
-    // alongside the individual packages.  The merge itself is input-order
-    // insensitive and this loop is serial, so the shelf contents stay
-    // identical for any worker count.
+    // alongside the individual packages.
     if (P.PublishMergedPackage) {
       for (uint32_t Region = 0; Region < P.Regions; ++Region) {
         for (uint32_t Bucket = 0; Bucket < P.Buckets; ++Bucket) {
@@ -164,11 +114,6 @@ DeploymentReport jumpstart::core::simulateDeployment(
   double InitTotal = 0;
   {
     obs::ScopedSpan Phase(Trace, "push-C3-consumers", "phase", Track);
-    struct ConsumerTask {
-      uint32_t Region, Bucket, C;
-      ConsumerParams CP;
-    };
-    std::vector<ConsumerTask> Tasks;
     for (uint32_t Region = 0; Region < P.Regions; ++Region) {
       for (uint32_t Bucket = 0; Bucket < P.Buckets; ++Bucket) {
         for (uint32_t C = 0; C < P.ConsumerSamplesPerPair; ++C) {
@@ -177,41 +122,18 @@ DeploymentReport jumpstart::core::simulateDeployment(
           CP.Bucket = Bucket;
           CP.Seed = R.next();
           CP.Name = strFormat("consumer-r%u-b%u-%u", Region, Bucket, C);
-          Tasks.push_back({Region, Bucket, C, CP});
+          ConsumerOutcome Outcome =
+              startConsumer(W, BaseConfig, Opts, Manager, CP, Chaos, Obs);
+          ++Report.ConsumersBooted;
+          if (Outcome.UsedJumpStart)
+            ++Report.ConsumersUsedJumpStart;
+          InitTotal += Outcome.Init.TotalSeconds;
+          Report.Log.push_back(strFormat(
+              "C3: consumer (r%u,b%u,#%u) init %.2fs, jump-start=%s",
+              Region, Bucket, C, Outcome.Init.TotalSeconds,
+              Outcome.UsedJumpStart ? "yes" : "no"));
         }
       }
-    }
-    std::vector<ConsumerOutcome> Outcomes(Tasks.size());
-    if (!P.Pool) {
-      for (size_t I = 0; I < Tasks.size(); ++I)
-        Outcomes[I] = startConsumer(W, BaseConfig, Opts, Manager,
-                                    Tasks[I].CP, Chaos, Obs);
-    } else {
-      // Consumers only read the shared store (const pickRandom); each
-      // records into task-local observability, merged in loop order.
-      std::vector<std::unique_ptr<obs::Observability>> LocalObs(
-          Tasks.size());
-      P.Pool->parallelFor(Tasks.size(), [&](size_t I) {
-        if (Obs)
-          LocalObs[I] = std::make_unique<obs::Observability>();
-        Outcomes[I] = startConsumer(W, BaseConfig, Opts, Manager,
-                                    Tasks[I].CP, Chaos, LocalObs[I].get());
-      });
-      for (size_t I = 0; I < Tasks.size(); ++I)
-        if (Obs && LocalObs[I])
-          Obs->Metrics.mergeFrom(LocalObs[I]->Metrics);
-    }
-    for (size_t I = 0; I < Tasks.size(); ++I) {
-      const ConsumerTask &T = Tasks[I];
-      const ConsumerOutcome &Outcome = Outcomes[I];
-      ++Report.ConsumersBooted;
-      if (Outcome.UsedJumpStart)
-        ++Report.ConsumersUsedJumpStart;
-      InitTotal += Outcome.Init.TotalSeconds;
-      Report.Log.push_back(strFormat(
-          "C3: consumer (r%u,b%u,#%u) init %.2fs, jump-start=%s",
-          T.Region, T.Bucket, T.C, Outcome.Init.TotalSeconds,
-          Outcome.UsedJumpStart ? "yes" : "no"));
     }
   }
   if (Report.ConsumersBooted)

@@ -19,10 +19,6 @@
 #include "core/Consumer.h"
 #include "core/Seeder.h"
 
-namespace jumpstart::support {
-class ThreadPool;
-}
-
 namespace jumpstart::core {
 
 /// Push-simulation parameters.  A real fleet has thousands of servers per
@@ -40,23 +36,11 @@ struct DeploymentParams {
   /// Consumers actually booted per (region, bucket).
   uint32_t ConsumerSamplesPerPair = 1;
   uint64_t Seed = 5;
-  /// Host thread pool sharding the independent C2 seeder and C3 consumer
-  /// simulations (null: serial).  Deterministic: every per-server seed is
-  /// drawn serially in loop order before the fan-out, each simulation
-  /// records into a task-local context, and packages/metrics/logs are
-  /// folded back in loop order after the join -- so the report and the
-  /// published packages are identical for any worker count.  With a pool,
-  /// workflow-level metrics merge into \p Obs but workflow trace spans
-  /// are task-local and dropped (phase spans still record); Chaos hooks,
-  /// if any, must be thread-safe.
-  support::ThreadPool *Pool = nullptr;
   /// After C2, additionally fold every shelf's published packages into
   /// one multi-seeder package (PackageManager::merge) -- "use of
   /// multiple, randomized profiles" collapsed into one release blob.
   /// The merged package is published onto the same shelf, so C3
-  /// consumers can pick it like any other.  Folding happens in
-  /// (region, bucket) loop order after the (order-insensitive) merge,
-  /// so the shelf contents stay identical for any worker count.
+  /// consumers can pick it like any other.
   bool PublishMergedPackage = false;
 };
 
@@ -81,7 +65,10 @@ struct DeploymentReport {
 /// push can reuse it or a test can inspect it).  \p Obs (optional)
 /// receives push-phase spans (C1 canary / C2 seeders / C3 consumers) on a
 /// "deployment" track plus everything the seeder and consumer workflows
-/// record.
+/// record.  Seeders, then consumers, run one after another in
+/// (region, bucket) order; the host threads a push may use are those of
+/// \p BaseConfig's CompilePool, which leave every result and every
+/// recorded byte unchanged.
 DeploymentReport simulateDeployment(const fleet::Workload &W,
                                     const fleet::TrafficModel &Traffic,
                                     const vm::ServerConfig &BaseConfig,

@@ -16,13 +16,13 @@
 /// and property accesses; steady-state measurement attaches the Vasm
 /// tracer that feeds the micro-architecture simulator.
 ///
-/// Observation is decided per frame: right after onFuncEnter the
-/// interpreter asks observeFrame for the set of body events the frame
-/// reports.  The observed loop tests that set before each callback, and a
-/// frame answered the empty set (EntryExit) runs the same plain body as a
-/// frame with no callbacks attached.  A tier pays only for what it
-/// records: an instrumented optimized frame of a seeder asks for its
-/// blocks alone.  Observed and plain frames run the same quickened code,
+/// Observation is decided per frame, in the frame's one entry call:
+/// onFuncEnter answers the set of body events the frame it opens reports.
+/// The observed loop tests that set before each callback, and a frame
+/// answered the empty set (EntryExit) runs the same plain body as a frame
+/// with no callbacks attached.  A tier pays only for what it records: an
+/// instrumented optimized frame of a seeder asks for its blocks alone.
+/// Observed and plain frames run the same quickened code,
 /// superinstructions included; each event still fires at the instruction
 /// it names, exactly as if every instruction had been dispatched on its
 /// own.
@@ -39,8 +39,8 @@
 
 namespace jumpstart::interp {
 
-/// The body events the interpreter reports for one frame
-/// (ExecCallbacks::observeFrame), one bit per callback; onFuncEnter and
+/// The body events the interpreter reports for one frame (the answer of
+/// ExecCallbacks::onFuncEnter), one bit per callback; onFuncEnter and
 /// onFuncExit fire whatever the set.
 enum class FrameObservation : uint8_t {
   /// No body event: the body runs unobserved.
@@ -68,7 +68,7 @@ constexpr bool observes(FrameObservation Set, FrameObservation Events) {
 }
 
 /// Observation hooks; all default to no-ops.  A body event fires only in
-/// frames whose observeFrame answer includes it; a frame answered
+/// frames whose onFuncEnter answer includes it; a frame answered
 /// EntryExit, and every frame when no callback object is attached, runs
 /// the plain interpreter body.
 class ExecCallbacks {
@@ -77,12 +77,17 @@ public:
 
   /// A frame for \p Callee was entered from \p Caller (invalid FuncId for
   /// the request's entry point) with \p NumArgs arguments in \p Args.
-  virtual void onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
-                           const runtime::Value *Args, uint32_t NumArgs) {
+  /// \returns the body events to report for this frame; onFuncExit fires
+  /// whatever the answer.  Calls made from the frame answer for their own
+  /// frames.
+  virtual FrameObservation onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
+                                       const runtime::Value *Args,
+                                       uint32_t NumArgs) {
     (void)Callee;
     (void)Caller;
     (void)Args;
     (void)NumArgs;
+    return FrameObservation::Body;
   }
 
   /// The frame for \p F returned.
@@ -92,15 +97,6 @@ public:
   virtual void onBlockEnter(bc::FuncId F, uint32_t Block) {
     (void)F;
     (void)Block;
-  }
-
-  /// The body events to report for the frame of \p F just entered.
-  /// Queried once per frame, right after onFuncEnter for \p F; onFuncExit
-  /// fires whatever the answer.  Calls made from the frame ask again for
-  /// their own frames.
-  virtual FrameObservation observeFrame(bc::FuncId F) {
-    (void)F;
-    return FrameObservation::Body;
   }
 
   /// Instruction \p InstrIndex of \p F is about to execute at call depth

@@ -6,17 +6,16 @@
 //===----------------------------------------------------------------------===//
 //
 // The frame loop, execFrameFast<Instrumented>: threaded dispatch
-// (computed goto on GNU-compatible compilers, a switch otherwise), frames
-// carved from the request FrameArena using the verifier's stack bound,
-// interned strings, inline caches for property/method sites, and step
-// accounting charged per straight-line run instead of per instruction
-// (interp/InterpCache.h proves the equivalence).  The Instrumented
-// template parameter hoists every callback test out of the loop: the
-// plain instantiation contains no observation code at all.  enterFrame
-// picks the instantiation once per frame, from the callbacks'
-// observeFrame answer, so frames nobody records run the plain body even
-// while callbacks are attached; the observed one tests the answer's
-// event set before each callback.
+// (computed goto, so GCC or Clang only), frames carved from the request
+// FrameArena using the verifier's stack bound, interned strings, inline
+// caches for property/method sites, and step accounting charged per
+// straight-line run instead of per instruction (interp/InterpCache.h
+// proves the equivalence).  The Instrumented template parameter hoists
+// every callback test out of the loop: the plain instantiation contains
+// no observation code at all.  enterFrame picks the instantiation once
+// per frame, from the callbacks' onFuncEnter answer, so frames nobody
+// records run the plain body even while callbacks are attached; the
+// observed one tests the answer's event set before each callback.
 //
 // Both instantiations run each function's quickened code
 // (FuncExecInfo::Quick), whose superinstructions execute a whole
@@ -113,10 +112,8 @@ Value Interpreter::enterFrame(bc::FuncId FId, const Value *Args,
   if (JS_UNLIKELY(!Info.Verified))
     return fault();
   FrameObservation Observe = FrameObservation::EntryExit;
-  if (Callbacks) {
-    Callbacks->onFuncEnter(FId, Caller, Args, NumArgs);
-    Observe = Callbacks->observeFrame(FId);
-  }
+  if (Callbacks)
+    Observe = Callbacks->onFuncEnter(FId, Caller, Args, NumArgs);
   const bc::Function &F = R.func(FId);
   Value Ret = Observe == FrameObservation::EntryExit
                   ? execFrameFast<false>(F, Info, FId, Args, NumArgs, This,

@@ -143,8 +143,7 @@ private:
                                uint32_t Depth, FrameObservation Observe);
   /// Frame entry for call() and every call site: the call-depth limit,
   /// then the verifier's verdict (an unverified function faults), then
-  /// onFuncEnter and observeFrame, the frame loop the answer selects, and
-  /// onFuncExit.
+  /// onFuncEnter, the frame loop its answer selects, and onFuncExit.
   runtime::Value enterFrame(bc::FuncId FId, const runtime::Value *Args,
                             uint32_t NumArgs, runtime::Value This,
                             bc::FuncId Caller, uint32_t Depth);

@@ -14,15 +14,30 @@ using namespace jumpstart::jit;
 
 JitProfilingHooks::JitProfilingHooks(Jit &J) : J(J) {}
 
-void JitProfilingHooks::onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
-                                    const runtime::Value *Args,
-                                    uint32_t NumArgs) {
-  enterFrame(Callee, Caller, Args, NumArgs, J.currentTranslation(Callee));
+namespace {
+
+using interp::FrameObservation;
+
+/// What a profile-tier frame records into its slab.
+constexpr FrameObservation kProfileEvents =
+    FrameObservation::Blocks | FrameObservation::Types |
+    FrameObservation::Props | FrameObservation::VirtualCalls;
+
+} // namespace
+
+FrameObservation JitProfilingHooks::onFuncEnter(bc::FuncId Callee,
+                                                bc::FuncId Caller,
+                                                const runtime::Value *Args,
+                                                uint32_t NumArgs) {
+  return enterFrame(Callee, Caller, Args, NumArgs,
+                    J.currentTranslation(Callee));
 }
 
-void JitProfilingHooks::enterFrame(bc::FuncId Callee, bc::FuncId Caller,
-                                   const runtime::Value *Args,
-                                   uint32_t NumArgs, const Translation *T) {
+FrameObservation JitProfilingHooks::enterFrame(bc::FuncId Callee,
+                                               bc::FuncId Caller,
+                                               const runtime::Value *Args,
+                                               uint32_t NumArgs,
+                                               const Translation *T) {
   Frame F;
   F.Func = Callee.raw();
 
@@ -67,6 +82,13 @@ void JitProfilingHooks::enterFrame(bc::FuncId Callee, bc::FuncId Caller,
 
   Callers.push_back(Top);
   Top = F;
+  // The body hooks below record only in these two cases.
+  FrameObservation Events = FrameObservation::EntryExit;
+  if (F.Slab)
+    Events = Events | kProfileEvents;
+  if (F.ActiveUnit)
+    Events = Events | FrameObservation::Blocks;
+  return Events;
 }
 
 void JitProfilingHooks::onFuncExit(bc::FuncId F) {
@@ -75,31 +97,6 @@ void JitProfilingHooks::onFuncExit(bc::FuncId F) {
     return;
   Top = Callers.back();
   Callers.pop_back();
-}
-
-namespace {
-
-using interp::FrameObservation;
-
-/// What a profile-tier frame records into its slab.
-constexpr FrameObservation kProfileEvents =
-    FrameObservation::Blocks | FrameObservation::Types |
-    FrameObservation::Props | FrameObservation::VirtualCalls;
-
-} // namespace
-
-FrameObservation JitProfilingHooks::observeFrame(bc::FuncId F) {
-  // The interpreter asks right after onFuncEnter(F), so F's frame is on
-  // top.  The body hooks below record only in these two cases.
-  assert(!Callers.empty() && Top.Func == F.raw() &&
-         "observeFrame outside onFuncEnter");
-  (void)F;
-  FrameObservation Events = FrameObservation::EntryExit;
-  if (Top.Slab)
-    Events = Events | kProfileEvents;
-  if (Top.ActiveUnit)
-    Events = Events | FrameObservation::Blocks;
-  return Events;
 }
 
 void JitProfilingHooks::onBlockEnter(bc::FuncId F, uint32_t Block) {

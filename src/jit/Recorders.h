@@ -40,15 +40,15 @@ class JitProfilingHooks : public interp::ExecCallbacks {
 public:
   explicit JitProfilingHooks(Jit &J);
 
-  void onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
-                   const runtime::Value *Args, uint32_t NumArgs) override;
+  /// Answers the events that land in a profile: blocks, types,
+  /// properties and virtual calls in tier-1 (profile) frames; under
+  /// seeder instrumentation, blocks in instrumented optimized frames, and
+  /// the union in a frame that is both (an inlined callee still running
+  /// its profile translation).  Every other frame is EntryExit.
+  interp::FrameObservation onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
+                                       const runtime::Value *Args,
+                                       uint32_t NumArgs) override;
   void onFuncExit(bc::FuncId F) override;
-  /// The events that land in a profile: blocks, types, properties and
-  /// virtual calls in tier-1 (profile) frames; under seeder
-  /// instrumentation, blocks in instrumented optimized frames, and the
-  /// union in a frame that is both (an inlined callee still running its
-  /// profile translation).  Every other frame is EntryExit.
-  interp::FrameObservation observeFrame(bc::FuncId F) override;
   void onBlockEnter(bc::FuncId F, uint32_t Block) override;
   void onVirtualCall(bc::FuncId Caller, uint32_t InstrIndex,
                      bc::FuncId Callee) override;
@@ -61,9 +61,11 @@ protected:
   /// onFuncEnter with \p Callee's current translation already resolved
   /// (\p Best == J.currentTranslation(Callee), as Jit::onFuncEntered
   /// returns it), for subclasses that feed the tiering policy too.
-  void enterFrame(bc::FuncId Callee, bc::FuncId Caller,
-                  const runtime::Value *Args, uint32_t NumArgs,
-                  const Translation *Best);
+  /// \returns onFuncEnter's answer.
+  interp::FrameObservation enterFrame(bc::FuncId Callee, bc::FuncId Caller,
+                                      const runtime::Value *Args,
+                                      uint32_t NumArgs,
+                                      const Translation *Best);
 
 private:
   struct Frame {

@@ -105,16 +105,18 @@ const VasmTracer::TransPlan &VasmTracer::planFor(const Translation &T) {
   return *Plans[T.Id];
 }
 
-void VasmTracer::onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
-                             const runtime::Value *Args, uint32_t NumArgs) {
+interp::FrameObservation VasmTracer::onFuncEnter(bc::FuncId Callee,
+                                                 bc::FuncId Caller,
+                                                 const runtime::Value *Args,
+                                                 uint32_t NumArgs) {
   (void)Caller;
   (void)Args;
   (void)NumArgs;
   Frame F;
   F.Func = Callee.raw();
-  // The callee's own translation decides whether the interpreter runs it
-  // (observeFrame), even when its body is inlined into the caller's.
-  // best() returns placed translations only.
+  // The callee's own translation decides whether the interpreter runs it,
+  // even when its body is inlined into the caller's.  best() returns
+  // placed translations only.
   const Translation *T = J.transDb().best(Callee);
   F.Interpreted = T == nullptr;
   const Frame *Parent = top();
@@ -128,6 +130,13 @@ void VasmTracer::onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
     F.trace(P, P.Own);
   }
   Frames.push_back(F);
+  // Per-instruction events are only needed for interpreted functions, to
+  // model the dispatch loop's footprint.
+  using interp::FrameObservation;
+  return F.Interpreted
+             ? FrameObservation::BodyAndInstrs
+             : FrameObservation::Blocks | FrameObservation::Props |
+                   FrameObservation::Data | FrameObservation::VirtualCalls;
 }
 
 void VasmTracer::onFuncExit(bc::FuncId F) {
@@ -168,20 +177,6 @@ void VasmTracer::onBlockEnter(bc::FuncId FuncId, uint32_t Block) {
   Machine.fetchBlock({Lines, Next.NumLines},
                      {Lines + Next.NumLines, Next.NumPages});
   F->LastVasmBlock = VB;
-}
-
-interp::FrameObservation VasmTracer::observeFrame(bc::FuncId F) {
-  // Per-instruction events are only needed for interpreted functions, to
-  // model the dispatch loop's footprint.  The interpreter asks right after
-  // onFuncEnter(F), so F's frame is on top.
-  assert(!Frames.empty() && Frames.back().Func == F.raw() &&
-         "observeFrame outside onFuncEnter");
-  (void)F;
-  using interp::FrameObservation;
-  return Frames.back().Interpreted
-             ? FrameObservation::BodyAndInstrs
-             : FrameObservation::Blocks | FrameObservation::Props |
-                   FrameObservation::Data | FrameObservation::VirtualCalls;
 }
 
 void VasmTracer::onInstr(bc::FuncId F, uint32_t InstrIndex, uint32_t Depth) {

@@ -49,14 +49,14 @@ class VasmTracer : public interp::ExecCallbacks {
 public:
   VasmTracer(Jit &J, sim::MachineSim &Machine);
 
-  void onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
-                   const runtime::Value *Args, uint32_t NumArgs) override;
+  /// Answers BodyAndInstrs for interpreted frames; every event but types,
+  /// which it does not trace, otherwise: the D-cache model needs every
+  /// data access of every frame.
+  interp::FrameObservation onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
+                                       const runtime::Value *Args,
+                                       uint32_t NumArgs) override;
   void onFuncExit(bc::FuncId F) override;
   void onBlockEnter(bc::FuncId F, uint32_t Block) override;
-  /// BodyAndInstrs for interpreted frames; every event but types, which
-  /// it does not trace, otherwise: the D-cache model needs every data
-  /// access of every frame.
-  interp::FrameObservation observeFrame(bc::FuncId F) override;
   void onInstr(bc::FuncId F, uint32_t InstrIndex, uint32_t Depth) override;
   void onVirtualCall(bc::FuncId Caller, uint32_t InstrIndex,
                      bc::FuncId Callee) override;

@@ -7,9 +7,8 @@
 
 #include "support/ThreadPool.h"
 
-#include "support/Assert.h"
-
 #include <algorithm>
+#include <exception>
 
 using namespace jumpstart;
 using namespace jumpstart::support;
@@ -20,147 +19,80 @@ namespace {
 thread_local const ThreadPool *CurrentWorkerPool = nullptr;
 } // namespace
 
-ThreadPool::ThreadPool(uint32_t NumWorkers, size_t QueueCapacity)
-    : QueueCapacity(std::max<size_t>(1, QueueCapacity)) {
-  if (NumWorkers <= 1) {
-    TaskCounts.resize(1, 0); // inline mode: one slot for the caller
+/// One pooled parallelFor call, on its caller's stack.  Its fields are
+/// guarded by the pool's M.
+struct ThreadPool::Batch {
+  const std::function<void(size_t)> &Body;
+  /// Chunks not yet finished.
+  size_t Pending;
+  std::exception_ptr FirstError;
+};
+
+ThreadPool::ThreadPool(uint32_t NumWorkers) {
+  if (NumWorkers <= 1)
     return;
-  }
-  TaskCounts.resize(NumWorkers, 0);
   Workers.reserve(NumWorkers);
   for (uint32_t I = 0; I < NumWorkers; ++I)
-    Workers.emplace_back([this, I] { workerLoop(I); });
+    Workers.emplace_back([this] { workerLoop(); });
 }
 
-ThreadPool::~ThreadPool() { shutdown(); }
-
-bool ThreadPool::onWorkerThread() const { return CurrentWorkerPool == this; }
-
-void ThreadPool::recordError(std::exception_ptr E) {
-  MutexLock Lock(M);
-  if (!FirstError)
-    FirstError = std::move(E);
-}
-
-void ThreadPool::rethrowFirstError() {
-  std::exception_ptr E;
-  {
-    MutexLock Lock(M);
-    std::swap(E, FirstError);
-  }
-  if (E)
-    std::rethrow_exception(E);
-}
-
-void ThreadPool::workerLoop(uint32_t Index) {
-  CurrentWorkerPool = this;
-  for (;;) {
-    std::function<void()> Task;
-    {
-      MutexLock Lock(M);
-      while (!Stopping && Queue.empty())
-        NotEmpty.wait(Lock);
-      if (Queue.empty())
-        return; // Stopping and drained
-      Task = std::move(Queue.front());
-      Queue.pop_front();
-      ++InFlight;
-      NotFull.notifyOne();
-    }
-    try {
-      Task();
-    } catch (...) {
-      recordError(std::current_exception());
-    }
-    {
-      MutexLock Lock(M);
-      ++TaskCounts[Index];
-      --InFlight;
-      if (Queue.empty() && InFlight == 0)
-        AllDone.notifyAll();
-    }
-  }
-}
-
-void ThreadPool::submit(std::function<void()> Task) {
-  if (Workers.empty() || onWorkerThread()) {
-    // Inline mode, or a task submitting from a worker (run it directly
-    // rather than risking a full queue deadlock).
-    {
-      MutexLock Lock(M);
-      alwaysAssert(!Stopping, "submit() after shutdown()");
-    }
-    try {
-      Task();
-    } catch (...) {
-      recordError(std::current_exception());
-    }
-    MutexLock Lock(M);
-    ++InlineTaskCount;
-    return;
-  }
-  MutexLock Lock(M);
-  alwaysAssert(!Stopping, "submit() after shutdown()");
-  while (Queue.size() >= QueueCapacity)
-    NotFull.wait(Lock);
-  Queue.push_back(std::move(Task));
-  NotEmpty.notifyOne();
-}
-
-void ThreadPool::wait() {
-  if (!Workers.empty()) {
-    MutexLock Lock(M);
-    while (!Queue.empty() || InFlight != 0)
-      AllDone.wait(Lock);
-  }
-  rethrowFirstError();
-}
-
-void ThreadPool::shutdown() {
-  // Stopping is set even in inline mode (and even though joined workers
-  // leave Workers empty) so a late submit() on any pool trips the
-  // "submit() after shutdown()" assertion instead of silently running.
+ThreadPool::~ThreadPool() {
   {
     MutexLock Lock(M);
     Stopping = true;
   }
-  if (!Workers.empty()) {
-    NotEmpty.notifyAll();
-    for (std::thread &T : Workers)
-      T.join();
-    Workers.clear();
-  }
-  // Exceptions surfacing only now are dropped (a destructor must not
-  // throw); call wait() before destruction to observe them.
+  WorkReady.notifyAll();
+  for (std::thread &T : Workers)
+    T.join();
 }
 
-std::vector<uint64_t> ThreadPool::perWorkerTaskCounts() const {
-  MutexLock Lock(M);
-  std::vector<uint64_t> Counts = TaskCounts;
-  if (Workers.empty())
-    Counts[0] = InlineTaskCount;
-  return Counts;
+void ThreadPool::workerLoop() {
+  CurrentWorkerPool = this;
+  for (;;) {
+    Chunk C;
+    {
+      MutexLock Lock(M);
+      while (!Stopping && Queue.empty())
+        WorkReady.wait(Lock);
+      if (Queue.empty())
+        return; // stopping, and nothing left to run
+      C = Queue.front();
+      Queue.pop_front();
+    }
+    std::exception_ptr Error;
+    try {
+      for (size_t I = C.Begin; I < C.End; ++I)
+        C.Owner->Body(I);
+    } catch (...) {
+      Error = std::current_exception();
+    }
+    MutexLock Lock(M);
+    if (Error && !C.Owner->FirstError)
+      C.Owner->FirstError = std::move(Error);
+    // The caller may return (and free the batch) as soon as the last
+    // chunk is counted: nothing below touches C.Owner.
+    if (--C.Owner->Pending == 0)
+      BatchDone.notifyAll();
+  }
 }
 
 void ThreadPool::parallelFor(size_t N,
                              const std::function<void(size_t)> &Body) {
-  if (N == 0)
-    return;
-  if (Workers.empty() || onWorkerThread()) {
-    // Serial path (also taken for nested fan-out from a worker thread:
-    // waiting on the pool from inside it would deadlock).
+  if (Workers.empty() || CurrentWorkerPool == this) {
     for (size_t I = 0; I < N; ++I)
       Body(I);
     return;
   }
-  size_t Chunks = std::min<size_t>(N, Workers.size());
-  for (size_t C = 0; C < Chunks; ++C) {
-    size_t Begin = N * C / Chunks;
-    size_t End = N * (C + 1) / Chunks;
-    submit([&Body, Begin, End] {
-      for (size_t I = Begin; I < End; ++I)
-        Body(I);
-    });
+  const size_t Chunks = std::min<size_t>(N, Workers.size());
+  Batch B{Body, Chunks, nullptr};
+  {
+    MutexLock Lock(M);
+    for (size_t C = 0; C < Chunks; ++C)
+      Queue.push_back({&B, N * C / Chunks, N * (C + 1) / Chunks});
+    WorkReady.notifyAll();
+    while (B.Pending != 0)
+      BatchDone.wait(Lock);
   }
-  wait();
+  if (B.FirstError)
+    std::rethrow_exception(B.FirstError);
 }

@@ -6,30 +6,28 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-size worker pool with a bounded queue.
+/// A fixed-size worker pool whose one operation is parallelFor.
 ///
 /// This is the repository's only source of host-thread parallelism; the
 /// simulation's *virtual* time stays single-threaded and deterministic.
 /// The pool therefore never appears in any cost model -- it only changes
 /// how fast the host machine gets through deterministic work (the
 /// parallel retranslate-all fan-out, fleet sweeps over independent
-/// servers).  Users that need determinism run the fan-out into per-task
-/// scratch storage and do all order-sensitive work serially after wait().
+/// servers).  Users that need determinism run the fan-out into per-index
+/// scratch storage and do all order-sensitive work serially after
+/// parallelFor returns.
 ///
-/// Semantics:
-///  - 0 or 1 workers means *inline* execution: submit() runs the task on
-///    the calling thread and no OS threads are created.  Code written
-///    against the pool degrades to the serial path with zero overhead.
-///  - submit() blocks while the queue is at capacity (backpressure, not
-///    unbounded memory).
-///  - shutdown() is graceful: queued tasks finish first, then workers
-///    join.  The destructor calls it.
-///  - The first exception thrown by any task is captured and rethrown
-///    from the next wait() (or swallowed by the destructor).
-///  - parallelFor() shards [0, N) into contiguous per-worker chunks --
-///    a deterministic static schedule -- and waits.  Calling it from
-///    inside one of this pool's own workers runs inline (no deadlock on
-///    nested fan-out).
+/// parallelFor(N, Body) runs Body(I) for every I in [0, N):
+///  - [0, N) splits into min(N, workers) contiguous chunks -- a
+///    deterministic static schedule -- and the call returns once every
+///    chunk has finished.
+///  - It runs inline on the calling thread on a pool of 0 or 1 workers
+///    (which starts no OS threads), and when called from one of this
+///    pool's own workers: a nested fan-out must not wait on the pool it
+///    runs in.
+///  - A chunk stops at its first throw.  Once every chunk has finished,
+///    the first exception a chunk threw is rethrown to the caller, and
+///    the pool stays usable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -50,67 +47,40 @@ namespace jumpstart::support {
 
 class ThreadPool {
 public:
-  /// Creates \p Workers worker threads (0 or 1: inline mode, none).
-  /// \p QueueCapacity bounds the number of queued-but-unstarted tasks.
-  explicit ThreadPool(uint32_t Workers, size_t QueueCapacity = 1024);
+  /// Starts \p Workers worker threads (0 or 1: inline mode, none).
+  explicit ThreadPool(uint32_t Workers);
+  /// Joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
 
-  /// Number of worker threads (0 in inline mode).
-  uint32_t numWorkers() const {
-    return static_cast<uint32_t>(Workers.size());
-  }
-
-  /// Enqueues \p Task; blocks while the queue is full.  Inline mode runs
-  /// it immediately on the calling thread.  Aborts on a pool that has
-  /// been shut down (in inline mode too -- a silently swallowed task
-  /// would be a far worse bug than an abort).
-  void submit(std::function<void()> Task) JUMPSTART_EXCLUDES(M);
-
-  /// Blocks until every submitted task has finished, then rethrows the
-  /// first captured task exception (if any).
-  void wait() JUMPSTART_EXCLUDES(M);
-
-  /// Graceful shutdown: stops accepting work, drains the queue, joins.
-  /// Idempotent; the destructor calls it.
-  void shutdown() JUMPSTART_EXCLUDES(M);
-
-  /// Tasks completed by each worker, indexed by worker.  Inline-mode
-  /// pools report one slot (the calling thread's count).
-  std::vector<uint64_t> perWorkerTaskCounts() const JUMPSTART_EXCLUDES(M);
-
-  /// Runs Body(I) for every I in [0, N), sharded into contiguous chunks
-  /// across the workers (deterministic static schedule), and waits.
-  /// Runs inline when the pool has no workers or when called from one of
-  /// this pool's own worker threads.
-  void parallelFor(size_t N, const std::function<void(size_t)> &Body);
+  /// Runs Body(I) for every I in [0, N) by the rules above.
+  void parallelFor(size_t N, const std::function<void(size_t)> &Body)
+      JUMPSTART_EXCLUDES(M);
 
 private:
-  void workerLoop(uint32_t Index) JUMPSTART_EXCLUDES(M);
-  void recordError(std::exception_ptr E) JUMPSTART_EXCLUDES(M);
-  void rethrowFirstError() JUMPSTART_EXCLUDES(M);
-  /// True when the calling thread is one of this pool's workers.
-  bool onWorkerThread() const;
+  struct Batch;
+  /// Indices [Begin, End) of one parallelFor call.
+  struct Chunk {
+    Batch *Owner = nullptr;
+    size_t Begin = 0;
+    size_t End = 0;
+  };
 
-  const size_t QueueCapacity;
-  /// Written only by the constructor and shutdown(), both of which run
-  /// on the owning thread; workers never touch it.  Not guarded by M.
-  std::vector<std::thread> Workers;
+  void workerLoop() JUMPSTART_EXCLUDES(M);
 
-  /// Guards all cross-thread state below; the -Wthread-safety build
-  /// (JUMPSTART_SANITIZE=thread-safety) verifies the annotations.
-  mutable Mutex M;
-  CondVar NotEmpty; ///< queue gained a task / stopping
-  CondVar NotFull;  ///< queue lost a task
-  CondVar AllDone;  ///< queue empty and nothing in flight
-  std::deque<std::function<void()>> Queue JUMPSTART_GUARDED_BY(M);
-  size_t InFlight JUMPSTART_GUARDED_BY(M) = 0;
+  /// Guards the queue, the stop flag and every in-flight Batch; the
+  /// -Wthread-safety build (JUMPSTART_SANITIZE=thread-safety) verifies
+  /// the annotations.
+  Mutex M;
+  CondVar WorkReady; ///< a chunk was queued, or the pool is stopping
+  CondVar BatchDone; ///< a batch's last chunk finished
+  std::deque<Chunk> Queue JUMPSTART_GUARDED_BY(M);
   bool Stopping JUMPSTART_GUARDED_BY(M) = false;
-  std::exception_ptr FirstError JUMPSTART_GUARDED_BY(M);
-  std::vector<uint64_t> TaskCounts JUMPSTART_GUARDED_BY(M);
-  uint64_t InlineTaskCount JUMPSTART_GUARDED_BY(M) = 0;
+  /// Written only by the constructor; workers never touch it.  Declared
+  /// last, after everything the workers use.
+  std::vector<std::thread> Workers;
 };
 
 } // namespace jumpstart::support

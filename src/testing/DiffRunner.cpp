@@ -333,17 +333,15 @@ RunTrace DiffRunner::runConfig(const fleet::Workload &W,
   // matter which thread ran it.
   auto ServeConcurrent = [&](vm::Server &S) {
     S.beginConcurrentServing();
-    std::vector<RequestObs> Results(NumRequests);
+    std::vector<vm::RequestObservables> Results(NumRequests);
     std::atomic<uint32_t> Next{0};
     auto Client = [&] {
       for (;;) {
         uint32_t Rq = Next.fetch_add(1, std::memory_order_relaxed);
         if (Rq >= NumRequests)
           break;
-        vm::RequestResult Res =
-            S.serve(W.Endpoints[Rq % NumEndpoints], argsFor(Rq), Rq);
-        Results[Rq] = {Res.Obs.Ret, Res.Obs.Output, Res.Obs.Faults,
-                       Res.Obs.Ok};
+        Results[Rq] =
+            S.serve(W.Endpoints[Rq % NumEndpoints], argsFor(Rq), Rq).Obs;
       }
     };
     std::vector<std::thread> Clients;
@@ -353,8 +351,7 @@ RunTrace DiffRunner::runConfig(const fleet::Workload &W,
     for (std::thread &Th : Clients)
       Th.join();
     S.endConcurrentServing();
-    for (RequestObs &R : Results)
-      T.Requests.push_back(std::move(R));
+    T.Requests = std::move(Results);
   };
 
   auto Serve = [&](vm::Server &S) {
@@ -363,10 +360,8 @@ RunTrace DiffRunner::runConfig(const fleet::Workload &W,
       return;
     }
     for (uint32_t Rq = 0; Rq < NumRequests; ++Rq) {
-      vm::RequestResult Res =
-          S.executeRequest(W.Endpoints[Rq % NumEndpoints], argsFor(Rq));
-      T.Requests.push_back({Res.Obs.Ret, Res.Obs.Output, Res.Obs.Faults,
-                            Res.Obs.Ok});
+      T.Requests.push_back(
+          S.executeRequest(W.Endpoints[Rq % NumEndpoints], argsFor(Rq)).Obs);
       // Drain the JIT pipeline so tier transitions happen at the same
       // request index on every run.
       S.grantJitTime(16.0);
@@ -444,8 +439,8 @@ std::string DiffRunner::compareTraces(const RunTrace &A,
     return strFormat("request count %zu vs %zu", A.Requests.size(),
                      B.Requests.size());
   for (size_t I = 0; I < A.Requests.size(); ++I) {
-    const RequestObs &X = A.Requests[I];
-    const RequestObs &Y = B.Requests[I];
+    const vm::RequestObservables &X = A.Requests[I];
+    const vm::RequestObservables &Y = B.Requests[I];
     if (X.Ret != Y.Ret)
       return strFormat("request %zu: return \"%s\" vs \"%s\"", I,
                        X.Ret.c_str(), Y.Ret.c_str());
@@ -564,7 +559,7 @@ void DiffRunner::checkProgram(const GenProgram &Prog, uint64_t ProgramSeed,
     if (T.BootedJumpStart)
       ++Stats.JumpStartBoots;
     fold(Stats.SweepDigest, C.Name);
-    for (const RequestObs &R : T.Requests) {
+    for (const vm::RequestObservables &R : T.Requests) {
       fold(Stats.SweepDigest, R.Ret);
       fold(Stats.SweepDigest, R.Output);
       foldU64(Stats.SweepDigest, R.Faults);

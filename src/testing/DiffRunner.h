@@ -31,6 +31,7 @@
 #include "fleet/WorkloadGen.h"
 #include "support/Status.h"
 #include "testing/ProgramGen.h"
+#include "vm/Server.h"
 
 #include <cstdint>
 #include <string>
@@ -101,18 +102,9 @@ std::vector<ExecConfig> serveMatrix(uint32_t Threads = 4);
 /// The injected-divergence config for harness self-tests.
 ExecConfig skewConfig();
 
-/// Observables of one request -- everything a client could see.
-struct RequestObs {
-  std::string Ret;
-  std::string Output;
-  uint64_t Faults = 0;
-  bool Ok = true;
-  bool operator==(const RequestObs &) const = default;
-};
-
 /// One configuration's run over one program.
 struct RunTrace {
-  std::vector<RequestObs> Requests;
+  std::vector<vm::RequestObservables> Requests;
   /// Determinism digest: translation placement plus exported metrics
   /// (empty for the bare-interpreter tiers).
   std::string Digest;

@@ -55,10 +55,8 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
   // A body event goes to Callbacks only when the frame's answer includes
   // it; entry and exit always go to Callbacks.
   interp::FrameObservation Observe = interp::FrameObservation::EntryExit;
-  if (Callbacks) {
-    Callbacks->onFuncEnter(FId, Caller, Args, NumArgs);
-    Observe = Callbacks->observeFrame(FId);
-  }
+  if (Callbacks)
+    Observe = Callbacks->onFuncEnter(FId, Caller, Args, NumArgs);
   auto Wants = [Observe](interp::FrameObservation Event) {
     return interp::observes(Observe, Event);
   };

@@ -13,9 +13,9 @@
 /// It has the production interpreter's surface -- call(), callbacks,
 /// per-function instruction counts, print output, InterpOptions -- and
 /// must agree with it on every observable: results, faults, step totals,
-/// abort points, callback streams and simulated heap addresses.  It asks
-/// ExecCallbacks::observeFrame per frame too, and reports only the body
-/// events the answer includes.  It deliberately never gains an
+/// abort points, callback streams and simulated heap addresses.  It too
+/// reports only the body events each frame's onFuncEnter answer
+/// includes.  It deliberately never gains an
 /// optimization: per-instruction budget checks and callback tests, two
 /// std::vector allocations per frame (charged to Heap::noteHostAllocs), a
 /// fresh VmString per Op::Str, and no inline caches.

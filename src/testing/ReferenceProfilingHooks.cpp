@@ -7,7 +7,6 @@
 
 #include "testing/ReferenceProfilingHooks.h"
 
-#include <cassert>
 
 using namespace jumpstart;
 using namespace jumpstart::testing;
@@ -15,18 +14,17 @@ using jit::TransKind;
 
 ReferenceProfilingHooks::ReferenceProfilingHooks(jit::Jit &J) : J(J) {}
 
-void ReferenceProfilingHooks::onFuncEnter(bc::FuncId Callee,
-                                          bc::FuncId Caller,
-                                          const runtime::Value *Args,
-                                          uint32_t NumArgs) {
-  enterFrame(Callee, Caller, Args, NumArgs, J.currentTranslation(Callee));
+interp::FrameObservation
+ReferenceProfilingHooks::onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
+                                     const runtime::Value *Args,
+                                     uint32_t NumArgs) {
+  return enterFrame(Callee, Caller, Args, NumArgs,
+                    J.currentTranslation(Callee));
 }
 
-void ReferenceProfilingHooks::enterFrame(bc::FuncId Callee,
-                                         bc::FuncId Caller,
-                                         const runtime::Value *Args,
-                                         uint32_t NumArgs,
-                                         const jit::Translation *T) {
+interp::FrameObservation ReferenceProfilingHooks::enterFrame(
+    bc::FuncId Callee, bc::FuncId Caller, const runtime::Value *Args,
+    uint32_t NumArgs, const jit::Translation *T) {
   Frame F;
   F.Func = Callee.raw();
 
@@ -56,23 +54,15 @@ void ReferenceProfilingHooks::enterFrame(bc::FuncId Callee,
   }
 
   Frames.push_back(F);
+  if ((F.IsProfileTier && F.Prof) || (F.IsInstrumentedOpt && F.ActiveUnit))
+    return interp::FrameObservation::Body;
+  return interp::FrameObservation::EntryExit;
 }
 
 void ReferenceProfilingHooks::onFuncExit(bc::FuncId F) {
   (void)F;
   if (!Frames.empty())
     Frames.pop_back();
-}
-
-interp::FrameObservation ReferenceProfilingHooks::observeFrame(bc::FuncId F) {
-  assert(!Frames.empty() && Frames.back().Func == F.raw() &&
-         "observeFrame outside onFuncEnter");
-  (void)F;
-  const Frame &Top = Frames.back();
-  if ((Top.IsProfileTier && Top.Prof) ||
-      (Top.IsInstrumentedOpt && Top.ActiveUnit))
-    return interp::FrameObservation::Body;
-  return interp::FrameObservation::EntryExit;
 }
 
 void ReferenceProfilingHooks::onBlockEnter(bc::FuncId F, uint32_t Block) {

@@ -39,10 +39,12 @@ class ReferenceProfilingHooks : public interp::ExecCallbacks {
 public:
   explicit ReferenceProfilingHooks(jit::Jit &J);
 
-  void onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
-                   const runtime::Value *Args, uint32_t NumArgs) override;
+  /// Answers Body in tier-1 frames and in instrumented optimized ones,
+  /// EntryExit in every other frame.
+  interp::FrameObservation onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
+                                       const runtime::Value *Args,
+                                       uint32_t NumArgs) override;
   void onFuncExit(bc::FuncId F) override;
-  interp::FrameObservation observeFrame(bc::FuncId F) override;
   void onBlockEnter(bc::FuncId F, uint32_t Block) override;
   void onVirtualCall(bc::FuncId Caller, uint32_t InstrIndex,
                      bc::FuncId Callee) override;
@@ -62,10 +64,12 @@ public:
 
 protected:
   /// onFuncEnter with \p Callee's current translation already resolved,
-  /// as jit::JitProfilingHooks::enterFrame takes it.
-  void enterFrame(bc::FuncId Callee, bc::FuncId Caller,
-                  const runtime::Value *Args, uint32_t NumArgs,
-                  const jit::Translation *Best);
+  /// as jit::JitProfilingHooks::enterFrame takes it.  \returns
+  /// onFuncEnter's answer.
+  interp::FrameObservation enterFrame(bc::FuncId Callee, bc::FuncId Caller,
+                                      const runtime::Value *Args,
+                                      uint32_t NumArgs,
+                                      const jit::Translation *Best);
 
 private:
   struct Frame {

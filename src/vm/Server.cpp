@@ -35,11 +35,12 @@ public:
   ServerHooks(Server &S, jit::Jit &J)
       : jit::JitProfilingHooks(J), S(S) {}
 
-  void onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
-                   const runtime::Value *Args, uint32_t NumArgs) override {
+  interp::FrameObservation onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
+                                       const runtime::Value *Args,
+                                       uint32_t NumArgs) override {
     S.Serial->PendingLoadUnits += S.loadUnitsFor(Callee);
     const jit::Translation *Best = S.TheJit.onFuncEntered(Callee);
-    enterFrame(Callee, Caller, Args, NumArgs, Best);
+    return enterFrame(Callee, Caller, Args, NumArgs, Best);
   }
 
 private:

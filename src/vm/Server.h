@@ -167,6 +167,7 @@ struct RequestObservables {
   uint64_t Faults = 0;
   /// False when the request aborted (step budget, stack depth).
   bool Ok = true;
+  bool operator==(const RequestObservables &) const = default;
 };
 
 /// Everything executeRequest()/serve() returns for one request.  A

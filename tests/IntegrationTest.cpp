@@ -338,23 +338,26 @@ public:
 
   const Coverage &coverage() const { return Seen; }
 
-  void onFuncEnter(bc::FuncId Callee, bc::FuncId, const runtime::Value *,
-                   uint32_t) override {
+  interp::FrameObservation onFuncEnter(bc::FuncId Callee, bc::FuncId,
+                                       const runtime::Value *,
+                                       uint32_t) override {
     Frame F;
     F.Func = Callee.raw();
     Frame *Parent = top();
+    // The callee's own translation decides whether the interpreter runs
+    // it, even when its body is inlined into the caller's.
+    const jit::Translation *T = J.transDb().best(Callee);
     if (Parent && Parent->Unit && Parent->Unit->isInlined(Callee)) {
       F.Trans = Parent->Trans;
       F.Unit = Parent->Unit;
       ++Seen.InlinedFrames;
-    } else {
-      const jit::Translation *T = J.transDb().best(Callee);
-      if (T && T->Placed) {
-        F.Trans = T;
-        F.Unit = T->Unit.get();
-      }
+    } else if (T && T->Placed) {
+      F.Trans = T;
+      F.Unit = T->Unit.get();
     }
     Frames.push_back(F);
+    return T && T->Placed ? interp::FrameObservation::Body
+                          : interp::FrameObservation::BodyAndInstrs;
   }
 
   void onFuncExit(bc::FuncId) override {
@@ -401,12 +404,6 @@ public:
       Addr += Instrs[I].SizeBytes;
     }
     F->LastVasmBlock = VB;
-  }
-
-  interp::FrameObservation observeFrame(bc::FuncId F) override {
-    const jit::Translation *T = J.transDb().best(F);
-    return T && T->Placed ? interp::FrameObservation::Body
-                          : interp::FrameObservation::BodyAndInstrs;
   }
 
   void onInstr(bc::FuncId, uint32_t, uint32_t) override {

@@ -70,8 +70,12 @@ public:
     return interp::observes(O, interp::FrameObservation::Instrs) ? 2 : 1;
   }
 
-  interp::FrameObservation observeFrame(bc::FuncId F) override {
-    (void)F;
+  interp::FrameObservation onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
+                                       const runtime::Value *Args,
+                                       uint32_t NumArgs) override {
+    line("enter", {Callee.raw(), Caller.raw(), NumArgs});
+    for (uint32_t I = 0; I < NumArgs; ++I)
+      Log += "  arg " + runtime::toString(Args[I]) + "\n";
     interp::FrameObservation O = Every;
     if (Mixed) {
       // The five events below Instrs are the low five bits.
@@ -88,13 +92,6 @@ public:
       KindPairs |= 1u << (3 * kindOf(Sets.back()) + kindOf(O));
     Sets.push_back(O);
     return O;
-  }
-
-  void onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
-                   const runtime::Value *Args, uint32_t NumArgs) override {
-    line("enter", {Callee.raw(), Caller.raw(), NumArgs});
-    for (uint32_t I = 0; I < NumArgs; ++I)
-      Log += "  arg " + runtime::toString(Args[I]) + "\n";
   }
   void onFuncExit(bc::FuncId F) override {
     Sets.pop_back();

@@ -576,8 +576,9 @@ public:
   TieringHooks(Jit &J, bool AlwaysBody)
       : Recorder(J), J(J), AlwaysBody(AlwaysBody) {}
 
-  void onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
-                   const runtime::Value *Args, uint32_t NumArgs) override {
+  interp::FrameObservation onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
+                                       const runtime::Value *Args,
+                                       uint32_t NumArgs) override {
     const Translation *Best = J.onFuncEntered(Callee);
     // The unit an instrumented frame counts in, by the recorders' rule.
     const VasmUnit *Parent = Units.empty() ? nullptr : Units.back();
@@ -591,25 +592,22 @@ public:
     if (Unit && Unit == Parent && Best && Best->Kind == TransKind::Profile)
       ++ProfiledInlined;
     Units.push_back(Unit);
-    this->enterFrame(Callee, Caller, Args, NumArgs, Best);
-  }
-
-  void onFuncExit(bc::FuncId F) override {
-    if (!Units.empty())
-      Units.pop_back();
-    Recorder::onFuncExit(F);
-  }
-
-  interp::FrameObservation observeFrame(bc::FuncId F) override {
-    interp::FrameObservation O = AlwaysBody
-                                     ? interp::FrameObservation::Body
-                                     : Recorder::observeFrame(F);
+    interp::FrameObservation O =
+        this->enterFrame(Callee, Caller, Args, NumArgs, Best);
+    if (AlwaysBody)
+      O = interp::FrameObservation::Body;
     uint8_t Bits = static_cast<uint8_t>(O);
     if (!Bits)
       ++EmptyAnswers;
     for (uint32_t Bit = 0; Bit < 8; ++Bit)
       BitAnswers[Bit] += Bits >> Bit & 1;
     return O;
+  }
+
+  void onFuncExit(bc::FuncId F) override {
+    if (!Units.empty())
+      Units.pop_back();
+    Recorder::onFuncExit(F);
   }
 
   /// The answers that include the single event \p E, or for EntryExit

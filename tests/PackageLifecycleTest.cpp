@@ -394,10 +394,11 @@ TEST_F(LifecycleFixture, DeployedMergePackagesAreWorkerCountInvariant) {
       *W, *Traffic, baseConfig(), lenientOpts(), Serial, DP);
 
   support::ThreadPool Pool(3);
-  DP.Pool = &Pool;
+  vm::ServerConfig PooledConfig = baseConfig();
+  PooledConfig.CompilePool = &Pool;
   PackageManager Pooled;
   DeploymentReport PooledReport = simulateDeployment(
-      *W, *Traffic, baseConfig(), lenientOpts(), Pooled, DP);
+      *W, *Traffic, PooledConfig, lenientOpts(), Pooled, DP);
 
   EXPECT_EQ(SerialReport.MergedPackages, DP.Buckets);
   EXPECT_EQ(PooledReport.MergedPackages, SerialReport.MergedPackages);

@@ -94,12 +94,6 @@ protected:
     return Obs;
   }
 
-  static bool sameObservables(const vm::RequestObservables &A,
-                              const vm::RequestObservables &B) {
-    return A.Ret == B.Ret && A.Output == B.Output && A.Faults == B.Faults &&
-           A.Ok == B.Ok;
-  }
-
   static fleet::Workload *W;
 };
 
@@ -173,8 +167,7 @@ TEST_F(ServerConcurrencyFixture, RetranslateAllUnderLiveLoadMatchesSerial) {
   // observables and the final translation placement match the serial
   // twin exactly.
   for (uint32_t Rq = 0; Rq < kServe; ++Rq)
-    EXPECT_TRUE(sameObservables(ConcObs[Rq], SerialObs[Rq]))
-        << "request " << Rq;
+    EXPECT_TRUE(ConcObs[Rq] == SerialObs[Rq]) << "request " << Rq;
   EXPECT_EQ(B.theJit().transDb().placementDigest(), SerialPlacement);
 }
 
@@ -328,7 +321,7 @@ TEST_F(ServerConcurrencyFixture, PublicationStressMatchesSerial) {
       uint32_t Rq = Next.fetch_add(1, std::memory_order_relaxed);
       uint32_t Entry = Rq % kSchedule;
       vm::RequestResult Res = B.serve(endpointFor(Entry), argsFor(Entry), Rq);
-      if (Res.Shed || !sameObservables(Res.Obs, SerialObs[Entry]))
+      if (Res.Shed || !(Res.Obs == SerialObs[Entry]))
         Mismatches.fetch_add(1, std::memory_order_relaxed);
     }
   };
@@ -476,9 +469,11 @@ namespace {
 class CountingCallbacks : public interp::ExecCallbacks {
 public:
   uint64_t Enters = 0;
-  void onFuncEnter(bc::FuncId, bc::FuncId, const runtime::Value *,
-                   uint32_t) override {
+  interp::FrameObservation onFuncEnter(bc::FuncId, bc::FuncId,
+                                       const runtime::Value *,
+                                       uint32_t) override {
     ++Enters;
+    return interp::FrameObservation::Body;
   }
 };
 } // namespace

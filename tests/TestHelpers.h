@@ -54,8 +54,10 @@ class BodyObservingHooks : public jit::JitProfilingHooks {
 public:
   using jit::JitProfilingHooks::JitProfilingHooks;
 
-  interp::FrameObservation observeFrame(bc::FuncId F) override {
-    (void)F;
+  interp::FrameObservation onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
+                                       const runtime::Value *Args,
+                                       uint32_t NumArgs) override {
+    jit::JitProfilingHooks::onFuncEnter(Callee, Caller, Args, NumArgs);
     return interp::FrameObservation::Body;
   }
 };

@@ -25,6 +25,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -38,34 +40,50 @@ using support::ThreadPool;
 TEST(ThreadPoolTest, InlineModeRunsOnCaller) {
   for (uint32_t N : {0u, 1u}) {
     ThreadPool P(N);
-    EXPECT_EQ(P.numWorkers(), 0u) << "<=1 workers spawns no threads";
-    int Ran = 0;
-    std::thread::id TaskThread;
-    P.submit([&] {
-      ++Ran;
-      TaskThread = std::this_thread::get_id();
+    std::vector<std::thread::id> Ran;
+    P.parallelFor(5, [&](size_t I) {
+      EXPECT_EQ(I, Ran.size()) << "inline mode runs the indices in order";
+      Ran.push_back(std::this_thread::get_id());
     });
-    EXPECT_EQ(Ran, 1) << "inline submit completes before returning";
-    EXPECT_EQ(TaskThread, std::this_thread::get_id());
-    P.wait();
-    std::vector<uint64_t> Counts = P.perWorkerTaskCounts();
-    ASSERT_EQ(Counts.size(), 1u);
-    EXPECT_EQ(Counts[0], 1u);
+    ASSERT_EQ(Ran.size(), 5u) << N << " workers";
+    for (std::thread::id Id : Ran)
+      EXPECT_EQ(Id, std::this_thread::get_id()) << "<=1 workers runs inline";
   }
 }
 
 TEST(ThreadPoolTest, RunsEveryTaskAcrossWorkers) {
   ThreadPool P(4);
-  EXPECT_EQ(P.numWorkers(), 4u);
-  std::atomic<int> Sum{0};
-  for (int I = 0; I < 500; ++I)
-    P.submit([&Sum] { Sum.fetch_add(1, std::memory_order_relaxed); });
-  P.wait();
-  EXPECT_EQ(Sum.load(), 500);
-  uint64_t Total = 0;
-  for (uint64_t C : P.perWorkerTaskCounts())
-    Total += C;
-  EXPECT_EQ(Total, 500u) << "per-worker stats account for every task";
+  std::mutex Mu;
+  std::set<std::thread::id> Threads;
+  std::vector<std::atomic<int>> Hits(8);
+  // Each index waits until a second thread has run one, so a worker that
+  // wakes first cannot drain the whole queue alone.  The wait has one
+  // deadline for the whole call: a pool that runs every chunk on one
+  // thread fails instead of hanging.
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  P.parallelFor(Hits.size(), [&](size_t I) {
+    Hits[I].fetch_add(1, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      Threads.insert(std::this_thread::get_id());
+    }
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> Lock(Mu);
+        if (Threads.size() >= 2)
+          break;
+      }
+      if (std::chrono::steady_clock::now() > Deadline)
+        break;
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  for (size_t I = 0; I < Hits.size(); ++I)
+    EXPECT_EQ(Hits[I].load(), 1) << "index " << I;
+  EXPECT_GE(Threads.size(), 2u) << "chunks ran on more than one thread";
+  EXPECT_EQ(Threads.count(std::this_thread::get_id()), 0u)
+      << "a pooled call runs its chunks on the workers";
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
@@ -81,117 +99,56 @@ TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
 }
 
 TEST(ThreadPoolTest, WaitRethrowsFirstTaskException) {
+  // A throw on a worker reaches the caller once every chunk has finished.
   ThreadPool P(2);
-  P.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(P.wait(), std::runtime_error);
+  const std::thread::id Caller = std::this_thread::get_id();
+  EXPECT_THROW(P.parallelFor(2,
+                             [&](size_t I) {
+                               ASSERT_NE(std::this_thread::get_id(), Caller);
+                               if (I == 1)
+                                 throw std::runtime_error("boom");
+                             }),
+               std::runtime_error);
   // The pool stays usable after an error.
   std::atomic<int> Ran{0};
-  P.submit([&Ran] { ++Ran; });
-  P.wait();
-  EXPECT_EQ(Ran.load(), 1);
+  P.parallelFor(4, [&Ran](size_t) { ++Ran; });
+  EXPECT_EQ(Ran.load(), 4);
 }
 
 TEST(ThreadPoolTest, InlineModeAlsoRethrows) {
   ThreadPool P(1);
-  P.submit([] { throw std::runtime_error("inline boom"); });
-  EXPECT_THROW(P.wait(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, ShutdownDrainsQueuedWorkUnderLoad) {
-  std::atomic<int> Ran{0};
-  {
-    ThreadPool P(2, /*QueueCapacity=*/8);
-    for (int I = 0; I < 64; ++I)
-      P.submit([&Ran] {
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        Ran.fetch_add(1, std::memory_order_relaxed);
-      });
-    P.shutdown(); // graceful: drains the queue, then joins
-  }
-  EXPECT_EQ(Ran.load(), 64) << "shutdown must not drop queued tasks";
-}
-
-TEST(ThreadPoolTest, ZeroCapacityQueueIsClampedNotDeadlocked) {
-  // QueueCapacity 0 would make NotFull.wait() unsatisfiable: every
-  // submit() would block forever.  The constructor clamps it to 1.
-  ThreadPool P(2, /*QueueCapacity=*/0);
-  std::atomic<int> Ran{0};
-  for (int I = 0; I < 16; ++I)
-    P.submit([&Ran] { Ran.fetch_add(1, std::memory_order_relaxed); });
-  P.wait();
-  EXPECT_EQ(Ran.load(), 16);
+  EXPECT_THROW(
+      P.parallelFor(3, [](size_t) { throw std::runtime_error("inline boom"); }),
+      std::runtime_error);
 }
 
 TEST(ThreadPoolTest, ThrowingTaskDoesNotPoisonThePool) {
-  // One task throwing must neither kill the worker nor block later
-  // tasks; wait() reports the first exception and clears it.
+  // One chunk throwing must neither kill its worker nor stop the other
+  // chunks; the call reports the exception, and the next call is clean.
   ThreadPool P(2);
   std::atomic<int> Ran{0};
-  P.submit([] { throw std::runtime_error("task boom"); });
-  for (int I = 0; I < 32; ++I)
-    P.submit([&Ran] { Ran.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_THROW(P.wait(), std::runtime_error);
-  EXPECT_EQ(Ran.load(), 32) << "tasks after the throw still ran";
-  // The error was consumed: a second wait() is clean.
-  P.submit([&Ran] { Ran.fetch_add(1, std::memory_order_relaxed); });
-  P.wait();
-  EXPECT_EQ(Ran.load(), 33);
-}
-
-TEST(ThreadPoolDeathTest, SubmitAfterShutdownAborts) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  // Queue path (live workers)...
-  EXPECT_DEATH(
-      {
-        ThreadPool P(2);
-        P.shutdown();
-        P.submit([] {});
-      },
-      "submit\\(\\) after shutdown\\(\\)");
-  // ...and the inline path: a pool with joined (or no) workers must not
-  // silently run the task on the caller either.
-  EXPECT_DEATH(
-      {
-        ThreadPool P(0);
-        P.shutdown();
-        P.submit([] {});
-      },
-      "submit\\(\\) after shutdown\\(\\)");
-}
-
-TEST(ThreadPoolTest, NestedSubmitFromLastLiveWorker) {
-  // A task that submits from a worker while every other worker is
-  // blocked: the nested submits must run inline on that worker (queueing
-  // them could deadlock -- nobody is left to drain the queue).
-  ThreadPool P(2, /*QueueCapacity=*/1);
-  std::atomic<bool> Release{false};
-  std::atomic<int> Nested{0};
-  P.submit([&Release] {
-    while (!Release.load(std::memory_order_acquire))
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-  });
-  P.submit([&] {
-    for (int I = 0; I < 8; ++I)
-      P.submit([&Nested] {
-        Nested.fetch_add(1, std::memory_order_relaxed);
-      });
-    Release.store(true, std::memory_order_release);
-  });
-  P.wait();
-  EXPECT_EQ(Nested.load(), 8);
-  // All eight ran inline on the submitting worker, none were queued.
-  std::vector<uint64_t> Counts = P.perWorkerTaskCounts();
-  uint64_t QueuedTasks = 0;
-  for (uint64_t C : Counts)
-    QueuedTasks += C;
-  EXPECT_EQ(QueuedTasks, 2u) << "only the two outer tasks went through "
-                                "the queue";
+  EXPECT_THROW(P.parallelFor(64,
+                             [&Ran](size_t I) {
+                               if (I == 0)
+                                 throw std::runtime_error("task boom");
+                               Ran.fetch_add(1, std::memory_order_relaxed);
+                             }),
+               std::runtime_error);
+  // Chunk [0, 32) stopped at its first index; chunk [32, 64) ran whole.
+  EXPECT_EQ(Ran.load(), 32) << "the other chunk still ran";
+  Ran = 0;
+  for (int Round = 0; Round < 4; ++Round)
+    P.parallelFor(64, [&Ran](size_t) {
+      Ran.fetch_add(1, std::memory_order_relaxed);
+    });
+  EXPECT_EQ(Ran.load(), 4 * 64) << "both workers survived the throw";
 }
 
 TEST(ThreadPoolTest, NestedParallelForRunsInline) {
-  // A task running on a pool worker fans out on the same pool (the
-  // deployment boots consumers whose servers use the same CompilePool);
-  // the nested fan-out must run inline instead of deadlocking.
+  // A chunk running on a pool worker fans out on the same pool -- fig4
+  // hands one pool to runWarmupSweep and to its servers' CompilePool, so
+  // every sweep run's retranslate-all is such a nested call; the nested
+  // fan-out must run inline instead of deadlocking.
   ThreadPool P(2);
   std::atomic<int> Inner{0};
   P.parallelFor(4, [&](size_t) {
@@ -381,12 +338,15 @@ TEST_F(ThreadingFixture, DeploymentIdenticalForAnyWorkerCount) {
   DP.ConsumerSamplesPerPair = 1;
   vm::ServerConfig Config = baseConfig();
 
-  auto RunPush = [&](support::ThreadPool *Pool, core::PackageManager &Manager) {
-    core::DeploymentParams P = DP;
-    P.Pool = Pool;
-    return core::simulateDeployment(*W, *Traffic, Config, Opts, Manager, P);
-  };
-  auto ReportText = [](const core::DeploymentReport &R) {
+  // Everything a push leaves behind, but the shelves: the report, and
+  // the full metrics and trace dumps of the push it recorded.
+  auto RunPush = [&](support::ThreadPool *Pool,
+                     core::PackageManager &Manager) {
+    vm::ServerConfig C = Config;
+    C.CompilePool = Pool;
+    obs::Observability Obs;
+    core::DeploymentReport R = core::simulateDeployment(
+        *W, *Traffic, C, Opts, Manager, DP, /*Chaos=*/nullptr, &Obs);
     std::string S = strFormat(
         "canary=%d seeders=%u published=%u failures=%u booted=%u js=%u "
         "init=%.6f\n",
@@ -395,16 +355,19 @@ TEST_F(ThreadingFixture, DeploymentIdenticalForAnyWorkerCount) {
         R.MeanConsumerInitSeconds);
     for (const std::string &Line : R.Log)
       S += Line + "\n";
+    S += obs::metricsToJsonLines(Obs.Metrics);
+    S += obs::traceToJsonLines(Obs.Trace);
     return S;
   };
 
   core::PackageManager SerialManager;
-  std::string Serial = ReportText(RunPush(nullptr, SerialManager));
+  std::string Serial = RunPush(nullptr, SerialManager);
+  ASSERT_NE(Serial.find("push-C3-consumers"), std::string::npos)
+      << "the dump carries the push's phase spans";
   for (uint32_t Workers : {1u, 2u, 8u}) {
     ThreadPool Pool(Workers);
     core::PackageManager Manager;
-    EXPECT_EQ(ReportText(RunPush(&Pool, Manager)), Serial)
-        << Workers << " workers";
+    EXPECT_EQ(RunPush(&Pool, Manager), Serial) << Workers << " workers";
     for (uint32_t B = 0; B < DP.Buckets; ++B) {
       EXPECT_EQ(Manager.available(0, B), SerialManager.available(0, B))
           << "published blobs must land on the same shelves";
@@ -417,21 +380,4 @@ TEST_F(ThreadingFixture, DeploymentIdenticalForAnyWorkerCount) {
             << "shelf (0," << B << ") package #" << I;
     }
   }
-
-  // The parallel path's merged metrics are themselves deterministic
-  // across worker counts (the serial path records into the shared
-  // registry directly, so it is compared separately above).
-  auto MetricsText = [&](uint32_t Workers) {
-    ThreadPool Pool(Workers);
-    obs::Observability Obs;
-    core::PackageManager Manager;
-    core::DeploymentParams P = DP;
-    P.Pool = &Pool;
-    core::simulateDeployment(*W, *Traffic, Config, Opts, Manager, P,
-                             /*Chaos=*/nullptr, &Obs);
-    return obs::metricsToJsonLines(Obs.Metrics);
-  };
-  std::string M1 = MetricsText(1);
-  EXPECT_EQ(MetricsText(2), M1);
-  EXPECT_EQ(MetricsText(8), M1);
 }
