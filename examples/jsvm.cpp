@@ -13,8 +13,6 @@
 ///   jsvm check <file.hack>                      compile + verify only
 ///   jsvm jit <file.hack> [--threads N]          retranslate-all on a
 ///                                               host compile pool
-///   jsvm opts [k=v ...]                         parse + validate
-///                                               Jump-Start options
 ///   jsvm fuzz [--programs N] [--seed S] ...     differential conformance
 ///                                               sweep (src/testing)
 ///
@@ -22,7 +20,6 @@
 
 #include "bytecode/Disasm.h"
 #include "bytecode/Verifier.h"
-#include "core/JumpStartOptions.h"
 #include "frontend/Compiler.h"
 #include "interp/Interpreter.h"
 #include "jit/Jit.h"
@@ -30,6 +27,9 @@
 #include "support/ThreadPool.h"
 #include "testing/DiffRunner.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,7 +46,6 @@ int usage() {
                "       jsvm disasm <file.hack> [function]\n"
                "       jsvm check <file.hack>\n"
                "       jsvm jit <file.hack> [--threads N]\n"
-               "       jsvm opts [key=value ...]\n"
                "       jsvm fuzz [--programs N] [--seed S] [--requests N]\n"
                "                 [--full] [--skew K] [--repro DIR]\n");
   return 2;
@@ -93,26 +92,6 @@ int main(int argc, char **argv) {
     return usage();
   const char *Command = argv[1];
 
-  // `opts` takes option assignments, not a source file: parse them into a
-  // JumpStartOptions, run the validator, and echo the effective
-  // configuration in round-trippable key=value form.
-  if (std::strcmp(Command, "opts") == 0) {
-    core::JumpStartOptions Opts;
-    for (int I = 2; I < argc; ++I) {
-      support::Status S = Opts.parseAssignments(argv[I]);
-      if (!S.ok()) {
-        std::fprintf(stderr, "jsvm: %s\n", S.str().c_str());
-        return 1;
-      }
-    }
-    std::vector<std::string> Diags = Opts.validate();
-    for (const std::string &D : Diags)
-      std::fprintf(stderr, "jsvm: invalid options: %s\n", D.c_str());
-    for (const auto &[Key, Value] : Opts.toKeyValues())
-      std::printf("%s=%s\n", Key.c_str(), Value.c_str());
-    return Diags.empty() ? 0 : 1;
-  }
-
   // `fuzz` runs the differential conformance sweep: generated programs
   // executed under the full config matrix (interpreter vs JIT tiers vs
   // Jump-Start consumer boot), mismatches shrunk to reproducers.
@@ -121,21 +100,28 @@ int main(int argc, char **argv) {
     bool Full = false;
     int64_t Skew = 0;
     for (int I = 2; I < argc; ++I) {
-      auto IntArg = [&](int64_t &Out) {
+      // A flag's value must be a decimal number no larger than \p Max: a
+      // typo like `--programs abc` must not run an empty sweep.
+      auto NumArg = [&](uint64_t Max, uint64_t &Out) {
         if (I + 1 >= argc)
           return false;
-        Out = std::strtoll(argv[++I], nullptr, 10);
-        return true;
+        const char *Text = argv[++I];
+        char *End = nullptr;
+        errno = 0;
+        Out = std::strtoull(Text, &End, 10);
+        return std::isdigit(static_cast<unsigned char>(*Text)) &&
+               *End == '\0' && errno == 0 && Out <= Max;
       };
-      int64_t V = 0;
-      if (std::strcmp(argv[I], "--programs") == 0 && IntArg(V))
+      uint64_t V = 0;
+      if (std::strcmp(argv[I], "--programs") == 0 && NumArg(UINT32_MAX, V))
         P.NumPrograms = static_cast<uint32_t>(V);
-      else if (std::strcmp(argv[I], "--seed") == 0 && IntArg(V))
-        P.Seed = static_cast<uint64_t>(V);
-      else if (std::strcmp(argv[I], "--requests") == 0 && IntArg(V))
+      else if (std::strcmp(argv[I], "--seed") == 0 && NumArg(UINT64_MAX, V))
+        P.Seed = V;
+      else if (std::strcmp(argv[I], "--requests") == 0 &&
+               NumArg(UINT32_MAX, V))
         P.RequestsPerProgram = static_cast<uint32_t>(V);
-      else if (std::strcmp(argv[I], "--skew") == 0 && IntArg(V))
-        Skew = V;
+      else if (std::strcmp(argv[I], "--skew") == 0 && NumArg(INT64_MAX, V))
+        Skew = static_cast<int64_t>(V);
       else if (std::strcmp(argv[I], "--full") == 0)
         Full = true;
       else if (std::strcmp(argv[I], "--repro") == 0 && I + 1 < argc)
@@ -146,8 +132,9 @@ int main(int argc, char **argv) {
     P.Matrix = Full ? jumpstart::testing::fullMatrix()
                     : jumpstart::testing::smokeMatrix();
     if (Skew != 0) {
-      // Self-test mode: inject an interpreter divergence the oracle must
-      // catch (nonzero exit proves detection works end to end).
+      // Self-test mode: a skewed reference interpreter is a divergence
+      // the oracle must catch (nonzero exit proves detection works end
+      // to end).
       jumpstart::testing::ExecConfig C = jumpstart::testing::skewConfig();
       C.IntAddSkew = Skew;
       P.Matrix = {P.Matrix.front(), C};

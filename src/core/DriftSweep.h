@@ -46,7 +46,8 @@
 namespace jumpstart::core {
 
 /// Drift-sweep knobs.  Defaults are sized for the committed
-/// BENCH_package.json run; QuickMode shrinks everything for CI.
+/// BENCH_package.json run; `package_lifecycle --quick` shrinks the site
+/// and the age range.
 struct DriftSweepParams {
   fleet::WorkloadParams Site;
   /// Ages to evaluate: 0 (fresh) .. MaxAge releases of drift.

@@ -20,20 +20,14 @@
 #define JUMPSTART_CORE_JUMPSTARTOPTIONS_H
 
 #include "profile/Validation.h"
-#include "support/Status.h"
 
 #include <cstdint>
-#include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
 
 namespace jumpstart::core {
 
-/// All Jump-Start knobs.  Plain default construction stays valid (the
-/// fleet's production defaults); harnesses assign fields directly, or
-/// accept user input through set()/parseAssignments(), and check
-/// validate().
+/// All Jump-Start knobs: a plain struct whose defaults are the fleet's
+/// production settings.  Harnesses assign fields directly;
+/// core::runSeederWorkflow and core::startConsumer read them.
 struct JumpStartOptions {
   /// Master switch.  Off: every server collects its own profile.
   bool Enabled = true;
@@ -53,29 +47,6 @@ struct JumpStartOptions {
   uint32_t ValidationRequests = 40;
   /// Maximum tolerated faults per validation request.
   double MaxValidationFaultRate = 0.05;
-
-  //===--------------------------------------------------------------------===
-  // Validated-options API.
-  //===--------------------------------------------------------------------===
-
-  /// Cross-field consistency diagnostics; empty means the options are
-  /// coherent.  Never fires on a default-constructed value.
-  std::vector<std::string> validate() const;
-
-  /// Sets one option by its snake_case key ("enabled",
-  /// "strict_package_lint", "max_consumer_attempts", ...).  \returns
-  /// invalid_argument for unknown keys or unparseable values.  See
-  /// toKeyValues() for the full key list.
-  support::Status set(std::string_view Key, std::string_view Value);
-
-  /// Applies a comma- or whitespace-separated list of key=value
-  /// assignments ("enabled=true,strict_package_lint=false").  Stops at the
-  /// first error.
-  support::Status parseAssignments(std::string_view Text);
-
-  /// Every option as (key, value) pairs, in declaration order -- the
-  /// round-trippable rendering (each pair feeds back through set()).
-  std::vector<std::pair<std::string, std::string>> toKeyValues() const;
 };
 
 } // namespace jumpstart::core

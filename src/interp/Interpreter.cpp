@@ -228,14 +228,11 @@ inline bool condBool(const Value &V) {
 /// Binop \p O over the ints \p A and \p B for a superinstruction,
 /// bit-identical to the base handler's both-int path.  \returns false,
 /// leaving \p Out untouched, where the base handler must run instead: a
-/// zero divisor (the fault bookkeeping lives there), a comparison whose
-/// int->double conversion might round (see exactIntPair), or an Add
-/// under the test-only skew.
+/// zero divisor (the fault bookkeeping lives there) or a comparison whose
+/// int->double conversion might round (see exactIntPair).
 template <bc::Op O>
-inline bool fusedBinop(int64_t A, int64_t B, bool NoSkew, Value &Out) {
+inline bool fusedBinop(int64_t A, int64_t B, Value &Out) {
   if constexpr (O == bc::Op::Add) {
-    if (!NoSkew)
-      return false;
     Out = Value::integer(runtime::wrapAdd(A, B));
   } else if constexpr (O == bc::Op::Sub) {
     Out = Value::integer(runtime::wrapSub(A, B));
@@ -296,9 +293,6 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
   [[maybe_unused]] uint32_t CurBlock = ~0u;
   uint64_t FrameSteps = 0;
   bool Checked = false;
-  // Superinstructions fuse no Add under the test-only skew, so every Add
-  // pays the base handler's skew check.
-  const bool NoSkew = Opts.TestOnlyIntAddSkew == 0;
 
   auto ChargeRun = [&](uint32_t At) {
     uint32_t RL = RunLen[At];
@@ -554,8 +548,6 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
       Res = Value::integer(runtime::wrapAdd(A.I, B.I));
     else
       Res = runtime::arith(runtime::ArithOp::Add, A, B);
-    if (JS_UNLIKELY(Opts.TestOnlyIntAddSkew != 0) && Res.isInt())
-      Res = Value::integer(runtime::wrapAdd(Res.I, Opts.TestOnlyIntAddSkew));
     VM_ARITH_TAIL(A, B, Res);
   }
 
@@ -862,7 +854,7 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
     Value &Top = Sp[-1];                                                       \
     Value Out;                                                                 \
     VM_SUPER_GUARD(Int, Top.isInt() && fusedBinop<bc::Op::O>(                 \
-                            Top.I, Ip->ImmA, NoSkew, Out));                    \
+                            Top.I, Ip->ImmA, Out));                            \
     VM_SUPER_TYPE(1);                                                          \
     Top = Out;                                                                 \
     Ip += 2;                                                                   \
@@ -882,7 +874,7 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
     const Value &Top = Sp[-1];                                                 \
     Value Out;                                                                 \
     VM_SUPER_GUARD(Int, Top.isInt() && fusedBinop<bc::Op::O>(                 \
-                            Top.I, Ip->ImmA, NoSkew, Out));                    \
+                            Top.I, Ip->ImmA, Out));                            \
     VM_SUPER_TYPE(1);                                                          \
     --Sp;                                                                      \
     Locals[Ip[2].localImm()] = Out;                                            \
@@ -901,7 +893,7 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
     const Value &L = Locals[Ip->localImm()];                                   \
     Value Out;                                                                 \
     VM_SUPER_GUARD(GetL, L.isInt() && fusedBinop<bc::Op::O>(                  \
-                                          L.I, Ip[1].ImmA, NoSkew, Out));      \
+                                          L.I, Ip[1].ImmA, Out));              \
     VM_SUPER_TYPE(2);                                                          \
     VM_PUSH(Out);                                                              \
     Ip += 3;                                                                   \
@@ -919,7 +911,7 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
     Value &Top = Sp[-1];                                                       \
     Value Out;                                                                 \
     VM_SUPER_GUARD(GetL, L.isInt() && Top.isInt() &&                           \
-                             fusedBinop<bc::Op::O>(Top.I, L.I, NoSkew, Out));  \
+                             fusedBinop<bc::Op::O>(Top.I, L.I, Out));          \
     VM_SUPER_TYPE(1);                                                          \
     Top = Out;                                                                 \
     Ip += 2;                                                                   \
@@ -934,7 +926,7 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
     const Value &L = Locals[Ip->localImm()];
     Value Out;
     VM_SUPER_GUARD(GetL, L.isInt() && fusedBinop<bc::Op::CmpLt>(
-                                          L.I, Ip[1].ImmA, NoSkew, Out));
+                                          L.I, Ip[1].ImmA, Out));
     VM_SUPER_TYPE(2);
     if (!Out.B)
       VM_JUMP(Ip[3].targetImm());
@@ -947,7 +939,7 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
     const Value &L = Locals[Ip->localImm()];
     Value Out;
     VM_SUPER_GUARD(GetL, L.isInt() && fusedBinop<bc::Op::Add>(
-                                          L.I, Ip[1].ImmA, NoSkew, Out));
+                                          L.I, Ip[1].ImmA, Out));
     VM_SUPER_TYPE(2);
     Locals[Ip[3].localImm()] = Out;
     VM_JUMP(Ip[4].targetImm());
@@ -958,7 +950,7 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
     const Value &L = Locals[Ip->localImm()];
     Value Out;
     VM_SUPER_GUARD(GetL, L.isInt() && fusedBinop<bc::Op::Sub>(
-                                          L.I, Ip[1].ImmA, NoSkew, Out));
+                                          L.I, Ip[1].ImmA, Out));
     VM_SUPER_TYPE(2);
     Locals[Ip[3].localImm()] = Out;
     Ip += 4;

@@ -81,11 +81,6 @@ constexpr uint32_t kMaxCallDepth = 200;
 /// Interpreter configuration.
 struct InterpOptions {
   uint64_t StepBudget = 100'000'000;
-  /// Test-only fault injection: added to every integer Add result.  The
-  /// differential conformance oracle (src/testing) uses a nonzero skew to
-  /// prove it can detect a single-opcode semantic divergence between two
-  /// otherwise identical configurations.  Must be 0 in production.
-  int64_t TestOnlyIntAddSkew = 0;
 };
 
 /// Executes bytecode against the runtime.  One instance per simulated

@@ -66,8 +66,3 @@ uint64_t CodeCache::allocate(CodeArea Area, uint64_t Bytes) {
   U += (Bytes + 15) & ~15ull;
   return Addr;
 }
-
-void CodeCache::resetHotCold() {
-  Used[static_cast<unsigned>(CodeArea::Hot)] = 0;
-  Used[static_cast<unsigned>(CodeArea::Cold)] = 0;
-}

@@ -56,11 +56,6 @@ public:
 
   bool isFull(CodeArea Area) const { return used(Area) >= capacity(Area); }
 
-  /// Resets the hot and cold areas so optimized code can be re-placed
-  /// (the relocation step between points B and C of Figure 1 re-places
-  /// translations from scratch in the function-sorted order).
-  void resetHotCold();
-
   /// Base address of \p Area (areas are disjoint, hot first).
   uint64_t base(CodeArea Area) const;
 

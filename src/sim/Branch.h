@@ -50,7 +50,6 @@ public:
 
   void reset();
 
-  uint64_t branches() const { return Branches; }
   uint64_t mispredicts() const { return Mispredicts; }
   double missRate() const {
     return Branches ? static_cast<double>(Mispredicts) /
@@ -86,7 +85,6 @@ public:
 
   void reset();
 
-  uint64_t branches() const { return Branches; }
   uint64_t mispredicts() const { return Mispredicts; }
   double missRate() const {
     return Branches ? static_cast<double>(Mispredicts) /

@@ -23,9 +23,13 @@
 
 namespace jumpstart {
 
-/// 64-bit FNV-1a over an arbitrary byte range.
+/// The 64-bit FNV-1a offset basis: the hash of no bytes, from which a
+/// running hash starts.
+constexpr uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
+
+/// 64-bit FNV-1a over an arbitrary byte range, continuing from \p Seed.
 inline uint64_t fnv1a(const void *Data, size_t Len,
-                      uint64_t Seed = 0xcbf29ce484222325ULL) {
+                      uint64_t Seed = kFnv1aOffset) {
   const auto *Bytes = static_cast<const unsigned char *>(Data);
   uint64_t Hash = Seed;
   for (size_t I = 0; I < Len; ++I) {

@@ -60,17 +60,6 @@ double Rng::nextDouble() {
 
 bool Rng::nextBool(double P) { return nextDouble() < P; }
 
-double Rng::nextExponential(double Rate) {
-  assert(Rate > 0 && "exponential distribution requires a positive rate");
-  double U = nextDouble();
-  // Guard against log(0).
-  if (U <= 0)
-    U = 0x1.0p-53;
-  return -std::log(U) / Rate;
-}
-
-Rng Rng::fork() { return Rng(next()); }
-
 ZipfDistribution::ZipfDistribution(size_t N, double S) {
   alwaysAssert(N > 0, "ZipfDistribution requires at least one item");
   Cdf.resize(N);

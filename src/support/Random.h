@@ -66,10 +66,6 @@ public:
   /// \returns true with probability \p P.
   bool nextBool(double P);
 
-  /// Samples an exponential distribution with the given rate (events per
-  /// unit time).  Used for request inter-arrival times.
-  double nextExponential(double Rate);
-
   /// Fisher-Yates shuffles \p Values in place.
   template <typename T> void shuffle(std::vector<T> &Values) {
     for (size_t I = Values.size(); I > 1; --I) {
@@ -77,10 +73,6 @@ public:
       std::swap(Values[I - 1], Values[J]);
     }
   }
-
-  /// Creates an independent generator derived from this one.  Used to give
-  /// each simulated server its own stream.
-  Rng fork();
 
 private:
   uint64_t State[4];

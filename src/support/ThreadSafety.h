@@ -113,7 +113,6 @@ public:
   /// there is none.
   void wait(MutexLock &Lock) { CV.wait(Lock.native()); }
 
-  void notifyOne() { CV.notify_one(); }
   void notifyAll() { CV.notify_all(); }
 
 private:

@@ -164,7 +164,8 @@ std::vector<ExecConfig> jumpstart::testing::serveMatrix(uint32_t Threads) {
 
 ExecConfig jumpstart::testing::skewConfig() {
   ExecConfig C;
-  C.Name = "jit-skew";
+  C.Name = "reference-skew";
+  C.Mode = ExecConfig::Tier::Reference;
   C.IntAddSkew = 1;
   return C;
 }
@@ -175,21 +176,16 @@ ExecConfig jumpstart::testing::skewConfig() {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
 void fold(uint64_t &H, std::string_view S) {
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= kFnvPrime;
-  }
+  H = fnv1a(S.data(), S.size(), H);
 }
 
+/// Folds \p V's eight bytes, least significant first.
 void foldU64(uint64_t &H, uint64_t V) {
-  for (int I = 0; I < 8; ++I) {
-    H ^= (V >> (I * 8)) & 0xFF;
-    H *= kFnvPrime;
-  }
+  unsigned char Bytes[8];
+  for (int I = 0; I < 8; ++I)
+    Bytes[I] = static_cast<unsigned char>(V >> (I * 8));
+  H = fnv1a(Bytes, sizeof(Bytes), H);
 }
 
 /// The deterministic request-argument stream: request R hits endpoint
@@ -277,7 +273,6 @@ RunTrace DiffRunner::runConfig(const fleet::Workload &W,
     runtime::Heap Heap;
     interp::InterpOptions Opts;
     Opts.StepBudget = kStepBudget;
-    Opts.TestOnlyIntAddSkew = C.IntAddSkew;
     const runtime::BuiltinTable &Builtins = runtime::BuiltinTable::standard();
     auto ServeBare = [&](auto &Interp) {
       std::string Output;
@@ -292,7 +287,8 @@ RunTrace DiffRunner::runConfig(const fleet::Workload &W,
       }
     };
     if (C.Mode == ExecConfig::Tier::Reference) {
-      ReferenceInterpreter Interp(W.Repo, Classes, Heap, Builtins, Opts);
+      ReferenceInterpreter Interp(W.Repo, Classes, Heap, Builtins, Opts,
+                                  C.IntAddSkew);
       ServeBare(Interp);
     } else {
       interp::Interpreter Interp(W.Repo, Classes, Heap, Builtins, Opts);
@@ -311,7 +307,6 @@ RunTrace DiffRunner::runConfig(const fleet::Workload &W,
   SC.JitWorkerCores = 1;
   SC.WarmupEndpoints.clear(); // the schedule is the only traffic
   SC.Interp.StepBudget = kStepBudget;
-  SC.Interp.TestOnlyIntAddSkew = C.IntAddSkew;
   SC.Jit.ProfileRequestTarget =
       C.Mode == ExecConfig::Tier::FullJit
           ? std::max<uint32_t>(2, NumRequests / 3)
@@ -526,10 +521,6 @@ void DiffRunner::checkProgram(const GenProgram &Prog, uint64_t ProgramSeed,
                               DiffStats &Stats) {
   ++Stats.Programs;
   std::string Source = Prog.render();
-  if (Stats.SweepDigest == 0)
-    Stats.SweepDigest = kFnvOffset;
-  if (Stats.ObsDigest == 0)
-    Stats.ObsDigest = kFnvOffset;
   fold(Stats.SweepDigest, Source);
   fold(Stats.ObsDigest, Source);
 
@@ -621,7 +612,6 @@ void DiffRunner::checkProgram(const GenProgram &Prog, uint64_t ProgramSeed,
 
 DiffStats DiffRunner::run() {
   DiffStats Stats;
-  Stats.SweepDigest = kFnvOffset;
   for (uint32_t I = 0; I < Params.NumPrograms; ++I) {
     uint64_t ProgramSeed = Params.Seed * 1'000'003ull + I;
     GenParams G;

@@ -29,6 +29,7 @@
 #define JUMPSTART_TESTING_DIFFRUNNER_H
 
 #include "fleet/WorkloadGen.h"
+#include "support/Hashing.h"
 #include "support/Status.h"
 #include "testing/ProgramGen.h"
 #include "vm/Server.h"
@@ -75,9 +76,10 @@ struct ExecConfig {
   /// Host compile-pool workers (the --threads axis).  Host-only: must
   /// never change an observable or an exported byte.
   uint32_t HostThreads = 1;
-  /// Test-only interpreter divergence injection, added to every integer
-  /// Add result (interp::InterpOptions::TestOnlyIntAddSkew).  The oracle
-  /// must catch any nonzero value as a cross-config mismatch.
+  /// Divergence injection for the oracle's negative control: added to
+  /// every integer Add result by the reference interpreter
+  /// (Tier::Reference cells only).  The oracle must catch any nonzero
+  /// value as a cross-config mismatch.
   int64_t IntAddSkew = 0;
   /// When > 0, the schedule is served through a concurrent-serving
   /// window (vm::Server::serve) by this many closed-loop client threads
@@ -99,7 +101,8 @@ std::vector<ExecConfig> smokeMatrix();
 /// Jump-Start-booted servers serving through 1 and N client threads,
 /// digest-grouped so the thread-count axis is asserted byte-identical.
 std::vector<ExecConfig> serveMatrix(uint32_t Threads = 4);
-/// The injected-divergence config for harness self-tests.
+/// The injected-divergence config for harness self-tests: the reference
+/// interpreter with a +1 skew on every integer Add.
 ExecConfig skewConfig();
 
 /// One configuration's run over one program.
@@ -153,15 +156,15 @@ struct DiffStats {
   uint32_t DigestComparisons = 0;
   std::vector<Mismatch> Mismatches;
   /// FNV-1a over every program source, observable and digest.  Re-running
-  /// the same sweep must reproduce it bit-for-bit; ci/check.sh and the
-  /// tier-2 sweep enforce that.
-  uint64_t SweepDigest = 0;
+  /// the same sweep must reproduce it bit-for-bit; the golden_conformance
+  /// test and the tier-2 sweep enforce that.
+  uint64_t SweepDigest = kFnv1aOffset;
   /// FNV-1a over program sources and per-request observables only -- no
   /// config names, no placement/metrics digests.  Two sweeps over the
   /// same programs whose matrices differ only in host- or
   /// placement-level axes (ProvenGuardElision on vs off) must produce
   /// the identical ObsDigest even though their SweepDigests differ.
-  uint64_t ObsDigest = 0;
+  uint64_t ObsDigest = kFnv1aOffset;
 };
 
 class DiffRunner {

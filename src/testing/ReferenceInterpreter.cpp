@@ -18,9 +18,10 @@ using runtime::Value;
 
 ReferenceInterpreter::ReferenceInterpreter(
     const bc::Repo &R, runtime::ClassTable &Classes, runtime::Heap &H,
-    const runtime::BuiltinTable &Builtins, interp::InterpOptions Opts)
+    const runtime::BuiltinTable &Builtins, interp::InterpOptions Opts,
+    int64_t IntAddSkew)
     : R(R), Classes(Classes), H(H), Builtins(Builtins), Opts(Opts),
-      Blocks(R) {}
+      IntAddSkew(IntAddSkew), Blocks(R) {}
 
 Value ReferenceInterpreter::fault() {
   ++Faults;
@@ -302,9 +303,8 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
         break;
       }
       Value Res = runtime::arith(O, A, B);
-      if (Opts.TestOnlyIntAddSkew != 0 && In.Opcode == bc::Op::Add &&
-          Res.isInt())
-        Res = Value::integer(runtime::wrapAdd(Res.I, Opts.TestOnlyIntAddSkew));
+      if (IntAddSkew != 0 && In.Opcode == bc::Op::Add && Res.isInt())
+        Res = Value::integer(runtime::wrapAdd(Res.I, IntAddSkew));
       if (Res.isNull() && !(A.isNull() || B.isNull()))
         ++Faults;
       if (Wants(Event::Types))

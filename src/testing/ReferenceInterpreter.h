@@ -23,6 +23,10 @@
 /// It runs verified bytecode only (bc::verifyFunctionIssues); unlike the
 /// production interpreter it does not reject anything else.
 ///
+/// It alone can inject a fault: a skew added to every integer Add
+/// result.  The conformance oracle's negative control (skewConfig) sets
+/// one to prove that it catches a single-opcode semantic divergence.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef JUMPSTART_TESTING_REFERENCEINTERPRETER_H
@@ -37,6 +41,7 @@
 #include "runtime/Heap.h"
 #include "runtime/Value.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -46,7 +51,8 @@ class ReferenceInterpreter {
 public:
   ReferenceInterpreter(const bc::Repo &R, runtime::ClassTable &Classes,
                        runtime::Heap &H, const runtime::BuiltinTable &Builtins,
-                       interp::InterpOptions Opts = interp::InterpOptions());
+                       interp::InterpOptions Opts = interp::InterpOptions(),
+                       int64_t IntAddSkew = 0);
 
   /// Attaches (or detaches, with nullptr) observation callbacks.
   void setCallbacks(interp::ExecCallbacks *CB) { Callbacks = CB; }
@@ -73,6 +79,8 @@ private:
   runtime::Heap &H;
   const runtime::BuiltinTable &Builtins;
   interp::InterpOptions Opts;
+  /// Added to every integer Add result; 0 is the faithful interpreter.
+  int64_t IntAddSkew;
   bc::BlockCache Blocks;
 
   interp::ExecCallbacks *Callbacks = nullptr;

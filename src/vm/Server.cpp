@@ -78,8 +78,7 @@ Server::Server(const bc::Repo &R, ServerConfig Config, uint64_t Seed)
     JitTrack = Obs->Trace.allocTrack(this->Config.Name + "/jit");
     // JIT job costs convert to wall time at the worker pool's aggregate
     // rate.
-    double PoolRate =
-        this->Config.UnitsPerCorePerSecond * this->Config.JitWorkerCores;
+    double PoolRate = kCoreUnitsPerSecond * this->Config.JitWorkerCores;
     TheJit.setObservability(Obs, 1.0 / PoolRate, JitTrack);
   }
 }
@@ -214,6 +213,19 @@ RequestResult Server::executeRequest(bc::FuncId F,
   return Res;
 }
 
+namespace {
+
+/// Runtime-warmup friction: early requests pay a penalty that decays
+/// with requests served, modelling the warmup effects outside the JIT
+/// (data caches, backend connections, OS page cache).  The cost
+/// multiplier is 1 + kWarmupPenalty * exp(-served / kWarmupTau).  The
+/// paper's Figure 4a shows even Jump-Start servers start ~3x their
+/// steady-state latency and converge by ~150s.
+constexpr double kWarmupPenalty = 3.0;
+constexpr double kWarmupTau = 300;
+
+} // namespace
+
 RequestResult Server::finishRequest(ExecContext &Ctx,
                                     const interp::InterpResult &Result,
                                     double StartUnits,
@@ -237,12 +249,8 @@ RequestResult Server::finishRequest(ExecContext &Ctx,
     Units += static_cast<double>(Ctx.InstrCounts.Counts[FuncRaw]) *
              (Snap ? Snap->CostPerBytecode[FuncRaw]
                    : TheJit.execCostPerBytecode(bc::FuncId(FuncRaw)));
-  // Runtime-warmup friction (see ServerConfig::RuntimeWarmupPenalty).
-  if (Config.RuntimeWarmupPenalty > 0 && Config.RuntimeWarmupTau > 0) {
-    double Decay = std::exp(-static_cast<double>(DecayRequests) /
-                            Config.RuntimeWarmupTau);
-    Units *= 1.0 + Config.RuntimeWarmupPenalty * Decay;
-  }
+  double Decay = std::exp(-static_cast<double>(DecayRequests) / kWarmupTau);
+  Units *= 1.0 + kWarmupPenalty * Decay;
   Res.Seconds = unitsToSeconds(Units);
   return Res;
 }
@@ -255,11 +263,9 @@ double Server::grantJitTime(double Seconds) {
 }
 
 double Server::spendJitTime(double Seconds) {
-  double Budget = Seconds * Config.JitWorkerCores *
-                  Config.UnitsPerCorePerSecond;
+  double Budget = Seconds * Config.JitWorkerCores * kCoreUnitsPerSecond;
   double Consumed = TheJit.runJitWork(Budget);
-  double Wall =
-      Consumed / (Config.JitWorkerCores * Config.UnitsPerCorePerSecond);
+  double Wall = Consumed / (Config.JitWorkerCores * kCoreUnitsPerSecond);
   // Compilation moves the clock too, so JIT job spans land on a timeline
   // even when no tick loop is driving it (e.g. runSeeder).  Inside a
   // concurrent-serving window this runs on the compile thread, the
@@ -406,7 +412,7 @@ InitStats Server::startup() {
                          "phase", ServerTrack);
     TheJit.startConsumerPrecompile(*Package);
     while (TheJit.hasPendingWork()) {
-      double Step = TheJit.runJitWork(16.0 * Config.UnitsPerCorePerSecond);
+      double Step = TheJit.runJitWork(16.0 * kCoreUnitsPerSecond);
       alwaysAssert(Step > 0, "jit pipeline stalled with pending work");
       PrecompileUnits += Step;
       if (Obs)

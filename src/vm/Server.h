@@ -89,18 +89,8 @@ struct ServerConfig {
   uint32_t Cores = 16;
   /// Background JIT worker threads while serving.
   uint32_t JitWorkerCores = 3;
-  /// Cost units one core retires per virtual second.
-  double UnitsPerCorePerSecond = 2.0e6;
   /// Virtual cost of loading one unit's metadata on first touch.
   double UnitLoadCost = 40000;
-  /// Runtime-warmup friction: early requests pay a penalty that decays
-  /// with requests served, modelling the warmup effects outside the JIT
-  /// (data caches, backend connections, OS page cache).  Cost multiplier
-  /// is 1 + RuntimeWarmupPenalty * exp(-served / RuntimeWarmupTau).
-  /// The paper's Figure 4a shows even Jump-Start servers start ~3x their
-  /// steady-state latency and converge by ~150s.
-  double RuntimeWarmupPenalty = 3.0;
-  double RuntimeWarmupTau = 300;
   jit::JitConfig Jit;
   interp::InterpOptions Interp;
   /// Enable the object-property-reordering optimization when a package
@@ -138,10 +128,10 @@ struct ServerConfig {
 };
 
 /// All structural complaints about \p C, empty when it is coherent.
-/// Like JumpStartOptions::validate(), each diagnostic names the field
-/// it is about.  An incoherent config (e.g. JitWorkerCores == 0, which
-/// grantJitTime divides by) never reaches a running server: vm::Server's
-/// constructor aborts on the first diagnostic.
+/// Each diagnostic names the field it is about.  An incoherent config
+/// (e.g. JitWorkerCores == 0, which grantJitTime divides by) never
+/// reaches a running server: vm::Server's constructor aborts on the
+/// first diagnostic.
 std::vector<std::string> validateServerConfig(const ServerConfig &C);
 
 /// Initialization breakdown returned by startup().
@@ -340,8 +330,11 @@ private:
     uint64_t Faults = 0;
   };
 
+  /// Cost units one core retires per virtual second.
+  static constexpr double kCoreUnitsPerSecond = 2.0e6;
+
   double unitsToSeconds(double Units) const {
-    return Units / Config.UnitsPerCorePerSecond;
+    return Units / kCoreUnitsPerSecond;
   }
   /// Charges first-touch loading of \p Unit: UnitLoadCost the first
   /// time, 0 after.

@@ -21,15 +21,8 @@ std::vector<std::string> validateServerConfig(const ServerConfig &C) {
   if (C.JitWorkerCores < 1)
     Diags.push_back(
         "JitWorkerCores must be >= 1 (grantJitTime divides by it)");
-  if (!(C.UnitsPerCorePerSecond > 0))
-    Diags.push_back("UnitsPerCorePerSecond must be > 0");
   if (C.UnitLoadCost < 0)
     Diags.push_back("UnitLoadCost must be >= 0");
-  if (C.RuntimeWarmupPenalty < 0)
-    Diags.push_back("RuntimeWarmupPenalty must be >= 0");
-  if (C.RuntimeWarmupPenalty > 0 && !(C.RuntimeWarmupTau > 0))
-    Diags.push_back(
-        "RuntimeWarmupTau must be > 0 when RuntimeWarmupPenalty is set");
   if (C.ServeWorkers < 1)
     Diags.push_back("ServeWorkers must be >= 1");
   if (C.Admission.MaxInFlight != 0 &&

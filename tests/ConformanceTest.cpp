@@ -166,8 +166,8 @@ TEST(DiffRunnerTest, SweepDigestIsReproducible) {
 
 TEST(DiffRunnerTest, InjectedDivergenceIsCaughtAndShrunk) {
   // The harness's own acceptance test: a +1 skew on every integer Add in
-  // one config must surface as a mismatch, and the shrinker must cut the
-  // reproducer down to a handful of lines.
+  // the reference interpreter's cell must surface as a mismatch, and the
+  // shrinker must cut the reproducer down to a handful of lines.
   std::string ReproDir =
       (std::filesystem::temp_directory_path() / "jumpstart-diff-repro")
           .string();

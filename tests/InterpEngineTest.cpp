@@ -769,19 +769,18 @@ std::ostream &operator<<(std::ostream &OS, const CallOutcome &C) {
 
 using Calls = std::vector<std::pair<bc::FuncId, std::vector<runtime::Value>>>;
 
-/// Runs each of \p Cs on a fresh \p InterpT with \p Budget and \p Skew.
+/// Runs each of \p Cs on a fresh \p InterpT with \p Budget.
 /// With no \p Observe, no callbacks are attached, so the interpreter's
 /// frames run the plain loop; otherwise a recorder answers \p Observe for
 /// every frame, and each outcome carries the call's callback stream.
 template <typename InterpT>
 std::vector<CallOutcome>
-runCalls(const bc::Repo &R, const Calls &Cs, uint64_t Budget, int64_t Skew,
+runCalls(const bc::Repo &R, const Calls &Cs, uint64_t Budget,
          std::optional<interp::FrameObservation> Observe) {
   runtime::ClassTable Classes(R);
   runtime::Heap Heap;
   interp::InterpOptions Opts;
   Opts.StepBudget = Budget;
-  Opts.TestOnlyIntAddSkew = Skew;
   InterpT Interp(R, Classes, Heap, runtime::BuiltinTable::standard(), Opts);
   interp::InstrCounts Counts;
   Interp.setInstrCounts(&Counts);
@@ -802,18 +801,17 @@ runCalls(const bc::Repo &R, const Calls &Cs, uint64_t Budget, int64_t Skew,
 }
 
 /// Diffs \p Cs between the interpreter and the reference at every step
-/// budget from 1 to the longest call's full count, and unbounded, with
-/// and without the test-only Add skew: with no callbacks (the plain
-/// loop), and under a recorder answering Body and one answering
-/// BodyAndInstrs for every frame (the observed loop), whose callback
-/// streams must match too.
+/// budget from 1 to the longest call's full count, and unbounded: with
+/// no callbacks (the plain loop), and under a recorder answering Body
+/// and one answering BodyAndInstrs for every frame (the observed loop),
+/// whose callback streams must match too.
 void expectMatchesReferenceAtEveryBudget(
     const bc::Repo &R, const Calls &Cs,
     const std::vector<std::string> &Labels) {
   using interp::FrameObservation;
   uint64_t MaxSteps = 0;
   for (const CallOutcome &C : runCalls<jstest::ReferenceInterpreter>(
-           R, Cs, interp::InterpOptions().StepBudget, 0, std::nullopt))
+           R, Cs, interp::InterpOptions().StepBudget, std::nullopt))
     MaxSteps = std::max(MaxSteps, C.Steps);
   ASSERT_GT(MaxSteps, 0u);
   const std::optional<FrameObservation> Observes[] = {
@@ -822,19 +820,17 @@ void expectMatchesReferenceAtEveryBudget(
     const char *Mode = !Observe                            ? "plain"
                        : *Observe == FrameObservation::Body ? "body"
                                                             : "instrs";
-    for (int64_t Skew : {0, 1}) {
-      for (uint64_t Budget = 1; Budget <= MaxSteps + 1; ++Budget) {
-        uint64_t B = Budget > MaxSteps ? interp::InterpOptions().StepBudget
-                                       : Budget;
-        std::vector<CallOutcome> Fast =
-            runCalls<interp::Interpreter>(R, Cs, B, Skew, Observe);
-        std::vector<CallOutcome> Ref =
-            runCalls<jstest::ReferenceInterpreter>(R, Cs, B, Skew, Observe);
-        ASSERT_EQ(Fast.size(), Ref.size());
-        for (size_t I = 0; I < Fast.size(); ++I)
-          EXPECT_EQ(Fast[I], Ref[I]) << Labels[I] << " " << Mode << " budget "
-                                     << B << " skew " << Skew;
-      }
+    for (uint64_t Budget = 1; Budget <= MaxSteps + 1; ++Budget) {
+      uint64_t B =
+          Budget > MaxSteps ? interp::InterpOptions().StepBudget : Budget;
+      std::vector<CallOutcome> Fast =
+          runCalls<interp::Interpreter>(R, Cs, B, Observe);
+      std::vector<CallOutcome> Ref =
+          runCalls<jstest::ReferenceInterpreter>(R, Cs, B, Observe);
+      ASSERT_EQ(Fast.size(), Ref.size());
+      for (size_t I = 0; I < Fast.size(); ++I)
+        EXPECT_EQ(Fast[I], Ref[I])
+            << Labels[I] << " " << Mode << " budget " << B;
     }
   }
 }
@@ -861,13 +857,12 @@ TEST(InterpEngine, SuperinstructionsMatchReferenceAtEveryBudget) {
   // Every superinstruction, hand-built so that the quickener emits it at
   // a known pc, on int operands (the fused path) and on each fallback: a
   // non-int local or stack operand, a zero or -1 Mod divisor, compare
-  // operands past 2^53 (immediate or dynamic), the test-only Add skew,
-  // every step budget (checked mode), a frame that traces instructions,
-  // and a branch to each instruction inside the sequence -- a leader the
-  // quickener must not fuse across.  Plain and observed frames are
-  // diffed, callback streams included.  (The verifier rejects a binop
-  // with a missing stack operand, so no superinstruction ever meets
-  // one.)
+  // operands past 2^53 (immediate or dynamic), every step budget
+  // (checked mode), a frame that traces instructions, and a branch to
+  // each instruction inside the sequence -- a leader the quickener must
+  // not fuse across.  Plain and observed frames are diffed, callback
+  // streams included.  (The verifier rejects a binop with a missing
+  // stack operand, so no superinstruction ever meets one.)
   const runtime::BuiltinTable &Builtins = runtime::BuiltinTable::standard();
   const std::vector<runtime::Value> Values = operandValues();
   const std::vector<int64_t> Immediates = {3, 0, -1, -7, kExact, kExact + 1,
@@ -1084,9 +1079,9 @@ TEST(InterpEngine, CallDepthLimitMatchesReferenceAtItsBoundary) {
   for (const std::optional<interp::FrameObservation> &Observe : Observes) {
     const char *Mode = Observe ? "body" : "plain";
     std::vector<CallOutcome> Fast =
-        runCalls<interp::Interpreter>(Vm.Repo, Cs, Budget, 0, Observe);
+        runCalls<interp::Interpreter>(Vm.Repo, Cs, Budget, Observe);
     EXPECT_EQ(Fast, runCalls<jstest::ReferenceInterpreter>(Vm.Repo, Cs,
-                                                           Budget, 0, Observe))
+                                                           Budget, Observe))
         << Mode;
     ASSERT_EQ(Fast.size(), 2u);
     EXPECT_TRUE(Fast[0].Ok) << Mode;

@@ -70,15 +70,6 @@ TEST(CodeCacheTest, ExhaustionReturnsZero) {
               C.used(CodeArea::Live) + 200 > C.capacity(CodeArea::Live));
 }
 
-TEST(CodeCacheTest, ResetHotColdForRelocation) {
-  CodeCache C;
-  C.allocate(CodeArea::Hot, 1000);
-  C.allocate(CodeArea::Profile, 500);
-  C.resetHotCold();
-  EXPECT_EQ(C.used(CodeArea::Hot), 0u);
-  EXPECT_GT(C.used(CodeArea::Profile), 0u) << "profile area untouched";
-}
-
 //===----------------------------------------------------------------------===//
 // Lowering.
 //===----------------------------------------------------------------------===//

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// Tests for the observability subsystem (metrics registry, tracer,
-/// exporters) and the Status/Options APIs that ride on it: registry
+/// exporters) and the Status API that rides on it: registry
 /// semantics and label interning, span nesting under the virtual clock,
 /// exporter golden output, byte-identical traces across identical runs,
 /// and the package-rejection counters the corrupt-package paths feed.
@@ -277,58 +277,6 @@ TEST(ExportTest, TraceGoldenAndChromeShape) {
   EXPECT_NE(Chrome.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(Chrome.find("\"dur\":250000"), std::string::npos);
   EXPECT_NE(Chrome.find("\"ph\":\"i\""), std::string::npos);
-}
-
-//===----------------------------------------------------------------------===//
-// JumpStartOptions API
-//===----------------------------------------------------------------------===//
-
-TEST(OptionsTest, DefaultsValidate) {
-  core::JumpStartOptions Opts;
-  EXPECT_TRUE(Opts.validate().empty());
-}
-
-TEST(OptionsTest, SetAndParseAssignments) {
-  core::JumpStartOptions Opts;
-  EXPECT_TRUE(Opts.set("enabled", "false").ok());
-  EXPECT_FALSE(Opts.Enabled);
-  EXPECT_TRUE(
-      Opts.parseAssignments("enabled=yes,max_consumer_attempts=5 "
-                            "max_validation_fault_rate=0.25")
-          .ok());
-  EXPECT_TRUE(Opts.Enabled);
-  EXPECT_EQ(Opts.MaxConsumerAttempts, 5u);
-  EXPECT_DOUBLE_EQ(Opts.MaxValidationFaultRate, 0.25);
-
-  EXPECT_EQ(Opts.set("no_such_option", "1").code(),
-            support::StatusCode::InvalidArgument);
-  EXPECT_EQ(Opts.set("enabled", "maybe").code(),
-            support::StatusCode::InvalidArgument);
-  EXPECT_EQ(Opts.parseAssignments("enabled").code(),
-            support::StatusCode::InvalidArgument);
-}
-
-TEST(OptionsTest, KeyValuesRoundTrip) {
-  core::JumpStartOptions Opts;
-  Opts.Enabled = false;
-  Opts.StrictPackageLint = false;
-  Opts.MaxConsumerAttempts = 9;
-  core::JumpStartOptions Restored;
-  for (const auto &[Key, Value] : Opts.toKeyValues())
-    ASSERT_TRUE(Restored.set(Key, Value).ok()) << Key << "=" << Value;
-  EXPECT_EQ(Restored.Enabled, Opts.Enabled);
-  EXPECT_EQ(Restored.StrictPackageLint, Opts.StrictPackageLint);
-  EXPECT_EQ(Restored.MaxConsumerAttempts, Opts.MaxConsumerAttempts);
-}
-
-TEST(OptionsTest, ValidateCatchesIncoherence) {
-  core::JumpStartOptions Opts;
-  Opts.MaxValidationFaultRate = 1.5;
-  EXPECT_FALSE(Opts.validate().empty());
-
-  core::JumpStartOptions Opts2;
-  Opts2.MaxConsumerAttempts = 0;
-  EXPECT_FALSE(Opts2.validate().empty());
 }
 
 //===----------------------------------------------------------------------===//

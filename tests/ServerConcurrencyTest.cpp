@@ -511,14 +511,7 @@ TEST(ServerConfigValidation, RejectsIncoherentSettings) {
   const Case Cases[] = {
       {"Cores", [](vm::ServerConfig &C) { C.Cores = 0; }},
       {"JitWorkerCores", [](vm::ServerConfig &C) { C.JitWorkerCores = 0; }},
-      {"UnitsPerCorePerSecond",
-       [](vm::ServerConfig &C) { C.UnitsPerCorePerSecond = 0; }},
       {"UnitLoadCost", [](vm::ServerConfig &C) { C.UnitLoadCost = -1; }},
-      {"RuntimeWarmupTau",
-       [](vm::ServerConfig &C) {
-         C.RuntimeWarmupPenalty = 2.0;
-         C.RuntimeWarmupTau = 0;
-       }},
       {"ServeWorkers", [](vm::ServerConfig &C) { C.ServeWorkers = 0; }},
       {"MaxInFlight",
        [](vm::ServerConfig &C) {
