@@ -25,6 +25,7 @@
 #include "fleet/ServerSim.h"
 #include "fleet/SteadyState.h"
 #include "obs/Export.h"
+#include "support/ParseNumber.h"
 #include "support/StringUtil.h"
 #include "support/ThreadPool.h"
 
@@ -119,9 +120,10 @@ inline void printSeriesPair(const char *Header, const TimeSeries &A,
 struct FigureFlags {
   /// `--export PREFIX`: dump observability next to the printed tables.
   const char *ExportPrefix = nullptr;
-  /// `--threads N`: host compile-pool workers.  Wall-clock only -- the
-  /// virtual cost model and every exported number are byte-identical for
-  /// any value (ci/check.sh diffs the exports to enforce it).
+  /// `--threads N`: host compile-pool workers, 1 to
+  /// support::kMaxPoolWorkers.  Wall-clock only -- the virtual cost model
+  /// and every exported number are byte-identical for any value
+  /// (ci/check.sh diffs the exports to enforce it).
   uint32_t Threads = 1;
 };
 
@@ -145,11 +147,10 @@ inline FigureFlags parseFigureFlags(int argc, char **argv) {
     } else if (std::strcmp(argv[I], "--threads") == 0) {
       if (I + 1 >= argc)
         Usage(argv[I]);
-      char *End = nullptr;
-      unsigned long V = std::strtoul(argv[I + 1], &End, 10);
-      if (End == argv[I + 1] || *End != '\0')
+      if (!support::parseNumber<uint32_t>(argv[I + 1], 1,
+                                          support::kMaxPoolWorkers, F.Threads)
+               .ok())
         Usage(argv[I + 1]);
-      F.Threads = static_cast<uint32_t>(V);
       ++I;
     } else {
       Usage(argv[I]);

@@ -31,6 +31,7 @@
 #define JUMPSTART_BENCH_STATSRUNNER_H
 
 #include "stats/Warmup.h"
+#include "support/ParseNumber.h"
 #include "support/StringUtil.h"
 
 #include <cstdio>
@@ -66,15 +67,15 @@ inline bool parseStatsSpec(std::string_view Spec, StatsCliOptions &Out) {
     if (Eq == std::string::npos)
       return false;
     std::string Key = Field.substr(0, Eq);
-    std::string Digits = Field.substr(Eq + 1);
-    char *End = nullptr;
-    unsigned long Value = std::strtoul(Digits.c_str(), &End, 10);
-    if (Digits.empty() || End != Digits.c_str() + Digits.size() || Value == 0)
+    uint32_t Value = 0;
+    if (!support::parseNumber<uint32_t>(std::string_view(Field).substr(Eq + 1),
+                                        1, UINT32_MAX, Value)
+             .ok())
       return false;
     if (Key == "seeds")
-      Out.Seeds = static_cast<uint32_t>(Value);
+      Out.Seeds = Value;
     else if (Key == "iters")
-      Out.Iters = static_cast<uint32_t>(Value);
+      Out.Iters = Value;
     else
       return false;
   }

@@ -31,6 +31,7 @@
 #include "interp/Interpreter.h"
 #include "jit/Jit.h"
 #include "runtime/ValueOps.h"
+#include "support/ParseNumber.h"
 #include "support/StringUtil.h"
 #include "vm/Server.h"
 
@@ -439,8 +440,11 @@ int main(int argc, char **argv) {
       CountersPath = argv[++I];
     } else if (std::strcmp(argv[I], "--check-against") == 0 && I + 1 < argc) {
       SnapshotPath = argv[++I];
-    } else if (std::strcmp(argv[I], "--endpoint") == 0 && I + 1 < argc) {
-      OnlyEndpoint = std::atoi(argv[++I]);
+    } else if (std::strcmp(argv[I], "--endpoint") == 0 && I + 1 < argc &&
+               support::parseNumber<int>(argv[I + 1], 0, kNumEndpoints - 1,
+                                         OnlyEndpoint)
+                   .ok()) {
+      ++I;
     } else if (std::strcmp(argv[I], "--stats") == 0) {
       std::string_view Spec =
           I + 1 < argc && argv[I + 1][0] != '-' ? argv[++I] : "";

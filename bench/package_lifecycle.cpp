@@ -35,6 +35,7 @@
 #include "profile/PackageDelta.h"
 #include "profile/PackageMerge.h"
 #include "runtime/Builtins.h"
+#include "support/ParseNumber.h"
 #include "support/StringUtil.h"
 #include "testing/DiffRunner.h"
 #include "testing/ProgramGen.h"
@@ -305,7 +306,7 @@ int main(int argc, char **argv) {
   bool Quick = false;
   std::string JsonPath;
   std::string SnapshotPath;
-  int CheckPrograms = -1;
+  uint32_t CheckPrograms = 0;
   uint64_t CheckSeed = 1;
   bench::StatsCliOptions StatsOpts = defaultStatsOptions();
   for (int I = 1; I < argc; ++I) {
@@ -315,9 +316,14 @@ int main(int argc, char **argv) {
       JsonPath = argv[++I];
     } else if (std::strcmp(argv[I], "--check-against") == 0 && I + 1 < argc) {
       SnapshotPath = argv[++I];
-    } else if (std::strcmp(argv[I], "--check") == 0 && I + 2 < argc) {
-      CheckPrograms = std::atoi(argv[++I]);
-      CheckSeed = static_cast<uint64_t>(std::atoll(argv[++I]));
+    } else if (std::strcmp(argv[I], "--check") == 0 && I + 2 < argc &&
+               support::parseNumber<uint32_t>(argv[I + 1], 1, UINT32_MAX,
+                                              CheckPrograms)
+                   .ok() &&
+               support::parseNumber<uint64_t>(argv[I + 2], 0, UINT64_MAX,
+                                              CheckSeed)
+                   .ok()) {
+      I += 2;
     } else if (std::strcmp(argv[I], "--stats") == 0) {
       std::string_view Spec =
           I + 1 < argc && argv[I + 1][0] != '-' ? argv[++I] : "";
@@ -335,7 +341,7 @@ int main(int argc, char **argv) {
       return 2;
     }
   }
-  if (CheckPrograms >= 0)
-    return runCheck(static_cast<uint32_t>(CheckPrograms), CheckSeed);
+  if (CheckPrograms > 0)
+    return runCheck(CheckPrograms, CheckSeed);
   return runSweep(Quick, JsonPath, SnapshotPath, StatsOpts);
 }

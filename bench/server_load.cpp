@@ -31,7 +31,9 @@
 #include "StatsRunner.h"
 #include "fleet/WorkloadGen.h"
 #include "support/Hashing.h"
+#include "support/ParseNumber.h"
 #include "support/StringUtil.h"
+#include "support/ThreadPool.h"
 #include "vm/Server.h"
 
 #include <algorithm>
@@ -333,12 +335,12 @@ int main(int argc, char **argv) {
       CountersPath = argv[++I];
     } else if (std::strcmp(argv[I], "--check-against") == 0 && I + 1 < argc) {
       SnapshotPath = argv[++I];
-    } else if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
-      Threads = static_cast<uint32_t>(std::atoi(argv[++I]));
-      if (Threads == 0) {
-        std::fprintf(stderr, "--threads must be >= 1\n");
-        return 2;
-      }
+    } else if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc &&
+               support::parseNumber<uint32_t>(argv[I + 1], 1,
+                                              support::kMaxPoolWorkers,
+                                              Threads)
+                   .ok()) {
+      ++I;
     } else if (std::strcmp(argv[I], "--stats") == 0) {
       std::string_view Spec =
           I + 1 < argc && argv[I + 1][0] != '-' ? argv[++I] : "";

@@ -19,11 +19,11 @@
 
 #include "core/Deployment.h"
 #include "obs/Export.h"
+#include "support/ParseNumber.h"
 #include "support/StringUtil.h"
 #include "support/ThreadPool.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 
@@ -32,23 +32,23 @@ using namespace jumpstart;
 int main(int argc, char **argv) {
   const char *ExportPrefix = nullptr;
   uint32_t Threads = 1;
+  auto Usage = [&](const char *Bad) {
+    std::fprintf(stderr,
+                 "bad flag \"%s\"\n"
+                 "usage: %s [--export PREFIX] [--threads N]\n",
+                 Bad, argv[0]);
+    return 2;
+  };
   for (int I = 1; I < argc; ++I) {
     if (std::strcmp(argv[I], "--export") == 0 && I + 1 < argc) {
       ExportPrefix = argv[++I];
     } else if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
-      char *End = nullptr;
-      Threads = static_cast<uint32_t>(std::strtoul(argv[I + 1], &End, 10));
-      if (End == argv[I + 1] || *End != '\0') {
-        std::fprintf(stderr, "bad --threads value \"%s\"\n", argv[I + 1]);
-        return 2;
-      }
-      ++I;
+      if (!support::parseNumber<uint32_t>(argv[++I], 1,
+                                          support::kMaxPoolWorkers, Threads)
+               .ok())
+        return Usage(argv[I]);
     } else {
-      std::fprintf(stderr,
-                   "unknown flag \"%s\"\n"
-                   "usage: %s [--export PREFIX] [--threads N]\n",
-                   argv[I], argv[0]);
-      return 2;
+      return Usage(argv[I]);
     }
   }
 

@@ -44,6 +44,7 @@
 #include "frontend/Compiler.h"
 #include "profile/PackageIo.h"
 #include "runtime/Builtins.h"
+#include "support/ParseNumber.h"
 #include "support/StringUtil.h"
 #include "testing/DiffRunner.h"
 #include "testing/ProgramGen.h"
@@ -287,16 +288,17 @@ int main(int argc, char **argv) {
 
   // --gen: the generated-corpus soundness sweep.
   if (std::strcmp(argv[Arg], "--gen") == 0) {
-    if (Arg + 1 >= argc)
-      return usage();
-    uint64_t N = std::strtoull(argv[Arg + 1], nullptr, 10);
-    uint64_t Seed = Arg + 2 < argc
-                        ? std::strtoull(argv[Arg + 2], nullptr, 10)
-                        : 1;
-    if (N == 0)
+    uint32_t N = 0;
+    uint64_t Seed = 1;
+    if (Arg + 1 >= argc ||
+        !support::parseNumber<uint32_t>(argv[Arg + 1], 1, UINT32_MAX, N)
+             .ok() ||
+        (Arg + 2 < argc &&
+         !support::parseNumber<uint64_t>(argv[Arg + 2], 0, UINT64_MAX, Seed)
+              .ok()))
       return usage();
     AnalysisTotals Totals;
-    for (uint64_t I = 0; I < N; ++I)
+    for (uint32_t I = 0; I < N; ++I)
       sweepProgram(Seed * 1'000'003ull + I, Rep, Totals);
     if (Json)
       PrintJson(0, Totals);
@@ -329,8 +331,10 @@ int main(int argc, char **argv) {
 
   if (Arg < argc && std::strcmp(argv[Arg], "--workload") == 0) {
     fleet::WorkloadParams P;
-    if (Arg + 1 < argc)
-      P.Seed = std::strtoull(argv[Arg + 1], nullptr, 10);
+    if (Arg + 1 < argc &&
+        !support::parseNumber<uint64_t>(argv[Arg + 1], 0, UINT64_MAX, P.Seed)
+             .ok())
+      return usage();
     Generated = fleet::generateWorkload(P);
     Repo = &Generated->Repo;
   } else {

@@ -24,14 +24,12 @@
 #include "interp/Interpreter.h"
 #include "jit/Jit.h"
 #include "runtime/ValueOps.h"
+#include "support/ParseNumber.h"
 #include "support/ThreadPool.h"
 #include "testing/DiffRunner.h"
 
-#include <cctype>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -103,14 +101,8 @@ int main(int argc, char **argv) {
       // A flag's value must be a decimal number no larger than \p Max: a
       // typo like `--programs abc` must not run an empty sweep.
       auto NumArg = [&](uint64_t Max, uint64_t &Out) {
-        if (I + 1 >= argc)
-          return false;
-        const char *Text = argv[++I];
-        char *End = nullptr;
-        errno = 0;
-        Out = std::strtoull(Text, &End, 10);
-        return std::isdigit(static_cast<unsigned char>(*Text)) &&
-               *End == '\0' && errno == 0 && Out <= Max;
+        return I + 1 < argc &&
+               support::parseNumber<uint64_t>(argv[++I], 0, Max, Out).ok();
       };
       uint64_t V = 0;
       if (std::strcmp(argv[I], "--programs") == 0 && NumArg(UINT32_MAX, V))
@@ -197,14 +189,11 @@ int main(int argc, char **argv) {
     // CLI face of the --threads knob the bench binaries expose.
     uint32_t Threads = 1;
     for (int I = 3; I < argc; ++I) {
-      if (std::strcmp(argv[I], "--threads") == 0 && I + 1 < argc) {
-        char *End = nullptr;
-        Threads = static_cast<uint32_t>(std::strtoul(argv[++I], &End, 10));
-        if (End == nullptr || *End != '\0')
-          return usage();
-      } else {
+      if (std::strcmp(argv[I], "--threads") != 0 || I + 1 >= argc ||
+          !support::parseNumber<uint32_t>(argv[++I], 1,
+                                          support::kMaxPoolWorkers, Threads)
+               .ok())
         return usage();
-      }
     }
     std::unique_ptr<support::ThreadPool> Pool;
     if (Threads > 1)
@@ -239,12 +228,14 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "jsvm: no function '%s'\n", Entry);
       return 1;
     }
+    int64_t Arg = 0;
+    if (argc >= 5 && !support::parseNumber<int64_t>(argv[4], INT64_MIN,
+                                                    INT64_MAX, Arg)
+                           .ok())
+      return usage();
     std::vector<runtime::Value> Args;
-    for (uint32_t I = 0; I < Repo.func(F).NumParams; ++I) {
-      int64_t V = (argc >= 5 && I == 0) ? std::strtoll(argv[4], nullptr, 10)
-                                        : 0;
-      Args.push_back(runtime::Value::integer(V));
-    }
+    for (uint32_t I = 0; I < Repo.func(F).NumParams; ++I)
+      Args.push_back(runtime::Value::integer(I == 0 ? Arg : 0));
 
     runtime::ClassTable Classes(Repo);
     runtime::Heap Heap;

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Lazily-built, memoized basic-block information per function, shared by
-/// the interpreter (block-entry profiling) and the JIT (region selection).
+/// Lazily-built, memoized basic-block information per function, for the
+/// JIT (region selection, lowering, profile slabs) and the analyses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,10 +33,6 @@ public:
       return *Cache[F.raw()];
     return build(F);
   }
-
-  /// Precomputed Pc -> block-id table for \p F (see
-  /// BlockList::instrToBlockData).
-  const uint32_t *pcToBlock(FuncId F) { return blocks(F).instrToBlockData(); }
 
 private:
   /// Computes and caches \p F's blocks on first use.

@@ -44,9 +44,10 @@ struct BcBlock {
 /// Marks the block leaders of \p F, one byte per instruction: the entry,
 /// every branch target and every instruction after a block-ender.  This
 /// is the one definition of a leader: BlockList::compute builds its
-/// blocks from it, and the interpreter's quickener keeps each
-/// superinstruction's sequence inside one block.  \p F must be verified
-/// (all branch targets in range).
+/// blocks from it, and the interpreter's quickener numbers the blocks of
+/// its quickened copy from it and keeps each superinstruction's sequence
+/// inside one block.  \p F must be verified (all branch targets in
+/// range).
 std::vector<uint8_t> blockLeaders(const Function &F);
 
 /// The basic blocks of one function, in bytecode order (block 0 is the
@@ -65,12 +66,6 @@ public:
   uint32_t blockOf(uint32_t InstrIndex) const {
     return InstrToBlock[InstrIndex];
   }
-
-  /// Raw Pc -> block-id table (one entry per instruction).  The
-  /// interpreter's dispatch loop keeps a borrowed pointer to this so
-  /// block-entry profiling is a single indexed load with no indirection
-  /// through the BlockList.
-  const uint32_t *instrToBlockData() const { return InstrToBlock.data(); }
 
 private:
   std::vector<BcBlock> Blocks;

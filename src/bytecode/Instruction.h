@@ -24,6 +24,10 @@ namespace jumpstart::bc {
 /// Branch targets are instruction indices within the owning function.
 struct Instr {
   Op Opcode = Op::Nop;
+  /// The id of the basic block (bc::BlockList) the instruction lies in.
+  /// Only the interpreter's quickened copy (interp::FuncExecInfo::Quick)
+  /// sets it; it fills padding after Opcode, so Instr stays 24 bytes.
+  uint32_t Block = 0;
   int64_t ImmA = 0;
   int64_t ImmB = 0;
 
@@ -40,6 +44,7 @@ struct Instr {
   uint32_t countImm() const { return static_cast<uint32_t>(ImmB); }
   uint32_t builtinImm() const { return static_cast<uint32_t>(ImmA); }
 };
+static_assert(sizeof(Instr) == 24, "Block must stay in Opcode's padding");
 
 } // namespace jumpstart::bc
 

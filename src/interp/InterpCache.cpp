@@ -122,6 +122,14 @@ FuncExecInfo jumpstart::interp::computeExecInfo(const bc::Function &F,
     if (Leader[I])
       NextLeader = I;
   }
+  // Blocks are numbered by their leaders in code order, as
+  // bc::BlockList::compute numbers them.
+  uint32_t Block = 0;
+  for (size_t I = 0; I < N; ++I) {
+    if (I > 0 && Leader[I])
+      ++Block;
+    Info.Quick[I].Block = Block;
+  }
 
   if (hasCacheableSite(F))
     Info.ICs.assign(N, ICEntry{});

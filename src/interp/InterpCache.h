@@ -37,7 +37,9 @@
 ///
 ///  - A quickened copy of the code, which both frame loops run, in which
 ///    every instruction that starts a superinstruction's sequence carries
-///    that superinstruction's opcode byte (JUMPSTART_SUPERINSTRS below).
+///    that superinstruction's opcode byte (JUMPSTART_SUPERINSTRS below),
+///    and every instruction its basic block's id, which the observed loop
+///    reads to detect block entries.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -127,10 +129,12 @@ struct FuncExecInfo {
   /// The code both frame loops run: a copy of Function::Code in which
   /// each instruction that starts a superinstruction's sequence carries
   /// that superinstruction's quickOp byte, the longest sequence that ends
-  /// before the next block leader (bc::blockLeaders) first.  Only opcode
-  /// bytes differ, and no sequence spans a leader, so no branch lands
-  /// inside a sequence and the observed loop meets each block's first
-  /// instruction in a dispatch of its own.  Empty when !Verified.
+  /// before the next block leader (bc::blockLeaders) first, and every
+  /// instruction carries its bc::BlockList block id in Instr::Block.
+  /// Immediates are unchanged, and no sequence spans a leader, so no
+  /// branch lands inside a sequence and the observed loop meets each
+  /// block's first instruction in a dispatch of its own.  Empty when
+  /// !Verified.
   std::vector<bc::Instr> Quick;
 
   /// Inline caches indexed by Pc.  Empty when !Verified or the function

@@ -15,14 +15,17 @@
 // no observation code at all.  enterFrame picks the instantiation once
 // per frame, from the callbacks' onFuncEnter answer, so frames nobody
 // records run the plain body even while callbacks are attached; the
-// observed one tests the answer's event set before each callback.
+// observed one tests the answer's event set before each event, and bumps
+// the frame's FrameRecord counters in place for the block and type
+// events the record carries.
 //
 // Both instantiations run each function's quickened code
 // (FuncExecInfo::Quick), whose superinstructions execute a whole
 // bytecode sequence in one dispatch when their guard holds and otherwise
-// enter the base handler of their first instruction.  A sequence never
-// spans a block leader, so the observed loop's per-dispatch block check
-// still fires every onBlockEnter at its instruction.
+// enter the base handler of their first instruction.  The observed
+// loop's per-dispatch block check reads the block id each quickened
+// instruction carries.  A sequence never spans a block leader, so that
+// check still reports every block entry at its instruction.
 //
 // Only functions the verifier accepts run; a call to any other function
 // returns Null with one fault.  testing::ReferenceInterpreter keeps the
@@ -57,13 +60,18 @@ Interpreter::Interpreter(const bc::Repo &R, runtime::ClassTable &Classes,
                          const runtime::BuiltinTable &Builtins,
                          InterpOptions Opts)
     : R(R), Classes(Classes), H(H), Builtins(Builtins), Opts(Opts),
-      Blocks(R), Caches(R, Builtins.size()) {}
+      Caches(R, Builtins.size()) {}
 
 // Never inlined, so that add() stays small enough to inline into the
 // frame loop.
 [[gnu::noinline]] void InstrCounts::touch(uint32_t F) {
   Touched.push_back(F);
 }
+
+namespace {
+/// The record of a frame that records nothing in place.
+constexpr FrameRecord kNoRecord;
+} // namespace
 
 Value Interpreter::fault() {
   ++Faults;
@@ -111,17 +119,19 @@ Value Interpreter::enterFrame(bc::FuncId FId, const Value *Args,
   FuncExecInfo &Info = Caches.info(FId);
   if (JS_UNLIKELY(!Info.Verified))
     return fault();
-  FrameObservation Observe = FrameObservation::EntryExit;
-  if (Callbacks)
-    Observe = Callbacks->onFuncEnter(FId, Caller, Args, NumArgs);
   const bc::Function &F = R.func(FId);
+  if (!Callbacks)
+    return execFrameFast<false>(F, Info, FId, Args, NumArgs, This, Depth,
+                                FrameObservation::EntryExit, kNoRecord);
+  FrameRecord Record;
+  FrameObservation Observe =
+      Callbacks->onFuncEnter(FId, Caller, Args, NumArgs, Record);
   Value Ret = Observe == FrameObservation::EntryExit
                   ? execFrameFast<false>(F, Info, FId, Args, NumArgs, This,
-                                         Depth, Observe)
+                                         Depth, Observe, Record)
                   : execFrameFast<true>(F, Info, FId, Args, NumArgs, This,
-                                        Depth, Observe);
-  if (Callbacks)
-    Callbacks->onFuncExit(FId);
+                                        Depth, Observe, Record);
+  Callbacks->onFuncExit(FId);
   return Ret;
 }
 
@@ -154,17 +164,27 @@ Value Interpreter::enterFrame(bc::FuncId FId, const Value *Args,
       ++FrameSteps;                                                            \
     }                                                                          \
     if constexpr (Instrumented) {                                              \
-      uint32_t IPc = VM_PC();                                                  \
-      if (VM_OBSERVES(Blocks)) {                                               \
-        uint32_t B = PcToBlock[IPc];                                           \
-        if (B != CurBlock) {                                                   \
-          CurBlock = B;                                                        \
-          Callbacks->onBlockEnter(FId, B);                                     \
-        }                                                                      \
+      if (VM_OBSERVES(Blocks) && Ip->Block != CurBlock) {                      \
+        CurBlock = Ip->Block;                                                  \
+        EnterBlock(CurBlock);                                                  \
       }                                                                        \
       if (VM_OBSERVES(Instrs))                                                 \
-        Callbacks->onInstr(FId, IPc, Depth);                                   \
+        Callbacks->onInstr(FId, VM_PC(), Depth);                               \
     }                                                                          \
+  } while (0)
+
+// The type event of the instruction at \p Pc, which observed type \p T:
+// into the record's counters where it carries types, else to
+// onTypeObserve.
+#define VM_TYPE(Pc, T)                                                         \
+  do {                                                                         \
+    if constexpr (Instrumented)                                                \
+      if (VM_OBSERVES(Types)) {                                                \
+        if (TypesInPlace)                                                      \
+          Record.Types[Record.TypeSiteOfPc[Pc]].observe(T);                    \
+        else                                                                   \
+          Callbacks->onTypeObserve(FId, Pc, T);                                \
+      }                                                                        \
   } while (0)
 
 // Sequential advance within a run: no budget or bounds work.
@@ -263,10 +283,22 @@ template <bool Instrumented>
 Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
                                  bc::FuncId FId, const Value *Args,
                                  uint32_t NumArgs, Value This, uint32_t Depth,
-                                 [[maybe_unused]] FrameObservation Observe) {
-  [[maybe_unused]] const uint32_t *PcToBlock = nullptr;
-  if constexpr (Instrumented)
-    PcToBlock = Blocks.pcToBlock(FId);
+                                 [[maybe_unused]] FrameObservation Observe,
+                                 [[maybe_unused]] const FrameRecord &Record) {
+  [[maybe_unused]] const bool BlocksInPlace = Record.carriesBlocks();
+  [[maybe_unused]] const bool TypesInPlace = Record.carriesTypes();
+  // A block entry: into the record's counters where it carries blocks,
+  // else to onBlockEnter.
+  [[maybe_unused]] auto EnterBlock = [&](uint32_t B) {
+    if (!BlocksInPlace) {
+      Callbacks->onBlockEnter(FId, B);
+      return;
+    }
+    if (Record.BlockCounts)
+      ++Record.BlockCounts[B];
+    if (B < Record.NumVasmBlocks)
+      ++Record.VasmCounts[B];
+  };
 
   // One arena carve covers locals and the operand stack; MaxStack bounds
   // every path, so pushes need no growth checks and returns rewind in
@@ -408,9 +440,7 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
   VM_CASE(GetElem) : {
     Value K = VM_POP();
     Value C = VM_POP();
-    if constexpr (Instrumented)
-      if (VM_OBSERVES(Types))
-        Callbacks->onTypeObserve(FId, VM_PC(), C.T);
+    VM_TYPE(VM_PC(), C.T);
     if (C.isVec()) {
       int64_t Index = runtime::toInt(K);
       if (Index < 0 || Index >= static_cast<int64_t>(C.V->Elems.size())) {
@@ -448,9 +478,7 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
     Value V = VM_POP();
     Value K = VM_POP();
     Value C = VM_POP();
-    if constexpr (Instrumented)
-      if (VM_OBSERVES(Types))
-        Callbacks->onTypeObserve(FId, VM_PC(), C.T);
+    VM_TYPE(VM_PC(), C.T);
     if (C.isVec()) {
       int64_t Index = runtime::toInt(K);
       int64_t Size = static_cast<int64_t>(C.V->Elems.size());
@@ -533,9 +561,7 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
   do {                                                                         \
     if ((Res).isNull() && !((A).isNull() || (B).isNull()))                     \
       ++Faults;                                                                \
-    if constexpr (Instrumented)                                                \
-      if (VM_OBSERVES(Types))                                                  \
-        Callbacks->onTypeObserve(FId, VM_PC(), (A).T);                         \
+    VM_TYPE(VM_PC(), (A).T);                                                   \
     VM_PUSH(Res);                                                              \
     VM_NEXT();                                                                 \
   } while (0)
@@ -627,9 +653,7 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
   do {                                                                         \
     Value B = VM_POP();                                                        \
     Value A = VM_POP();                                                        \
-    if constexpr (Instrumented)                                                \
-      if (VM_OBSERVES(Types))                                                  \
-        Callbacks->onTypeObserve(FId, VM_PC(), A.T);                           \
+    VM_TYPE(VM_PC(), A.T);                                                     \
     if (exactIntPair(A, B))                                                    \
       VM_PUSH(Value::boolean(IntExpr));                                        \
     else                                                                       \
@@ -766,14 +790,11 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
       VM_PUSH(fault());
       VM_NEXT();
     }
-    if constexpr (Instrumented) {
+    if constexpr (Instrumented)
       if (VM_OBSERVES(Props))
         Callbacks->onPropAccess(L->id(), In.strImm(), /*IsWrite=*/false,
                                 Obj.O->slotAddr(static_cast<uint32_t>(Slot)));
-      if (VM_OBSERVES(Types))
-        Callbacks->onTypeObserve(FId, VM_PC(),
-                                 Obj.O->Slots[static_cast<size_t>(Slot)].T);
-    }
+    VM_TYPE(VM_PC(), Obj.O->Slots[static_cast<size_t>(Slot)].T);
     VM_PUSH(Obj.O->Slots[static_cast<size_t>(Slot)]);
     VM_NEXT();
   }
@@ -841,12 +862,7 @@ Value Interpreter::execFrameFast(const bc::Function &F, FuncExecInfo &Info,
 
 // The type event of a fused sequence's binop, \p Off instructions past its
 // start: the guard proved the left operand an int.
-#define VM_SUPER_TYPE(Off)                                                     \
-  do {                                                                         \
-    if constexpr (Instrumented)                                                \
-      if (VM_OBSERVES(Types))                                                  \
-        Callbacks->onTypeObserve(FId, VM_PC() + (Off), runtime::Type::Int);    \
-  } while (0)
+#define VM_SUPER_TYPE(Off) VM_TYPE(VM_PC() + (Off), runtime::Type::Int)
 
   // Int;binop: the stack top is the left operand, the immediate the right.
 #define VM_INT_BINOP(Name, O)                                                  \
@@ -993,6 +1009,7 @@ ExitLoop:
 }
 
 #undef VM_OBSERVES
+#undef VM_TYPE
 #undef VM_CASE
 #undef VM_SUPER
 #undef VM_DISPATCH

@@ -20,7 +20,6 @@
 #ifndef JUMPSTART_INTERP_INTERPRETER_H
 #define JUMPSTART_INTERP_INTERPRETER_H
 
-#include "bytecode/BlockCache.h"
 #include "bytecode/Repo.h"
 #include "interp/ExecCallbacks.h"
 #include "interp/InterpCache.h"
@@ -127,15 +126,17 @@ private:
   /// The frame loop.  Instrumented is decided once per frame by
   /// enterFrame: the plain instantiation contains no callback code at
   /// all.  Both run the quickened code and its superinstructions.  The
-  /// observed one fires each body event only when \p Observe includes
-  /// it; with FrameObservation::Instrs it fires onInstr per executed
-  /// instruction, and every superinstruction runs its sequence one
-  /// instruction at a time.
+  /// observed one reports each body event only when \p Observe includes
+  /// it, block and type events into \p Record's counters where it
+  /// carries them; with FrameObservation::Instrs it fires onInstr per
+  /// executed instruction, and every superinstruction runs its sequence
+  /// one instruction at a time.
   template <bool Instrumented>
   runtime::Value execFrameFast(const bc::Function &F, FuncExecInfo &Info,
                                bc::FuncId FId, const runtime::Value *Args,
                                uint32_t NumArgs, runtime::Value This,
-                               uint32_t Depth, FrameObservation Observe);
+                               uint32_t Depth, FrameObservation Observe,
+                               const FrameRecord &Record);
   /// Frame entry for call() and every call site: the call-depth limit,
   /// then the verifier's verdict (an unverified function faults), then
   /// onFuncEnter, the frame loop its answer selects, and onFuncExit.
@@ -149,7 +150,6 @@ private:
   runtime::Heap &H;
   const runtime::BuiltinTable &Builtins;
   InterpOptions Opts;
-  bc::BlockCache Blocks;
   InterpCaches Caches;
 
   ExecCallbacks *Callbacks = nullptr;

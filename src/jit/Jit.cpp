@@ -34,7 +34,8 @@ const char *jumpstart::jit::jitPhaseName(JitPhase P) {
 }
 
 Jit::Jit(const bc::Repo &R, JitConfig Config, support::ThreadPool *Pool)
-    : R(R), Config(Config), Blocks(R), Enqueued(R.numFuncs(), 0), Pool(Pool) {}
+    : R(R), Config(Config), Blocks(R), Props(R), Enqueued(R.numFuncs(), 0),
+      Pool(Pool) {}
 
 void Jit::setObservability(obs::Observability *O, double SecondsPerUnit,
                            uint32_t Track) {
@@ -102,14 +103,9 @@ uint64_t Jit::totalCodeBytes() const {
          Db.bytesOfKind(TransKind::Optimized);
 }
 
-const Translation *Jit::onFuncEntered(bc::FuncId F) {
-  const Translation *Best = Db.best(F);
-  if (!R.func(F).Code.empty())
-    enqueueTierUp(F, Best);
-  return Best;
-}
-
 void Jit::enqueueTierUp(bc::FuncId F, const Translation *Best) {
+  if (R.func(F).Code.empty())
+    return;
   if (Phase == JitPhase::Profiling) {
     if (Db.forFunc(F, TransKind::Profile) || Enqueued[F.raw()])
       return;
@@ -461,7 +457,7 @@ profile::ProfilePackage Jit::buildPackage(uint32_t Region, uint32_t Bucket,
   Store.exportToPackage(Pkg);
   Pkg.Opt = OptProf;
   OptCounts.renderInto(Pkg.Opt);
-  Props.renderInto(R, Pkg.Opt);
+  Props.renderInto(Pkg.Opt);
 
   // Category 4: the precomputed function order, from the tier-2 call
   // graph when seeder instrumentation collected one.

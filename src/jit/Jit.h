@@ -209,8 +209,19 @@ public:
 
   /// A request entered \p F; may enqueue compile jobs per tiering policy.
   /// \returns currentTranslation(F), which enqueueing does not change, so
-  /// a caller that needs it too does not look it up again.
-  const Translation *onFuncEntered(bc::FuncId F);
+  /// a caller that needs it too does not look it up again.  Inline, with
+  /// the policy's common way out: an entry enqueues nothing while \p F's
+  /// compile is queued, while profiling once F has its profile
+  /// translation, and afterwards once F has a placed translation or the
+  /// live area is full.
+  const Translation *onFuncEntered(bc::FuncId F) {
+    const Translation *Best = Db.best(F);
+    if (!Enqueued[F.raw()] &&
+        (Phase == JitPhase::Profiling ? !Db.forFunc(F, TransKind::Profile)
+                                      : !Best && !LiveAreaExhausted))
+      enqueueTierUp(F, Best);
+    return Best;
+  }
 
   /// A request finished; advances the profiling window.
   void onRequestFinished();
@@ -293,8 +304,8 @@ private:
     UnitLayout Layout;
   };
 
-  /// onFuncEntered's tiering policy for \p F, which has bytecode and
-  /// whose current translation is \p Best.
+  /// onFuncEntered's tiering policy for \p F, whose current translation
+  /// is \p Best.
   void enqueueTierUp(bc::FuncId F, const Translation *Best);
   /// Decides, on the owning thread, what each of the jobs one drain
   /// finishes needs prepared, so that prepareJob never reads the

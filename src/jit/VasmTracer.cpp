@@ -108,10 +108,12 @@ const VasmTracer::TransPlan &VasmTracer::planFor(const Translation &T) {
 interp::FrameObservation VasmTracer::onFuncEnter(bc::FuncId Callee,
                                                  bc::FuncId Caller,
                                                  const runtime::Value *Args,
-                                                 uint32_t NumArgs) {
+                                                 uint32_t NumArgs,
+                                                 interp::FrameRecord &Record) {
   (void)Caller;
   (void)Args;
   (void)NumArgs;
+  (void)Record;
   Frame F;
   F.Func = Callee.raw();
   // The callee's own translation decides whether the interpreter runs it,

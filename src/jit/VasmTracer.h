@@ -54,7 +54,8 @@ public:
   /// data access of every frame.
   interp::FrameObservation onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
                                        const runtime::Value *Args,
-                                       uint32_t NumArgs) override;
+                                       uint32_t NumArgs,
+                                       interp::FrameRecord &Record) override;
   void onFuncExit(bc::FuncId F) override;
   void onBlockEnter(bc::FuncId F, uint32_t Block) override;
   void onInstr(bc::FuncId F, uint32_t InstrIndex, uint32_t Depth) override;

@@ -7,8 +7,6 @@
 
 #include "profile/ProfileStore.h"
 
-#include "support/Hashing.h"
-
 #include <algorithm>
 
 using namespace jumpstart;
@@ -44,10 +42,6 @@ void ProfileSlab::countCallTarget(uint32_t Pc, uint32_t Callee) {
   Targets.push_back({Callee, 1});
 }
 
-size_t PropCounters::PairHash::operator()(const PairKey &K) const {
-  return static_cast<size_t>(hashCombine(K.ClsLo, K.Hi));
-}
-
 void OptCounters::renderInto(OptProfile &Opt) const {
   for (uint32_t Func = 0; Func < Rows.size(); ++Func) {
     const std::vector<uint64_t> &Row = Rows[Func];
@@ -59,25 +53,42 @@ void OptCounters::renderInto(OptProfile &Opt) const {
     for (size_t B = 0; B < Row.size(); ++B)
       Counts[B] += Row[B];
   }
-  for (const auto &[Key, Count] : Arcs)
-    Opt.CallArcs[{static_cast<uint32_t>(Key >> 32),
-                  static_cast<uint32_t>(Key)}] += Count;
+  for (uint32_t Callee = 0; Callee < ArcsInto.size(); ++Callee)
+    for (const auto &[Caller, Count] : ArcsInto[Callee])
+      Opt.CallArcs[{Caller, Callee}] += Count;
 }
 
-void PropCounters::renderInto(const bc::Repo &R, OptProfile &Opt) const {
-  auto ClassName = [&](uint64_t Packed) -> const std::string & {
-    return R.cls(bc::ClassId(static_cast<uint32_t>(Packed >> 32))).Name;
-  };
-  auto PropName = [&](uint64_t Id) -> const std::string & {
-    return R.str(bc::StringId(static_cast<uint32_t>(Id)));
-  };
-  for (const auto &[Key, Count] : Access)
-    Opt.PropAccessCounts[ClassName(Key) + "::" + PropName(Key)] += Count;
-  for (const auto &[Key, Count] : Affinity) {
-    const std::string &A = PropName(Key.ClsLo);
-    const std::string &B = PropName(Key.Hi);
-    Opt.PropAffinity[ClassName(Key.ClsLo) + "::" +
-                     (A < B ? A + "::" + B : B + "::" + A)] += Count;
+void PropCounters::layOut(bc::ClassId Cls, ClassCounts &C) const {
+  std::vector<bc::ClassId> Chain;
+  for (bc::ClassId K = Cls; K.valid(); K = R.cls(K).Parent)
+    Chain.push_back(K);
+  for (auto It = Chain.rbegin(); It != Chain.rend(); ++It)
+    for (bc::StringId Prop : R.cls(*It).DeclProps)
+      C.Props.push_back(Prop.raw());
+  const size_t N = C.Props.size();
+  C.Access.assign(N, 0);
+  C.Affinity.assign(N * (N ? N - 1 : 0) / 2, 0);
+}
+
+void PropCounters::renderInto(OptProfile &Opt) const {
+  for (uint32_t Cls = 0; Cls < Classes.size(); ++Cls) {
+    const ClassCounts &C = Classes[Cls];
+    const std::string &ClassName = R.cls(bc::ClassId(Cls)).Name;
+    auto PropName = [&](uint32_t Slot) -> const std::string & {
+      return R.str(bc::StringId(C.Props[Slot]));
+    };
+    for (uint32_t Slot = 0; Slot < C.Access.size(); ++Slot)
+      if (C.Access[Slot])
+        Opt.PropAccessCounts[ClassName + "::" + PropName(Slot)] +=
+            C.Access[Slot];
+    for (uint32_t Hi = 1; Hi < C.Props.size(); ++Hi)
+      for (uint32_t Lo = 0; Lo < Hi; ++Lo)
+        if (uint64_t Count = C.Affinity[pairIndex(Lo, Hi)]) {
+          const std::string &A = PropName(Lo);
+          const std::string &B = PropName(Hi);
+          Opt.PropAffinity[ClassName + "::" +
+                           (A < B ? A + "::" + B : B + "::" + A)] += Count;
+        }
   }
 }
 

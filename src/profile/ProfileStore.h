@@ -57,11 +57,6 @@ struct ProfileSlab {
     for (uint32_t I = 0; I < NumArgs; ++I)
       ParamTypes[I].observe(Args[I].T);
   }
-  void countBlock(uint32_t Block) { ++BlockCounts[Block]; }
-  /// \p Pc must observe types (bc::opObservesTypes).
-  void observeType(uint32_t Pc, runtime::Type T) {
-    Types[SiteOfPc[Pc]].observe(T);
-  }
   /// \p Pc must be an FCallObj.
   void countCallTarget(uint32_t Pc, uint32_t Callee);
 
@@ -69,6 +64,9 @@ struct ProfileSlab {
   uint64_t EntryCount = 0;
   /// Grows to the widest argument list seen, as FuncProfile's does.
   std::vector<TypeObservation> ParamTypes;
+  /// Entries per bytecode block.  A profile-tier frame's
+  /// interp::FrameRecord points the frame loop at these counters, at
+  /// SiteOfPc and at Types, which it bumps in place.
   std::vector<uint64_t> BlockCounts;
   /// Instruction index -> site: an index into Types for an instruction
   /// that observes types, into Calls for an FCallObj, else kNoSite.
@@ -87,51 +85,73 @@ struct ProfileSlab {
 };
 
 /// Property-access and property-affinity counts recorded in tier-1
-/// frames (section V-C), keyed by packed (ClassId, StringId[, StringId])
-/// integers.  renderInto() builds the "Class::prop" and "Class::a::b"
-/// string keys the package carries.
+/// frames (section V-C).  Each class counts by declared slot: the index
+/// of the property in the class's flattened declared order, its parent's
+/// properties first (runtime::ClassLayout::declToPhys's declared
+/// indices).  Affinity pairs of a class fill a triangular array over its
+/// slots.  renderInto() builds the "Class::prop" and "Class::a::b" string
+/// keys the package carries.
 class PropCounters {
 public:
-  /// An access to property \p Prop of class \p Cls.
-  void count(bc::ClassId Cls, bc::StringId Prop) {
-    ++Access[pack(Cls.raw(), Prop.raw())];
+  explicit PropCounters(const bc::Repo &R) : R(R) {}
+
+  /// An access to property \p Prop of class \p Cls, which must declare
+  /// or inherit it.  \returns its declared slot.
+  uint32_t count(bc::ClassId Cls, bc::StringId Prop) {
+    ClassCounts &C = counts(Cls);
+    uint32_t Slot = 0;
+    while (C.Props[Slot] != Prop.raw()) {
+      ++Slot;
+      assert(Slot < C.Props.size() && "property outside its class");
+    }
+    ++C.Access[Slot];
+    return Slot;
   }
-  /// Consecutive accesses to the distinct properties \p A and \p B of
+  /// Consecutive accesses to the distinct declared slots \p A and \p B of
   /// \p Cls, in either order.
-  void countPair(bc::ClassId Cls, bc::StringId A, bc::StringId B) {
-    uint32_t Lo = std::min(A.raw(), B.raw());
-    uint32_t Hi = std::max(A.raw(), B.raw());
-    ++Affinity[PairKey{pack(Cls.raw(), Lo), Hi}];
+  void countPair(bc::ClassId Cls, uint32_t A, uint32_t B) {
+    assert(A != B && Cls.raw() < Classes.size() && "pair of one slot");
+    ++Classes[Cls.raw()].Affinity[pairIndex(std::min(A, B), std::max(A, B))];
   }
 
   /// Adds every count to \p Opt's PropAccessCounts and PropAffinity, with
   /// the affinity key's property names in lexicographic order.
-  void renderInto(const bc::Repo &R, OptProfile &Opt) const;
+  void renderInto(OptProfile &Opt) const;
 
 private:
-  static uint64_t pack(uint32_t Hi, uint32_t Lo) {
-    return static_cast<uint64_t>(Hi) << 32 | Lo;
-  }
-  struct PairKey {
-    uint64_t ClsLo; ///< pack(class, lower property StringId)
-    uint32_t Hi;    ///< the higher property StringId
-    bool operator==(const PairKey &O) const {
-      return ClsLo == O.ClsLo && Hi == O.Hi;
-    }
-  };
-  struct PairHash {
-    size_t operator()(const PairKey &K) const;
+  struct ClassCounts {
+    /// The raw StringId of each declared slot.
+    std::vector<uint32_t> Props;
+    std::vector<uint64_t> Access;
+    /// The pair of slots Lo < Hi counts at pairIndex(Lo, Hi).
+    std::vector<uint64_t> Affinity;
   };
 
-  std::unordered_map<uint64_t, uint64_t> Access;
-  std::unordered_map<PairKey, uint64_t, PairHash> Affinity;
+  static size_t pairIndex(uint32_t Lo, uint32_t Hi) {
+    return static_cast<size_t>(Hi) * (Hi - 1) / 2 + Lo;
+  }
+  /// The counters of \p Cls, laid out from its declared chain on first
+  /// use.
+  ClassCounts &counts(bc::ClassId Cls) {
+    if (Cls.raw() >= Classes.size())
+      Classes.resize(Cls.raw() + 1);
+    ClassCounts &C = Classes[Cls.raw()];
+    if (C.Props.empty())
+      layOut(Cls, C);
+    return C;
+  }
+  void layOut(bc::ClassId Cls, ClassCounts &C) const;
+
+  const bc::Repo &R;
+  /// Indexed by raw ClassId.
+  std::vector<ClassCounts> Classes;
 };
 
 /// The Vasm block and tier-2 call-arc counts of a seeder's instrumented
 /// optimized frames (sections V-A and V-B): one counter row per optimized
-/// unit, indexed by the raw FuncId of its function, and arc counts keyed
-/// by the packed (caller, callee) pair.  renderInto() builds
-/// OptProfile's ordered maps when a package is assembled.
+/// unit, indexed by the raw FuncId of its function, and for each callee
+/// unit its callers' arc counts.  renderInto() builds OptProfile's
+/// ordered maps when a package is assembled.
 class OptCounters {
 public:
   /// The counter row of the unit of raw FuncId \p Func, at least
@@ -148,7 +168,15 @@ public:
   /// One entry into the unit of \p Callee from code of the unit of
   /// \p Caller (raw FuncIds).
   void countArc(uint32_t Caller, uint32_t Callee) {
-    ++Arcs[static_cast<uint64_t>(Caller) << 32 | Callee];
+    if (Callee >= ArcsInto.size())
+      ArcsInto.resize(Callee + 1);
+    std::vector<std::pair<uint32_t, uint64_t>> &Arcs = ArcsInto[Callee];
+    for (auto &[From, Count] : Arcs)
+      if (From == Caller) {
+        ++Count;
+        return;
+      }
+    Arcs.push_back({Caller, 1});
   }
 
   /// Adds every row in which an event counted to Opt.VasmBlockCounts,
@@ -158,7 +186,9 @@ public:
 
 private:
   std::vector<std::vector<uint64_t>> Rows;
-  std::unordered_map<uint64_t, uint64_t> Arcs;
+  /// Indexed by the callee's raw FuncId: (caller raw FuncId, count), in
+  /// first-seen order.
+  std::vector<std::vector<std::pair<uint32_t, uint64_t>>> ArcsInto;
 };
 
 /// Mutable per-server profile state.

@@ -7,6 +7,8 @@
 
 #include "support/ThreadPool.h"
 
+#include "support/Assert.h"
+
 #include <algorithm>
 #include <exception>
 
@@ -29,6 +31,8 @@ struct ThreadPool::Batch {
 };
 
 ThreadPool::ThreadPool(uint32_t NumWorkers) {
+  alwaysAssert(NumWorkers <= kMaxPoolWorkers,
+               "a thread pool of more than kMaxPoolWorkers workers");
   if (NumWorkers <= 1)
     return;
   Workers.reserve(NumWorkers);

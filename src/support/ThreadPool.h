@@ -45,9 +45,14 @@
 
 namespace jumpstart::support {
 
+/// The most workers a pool starts.  The CLIs' `--threads` rejects more
+/// before any thread starts.
+constexpr uint32_t kMaxPoolWorkers = 256;
+
 class ThreadPool {
 public:
-  /// Starts \p Workers worker threads (0 or 1: inline mode, none).
+  /// Starts \p Workers worker threads (0 or 1: inline mode, none);
+  /// \p Workers must not exceed kMaxPoolWorkers.
   explicit ThreadPool(uint32_t Workers);
   /// Joins the workers.
   ~ThreadPool();

@@ -53,13 +53,32 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
   if (F.Code.empty())
     return fault();
 
-  // A body event goes to Callbacks only when the frame's answer includes
-  // it; entry and exit always go to Callbacks.
+  // A body event is reported only when the frame's answer includes it:
+  // a block or type event into the frame's record where the record
+  // carries it, every other to Callbacks.  Entry and exit always go to
+  // Callbacks.
   interp::FrameObservation Observe = interp::FrameObservation::EntryExit;
+  interp::FrameRecord Record;
   if (Callbacks)
-    Observe = Callbacks->onFuncEnter(FId, Caller, Args, NumArgs);
+    Observe = Callbacks->onFuncEnter(FId, Caller, Args, NumArgs, Record);
   auto Wants = [Observe](interp::FrameObservation Event) {
     return interp::observes(Observe, Event);
+  };
+  auto EnterBlock = [&](uint32_t Block) {
+    if (!Record.carriesBlocks()) {
+      Callbacks->onBlockEnter(FId, Block);
+      return;
+    }
+    if (Record.BlockCounts)
+      Record.BlockCounts[Block] += 1;
+    if (Block < Record.NumVasmBlocks)
+      Record.VasmCounts[Block] += 1;
+  };
+  auto ObserveType = [&](uint32_t Pc, runtime::Type T) {
+    if (Record.carriesTypes())
+      Record.Types[Record.TypeSiteOfPc[Pc]].observe(T);
+    else
+      Callbacks->onTypeObserve(FId, Pc, T);
   };
   using Event = interp::FrameObservation;
   const bc::BlockList *BlockInfo =
@@ -100,7 +119,7 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
       uint32_t Block = BlockInfo->blockOf(Pc);
       if (Block != CurBlock) {
         CurBlock = Block;
-        Callbacks->onBlockEnter(FId, Block);
+        EnterBlock(Block);
       }
     }
     if (Wants(Event::Instrs))
@@ -177,7 +196,7 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
       Value K = Pop();
       Value C = Pop();
       if (Wants(Event::Types))
-        Callbacks->onTypeObserve(FId, Pc, C.T);
+        ObserveType(Pc, C.T);
       if (C.isVec()) {
         int64_t Index = runtime::toInt(K);
         if (Index < 0 ||
@@ -214,7 +233,7 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
       Value K = Pop();
       Value C = Pop();
       if (Wants(Event::Types))
-        Callbacks->onTypeObserve(FId, Pc, C.T);
+        ObserveType(Pc, C.T);
       if (C.isVec()) {
         int64_t Index = runtime::toInt(K);
         int64_t Size = static_cast<int64_t>(C.V->Elems.size());
@@ -308,7 +327,7 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
       if (Res.isNull() && !(A.isNull() || B.isNull()))
         ++Faults;
       if (Wants(Event::Types))
-        Callbacks->onTypeObserve(FId, Pc, A.T);
+        ObserveType(Pc, A.T);
       Push(Res);
       break;
     }
@@ -351,7 +370,7 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
         break;
       }
       if (Wants(Event::Types))
-        Callbacks->onTypeObserve(FId, Pc, A.T);
+        ObserveType(Pc, A.T);
       Push(runtime::compare(O, A, B));
       break;
     }
@@ -441,8 +460,7 @@ Value ReferenceInterpreter::execFrame(bc::FuncId FId, const Value *Args,
                                 /*IsWrite=*/false,
                                 Obj.O->slotAddr(static_cast<uint32_t>(Slot)));
       if (Wants(Event::Types))
-        Callbacks->onTypeObserve(FId, Pc,
-                                 Obj.O->Slots[static_cast<size_t>(Slot)].T);
+        ObserveType(Pc, Obj.O->Slots[static_cast<size_t>(Slot)].T);
       Push(Obj.O->Slots[static_cast<size_t>(Slot)]);
       break;
     }

@@ -15,7 +15,8 @@
 /// must agree with it on every observable: results, faults, step totals,
 /// abort points, callback streams and simulated heap addresses.  It too
 /// reports only the body events each frame's onFuncEnter answer
-/// includes.  It deliberately never gains an
+/// includes, block and type events into the frame's interp::FrameRecord
+/// where it carries them.  It deliberately never gains an
 /// optimization: per-instruction budget checks and callback tests, two
 /// std::vector allocations per frame (charged to Heap::noteHostAllocs), a
 /// fresh VmString per Op::Str, and no inline caches.

@@ -17,14 +17,16 @@ ReferenceProfilingHooks::ReferenceProfilingHooks(jit::Jit &J) : J(J) {}
 interp::FrameObservation
 ReferenceProfilingHooks::onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
                                      const runtime::Value *Args,
-                                     uint32_t NumArgs) {
+                                     uint32_t NumArgs,
+                                     interp::FrameRecord &Record) {
   return enterFrame(Callee, Caller, Args, NumArgs,
-                    J.currentTranslation(Callee));
+                    J.currentTranslation(Callee), Record);
 }
 
 interp::FrameObservation ReferenceProfilingHooks::enterFrame(
     bc::FuncId Callee, bc::FuncId Caller, const runtime::Value *Args,
-    uint32_t NumArgs, const jit::Translation *T) {
+    uint32_t NumArgs, const jit::Translation *T, interp::FrameRecord &Record) {
+  (void)Record;
   Frame F;
   F.Func = Callee.raw();
 

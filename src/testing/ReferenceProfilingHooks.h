@@ -41,9 +41,11 @@ public:
 
   /// Answers Body in tier-1 frames and in instrumented optimized ones,
   /// EntryExit in every other frame.
+  /// Leaves \p Record empty: every event comes back as a callback.
   interp::FrameObservation onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
                                        const runtime::Value *Args,
-                                       uint32_t NumArgs) override;
+                                       uint32_t NumArgs,
+                                       interp::FrameRecord &Record) override;
   void onFuncExit(bc::FuncId F) override;
   void onBlockEnter(bc::FuncId F, uint32_t Block) override;
   void onVirtualCall(bc::FuncId Caller, uint32_t InstrIndex,
@@ -64,12 +66,13 @@ public:
 
 protected:
   /// onFuncEnter with \p Callee's current translation already resolved,
-  /// as jit::JitProfilingHooks::enterFrame takes it.  \returns
-  /// onFuncEnter's answer.
+  /// as jit::JitProfilingHooks::enterFrame takes it; \p Record stays
+  /// empty.  \returns onFuncEnter's answer.
   interp::FrameObservation enterFrame(bc::FuncId Callee, bc::FuncId Caller,
                                       const runtime::Value *Args,
                                       uint32_t NumArgs,
-                                      const jit::Translation *Best);
+                                      const jit::Translation *Best,
+                                      interp::FrameRecord &Record);
 
 private:
   struct Frame {

@@ -27,20 +27,22 @@ namespace jumpstart::vm {
 
 /// Extends the JIT's profiling hooks with server concerns: first-touch
 /// unit loading and feeding function-entry events to the tiering policy.
-/// A frame entry looks its translation up once, for the tiering policy
-/// and the profiling frame alike.  Serial path only -- concurrent
-/// contexts run without callbacks.
-class ServerHooks : public jit::JitProfilingHooks {
+/// A frame entry is one step: the unit check, the tiering policy's early
+/// exits and the profiling frame's setup are all inline here, and the
+/// translation is looked up once for the last two.  Serial path only --
+/// concurrent contexts run without callbacks.
+class ServerHooks final : public jit::JitProfilingHooks {
 public:
   ServerHooks(Server &S, jit::Jit &J)
       : jit::JitProfilingHooks(J), S(S) {}
 
   interp::FrameObservation onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
                                        const runtime::Value *Args,
-                                       uint32_t NumArgs) override {
+                                       uint32_t NumArgs,
+                                       interp::FrameRecord &Record) override {
     S.Serial->PendingLoadUnits += S.loadUnitsFor(Callee);
     const jit::Translation *Best = S.TheJit.onFuncEntered(Callee);
-    return enterFrame(Callee, Caller, Args, NumArgs, Best);
+    return enterFrame(Callee, Caller, Args, NumArgs, Best, Record);
   }
 
 private:

@@ -18,6 +18,7 @@
 #include "fleet/Traffic.h"
 #include "fleet/WarmupStats.h"
 #include "fleet/WorkloadGen.h"
+#include "support/Hashing.h"
 #include "support/StringUtil.h"
 #include "support/ThreadPool.h"
 
@@ -319,6 +320,39 @@ TEST(SteadyStateTest, ProducesCountersAndThroughput) {
   EXPECT_GT(R.Throughput, 0.0);
   EXPECT_GT(R.CyclesPerRequest, 0.0);
   EXPECT_LE(R.L1IMissRate, 1.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Seeder packages at the benchmark site's size.
+//===----------------------------------------------------------------------===//
+
+TEST(SeederPackage, SiteSizedPackageBytesArePinned) {
+  // A seeder with instrumentation on the perfbench site's shape, run as
+  // perfbench's warmup set-up runs it: 1200 requests, retranslate-all
+  // after 240.  Every recorder on its path -- profile slabs, seeder Vasm
+  // rows and arcs, property and affinity counters -- lands in the
+  // package, whose size and FNV-1a are pinned.
+  WorkloadParams P;
+  P.NumHelpers = 700;
+  P.NumClasses = 72;
+  P.NumEndpoints = 40;
+  P.NumUnits = 48;
+  auto W = generateWorkload(P);
+  TrafficModel Traffic(*W, TrafficParams(), 31);
+  vm::ServerConfig Config;
+  Config.Jit.ProfileRequestTarget = 240;
+  Config.Jit.SeederInstrumentation = true;
+  auto Server = runSeeder(*W, Traffic, Config, 0, 0, /*Requests=*/1200, 41);
+  ASSERT_EQ(Server->theJit().phase(), jit::JitPhase::Mature);
+  profile::ProfilePackage Pkg = Server->buildSeederPackage(0, 0, 1);
+  EXPECT_FALSE(Pkg.Opt.VasmBlockCounts.empty());
+  EXPECT_FALSE(Pkg.Opt.CallArcs.empty());
+  EXPECT_FALSE(Pkg.Opt.PropAffinity.empty());
+  std::vector<uint8_t> Bytes = Pkg.serialize();
+  EXPECT_EQ(Bytes.size(), 76401u);
+  EXPECT_EQ(strFormat("%016llx", static_cast<unsigned long long>(
+                                     fnv1a(Bytes.data(), Bytes.size()))),
+            "f19e4361de987fba");
 }
 
 //===----------------------------------------------------------------------===//

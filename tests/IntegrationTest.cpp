@@ -339,8 +339,8 @@ public:
   const Coverage &coverage() const { return Seen; }
 
   interp::FrameObservation onFuncEnter(bc::FuncId Callee, bc::FuncId,
-                                       const runtime::Value *,
-                                       uint32_t) override {
+                                       const runtime::Value *, uint32_t,
+                                       interp::FrameRecord &) override {
     Frame F;
     F.Func = Callee.raw();
     Frame *Parent = top();

@@ -22,6 +22,7 @@
 
 #include "TestHelpers.h"
 
+#include "bytecode/Blocks.h"
 #include "fleet/WorkloadGen.h"
 #include "interp/InterpCache.h"
 #include "runtime/ValueOps.h"
@@ -72,7 +73,8 @@ public:
 
   interp::FrameObservation onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
                                        const runtime::Value *Args,
-                                       uint32_t NumArgs) override {
+                                       uint32_t NumArgs,
+                                       interp::FrameRecord &) override {
     line("enter", {Callee.raw(), Caller.raw(), NumArgs});
     for (uint32_t I = 0; I < NumArgs; ++I)
       Log += "  arg " + runtime::toString(Args[I]) + "\n";
@@ -300,6 +302,175 @@ const char *kHandWrittenProgram =
     "  return $t + strlen($w->p4);"
     "}";
 
+/// Counts every frame's block and type events per function, each frame
+/// observing Blocks and Types.  With \p Records it answers each frame by
+/// FuncId % 3: 0 a record carrying blocks, into the function's bytecode
+/// block counters and a shorter second row, and types; 1 a record
+/// carrying blocks, into the second row alone, so its types come back as
+/// callbacks; 2 no record.  Without, every event comes back as a
+/// callback, which it counts where that frame's record would have.
+class CountingRecorder : public interp::ExecCallbacks {
+public:
+  struct FuncCounts {
+    std::vector<uint64_t> Blocks;
+    /// The second row: one counter per block but the last, and one in a
+    /// function of one block.
+    std::vector<uint64_t> Row;
+    std::vector<uint32_t> SiteOfPc;
+    std::vector<profile::TypeObservation> Types;
+  };
+
+  CountingRecorder(const bc::Repo &R, bool Records)
+      : R(R), Records(Records), Funcs(R.numFuncs()) {}
+
+  interp::FrameObservation onFuncEnter(bc::FuncId Callee, bc::FuncId,
+                                       const runtime::Value *, uint32_t,
+                                       interp::FrameRecord &Record) override {
+    FuncCounts &C = counts(Callee);
+    if (Records && Callee.raw() % 3 == 0) {
+      Record.BlockCounts = C.Blocks.data();
+      Record.TypeSiteOfPc = C.SiteOfPc.data();
+      Record.Types = C.Types.data();
+    }
+    if (Records && Callee.raw() % 3 != 2) {
+      Record.VasmCounts = C.Row.data();
+      Record.NumVasmBlocks = static_cast<uint32_t>(C.Row.size());
+    }
+    return interp::FrameObservation::Blocks | interp::FrameObservation::Types;
+  }
+  void onBlockEnter(bc::FuncId F, uint32_t Block) override {
+    EXPECT_TRUE(!Records || F.raw() % 3 == 2) << "f" << F.raw();
+    FuncCounts &C = counts(F);
+    if (F.raw() % 3 != 1)
+      ++C.Blocks[Block];
+    if (F.raw() % 3 != 2 && Block < C.Row.size())
+      ++C.Row[Block];
+  }
+  void onTypeObserve(bc::FuncId F, uint32_t InstrIndex,
+                     runtime::Type T) override {
+    EXPECT_TRUE(!Records || F.raw() % 3 != 0) << "f" << F.raw();
+    FuncCounts &C = counts(F);
+    C.Types[C.SiteOfPc[InstrIndex]].observe(T);
+  }
+
+  /// Every count, one line per nonzero counter.
+  std::string dump() const {
+    std::string Out;
+    for (uint32_t F = 0; F < Funcs.size(); ++F) {
+      if (!Funcs[F])
+        continue;
+      const FuncCounts &C = *Funcs[F];
+      for (size_t B = 0; B < C.Blocks.size(); ++B)
+        if (C.Blocks[B])
+          Out += strFormat("f%u block %zu %llu\n", F, B,
+                           static_cast<unsigned long long>(C.Blocks[B]));
+      for (size_t B = 0; B < C.Row.size(); ++B)
+        if (C.Row[B])
+          Out += strFormat("f%u row %zu %llu\n", F, B,
+                           static_cast<unsigned long long>(C.Row[B]));
+      for (size_t S = 0; S < C.Types.size(); ++S)
+        for (unsigned T = 0; T < profile::TypeObservation::kNumTypes; ++T)
+          if (uint64_t N = C.Types[S].Counts[T])
+            Out += strFormat("f%u site %zu %s %llu\n", F, S,
+                             runtime::typeName(static_cast<runtime::Type>(T)),
+                             static_cast<unsigned long long>(N));
+    }
+    return Out;
+  }
+
+private:
+  /// Laid out on the function's first entry (only verified functions
+  /// are entered).
+  FuncCounts &counts(bc::FuncId F) {
+    std::optional<FuncCounts> &C = Funcs[F.raw()];
+    if (!C) {
+      const bc::Function &Fn = R.func(F);
+      C.emplace();
+      size_t NumBlocks = bc::BlockList::compute(Fn).numBlocks();
+      C->Blocks.assign(NumBlocks, 0);
+      C->Row.assign(std::max<size_t>(NumBlocks - 1, 1), 0);
+      C->SiteOfPc.assign(Fn.Code.size(), ~0u);
+      for (size_t Pc = 0; Pc < Fn.Code.size(); ++Pc)
+        if (bc::opObservesTypes(Fn.Code[Pc].Opcode)) {
+          C->SiteOfPc[Pc] = static_cast<uint32_t>(C->Types.size());
+          C->Types.emplace_back();
+        }
+    }
+    return *C;
+  }
+
+  const bc::Repo &R;
+  bool Records;
+  std::vector<std::optional<FuncCounts>> Funcs;
+};
+
+/// Runs \p Cs on a fresh \p InterpT with \p Budget under a
+/// CountingRecorder(\p Records).  \returns each call's result, steps and
+/// abort flag, then every count.
+template <typename InterpT>
+std::string countCalls(const bc::Repo &R,
+                       const std::vector<std::pair<bc::FuncId,
+                                                   std::vector<runtime::Value>>>
+                           &Cs,
+                       uint64_t Budget, bool Records) {
+  runtime::ClassTable Classes(R);
+  runtime::Heap Heap;
+  interp::InterpOptions Opts;
+  Opts.StepBudget = Budget;
+  InterpT Interp(R, Classes, Heap, runtime::BuiltinTable::standard(), Opts);
+  CountingRecorder CB(R, Records);
+  Interp.setCallbacks(&CB);
+  std::string Out;
+  for (const auto &[F, Args] : Cs) {
+    interp::InterpResult Res = Interp.call(F, Args);
+    Out += strFormat("%s steps=%llu ok=%d\n",
+                     runtime::toString(Res.Ret).c_str(),
+                     static_cast<unsigned long long>(Res.Steps),
+                     Res.Ok ? 1 : 0);
+    Heap.reset();
+  }
+  return Out + CB.dump();
+}
+
+/// Diffs \p W's endpoints, one call each, between a recorder that counts
+/// into frame records and one that counts every callback, at every step
+/// budget from 1 to the longest call's full count, and unbounded.  The
+/// reference interpreter honours the records too.  \returns the budgets
+/// at which a call aborted.
+uint64_t expectRecordsMatchCallbacks(const fleet::Workload &W,
+                                     uint64_t Seed) {
+  std::vector<std::pair<bc::FuncId, std::vector<runtime::Value>>> Cs;
+  for (size_t E = 0; E < W.Endpoints.size(); ++E)
+    Cs.push_back({W.Endpoints[E],
+                  {runtime::Value::integer(static_cast<int64_t>(Seed + E))}});
+  uint64_t MaxSteps = 0;
+  {
+    runtime::ClassTable Classes(W.Repo);
+    runtime::Heap Heap;
+    interp::Interpreter Interp(W.Repo, Classes, Heap,
+                               runtime::BuiltinTable::standard());
+    for (const auto &[F, Args] : Cs) {
+      MaxSteps = std::max(MaxSteps, Interp.call(F, Args).Steps);
+      Heap.reset();
+    }
+  }
+  uint64_t Aborts = 0;
+  for (uint64_t Budget = 1; Budget <= MaxSteps + 1; ++Budget) {
+    uint64_t B =
+        Budget > MaxSteps ? interp::InterpOptions().StepBudget : Budget;
+    std::string Recorded =
+        countCalls<interp::Interpreter>(W.Repo, Cs, B, /*Records=*/true);
+    EXPECT_EQ(Recorded, countCalls<interp::Interpreter>(W.Repo, Cs, B,
+                                                        /*Records=*/false))
+        << "seed " << Seed << " budget " << B;
+    EXPECT_EQ(Recorded, countCalls<jstest::ReferenceInterpreter>(
+                            W.Repo, Cs, B, /*Records=*/true))
+        << "seed " << Seed << " budget " << B;
+    Aborts += Recorded.find("ok=0") != std::string::npos;
+  }
+  return Aborts;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -332,6 +503,30 @@ TEST(InterpEngine, GeneratedProgramsMatchAcrossEngines) {
   EXPECT_EQ(Seen.KindPairs, kAllKindPairs)
       << "some caller/callee pair of observation kinds never ran";
   EXPECT_EQ(Seen.SeenSets, kAllEventSets) << "some event set never ran";
+}
+
+TEST(InterpEngine, FrameRecordsCountWhatCallbacksCount) {
+  // Frames whose record carries blocks or types bump its counters in
+  // place: at every step budget, on the 50 generated programs and the
+  // hand-written one, they must count exactly what the callbacks count,
+  // block changes, fused superinstructions' type events and budget
+  // aborts included.
+  uint64_t Aborts = 0;
+  for (uint32_t I = 0; I < 50; ++I) {
+    uint64_t Seed = 90'000'001ull + I;
+    jstest::GenParams G;
+    G.Seed = Seed;
+    G.NumClasses = 2;
+    jstest::GenProgram Prog = jstest::generateProgram(G);
+    fleet::Workload W;
+    ASSERT_TRUE(jstest::DiffRunner::compileProgram(Prog.render(), W).ok())
+        << "seed " << Seed;
+    Aborts += expectRecordsMatchCallbacks(W, Seed);
+  }
+  fleet::Workload W;
+  ASSERT_TRUE(jstest::DiffRunner::compileProgram(kHandWrittenProgram, W).ok());
+  Aborts += expectRecordsMatchCallbacks(W, /*Seed=*/0);
+  EXPECT_GT(Aborts, 0u);
 }
 
 TEST(InterpEngine, StepBudgetAbortsIdentically) {

@@ -569,7 +569,8 @@ public:
 
   interp::FrameObservation onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
                                        const runtime::Value *Args,
-                                       uint32_t NumArgs) override {
+                                       uint32_t NumArgs,
+                                       interp::FrameRecord &Record) override {
     const Translation *Best = J.onFuncEntered(Callee);
     // The unit an instrumented frame counts in, by the recorders' rule.
     const VasmUnit *Parent = Units.empty() ? nullptr : Units.back();
@@ -584,7 +585,7 @@ public:
       ++ProfiledInlined;
     Units.push_back(Unit);
     interp::FrameObservation O =
-        this->enterFrame(Callee, Caller, Args, NumArgs, Best);
+        this->enterFrame(Callee, Caller, Args, NumArgs, Best, Record);
     if (AlwaysBody)
       O = interp::FrameObservation::Body;
     uint8_t Bits = static_cast<uint8_t>(O);
@@ -845,7 +846,7 @@ TEST(ProfileSlabs, RenderAddsToProfilesWrittenDirectly) {
   Store.touch(S);
   runtime::Value Arg = runtime::Value::integer(1);
   S.countEntry(&Arg, 1);
-  S.countBlock(0);
+  ++S.BlockCounts[0];
   Store.render();
   const profile::FuncProfile *P = Store.find(F.raw());
   ASSERT_NE(P, nullptr);

@@ -12,6 +12,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
+
 #include "profile/ProfilePackage.h"
 #include "profile/ProfileStore.h"
 #include "profile/PackageIo.h"
@@ -20,6 +22,8 @@
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace jumpstart;
 using namespace jumpstart::profile;
@@ -188,6 +192,81 @@ TEST(TypeObservationTest, Merge) {
   A.merge(B);
   EXPECT_EQ(A.total(), 3u);
   EXPECT_EQ(A.dominant(), runtime::Type::Str);
+}
+
+TEST(DenseCounters, MatchStringKeyedMaps) {
+  // Dense property counters (by declared slot, affinity in a triangular
+  // array), rendered, equal string-keyed maps counted the way the
+  // reference recorder keys them: classes of 0, 1, 2 and ten
+  // properties, and a child class under which its own and inherited
+  // properties count apart from the parent's.  Arc counters with
+  // repeated arcs equal an ordered map of (caller, callee) pairs.
+  jumpstart::testing::TestVm Vm(
+      "class None { method m() { return 0; } }"
+      "class One { prop $a; }"
+      "class Two { prop $b; prop $a; }"
+      "class Ten { prop $p0; prop $p1; prop $p2; prop $p3; prop $p4;"
+      "  prop $p5; prop $p6; prop $p7; prop $p8; prop $p9; }"
+      "class Kid extends Two { prop $k; }"
+      "function main() { return 0; }");
+  const bc::Repo &R = Vm.Repo;
+  std::vector<std::pair<bc::ClassId, std::vector<bc::StringId>>> Shapes;
+  for (const char *Name : {"None", "One", "Two", "Ten", "Kid"}) {
+    bc::ClassId Cls = R.findClass(Name);
+    ASSERT_TRUE(Cls.valid()) << Name;
+    std::vector<bc::StringId> Props;
+    for (bc::ClassId K = Cls; K.valid(); K = R.cls(K).Parent) {
+      const std::vector<bc::StringId> &Own = R.cls(K).DeclProps;
+      Props.insert(Props.begin(), Own.begin(), Own.end());
+    }
+    Shapes.push_back({Cls, Props});
+  }
+  ASSERT_EQ(Shapes[0].second.size(), 0u);
+  ASSERT_EQ(Shapes[3].second.size(), 10u);
+  ASSERT_EQ(Shapes[4].second.size(), 3u) << "Kid inherits b and a";
+
+  PropCounters Dense(R);
+  std::unordered_map<std::string, uint64_t> Access, Affinity;
+  SplitMix64 Draws(11);
+  uint32_t LastCls = ~0u, LastSlot = ~0u, LastName = ~0u;
+  for (uint32_t I = 0; I < 4000; ++I) {
+    // Runs of accesses to one class, so that affinity pairs form.
+    const auto &[Cls, Props] = Shapes[1 + (I / 7 + Draws.next() % 2) % 4];
+    bc::StringId Prop = Props[Draws.next() % Props.size()];
+    uint32_t Slot = Dense.count(Cls, Prop);
+    ASSERT_EQ(Props[Slot], Prop);
+    const std::string &ClassName = R.cls(Cls).Name;
+    ++Access[ClassName + "::" + R.str(Prop)];
+    if (LastCls == Cls.raw() && LastName != Prop.raw()) {
+      Dense.countPair(Cls, LastSlot, Slot);
+      const std::string &A = R.str(bc::StringId(LastName));
+      const std::string &B = R.str(Prop);
+      ++Affinity[ClassName + "::" + (A < B ? A + "::" + B : B + "::" + A)];
+    }
+    LastCls = Cls.raw();
+    LastSlot = Slot;
+    LastName = Prop.raw();
+  }
+  OptProfile Opt;
+  Dense.renderInto(Opt);
+  EXPECT_EQ(Opt.PropAccessCounts, Access);
+  EXPECT_EQ(Opt.PropAffinity, Affinity);
+  EXPECT_EQ(Access.size(), 1u + 2 + 10 + 3);
+  EXPECT_TRUE(Access.count("Kid::a") && Access.count("Two::a"));
+  EXPECT_TRUE(Affinity.count("Ten::p0::p9"));
+
+  OptCounters Arcs;
+  std::map<std::pair<uint32_t, uint32_t>, uint64_t> WantArcs;
+  for (uint32_t I = 0; I < 3000; ++I) {
+    uint32_t Caller = static_cast<uint32_t>(Draws.next() % 9);
+    uint32_t Callee = static_cast<uint32_t>(Draws.next() % 5) * 3;
+    Arcs.countArc(Caller, Callee);
+    ++WantArcs[{Caller, Callee}];
+  }
+  OptProfile ArcOpt;
+  Arcs.renderInto(ArcOpt);
+  EXPECT_EQ(ArcOpt.CallArcs, WantArcs);
+  EXPECT_EQ(WantArcs.size(), 45u) << "every arc repeats";
 }
 
 TEST(ProfileStoreTest, RoundTripThroughPackage) {

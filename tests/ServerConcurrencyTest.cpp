@@ -470,8 +470,8 @@ class CountingCallbacks : public interp::ExecCallbacks {
 public:
   uint64_t Enters = 0;
   interp::FrameObservation onFuncEnter(bc::FuncId, bc::FuncId,
-                                       const runtime::Value *,
-                                       uint32_t) override {
+                                       const runtime::Value *, uint32_t,
+                                       interp::FrameRecord &) override {
     ++Enters;
     return interp::FrameObservation::Body;
   }

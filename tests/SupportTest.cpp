@@ -12,6 +12,7 @@
 
 #include "support/Blob.h"
 #include "support/Hashing.h"
+#include "support/ParseNumber.h"
 #include "support/Random.h"
 #include "support/Stats.h"
 #include "support/StringUtil.h"
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 using namespace jumpstart;
@@ -264,4 +266,50 @@ TEST(StringUtil, FormatBytes) {
   EXPECT_EQ(formatBytes(512), "512 B");
   EXPECT_EQ(formatBytes(1536), "1.5 KB");
   EXPECT_EQ(formatBytes(3ull << 20), "3.0 MB");
+}
+
+TEST(ParseNumber, WholeDecimalStringsInRange) {
+  using support::parseNumber;
+  uint32_t U = 7;
+  EXPECT_TRUE(parseNumber<uint32_t>("8", 1, 256, U).ok());
+  EXPECT_EQ(U, 8u);
+  EXPECT_TRUE(parseNumber<uint32_t>("256", 1, 256, U).ok());
+  EXPECT_EQ(U, 256u);
+  // Rejected, and Out untouched: outside the range, empty, signs,
+  // spaces, trailing or leading garbage, overflow of the type.
+  for (const char *Bad : {"0", "257", "", "-1", "+1", " 1", "1 ", "1x", "x1",
+                          "abc", "0x10", "1e3", "4294967296",
+                          "18446744073709551615"}) {
+    support::Status S = parseNumber<uint32_t>(Bad, 1, 256, U);
+    EXPECT_FALSE(S.ok()) << "'" << Bad << "'";
+    EXPECT_EQ(S.code(), support::StatusCode::InvalidArgument) << Bad;
+    EXPECT_EQ(U, 256u) << Bad;
+  }
+  EXPECT_NE(parseNumber<uint32_t>("-1", 1, 256, U).message().find("[1, 256]"),
+            std::string::npos);
+
+  uint64_t W = 0;
+  EXPECT_TRUE(
+      parseNumber<uint64_t>("18446744073709551615", 0, UINT64_MAX, W).ok());
+  EXPECT_EQ(W, UINT64_MAX);
+  EXPECT_FALSE(
+      parseNumber<uint64_t>("18446744073709551616", 0, UINT64_MAX, W).ok());
+  EXPECT_FALSE(parseNumber<uint64_t>("-0", 0, UINT64_MAX, W).ok());
+
+  // A '-' only where the range admits negatives.
+  int64_t I = 0;
+  EXPECT_TRUE(parseNumber<int64_t>("-9223372036854775808", INT64_MIN,
+                                   INT64_MAX, I)
+                  .ok());
+  EXPECT_EQ(I, INT64_MIN);
+  EXPECT_FALSE(parseNumber<int64_t>("-9223372036854775809", INT64_MIN,
+                                    INT64_MAX, I)
+                   .ok());
+  EXPECT_FALSE(parseNumber<int64_t>("-", INT64_MIN, INT64_MAX, I).ok());
+  EXPECT_FALSE(parseNumber<int64_t>("--1", INT64_MIN, INT64_MAX, I).ok());
+  int32_t E = 3;
+  EXPECT_FALSE(parseNumber<int32_t>("-1", 0, 4, E).ok());
+  EXPECT_FALSE(parseNumber<int32_t>("-0", 0, 4, E).ok());
+  EXPECT_TRUE(parseNumber<int32_t>("-2", -5, 4, E).ok());
+  EXPECT_EQ(E, -2);
 }

@@ -56,8 +56,10 @@ public:
 
   interp::FrameObservation onFuncEnter(bc::FuncId Callee, bc::FuncId Caller,
                                        const runtime::Value *Args,
-                                       uint32_t NumArgs) override {
-    jit::JitProfilingHooks::onFuncEnter(Callee, Caller, Args, NumArgs);
+                                       uint32_t NumArgs,
+                                       interp::FrameRecord &Record) override {
+    jit::JitProfilingHooks::onFuncEnter(Callee, Caller, Args, NumArgs,
+                                        Record);
     return interp::FrameObservation::Body;
   }
 };
